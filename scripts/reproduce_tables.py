@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from rayform.forms import QuadForm
 from rayform.qfield import make_discriminant
-from rayform.rayclass import equivalent, group_table, make_modulus
+from rayform.rayclass import _class_index, group_table, make_modulus
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,10 @@ def run_case(case: Case) -> None:
     print(f"== {case.name}: dK = {case.dk}, modulus {mod.ideal} ==")
     print(f"classes ({len(group.classes)}):")
 
-    names = {}
-    for name, form in case.named_forms:
-        hits = [
-            i
-            for i, fc in enumerate(group.classes)
-            if equivalent(form, fc.rep, mod) is not None
-        ]
-        assert len(hits) == 1, f"{name} matched {len(hits)} classes"
-        names[hits[0]] = name
+    names = {_class_index(form, group): name for name, form in case.named_forms}
+    assert len(names) == len(group.classes), "the named forms do not cover every class"
     for i, fc in enumerate(group.classes):
-        print(f"  {i}: {fc.rep}   ({names.get(i, '?')})")
+        print(f"  {i}: {fc.rep}   ({names[i]})")
 
     width = max(len(n) for n in names.values())
     print("table (rows and columns in class order):")

@@ -1,118 +1,18 @@
 """Survey numeric residuals of the modular identities at a chosen precision.
 
-Reports worst-case residuals over random samples for the power relations
-between the three indexed functions, the row transformation law, descriptor
-invariance across class representatives, and the two evaluation routes.
-All residuals should sit far below 10^-(digits/2).
+Runs the property suite of `rayform verify` (rayform.checks) on dK = -20,
+modulus 2,4,6, with its own sample count and seed, and prints one line per
+check with its worst residual.  The tolerance is 10^-(digits/2).
 """
 
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
-import mpmath
-
-from rayform.forms import QuadForm, S_FLIP, t_power
-from rayform.modular import (
-    FrickeLabel,
-    Precision,
-    eisenstein_j,
-    eval_descriptor,
-    eval_descriptor_unreduced,
-    fricke,
-)
+from rayform.checks import run_checks
+from rayform.modular import Precision
 from rayform.qfield import make_discriminant
-from rayform.rayclass import (
-    class_translate,
-    descriptor,
-    enumerate_classes,
-    make_modulus,
-)
-
-
-@dataclass(frozen=True)
-class ReportConfig:
-    digits: int = 80
-    samples: int = 20
-    seed: int = 20260822
-    dk: int = -20
-    ideal: tuple[int, int, int] = (2, 4, 6)
-
-
-def high_ctx(digits: int):
-    ctx = mpmath.ctx_mp.MPContext()
-    ctx.dps = digits + 10
-    return ctx
-
-
-def random_tau(ctx, rng):
-    return ctx.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.85, 1.7))
-
-
-def random_label(rng, index=None):
-    level = rng.randrange(3, 10)
-    r, s = rng.randrange(level), rng.randrange(level)
-    if r == 0 and s == 0:
-        s = 1
-    return FrickeLabel(index or rng.choice((1, 2, 3)), r, s, level)
-
-
-def power_relation_residual(cfg: ReportConfig, ctx, rng, p: Precision):
-    worst = ctx.mpf(0)
-    done = 0
-    while done < cfg.samples:
-        tau = random_tau(ctx, rng)
-        lab = random_label(rng, index=1)
-        jv = eisenstein_j(tau, p)
-        if abs(jv) < ctx.mpf("1e-5") or abs(jv - 1728) < ctx.mpf("1e-5"):
-            continue
-        f1 = fricke(lab, tau, p)
-        f2 = fricke(FrickeLabel(2, lab.r, lab.s, lab.level), tau, p)
-        f3 = fricke(FrickeLabel(3, lab.r, lab.s, lab.level), tau, p)
-        worst = max(worst, abs(f2 - 46656 * f1**2 / (jv - 1728)))
-        worst = max(worst, abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728))))
-        done += 1
-    return worst
-
-
-def transformation_residual(cfg: ReportConfig, ctx, rng, p: Precision):
-    worst = ctx.mpf(0)
-    for _ in range(cfg.samples):
-        tau = random_tau(ctx, rng)
-        g = t_power(rng.randrange(-3, 4))
-        for _ in range(rng.randrange(1, 3)):
-            g = g @ S_FLIP @ t_power(rng.randrange(-3, 4))
-        lab = random_label(rng)
-        moved = (g.p * tau + g.q) / (g.r * tau + g.s)
-        pushed = FrickeLabel(
-            lab.i, lab.r * g.p + lab.s * g.r, lab.r * g.q + lab.s * g.s, lab.level
-        )
-        worst = max(worst, abs(fricke(lab, moved, p) - fricke(pushed, tau, p)))
-    return worst
-
-
-def descriptor_residuals(cfg: ReportConfig, ctx, rng, p: Precision):
-    disc = make_discriminant(cfg.dk)
-    mod = make_modulus(disc, *cfg.ideal)
-    classes = enumerate_classes(mod).classes
-    worst_cls = ctx.mpf(0)
-    worst_route = ctx.mpf(0)
-    for fc in classes:
-        d = descriptor(fc.rep, mod)
-        ref = eval_descriptor(d, None, p)
-        worst_route = max(worst_route, abs(eval_descriptor_unreduced(d, None, p) - ref))
-        done = 0
-        while done < 3:
-            moved = class_translate(
-                fc.rep, mod, rng.randrange(-4, 5), rng.randrange(-3, 4)
-            )
-            if moved is None:
-                continue
-            value = eval_descriptor(descriptor(moved, mod), None, p)
-            worst_cls = max(worst_cls, abs(value - ref))
-            done += 1
-    return worst_cls, worst_route
+from rayform.rayclass import make_modulus
 
 
 def main() -> int:
@@ -122,22 +22,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20260822)
     args = parser.parse_args()
 
-    cfg = ReportConfig(digits=args.digits, samples=args.samples, seed=args.seed)
-    p = Precision(cfg.digits)
-    ctx = high_ctx(cfg.digits)
-    rng = random.Random(cfg.seed)
-
-    print(f"digits={cfg.digits} samples={cfg.samples} seed={cfg.seed}")
-    r = power_relation_residual(cfg, ctx, rng, p)
-    print(f"power relations        worst residual {mpmath.nstr(r, 4)}")
-    r = transformation_residual(cfg, ctx, rng, p)
-    print(f"transformation law     worst residual {mpmath.nstr(r, 4)}")
-    cls, route = descriptor_residuals(cfg, ctx, rng, p)
-    print(f"class invariance       worst residual {mpmath.nstr(cls, 4)}")
-    print(f"route agreement        worst residual {mpmath.nstr(route, 4)}")
-    bound = mpmath.mpf(10) ** -(cfg.digits // 2)
-    print(f"reference bound 10^-(digits/2) = {mpmath.nstr(bound, 2)}")
-    return 0
+    mod = make_modulus(make_discriminant(-20), 2, 4, 6)
+    rng = random.Random(args.seed)
+    checks = run_checks(mod, Precision(args.digits), args.digits // 2, rng, args.samples)
+    print(f"digits={args.digits} samples={args.samples} seed={args.seed}")
+    for check in checks:
+        print(check)
+    return 0 if all(c.passed for c in checks) else 1
 
 
 if __name__ == "__main__":

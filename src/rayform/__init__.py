@@ -6,78 +6,19 @@ Fractions: field elements, canonical ideal triples, quadratic forms,
 congruence-constrained equivalence, class enumeration, composition and
 group structure.  The numeric side (modular) evaluates the classical
 q-series at whatever precision is asked for and never touches global
-state.  The cli module exposes everything as subcommands.
+state.  The checks module runs the property suite of one modulus, and
+the cli module exposes everything as subcommands.
 """
 
-from .qfield import (
-    Discriminant,
-    FieldElement,
-    IdealTriple,
-    InternalCheckError,
-    LatticeBasis,
-    QFieldError,
-    canonicalize_ideal,
-    class_number,
-    ideal_product,
-    is_coprime,
-    is_mult_congruent_one,
-    make_discriminant,
-    make_ideal_triple,
-    make_lattice_basis,
-    minimal_norm_elements,
-    mobius,
-    parse_ideal_triple,
-    principal_ideal,
-    ray_class_number_oracle,
-)
-from .forms import (
-    QuadForm,
-    UnimodMatrix,
-    act,
-    automorphs,
-    coprime_normalize,
-    make_form,
-    omega,
-    parse_form,
-    reduce,
-    reduced_forms,
-    t_power,
-)
+from .qfield import make_discriminant
 from .rayclass import (
-    ClassGroup,
-    FormClass,
-    GaloisDescriptor,
-    Modulus,
-    canonical_offset,
     compose,
-    decompose,
     descriptor,
     enumerate_classes,
     equivalent,
-    equivalent_oracle,
     group_table,
-    in_gamma_n,
-    lift_bottom_row,
     make_modulus,
-    product_basis,
-    row_classes,
-    row_in_vq,
-    rows_equivalent,
-    t_normalize,
-    unit_rows,
 )
-from .modular import (
-    FrickeLabel,
-    Precision,
-    eisenstein_j,
-    eval_descriptor,
-    eval_descriptor_unreduced,
-    fricke,
-    parse_fricke_label,
-    reduce_to_fundamental,
-    weber,
-    weber_index,
-    wp,
-)
+from .modular import Precision, eval_descriptor
 
 __version__ = "0.1.0"

@@ -1,0 +1,159 @@
+"""The property suite of one modulus behind `rayform verify`: exact checks of
+the class group, then numeric checks of the modular identities.  All random
+samples come from the caller's generator in a fixed order, so a seeded
+generator makes the report reproducible byte for byte."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
+
+from . import modular
+from .forms import QuadForm
+from .qfield import QFieldError, ray_class_number_oracle
+from .rayclass import (
+    Modulus,
+    _class_index,
+    class_translate,
+    compose,
+    descriptor,
+    equivalent,
+    equivalent_oracle,
+    group_table,
+)
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    passed: bool
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
+
+
+def sci(x) -> str:
+    """x >= 0 as f"{x:.3e}" prints it, but exact: no float range to underflow."""
+    x = Fraction(str(x))
+    if x == 0:
+        return "0.000e+00"
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    if x < Fraction(10) ** e:
+        e -= 1
+    m = round(x / Fraction(10) ** e * 1000)
+    if m == 10000:
+        m, e = 1000, e + 1
+    return f"{m // 1000}.{m % 1000:03d}e{e:+03d}"
+
+
+def _translates(form, mod, rng, want: int) -> list[QuadForm]:
+    out = []
+    while len(out) < want:
+        moved = class_translate(form, mod, rng.randrange(-6, 7), rng.randrange(-4, 5))
+        if moved is not None:
+            out.append(moved)
+    return out
+
+
+def _random_row(rng) -> tuple[int, int, int]:
+    level = rng.randrange(2, 8)
+    return rng.randrange(level), rng.randrange(1, level), level
+
+
+def _power_residuals(p, rng, samples: int):
+    for _ in range(samples):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
+        r, s, level = _random_row(rng)
+        jv = modular.eisenstein_j(tau, p)
+        if abs(jv) < 1e-5 or abs(jv - 1728) < 1e-5:
+            continue
+        f1, f2, f3 = (
+            modular.fricke(modular.FrickeLabel(i, r, s, level), tau, p) for i in (1, 2, 3)
+        )
+        yield abs(f2 - 46656 * f1**2 / (jv - 1728))
+        yield abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728)))
+
+
+def _law_residuals(p, rng, samples: int):
+    hp = mpmath.ctx_mp.MPContext()
+    hp.dps = p.digits + 10
+    for _ in range(samples):
+        tau = hp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
+        r, s, level = _random_row(rng)
+        g = modular.reduce_to_fundamental(complex(rng.uniform(-2, 2), rng.uniform(0.2, 2)))[1]
+        label = modular.FrickeLabel(1, r, s, level)
+        moved = modular.FrickeLabel(1, r * g.p + s * g.r, r * g.q + s * g.s, level)
+        num = (g.p * tau + g.q) / (g.r * tau + g.s)
+        yield abs(modular.fricke(label, num, p) - modular.fricke(moved, tau, p))
+
+
+def _route_residuals(reps, mod, p):
+    for rep in reps:
+        d = descriptor(rep, mod)
+        yield abs(modular.eval_descriptor(d, None, p) - modular.eval_descriptor_unreduced(d, None, p))
+
+
+def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
+    """The eight checks of `rayform verify`, in order.  The power relations
+    and the transformation law each draw `samples` random points; the class
+    checks cover every class."""
+    if tol_exp < 1:
+        raise QFieldError(f"tolerance exponent must be at least 1, got {tol_exp}")
+    tol = Fraction(10) ** -tol_exp
+    disc, group = mod.disc, group_table(mod)
+    reps = [fc.rep for fc in group.classes]
+    checks = []
+
+    def record(name: str, passed: bool, detail: str):
+        checks.append(Check(name, passed, detail))
+
+    def numeric(name: str, residuals):
+        worst = max((Fraction(str(r)) for r in residuals), default=Fraction(0))
+        record(name, worst <= tol, f"worst residual {sci(worst)}")
+
+    def witness(f1, f2) -> bool:
+        return equivalent(f1, f2, mod) is not None
+
+    def value(form):
+        return modular.eval_descriptor(descriptor(form, mod), None, p)
+
+    def invariance_residuals():
+        for rep in reps:
+            base = value(rep)
+            yield from (abs(base - value(moved)) for moved in _translates(rep, mod, rng, 2))
+
+    h, oracle = len(reps), ray_class_number_oracle(disc, mod.ideal)
+    record("class count vs ideal-theoretic oracle", h == oracle, f"{h} classes, oracle {oracle}")
+
+    pairs = [(f1, f2) for i, f1 in enumerate(reps) for f2 in reps[i:]]
+    agree = sum(witness(f1, f2) == equivalent_oracle(f1, f2, mod) for f1, f2 in pairs)
+    moved = [(rep, m) for rep in reps for m in _translates(rep, mod, rng, 2)]
+    agree += sum(witness(rep, m) and equivalent_oracle(rep, m, mod) for rep, m in moved)
+    trials = len(pairs) + len(moved)
+    record("witness equivalence vs ideal route", agree == trials, f"{agree}/{trials} pairs agree")
+
+    stable = 0
+    for _ in range(10):
+        i = rng.randrange(h)
+        j = rng.randrange(h)
+        moved_i = _translates(reps[i], mod, rng, 1)[0]
+        moved_j = _translates(reps[j], mod, rng, 1)[0]
+        stable += _class_index(compose(moved_i, moved_j, mod), group) == group.table[i][j]
+    detail = f"{stable}/10 translate trials match the table"
+    record("composition is class-level well-defined", stable == 10, detail)
+
+    numeric("power relations between the three indexed values", _power_residuals(p, rng, samples))
+    numeric("row transformation law", _law_residuals(p, rng, samples))
+
+    xi = mod.cm_point()
+    direct = modular.weber(disc.one(), mod.ideal.lattice(), p)
+    resid = Fraction(str(abs(direct - value(QuadForm(1, disc.b0, disc.c0)))))
+    detail = f"residual {sci(resid)} at xi = ({xi.u})*tau + ({xi.v})"
+    record("identity-class value equals the unit-normalized lattice value", resid <= tol, detail)
+
+    numeric("descriptor value constant on classes", invariance_residuals())
+    numeric("descriptor route vs unreduced route", _route_residuals(reps, mod, p))
+    return checks

@@ -12,12 +12,11 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
-
-import mpmath
+from dataclasses import asdict
 
 from . import modular
-from .forms import QuadForm, act, parse_form, reduce, reduced_forms
+from .checks import run_checks
+from .forms import QuadForm, parse_form, reduced_forms
 from .qfield import (
     Discriminant,
     InternalCheckError,
@@ -32,7 +31,6 @@ from .qfield import (
 from .rayclass import (
     Modulus,
     class_group_to_json,
-    class_translate,
     compose,
     descriptor,
     enumerate_classes,
@@ -101,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _digits(args) -> int:
-    if getattr(args, "digits", None):
+    if getattr(args, "digits", None) is not None:
         return args.digits
     env = os.environ.get("RAYFORM_DIGITS")
     if env:
@@ -173,16 +171,8 @@ def _group_text(group) -> list[str]:
     return lines
 
 
-def _cmd_enumerate(args) -> int:
-    disc = make_discriminant(args.dk)
-    group = enumerate_classes(_modulus(args, disc))
-    _emit(args, class_group_to_json(group), lambda: _group_text(group))
-    return 0
-
-
-def _cmd_table(args) -> int:
-    disc = make_discriminant(args.dk)
-    group = group_table(_modulus(args, disc))
+def _cmd_table(args, build=group_table) -> int:
+    group = build(_modulus(args, make_discriminant(args.dk)))
     _emit(args, class_group_to_json(group), lambda: _group_text(group))
     return 0
 
@@ -270,179 +260,22 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _translates(form, mod, rng, want: int) -> list[QuadForm]:
-    out = []
-    while len(out) < want:
-        moved = class_translate(form, mod, rng.randrange(-6, 7), rng.randrange(-4, 5))
-        if moved is not None:
-            out.append(moved)
-    return out
-
-
 def _cmd_verify(args) -> int:
     disc = make_discriminant(args.dk)
     mod = _modulus(args, disc)
     digits = _digits(args)
-    tol_exp = args.tolerance_exponent or digits // 2
-    p = modular.Precision(digits)
-    tol = Fraction(10) ** -tol_exp
-    rng = random.Random(_VERIFY_SEED)
-    checks = []
-
-    def record(name: str, passed: bool, detail: str):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    group = group_table(mod)
-    expected = ray_class_number_oracle(disc, mod.ideal)
-    record(
-        "class count vs ideal-theoretic oracle",
-        len(group.classes) == expected,
-        f"{len(group.classes)} classes, oracle {expected}",
-    )
-
-    reps = [fc.rep for fc in group.classes]
-    agree = 0
-    trials = 0
-    for i, f1 in enumerate(reps):
-        for f2 in reps[i:]:
-            trials += 1
-            if (equivalent(f1, f2, mod) is not None) == equivalent_oracle(f1, f2, mod):
-                agree += 1
-    for rep in reps:
-        for moved in _translates(rep, mod, rng, 2):
-            trials += 1
-            if (equivalent(rep, moved, mod) is not None) and equivalent_oracle(
-                rep, moved, mod
-            ):
-                agree += 1
-    record(
-        "witness equivalence vs ideal route",
-        agree == trials,
-        f"{agree}/{trials} pairs agree",
-    )
-
-    def class_index(form) -> int:
-        for idx, fc in enumerate(group.classes):
-            if equivalent(form, fc.rep, mod) is not None:
-                return idx
-        return -1
-
-    stable = 0
-    comp_trials = 0
-    for _ in range(10):
-        i = rng.randrange(len(reps))
-        j = rng.randrange(len(reps))
-        moved_i = _translates(reps[i], mod, rng, 1)[0]
-        moved_j = _translates(reps[j], mod, rng, 1)[0]
-        comp_trials += 1
-        if class_index(compose(moved_i, moved_j, mod)) == group.table[i][j]:
-            stable += 1
-    record(
-        "composition is class-level well-defined",
-        stable == comp_trials,
-        f"{stable}/{comp_trials} translate trials match the table",
-    )
-
-    worst = Fraction(0)
-
-    def track(residual):
-        nonlocal worst
-        r = Fraction(str(residual))
-        if r > worst:
-            worst = r
-
-    ratio_ok = True
-    for _ in range(5):
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
-        level = rng.randrange(2, 8)
-        row = (rng.randrange(level), rng.randrange(1, level))
-        f1 = modular.fricke(modular.FrickeLabel(1, row[0], row[1], level), tau, p)
-        f2 = modular.fricke(modular.FrickeLabel(2, row[0], row[1], level), tau, p)
-        f3 = modular.fricke(modular.FrickeLabel(3, row[0], row[1], level), tau, p)
-        jv = modular.eisenstein_j(tau, p)
-        if abs(jv) < 1e-5 or abs(jv - 1728) < 1e-5:
-            continue
-        r2 = abs(f2 - 46656 * f1**2 / (jv - 1728))
-        r3 = abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728)))
-        track(r2)
-        track(r3)
-        if Fraction(str(r2)) > tol or Fraction(str(r3)) > tol:
-            ratio_ok = False
-    record("power relations between the three indexed values", ratio_ok, f"worst residual {float(worst):.3e}")
-
-    law_ok = True
-    worst = Fraction(0)
-    hp = mpmath.ctx_mp.MPContext()
-    hp.dps = digits + 10
-    for _ in range(5):
-        tau = hp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
-        level = rng.randrange(2, 8)
-        row = (rng.randrange(level), rng.randrange(1, level))
-        g = modular.reduce_to_fundamental(complex(rng.uniform(-2, 2), rng.uniform(0.2, 2)))[1]
-        label = modular.FrickeLabel(1, row[0], row[1], level)
-        moved_label = modular.FrickeLabel(
-            1, row[0] * g.p + row[1] * g.r, row[0] * g.q + row[1] * g.s, level
-        )
-        num = (g.p * tau + g.q) / (g.r * tau + g.s)
-        resid = abs(modular.fricke(label, num, p) - modular.fricke(moved_label, tau, p))
-        track(resid)
-        if Fraction(str(resid)) > tol:
-            law_ok = False
-    record("row transformation law", law_ok, f"worst residual {float(worst):.3e}")
-
-    xi = mod.cm_point()
-    direct = modular.weber(disc.one(), mod.ideal.lattice(), p)
-    via_label = modular.eval_descriptor(
-        descriptor(QuadForm(1, disc.b0, disc.c0), mod), None, p
-    )
-    resid = abs(direct - via_label)
-    record(
-        "identity-class value equals the unit-normalized lattice value",
-        Fraction(str(resid)) <= tol,
-        f"residual {float(resid):.3e} at xi = ({xi.u})*tau + ({xi.v})",
-    )
-
-    inv_ok = True
-    worst = Fraction(0)
-    for fc in group.classes:
-        base = modular.eval_descriptor(descriptor(fc.rep, mod), None, p)
-        for moved in _translates(fc.rep, mod, rng, 2):
-            resid = abs(base - modular.eval_descriptor(descriptor(moved, mod), None, p))
-            track(resid)
-            if Fraction(str(resid)) > tol:
-                inv_ok = False
-    record("descriptor value constant on classes", inv_ok, f"worst residual {float(worst):.3e}")
-
-    two_ok = True
-    worst = Fraction(0)
-    for fc in group.classes:
-        d = descriptor(fc.rep, mod)
-        resid = abs(
-            modular.eval_descriptor(d, None, p)
-            - modular.eval_descriptor_unreduced(d, None, p)
-        )
-        track(resid)
-        if Fraction(str(resid)) > tol:
-            two_ok = False
-    record("descriptor route vs unreduced route", two_ok, f"worst residual {float(worst):.3e}")
-
-    passed = all(c["passed"] for c in checks)
-    payload = {"dK": disc.d, "ideal": str(mod.ideal), "passed": passed, "checks": checks}
-    _emit(
-        args,
-        payload,
-        lambda: [
-            f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}"
-            for c in checks
-        ]
-        + [f"overall: {'PASS' if passed else 'FAIL'}"],
-    )
+    tol_exp = digits // 2 if args.tolerance_exponent is None else args.tolerance_exponent
+    checks = run_checks(mod, modular.Precision(digits), tol_exp, random.Random(_VERIFY_SEED))
+    passed = all(c.passed for c in checks)
+    results = [asdict(c) for c in checks]
+    payload = {"dK": disc.d, "ideal": str(mod.ideal), "passed": passed, "checks": results}
+    _emit(args, payload, lambda: [*map(str, checks), f"overall: {'PASS' if passed else 'FAIL'}"])
     return 0 if passed else 3
 
 
 _HANDLERS = {
     "reduced": _cmd_reduced,
-    "enumerate": _cmd_enumerate,
+    "enumerate": lambda args: _cmd_table(args, enumerate_classes),
     "table": _cmd_table,
     "equiv": _cmd_equiv,
     "compose": _cmd_compose,

@@ -18,7 +18,6 @@ from .qfield import (
     InternalCheckError,
     QFieldError,
     _egcd,
-    mobius,
 )
 
 
@@ -69,10 +68,6 @@ def parse_form(text: str) -> QuadForm:
     return make_form(a, b, c)
 
 
-def form_to_json(form: QuadForm) -> dict:
-    return {"a": form.a, "b": form.b, "c": form.c}
-
-
 @dataclass(frozen=True)
 class UnimodMatrix:
     """Element of SL2(Z), rows (p, q) and (r, s)."""
@@ -101,12 +96,6 @@ class UnimodMatrix:
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.p, self.q), (self.r, self.s))
-
-    def entry_bound(self) -> int:
-        return max(abs(self.p), abs(self.q), abs(self.r), abs(self.s))
-
-    def apply(self, z: FieldElement) -> FieldElement:
-        return mobius(self.rows(), z)
 
 
 IDENT = UnimodMatrix(1, 0, 0, 1)

@@ -18,13 +18,12 @@ j(rho) = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .forms import IDENT, S_FLIP, UnimodMatrix, t_power
+from .forms import IDENT, S_FLIP, t_power
 from .qfield import (
     Discriminant,
     FieldElement,

@@ -266,10 +266,6 @@ def make_lattice_basis(g1: FieldElement, g2: FieldElement) -> LatticeBasis:
     return basis
 
 
-def ideal_norm(basis: LatticeBasis) -> Fraction:
-    return basis.det()
-
-
 @dataclass(frozen=True)
 class IdealTriple:
     """Canonical normal form (a1, a2, c) of an integral ideal."""

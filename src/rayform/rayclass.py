@@ -16,12 +16,12 @@ purpose: the witness-matrix equivalence test against the ideal-theoretic
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import (
-    IDENT,
     QuadForm,
     UnimodMatrix,
     act,
@@ -321,14 +321,12 @@ def row_in_vq(form: QuadForm, row: RowVec, level: int) -> bool:
     return math.gcd(level, form(v, -u)) == 1
 
 
+@functools.cache
 def unit_rows(disc: Discriminant) -> tuple[RowVec, ...]:
-    """Coordinate rows (m, n) of the units m*tau + n of the order."""
-    rows = [(0, 1), (0, -1)]
-    if disc.d == -4:
-        rows += [(1, 0), (-1, 0)]
-    elif disc.d == -3:
-        rows += [(1, 0), (-1, 0), (1, 1), (-1, -1)]
-    return tuple(rows)
+    """Coordinate rows (m, n) of the units m*tau + n of the order, in the
+    order of `Discriminant.unit_elements`.  Cached: `rows_equivalent` asks
+    for them on every call."""
+    return tuple((int(e.u), int(e.v)) for e in disc.unit_elements())
 
 
 def _row_times(row: RowVec, m: tuple[tuple[int, int], tuple[int, int]]) -> RowVec:

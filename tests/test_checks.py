@@ -1,0 +1,57 @@
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from rayform.checks import run_checks, sci
+from rayform.modular import Precision
+from rayform.qfield import make_discriminant
+from rayform.rayclass import make_modulus
+
+MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
+
+
+def test_sci_matches_float_format_in_double_range():
+    for x in ("9.8176e-86", "1.058e-86", "9.99951e-5", "2.5e-7", "123.456"):
+        assert sci(mpmath.mpf(x)) == f"{float(x):.3e}"
+    assert sci(mpmath.mpf(0)) == "0.000e+00"
+    assert sci(Fraction(1, 3)) == "3.333e-01"
+
+
+def test_sci_below_double_range():
+    assert sci(mpmath.mpf("1e-400")) == "1.000e-400"
+    assert sci(mpmath.mpf("2.0475e-410")) == "2.048e-410"
+    assert f"{float(mpmath.mpf('1e-400')):.3e}" == "0.000e+00"
+
+
+@pytest.fixture(scope="module")
+def too_tight():
+    """The suite at 40 digits against a tolerance of 10^-60, which no
+    honest numeric comparison at that precision can meet."""
+    checks = run_checks(MOD20, Precision(40), 60, random.Random(911))
+    return {c.name: c for c in checks}
+
+
+# Both sides of these reach the same (tau0, row) exactly before any series
+# runs, so their residual is 0 at any precision.
+_SELF_COMPARE = pytest.mark.xfail(
+    strict=True, reason="compares a value with itself (ROADMAP item 3)"
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "power relations between the three indexed values",
+        "row transformation law",
+        "descriptor value constant on classes",
+        pytest.param(
+            "identity-class value equals the unit-normalized lattice value",
+            marks=_SELF_COMPARE,
+        ),
+        pytest.param("descriptor route vs unreduced route", marks=_SELF_COMPARE),
+    ],
+)
+def test_numeric_checks_can_fail(too_tight, name):
+    assert not too_tight[name].passed, too_tight[name].detail

@@ -143,6 +143,14 @@ def test_digits_env_override():
     )
     assert flag["label"] == "1:0,1,6"
 
+    for env in ("0", "40"):
+        code, _, err = run(
+            "eval", "--dk", "-20", "--ideal", "2,4,6", "--form", "7,-6,2",
+            "--digits", "0", env_extra={"RAYFORM_DIGITS": env},
+        )
+        assert code == 2
+        assert "got 0" in err
+
 
 def test_ideal_gens_matches_triple():
     a = run_json("enumerate", "--dk", "-20", "--ideal", "2,4,6")
@@ -189,6 +197,13 @@ def test_invalid_inputs_exit_2():
 
     code, _, _ = run("equiv", "--dk", "-20", "--ideal", "2,4,6", "--form", "1,0,5")
     assert code == 2
+
+    for t in ("0", "-3"):
+        code, _, err = run(
+            "verify", "--dk", "-20", "--ideal", "2,4,6", "--tolerance-exponent", t
+        )
+        assert code == 2
+        assert "tolerance exponent" in err
 
 
 def test_trivial_modulus_rejected():

@@ -11,7 +11,6 @@ from rayform.qfield import (
     crt2,
     element_from_json,
     element_to_json,
-    ideal_norm,
     ideal_product,
     is_coprime,
     is_mult_congruent_one,
@@ -184,11 +183,11 @@ def test_ideal_product_norm_multiplicative(s, t):
 
 def test_ideal_norm_examples():
     n = make_ideal_triple(D20, 2, 4, 6)
-    assert ideal_norm(n.lattice()) == 12
+    assert n.lattice().det() == 12
     # [omega, 1] for the form 2x^2+2xy+3y^2 has norm 1/a
     omega = D20.element(Fraction(1, 2), Fraction(-1, 2))
-    assert ideal_norm(make_lattice_basis(omega, D20.one())) == Fraction(1, 2)
-    assert ideal_norm(make_lattice_basis(D20.tau(), D20.one())) == 1
+    assert make_lattice_basis(omega, D20.one()).det() == Fraction(1, 2)
+    assert make_lattice_basis(D20.tau(), D20.one()).det() == 1
 
 
 def test_is_coprime():
@@ -324,4 +323,4 @@ def test_triple_norm_lattice_consistency(d, seed):
     triples = TRIPLES20 if d is D20 else TRIPLES23
     t = triples[seed % len(triples)]
     assert t.norm() == t.a1 * t.c
-    assert ideal_norm(t.lattice()) == t.norm()
+    assert t.lattice().det() == t.norm()

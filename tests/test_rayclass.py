@@ -250,8 +250,8 @@ def test_row_membership():
 
 def test_unit_rows():
     assert unit_rows(D20) == ((0, 1), (0, -1))
-    assert set(unit_rows(D4)) == {(0, 1), (0, -1), (1, 0), (-1, 0)}
-    assert set(unit_rows(D3)) == {(0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1)}
+    assert unit_rows(D4) == ((0, 1), (0, -1), (1, 0), (-1, 0))
+    assert unit_rows(D3) == ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1))
 
 
 def test_row_classes_golden_d20():
