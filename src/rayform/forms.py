@@ -178,10 +178,12 @@ def automorphs(form: QuadForm) -> tuple[UnimodMatrix, ...]:
     force on the reduced form (entries up to 2 suffice there) and conjugated
     back along the reduction witness.
     """
-    reduced, g = reduce(form)
     d = form.disc()
+    if d >= 0:
+        raise QFieldError(f"form {form} is not definite")
     if d not in (-3, -4):
         return (IDENT, NEG_IDENT)
+    reduced, g = reduce(form)
     stab = []
     for p in range(-2, 3):
         for q in range(-2, 3):

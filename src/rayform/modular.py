@@ -213,27 +213,44 @@ def _combo(ctx, i: int, s_val, e4, e6):
     return -8 * e6 * s_val**3 / dd
 
 
-def _torsion_value(ctx, i: int, v1: Fraction, v2: Fraction, tau0, cutoff):
+def _e4_e6(ctx, tau0, cutoff):
+    q = ctx.exp(2j * ctx.pi * tau0)
+    return _eisenstein(ctx, q, 4, cutoff), _eisenstein(ctx, q, 6, cutoff)
+
+
+def _torsion_value(ctx, i: int, x, y, tau0, cutoff):
+    """Torsion-value function number i at z = x*tau0 + y, x, y in [-1/2, 1/2]."""
+    e4, e6 = _e4_e6(ctx, tau0, cutoff)
+    s_val = _wp_sum(ctx, x, y, tau0, cutoff)
+    return _ensure_finite(ctx, ctx.mpc(_combo(ctx, i, s_val, e4, e6)))
+
+
+def _exact_cell(ctx, v1: Fraction, v2: Fraction):
     # v1, v2 are exact; shift into [-1/2, 1/2] before embedding
     r1 = v1 - round(v1)
     r2 = v2 - round(v2)
     if r1 == 0 and r2 == 0:
         raise QFieldError("row is integral: the point sits on the lattice")
-    q = ctx.exp(2j * ctx.pi * tau0)
-    e4 = _eisenstein(ctx, q, 4, cutoff)
-    e6 = _eisenstein(ctx, q, 6, cutoff)
-    s_val = _wp_sum(ctx, _fr(ctx, r1), _fr(ctx, r2), tau0, cutoff)
-    return _ensure_finite(ctx, ctx.mpc(_combo(ctx, i, s_val, e4, e6)))
+    return _fr(ctx, r1), _fr(ctx, r2)
+
+
+def _cell(ctx, z, t, p: Precision):
+    """Coordinates (x, y) of z = x*t + y, shifted into [-1/2, 1/2]."""
+    x = z.imag / t.imag
+    y = z.real - x * t.real
+    x -= ctx.nint(x)
+    y -= ctx.nint(y)
+    tol = ctx.mpf(10) ** -(p.digits // 2)
+    if abs(x) < tol and abs(y) < tol:
+        raise QFieldError("z is too close to a lattice point")
+    return x, y
 
 
 def eisenstein_j(tau, p: Precision = Precision()):
     """The j-invariant of [tau, 1], via E4 and E6 after domain reduction."""
     ctx = _ctx(p)
     t0, _ = _reduce_tau(ctx, ctx.mpc(tau))
-    cutoff = _cutoff(ctx, p)
-    q = ctx.exp(2j * ctx.pi * t0)
-    e4 = _eisenstein(ctx, q, 4, cutoff)
-    e6 = _eisenstein(ctx, q, 6, cutoff)
+    e4, e6 = _e4_e6(ctx, t0, _cutoff(ctx, p))
     return _ensure_finite(ctx, ctx.mpc(1728 * e4**3 / (e4**3 - e6**2)))
 
 
@@ -244,14 +261,7 @@ def wp(z, tau, p: Precision = Precision()):
     t = ctx.mpc(tau)
     if t.imag <= 0:
         raise QFieldError("lattice parameter is not in the upper half plane")
-    zz = ctx.mpc(z)
-    x = zz.imag / t.imag
-    y = zz.real - x * t.real
-    x -= ctx.nint(x)
-    y -= ctx.nint(y)
-    tol = ctx.mpf(10) ** -(p.digits // 2)
-    if abs(x) < tol and abs(y) < tol:
-        raise QFieldError("z is too close to a lattice point")
+    x, y = _cell(ctx, ctx.mpc(z), t, p)
     s_val = _wp_sum(ctx, x, y, t, _cutoff(ctx, p))
     return _ensure_finite(ctx, -4 * ctx.pi**2 * s_val)
 
@@ -265,9 +275,8 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     ctx = _ctx(p)
     t0, g = _reduce_tau(ctx, ctx.mpc(tau))
     v1, v2 = label.row()
-    w1 = v1 * g.p + v2 * g.r
-    w2 = v1 * g.q + v2 * g.s
-    return _torsion_value(ctx, label.i, w1, w2, t0, _cutoff(ctx, p))
+    x, y = _exact_cell(ctx, v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s)
+    return _torsion_value(ctx, label.i, x, y, t0, _cutoff(ctx, p))
 
 
 def _basis_pair(basis) -> tuple[FieldElement, FieldElement]:
@@ -309,21 +318,8 @@ def weber(z, basis, p: Precision = Precision()):
         z_scaled = ctx.mpc(z) / _embed(ctx, g2)
     t0, g = _reduce_tau(ctx, _embed(ctx, ratio))
     # [ratio, 1] = (1/(r*t0+s)) [t0, 1], and the value has weight zero
-    z_final = (g.r * t0 + g.s) * z_scaled
-    x = z_final.imag / t0.imag
-    y = z_final.real - x * t0.real
-    x -= ctx.nint(x)
-    y -= ctx.nint(y)
-    tol = ctx.mpf(10) ** -(p.digits // 2)
-    if abs(x) < tol and abs(y) < tol:
-        raise QFieldError("z is too close to a lattice point")
-    cutoff = _cutoff(ctx, p)
-    q = ctx.exp(2j * ctx.pi * t0)
-    e4 = _eisenstein(ctx, q, 4, cutoff)
-    e6 = _eisenstein(ctx, q, 6, cutoff)
-    s_val = _wp_sum(ctx, x, y, t0, cutoff)
-    i = weber_index(g1.disc)
-    return _ensure_finite(ctx, ctx.mpc(_combo(ctx, i, s_val, e4, e6)))
+    x, y = _cell(ctx, (g.r * t0 + g.s) * z_scaled, t0, p)
+    return _torsion_value(ctx, weber_index(g1.disc), x, y, t0, _cutoff(ctx, p))
 
 
 def _totient(n: int) -> int:
@@ -391,9 +387,8 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     v2 = Fraction(a ** (_totient(level) - 1), level)
     ctx = _ctx(p)
     t0, g = _reduce_tau(ctx, _embed(ctx, point))
-    w1 = v2 * g.r
-    w2 = v2 * g.s
-    return _torsion_value(ctx, i, w1, w2, t0, _cutoff(ctx, p))
+    x, y = _exact_cell(ctx, v2 * g.r, v2 * g.s)
+    return _torsion_value(ctx, i, x, y, t0, _cutoff(ctx, p))
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:

@@ -16,7 +16,6 @@ purpose: the witness-matrix equivalence test against the ideal-theoretic
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +49,8 @@ from .qfield import (
 )
 
 RowVec = tuple[int, int]
+# reduced form plus the canonical residue of its row's unit orbit
+ClassKey = tuple[QuadForm, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,10 @@ def make_modulus(disc: Discriminant, a1: int, a2: int, c: int) -> Modulus:
 
 @dataclass(frozen=True)
 class FormClass:
-    """One class, tagged with the reduced-form index and row it came from."""
+    """One class: a representative form and the class key it carries."""
 
     rep: QuadForm
-    base_index: int
-    row: RowVec
+    key: ClassKey
 
 
 @dataclass(frozen=True)
@@ -321,41 +321,17 @@ def row_in_vq(form: QuadForm, row: RowVec, level: int) -> bool:
     return math.gcd(level, form(v, -u)) == 1
 
 
-@functools.cache
-def unit_rows(disc: Discriminant) -> tuple[RowVec, ...]:
-    """Coordinate rows (m, n) of the units m*tau + n of the order, in the
-    order of `Discriminant.unit_elements`.  Cached: `rows_equivalent` asks
-    for them on every call."""
-    return tuple((int(e.u), int(e.v)) for e in disc.unit_elements())
+def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
+    """Canonical label of the row's class under the row congruence.
 
-
-def _row_times(row: RowVec, m: tuple[tuple[int, int], tuple[int, int]]) -> RowVec:
-    return (
-        row[0] * m[0][0] + row[1] * m[1][0],
-        row[0] * m[0][1] + row[1] * m[1][1],
-    )
-
-
-def rows_equivalent(form: QuadForm, row1: RowVec, row2: RowVec, mod: Modulus) -> bool:
-    """Congruence identifying rows that give the same ray class.
-
-    Both rows are pushed through the form's coordinate change; row2 may
-    additionally be twisted by any unit of the order.  Equality is mod N in
-    both components.
+    The row (u, v) stands for x = a*(u*omega + v); two rows are congruent
+    when x agrees mod the modulus up to a unit, so the label is the least
+    residue of the unit orbit of x.
     """
-    _require_form(form, mod)
-    n, N = mod.ideal, mod.level
-    b0, c0 = mod.disc.b0, mod.disc.c0
-    e_mat = ((1, _half(b0 - form.b)), (0, form.a))
-    f_mat = ((N // n.a1, -(n.a2 // n.a1)), (0, 1))
-    left = _row_times(_row_times(row1, e_mat), f_mat)
-    base = _row_times(row2, e_mat)
-    for m, nn in unit_rows(mod.disc):
-        u_mat = ((-m * b0 + nn, -m * c0), (m, nn))
-        right = _row_times(_row_times(base, u_mat), f_mat)
-        if (left[0] - right[0]) % N == 0 and (left[1] - right[1]) % N == 0:
-            return True
-    return False
+    u, v = row
+    disc = mod.disc
+    x = disc.element(u, u * _half(disc.b0 - form.b) + v * form.a)
+    return min(mod.ideal.residue(eps * x) for eps in disc.unit_elements())
 
 
 def row_classes(form: QuadForm, mod: Modulus) -> tuple[RowVec, ...]:
@@ -363,14 +339,25 @@ def row_classes(form: QuadForm, mod: Modulus) -> tuple[RowVec, ...]:
     row congruence."""
     _require_form(form, mod)
     N = mod.level
-    reps: list[RowVec] = []
+    reps: dict[tuple[int, int], RowVec] = {}
     for u in range(N):
         for v in range(N):
-            if not row_in_vq(form, (u, v), N):
-                continue
-            if not any(rows_equivalent(form, (u, v), r, mod) for r in reps):
-                reps.append((u, v))
-    return tuple(reps)
+            if row_in_vq(form, (u, v), N):
+                reps.setdefault(_row_key(form, (u, v), mod), (u, v))
+    return tuple(reps.values())
+
+
+def class_key(form: QuadForm, mod: Modulus) -> ClassKey:
+    """Canonical label of the form's class: its reduced form plus the row
+    key of the matrix carrying the coprime-normalized reduced form to it.
+
+    Two forms share a key exactly when `equivalent` joins them.
+    """
+    _require_form(form, mod)
+    red, g = reduce(form)
+    normalized, n = coprime_normalize(red, mod.level)
+    m = g.inv() @ n
+    return red, _row_key(normalized, (m.r, m.s), mod)
 
 
 def lift_bottom_row(row: RowVec, level: int) -> UnimodMatrix:
@@ -405,12 +392,12 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     """
     disc, N = mod.disc, mod.level
     reps: list[FormClass] = []
-    for index, base in enumerate(reduced_forms(disc)):
+    for base in reduced_forms(disc):
         normalized, _ = coprime_normalize(base, N)
         for row in row_classes(normalized, mod):
             gamma = lift_bottom_row(row, N)
             rep = act(normalized, gamma.inv())
-            reps.append(FormClass(rep, index, row))
+            reps.append(FormClass(rep, class_key(rep, mod)))
     expected = ray_class_number_oracle(disc, mod.ideal)
     if len(reps) != expected:
         raise InternalCheckError(
@@ -422,8 +409,10 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
                 raise InternalCheckError(
                     f"representatives {reps[i].rep} and {reps[j].rep} collide"
                 )
-    principal = QuadForm(1, disc.b0, disc.c0)
-    identity = [fc for fc in reps if equivalent(fc.rep, principal, mod) is not None]
+    if len({fc.key for fc in reps}) != len(reps):
+        raise InternalCheckError("two representatives share a class key")
+    principal = class_key(QuadForm(1, disc.b0, disc.c0), mod)
+    identity = [fc for fc in reps if fc.key == principal]
     if len(identity) != 1:
         raise InternalCheckError("identity class not found exactly once")
     rest = sorted(
@@ -481,8 +470,9 @@ def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
 
 
 def _class_index(form: QuadForm, group: ClassGroup) -> int:
+    key = class_key(form, group.modulus)
     for idx, fc in enumerate(group.classes):
-        if equivalent(form, fc.rep, group.modulus) is not None:
+        if fc.key == key:
             return idx
     raise InternalCheckError(f"form {form} matches no enumerated class")
 

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from rayform.qfield import QFieldError, make_discriminant, make_ideal_triple
 from rayform.rayclass import group_table, make_modulus
+
+# the CLI and script tests start subprocesses; they import this checkout too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def valid_triples(disc, max_c=12, skip_unit=True):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ from rayform.qfield import (
     make_lattice_basis,
 )
 from rayform.rayclass import (
+    _row_key,
     canonical_offset,
     class_group_to_json,
+    class_key,
     class_translate,
     compose,
     decompose,
@@ -30,15 +35,14 @@ from rayform.rayclass import (
     enumerate_classes,
     equivalent,
     equivalent_oracle,
+    group_table,
     in_gamma_n,
     lift_bottom_row,
     make_modulus,
     product_basis,
     row_classes,
     row_in_vq,
-    rows_equivalent,
     t_normalize,
-    unit_rows,
     witness_matrix,
 )
 
@@ -248,12 +252,6 @@ def test_row_membership():
         assert row_in_vq(form, (0, 1), 6)
 
 
-def test_unit_rows():
-    assert unit_rows(D20) == ((0, 1), (0, -1))
-    assert unit_rows(D4) == ((0, 1), (0, -1), (1, 0), (-1, 0))
-    assert unit_rows(D3) == ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1))
-
-
 def test_row_classes_golden_d20():
     assert row_classes(QuadForm(1, 0, 5), MOD20) == ((0, 1), (1, 0))
     assert row_classes(QuadForm(7, -6, 2), MOD20) == ((0, 1), (1, 3))
@@ -264,6 +262,7 @@ def test_row_classes_golden_d23():
 
 
 def test_rows_equivalence_relation():
+    # rows share a key exactly when their lifted forms are equivalent
     rng = random.Random(3)
     for mod, form in ((MOD20, QuadForm(7, -6, 2)), (MOD23, QuadForm(41, -31, 6))):
         level = mod.level
@@ -273,14 +272,32 @@ def test_rows_equivalence_relation():
             for v in range(level)
             if row_in_vq(form, (u, v), level)
         ]
-        sample = rng.sample(members, min(8, len(members)))
-        for w in sample:
-            assert rows_equivalent(form, w, w, mod)
+        sample = rng.sample(members, min(12, len(members)))
+        lifted = {w: act(form, lift_bottom_row(w, level).inv()) for w in sample}
+        keys = {w: _row_key(form, w, mod) for w in sample}
+        assert len(set(keys.values())) > 1
         for w1 in sample:
             for w2 in sample:
-                assert rows_equivalent(form, w1, w2, mod) == rows_equivalent(
-                    form, w2, w1, mod
-                )
+                joined = equivalent(lifted[w1], lifted[w2], mod) is not None
+                assert (keys[w1] == keys[w2]) == joined
+
+
+@pytest.mark.parametrize("dk", [-3, -4, -15, -20, -23])
+def test_class_key_agrees_with_both_routes(dk):
+    # every pair among the representatives and one translate of each
+    disc = make_discriminant(dk)
+    rng = random.Random(dk)
+    for t in valid_triples(disc, max_c=6):
+        mod = make_modulus(disc, t.a1, t.a2, t.c)
+        reps = [fc.rep for fc in enumerate_classes(mod).classes]
+        forms = reps + [translates(f, mod, rng, 1)[0] for f in reps]
+        keys = [class_key(f, mod) for f in forms]
+        for i, f1 in enumerate(forms):
+            for j in range(i, len(forms)):
+                f2 = forms[j]
+                same = keys[i] == keys[j]
+                assert same == (equivalent(f1, f2, mod) is not None)
+                assert same == equivalent_oracle(f1, f2, mod)
 
 
 def test_lift_bottom_row():
@@ -464,6 +481,23 @@ def test_enumerate_many_moduli_match_oracle():
             assert len(group.classes) == ray_class_number_oracle(disc, t)
             count += 1
     assert count >= 6
+
+
+def test_tables_match_sweep_digests():
+    # the first digest-carrying modulus of each (h, c, a1, h_K) cell with h <= 12
+    path = Path(__file__).resolve().parents[1] / "bench" / "refs" / "sweep.json"
+    with open(path) as fh:
+        sweep = json.load(fh)["moduli"]
+    cells = {}
+    for dk, a1, a2, c, h, h_k, digest in sweep:
+        if digest is not None and h <= 12:
+            cells.setdefault((h, c, a1, h_k), (dk, a1, a2, c, h, digest))
+    assert len(cells) == 168
+    for dk, a1, a2, c, h, digest in cells.values():
+        group = group_table(make_modulus(make_discriminant(dk), a1, a2, c))
+        blob = json.dumps([[list(r) for r in group.table], list(group.invariant_factors)])
+        assert len(group.classes) == h
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, (dk, a1, a2, c)
 
 
 def test_class_group_json(group20):

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +6,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+    # conftest puts this checkout's src/ on PYTHONPATH for subprocesses
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
