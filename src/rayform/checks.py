@@ -77,17 +77,29 @@ def _power_residuals(p, rng, samples: int):
         yield abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728)))
 
 
+def _law_matrix(rng):
+    """A unimodular g with g.r != 0: a pure translation would move tau and
+    the row to the same exact input on both sides of the law."""
+    while True:
+        g = modular.reduce_to_fundamental(complex(rng.uniform(-2, 2), rng.uniform(0.2, 2)))[1]
+        if g.r:
+            return g
+
+
 def _law_residuals(p, rng, samples: int):
+    """f(g(tau); row) against f(tau; row*g), each evaluated where it is: the
+    reduced `fricke` would carry both sides to one point of the fundamental
+    domain and compare a value with itself."""
     hp = mpmath.ctx_mp.MPContext()
     hp.dps = p.digits + 10
     for _ in range(samples):
         tau = hp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
         r, s, level = _random_row(rng)
-        g = modular.reduce_to_fundamental(complex(rng.uniform(-2, 2), rng.uniform(0.2, 2)))[1]
+        g = _law_matrix(rng)
         label = modular.FrickeLabel(1, r, s, level)
         moved = modular.FrickeLabel(1, r * g.p + s * g.r, r * g.q + s * g.s, level)
         num = (g.p * tau + g.q) / (g.r * tau + g.s)
-        yield abs(modular.fricke(label, num, p) - modular.fricke(moved, tau, p))
+        yield abs(modular._fricke_at(label, num, p) - modular._fricke_at(moved, tau, p))
 
 
 def _route_residuals(reps, mod, p):

@@ -1,14 +1,27 @@
 """Arbitrary-precision evaluation of the classical modular quantities.
 
-Everything is computed through q-series on the upper half plane: the
-Eisenstein series of weights 4 and 6, the discriminant combination, j, the
-Weierstrass pe-function, the indexed division-value functions built from pe
-(here "torsion-value functions"), and the unit-group-normalized pe value
-attached to a fractional ideal.  The pi powers cancel out of every exposed
-weight-zero combination, so all results come from E4, E6 and the pe sum
-alone; the series are truncated at an explicit tail threshold.
+The library works with the Eisenstein series of weights 4 and 6, the
+discriminant, j, the Weierstrass pe-function, the indexed division-value
+functions built from pe (here "torsion-value functions"), and the
+unit-group-normalized pe value attached to a fractional ideal.  The pi
+powers cancel out of every exposed weight-zero combination, so all results
+come from E4, E6, the discriminant and the pi-free pe sum S alone.
 
-No global precision state: each public function builds a private mpmath
+These four numbers are computed along two independent routes:
+
+* the theta route (`_theta_core`): Jacobi theta series in the nome
+  e^(i pi tau), whose terms fall like |q|^(n^2), so the term count grows
+  as the square root of the digit count.  The discriminant is a product
+  of theta constants, with no cancellation.  `eisenstein_j`, `wp`, `fricke`
+  and `eval_descriptor` use it.
+* the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
+  e^(2 pi i tau), with the discriminant as E4^3 - E6^2.  `weber` and
+  `eval_descriptor_unreduced` use it, so the checks comparing them with
+  the values above compare two independent series.
+
+Every series is truncated at an explicit tail threshold.
+
+No global precision state: each public function builds one private mpmath
 context from the Precision it was handed, and contexts never leak.  Complex
 results are mpmath mpc values; they are exchangeable across contexts.
 
@@ -18,6 +31,7 @@ j(rho) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,11 +160,13 @@ def _eisenstein(ctx, q, weight: int, cutoff):
     total = ctx.mpf(1)
     qn = ctx.mpc(1)
     aq = abs(q)
+    aqn = ctx.mpf(1)
     for n in range(1, _MAX_TERMS):
         qn *= q
         total += coeff * _sigma(n, power) * qn
+        aqn *= aq
         # sigma_k(n) <= n^(k+1); bound the whole remaining tail crudely
-        if abs(coeff) * ctx.mpf(n) ** (power + 1) * aq**n / (1 - aq) < cutoff:
+        if abs(coeff) * n ** (power + 1) * aqn / (1 - aq) < cutoff:
             return total
     raise InternalCheckError("Eisenstein series did not reach the tail cutoff")
 
@@ -165,17 +181,101 @@ def _wp_sum(ctx, x, y, tau, cutoff):
     total = ctx.mpf(1) / 12 + w / (1 - w) ** 2
     qn = ctx.mpc(1)
     aq = abs(q)
+    # |w| lies between |q|^(1/2) and |q|^(-1/2); aqh is |q|^(n + 1/2)
+    aqh = ctx.sqrt(aq)
+    cube = (1 - aq) ** 3
     winv = 1 / w
     for n in range(1, _MAX_TERMS):
         qn *= q
         total += qn * w / (1 - qn * w) ** 2
         total += qn * winv / (1 - qn * winv) ** 2
         total -= 2 * qn / (1 - qn) ** 2
-        # |w| lies between |q|^(1/2) and |q|^(-1/2)
-        bound = 4 * aq ** (n + ctx.mpf(1) / 2) / (1 - aq) ** 3
-        if bound < cutoff:
+        aqh *= aq
+        if 4 * aqh / cube < cutoff:
             return total
     raise InternalCheckError("pe series did not reach the tail cutoff")
+
+
+def _qseries_core(ctx, tau0, cutoff, x, y):
+    """(S, E4, E6, Delta) from the q-series, Delta = E4^3 - E6^2.
+
+    The reference route: Delta loses about log10(1/|q|) digits to
+    cancellation, which the theta route does not.
+    """
+    q = ctx.exp(2j * ctx.pi * tau0)
+    e4, e6 = _eisenstein(ctx, q, 4, cutoff), _eisenstein(ctx, q, 6, cutoff)
+    return _wp_sum(ctx, x, y, tau0, cutoff), e4, e6, e4**3 - e6**2
+
+
+def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
+    """Term count N for sum_{n=0}^{N} q^(n^2 + shift*n) v^n, from the float
+    logs lq = log|q| < 0 and lv = log|v|.
+
+    From n = N + 1 on, consecutive terms shrink by the ratio
+    |q|^(2n + 1 + shift) |v|, which falls with n, so the omitted tail is at
+    most |q|^(M^2 + shift*M) |v|^M / (1 - |q|^(2M + 1 + shift) |v|) with
+    M = N + 1; N is the least count that puts this bound below e^lcut.
+    """
+    for m in range(1, _MAX_TERMS):
+        ratio = (2 * m + 1 + shift) * lq + lv
+        if ratio < 0 and m * m * lq + m * (shift * lq + lv) - math.log1p(-math.exp(ratio)) < lcut:
+            return m - 1
+    raise InternalCheckError("theta series did not reach the tail cutoff")
+
+
+def _theta_sum(ctx, q, v, shift: int, terms: int):
+    """sum_{n=0}^{terms} q^(n^2 + shift*n) v^n."""
+    total = term = ctx.mpc(1)
+    step = q ** (1 + shift) * v
+    q2 = q * q
+    for _ in range(terms):
+        term *= step
+        total += term
+        step *= q2
+    return total
+
+
+def _theta_core(ctx, tau0, cutoff, x=None, y=None):
+    """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y from Jacobi theta
+    series in the nome q = e^(i pi tau0); S is None when x is None.
+
+    With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
+    t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
+    E6 = (t3 + t4)(t2 + t3)(t4 - t2)/2 and Delta = E4^3 - E6^2 =
+    27/4 (t2 t3 t4)^2, a product with no cancellation.  With w = e^(2 pi i z),
+    theta1(pi z) = -i q^(1/4) w^(1/2) (G(w) - G(1/w)/w) for
+    G(u) = sum (-1)^n q^(n(n+1)) u^n, and theta4(pi z) = H(w) + H(1/w) - 1
+    for H(u) = sum (-1)^n q^(n^2) u^n; the quarter powers cancel from
+    S = -(theta2^2 theta3^2 theta4(pi z)^2 / theta1(pi z)^2 - (t2 + t3)/3)/4,
+    which is the q-series route's S.  For x, y in [-1/2, 1/2] every one of
+    these one-sided sums starts with the term 1 and no term is larger, and
+    each is cut where `_theta_terms` bounds its tail below the cutoff.
+    """
+    q = ctx.expjpi(tau0)
+    lq = -math.pi * float(tau0.imag)
+    # log of a number no larger than the cutoff
+    lcut = (ctx.mag(cutoff) - 1) * math.log(2)
+    p = _theta_sum(ctx, q, 1, 1, _theta_terms(lq, 0, 1, lcut))
+    n = _theta_terms(lq, 0, 0, lcut)
+    th3 = 2 * _theta_sum(ctx, q, 1, 0, n) - 1
+    th4 = 2 * _theta_sum(ctx, q, -1, 0, n) - 1
+    t2, t3, t4 = 16 * q * (p * p) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
+    e4 = (t2 * t2 + t3 * t3 + t4 * t4) / 2
+    e6 = (t3 + t4) * (t2 + t3) * (t4 - t2) / 2
+    delta = 27 * (t2 * t3 * t4) ** 2 / 4
+    if x is None:
+        return None, e4, e6, delta
+    w = ctx.expjpi(2 * (x * tau0 + y))
+    winv = 1 / w
+    lw = 2 * float(x) * lq
+
+    def one_sided(u, lu, shift):
+        return _theta_sum(ctx, q, -u, shift, _theta_terms(lq, lu, shift, lcut))
+
+    theta4_z = one_sided(w, lw, 0) + one_sided(winv, -lw, 0) - 1
+    theta1_z = one_sided(w, lw, 1) - one_sided(winv, -lw, 1) * winv
+    s_val = (p * th3 * theta4_z / theta1_z) ** 2 * winv + (t2 + t3) / 12
+    return s_val, e4, e6, delta
 
 
 def _reduce_tau(ctx, t):
@@ -203,26 +303,17 @@ def reduce_to_fundamental(tau, p: Precision = Precision()):
     return _reduce_tau(ctx, ctx.mpc(tau))
 
 
-def _combo(ctx, i: int, s_val, e4, e6):
-    """Weight-zero combination number i; pi powers cancel by construction."""
-    dd = e4**3 - e6**2
+def _torsion_value(ctx, i: int, values):
+    """Torsion-value function number i from one route's (S, E4, E6, Delta);
+    the pi powers cancel by construction."""
+    s_val, e4, e6, dd = values
     if i == 1:
-        return -2 * e4 * e6 * s_val / (3 * dd)
-    if i == 2:
-        return 12 * e4**2 * s_val**2 / dd
-    return -8 * e6 * s_val**3 / dd
-
-
-def _e4_e6(ctx, tau0, cutoff):
-    q = ctx.exp(2j * ctx.pi * tau0)
-    return _eisenstein(ctx, q, 4, cutoff), _eisenstein(ctx, q, 6, cutoff)
-
-
-def _torsion_value(ctx, i: int, x, y, tau0, cutoff):
-    """Torsion-value function number i at z = x*tau0 + y, x, y in [-1/2, 1/2]."""
-    e4, e6 = _e4_e6(ctx, tau0, cutoff)
-    s_val = _wp_sum(ctx, x, y, tau0, cutoff)
-    return _ensure_finite(ctx, ctx.mpc(_combo(ctx, i, s_val, e4, e6)))
+        value = -2 * e4 * e6 * s_val / (3 * dd)
+    elif i == 2:
+        value = 12 * e4**2 * s_val**2 / dd
+    else:
+        value = -8 * e6 * s_val * s_val * s_val / dd
+    return _ensure_finite(ctx, ctx.mpc(value))
 
 
 def _exact_cell(ctx, v1: Fraction, v2: Fraction):
@@ -247,23 +338,48 @@ def _cell(ctx, z, t, p: Precision):
 
 
 def eisenstein_j(tau, p: Precision = Precision()):
-    """The j-invariant of [tau, 1], via E4 and E6 after domain reduction."""
+    """The j-invariant of [tau, 1], via E4 and the discriminant after domain
+    reduction."""
     ctx = _ctx(p)
     t0, _ = _reduce_tau(ctx, ctx.mpc(tau))
-    e4, e6 = _e4_e6(ctx, t0, _cutoff(ctx, p))
-    return _ensure_finite(ctx, ctx.mpc(1728 * e4**3 / (e4**3 - e6**2)))
+    _, e4, _, delta = _theta_core(ctx, t0, _cutoff(ctx, p))
+    return _ensure_finite(ctx, ctx.mpc(1728 * e4 * e4 * e4 / delta))
 
 
 def wp(z, tau, p: Precision = Precision()):
-    """Weierstrass pe of z relative to [tau, 1], z reduced into the
-    fundamental cell first."""
+    """Weierstrass pe of z relative to [tau, 1].
+
+    tau = g(tau0) with tau0 in the fundamental domain, and
+    [tau, 1] = [tau0, 1]/c with c = r*tau0 + s, so pe(z; [tau, 1]) =
+    c^2 pe(c*z; [tau0, 1]); c*z is reduced into the fundamental cell first.
+    """
+    ctx = _ctx(p)
+    t0, g = _reduce_tau(ctx, ctx.mpc(tau))
+    c = g.r * t0 + g.s
+    x, y = _cell(ctx, c * ctx.mpc(z), t0, p)
+    s_val = _theta_core(ctx, t0, _cutoff(ctx, p), x, y)[0]
+    return _ensure_finite(ctx, -4 * ctx.pi**2 * c**2 * s_val)
+
+
+def _fricke(ctx, label: FrickeLabel, t, cutoff):
+    t0, g = _reduce_tau(ctx, t)
+    v1, v2 = label.row()
+    x, y = _exact_cell(ctx, v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s)
+    return _torsion_value(ctx, label.i, _theta_core(ctx, t0, cutoff, x, y))
+
+
+def _fricke_at(label: FrickeLabel, tau, p: Precision):
+    """The indexed torsion-value function at tau itself, with no domain
+    reduction.  The theta series reach any point of the upper half plane,
+    with more terms as Im tau falls.  Two such values at g(tau) and tau
+    never share an input, so comparing them tests the transformation law
+    that `fricke`'s reduction relies on."""
     ctx = _ctx(p)
     t = ctx.mpc(tau)
     if t.imag <= 0:
-        raise QFieldError("lattice parameter is not in the upper half plane")
-    x, y = _cell(ctx, ctx.mpc(z), t, p)
-    s_val = _wp_sum(ctx, x, y, t, _cutoff(ctx, p))
-    return _ensure_finite(ctx, -4 * ctx.pi**2 * s_val)
+        raise QFieldError("point is not in the upper half plane")
+    x, y = _exact_cell(ctx, *label.row())
+    return _torsion_value(ctx, label.i, _theta_core(ctx, t, _cutoff(ctx, p), x, y))
 
 
 def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
@@ -273,10 +389,7 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     through the same matrix, so the series always run on a fat lattice.
     """
     ctx = _ctx(p)
-    t0, g = _reduce_tau(ctx, ctx.mpc(tau))
-    v1, v2 = label.row()
-    x, y = _exact_cell(ctx, v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s)
-    return _torsion_value(ctx, label.i, x, y, t0, _cutoff(ctx, p))
+    return _fricke(ctx, label, ctx.mpc(tau), _cutoff(ctx, p))
 
 
 def _basis_pair(basis) -> tuple[FieldElement, FieldElement]:
@@ -319,7 +432,8 @@ def weber(z, basis, p: Precision = Precision()):
     t0, g = _reduce_tau(ctx, _embed(ctx, ratio))
     # [ratio, 1] = (1/(r*t0+s)) [t0, 1], and the value has weight zero
     x, y = _cell(ctx, (g.r * t0 + g.s) * z_scaled, t0, p)
-    return _torsion_value(ctx, weber_index(g1.disc), x, y, t0, _cutoff(ctx, p))
+    values = _qseries_core(ctx, t0, _cutoff(ctx, p), x, y)
+    return _torsion_value(ctx, weber_index(g1.disc), values)
 
 
 def _totient(n: int) -> int:
@@ -366,7 +480,7 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     label = FrickeLabel(i, 0, desc.a_inv, level)
     point = mobius(desc.eval_matrix, desc.point)
     ctx = _ctx(p)
-    return fricke(label, _embed(ctx, point), p)
+    return _fricke(ctx, label, _embed(ctx, point), _cutoff(ctx, p))
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
@@ -388,7 +502,7 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     ctx = _ctx(p)
     t0, g = _reduce_tau(ctx, _embed(ctx, point))
     x, y = _exact_cell(ctx, v2 * g.r, v2 * g.s)
-    return _torsion_value(ctx, i, x, y, t0, _cutoff(ctx, p))
+    return _torsion_value(ctx, i, _qseries_core(ctx, t0, _cutoff(ctx, p), x, y))
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from rayform import checks
 from rayform.checks import run_checks, sci
 from rayform.modular import Precision
 from rayform.qfield import make_discriminant
@@ -33,25 +34,32 @@ def too_tight():
     return {c.name: c for c in checks}
 
 
-# Both sides of these reach the same (tau0, row) exactly before any series
-# runs, so their residual is 0 at any precision.
-_SELF_COMPARE = pytest.mark.xfail(
-    strict=True, reason="compares a value with itself (ROADMAP item 3)"
-)
-
-
 @pytest.mark.parametrize(
     "name",
     [
         "power relations between the three indexed values",
         "row transformation law",
         "descriptor value constant on classes",
-        pytest.param(
-            "identity-class value equals the unit-normalized lattice value",
-            marks=_SELF_COMPARE,
-        ),
-        pytest.param("descriptor route vs unreduced route", marks=_SELF_COMPARE),
+        "identity-class value equals the unit-normalized lattice value",
+        "descriptor route vs unreduced route",
     ],
 )
 def test_numeric_checks_can_fail(too_tight, name):
     assert not too_tight[name].passed, too_tight[name].detail
+
+
+def test_law_draws_are_no_translations_and_no_self_comparisons(monkeypatch):
+    drawn = []
+
+    def recording(rng):
+        g = law_matrix(rng)
+        drawn.append(g)
+        return g
+
+    law_matrix = checks._law_matrix
+    monkeypatch.setattr(checks, "_law_matrix", recording)
+    residuals = list(checks._law_residuals(Precision(30), random.Random(911), 40))
+    assert len(drawn) == len(residuals) == 40
+    assert all(g.r != 0 for g in drawn)
+    assert all(r != 0 for r in residuals)
+    assert max(residuals) < mpmath.mpf(10) ** -30

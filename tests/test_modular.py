@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from rayform import modular
 from rayform.forms import IDENT, QuadForm, S_FLIP, t_power
 from rayform.modular import (
     FrickeLabel,
@@ -157,18 +159,29 @@ def test_wp_rejects_lattice_point():
 
 def test_wp_matches_direct_lattice_sum():
     # low-precision sanity anchor for the series route: truncated sum over
-    # a 50 x 50 window of lattice translates
+    # a 50 x 50 window of lattice translates; 0.6 + 0.45i lies outside the
+    # fundamental domain, so wp reduces it and applies the weight-2 factor
     ctx = ctx_for(30)
-    tau = ctx.mpc("0.1", "1.2")
     z = ctx.mpc("0.31", "0.17")
-    direct = 1 / z**2
-    for m in range(-50, 51):
-        for n in range(-50, 51):
-            if m == 0 and n == 0:
-                continue
-            w = m * tau + n
-            direct += 1 / (z - w) ** 2 - 1 / w**2
-    assert abs(wp(z, tau, P30) - direct) < ctx.mpf("1e-2")
+    for tau in (ctx.mpc("0.1", "1.2"), ctx.mpc("0.6", "0.45")):
+        direct = 1 / z**2
+        for m in range(-50, 51):
+            for n in range(-50, 51):
+                if m == 0 and n == 0:
+                    continue
+                w = m * tau + n
+                direct += 1 / (z - w) ** 2 - 1 / w**2
+        assert abs(wp(z, tau, P30) - direct) < ctx.mpf("1e-2")
+
+
+def test_wp_reduces_thin_lattice():
+    # pe(z; [tau, 1]) = tau^-2 pe(z/tau; [-1/tau, 1]); at tau = 0.002i the
+    # unreduced series would need thousands of terms
+    ctx = ctx_for(30)
+    tau = ctx.mpc(0, "0.002")
+    z = ctx.mpc("0.3", "0.0005")
+    val = wp(z, tau, P30)
+    assert abs(val - wp(z / tau, -1 / tau, P30) / tau**2) < ctx.mpf(10) ** -25 * abs(val)
 
 
 def test_power_relations():
@@ -348,3 +361,55 @@ def test_complex_json():
     assert set(data) == {"re", "im"}
     back = ctx.mpc(ctx.mpf(data["re"]), ctx.mpf(data["im"]))
     assert abs(back - value) < ctx.mpf(10) ** -70
+
+
+D107 = make_discriminant(-107)
+
+
+@pytest.mark.parametrize("digits", [80, 300])
+@pytest.mark.parametrize("ideal, form", [((1, 0, 3), (13, -7, 3)), ((1, 1, 3), (11, -5, 3))])
+def test_small_nome_values_hold_their_digits(digits, ideal, form):
+    # tau0 has |q| ~ 1e-14 here, where E4^3 - E6^2 cancels about 11 digits
+    d = descriptor(QuadForm(*form), make_modulus(D107, *ideal))
+    value = eval_descriptor(d, None, Precision(digits))
+    ref = eval_descriptor(d, None, Precision(digits + 60))
+    assert abs(value - ref) < mpmath.mpf(10) ** -digits * abs(ref)
+
+
+# tau0 in the fundamental domain, as functions of the context: i, rho,
+# both vertical edges and Im tau0 up to 20
+ROUTE_TAUS = [
+    lambda c: c.mpc(0, 1),
+    lambda c: c.mpc(-1, c.sqrt(3)) / 2,
+    lambda c: c.mpc("0.31", "1.2"),
+    lambda c: c.mpc("-0.5", "3"),
+    lambda c: c.mpc("0.17", "7.3"),
+    lambda c: c.mpc("0.5", "20"),
+    lambda c: c.mpc("-0.23", "20"),
+]
+ROUTE_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37"), ("0.0625", "0.4")]
+
+
+@pytest.mark.parametrize("digits", [30, 80, 300])
+def test_theta_route_matches_qseries_route(digits):
+    """The theta route at `digits` against the q-series route at twice as
+    many, plus the digits the reference's E4^3 - E6^2 cancels at
+    |q| = e^(-2 pi Im tau0)."""
+    ctx = modular._ctx(Precision(digits))
+    cutoff = modular._cutoff(ctx, Precision(digits))
+    near_zero = mpmath.mpf(10) ** -(digits // 2)
+    tol = mpmath.mpf(10) ** -digits
+    for k, point in enumerate(ROUTE_TAUS):
+        tau0 = point(ctx)
+        cancel = math.ceil(2 * math.pi * float(tau0.imag) / math.log(10))
+        ref_p = Precision(2 * digits + cancel)
+        ref_ctx = modular._ctx(ref_p)
+        ref_cutoff = modular._cutoff(ref_ctx, ref_p)
+        for x, y in ROUTE_CELLS:
+            theta = modular._theta_core(ctx, tau0, cutoff, ctx.mpf(x), ctx.mpf(y))
+            ref = modular._qseries_core(
+                ref_ctx, point(ref_ctx), ref_cutoff, ref_ctx.mpf(x), ref_ctx.mpf(y)
+            )
+            for name, a, b in zip(("S", "E4", "E6", "Delta"), theta, ref):
+                scale = abs(b) if abs(b) > near_zero else 1
+                assert abs(a - b) < tol * scale, (name, k, x, y)
