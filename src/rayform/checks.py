@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import modular
 from .forms import QuadForm
 from .qfield import QFieldError, ray_class_number_oracle
@@ -90,8 +88,7 @@ def _law_residuals(p, rng, samples: int):
     """f(g(tau); row) against f(tau; row*g), each evaluated where it is: the
     reduced `fricke` would carry both sides to one point of the fundamental
     domain and compare a value with itself."""
-    hp = mpmath.ctx_mp.MPContext()
-    hp.dps = p.digits + 10
+    hp = modular._ctx(p)
     for _ in range(samples):
         tau = hp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
         r, s, level = _random_row(rng)

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .qfield import (
     Discriminant,
-    FieldElement,
     InternalCheckError,
     QFieldError,
     _egcd,
@@ -115,19 +113,6 @@ def act(form: QuadForm, g: UnimodMatrix) -> QuadForm:
         form(p, r),
         2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
         form(q, s),
-    )
-
-
-def omega(form: QuadForm, disc: Discriminant) -> FieldElement:
-    """Upper half plane root of Q(x, 1), as an exact field element."""
-    if form.disc() != disc.d:
-        raise QFieldError(
-            f"form discriminant {form.disc()} does not match field {disc.d}"
-        )
-    if form.a <= 0:
-        raise QFieldError("form must be positive definite")
-    return disc.element(
-        Fraction(1, form.a), Fraction(disc.b0 - form.b, 2 * form.a)
     )
 
 

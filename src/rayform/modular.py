@@ -53,24 +53,14 @@ _MAX_TERMS = 200000
 
 @dataclass(frozen=True)
 class Precision:
-    """Working precision: decimal digits plus the series tail threshold.
-
-    tail_cutoff None means 10^-(digits+20).  An explicit cutoff must not be
-    looser than 10^-(digits+10), or the tail would pollute the result.
-    """
+    """Working precision in decimal digits; series tails stop below
+    10^-(digits+20)."""
 
     digits: int = 80
-    tail_cutoff: float | Fraction | None = None
 
     def __post_init__(self):
         if self.digits < 30:
             raise QFieldError(f"need at least 30 digits, got {self.digits}")
-        if self.tail_cutoff is not None:
-            cut = Fraction(self.tail_cutoff)
-            if not 0 < cut <= Fraction(10) ** -(self.digits + 10):
-                raise QFieldError(
-                    f"tail cutoff {self.tail_cutoff} too loose for {self.digits} digits"
-                )
 
 
 def _ctx(p: Precision) -> mpmath.ctx_mp.MPContext:
@@ -80,10 +70,7 @@ def _ctx(p: Precision) -> mpmath.ctx_mp.MPContext:
 
 
 def _cutoff(ctx, p: Precision):
-    if p.tail_cutoff is None:
-        return ctx.mpf(10) ** -(p.digits + 20)
-    cut = Fraction(p.tail_cutoff)
-    return ctx.mpf(cut.numerator) / cut.denominator
+    return ctx.mpf(10) ** -(p.digits + 20)
 
 
 def _fr(ctx, x: Fraction):

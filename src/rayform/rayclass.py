@@ -26,7 +26,6 @@ from .forms import (
     act,
     automorphs,
     coprime_normalize,
-    omega,
     reduce,
     reduced_forms,
     t_power,
@@ -226,13 +225,6 @@ def _form_ideal(form: QuadForm, disc: Discriminant) -> IdealTriple:
     return canonicalize_ideal(make_lattice_basis(g1, g2))
 
 
-def _form_ideal_conj(form: QuadForm, disc: Discriminant) -> IdealTriple:
-    # the integral ideal [a*(-conj(omega)), a], norm a
-    g1 = disc.element(1, _half(disc.b0 + form.b))
-    g2 = disc.element(0, form.a)
-    return canonicalize_ideal(make_lattice_basis(g1, g2))
-
-
 def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
     """Independent equivalence test straight from the ray class definition.
 
@@ -244,9 +236,9 @@ def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
     _require_form(form1, mod)
     _require_form(form2, mod)
     disc = mod.disc
-    quotient = ideal_product(
-        _form_ideal(form1, disc), _form_ideal_conj(form2, disc)
-    )
+    # the conjugate of form2's ideal is the ideal of (a, -b, c)
+    conj2 = _form_ideal(QuadForm(form2.a, -form2.b, form2.c), disc)
+    quotient = ideal_product(_form_ideal(form1, disc), conj2)
     generators = minimal_norm_elements(quotient.lattice())
     for gen in generators:
         candidate = gen / form1.a
@@ -425,14 +417,18 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
 def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
     """Class composition compatible with ideal multiplication.
 
-    form2 is first moved inside its class so the two leading coefficients
-    are coprime (and coprime to 2, N and the discriminant, which is stronger
-    than needed but cheap); the middle coefficient is aligned by CRT; the
-    correcting matrix comes from expressing 1 in the product ideal.
+    form2 is first moved inside its class, by a matrix with bottom row
+    (r, s), so the two leading coefficients are coprime (and coprime to 2, N
+    and the discriminant, which is stronger than needed but cheap); the
+    middle coefficient B of the product (a*a2, B, .) is aligned by CRT.  With
+    omega(Q) the upper-half-plane root of Q(x, 1), the correcting matrix has
+    the bottom row (x, y) with r*omega(moved) + s = x*omega(product) + y.
+    Comparing coordinates over (tau, 1) gives x = a*r and
+    y = s + r*(B - b2)/(2*a2), an integer since B = b2 mod 2*a2.
     """
     _require_form(form1, mod)
     _require_form(form2, mod)
-    disc, N, d = mod.disc, mod.level, mod.disc.d
+    N, d = mod.level, mod.disc.d
     a, b = form1.a, form1.b
     moved, gamma = coprime_normalize(form2, 2 * a * N * abs(d))
     a2, b2 = moved.a, moved.b
@@ -449,19 +445,9 @@ def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
     product = QuadForm(big_a, big_b, (big_b * big_b - d) // (4 * big_a))
     if product.content() != 1:
         raise InternalCheckError(f"composite form {product} is not primitive")
-    # bottom row of the correcting matrix from 1 = x*nu1 + y*nu2
-    cocycle = omega(moved, disc) * gamma.r + gamma.s
-    nu = disc.element(Fraction(1, big_a), Fraction(disc.b0 - big_b, 2 * big_a))
-    nu1 = nu / cocycle
-    nu2 = disc.one() / cocycle
-    det = nu1.u * nu2.v - nu1.v * nu2.u
-    x = -nu2.u / det
-    y = nu1.u / det
-    if x.denominator != 1 or y.denominator != 1:
-        raise InternalCheckError("unit expansion in the product ideal not integral")
-    x, y = int(x), int(y)
+    x, y = a * gamma.r, gamma.s + gamma.r * ((big_b - b2) // (2 * a2))
     if math.gcd(math.gcd(x, y), N) != 1:
-        raise InternalCheckError("unit expansion row not unimodular mod level")
+        raise InternalCheckError("correcting row not unimodular mod level")
     sigma = lift_bottom_row((x % N, y % N), N)
     result = act(product, sigma.inv())
     if math.gcd(result.a, N) != 1 or result.content() != 1 or result.a <= 0:

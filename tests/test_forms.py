@@ -12,7 +12,6 @@ from rayform.forms import (
     automorphs,
     coprime_normalize,
     make_form,
-    omega,
     parse_form,
     reduce,
     reduced_forms,
@@ -71,24 +70,6 @@ def test_unimod_det_enforced():
         UnimodMatrix(1, 0, 0, -1)
     with pytest.raises(QFieldError):
         UnimodMatrix(2, 0, 0, 2)
-
-
-def test_omega():
-    assert omega(QuadForm(1, 0, 5), D20) == D20.tau()
-    assert omega(QuadForm(1, 1, 6), D23) == D23.tau()
-    from fractions import Fraction
-
-    assert omega(QuadForm(7, -6, 2), D20) == D20.element(
-        Fraction(1, 7), Fraction(3, 7)
-    )
-
-
-@given(st_form())
-def test_omega_scaled_is_integral(fd):
-    form, d = fd
-    w = omega(form, d)
-    assert (w * form.a).is_integral()
-    assert w.in_upper_half_plane()
 
 
 def test_reduce_golden():

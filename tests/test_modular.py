@@ -60,10 +60,6 @@ def test_precision_validation():
     assert Precision().digits == 80
     with pytest.raises(QFieldError):
         Precision(20)
-    with pytest.raises(QFieldError):
-        Precision(30, tail_cutoff=Fraction(1, 10) ** 30)
-    Precision(30, tail_cutoff=Fraction(1, 10) ** 45)
-    Precision(40, tail_cutoff=1e-60)
 
 
 def test_label_validation_and_normalization():

@@ -12,7 +12,6 @@ from rayform.forms import (
     QuadForm,
     UnimodMatrix,
     act,
-    omega,
     reduce,
     t_power,
 )
@@ -408,6 +407,25 @@ def test_table_group_axioms(group20, group23):
             assert any(t[i][j] == 0 for j in range(n))
 
 
+@pytest.mark.parametrize(
+    "dk, ideal, digest",
+    [
+        (-20, (2, 4, 6), "e70a5e3426baa5b5a4dfdc7b0289c0fede739d545fb1b91db66abe215916e97a"),
+        (-23, (3, 9, 12), "657e297e7ae14d9e32189608c3ec4c247742a2f277ad8092d90a8ebd21158bc0"),
+        (-3, (6, 0, 6), "94e584f7bb921da648fc5de3a9e74c09acb1cdc19f13f50d4692af82d05830ad"),
+        (-4, (5, 0, 5), "221d83a9e6f2b0bca108da5f6f5b1e8228031625ba290de02ba197dc1801bd3b"),
+        (-23, (1, 8, 31), "2676635a78d71bdd468eea300e1e797f74520e6cef0071835f01ffa07dde41d1"),
+    ],
+    ids=["-20:2,4,6", "-23:3,9,12", "-3:6,0,6", "-4:5,0,5", "-23:1,8,31"],
+)
+def test_compose_representatives_pinned(dk, ideal, digest):
+    # `rayform compose` prints the representative, not only its class
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    out = [list(compose(f, g, mod).coeffs()) for f in reps for g in reps]
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == digest
+
+
 def test_compose_well_defined_on_translates(group20):
     rng = random.Random(11)
     reps = [fc.rep for fc in group20.classes]
@@ -451,7 +469,8 @@ def test_descriptor_invariants(seed):
     assert (d.a_inv * form.a - 1) % level == 0
     assert 1 <= d.a_inv < level
     assert d.point.in_upper_half_plane()
-    assert d.point == -omega(form, mod.disc).conj()
+    p = d.point
+    assert (form.a * p * p - form.b * p + form.c).is_zero()
 
 
 def test_descriptor_rejects_noncoprime():
