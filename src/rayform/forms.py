@@ -2,8 +2,9 @@
 
 A form (a, b, c) acts through Q^g(x, y) = Q(px + qy, rx + sy); the package
 only ever works with primitive positive definite forms.  Reduction follows
-the classical normalize-then-swap loop and reports a witness matrix, so the
-caller can chain witnesses instead of re-deriving them.
+the classical normalize-then-swap loop on plain integers and reports a
+witness matrix, so the caller can chain witnesses instead of re-deriving
+them.
 """
 
 from __future__ import annotations
@@ -117,20 +118,27 @@ def act(form: QuadForm, g: UnimodMatrix) -> QuadForm:
 
 
 def reduce(form: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
-    """Gauss reduction with witness: returns (R, g) with form == act(R, g)."""
-    if form.a <= 0 or form.disc() >= 0:
+    """Gauss reduction with witness: returns (R, g) with form == act(R, g).
+
+    Each step acts by t_power((a - b) // (2a)) while b lies outside (-a, a],
+    and by S_FLIP while a > c (or a == c and b < 0).  The form and the
+    product (p, q, r, s) of the steps so far are carried as plain integers;
+    the witness is the inverse of that product.
+    """
+    a, b, c = form.a, form.b, form.c
+    if a <= 0 or form.disc() >= 0:
         raise QFieldError(f"cannot reduce indefinite or negative form {form}")
-    current, trail = form, IDENT
+    p, q, r, s = 1, 0, 0, 1
     for _ in range(10000):
-        a, b, c = current.a, current.b, current.c
-        if current.is_reduced():
-            return current, trail.inv()
         if b <= -a or b > a:
-            step = t_power((a - b) // (2 * a))
+            k = (a - b) // (2 * a)
+            b, c = b + 2 * a * k, (a * k + b) * k + c
+            q, s = p * k + q, r * k + s
+        elif a > c or (a == c and b < 0):
+            a, b, c = c, -b, a
+            p, q, r, s = q, -p, s, -r
         else:
-            step = S_FLIP
-        current = act(current, step)
-        trail = trail @ step
+            return QuadForm(a, b, c), UnimodMatrix(s, -q, -r, p)
     raise InternalCheckError(f"reduction did not terminate for {form}")
 
 

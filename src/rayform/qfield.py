@@ -86,15 +86,22 @@ class Discriminant:
     def one(self) -> "FieldElement":
         return self.element(0, 1)
 
+    def unit_coords(self) -> tuple[tuple[int, int], ...]:
+        """All units of the maximal order as integer (tau, 1) coordinates,
+        +-1 first."""
+        return _UNIT_COORDS.get(self.d, _PLUS_MINUS_ONE)
+
     def unit_elements(self) -> tuple["FieldElement", ...]:
         """All units of the maximal order, +-1 first."""
-        units = [self.one(), -self.one()]
-        if self.d == -4:
-            units += [self.tau(), -self.tau()]
-        elif self.d == -3:
-            w = self.tau()
-            units += [w, -w, w + self.one(), -(w + self.one())]
-        return tuple(units)
+        return tuple(self.element(u, v) for u, v in self.unit_coords())
+
+
+_PLUS_MINUS_ONE = ((0, 1), (0, -1))
+# the extra units: +-tau for d = -4, and +-tau, +-(tau + 1) for d = -3
+_UNIT_COORDS = {
+    -4: _PLUS_MINUS_ONE + ((1, 0), (-1, 0)),
+    -3: _PLUS_MINUS_ONE + ((1, 0), (-1, 0), (1, 1), (-1, -1)),
+}
 
 
 def make_discriminant(d: int) -> Discriminant:

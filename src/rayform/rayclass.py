@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .forms import (
     QuadForm,
@@ -28,7 +29,6 @@ from .forms import (
     coprime_normalize,
     reduce,
     reduced_forms,
-    t_power,
 )
 from .qfield import (
     Discriminant,
@@ -90,6 +90,11 @@ class ClassGroup:
     table: tuple[tuple[int, ...], ...] | None = None
     invariant_factors: tuple[int, ...] | None = None
 
+    @cached_property
+    def index(self) -> dict[ClassKey, int]:
+        """Position of each class key in `classes`."""
+        return {fc.key: i for i, fc in enumerate(self.classes)}
+
 
 @dataclass(frozen=True)
 class GaloisDescriptor:
@@ -141,45 +146,6 @@ def canonical_offset(form: QuadForm, mod: Modulus) -> int:
     return (base + shift) % period - shift
 
 
-def product_basis(form: QuadForm, mod: Modulus) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Basis matrix [[a1, offset], [0, N*a]] of the modulus times the form's
-    conjugate ideal, written over (-a*conj(omega), 1)."""
-    off = canonical_offset(form, mod)
-    return ((mod.ideal.a1, off), (0, mod.level * form.a))
-
-
-def in_gamma_n(g: UnimodMatrix, mod: Modulus) -> bool:
-    """Membership in the congruence subgroup attached to the modulus."""
-    N, a1 = mod.level, mod.ideal.a1
-    return (
-        (g.p - 1) % N == 0
-        and g.q % (N // a1) == 0
-        and g.r % a1 == 0
-        and (g.s - 1) % N == 0
-    )
-
-
-def t_normalize(g: UnimodMatrix, k: int, mod: Modulus) -> tuple[int, int]:
-    """Shear exponents (m, n) with t^n * g * t^m in the congruence subgroup.
-
-    Requires the bottom row to satisfy r = 0 mod a1 and s = 1 + k*r mod N.
-    """
-    N, a1 = mod.level, mod.ideal.a1
-    if g.r % a1 or (g.s - 1 - k * g.r) % N:
-        raise QFieldError(f"matrix {g} does not satisfy the witness congruence")
-    m = -k
-    sheared = g @ t_power(m)
-    sub = N // a1
-    if sub == 1:
-        n = 0
-    else:
-        n = (-sheared.q * pow(sheared.s, -1, sub)) % sub
-    result = t_power(n) @ g @ t_power(m)
-    if not in_gamma_n(result, mod):
-        raise InternalCheckError(f"shear normalization left the subgroup: {result}")
-    return m, n
-
-
 def _witness_slope(form: QuadForm, mod: Modulus) -> int:
     # k with the witness condition s = 1 + k*r mod N, built from the form
     n, N = mod.ideal, mod.level
@@ -204,8 +170,19 @@ def equivalent(
     """
     _require_form(form1, mod)
     _require_form(form2, mod)
-    red1, g1 = reduce(form1)
-    red2, g2 = reduce(form2)
+    return _equivalent_reduced(form1, reduce(form1), form2, reduce(form2), mod)
+
+
+def _equivalent_reduced(
+    form1: QuadForm,
+    reduced1: tuple[QuadForm, UnimodMatrix],
+    form2: QuadForm,
+    reduced2: tuple[QuadForm, UnimodMatrix],
+    mod: Modulus,
+) -> UnimodMatrix | None:
+    # `equivalent` past its two reductions, for callers that reduce once
+    red1, g1 = reduced1
+    red2, g2 = reduced2
     if red1 != red2:
         return None
     gamma0 = g2.inv() @ g1
@@ -245,28 +222,6 @@ def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
         if is_mult_congruent_one(candidate, mod.ideal):
             return True
     return False
-
-
-def decompose(
-    alpha: UnimodMatrix, form: QuadForm, mod: Modulus
-) -> tuple[int, UnimodMatrix, int]:
-    """Split a witness as t^u * g * t^v with g in the congruence subgroup.
-
-    The returned g additionally satisfies the bottom-row condition
-    g.r*v + g.s = 1 + k*g.r mod N for the witness slope k of the form.
-    """
-    _require_form(form, mod)
-    k = _witness_slope(form, mod)
-    if not _satisfies_witness(alpha, form, mod):
-        raise QFieldError("matrix does not satisfy the witness congruence")
-    m, n = t_normalize(alpha, k, mod)
-    g = t_power(n) @ alpha @ t_power(m)
-    u, v = -n, -m
-    if t_power(u) @ g @ t_power(v) != alpha:
-        raise InternalCheckError("shear decomposition does not recompose")
-    if (g.r * v + g.s - 1 - k * g.r) % mod.level:
-        raise InternalCheckError("decomposition lost the bottom-row condition")
-    return u, g, v
 
 
 def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix:
@@ -316,14 +271,21 @@ def row_in_vq(form: QuadForm, row: RowVec, level: int) -> bool:
 def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
     """Canonical label of the row's class under the row congruence.
 
-    The row (u, v) stands for x = a*(u*omega + v); two rows are congruent
-    when x agrees mod the modulus up to a unit, so the label is the least
-    residue of the unit orbit of x.
+    The row (u, v) stands for x = a*(u*omega + v) = u*tau + w with
+    w = u*(b0 - b)/2 + v*a; two rows are congruent when x agrees mod the
+    modulus up to a unit, so the label is the least residue of the unit
+    orbit of x, all in integer (tau, 1) coordinates.
     """
     u, v = row
-    disc = mod.disc
-    x = disc.element(u, u * _half(disc.b0 - form.b) + v * form.a)
-    return min(mod.ideal.residue(eps * x) for eps in disc.unit_elements())
+    disc, n = mod.disc, mod.ideal
+    w = u * _half(disc.b0 - form.b) + v * form.a
+    residues = []
+    for eu, ev in disc.unit_coords():
+        # eps*x with tau^2 = -b0*tau - c0, reduced as in IdealTriple.residue
+        xu = eu * (w - u * disc.b0) + ev * u
+        xv = ev * w - eu * u * disc.c0
+        residues.append((xu % n.a1, (xv - xu // n.a1 * n.a2) % n.c))
+    return min(residues)
 
 
 def row_classes(form: QuadForm, mod: Modulus) -> tuple[RowVec, ...]:
@@ -395,12 +357,18 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
         raise InternalCheckError(
             f"enumerated {len(reps)} classes, oracle says {expected}"
         )
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if equivalent(reps[i].rep, reps[j].rep, mod) is not None:
+    # only representatives with the same reduced form can be equivalent
+    reductions = [reduce(fc.rep) for fc in reps]
+    earlier: dict[QuadForm, list[int]] = {}
+    for j, (red, _) in enumerate(reductions):
+        for i in earlier.setdefault(red, []):
+            if _equivalent_reduced(
+                reps[i].rep, reductions[i], reps[j].rep, reductions[j], mod
+            ) is not None:
                 raise InternalCheckError(
                     f"representatives {reps[i].rep} and {reps[j].rep} collide"
                 )
+        earlier[red].append(j)
     if len({fc.key for fc in reps}) != len(reps):
         raise InternalCheckError("two representatives share a class key")
     principal = class_key(QuadForm(1, disc.b0, disc.c0), mod)
@@ -456,11 +424,10 @@ def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
 
 
 def _class_index(form: QuadForm, group: ClassGroup) -> int:
-    key = class_key(form, group.modulus)
-    for idx, fc in enumerate(group.classes):
-        if fc.key == key:
-            return idx
-    raise InternalCheckError(f"form {form} matches no enumerated class")
+    idx = group.index.get(class_key(form, group.modulus))
+    if idx is None:
+        raise InternalCheckError(f"form {form} matches no enumerated class")
+    return idx
 
 
 def _cyclic_order(table, identity: int, g: int) -> int:

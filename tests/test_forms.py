@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ import hypothesis.strategies as st
 
 from rayform.forms import (
     IDENT,
+    S_FLIP,
     QuadForm,
     UnimodMatrix,
     act,
@@ -92,6 +94,36 @@ def test_reduce_properties(fd):
     assert act(red, g) == form
     assert red.is_reduced()
     assert reduce(red) == (red, IDENT)
+
+
+def _reduce_step_walk(form):
+    # the reduction loop as a walk of `act` and `@` steps, kept as the
+    # reference for the integer loop in `reduce`
+    current, trail = form, IDENT
+    while not current.is_reduced():
+        a, b = current.a, current.b
+        step = t_power((a - b) // (2 * a)) if b <= -a or b > a else S_FLIP
+        current, trail = act(current, step), trail @ step
+    return current, trail.inv()
+
+
+def test_reduce_matches_step_walk():
+    # every small form, which covers the boundaries b = +-a and a = c, then
+    # random ones with coefficients up to 10^6
+    forms = [
+        QuadForm(a, b, c)
+        for a in range(1, 8)
+        for c in range(1, 8)
+        for b in range(-2 * a - 1, 2 * a + 2)
+        if b * b < 4 * a * c
+    ]
+    rng = random.Random(6)
+    for _ in range(3000):
+        a, c = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        bound = min(math.isqrt(4 * a * c - 1), 10**6)
+        forms.append(QuadForm(a, rng.randint(-bound, bound), c))
+    for form in forms:
+        assert reduce(form) == _reduce_step_walk(form), form
 
 
 def test_reduced_forms_lists():

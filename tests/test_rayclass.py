@@ -7,21 +7,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import rayform.rayclass as rayclass
 from rayform.forms import (
     IDENT,
     QuadForm,
-    UnimodMatrix,
     act,
+    coprime_normalize,
     reduce,
+    reduced_forms,
     t_power,
 )
-from rayform.qfield import (
-    QFieldError,
-    canonicalize_ideal,
-    ideal_product,
-    make_discriminant,
-    make_lattice_basis,
-)
+from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import (
     _row_key,
     canonical_offset,
@@ -29,19 +25,15 @@ from rayform.rayclass import (
     class_key,
     class_translate,
     compose,
-    decompose,
     descriptor,
     enumerate_classes,
     equivalent,
     equivalent_oracle,
     group_table,
-    in_gamma_n,
     lift_bottom_row,
     make_modulus,
-    product_basis,
     row_classes,
     row_in_vq,
-    t_normalize,
     witness_matrix,
 )
 
@@ -51,6 +43,7 @@ D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
 D4 = make_discriminant(-4)
 D3 = make_discriminant(-3)
+SWEEP = Path(__file__).resolve().parents[1] / "bench" / "refs" / "sweep.json"
 
 MOD20 = make_modulus(D20, 2, 4, 6)
 MOD23 = make_modulus(D23, 3, 9, 12)
@@ -116,64 +109,6 @@ def test_canonical_offset_unique_in_window(seed):
         if (x - (a2 - shift)) % level == 0 and x % a == 0
     ]
     assert hits == [canonical_offset(form, mod)]
-
-
-def test_product_basis_golden():
-    assert product_basis(QuadForm(7, -6, 2), MOD20) == ((2, 28), (0, 42))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6))
-def test_product_basis_matches_ideal_product(seed):
-    rng = random.Random(seed)
-    mod = rng.choice([MOD20, MOD23])
-    base = rng.choice(enumerate_classes(mod).classes).rep
-    form = translates(base, mod, rng, 1)[0]
-    disc = mod.disc
-    rows = product_basis(form, mod)
-    assert rows[1][0] == 0
-    det = rows[0][0] * rows[1][1]
-    assert det == mod.ideal.norm() * form.a
-
-    # rows are coordinates over (-a*conj(omega), 1); push into (tau, 1) terms
-    anchor = disc.element(1, (disc.b0 + form.b) // 2)
-    direct = canonicalize_ideal(
-        make_lattice_basis(
-            anchor * rows[0][0] + disc.one() * rows[0][1],
-            disc.one() * rows[1][1],
-        )
-    )
-    conj_ideal = canonicalize_ideal(
-        make_lattice_basis(anchor, disc.element(0, form.a))
-    )
-    assert direct == ideal_product(mod.ideal, conj_ideal)
-
-
-def test_in_gamma_n():
-    assert in_gamma_n(IDENT, MOD20)
-    assert in_gamma_n(UnimodMatrix(1, 3, 4, 13), MOD20)
-    assert not in_gamma_n(t_power(1), MOD20)
-    assert in_gamma_n(t_power(6), MOD20)
-
-
-def test_decompose_identity():
-    u, g, v = decompose(IDENT, QuadForm(1, 0, 5), MOD20)
-    assert in_gamma_n(g, MOD20)
-    assert t_power(u) @ g @ t_power(v) == IDENT
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10**6))
-def test_witnesses_normalize_into_gamma_n(seed):
-    rng = random.Random(seed)
-    mod = rng.choice([MOD20, MOD23])
-    base = rng.choice(enumerate_classes(mod).classes).rep
-    f1, f2 = translates(base, mod, rng, 2)
-    alpha = equivalent(f1, f2, mod)
-    assert alpha is not None
-    u, g, v = decompose(alpha, f1, mod)
-    assert in_gamma_n(g, mod)
-    assert t_power(u) @ g @ t_power(v) == alpha
 
 
 def test_equivalent_golden():
@@ -279,6 +214,62 @@ def test_rows_equivalence_relation():
             for w2 in sample:
                 joined = equivalent(lifted[w1], lifted[w2], mod) is not None
                 assert (keys[w1] == keys[w2]) == joined
+
+
+def test_row_key_matches_field_route():
+    # reference: the least residue of eps*x over the units as field elements,
+    # on the first sweep modulus of each (h_K, c, a1) cell and every dK=-3, -4 one
+    with open(SWEEP) as fh:
+        sweep = json.load(fh)["moduli"]
+    cells = set()
+    rows = 0
+    for dk, a1, a2, c, _, h_k, _ in sweep:
+        if (h_k, c, a1) in cells and dk not in (-3, -4):
+            continue
+        cells.add((h_k, c, a1))
+        disc = make_discriminant(dk)
+        units = disc.unit_elements()
+        assert len(set(units)) == {-3: 6, -4: 4}.get(dk, 2)
+        assert all(eps.norm() == 1 and eps.is_integral() for eps in units)
+        mod = make_modulus(disc, a1, a2, c)
+        level = mod.level
+        for base in reduced_forms(disc):
+            form, _ = coprime_normalize(base, level)
+            for u in range(level):
+                for v in range(level):
+                    if not row_in_vq(form, (u, v), level):
+                        continue
+                    x = disc.element(u, u * (disc.b0 - form.b) // 2 + v * form.a)
+                    ref = min(mod.ideal.residue(eps * x) for eps in units)
+                    assert _row_key(form, (u, v), mod) == ref, (dk, a1, a2, c, form, u, v)
+                    rows += 1
+    assert rows > 15000
+
+
+def test_collision_check_catches_a_repeated_row_class(monkeypatch):
+    # a second row with the first row's key yields two representatives of one
+    # class; the witness check has to raise before the class key check does
+    row_classes_ = rayclass.row_classes
+
+    def twin_rows(form, mod):
+        rows = row_classes_(form, mod)
+        if len(rows) < 2:
+            return rows
+        level, key = mod.level, _row_key(form, rows[0], mod)
+        twin = next(
+            (u, v)
+            for u in range(level)
+            for v in range(level)
+            if (u, v) != rows[0]
+            and row_in_vq(form, (u, v), level)
+            and _row_key(form, (u, v), mod) == key
+        )
+        return (rows[0], twin) + rows[2:]
+
+    monkeypatch.setattr(rayclass, "row_classes", twin_rows)
+    for mod in (MOD20, MOD23):
+        with pytest.raises(InternalCheckError, match="collide"):
+            enumerate_classes(mod)
 
 
 @pytest.mark.parametrize("dk", [-3, -4, -15, -20, -23])
@@ -504,8 +495,7 @@ def test_enumerate_many_moduli_match_oracle():
 
 def test_tables_match_sweep_digests():
     # the first digest-carrying modulus of each (h, c, a1, h_K) cell with h <= 12
-    path = Path(__file__).resolve().parents[1] / "bench" / "refs" / "sweep.json"
-    with open(path) as fh:
+    with open(SWEEP) as fh:
         sweep = json.load(fh)["moduli"]
     cells = {}
     for dk, a1, a2, c, h, h_k, digest in sweep:
@@ -517,6 +507,20 @@ def test_tables_match_sweep_digests():
         blob = json.dumps([[list(r) for r in group.table], list(group.invariant_factors)])
         assert len(group.classes) == h
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, (dk, a1, a2, c)
+
+
+@pytest.mark.parametrize(
+    "dk, ideal, digest",
+    [
+        (-23, (1, 8, 31), "7baa4480a00f7f689fb138f8cf040b27c969ad82c5482eadf9e334a5f5963cf1"),
+        (-111, (9, 0, 9), "ea9d4e7d7908e69686a1a60505d0c7436b291ef5b2d7f50689695731546eae0d"),
+    ],
+    ids=["h=45", "h=216"],
+)
+def test_large_tables_pinned(dk, ideal, digest):
+    group = group_table(make_modulus(make_discriminant(dk), *ideal))
+    blob = json.dumps(class_group_to_json(group))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_class_group_json(group20):
