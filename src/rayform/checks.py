@@ -64,13 +64,10 @@ def _random_row(rng) -> tuple[int, int, int]:
 def _power_residuals(p, rng, samples: int):
     for _ in range(samples):
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
-        r, s, level = _random_row(rng)
-        jv = modular.eisenstein_j(tau, p)
+        label = modular.FrickeLabel(1, *_random_row(rng))
+        jv, f1, f2, f3 = modular._power_values(label, tau, p)
         if abs(jv) < 1e-5 or abs(jv - 1728) < 1e-5:
             continue
-        f1, f2, f3 = (
-            modular.fricke(modular.FrickeLabel(i, r, s, level), tau, p) for i in (1, 2, 3)
-        )
         yield abs(f2 - 46656 * f1**2 / (jv - 1728))
         yield abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728)))
 

@@ -21,9 +21,9 @@ These four numbers are computed along two independent routes:
 
 Every series is truncated at an explicit tail threshold.
 
-No global precision state: each public function builds one private mpmath
-context from the Precision it was handed, and contexts never leak.  Complex
-results are mpmath mpc values; they are exchangeable across contexts.
+One read-only mpmath context per digit count, cached for the process by
+`_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
+values; they are exchangeable across contexts.
 
 Normalization is pinned at import by two self-checks, j(i) = 1728 and
 j(rho) = 0.
@@ -31,6 +31,7 @@ j(rho) = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,8 +65,15 @@ class Precision:
 
 
 def _ctx(p: Precision) -> mpmath.ctx_mp.MPContext:
+    """The one context per digit count, cached for the process, working at
+    p.digits + 10 digits.  It is read-only: no caller may set its dps or prec."""
+    return _context(p.digits)
+
+
+@functools.cache
+def _context(digits: int) -> mpmath.ctx_mp.MPContext:
     ctx = mpmath.ctx_mp.MPContext()
-    ctx.dps = p.digits + 10
+    ctx.dps = digits + 10
     return ctx
 
 
@@ -329,7 +337,11 @@ def eisenstein_j(tau, p: Precision = Precision()):
     reduction."""
     ctx = _ctx(p)
     t0, _ = _reduce_tau(ctx, ctx.mpc(tau))
-    _, e4, _, delta = _theta_core(ctx, t0, _cutoff(ctx, p))
+    return _j(ctx, _theta_core(ctx, t0, _cutoff(ctx, p)))
+
+
+def _j(ctx, values):
+    _, e4, _, delta = values
     return _ensure_finite(ctx, ctx.mpc(1728 * e4 * e4 * e4 / delta))
 
 
@@ -348,11 +360,24 @@ def wp(z, tau, p: Precision = Precision()):
     return _ensure_finite(ctx, -4 * ctx.pi**2 * c**2 * s_val)
 
 
-def _fricke(ctx, label: FrickeLabel, t, cutoff):
+def _fricke_core(ctx, label: FrickeLabel, t, cutoff):
+    """(S, E4, E6, Delta) at t reduced by g, with label's row pushed through g."""
     t0, g = _reduce_tau(ctx, t)
     v1, v2 = label.row()
     x, y = _exact_cell(ctx, v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s)
-    return _torsion_value(ctx, label.i, _theta_core(ctx, t0, cutoff, x, y))
+    return _theta_core(ctx, t0, cutoff, x, y)
+
+
+def _fricke(ctx, label: FrickeLabel, t, cutoff):
+    return _torsion_value(ctx, label.i, _fricke_core(ctx, label, t, cutoff))
+
+
+def _power_values(label: FrickeLabel, tau, p: Precision):
+    """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
+    to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
+    ctx = _ctx(p)
+    values = _fricke_core(ctx, label, ctx.mpc(tau), _cutoff(ctx, p))
+    return (_j(ctx, values),) + tuple(_torsion_value(ctx, i, values) for i in (1, 2, 3))
 
 
 def _fricke_at(label: FrickeLabel, tau, p: Precision):
@@ -379,13 +404,6 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     return _fricke(ctx, label, ctx.mpc(tau), _cutoff(ctx, p))
 
 
-def _basis_pair(basis) -> tuple[FieldElement, FieldElement]:
-    if isinstance(basis, LatticeBasis):
-        return basis.g1, basis.g2
-    g1, g2 = basis
-    return g1, g2
-
-
 def weber_index(disc: Discriminant) -> int:
     """Exponent attached to the unit group: half its order."""
     if disc.d == -4:
@@ -402,7 +420,7 @@ def weber(z, basis, p: Precision = Precision()):
     the fundamental domain; the case split on the discriminant picks the
     exponent killing the extra units.
     """
-    g1, g2 = _basis_pair(basis)
+    g1, g2 = (basis.g1, basis.g2) if isinstance(basis, LatticeBasis) else basis
     if g1.disc != g2.disc:
         raise QFieldError("basis elements from different fields")
     ratio = g1 / g2

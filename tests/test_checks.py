@@ -4,11 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rayform import checks
+from rayform import checks, modular
 from rayform.checks import run_checks, sci
-from rayform.modular import Precision
+from rayform.modular import Precision, eval_descriptor
 from rayform.qfield import make_discriminant
-from rayform.rayclass import make_modulus
+from rayform.rayclass import descriptor, enumerate_classes, make_modulus
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
 
@@ -63,3 +63,36 @@ def test_law_draws_are_no_translations_and_no_self_comparisons(monkeypatch):
     assert all(g.r != 0 for g in drawn)
     assert all(r != 0 for r in residuals)
     assert max(residuals) < mpmath.mpf(10) ** -30
+
+
+def test_power_check_fails_on_a_wrong_e6(monkeypatch):
+    """E6 off by a relative 10^-40 breaks E4^3 - E6^2 = Delta on the theta
+    route, so the power relations must fail at 10^-40: the check is not
+    comparing a value with itself."""
+    name = "power relations between the three indexed values"
+
+    def power_check():
+        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert power_check().passed
+    theta_core = modular._theta_core
+
+    def wrong_e6(ctx, *args):
+        s_val, e4, e6, delta = theta_core(ctx, *args)
+        return s_val, e4, e6 * (1 + ctx.mpf(10) ** -40), delta
+
+    monkeypatch.setattr(modular, "_theta_core", wrong_e6)
+    check = power_check()
+    assert not check.passed, check.detail
+
+
+def test_contexts_are_shared_and_keep_their_precision():
+    p80 = Precision(80)
+    assert modular._ctx(Precision(80)) is modular._ctx(Precision(80))
+    desc = descriptor(enumerate_classes(MOD20).classes[1].rep, MOD20)
+    before = eval_descriptor(desc, None, p80)
+    run_checks(MOD20, p80, 40, random.Random(911))
+    eval_descriptor(desc, None, Precision(1000))
+    assert modular._ctx(p80).dps == 90
+    assert eval_descriptor(desc, None, p80) == before

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import mpmath
+import pytest
 
 BASE = [sys.executable, "-m", "rayform.cli"]
 
@@ -224,3 +226,28 @@ def test_verify_passes():
 def test_verify_second_field():
     data = run_json("verify", "--dk", "-7", "--ideal", "1,1,2", "--digits", "40")
     assert data["passed"] is True
+
+
+# sha256 of `verify` stdout, recorded before the shared contexts and the
+# shared power-relation core; any change to a sample, value or detail string
+# shows here
+VERIFY_DIGESTS = {
+    ("-20", "2,4,6", "40", "json"): "d9845b7e5ca50bdbfb1d1bb21144c9f836105fcf7c5b80086e1a4f99fc3921dd",
+    ("-20", "2,4,6", "40", "text"): "11ef1f29b49a3bc1a1e30bb014632a9f8ad2f5d06131fb437e4c4729f4d12dd7",
+    ("-23", "3,9,12", "80", "json"): "30ce49d0f4d83f21d8af5d977133ce25dc2d16fd920639a38fae04f45c6d51c3",
+    ("-23", "3,9,12", "80", "text"): "8cc81794be117e52443c7094cc47b85afaae67f29c7bc4542f8c646f3b5e29c0",
+    ("-3", "6,0,6", "80", "json"): "8ee94e3e258c53c2fc6d866f07ed8fc959319844676060a4b4978a38ddde52ae",
+    ("-3", "6,0,6", "80", "text"): "24ec0b5d8e73f973e886f8bcfee3826cd1a778ef3b9b5605d9fc5f19d2d10cd0",
+    ("-4", "6,0,6", "80", "json"): "543fa7f339bebbcf101be1a05eca4865b475314f1c0e30674e49accf2431106c",
+    ("-4", "6,0,6", "80", "text"): "bcc1fd6c418c5079d52416a7ab0194f2e4659e6710e99121dd1d1195ad0b9b63",
+}
+
+
+@pytest.mark.parametrize("dk,ideal,digits,fmt", sorted(VERIFY_DIGESTS))
+def test_verify_output_pinned(dk, ideal, digits, fmt):
+    code, out, err = run(
+        "verify", "--dk", dk, "--ideal", ideal, "--digits", digits, "--format", fmt
+    )
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS[dk, ideal, digits, fmt], out

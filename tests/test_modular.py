@@ -180,16 +180,19 @@ def test_wp_reduces_thin_lattice():
     assert abs(val - wp(z / tau, -1 / tau, P30) / tau**2) < ctx.mpf(10) ** -25 * abs(val)
 
 
-def test_power_relations():
-    ctx = ctx_for(80)
-    tol = ctx.mpf(10) ** -70
-    samples = [
+def power_samples(ctx):
+    return [
         (ctx.mpc("0.31", "1.11"), FrickeLabel(1, 1, 0, 6)),
         (ctx.mpc("-0.22", "0.93"), FrickeLabel(1, 2, 5, 6)),
         (ctx.mpc("0.05", "1.62"), FrickeLabel(1, 0, 1, 4)),
         (ctx.mpc("0.41", "0.87"), FrickeLabel(1, 3, 1, 5)),
     ]
-    for tau, lab in samples:
+
+
+def test_power_relations():
+    ctx = ctx_for(80)
+    tol = ctx.mpf(10) ** -70
+    for tau, lab in power_samples(ctx):
         jv = eisenstein_j(tau, P80)
         if abs(jv) < ctx.mpf("1e-5") or abs(jv - 1728) < ctx.mpf("1e-5"):
             continue
@@ -198,6 +201,17 @@ def test_power_relations():
         f3 = fricke(FrickeLabel(3, lab.r, lab.s, lab.level), tau, P80)
         assert abs(f2 - 46656 * f1**2 / (jv - 1728)) < tol
         assert abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728))) < tol
+
+
+def test_power_values_equal_the_public_calls():
+    """The power check's one reduction and one theta core give exactly the
+    values of eisenstein_j and the three fricke calls at the same tau and row."""
+    for tau, lab in power_samples(ctx_for(80)):
+        jv, *values = modular._power_values(lab, tau, P80)
+        assert jv == eisenstein_j(tau, P80)
+        assert values == [
+            fricke(FrickeLabel(i, lab.r, lab.s, lab.level), tau, P80) for i in (1, 2, 3)
+        ]
 
 
 def test_row_negation_symmetry():
