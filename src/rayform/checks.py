@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modular
-from .forms import QuadForm
-from .qfield import QFieldError, ray_class_number_oracle
+from .forms import QuadForm, UnimodMatrix
+from .qfield import QFieldError, _egcd, ray_class_number_oracle
 from .rayclass import (
     Modulus,
     _class_index,
@@ -76,9 +76,10 @@ def _law_matrix(rng):
     """A unimodular g with g.r != 0: a pure translation would move tau and
     the row to the same exact input on both sides of the law."""
     while True:
-        g = modular.reduce_to_fundamental(complex(rng.uniform(-2, 2), rng.uniform(0.2, 2)))[1]
-        if g.r:
-            return g
+        r, s = rng.randrange(-2, 3), rng.randrange(-2, 3)
+        g, p, q = _egcd(s, r)
+        if r and g == 1:
+            return UnimodMatrix(p, -q, r, s)
 
 
 def _law_residuals(p, rng, samples: int):

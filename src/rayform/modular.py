@@ -12,12 +12,15 @@ These four numbers are computed along two independent routes:
 * the theta route (`_theta_core`): Jacobi theta series in the nome
   e^(i pi tau), whose terms fall like |q|^(n^2), so the term count grows
   as the square root of the digit count.  The discriminant is a product
-  of theta constants, with no cancellation.  `eisenstein_j`, `wp`, `fricke`
+  of theta constants, with no cancellation.  Each theta sum runs in fixed
+  point with 3 bitlen(N + 1) + 4 guard bits for N terms, which keep its
+  error below 2^-(prec + 4) (`_theta_sum`).  `eisenstein_j`, `wp`, `fricke`
   and `eval_descriptor` use it.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
   e^(2 pi i tau), with the discriminant as E4^3 - E6^2.  `weber` and
   `eval_descriptor_unreduced` use it, so the checks comparing them with
-  the values above compare two independent series.
+  the values above compare two independent series.  It stays on mpmath
+  floats, sharing no arithmetic with the fixed-point sums, to catch their slips.
 
 Every series is truncated at an explicit tail threshold.
 
@@ -128,15 +131,6 @@ class FrickeLabel:
         return f"{self.i}:{self.r},{self.s},{self.level}"
 
 
-def parse_fricke_label(text: str) -> FrickeLabel:
-    try:
-        head, tail = text.split(":")
-        r, s, level = (int(x) for x in tail.split(","))
-        return FrickeLabel(int(head), r, s, level)
-    except ValueError as exc:
-        raise QFieldError(f"expected 'i:r,s,N', got {text!r}") from exc
-
-
 def _sigma(n: int, k: int) -> int:
     total = 0
     d = 1
@@ -219,15 +213,29 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
 
 
 def _theta_sum(ctx, q, v, shift: int, terms: int):
-    """sum_{n=0}^{terms} q^(n^2 + shift*n) v^n."""
-    total = term = ctx.mpc(1)
-    step = q ** (1 + shift) * v
-    q2 = q * q
+    """sum_{n=0}^{terms} q^(n^2 + shift*n) v^n; q^2, each step q^(2n+1+shift) v
+    and each term are pairs of ints scaled by 2^wp.  A complex product (three
+    int products, Gauss's form) and a floor shift is off by under
+    e = 2^(1/2 - wp) for factors of modulus at most 1, as every step and term
+    is (see `_theta_core`); step 0 enters off by 3e, q^2 by 2e.  So step n is
+    off by 3(n + 1) e, term n by (3n(n + 1)/2 + n) e and the sum by under
+    (terms + 1)^3 2^-wp <= 2^-(prec + 4), to first order, before its one rounding."""
+    wp = ctx.prec + 3 * (terms + 1).bit_length() + 4
+    q2 = ctx.fmul(q, q, prec=wp)
+    step = ctx.fmul(q2 if shift else q, v, prec=wp)
+    sr, si = ctx.to_fixed(step.real, wp), ctx.to_fixed(step.imag, wp)
+    qr, qi = ctx.to_fixed(q2.real, wp), ctx.to_fixed(q2.imag, wp)
+    qs, qd = qr + qi, qi - qr
+    tr = total_r = 1 << wp
+    ti = total_i = 0
     for _ in range(terms):
-        term *= step
-        total += term
-        step *= q2
-    return total
+        k = sr * (tr + ti)
+        tr, ti = (k - ti * (sr + si)) >> wp, (k + tr * (si - sr)) >> wp
+        total_r += tr
+        total_i += ti
+        k = qr * (sr + si)
+        sr, si = (k - si * qs) >> wp, (k + sr * qd) >> wp
+    return ctx.mpc(ctx.ldexp(total_r, -wp), ctx.ldexp(total_i, -wp))
 
 
 def _theta_core(ctx, tau0, cutoff, x=None, y=None):
@@ -289,13 +297,6 @@ def _reduce_tau(ctx, t):
         else:
             return t, g
     raise InternalCheckError("fundamental domain reduction did not terminate")
-
-
-def reduce_to_fundamental(tau, p: Precision = Precision()):
-    """Move tau into |Re| <= 1/2, |tau| >= 1; returns (tau0, g) with
-    tau = g(tau0) and g an exact unimodular matrix."""
-    ctx = _ctx(p)
-    return _reduce_tau(ctx, ctx.mpc(tau))
 
 
 def _torsion_value(ctx, i: int, values):
@@ -368,10 +369,6 @@ def _fricke_core(ctx, label: FrickeLabel, t, cutoff):
     return _theta_core(ctx, t0, cutoff, x, y)
 
 
-def _fricke(ctx, label: FrickeLabel, t, cutoff):
-    return _torsion_value(ctx, label.i, _fricke_core(ctx, label, t, cutoff))
-
-
 def _power_values(label: FrickeLabel, tau, p: Precision):
     """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
@@ -401,7 +398,7 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     through the same matrix, so the series always run on a fat lattice.
     """
     ctx = _ctx(p)
-    return _fricke(ctx, label, ctx.mpc(tau), _cutoff(ctx, p))
+    return _torsion_value(ctx, label.i, _fricke_core(ctx, label, ctx.mpc(tau), _cutoff(ctx, p)))
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -485,7 +482,7 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     label = FrickeLabel(i, 0, desc.a_inv, level)
     point = mobius(desc.eval_matrix, desc.point)
     ctx = _ctx(p)
-    return _fricke(ctx, label, _embed(ctx, point), _cutoff(ctx, p))
+    return _torsion_value(ctx, i, _fricke_core(ctx, label, _embed(ctx, point), _cutoff(ctx, p)))
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
@@ -511,11 +508,13 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:
+    """Each part to p.digits digits, or 0.0 when below 10^-digits |value| (noise)."""
     ctx = _ctx(p)
     v = ctx.mpc(value)
+    noise = abs(v) * ctx.mpf(10) ** -p.digits
     return {
-        "re": ctx.nstr(v.real, p.digits, strip_zeros=False),
-        "im": ctx.nstr(v.imag, p.digits, strip_zeros=False),
+        key: ctx.nstr(part if abs(part) >= noise else ctx.zero, p.digits, strip_zeros=False)
+        for key, part in (("re", v.real), ("im", v.imag))
     }
 
 

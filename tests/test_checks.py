@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -63,6 +64,18 @@ def test_law_draws_are_no_translations_and_no_self_comparisons(monkeypatch):
     assert all(g.r != 0 for g in drawn)
     assert all(r != 0 for r in residuals)
     assert max(residuals) < mpmath.mpf(10) ** -30
+
+
+def test_law_matrices_are_small_and_drawn_from_the_integers():
+    """2,000 draws stay within the entries the float-reduction draw reached
+    (|r|, |s| <= 2, |p|, |q| <= 3) and cover every admissible bottom row."""
+    rng = random.Random(5)
+    drawn = [checks._law_matrix(rng) for _ in range(2000)]
+    assert all(g.r != 0 and g.p * g.s - g.q * g.r == 1 for g in drawn)
+    assert max(max(abs(g.r), abs(g.s)) for g in drawn) == 2
+    assert max(max(abs(g.p), abs(g.q)) for g in drawn) <= 3
+    rows = {(r, s) for r in (-2, -1, 1, 2) for s in range(-2, 3) if math.gcd(r, s) == 1}
+    assert {(g.r, g.s) for g in drawn} == rows
 
 
 def test_power_check_fails_on_a_wrong_e6(monkeypatch):

@@ -228,18 +228,18 @@ def test_verify_second_field():
     assert data["passed"] is True
 
 
-# sha256 of `verify` stdout, recorded before the shared contexts and the
-# shared power-relation core; any change to a sample, value or detail string
+# sha256 of `verify` stdout, recorded with the fixed-point theta kernel and
+# the integer law matrices; any change to a sample, value or detail string
 # shows here
 VERIFY_DIGESTS = {
-    ("-20", "2,4,6", "40", "json"): "d9845b7e5ca50bdbfb1d1bb21144c9f836105fcf7c5b80086e1a4f99fc3921dd",
-    ("-20", "2,4,6", "40", "text"): "11ef1f29b49a3bc1a1e30bb014632a9f8ad2f5d06131fb437e4c4729f4d12dd7",
-    ("-23", "3,9,12", "80", "json"): "30ce49d0f4d83f21d8af5d977133ce25dc2d16fd920639a38fae04f45c6d51c3",
-    ("-23", "3,9,12", "80", "text"): "8cc81794be117e52443c7094cc47b85afaae67f29c7bc4542f8c646f3b5e29c0",
-    ("-3", "6,0,6", "80", "json"): "8ee94e3e258c53c2fc6d866f07ed8fc959319844676060a4b4978a38ddde52ae",
-    ("-3", "6,0,6", "80", "text"): "24ec0b5d8e73f973e886f8bcfee3826cd1a778ef3b9b5605d9fc5f19d2d10cd0",
-    ("-4", "6,0,6", "80", "json"): "543fa7f339bebbcf101be1a05eca4865b475314f1c0e30674e49accf2431106c",
-    ("-4", "6,0,6", "80", "text"): "bcc1fd6c418c5079d52416a7ab0194f2e4659e6710e99121dd1d1195ad0b9b63",
+    ("-20", "2,4,6", "40", "json"): "9788914cb238c47c5c8591d6f92733a389211e54a4a83403bc42eb869049f47b",
+    ("-20", "2,4,6", "40", "text"): "61c2ff92dc1e7b8c3f045ea9f67a57e0fcffe6ac60116129c04e14814b1f8678",
+    ("-23", "3,9,12", "80", "json"): "530295365baaca8f77838b0a09aa4245427115be5c7a5426d8c81b370b41221b",
+    ("-23", "3,9,12", "80", "text"): "a357bdb2ece1b18b74661e94bb0d0ed8c219ec83449fe284c94dd86fec70649b",
+    ("-3", "6,0,6", "80", "json"): "c85ca42583909baf3db6be96b2bc36c18b3287a8b2d1cdf7ad3ff6b3833c81c6",
+    ("-3", "6,0,6", "80", "text"): "8a08c6c84f34e01e3aef34eb98c657f96d39902812478d0664e93bf09a6d9eb0",
+    ("-4", "6,0,6", "80", "json"): "6dbc929390be889aa7abf6d0269fc84c56541ec21a58be232b83ae7ef893a72c",
+    ("-4", "6,0,6", "80", "text"): "a6557324fd1208672dc8e343a11e817127b7a627eab445f6675c1b64eae286f6",
 }
 
 

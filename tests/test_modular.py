@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,8 +17,6 @@ from rayform.modular import (
     eval_descriptor,
     eval_descriptor_unreduced,
     fricke,
-    parse_fricke_label,
-    reduce_to_fundamental,
     weber,
     weber_index,
     wp,
@@ -76,31 +76,21 @@ def test_label_validation_and_normalization():
         FrickeLabel(1, 1, 0, 0)
 
 
-def test_label_string_roundtrip():
-    lab = FrickeLabel(3, 2, 11, 12)
-    assert str(lab) == "3:2,11,12"
-    assert parse_fricke_label(str(lab)) == lab
-    with pytest.raises(QFieldError):
-        parse_fricke_label("nonsense")
-    with pytest.raises(QFieldError):
-        parse_fricke_label("1:2,3")
-
-
-def test_reduce_to_fundamental():
-    ctx = ctx_for(30)
-    t0, g = reduce_to_fundamental(ctx.mpc(0, 1), P30)
+def test_reduce_tau():
+    ctx = modular._ctx(P30)
+    t0, g = modular._reduce_tau(ctx, ctx.mpc(0, 1))
     assert g == IDENT
     assert abs(t0 - ctx.mpc(0, 1)) < ctx.mpf(10) ** -25
 
     tau = ctx.mpc("0.3", "0.007")
-    t0, g = reduce_to_fundamental(tau, P30)
+    t0, g = modular._reduce_tau(ctx, tau)
     assert t0.imag > ctx.sqrt(3) / 2 - ctx.mpf(10) ** -20
     assert abs(t0.real) <= ctx.mpf("0.5") + ctx.mpf(10) ** -20
     back = (g.p * t0 + g.q) / (g.r * t0 + g.s)
     assert abs(back - tau) < ctx.mpf(10) ** -25
 
     with pytest.raises(QFieldError):
-        reduce_to_fundamental(ctx.mpc(1, -1), P30)
+        modular._reduce_tau(ctx, ctx.mpc(1, -1))
 
 
 def test_j_special_values():
@@ -373,6 +363,54 @@ def test_complex_json():
     assert abs(back - value) < ctx.mpf(10) ** -70
 
 
+def test_complex_json_prints_noise_as_zero():
+    # the identity class of dK=-3 mod 6,0,6 has a real value; its imaginary
+    # part is rounding noise near 10^-(digits+10)
+    mod = make_modulus(D3, 6, 0, 6)
+    p = Precision(40)
+    value = eval_descriptor(descriptor(QuadForm(1, 1, 1), mod), None, p)
+    assert value.imag != 0
+    data = complex_to_json(value, p)
+    assert data["im"] == "0.0"
+    assert data["re"] == "-2.109171421186721895130689880757078680861"
+
+
+# sha256 of the printed value of every class at 80, 300 and 1000 digits,
+# recorded on the mpc theta kernel; the fixed-point kernel prints the same
+PRINTED_DIGESTS = {
+    (-20, (2, 4, 6)): (
+        "b9f58998d1868c4e7d6082e8f169744ba29607f9797e71803bc3ba9e982c22d0",
+        "bc9fbcba3916dd19df6497ee7c5639f14bf2c9e153584edab541b962bc25fc69",
+        "f35e4da0d358df38c04cdc097de67f849cb900c8a038d4085b8c1c05f5a34106",
+    ),
+    (-23, (3, 9, 12)): (
+        "ef54f0d79c1540164fc387cb8b0e2ad9a2e209e3b534903396ef64a0b99351ba",
+        "2958f6f50e12746e6a23d6880c2f079fa8aaf65014fc5538f05c4f2f8af7a7af",
+        "667436a3d27f91587077352aec27bb4defcfd00a726dd5f1bd32c2d60182f5e0",
+    ),
+    (-3, (6, 0, 6)): (
+        "efd5de5398de9163cf7275356b83cdeb6178c36bb221c4f5d262968eb4defb30",
+        "895978597e331daa9107a98b228fe0a713540bd9fdca64f1fee990ade5fb3865",
+        "248f08c033a73fa9f420b6a70d9b756163018cb2705c3e25d76022e0aa37108b",
+    ),
+    (-4, (6, 0, 6)): (
+        "16d2fbaa7de4876859431540daa55957bdac16145bd7d67fa45b77d85aad8d14",
+        "6ef26230747092043d5706b046cdd902b9d436474e7a68d7327bb2485236743f",
+        "60d0e8ee696fbce554a94ed988fd7d0594826f3df9d385753d9b3d2b2d26a352",
+    ),
+}
+
+
+@pytest.mark.parametrize("dk, ideal", sorted(PRINTED_DIGESTS))
+def test_printed_values_pinned(dk, ideal):
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    descs = [descriptor(fc.rep, mod) for fc in enumerate_classes(mod).classes]
+    for digits, want in zip((80, 300, 1000), PRINTED_DIGESTS[dk, ideal]):
+        p = Precision(digits)
+        printed = [complex_to_json(eval_descriptor(d, None, p), p) for d in descs]
+        assert hashlib.sha256(json.dumps(printed).encode()).hexdigest() == want, (digits, printed)
+
+
 D107 = make_discriminant(-107)
 
 
@@ -423,3 +461,75 @@ def test_theta_route_matches_qseries_route(digits):
             for name, a, b in zip(("S", "E4", "E6", "Delta"), theta, ref):
                 scale = abs(b) if abs(b) > near_zero else 1
                 assert abs(a - b) < tol * scale, (name, k, x, y)
+
+
+# Im tau from the unreduced law-check range up to 20, each with cells on
+# both vertical edges x = +-1/2 and one inside.  Not tau = 0.05i: there
+# theta4 = 2*sum - 1 is 1.4e-6 and Delta = 27/4 (t2 t3 t4)^2 is only good to
+# a relative 10^-(digits+4.6), on the mpc kernel too (10^-(digits+3.5) at
+# 1000 digits), a loss of the formula, not of the sums
+KERNEL_TAUS = [("0.25", "0.05"), ("-0.5", "0.05"), ("-0.5", "0.4"), ("0.31", "1.2"),
+               ("-0.5", "3"), ("0.17", "7.3"), ("0.5", "20")]
+KERNEL_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37")]
+
+
+def jtheta_core(ctx, tau, x, y):
+    """(S, E4, E6, Delta) from mpmath.jtheta, by the identities in
+    `_theta_core`'s docstring; no arithmetic shared with the kernel."""
+    q = ctx.expjpi(tau)
+    th2, th3, th4 = (ctx.jtheta(k, 0, q) for k in (2, 3, 4))
+    t2, t3, t4 = th2**4, th3**4, th4**4
+    z = ctx.pi * (x * tau + y)
+    s_val = -((th2 * th3 * ctx.jtheta(4, z, q) / ctx.jtheta(1, z, q)) ** 2 - (t2 + t3) / 3) / 4
+    e4 = (t2 * t2 + t3 * t3 + t4 * t4) / 2
+    e6 = (t3 + t4) * (t2 + t3) * (t4 - t2) / 2
+    return s_val, e4, e6, 27 * (t2 * t3 * t4) ** 2 / 4
+
+
+@pytest.mark.parametrize("digits", [80, 1000])
+def test_theta_kernel_matches_mpmath_jtheta(digits):
+    p = Precision(digits)
+    ctx = modular._ctx(p)
+    cutoff = modular._cutoff(ctx, p)
+    tol = mpmath.mpf(10) ** -(digits + 5)
+    for re, im in KERNEL_TAUS:
+        ref = mpmath.ctx_mp.MPContext()
+        # at 1000 digits jtheta's own sums lose about 5 Im(tau) digits at the
+        # cell edges (measured against the q-series route); 80 digits lose none
+        ref.dps = digits + 40 + 6 * math.ceil(float(im))
+        tau = ctx.mpc(re, im)
+        for x, y in KERNEL_CELLS:
+            x, y = ctx.mpf(x), ctx.mpf(y)
+            got = modular._theta_core(ctx, tau, cutoff, x, y)
+            want = jtheta_core(ref, ref.mpc(tau), ref.mpf(x), ref.mpf(y))
+            for name, a, b in zip(("S", "E4", "E6", "Delta"), got, want):
+                assert abs(a - b) < tol * abs(b), (name, re, im, x, y)
+
+
+@pytest.mark.parametrize("digits", [80, 1000])
+def test_theta_sum_within_its_error_bound(digits):
+    """Every sum `_theta_core` takes at the points above, against the same
+    series summed by the mpc loop at twice the precision: off by at most the
+    kernel's 2^-(prec+4) plus the result's one rounding, 2^-prec |sum|."""
+    p = Precision(digits)
+    ctx = modular._ctx(p)
+    ref = mpmath.ctx_mp.MPContext()
+    ref.prec = 2 * ctx.prec
+    lcut = (ctx.mag(modular._cutoff(ctx, p)) - 1) * math.log(2)
+    for re, im in KERNEL_TAUS:
+        tau = ctx.mpc(re, im)
+        q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
+        for x, y in KERNEL_CELLS:
+            w = ctx.expjpi(2 * (ctx.mpf(x) * tau + ctx.mpf(y)))
+            lw = 2 * float(x) * lq
+            for v, lv, shift in ((1, 0, 1), (-1, 0, 0), (-w, lw, 0), (-1 / w, -lw, 1)):
+                terms = modular._theta_terms(lq, lv, shift, lcut)
+                got = modular._theta_sum(ctx, q, v, shift, terms)
+                want = term = ref.mpc(1)
+                step, q2 = ref.mpc(q) ** (1 + shift) * v, ref.mpc(q) ** 2
+                for _ in range(terms):
+                    term *= step
+                    want += term
+                    step *= q2
+                bound = (abs(want) + ref.mpf(1) / 16) * ref.mpf(2) ** -ctx.prec
+                assert abs(got - want) <= bound, (re, im, x, y, shift)
