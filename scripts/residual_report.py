@@ -11,7 +11,7 @@ import sys
 
 from rayform.checks import run_checks
 from rayform.modular import Precision
-from rayform.qfield import make_discriminant
+from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import make_modulus
 
 
@@ -24,7 +24,11 @@ def main() -> int:
 
     mod = make_modulus(make_discriminant(-20), 2, 4, 6)
     rng = random.Random(args.seed)
-    checks = run_checks(mod, Precision(args.digits), args.digits // 2, rng, args.samples)
+    try:
+        checks = run_checks(mod, Precision(args.digits), args.digits // 2, rng, args.samples)
+    except QFieldError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"digits={args.digits} samples={args.samples} seed={args.seed}")
     for check in checks:
         print(check)

@@ -4,10 +4,11 @@ fields, with an arbitrary-precision modular-function layer on top.
 The exact side (qfield, forms, rayclass) runs entirely on integers and
 Fractions: field elements, canonical ideal triples, quadratic forms,
 congruence-constrained equivalence, class enumeration, composition and
-group structure.  The numeric side (modular) evaluates the classical
-q-series at whatever precision is asked for and never touches global
-state.  The checks module runs the property suite of one modulus, and
-the cli module exposes everything as subcommands.
+group structure.  The numeric side (modular) evaluates the modular
+functions at whatever precision is asked for, from Jacobi theta series
+with the classical q-series as an independent reference, and never
+touches global state.  The checks module runs the property suite of one
+modulus, and the cli module exposes everything as subcommands.
 """
 
 from .qfield import make_discriminant

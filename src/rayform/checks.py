@@ -105,10 +105,12 @@ def _route_residuals(reps, mod, p):
 
 def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
     """The eight checks of `rayform verify`, in order.  The power relations
-    and the transformation law each draw `samples` random points; the class
-    checks cover every class."""
+    and the transformation law each draw `samples` >= 1 random points; the
+    class checks cover every class."""
     if tol_exp < 1:
         raise QFieldError(f"tolerance exponent must be at least 1, got {tol_exp}")
+    if samples < 1:
+        raise QFieldError(f"sample count must be at least 1, got {samples}")
     tol = Fraction(10) ** -tol_exp
     disc, group = mod.disc, group_table(mod)
     reps = [fc.rep for fc in group.classes]

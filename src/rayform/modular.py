@@ -1,8 +1,8 @@
 """Arbitrary-precision evaluation of the classical modular quantities.
 
 The library works with the Eisenstein series of weights 4 and 6, the
-discriminant, j, the Weierstrass pe-function, the indexed division-value
-functions built from pe (here "torsion-value functions"), and the
+discriminant, j, the indexed division-value functions built from the
+Weierstrass pe-function (here "torsion-value functions"), and the
 unit-group-normalized pe value attached to a fractional ideal.  The pi
 powers cancel out of every exposed weight-zero combination, so all results
 come from E4, E6, the discriminant and the pi-free pe sum S alone.
@@ -14,8 +14,8 @@ These four numbers are computed along two independent routes:
   as the square root of the digit count.  The discriminant is a product
   of theta constants, with no cancellation.  Each theta sum runs in fixed
   point with 3 bitlen(N + 1) + 4 guard bits for N terms, which keep its
-  error below 2^-(prec + 4) (`_theta_sum`).  `eisenstein_j`, `wp`, `fricke`
-  and `eval_descriptor` use it.
+  error below 2^-(prec + 4) (`_theta_sum`).  `eisenstein_j`, `fricke` and
+  `eval_descriptor` use it.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
   e^(2 pi i tau), with the discriminant as E4^3 - E6^2.  `weber` and
   `eval_descriptor_unreduced` use it, so the checks comparing them with
@@ -321,18 +321,6 @@ def _exact_cell(ctx, v1: Fraction, v2: Fraction):
     return _fr(ctx, r1), _fr(ctx, r2)
 
 
-def _cell(ctx, z, t, p: Precision):
-    """Coordinates (x, y) of z = x*t + y, shifted into [-1/2, 1/2]."""
-    x = z.imag / t.imag
-    y = z.real - x * t.real
-    x -= ctx.nint(x)
-    y -= ctx.nint(y)
-    tol = ctx.mpf(10) ** -(p.digits // 2)
-    if abs(x) < tol and abs(y) < tol:
-        raise QFieldError("z is too close to a lattice point")
-    return x, y
-
-
 def eisenstein_j(tau, p: Precision = Precision()):
     """The j-invariant of [tau, 1], via E4 and the discriminant after domain
     reduction."""
@@ -344,21 +332,6 @@ def eisenstein_j(tau, p: Precision = Precision()):
 def _j(ctx, values):
     _, e4, _, delta = values
     return _ensure_finite(ctx, ctx.mpc(1728 * e4 * e4 * e4 / delta))
-
-
-def wp(z, tau, p: Precision = Precision()):
-    """Weierstrass pe of z relative to [tau, 1].
-
-    tau = g(tau0) with tau0 in the fundamental domain, and
-    [tau, 1] = [tau0, 1]/c with c = r*tau0 + s, so pe(z; [tau, 1]) =
-    c^2 pe(c*z; [tau0, 1]); c*z is reduced into the fundamental cell first.
-    """
-    ctx = _ctx(p)
-    t0, g = _reduce_tau(ctx, ctx.mpc(tau))
-    c = g.r * t0 + g.s
-    x, y = _cell(ctx, c * ctx.mpc(z), t0, p)
-    s_val = _theta_core(ctx, t0, _cutoff(ctx, p), x, y)[0]
-    return _ensure_finite(ctx, -4 * ctx.pi**2 * c**2 * s_val)
 
 
 def _fricke_core(ctx, label: FrickeLabel, t, cutoff):
@@ -410,32 +383,21 @@ def weber_index(disc: Discriminant) -> int:
     return 1
 
 
-def weber(z, basis, p: Precision = Precision()):
+def weber(z: FieldElement, basis: LatticeBasis, p: Precision = Precision()):
     """Unit-normalized pe value of z relative to the lattice of the basis.
 
-    Scale invariance reduces everything to a [tau, 1] lattice with tau in
-    the fundamental domain; the case split on the discriminant picks the
-    exponent killing the extra units.
+    z = x*g1 + y*g2 exactly, and the value has weight zero, so it is the
+    value at row (x, y) on [g1/g2, 1]; g1/g2 is reduced to t0 in the
+    fundamental domain and the row pushed through the reducing matrix, as
+    in `fricke`.  The case split on the discriminant picks the exponent
+    killing the extra units.
     """
-    g1, g2 = (basis.g1, basis.g2) if isinstance(basis, LatticeBasis) else basis
-    if g1.disc != g2.disc:
-        raise QFieldError("basis elements from different fields")
-    ratio = g1 / g2
-    if not ratio.in_upper_half_plane():
-        g1, g2 = g2, g1
-        ratio = g1 / g2
-        if not ratio.in_upper_half_plane():
-            raise QFieldError("basis is degenerate")
+    x, y = basis.solve(z)
     ctx = _ctx(p)
-    if isinstance(z, FieldElement):
-        z_scaled = _embed(ctx, z / g2)
-    else:
-        z_scaled = ctx.mpc(z) / _embed(ctx, g2)
-    t0, g = _reduce_tau(ctx, _embed(ctx, ratio))
-    # [ratio, 1] = (1/(r*t0+s)) [t0, 1], and the value has weight zero
-    x, y = _cell(ctx, (g.r * t0 + g.s) * z_scaled, t0, p)
-    values = _qseries_core(ctx, t0, _cutoff(ctx, p), x, y)
-    return _torsion_value(ctx, weber_index(g1.disc), values)
+    t0, g = _reduce_tau(ctx, _embed(ctx, basis.g1 / basis.g2))
+    cx, cy = _exact_cell(ctx, x * g.p + y * g.r, x * g.q + y * g.s)
+    values = _qseries_core(ctx, t0, _cutoff(ctx, p), cx, cy)
+    return _torsion_value(ctx, weber_index(basis.disc), values)
 
 
 def _totient(n: int) -> int:
@@ -455,29 +417,15 @@ def _totient(n: int) -> int:
     return result
 
 
-def _descriptor_index(desc: GaloisDescriptor, i) -> int:
-    """The function index may arrive bare, as a base label with row (1, 0)
-    at the descriptor's level, or not at all (unit-group default)."""
-    if i is None:
-        return weber_index(desc.point.disc)
-    if isinstance(i, FrickeLabel):
-        level = desc.eval_matrix[1][1]
-        if (i.r, i.s) != (1, 0) or i.level != level:
-            raise QFieldError(
-                f"base label must be row (1, 0) at level {level}, got {i}"
-            )
-        return i.i
-    return i
-
-
 def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     """Numeric value attached to a descriptor: the torsion-value function
     with twisted row [0, a_inv/N] at the matrix image of the base point.
 
-    i is an index, a base label carrying one, or None for half the unit
-    group order, the index for which this value is a class invariant.
+    i is an index, or None for half the unit group order, the index for
+    which this value is a class invariant.
     """
-    i = _descriptor_index(desc, i)
+    if i is None:
+        i = weber_index(desc.point.disc)
     level = desc.eval_matrix[1][1]
     label = FrickeLabel(i, 0, desc.a_inv, level)
     point = mobius(desc.eval_matrix, desc.point)
@@ -491,7 +439,8 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     over.  Agreement with eval_descriptor is a checkable identity, not a
     private shortcut; keep the two code paths separate.
     """
-    i = _descriptor_index(desc, i)
+    if i is None:
+        i = weber_index(desc.point.disc)
     level = desc.eval_matrix[1][1]
     a = Fraction(1) / desc.point.u
     if a.denominator != 1:

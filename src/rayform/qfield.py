@@ -196,9 +196,6 @@ class FieldElement:
         b0, c0 = self.disc.b0, self.disc.c0
         return c0 * self.u * self.u - b0 * self.u * self.v + self.v * self.v
 
-    def trace(self) -> Fraction:
-        return 2 * self.v - self.u * self.disc.b0
-
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
@@ -210,10 +207,6 @@ class FieldElement:
         return self.u.denominator * self.v.denominator // math.gcd(
             self.u.denominator, self.v.denominator
         )
-
-    def in_upper_half_plane(self) -> bool:
-        # Im(u*tau + v) = u * sqrt(|d|)/2
-        return self.u > 0
 
 
 def mobius(m, z: FieldElement) -> FieldElement:
@@ -255,10 +248,6 @@ class LatticeBasis:
         s = (x.u * self.g2.v - x.v * self.g2.u) / det
         t = (self.g1.u * x.v - self.g1.v * x.u) / det
         return s, t
-
-    def contains(self, x: FieldElement) -> bool:
-        s, t = self.solve(x)
-        return s.denominator == 1 and t.denominator == 1
 
 
 def make_lattice_basis(g1: FieldElement, g2: FieldElement) -> LatticeBasis:
@@ -383,11 +372,6 @@ def canonicalize_ideal(basis: LatticeBasis) -> IdealTriple:
         raise QFieldError(f"lattice is not an ideal of the order: {exc}") from exc
 
 
-def _canonicalize_rows(disc: Discriminant, rows: list[tuple[int, int]]) -> IdealTriple:
-    a1, a2, c = _hnf_rows(rows)
-    return make_ideal_triple(disc, a1, a2, c)
-
-
 def ideal_product(s: IdealTriple, t: IdealTriple) -> IdealTriple:
     if s.disc != t.disc:
         raise QFieldError("ideals from different fields")
@@ -399,27 +383,15 @@ def ideal_product(s: IdealTriple, t: IdealTriple) -> IdealTriple:
         for y in gens_t:
             p = x * y
             rows.append((int(p.u), int(p.v)))
-    return _canonicalize_rows(disc, rows)
+    return make_ideal_triple(disc, *_hnf_rows(rows))
 
 
-def is_coprime(s: IdealTriple, t: IdealTriple) -> bool:
-    """Whether s + t is the full order."""
-    if s.disc != t.disc:
-        raise QFieldError("ideals from different fields")
-    rows = [(s.a1, s.a2), (0, s.c), (t.a1, t.a2), (0, t.c)]
-    a1, a2, c = _hnf_rows(rows)
-    return (a1, a2, c) == (1, 0, 1)
-
-
-def principal_ideal(x: FieldElement) -> IdealTriple:
-    """Canonical triple of x*O for integral x != 0."""
-    if x.is_zero():
-        raise QFieldError("zero element generates no ideal")
-    if not x.is_integral():
-        raise QFieldError("principal_ideal expects an integral element")
-    tau = x.disc.tau()
-    rows = [x * tau, x]
-    return _canonicalize_rows(x.disc, [(int(g.u), int(g.v)) for g in rows])
+def _coprime(x: FieldElement, t: IdealTriple) -> bool:
+    """Whether the integral element x and the ideal t generate the order:
+    the lattice spanned by t's rows, x*tau and x is the order itself."""
+    xt = x * x.disc.tau()
+    rows = [(t.a1, t.a2), (0, t.c), (int(xt.u), int(xt.v)), (int(x.u), int(x.v))]
+    return _hnf_rows(rows) == (1, 0, 1)
 
 
 def minimal_norm_elements(basis: LatticeBasis) -> tuple[FieldElement, ...]:
@@ -481,7 +453,7 @@ def is_mult_congruent_one(x: FieldElement, t: IdealTriple) -> bool:
             f"denominator {m} shares a factor with {t.c}; congruence undefined here"
         )
     alpha = x * m
-    if not is_coprime(principal_ideal(alpha), t):
+    if not _coprime(alpha, t):
         raise QFieldError("element is not coprime to the modulus")
     return t.contains(alpha - m)
 
@@ -519,17 +491,9 @@ def ray_class_number_oracle(disc: Discriminant, t: IdealTriple) -> int:
         raise QFieldError("ideal from a different field")
     if (t.a1, t.a2, t.c) == (1, 0, 1):
         raise QFieldError("ray class number needs a proper modulus, not the order")
-    invertible = 0
-    for ru in range(t.a1):
-        for rv in range(t.c):
-            e = disc.element(ru, rv)
-            rows = [(t.a1, t.a2), (0, t.c)]
-            if not e.is_zero():
-                et = e * disc.tau()
-                rows += [(int(et.u), int(et.v)), (int(e.u), int(e.v))]
-            a1, a2, c = _hnf_rows(rows)
-            if (a1, a2, c) == (1, 0, 1):
-                invertible += 1
+    invertible = sum(
+        _coprime(disc.element(ru, rv), t) for ru in range(t.a1) for rv in range(t.c)
+    )
     unit_residues = {t.residue(z) for z in disc.unit_elements()}
     h = class_number(disc)
     total = h * invertible
@@ -540,10 +504,3 @@ def ray_class_number_oracle(disc: Discriminant, t: IdealTriple) -> int:
 
 def element_to_json(x: FieldElement) -> dict:
     return {"u": str(x.u), "v": str(x.v)}
-
-
-def element_from_json(disc: Discriminant, data: dict) -> FieldElement:
-    try:
-        return disc.element(Fraction(data["u"]), Fraction(data["v"]))
-    except (KeyError, ValueError) as exc:
-        raise QFieldError(f"bad field element payload {data!r}") from exc

@@ -8,7 +8,7 @@ import pytest
 from rayform import checks, modular
 from rayform.checks import run_checks, sci
 from rayform.modular import Precision, eval_descriptor
-from rayform.qfield import make_discriminant
+from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
@@ -47,6 +47,14 @@ def too_tight():
 )
 def test_numeric_checks_can_fail(too_tight, name):
     assert not too_tight[name].passed, too_tight[name].detail
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_run_checks_rejects_fewer_than_one_sample(samples):
+    """With no sample drawn the power and law checks would report a worst
+    residual of 0 and pass without having compared anything."""
+    with pytest.raises(QFieldError, match="sample count"):
+        run_checks(MOD20, Precision(30), 15, random.Random(911), samples)
 
 
 def test_law_draws_are_no_translations_and_no_self_comparisons(monkeypatch):

@@ -7,6 +7,11 @@ import sys
 import mpmath
 import pytest
 
+from rayform import modular
+from rayform.forms import QuadForm
+from rayform.qfield import make_discriminant
+from rayform.rayclass import descriptor, make_modulus
+
 BASE = [sys.executable, "-m", "rayform.cli"]
 
 
@@ -115,6 +120,20 @@ def test_eval_value():
         ),
     )
     assert abs(value - frozen) < ctx.mpf(10) ** -75
+
+
+def test_eval_index():
+    args = ("eval", "--dk", "-20", "--ideal", "2,4,6", "--form", "7,-6,2", "--digits", "40")
+    data = run_json(*args, "--index", "2")
+    assert data["label"] == "2:0,1,6"
+    d = descriptor(QuadForm(7, -6, 2), make_modulus(make_discriminant(-20), 2, 4, 6))
+    p = modular.Precision(40)
+    assert data["value"] == modular.complex_to_json(modular.eval_descriptor(d, 2, p), p)
+
+    code, out, err = run(*args, "--index", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: function index must be 1, 2 or 3, got 4\n"
 
 
 def test_eval_deterministic():

@@ -19,7 +19,6 @@ from rayform.modular import (
     fricke,
     weber,
     weber_index,
-    wp,
 )
 from rayform.qfield import QFieldError, make_discriminant, make_lattice_basis
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus
@@ -114,40 +113,27 @@ def test_j_is_invariant():
         assert abs(eisenstein_j(moved, p) - base) < ctx.mpf(10) ** -35
 
 
-def test_wp_even_and_periodic():
-    ctx = ctx_for(40)
-    p = Precision(40)
-    tau = ctx.mpc("0.25", "1.31")
-    z = ctx.mpc("0.21", "0.37")
-    tol = ctx.mpf(10) ** -35
-    base = wp(z, tau, p)
-    assert abs(wp(-z, tau, p) - base) < tol
-    assert abs(wp(z + 1, tau, p) - base) < tol
-    assert abs(wp(z + tau, tau, p) - base) < tol
-    assert abs(wp(z - 3 * tau + 2, tau, p) - base) < tol
+def _theta_pe(ctx, z, tau, p):
+    """pe(z; [tau, 1]) = -4 pi^2 S from the theta route at tau itself, with
+    z = x*tau + y for x, y in [-1/2, 1/2]."""
+    x = z.imag / tau.imag
+    y = z.real - x * tau.real
+    s_val = modular._theta_core(ctx, tau, modular._cutoff(ctx, p), x, y)[0]
+    return -4 * ctx.pi**2 * s_val
 
 
-def test_wp_leading_term():
-    ctx = ctx_for(80)
-    tau = ctx.mpc(0, 1)
+def test_theta_s_leading_term():
+    ctx = modular._ctx(P80)
     z = ctx.mpf(10) ** -5
-    val = wp(z, tau, P80)
+    val = _theta_pe(ctx, ctx.mpc(z), ctx.mpc(0, 1), P80)
     assert abs(z**2 * val - 1) < ctx.mpf(10) ** -17
 
 
-def test_wp_rejects_lattice_point():
-    ctx = ctx_for(30)
-    with pytest.raises(QFieldError):
-        wp(ctx.mpc(0, 0), ctx.mpc(0, 1), P30)
-    with pytest.raises(QFieldError):
-        wp(2 + 3 * ctx.mpc(0, 1), ctx.mpc(0, 1), P30)
-
-
-def test_wp_matches_direct_lattice_sum():
-    # low-precision sanity anchor for the series route: truncated sum over
-    # a 50 x 50 window of lattice translates; 0.6 + 0.45i lies outside the
-    # fundamental domain, so wp reduces it and applies the weight-2 factor
-    ctx = ctx_for(30)
+def test_theta_s_matches_direct_lattice_sum():
+    # low-precision sanity anchor for S: truncated sum over a 101 x 101
+    # window of lattice translates; 0.6 + 0.45i lies outside the
+    # fundamental domain, where the theta series need more terms
+    ctx = modular._ctx(P30)
     z = ctx.mpc("0.31", "0.17")
     for tau in (ctx.mpc("0.1", "1.2"), ctx.mpc("0.6", "0.45")):
         direct = 1 / z**2
@@ -157,17 +143,7 @@ def test_wp_matches_direct_lattice_sum():
                     continue
                 w = m * tau + n
                 direct += 1 / (z - w) ** 2 - 1 / w**2
-        assert abs(wp(z, tau, P30) - direct) < ctx.mpf("1e-2")
-
-
-def test_wp_reduces_thin_lattice():
-    # pe(z; [tau, 1]) = tau^-2 pe(z/tau; [-1/tau, 1]); at tau = 0.002i the
-    # unreduced series would need thousands of terms
-    ctx = ctx_for(30)
-    tau = ctx.mpc(0, "0.002")
-    z = ctx.mpc("0.3", "0.0005")
-    val = wp(z, tau, P30)
-    assert abs(val - wp(z / tau, -1 / tau, P30) / tau**2) < ctx.mpf(10) ** -25 * abs(val)
+        assert abs(_theta_pe(ctx, z, tau, P30) - direct) < ctx.mpf("1e-2")
 
 
 def power_samples(ctx):
@@ -243,34 +219,63 @@ def test_weber_scale_invariance():
         tau = disc.tau()
         one = disc.one()
         z = disc.element(Fraction(1, 6), Fraction(1, 3))
-        base = weber(z, (tau, one), P80)
+        base = weber(z, make_lattice_basis(tau, one), P80)
         for nu in (disc.element(1, 2), disc.element(-2, 3), disc.element(0, 5)):
-            scaled = weber(z * nu, (tau * nu, one * nu), P80)
+            scaled = weber(z * nu, make_lattice_basis(tau * nu, one * nu), P80)
             assert abs(scaled - base) < tol
+
+
+@pytest.mark.parametrize(
+    "disc, ideal", [(D20, (2, 4, 6)), (D4, (6, 0, 6)), (D3, (6, 0, 6))], ids=["-20", "-4", "-3"]
+)
+def test_weber_exact_cell_is_periodic(disc, ideal):
+    """z is placed in the lattice exactly, so translates by lattice vectors
+    give the same series input and the same value bit for bit."""
+    basis = make_modulus(disc, *ideal).ideal.lattice()
+    g1, g2 = basis.g1, basis.g2
+    for z in (disc.one(), disc.element(Fraction(1, 3), Fraction(-2, 5))):
+        base = weber(z, basis, P80)
+        for moved in (z + g1, z - 3 * g2, z + 2 * g1 - g2):
+            assert weber(moved, basis, P80) == base
+        assert abs(weber(-z, basis, P80) - base) < mpmath.mpf(10) ** -70 * abs(base)
 
 
 def test_weber_swaps_degenerate_basis():
     tau = D20.tau()
     one = D20.one()
     z = D20.element(Fraction(1, 5), Fraction(1, 5))
-    a = weber(z, (tau, one), P30)
-    b = weber(z, (one, tau), P30)
-    ctx = ctx_for(30)
-    assert abs(a - b) < ctx.mpf(10) ** -25
+    swapped = make_lattice_basis(one, tau)
+    assert (swapped.g1, swapped.g2) == (tau, one)
+    assert weber(z, swapped, P30) == weber(z, make_lattice_basis(tau, one), P30)
     with pytest.raises(QFieldError):
-        weber(z, (tau, tau), P30)
+        make_lattice_basis(tau, tau)
+    with pytest.raises(QFieldError):
+        make_lattice_basis(tau, D23.one())
+
+
+def test_weber_depends_only_on_the_lattice():
+    # (tau, 1 + 37 tau) spans the order too, with g1/g2 at Im ~ 1.6e-4: the
+    # reduction carries it back to tau and the row through the same matrix
+    ctx = ctx_for(80)
+    z = D20.element(Fraction(1, 6), Fraction(1, 3))
+    base = weber(z, make_lattice_basis(D20.tau(), D20.one()), P80)
+    for g2 in (D20.one() + 37 * D20.tau(), D20.one() - 5 * D20.tau()):
+        thin = weber(z, make_lattice_basis(D20.tau(), g2), P80)
+        assert abs(thin - base) < ctx.mpf(10) ** -70 * abs(base)
 
 
 def test_weber_rejects_lattice_point():
     with pytest.raises(QFieldError):
-        weber(D20.element(2, -3), (D20.tau(), D20.one()), P30)
+        weber(D20.element(2, -3), make_lattice_basis(D20.tau(), D20.one()), P30)
+    with pytest.raises(QFieldError):
+        weber(D20.element(0, 6), MOD20.ideal.lattice(), P30)
 
 
 def test_weber_equals_indexed_function_generic_disc():
     # for unit group {1, -1} the normalized value is the index-1 function
     ctx = ctx_for(80)
     z = D20.element(Fraction(1, 6), Fraction(2, 6))
-    direct = weber(z, (D20.tau(), D20.one()), P80)
+    direct = weber(z, make_lattice_basis(D20.tau(), D20.one()), P80)
     via_label = fricke(FrickeLabel(1, 1, 2, 6), _embed_tau(ctx, D20), P80)
     assert abs(direct - via_label) < ctx.mpf(10) ** -70
 
@@ -330,15 +335,13 @@ def test_identity_class_is_unit_normalized_lattice_value():
 
 
 def test_descriptor_index_argument_forms():
-    ctx = ctx_for(30)
+    # None is half the unit group order: 1 for dK=-20, 2 for dK=-4
     d = descriptor(QuadForm(7, -6, 2), MOD20)
-    bare = eval_descriptor(d, 2, P30)
-    labeled = eval_descriptor(d, FrickeLabel(2, 1, 0, 6), P30)
-    assert abs(bare - labeled) < ctx.mpf(10) ** -25
+    assert eval_descriptor(d, None, P30) == eval_descriptor(d, 1, P30)
+    d4 = descriptor(QuadForm(1, 0, 1), make_modulus(D4, 6, 0, 6))
+    assert eval_descriptor(d4, None, P30) == eval_descriptor(d4, 2, P30)
     with pytest.raises(QFieldError):
-        eval_descriptor(d, FrickeLabel(2, 1, 1, 6), P30)
-    with pytest.raises(QFieldError):
-        eval_descriptor(d, FrickeLabel(2, 1, 0, 12), P30)
+        eval_descriptor(d, 4, P30)
 
 
 def test_stability_under_digit_doubling():

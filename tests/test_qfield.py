@@ -5,14 +5,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rayform.qfield import (
+    _coprime,
     QFieldError,
     canonicalize_ideal,
     class_number,
     crt2,
-    element_from_json,
     element_to_json,
     ideal_product,
-    is_coprime,
     is_mult_congruent_one,
     make_discriminant,
     make_ideal_triple,
@@ -20,7 +19,6 @@ from rayform.qfield import (
     minimal_norm_elements,
     mobius,
     parse_ideal_triple,
-    principal_ideal,
     ray_class_number_oracle,
 )
 
@@ -192,14 +190,23 @@ def test_ideal_norm_examples():
 
 def test_is_coprime():
     n = make_ideal_triple(D20, 2, 4, 6)
-    m = canonicalize_ideal(
-        make_lattice_basis(D20.element(1, -3), D20.element(0, 7))
-    )
-    assert is_coprime(n, m)
-    assert not is_coprime(n, n)
+    assert _coprime(D20.element(0, 7), n)
+    assert _coprime(D20.one(), n)
+    assert not _coprime(n.generator(), n)
+    assert not _coprime(D20.element(0, 0), n)
     p2 = make_ideal_triple(D20, 1, 1, 2)
     two = make_ideal_triple(D20, 2, 0, 2)
-    assert not is_coprime(p2, two)
+    assert not _coprime(D20.element(0, 2), p2)
+    assert not _coprime(D20.element(1, 1), two)
+    # independent route: x is coprime to t exactly when it is a unit mod t
+    for t in TRIPLES20[:8] + TRIPLES23[:8]:
+        box = [t.disc.element(u, v) for u in range(t.a1) for v in range(t.c)]
+        for x in box:
+            assert _coprime(x, t) == any(t.contains(x * y - 1) for y in box), (t, x)
+
+
+def _principal_ideal(x):
+    return canonicalize_ideal(make_lattice_basis(x * x.disc.tau(), x))
 
 
 def test_minimal_norm_elements():
@@ -210,14 +217,14 @@ def test_minimal_norm_elements():
     p2 = make_ideal_triple(D20, 1, 1, 2)
     assert minimal_norm_elements(p2.lattice()) == ()
 
-    twotau = principal_ideal(D20.tau() * 2)
+    twotau = _principal_ideal(D20.tau() * 2)
     gens = minimal_norm_elements(twotau.lattice())
     assert D20.element(2, 0) in gens and D20.element(-2, 0) in gens
 
 
 def test_principal_ideal_norm():
     x = D20.element(1, 3)
-    assert principal_ideal(x).norm() == x.norm()
+    assert _principal_ideal(x).norm() == x.norm()
 
 
 def test_mult_congruence_examples():
@@ -250,6 +257,8 @@ def test_mult_congruence_rejects_noncoprime():
     n = make_ideal_triple(D20, 2, 4, 6)
     with pytest.raises(QFieldError):
         is_mult_congruent_one(D20.element(0, Fraction(1, 2)), n)
+    with pytest.raises(QFieldError):
+        is_mult_congruent_one(D20.element(0, 2), n)
 
 
 def test_class_numbers():
@@ -314,7 +323,8 @@ def test_crt2():
 
 @given(st_element())
 def test_element_json_roundtrip(x):
-    assert element_from_json(x.disc, element_to_json(x)) == x
+    data = element_to_json(x)
+    assert x.disc.element(Fraction(data["u"]), Fraction(data["v"])) == x
 
 
 @settings(max_examples=60)

@@ -2,15 +2,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def start_script(name, *args):
     # conftest puts this checkout's src/ on PYTHONPATH for subprocesses
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
+
+
+def run_script(name, *args):
+    proc = start_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -23,6 +29,21 @@ def test_residual_report_prints_all_eight_checks():
     assert lines[4].startswith(
         "PASS  power relations between the three indexed values: worst residual "
     )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--digits", "10"), "error: need at least 30 digits, got 10"),
+        (("--digits", "30", "--samples", "0"), "error: sample count must be at least 1, got 0"),
+    ],
+)
+def test_residual_report_rejects_invalid_input(args, message):
+    # exit 1 means a check failed; invalid input exits 2 as `rayform` does
+    proc = start_script("residual_report.py", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == message
+    assert proc.stdout == ""
 
 
 def test_reproduce_tables_order_4():
