@@ -66,7 +66,8 @@ def run_case(case: Case) -> None:
     print(f"classes ({len(group.classes)}):")
 
     names = {_class_index(form, group): name for name, form in case.named_forms}
-    assert len(names) == len(group.classes), "the named forms do not cover every class"
+    if len(names) != len(group.classes):
+        sys.exit(f"error: the named forms of the {case.name} do not cover every class")
     for i, fc in enumerate(group.classes):
         print(f"  {i}: {fc.rep}   ({names[i]})")
 

@@ -18,7 +18,6 @@ from . import modular
 from .checks import run_checks
 from .forms import QuadForm, parse_form, reduced_forms
 from .qfield import (
-    Discriminant,
     InternalCheckError,
     QFieldError,
     canonicalize_ideal,
@@ -110,12 +109,13 @@ def _digits(args) -> int:
     return 80
 
 
-def _modulus(args, disc: Discriminant) -> Modulus:
-    if getattr(args, "ideal", None) and getattr(args, "ideal_gens", None):
+def _modulus(args) -> Modulus:
+    disc = make_discriminant(args.dk)
+    if args.ideal and args.ideal_gens:
         raise QFieldError("give either --ideal or --ideal-gens, not both")
-    if getattr(args, "ideal", None):
+    if args.ideal:
         t = parse_ideal_triple(disc, args.ideal)
-    elif getattr(args, "ideal_gens", None):
+    elif args.ideal_gens:
         try:
             pairs = [tuple(int(x) for x in part.split(",")) for part in args.ideal_gens.split(";")]
             (u1, v1), (u2, v2) = pairs
@@ -172,14 +172,13 @@ def _group_text(group) -> list[str]:
 
 
 def _cmd_table(args, build=group_table) -> int:
-    group = build(_modulus(args, make_discriminant(args.dk)))
+    group = build(_modulus(args))
     _emit(args, class_group_to_json(group), lambda: _group_text(group))
     return 0
 
 
 def _cmd_equiv(args) -> int:
-    disc = make_discriminant(args.dk)
-    mod = _modulus(args, disc)
+    mod = _modulus(args)
     f1, f2 = _two_forms(args)
     witness = equivalent(f1, f2, mod)
     oracle = equivalent_oracle(f1, f2, mod)
@@ -201,8 +200,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    disc = make_discriminant(args.dk)
-    mod = _modulus(args, disc)
+    mod = _modulus(args)
     f1, f2 = _two_forms(args)
     result = compose(f1, f2, mod)
     _emit(args, {"form": _form_json(result)}, lambda: [str(result)])
@@ -219,8 +217,7 @@ def _descriptor_json(d) -> dict:
 
 
 def _cmd_descriptor(args) -> int:
-    disc = make_discriminant(args.dk)
-    mod = _modulus(args, disc)
+    mod = _modulus(args)
     d = descriptor(parse_form(args.form), mod)
     _emit(
         args,
@@ -236,11 +233,10 @@ def _cmd_descriptor(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    disc = make_discriminant(args.dk)
-    mod = _modulus(args, disc)
+    mod = _modulus(args)
     d = descriptor(parse_form(args.form), mod)
     p = modular.Precision(_digits(args))
-    index = args.index if args.index is not None else modular.weber_index(disc)
+    index = args.index if args.index is not None else modular.weber_index(mod.disc)
     value = modular.eval_descriptor(d, index, p)
     label = modular.FrickeLabel(index, 0, d.a_inv, mod.level)
     payload = {"label": str(label), "value": modular.complex_to_json(value, p)}
@@ -253,22 +249,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    disc = make_discriminant(args.dk)
-    mod = _modulus(args, disc)
-    count = ray_class_number_oracle(disc, mod.ideal)
+    mod = _modulus(args)
+    count = ray_class_number_oracle(mod.disc, mod.ideal)
     _emit(args, {"ray_class_number": count}, lambda: [str(count)])
     return 0
 
 
 def _cmd_verify(args) -> int:
-    disc = make_discriminant(args.dk)
-    mod = _modulus(args, disc)
+    mod = _modulus(args)
     digits = _digits(args)
     tol_exp = digits // 2 if args.tolerance_exponent is None else args.tolerance_exponent
     checks = run_checks(mod, modular.Precision(digits), tol_exp, random.Random(_VERIFY_SEED))
     passed = all(c.passed for c in checks)
     results = [asdict(c) for c in checks]
-    payload = {"dK": disc.d, "ideal": str(mod.ideal), "passed": passed, "checks": results}
+    payload = {"dK": mod.disc.d, "ideal": str(mod.ideal), "passed": passed, "checks": results}
     _emit(args, payload, lambda: [*map(str, checks), f"overall: {'PASS' if passed else 'FAIL'}"])
     return 0 if passed else 3
 

@@ -14,15 +14,19 @@ These four numbers are computed along two independent routes:
   as the square root of the digit count.  The discriminant is a product
   of theta constants, with no cancellation.  Each theta sum runs in fixed
   point with 3 bitlen(N + 1) + 4 guard bits for N terms, which keep its
-  error below 2^-(prec + 4) (`_theta_sum`).  `eisenstein_j`, `fricke` and
-  `eval_descriptor` use it.
+  error below 2^-(prec + 4) (`_theta_sum`).  `eisenstein_j` and `fricke`
+  use it; `eval_descriptor` is `fricke` at the descriptor point.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
   e^(2 pi i tau), with the discriminant as E4^3 - E6^2.  `weber` and
   `eval_descriptor_unreduced` use it, so the checks comparing them with
   the values above compare two independent series.  It stays on mpmath
   floats, sharing no arithmetic with the fixed-point sums, to catch their slips.
 
-Every series is truncated at an explicit tail threshold.
+`fricke`, `weber`, both descriptor routes and the power check's
+`_power_values` run their core through `_reduced`: tau reduced to the
+fundamental domain, the exact row pushed through the reducing matrix.  Only
+the law check's `_fricke_at` runs a core at tau as given.  Every series is
+truncated at an explicit tail threshold.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -34,7 +38,6 @@ j(rho) = 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,6 @@ from .qfield import (
     InternalCheckError,
     LatticeBasis,
     QFieldError,
-    mobius,
 )
 from .rayclass import GaloisDescriptor
 
@@ -67,16 +69,16 @@ class Precision:
             raise QFieldError(f"need at least 30 digits, got {self.digits}")
 
 
+_CONTEXTS: dict[Precision, mpmath.ctx_mp.MPContext] = {}
+
+
 def _ctx(p: Precision) -> mpmath.ctx_mp.MPContext:
     """The one context per digit count, cached for the process, working at
     p.digits + 10 digits.  It is read-only: no caller may set its dps or prec."""
-    return _context(p.digits)
-
-
-@functools.cache
-def _context(digits: int) -> mpmath.ctx_mp.MPContext:
-    ctx = mpmath.ctx_mp.MPContext()
-    ctx.dps = digits + 10
+    ctx = _CONTEXTS.get(p)
+    if ctx is None:
+        ctx = _CONTEXTS[p] = mpmath.ctx_mp.MPContext()
+        ctx.dps = p.digits + 10
     return ctx
 
 
@@ -334,19 +336,20 @@ def _j(ctx, values):
     return _ensure_finite(ctx, ctx.mpc(1728 * e4 * e4 * e4 / delta))
 
 
-def _fricke_core(ctx, label: FrickeLabel, t, cutoff):
-    """(S, E4, E6, Delta) at t reduced by g, with label's row pushed through g."""
+def _reduced(ctx, core, t, row, p: Precision):
+    """core's (S, E4, E6, Delta) at t reduced to t0 = g(t), with the exact
+    row pushed through g, so the series always run on a fat lattice."""
     t0, g = _reduce_tau(ctx, t)
-    v1, v2 = label.row()
+    v1, v2 = row
     x, y = _exact_cell(ctx, v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s)
-    return _theta_core(ctx, t0, cutoff, x, y)
+    return core(ctx, t0, _cutoff(ctx, p), x, y)
 
 
 def _power_values(label: FrickeLabel, tau, p: Precision):
     """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
     ctx = _ctx(p)
-    values = _fricke_core(ctx, label, ctx.mpc(tau), _cutoff(ctx, p))
+    values = _reduced(ctx, _theta_core, ctx.mpc(tau), label.row(), p)
     return (_j(ctx, values),) + tuple(_torsion_value(ctx, i, values) for i in (1, 2, 3))
 
 
@@ -365,38 +368,29 @@ def _fricke_at(label: FrickeLabel, tau, p: Precision):
 
 
 def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
-    """The indexed torsion-value function at tau.
+    """The indexed torsion-value function at tau, on the theta route.
 
     tau is reduced to the fundamental domain and the row index is pushed
-    through the same matrix, so the series always run on a fat lattice.
+    through the same matrix.
     """
     ctx = _ctx(p)
-    return _torsion_value(ctx, label.i, _fricke_core(ctx, label, ctx.mpc(tau), _cutoff(ctx, p)))
+    return _torsion_value(ctx, label.i, _reduced(ctx, _theta_core, ctx.mpc(tau), label.row(), p))
 
 
 def weber_index(disc: Discriminant) -> int:
     """Exponent attached to the unit group: half its order."""
-    if disc.d == -4:
-        return 2
-    if disc.d == -3:
-        return 3
-    return 1
+    return len(disc.unit_coords()) // 2
 
 
 def weber(z: FieldElement, basis: LatticeBasis, p: Precision = Precision()):
     """Unit-normalized pe value of z relative to the lattice of the basis.
 
     z = x*g1 + y*g2 exactly, and the value has weight zero, so it is the
-    value at row (x, y) on [g1/g2, 1]; g1/g2 is reduced to t0 in the
-    fundamental domain and the row pushed through the reducing matrix, as
-    in `fricke`.  The case split on the discriminant picks the exponent
-    killing the extra units.
+    q-series value at row (x, y) on [g1/g2, 1], reduced as in `fricke`.  The
+    index `weber_index`, half the unit count, kills the extra units.
     """
-    x, y = basis.solve(z)
     ctx = _ctx(p)
-    t0, g = _reduce_tau(ctx, _embed(ctx, basis.g1 / basis.g2))
-    cx, cy = _exact_cell(ctx, x * g.p + y * g.r, x * g.q + y * g.s)
-    values = _qseries_core(ctx, t0, _cutoff(ctx, p), cx, cy)
+    values = _reduced(ctx, _qseries_core, _embed(ctx, basis.g1 / basis.g2), basis.solve(z), p)
     return _torsion_value(ctx, weber_index(basis.disc), values)
 
 
@@ -417,43 +411,42 @@ def _totient(n: int) -> int:
     return result
 
 
-def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
-    """Numeric value attached to a descriptor: the torsion-value function
-    with twisted row [0, a_inv/N] at the matrix image of the base point.
-
-    i is an index, or None for half the unit group order, the index for
-    which this value is a class invariant.
-    """
+def _descriptor_input(ctx, desc: GaloisDescriptor, i):
+    """The label (i, [0, a_inv/N]), i None standing for `weber_index`, and
+    the embedded image (a1 point + off/a)/N of the base point under the
+    evaluation matrix ((a1, off/a), (0, N))."""
+    (a1, off_over_a), (_, level) = desc.eval_matrix
     if i is None:
         i = weber_index(desc.point.disc)
-    level = desc.eval_matrix[1][1]
-    label = FrickeLabel(i, 0, desc.a_inv, level)
-    point = mobius(desc.eval_matrix, desc.point)
-    ctx = _ctx(p)
-    return _torsion_value(ctx, i, _fricke_core(ctx, label, _embed(ctx, point), _cutoff(ctx, p)))
+    point = (desc.point * a1 + off_over_a) / level
+    return FrickeLabel(i, 0, desc.a_inv, level), _embed(ctx, point)
+
+
+def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
+    """Numeric value attached to a descriptor: `fricke` with twisted row
+    [0, a_inv/N] at the matrix image of the base point.
+
+    i is an index 1, 2 or 3, or None for half the unit group order, the
+    index for which this value is a class invariant.
+    """
+    return fricke(*_descriptor_input(_ctx(p), desc, i), p)
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
-    """Same value along the unreduced route: row numerator a^(phi(N)-1) and
-    the matrix scaled by a, exactly as the product-ideal basis hands them
-    over.  Agreement with eval_descriptor is a checkable identity, not a
-    private shortcut; keep the two code paths separate.
+    """Same value along the unreduced route: row numerator a^(phi(N)-1),
+    as the product-ideal basis hands it over, and the q-series.  The
+    product-ideal matrix is the evaluation matrix scaled by a, the same
+    Moebius map, so both routes take one point; their independence lies in
+    the row and the series.  Agreement with eval_descriptor is a checkable
+    identity, not a private shortcut; keep the two code paths separate.
     """
-    if i is None:
-        i = weber_index(desc.point.disc)
-    level = desc.eval_matrix[1][1]
+    ctx = _ctx(p)
+    label, point = _descriptor_input(ctx, desc, i)
     a = Fraction(1) / desc.point.u
     if a.denominator != 1:
         raise InternalCheckError("descriptor point does not determine the form leader")
-    a = int(a)
-    (a1, dq_over_a), _ = desc.eval_matrix
-    scaled = ((a1 * a, dq_over_a * a), (0, level * a))
-    point = mobius(scaled, desc.point)
-    v2 = Fraction(a ** (_totient(level) - 1), level)
-    ctx = _ctx(p)
-    t0, g = _reduce_tau(ctx, _embed(ctx, point))
-    x, y = _exact_cell(ctx, v2 * g.r, v2 * g.s)
-    return _torsion_value(ctx, i, _qseries_core(ctx, t0, _cutoff(ctx, p), x, y))
+    row = (Fraction(0), Fraction(int(a) ** (_totient(label.level) - 1), label.level))
+    return _torsion_value(ctx, label.i, _reduced(ctx, _qseries_core, point, row, p))
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:

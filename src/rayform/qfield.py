@@ -209,21 +209,6 @@ class FieldElement:
         )
 
 
-def mobius(m, z: FieldElement) -> FieldElement:
-    """Apply the fractional linear map of a 2x2 rational matrix with det > 0.
-
-    m is ((m11, m12), (m21, m22)); entries may be ints or Fractions.
-    """
-    (m11, m12), (m21, m22) = m
-    det = Fraction(m11) * Fraction(m22) - Fraction(m12) * Fraction(m21)
-    if det <= 0:
-        raise QFieldError(f"matrix determinant {det} is not positive")
-    den = z * m21 + m22
-    if den.is_zero():
-        raise QFieldError("degenerate mobius image")
-    return (z * m11 + m12) / den
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Rank two lattice given by two generators; oriented so det > 0.

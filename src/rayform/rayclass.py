@@ -430,53 +430,40 @@ def _class_index(form: QuadForm, group: ClassGroup) -> int:
     return idx
 
 
-def _cyclic_order(table, identity: int, g: int) -> int:
-    k, x = 1, g
-    while x != identity:
-        x = table[x][g]
-        k += 1
-    return k
-
-
 def _invariant_factors(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Invariant factors of an abelian group given by its full table,
-    ascending, each dividing the next."""
-    size = len(table)
-    elements = list(range(size))
-    identity = next(e for e in elements if all(table[e][x] == x for x in elements))
-    factors: list[int] = []
-    # peel off a maximal-order cyclic factor until the group is trivial
-    while size > 1:
-        orders = {e: _cyclic_order(table, identity, e) for e in elements}
-        exponent = max(orders.values())
-        gen = min(e for e in elements if orders[e] == exponent)
-        cyclic = [identity]
-        x = gen
-        while x != identity:
-            cyclic.append(x)
-            x = table[x][gen]
-        cosets: dict[int, int] = {}
-        labels: list[int] = []
-        for e in elements:
-            members = sorted(table[e][h] for h in cyclic)
-            key = members[0]
-            if key not in cosets:
-                cosets[key] = len(labels)
-                labels.append(key)
-            cosets[e] = cosets[key]
-        quotient_size = size // exponent
-        if len(labels) != quotient_size:
-            raise InternalCheckError("coset count does not match index")
-        new_table = tuple(
-            tuple(cosets[table[labels[i]][labels[j]]] for j in range(quotient_size))
-            for i in range(quotient_size)
-        )
-        factors.append(exponent)
-        table, size, elements = new_table, quotient_size, list(range(quotient_size))
-        identity = next(e for e in elements if all(table[e][x] == x for x in elements))
-    for small, large in zip(factors[1:], factors):
-        if large % small:
-            raise InternalCheckError("invariant factors fail divisibility")
+    """Invariant factors of an abelian group given by its full table with
+    identity 0, ascending, each dividing the next.
+
+    They follow from the census of element orders: for a prime p, the number
+    of factors divisible by p^k is log_p of #{x : ord(x) | p^k} over
+    #{x : ord(x) | p^(k-1)}.
+    """
+    h = len(table)
+    orders = []
+    for g in range(h):
+        k, x = 1, g
+        while x:
+            x = table[x][g]
+            k += 1
+        orders.append(k)
+    factors: list[int] = []  # largest first
+    for p in (q for q in range(2, h + 1) if h % q == 0 and all(q % d for d in range(2, q))):
+        below, pk = 1, p
+        while True:
+            count = sum(1 for o in orders if pk % o == 0)
+            r = 0
+            while below * p ** (r + 1) <= count:
+                r += 1
+            if count != below * p**r:
+                raise InternalCheckError(f"order census ratio {count}/{below} is not a power of {p}")
+            if r == 0:
+                break
+            factors.extend([1] * (r - len(factors)))
+            for j in range(r):
+                factors[j] *= p
+            below, pk = count, pk * p
+    if math.prod(factors) != h:
+        raise InternalCheckError(f"invariant factors {factors} do not multiply to {h}")
     return tuple(reversed(factors))
 
 

@@ -340,8 +340,14 @@ def test_descriptor_index_argument_forms():
     assert eval_descriptor(d, None, P30) == eval_descriptor(d, 1, P30)
     d4 = descriptor(QuadForm(1, 0, 1), make_modulus(D4, 6, 0, 6))
     assert eval_descriptor(d4, None, P30) == eval_descriptor(d4, 2, P30)
-    with pytest.raises(QFieldError):
-        eval_descriptor(d, 4, P30)
+
+
+@pytest.mark.parametrize("route", [eval_descriptor, eval_descriptor_unreduced])
+@pytest.mark.parametrize("index", [0, 4])
+def test_descriptor_routes_reject_bad_index(route, index):
+    d = descriptor(QuadForm(7, -6, 2), MOD20)
+    with pytest.raises(QFieldError, match="function index must be 1, 2 or 3"):
+        route(d, index, P30)
 
 
 def test_stability_under_digit_doubling():

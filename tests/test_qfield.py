@@ -17,7 +17,6 @@ from rayform.qfield import (
     make_ideal_triple,
     make_lattice_basis,
     minimal_norm_elements,
-    mobius,
     parse_ideal_triple,
     ray_class_number_oracle,
 )
@@ -109,18 +108,6 @@ def test_tau_satisfies_minimal_polynomial():
     for d in (D20, D23, D4, D3):
         tau = d.tau()
         assert (tau * tau + tau * d.b0 + d.c0).is_zero()
-
-
-def test_mobius_identity_and_scaling():
-    z = D20.element(Fraction(1, 7), Fraction(-3, 7))
-    assert mobius(((1, 0), (0, 1)), z) == z
-    assert mobius(((5, 0), (0, 5)), z) == z
-
-
-def test_mobius_descriptor_matrix():
-    z = D20.element(Fraction(1, 7), Fraction(-3, 7))
-    image = mobius(((2, 4), (0, 6)), z)
-    assert image == D20.element(Fraction(1, 21), Fraction(11, 21))
 
 
 def test_canonicalize_example_ideal():

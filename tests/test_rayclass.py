@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from rayform.forms import (
 )
 from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import (
+    _invariant_factors,
     _row_key,
     canonical_offset,
     class_group_to_json,
@@ -382,6 +385,54 @@ def test_table_d23_structure(group23):
 
 def test_table_d20_orders(group20):
     assert _element_orders(group20.table) == [1, 2, 4, 4]
+
+
+def _cyclic_product_table(moduli):
+    # Z/m1 x ... x Z/mk on integer tuples in lexicographic order, so the
+    # identity (0, ..., 0) has index 0
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(
+        tuple(index[tuple((a + b) % m for a, b, m in zip(x, y, moduli))] for y in elements)
+        for x in elements
+    )
+
+
+@pytest.mark.parametrize(
+    "moduli, factors",
+    [
+        ((), ()),
+        ((2, 4, 8), (2, 4, 8)),
+        ((3, 9), (3, 9)),
+        ((2, 2, 3, 5), (2, 30)),
+        ((2, 30), (2, 30)),
+        ((3, 3, 24), (3, 3, 24)),
+        ((5, 5, 5), (5, 5, 5)),
+    ],
+)
+def test_invariant_factors_of_cyclic_products(moduli, factors):
+    assert _invariant_factors(_cyclic_product_table(moduli)) == factors
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # commutative loops of order 6 with identity 0 that are no groups
+        (
+            ((0, 1, 2, 3, 4, 5), (1, 0, 3, 4, 5, 2), (2, 3, 0, 5, 1, 4),
+             (3, 4, 5, 0, 2, 1), (4, 5, 1, 2, 0, 3), (5, 2, 4, 1, 3, 0)),
+            "order census ratio 6/1 is not a power of 2",
+        ),
+        (
+            ((0, 1, 2, 3, 4, 5), (1, 0, 3, 4, 5, 2), (2, 3, 0, 5, 1, 4),
+             (3, 4, 5, 0, 2, 1), (4, 5, 1, 2, 3, 0), (5, 2, 4, 1, 0, 3)),
+            "invariant factors [2, 2] do not multiply to 6",
+        ),
+    ],
+)
+def test_invariant_factors_reject_non_groups(table, message):
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        _invariant_factors(table)
 
 
 def test_table_group_axioms(group20, group23):

@@ -54,3 +54,19 @@ def test_reproduce_tables_order_4():
     assert "   g  g g3 g2  e" in lines
     assert "invariant factors: [4]  (Z/4)" in lines
     assert not any(line.startswith("==") and "order-12" in line for line in lines)
+
+
+def test_reproduce_tables_rejects_uncovered_classes():
+    # run under -O, which strips asserts: a case whose named forms miss a
+    # class must still stop with an error before printing its table
+    code = (
+        "import dataclasses, sys; sys.path.insert(0, 'scripts'); import reproduce_tables as rt; "
+        "case = rt.CASES[0]; "
+        "rt.run_case(dataclasses.replace(case, named_forms=case.named_forms[:-1]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, cwd=ROOT, timeout=300
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == "error: the named forms of the order-4 group do not cover every class"
+    assert "table" not in proc.stdout
