@@ -236,9 +236,8 @@ def _cmd_eval(args) -> int:
     mod = _modulus(args)
     d = descriptor(parse_form(args.form), mod)
     p = modular.Precision(_digits(args))
-    index = args.index if args.index is not None else modular.weber_index(mod.disc)
-    value = modular.eval_descriptor(d, index, p)
-    label = modular.FrickeLabel(index, 0, d.a_inv, mod.level)
+    value = modular.eval_descriptor(d, args.index, p)
+    label = modular.descriptor_label(d, args.index)
     payload = {"label": str(label), "value": modular.complex_to_json(value, p)}
     _emit(
         args,

@@ -411,15 +411,19 @@ def _totient(n: int) -> int:
     return result
 
 
+def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
+    """The label (i, [0, a_inv/N]) of a descriptor's value, i None standing
+    for `weber_index`."""
+    i = weber_index(desc.point.disc) if i is None else i
+    return FrickeLabel(i, 0, desc.a_inv, desc.eval_matrix[1][1])
+
+
 def _descriptor_input(ctx, desc: GaloisDescriptor, i):
-    """The label (i, [0, a_inv/N]), i None standing for `weber_index`, and
-    the embedded image (a1 point + off/a)/N of the base point under the
-    evaluation matrix ((a1, off/a), (0, N))."""
+    """`descriptor_label` and the embedded image (a1 point + off/a)/N of the
+    base point under the evaluation matrix ((a1, off/a), (0, N))."""
     (a1, off_over_a), (_, level) = desc.eval_matrix
-    if i is None:
-        i = weber_index(desc.point.disc)
     point = (desc.point * a1 + off_over_a) / level
-    return FrickeLabel(i, 0, desc.a_inv, level), _embed(ctx, point)
+    return descriptor_label(desc, i), _embed(ctx, point)
 
 
 def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):

@@ -469,20 +469,36 @@ def _invariant_factors(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 def group_table(mod: Modulus) -> ClassGroup:
     """Enumerate the classes and fill in the full composition table plus the
-    invariant factor decomposition."""
+    invariant factor decomposition.
+
+    The group is abelian, so the table follows from generator rows: h*r
+    `compose` calls for r generators, not h^2.  Each generator g is the first
+    class not yet reached; its row pi_g[x] = index(x*g) is composed directly,
+    with lookups in `ClassGroup.index`.  Breadth-first closure gives each new
+    class x*g the row row(x*g)[y] = pi_g[row(x)[y]].  One wrong cell of a
+    generator row breaks its identity cell pi_g[0] = g, a permutation, a
+    derived cell table[x][g] = pi_g[x] or commutativity, all checked.  A
+    compose fault on a pair without a generator is left to `verify`.
+    """
     group = enumerate_classes(mod)
     size = len(group.classes)
-    table = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            composite = compose(group.classes[i].rep, group.classes[j].rep, mod)
-            row.append(_class_index(composite, group))
-        table.append(tuple(row))
-    table = tuple(table)
-    for j in range(size):
-        if table[0][j] != j:
+    reps = [fc.rep for fc in group.classes]
+    rows = {0: list(range(size))}
+    generators = {}
+    while len(rows) < size:
+        g = next(x for x in range(size) if x not in rows)
+        pi = generators[g] = [_class_index(compose(rep, reps[g], mod), group) for rep in reps]
+        if pi[0] != g:  # row 0 is the identity by construction; g must be reached
             raise InternalCheckError("identity row is not the identity permutation")
+        reached = list(rows)
+        for x in reached:
+            if pi[x] not in rows:
+                rows[pi[x]] = [pi[y] for y in rows[x]]
+                reached.append(pi[x])
+    table = tuple(tuple(rows[x]) for x in range(size))
+    for g, pi in generators.items():
+        if any(table[x][g] != pi[x] for x in range(size)):
+            raise InternalCheckError("derived cell differs from its composed generator row")
     for i in range(size):
         if sorted(table[i]) != list(range(size)):
             raise InternalCheckError("table row is not a permutation")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rayform.forms import reduced_forms
 from rayform.qfield import (
     _coprime,
     QFieldError,
@@ -253,6 +254,21 @@ def test_class_numbers():
     assert class_number(D23) == 3
     assert class_number(D4) == 1
     assert class_number(D3) == 1
+    assert class_number(make_discriminant(-71)) == 7
+    assert class_number(make_discriminant(-111)) == 8
+
+
+def test_class_number_formula_counts_reduced_forms():
+    # Dirichlet's formula against the reduced-form walk it replaced as oracle
+    count = 0
+    for d in range(-2000, -2):
+        try:
+            disc = make_discriminant(d)
+        except QFieldError:
+            continue
+        assert class_number(disc) == len(reduced_forms(disc)), d
+        count += 1
+    assert count == 611
 
 
 def test_ray_class_number_examples():

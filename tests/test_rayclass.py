@@ -449,6 +449,58 @@ def test_table_group_axioms(group20, group23):
             assert any(t[i][j] == 0 for j in range(n))
 
 
+TABLE_MODULI = pytest.mark.parametrize(
+    "dk, ideal",
+    [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-23, (1, 8, 31)), (-3, (6, 0, 6)), (-4, (5, 0, 5))],
+    ids=["-20:2,4,6", "-23:3,9,12", "-23:1,8,31", "-3:6,0,6", "-4:5,0,5"],
+)
+
+
+@TABLE_MODULI
+def test_table_matches_all_cells_reference(dk, ideal):
+    # the reference composes every one of the h^2 cells
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    group = enumerate_classes(mod)
+    reps = [fc.rep for fc in group.classes]
+    reference = tuple(
+        tuple(rayclass._class_index(compose(f, g, mod), group) for g in reps) for f in reps
+    )
+    assert group_table(mod).table == reference
+
+
+@TABLE_MODULI
+def test_table_catches_a_wrong_generator_row_cell(dk, ideal, monkeypatch):
+    # the first h lookups of `group_table` fill the first generator's row
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    size = len(enumerate_classes(mod).classes)
+    lookup = rayclass._class_index
+    for wrong in range(size):
+        calls = itertools.count()
+
+        def off_by_one(form, group):
+            idx = lookup(form, group)
+            return (idx + 1) % size if next(calls) == wrong else idx
+
+        monkeypatch.setattr(rayclass, "_class_index", off_by_one)
+        with pytest.raises(InternalCheckError):
+            group_table(mod)
+
+
+def test_table_composes_only_generator_rows(monkeypatch):
+    mod = make_modulus(D23, 1, 8, 31)
+    seconds = []
+
+    def counting(form1, form2, modulus):
+        seconds.append(form2)
+        return compose(form1, form2, modulus)
+
+    monkeypatch.setattr(rayclass, "compose", counting)
+    size = len(group_table(mod).classes)
+    generators = len(set(seconds))
+    assert 1 <= generators <= 3
+    assert len(seconds) == size * generators
+
+
 @pytest.mark.parametrize(
     "dk, ideal, digest",
     [
@@ -565,8 +617,9 @@ def test_tables_match_sweep_digests():
     [
         (-23, (1, 8, 31), "7baa4480a00f7f689fb138f8cf040b27c969ad82c5482eadf9e334a5f5963cf1"),
         (-111, (9, 0, 9), "ea9d4e7d7908e69686a1a60505d0c7436b291ef5b2d7f50689695731546eae0d"),
+        (-71, (13, 0, 13), "d4c44b51cebaaed59e9dd6a335d0f2e850b06cc8a91f39ad0f5be7fbc609979c"),
     ],
-    ids=["h=45", "h=216"],
+    ids=["h=45", "h=216", "h=588"],
 )
 def test_large_tables_pinned(dk, ideal, digest):
     group = group_table(make_modulus(make_discriminant(dk), *ideal))
