@@ -9,6 +9,7 @@ them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,7 +170,8 @@ def automorphs(form: QuadForm) -> tuple[UnimodMatrix, ...]:
     Plus and minus identity except over discriminants -3 and -4, where the
     extra units of the order show up.  The special cases are found by brute
     force on the reduced form (entries up to 2 suffice there) and conjugated
-    back along the reduction witness.
+    back along the reduction witness; that search runs once per reduced form
+    per process (`_reduced_stabilizer`).
     """
     d = form.disc()
     if d >= 0:
@@ -177,6 +179,14 @@ def automorphs(form: QuadForm) -> tuple[UnimodMatrix, ...]:
     if d not in (-3, -4):
         return (IDENT, NEG_IDENT)
     reduced, g = reduce(form)
+    ginv = g.inv()
+    conj = [ginv @ h @ g for h in _reduced_stabilizer(reduced)]
+    return tuple(sorted(conj, key=lambda m: (m.p, m.q, m.r, m.s)))
+
+
+@functools.cache
+def _reduced_stabilizer(reduced: QuadForm) -> tuple[UnimodMatrix, ...]:
+    # brute force over entries in [-2, 2], checked against the unit count
     stab = []
     for p in range(-2, 3):
         for q in range(-2, 3):
@@ -187,14 +197,12 @@ def automorphs(form: QuadForm) -> tuple[UnimodMatrix, ...]:
                     h = UnimodMatrix(p, q, r, s)
                     if act(reduced, h) == reduced:
                         stab.append(h)
-    expected = 6 if d == -3 else 4
+    expected = 6 if reduced.disc() == -3 else 4
     if len(stab) != expected:
         raise InternalCheckError(
-            f"automorph count {len(stab)} for {form}, expected {expected}"
+            f"automorph count {len(stab)} for {reduced}, expected {expected}"
         )
-    ginv = g.inv()
-    conj = [ginv @ h @ g for h in stab]
-    return tuple(sorted(conj, key=lambda m: (m.p, m.q, m.r, m.s)))
+    return tuple(stab)
 
 
 def coprime_normalize(form: QuadForm, modulus: int) -> tuple[QuadForm, UnimodMatrix]:

@@ -371,11 +371,12 @@ def ideal_product(s: IdealTriple, t: IdealTriple) -> IdealTriple:
     return make_ideal_triple(disc, *_hnf_rows(rows))
 
 
-def _coprime(x: FieldElement, t: IdealTriple) -> bool:
-    """Whether the integral element x and the ideal t generate the order:
-    the lattice spanned by t's rows, x*tau and x is the order itself."""
-    xt = x * x.disc.tau()
-    rows = [(t.a1, t.a2), (0, t.c), (int(xt.u), int(xt.v)), (int(x.u), int(x.v))]
+def _coprime(u: int, v: int, t: IdealTriple) -> bool:
+    """Whether the integral element x = u*tau + v, given by its integer
+    (tau, 1) coordinates, and the ideal t generate the order: the lattice
+    spanned by t's rows, x*tau = (v - u*b0)*tau - u*c0 and x is the order
+    itself."""
+    rows = [(t.a1, t.a2), (0, t.c), (v - u * t.disc.b0, -u * t.disc.c0), (u, v)]
     return _hnf_rows(rows) == (1, 0, 1)
 
 
@@ -383,23 +384,33 @@ def minimal_norm_elements(basis: LatticeBasis) -> tuple[FieldElement, ...]:
     """All lattice elements whose norm equals the lattice norm.
 
     A fractional ideal is principal exactly when this list is nonempty, and
-    then the list is the full set of generators.  Enumeration runs over the
-    ellipse norm(x*g1 + y*g2) = det in integer arithmetic.
+    then the list is the full set of generators.  The basis is scaled to
+    integer (tau, 1) coordinates and Lagrange-reduced on its norm form
+    (a, b, c) by integer steps of its own (g2 -= k*g1 with k nearest to
+    b/2a, or (g1, g2) -> (g2, -g1)) until |b| <= a <= c.  Then the ellipse
+    a*x^2 + b*x*y + c*y^2 = det is scanned over x.  On an ideal no nonzero
+    element has norm below det, so a >= det, and x^2 <= 4*c*det/(4*a*c - b^2)
+    <= 4/3 bounds the scan to |x| <= 2 whatever the ideal's size.
     """
     scale = 1
     for g in (basis.g1, basis.g2):
         scale = scale * g.denominator() // math.gcd(scale, g.denominator())
-    g1 = basis.g1 * scale
-    g2 = basis.g2 * scale
-    target = basis.det() * scale * scale
-    if target.denominator != 1:
-        raise QFieldError("scaled lattice determinant is not integral")
-    target = int(target)
-    a_c = int(g1.norm())
-    c_c = int(g2.norm())
-    b_c = int((g1 * g2.conj() + g2 * g1.conj()).v)  # trace pairing, rational part
-    disc_g = b_c * b_c - 4 * a_c * c_c  # equals d * (scale^2 * det)^2, negative
-    found = []
+    u1, v1, u2, v2 = (int(z * scale) for z in (basis.g1.u, basis.g1.v, basis.g2.u, basis.g2.v))
+    b0, c0 = basis.disc.b0, basis.disc.c0
+    target = u1 * v2 - v1 * u2
+    a_c = c0 * u1 * u1 - b0 * u1 * v1 + v1 * v1
+    b_c = 2 * c0 * u1 * u2 - b0 * (u1 * v2 + v1 * u2) + 2 * v1 * v2
+    c_c = c0 * u2 * u2 - b0 * u2 * v2 + v2 * v2
+    while abs(b_c) > a_c or a_c > c_c:
+        if abs(b_c) > a_c:
+            k = (b_c + a_c) // (2 * a_c)
+            u2, v2 = u2 - k * u1, v2 - k * v1
+            b_c, c_c = b_c - 2 * k * a_c, c_c - k * b_c + k * k * a_c
+        else:
+            u1, v1, u2, v2 = u2, v2, -u1, -v1
+            a_c, b_c, c_c = c_c, -b_c, a_c
+    disc_g = b_c * b_c - 4 * a_c * c_c  # equals d * target^2, negative
+    found = set()
     x_bound = math.isqrt((-4 * c_c * target) // disc_g) + 1
     for x in range(-x_bound, x_bound + 1):
         # solve a*x^2 + b*x*y + c*y^2 = target for integer y
@@ -417,10 +428,9 @@ def minimal_norm_elements(basis: LatticeBasis) -> tuple[FieldElement, ...]:
                 continue
             y = num // (2 * ay)
             if a_c * x * x + b_c * x * y + c_c * y * y == target:
-                e = g1 * x + g2 * y
-                found.append(FieldElement(basis.disc, e.u / scale, e.v / scale))
-    uniq = sorted(set(found), key=lambda e: (e.u, e.v))
-    return tuple(uniq)
+                found.add((u1 * x + u2 * y, v1 * x + v2 * y))
+    elements = (FieldElement(basis.disc, Fraction(u, scale), Fraction(v, scale)) for u, v in found)
+    return tuple(sorted(elements, key=lambda e: (e.u, e.v)))
 
 
 def is_mult_congruent_one(x: FieldElement, t: IdealTriple) -> bool:
@@ -438,7 +448,7 @@ def is_mult_congruent_one(x: FieldElement, t: IdealTriple) -> bool:
             f"denominator {m} shares a factor with {t.c}; congruence undefined here"
         )
     alpha = x * m
-    if not _coprime(alpha, t):
+    if not _coprime(int(alpha.u), int(alpha.v), t):
         raise QFieldError("element is not coprime to the modulus")
     return t.contains(alpha - m)
 
@@ -478,9 +488,7 @@ def ray_class_number_oracle(disc: Discriminant, t: IdealTriple) -> int:
         raise QFieldError("ideal from a different field")
     if (t.a1, t.a2, t.c) == (1, 0, 1):
         raise QFieldError("ray class number needs a proper modulus, not the order")
-    invertible = sum(
-        _coprime(disc.element(ru, rv), t) for ru in range(t.a1) for rv in range(t.c)
-    )
+    invertible = sum(_coprime(ru, rv, t) for ru in range(t.a1) for rv in range(t.c))
     unit_residues = {t.residue(z) for z in disc.unit_elements()}
     h = class_number(disc)
     total = h * invertible

@@ -442,9 +442,10 @@ def _invariant_factors(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     orders = []
     for g in range(h):
         k, x = 1, g
-        while x:
-            x = table[x][g]
-            k += 1
+        while x and k < h:
+            x, k = table[x][g], k + 1
+        if x:
+            raise InternalCheckError(f"powers of {g} miss the identity within {h} steps")
         orders.append(k)
     factors: list[int] = []  # largest first
     for p in (q for q in range(2, h + 1) if h % q == 0 and all(q % d for d in range(2, q))):

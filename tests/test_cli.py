@@ -248,11 +248,13 @@ def test_verify_second_field():
 
 
 # sha256 of `verify` stdout, recorded with the fixed-point theta kernel and
-# the integer law matrices; any change to a sample, value or detail string
-# shows here
+# the integer law matrices (the h=45 entry, where the ideal route dominates,
+# with the Fraction-coordinate oracles); any change to a sample, value or
+# detail string shows here
 VERIFY_DIGESTS = {
     ("-20", "2,4,6", "40", "json"): "9788914cb238c47c5c8591d6f92733a389211e54a4a83403bc42eb869049f47b",
     ("-20", "2,4,6", "40", "text"): "61c2ff92dc1e7b8c3f045ea9f67a57e0fcffe6ac60116129c04e14814b1f8678",
+    ("-23", "1,8,31", "40", "json"): "088687b798fcfdfcca3caaa0a410cff7db822a271738f0095dddf3a8100a3454",
     ("-23", "3,9,12", "80", "json"): "530295365baaca8f77838b0a09aa4245427115be5c7a5426d8c81b370b41221b",
     ("-23", "3,9,12", "80", "text"): "a357bdb2ece1b18b74661e94bb0d0ed8c219ec83449fe284c94dd86fec70649b",
     ("-3", "6,0,6", "80", "json"): "c85ca42583909baf3db6be96b2bc36c18b3287a8b2d1cdf7ad3ff6b3833c81c6",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rayform import forms
 from rayform.forms import (
     IDENT,
     S_FLIP,
@@ -19,7 +21,7 @@ from rayform.forms import (
     reduced_forms,
     t_power,
 )
-from rayform.qfield import QFieldError, make_discriminant
+from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -188,6 +190,46 @@ def test_automorphs_fix_form_and_close(fd):
     assert IDENT in auts
     prods = {g @ h for g in auts for h in auts}
     assert prods == set(auts)
+
+
+def _reference_automorphs(form):
+    # the brute-force stabilizer of the reduced form, conjugated along the
+    # reduction witness and sorted, searched afresh on every call
+    reduced, g = reduce(form)
+    stab = [
+        UnimodMatrix(p, q, r, s)
+        for p, q, r, s in itertools.product(range(-2, 3), repeat=4)
+        if p * s - q * r == 1 and act(reduced, UnimodMatrix(p, q, r, s)) == reduced
+    ]
+    conj = [g.inv() @ h @ g for h in stab]
+    return tuple(sorted(conj, key=lambda m: (m.p, m.q, m.r, m.s)))
+
+
+def _random_sl2(rng):
+    g = IDENT
+    for _ in range(rng.randrange(1, 7)):
+        g = g @ t_power(rng.randrange(-9, 10)) @ S_FLIP
+    return g @ t_power(rng.randrange(-9, 10))
+
+
+@pytest.mark.parametrize("base", [QuadForm(1, 1, 1), QuadForm(1, 0, 1)])
+def test_cached_stabilizer_matches_fresh_search(base):
+    rng = random.Random(1207)
+    for _ in range(220):
+        form = act(base, _random_sl2(rng))
+        auts = automorphs(form)
+        assert auts == _reference_automorphs(form), form
+        assert all(act(form, h) == form for h in auts)
+
+
+@pytest.mark.parametrize("base", [QuadForm(1, 1, 1), QuadForm(1, 0, 1)])
+def test_stabilizer_count_is_checked(base, monkeypatch):
+    # with act fixing every form, all 52 matrices of the box "stabilize"
+    form = act(base, t_power(3) @ S_FLIP)
+    forms._reduced_stabilizer.cache_clear()
+    monkeypatch.setattr(forms, "act", lambda form, g: form)
+    with pytest.raises(InternalCheckError, match="automorph count 52"):
+        automorphs(form)
 
 
 def test_coprime_normalize_examples():

@@ -178,19 +178,20 @@ def test_ideal_norm_examples():
 
 def test_is_coprime():
     n = make_ideal_triple(D20, 2, 4, 6)
-    assert _coprime(D20.element(0, 7), n)
-    assert _coprime(D20.one(), n)
-    assert not _coprime(n.generator(), n)
-    assert not _coprime(D20.element(0, 0), n)
+    assert _coprime(0, 7, n)
+    assert _coprime(0, 1, n)
+    assert not _coprime(n.a1, n.a2, n)
+    assert not _coprime(0, 0, n)
     p2 = make_ideal_triple(D20, 1, 1, 2)
     two = make_ideal_triple(D20, 2, 0, 2)
-    assert not _coprime(D20.element(0, 2), p2)
-    assert not _coprime(D20.element(1, 1), two)
+    assert not _coprime(0, 2, p2)
+    assert not _coprime(1, 1, two)
     # independent route: x is coprime to t exactly when it is a unit mod t
-    for t in TRIPLES20[:8] + TRIPLES23[:8]:
+    for t in TRIPLES20[:8] + TRIPLES23[:8] + valid_triples(D3, 7) + valid_triples(D4, 7):
         box = [t.disc.element(u, v) for u in range(t.a1) for v in range(t.c)]
         for x in box:
-            assert _coprime(x, t) == any(t.contains(x * y - 1) for y in box), (t, x)
+            unit = any(t.contains(x * y - 1) for y in box)
+            assert _coprime(int(x.u), int(x.v), t) == unit, (t, x)
 
 
 def _principal_ideal(x):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -19,8 +20,16 @@ from rayform.forms import (
     reduced_forms,
     t_power,
 )
-from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
+from rayform.qfield import (
+    InternalCheckError,
+    QFieldError,
+    ideal_product,
+    make_discriminant,
+    make_lattice_basis,
+    minimal_norm_elements,
+)
 from rayform.rayclass import (
+    _form_ideal,
     _invariant_factors,
     _row_key,
     canonical_offset,
@@ -169,6 +178,52 @@ def test_oracle_agreement_random(seed):
     f1 = translates(rng.choice(classes).rep, mod, rng, 1)[0]
     f2 = translates(rng.choice(classes).rep, mod, rng, 1)[0]
     assert (equivalent(f1, f2, mod) is not None) == equivalent_oracle(f1, f2, mod)
+
+
+def _unreduced_minimal_norm(basis):
+    # the x-range scan straight on the given basis, in FieldElement arithmetic
+    scale = 1
+    for g in (basis.g1, basis.g2):
+        scale = scale * g.denominator() // math.gcd(scale, g.denominator())
+    g1, g2 = basis.g1 * scale, basis.g2 * scale
+    target = int(basis.det() * scale * scale)
+    a, c = int(g1.norm()), int(g2.norm())
+    b = int((g1 * g2.conj() + g2 * g1.conj()).v)
+    found = set()
+    bound = math.isqrt((-4 * c * target) // (b * b - 4 * a * c)) + 1
+    for x in range(-bound, bound + 1):
+        d_y = (b * x) ** 2 - 4 * c * (a * x * x - target)
+        r = math.isqrt(max(d_y, 0))
+        if d_y < 0 or r * r != d_y:
+            continue
+        for num in (-b * x + r, -b * x - r):
+            y, rem = divmod(num, 2 * c)
+            if rem == 0 and a * x * x + b * x * y + c * y * y == target:
+                e = g1 * x + g2 * y
+                found.add(basis.disc.element(e.u / scale, e.v / scale))
+    return tuple(sorted(found, key=lambda e: (e.u, e.v)))
+
+
+@pytest.mark.parametrize(
+    "dk, ideal", [(-20, (2, 4, 6)), (-23, (1, 8, 31)), (-3, (6, 0, 6)), (-4, (5, 0, 5))]
+)
+def test_minimal_norm_elements_match_unreduced_scan(dk, ideal):
+    # quotient lattices of the ideal route, integral and divided by a
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    rng = random.Random(dk)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    pool = reps + [g for f in reps[:12] for g in translates(f, mod, rng, 2)]
+    principal = 0
+    for _ in range(80):
+        f1, f2 = rng.choice(pool), rng.choice(reps)
+        conj2 = _form_ideal(QuadForm(f2.a, -f2.b, f2.c), mod.disc)
+        lat = ideal_product(_form_ideal(f1, mod.disc), conj2).lattice()
+        for basis in (lat, make_lattice_basis(lat.g1 / f1.a, lat.g2 / f1.a)):
+            gens = minimal_norm_elements(basis)
+            assert gens == _unreduced_minimal_norm(basis), (f1, f2)
+            principal += bool(gens)
+    # class number 1 at dK=-3, -4: every quotient ideal is principal
+    assert principal == 160 if dk in (-3, -4) else 0 < principal < 160
 
 
 def test_refines_classical_equivalence():
@@ -428,6 +483,8 @@ def test_invariant_factors_of_cyclic_products(moduli, factors):
              (3, 4, 5, 0, 2, 1), (4, 5, 1, 2, 3, 0), (5, 2, 4, 1, 0, 3)),
             "invariant factors [2, 2] do not multiply to 6",
         ),
+        # column 1 cycles 1 -> 2 -> 1 and never reaches the identity
+        (((0, 1, 2), (1, 2, 1), (2, 1, 0)), "powers of 1 miss the identity within 3 steps"),
     ],
 )
 def test_invariant_factors_reject_non_groups(table, message):
