@@ -23,7 +23,6 @@ from .qfield import (
     canonicalize_ideal,
     element_to_json,
     make_discriminant,
-    make_lattice_basis,
     parse_ideal_triple,
     ray_class_number_oracle,
 )
@@ -123,7 +122,7 @@ def _modulus(args) -> Modulus:
             raise QFieldError(
                 f"expected --ideal-gens 'u1,v1;u2,v2', got {args.ideal_gens!r}"
             ) from exc
-        t = canonicalize_ideal(make_lattice_basis(disc.element(u1, v1), disc.element(u2, v2)))
+        t = canonicalize_ideal(disc, [(u1, v1), (u2, v2)])
     else:
         raise QFieldError("a modulus is required: --ideal or --ideal-gens")
     return make_modulus(disc, t.a1, t.a2, t.c)

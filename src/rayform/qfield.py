@@ -1,13 +1,17 @@
 """Exact arithmetic in an imaginary quadratic field.
 
 Everything here runs on ints and Fractions; nothing is floating point.
-A field is fixed by a fundamental discriminant d < 0.  Elements are stored
-as coordinate pairs (u, v) over the basis (tau, 1) of the maximal order,
+A field is fixed by a fundamental discriminant d < 0.  Elements are
+coordinate pairs (u, v) over the basis (tau, 1) of the maximal order,
 where tau is the upper half plane root of x^2 + b0*x + c0 and (1, b0, c0)
-is the principal form of discriminant d.  Integral ideals are rank two
-sublattices of the order; their canonical shape is the triple (a1, a2, c)
-describing the lattice spanned by a1*tau + a2 and c, with
-0 < a1 <= c, 0 <= a2 < c, a1 | c, a1 | a2 and c | norm(a1*tau + a2).
+is the principal form of discriminant d; `Discriminant.mul` and `.norm`
+are the one multiplication rule for such pairs.  The ideal layer works on
+integer pairs only.  Integral ideals are rank two sublattices of the
+order; their canonical shape is the triple (a1, a2, c) describing the
+lattice spanned by the rows a1*tau + a2 and c, with 0 < a1 <= c,
+0 <= a2 < c, a1 | c, a1 | a2 and c | norm(a1*tau + a2).  `FieldElement`
+and `LatticeBasis` hold the exact rational points and lattices that the
+numeric layer embeds.
 """
 
 from __future__ import annotations
@@ -91,9 +95,16 @@ class Discriminant:
         +-1 first."""
         return _UNIT_COORDS.get(self.d, _PLUS_MINUS_ONE)
 
-    def unit_elements(self) -> tuple["FieldElement", ...]:
-        """All units of the maximal order, +-1 first."""
-        return tuple(self.element(u, v) for u, v in self.unit_coords())
+    def mul(self, x, y):
+        """Product of the coordinate pairs x and y, from tau^2 = -b0*tau - c0;
+        ints give ints and Fractions give Fractions."""
+        (u1, v1), (u2, v2) = x, y
+        uu = u1 * u2
+        return u1 * v2 + v1 * u2 - uu * self.b0, v1 * v2 - uu * self.c0
+
+    def norm(self, u, v):
+        """norm(u*tau + v) = c0*u^2 - b0*u*v + v^2, positive definite."""
+        return self.c0 * u * u - self.b0 * u * v + v * v
 
 
 _PLUS_MINUS_ONE = ((0, 1), (0, -1))
@@ -167,14 +178,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # tau^2 = -b0*tau - c0
-        b0, c0 = self.disc.b0, self.disc.c0
-        uu = self.u * o.u
-        return FieldElement(
-            self.disc,
-            self.u * o.v + self.v * o.u - uu * b0,
-            self.v * o.v - uu * c0,
-        )
+        return FieldElement(self.disc, *self.disc.mul((self.u, self.v), (o.u, o.v)))
 
     __rmul__ = __mul__
 
@@ -192,21 +196,7 @@ class FieldElement:
         return FieldElement(self.disc, -self.u, self.v - self.u * self.disc.b0)
 
     def norm(self) -> Fraction:
-        # norm(u*tau + v) = c0*u^2 - b0*u*v + v^2, positive definite
-        b0, c0 = self.disc.b0, self.disc.c0
-        return c0 * self.u * self.u - b0 * self.u * self.v + self.v * self.v
-
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
-    def is_integral(self) -> bool:
-        return self.u.denominator == 1 and self.v.denominator == 1
-
-    def denominator(self) -> int:
-        """Least positive m with m*self integral."""
-        return self.u.denominator * self.v.denominator // math.gcd(
-            self.u.denominator, self.v.denominator
-        )
+        return self.disc.norm(self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -259,24 +249,16 @@ class IdealTriple:
     def norm(self) -> int:
         return self.a1 * self.c
 
-    def generator(self) -> FieldElement:
-        return self.disc.element(self.a1, self.a2)
+    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The integer (tau, 1) basis a1*tau + a2, c."""
+        return (self.a1, self.a2), (0, self.c)
 
     def lattice(self) -> LatticeBasis:
-        return make_lattice_basis(self.generator(), self.disc.element(0, self.c))
+        return make_lattice_basis(*(self.disc.element(u, v) for u, v in self.rows()))
 
-    def contains(self, x: FieldElement) -> bool:
-        """Membership for an integral element, done in plain integers."""
-        if not x.is_integral():
-            return False
-        u, v = int(x.u), int(x.v)
-        if u % self.a1:
-            return False
-        return (v - (u // self.a1) * self.a2) % self.c == 0
-
-    def residue(self, x: FieldElement) -> tuple[int, int]:
-        """Normal form of an integral element mod the ideal."""
-        u, v = int(x.u), int(x.v)
+    def residue(self, u: int, v: int) -> tuple[int, int]:
+        """Normal form of the integral element u*tau + v mod the ideal;
+        (0, 0) exactly when the element lies in the ideal."""
         ru = u % self.a1
         v -= (u - ru) // self.a1 * self.a2
         return ru, v % self.c
@@ -290,9 +272,8 @@ def make_ideal_triple(disc: Discriminant, a1: int, a2: int, c: int) -> IdealTrip
         raise QFieldError(f"triple ({a1},{a2},{c}) out of canonical range")
     if c % a1 or a2 % a1:
         raise QFieldError(f"triple ({a1},{a2},{c}): a1 must divide a2 and c")
-    g = disc.element(a1, a2)
     # closure under tau: tau*(a1 tau + a2) lands in the lattice iff a1*c | norm
-    if g.norm() % (a1 * c):
+    if disc.norm(a1, a2) % (a1 * c):
         raise QFieldError(
             f"triple ({a1},{a2},{c}): lattice is not closed under the order"
         )
@@ -315,8 +296,6 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     lead = None
     tail = []
     for u, v in rows:
-        if u == 0 and v == 0:
-            continue
         if u == 0:
             tail.append(v)
             continue
@@ -328,9 +307,7 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
         lead = (g, x * lead[1] + y * v)
     if lead is None:
         raise QFieldError("lattice has no component along tau, rank deficient")
-    c = 0
-    for v in tail:
-        c = math.gcd(c, v)
+    c = math.gcd(*tail)
     if c == 0:
         raise QFieldError("lattice is rank deficient")
     a1, w = lead
@@ -339,20 +316,16 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     return a1, w % c, c
 
 
-def canonicalize_ideal(basis: LatticeBasis) -> IdealTriple:
-    """Canonical triple of the integral ideal spanned by the basis.
+def canonicalize_ideal(disc: Discriminant, rows: list[tuple[int, int]]) -> IdealTriple:
+    """Canonical triple of the integral ideal spanned by integer (tau, 1) rows.
 
-    Rejects bases with non-integer coordinates and lattices that are not
-    closed under multiplication by the order.
+    Rejects rank deficient rows and lattices that are not closed under
+    multiplication by the order.
     """
-    for g in (basis.g1, basis.g2):
-        if not g.is_integral():
-            raise QFieldError("ideal basis must have integer coordinates")
-    rows = [(int(g.u), int(g.v)) for g in (basis.g1, basis.g2)]
     a1, a2, c = _hnf_rows(rows)
     # the canonical conditions characterize closure under the order
     try:
-        return make_ideal_triple(basis.disc, a1, a2, c)
+        return make_ideal_triple(disc, a1, a2, c)
     except QFieldError as exc:
         raise QFieldError(f"lattice is not an ideal of the order: {exc}") from exc
 
@@ -360,47 +333,37 @@ def canonicalize_ideal(basis: LatticeBasis) -> IdealTriple:
 def ideal_product(s: IdealTriple, t: IdealTriple) -> IdealTriple:
     if s.disc != t.disc:
         raise QFieldError("ideals from different fields")
-    disc = s.disc
-    gens_s = (s.generator(), disc.element(0, s.c))
-    gens_t = (t.generator(), disc.element(0, t.c))
-    rows = []
-    for x in gens_s:
-        for y in gens_t:
-            p = x * y
-            rows.append((int(p.u), int(p.v)))
-    return make_ideal_triple(disc, *_hnf_rows(rows))
+    rows = [s.disc.mul(x, y) for x in s.rows() for y in t.rows()]
+    return make_ideal_triple(s.disc, *_hnf_rows(rows))
 
 
 def _coprime(u: int, v: int, t: IdealTriple) -> bool:
     """Whether the integral element x = u*tau + v, given by its integer
     (tau, 1) coordinates, and the ideal t generate the order: the lattice
-    spanned by t's rows, x*tau = (v - u*b0)*tau - u*c0 and x is the order
-    itself."""
-    rows = [(t.a1, t.a2), (0, t.c), (v - u * t.disc.b0, -u * t.disc.c0), (u, v)]
+    spanned by t's rows, x*tau and x is the order itself."""
+    rows = [*t.rows(), t.disc.mul((u, v), (1, 0)), (u, v)]
     return _hnf_rows(rows) == (1, 0, 1)
 
 
-def minimal_norm_elements(basis: LatticeBasis) -> tuple[FieldElement, ...]:
-    """All lattice elements whose norm equals the lattice norm.
+def minimal_norm_elements(t: IdealTriple) -> tuple[tuple[int, int], ...]:
+    """All elements of the ideal whose norm equals the ideal's norm, as
+    sorted integer (tau, 1) pairs.
 
-    A fractional ideal is principal exactly when this list is nonempty, and
-    then the list is the full set of generators.  The basis is scaled to
-    integer (tau, 1) coordinates and Lagrange-reduced on its norm form
-    (a, b, c) by integer steps of its own (g2 -= k*g1 with k nearest to
-    b/2a, or (g1, g2) -> (g2, -g1)) until |b| <= a <= c.  Then the ellipse
-    a*x^2 + b*x*y + c*y^2 = det is scanned over x.  On an ideal no nonzero
-    element has norm below det, so a >= det, and x^2 <= 4*c*det/(4*a*c - b^2)
-    <= 4/3 bounds the scan to |x| <= 2 whatever the ideal's size.
+    The ideal is principal exactly when this list is nonempty, and then the
+    list is the full set of generators.  The rows of t are Lagrange-reduced
+    on their norm form (a, b, c), a = N(g1), c = N(g2),
+    b = N(g1 + g2) - a - c, by integer steps of its own (g2 -= k*g1 with k
+    nearest to b/2a, or (g1, g2) -> (g2, -g1)) until |b| <= a <= c.  Then
+    the ellipse a*x^2 + b*x*y + c*y^2 = det is scanned over x.  On an ideal
+    no nonzero element has norm below det, so a >= det, and
+    x^2 <= 4*c*det/(4*a*c - b^2) <= 4/3 bounds the scan to |x| <= 2
+    whatever the ideal's size.
     """
-    scale = 1
-    for g in (basis.g1, basis.g2):
-        scale = scale * g.denominator() // math.gcd(scale, g.denominator())
-    u1, v1, u2, v2 = (int(z * scale) for z in (basis.g1.u, basis.g1.v, basis.g2.u, basis.g2.v))
-    b0, c0 = basis.disc.b0, basis.disc.c0
-    target = u1 * v2 - v1 * u2
-    a_c = c0 * u1 * u1 - b0 * u1 * v1 + v1 * v1
-    b_c = 2 * c0 * u1 * u2 - b0 * (u1 * v2 + v1 * u2) + 2 * v1 * v2
-    c_c = c0 * u2 * u2 - b0 * u2 * v2 + v2 * v2
+    disc = t.disc
+    (u1, v1), (u2, v2) = t.rows()
+    target = t.norm()
+    a_c, c_c = disc.norm(u1, v1), disc.norm(u2, v2)
+    b_c = disc.norm(u1 + u2, v1 + v2) - a_c - c_c
     while abs(b_c) > a_c or a_c > c_c:
         if abs(b_c) > a_c:
             k = (b_c + a_c) // (2 * a_c)
@@ -413,44 +376,32 @@ def minimal_norm_elements(basis: LatticeBasis) -> tuple[FieldElement, ...]:
     found = set()
     x_bound = math.isqrt((-4 * c_c * target) // disc_g) + 1
     for x in range(-x_bound, x_bound + 1):
-        # solve a*x^2 + b*x*y + c*y^2 = target for integer y
-        ay = c_c
-        by = b_c * x
-        cy = a_c * x * x - target
-        d_y = by * by - 4 * ay * cy
-        if d_y < 0:
-            continue
-        r = math.isqrt(d_y)
+        # the integer roots y of c*y^2 + (b*x)*y + (a*x^2 - target) = 0
+        d_y = (b_c * x) ** 2 - 4 * c_c * (a_c * x * x - target)
+        r = math.isqrt(max(d_y, 0))
         if r * r != d_y:
             continue
-        for num in ((-by + r), (-by - r)):
-            if num % (2 * ay):
-                continue
-            y = num // (2 * ay)
-            if a_c * x * x + b_c * x * y + c_c * y * y == target:
+        for num in (-b_c * x + r, -b_c * x - r):
+            if num % (2 * c_c) == 0:
+                y = num // (2 * c_c)
                 found.add((u1 * x + u2 * y, v1 * x + v2 * y))
-    elements = (FieldElement(basis.disc, Fraction(u, scale), Fraction(v, scale)) for u, v in found)
-    return tuple(sorted(elements, key=lambda e: (e.u, e.v)))
+    return tuple(sorted(found))
 
 
-def is_mult_congruent_one(x: FieldElement, t: IdealTriple) -> bool:
-    """Multiplicative congruence to 1 for the modulus given by t.
+def is_mult_congruent_one(u: int, v: int, m: int, t: IdealTriple) -> bool:
+    """Whether x = (u*tau + v)/m is multiplicatively congruent to 1 mod t.
 
-    Writes x = alpha/m with least positive integer denominator m; requires
-    gcd(m, c) = 1 and x coprime to the modulus, then tests alpha - m in the
-    ideal.
+    Requires gcd(m, c) = 1 and u*tau + v coprime to the modulus, then tests
+    u*tau + v - m in the ideal.  No least denominator is taken: a factor
+    shared by m, u and v is coprime to t, so it changes neither test.
     """
-    if x.is_zero():
-        raise QFieldError("zero is not multiplicatively invertible")
-    m = x.denominator()
     if math.gcd(m, t.c) != 1:
         raise QFieldError(
             f"denominator {m} shares a factor with {t.c}; congruence undefined here"
         )
-    alpha = x * m
-    if not _coprime(int(alpha.u), int(alpha.v), t):
+    if not _coprime(u, v, t):
         raise QFieldError("element is not coprime to the modulus")
-    return t.contains(alpha - m)
+    return t.residue(u, v - m) == (0, 0)
 
 
 def _kronecker(d: int, n: int) -> int:
@@ -489,7 +440,7 @@ def ray_class_number_oracle(disc: Discriminant, t: IdealTriple) -> int:
     if (t.a1, t.a2, t.c) == (1, 0, 1):
         raise QFieldError("ray class number needs a proper modulus, not the order")
     invertible = sum(_coprime(ru, rv, t) for ru in range(t.a1) for rv in range(t.c))
-    unit_residues = {t.residue(z) for z in disc.unit_elements()}
+    unit_residues = {t.residue(u, v) for u, v in disc.unit_coords()}
     h = class_number(disc)
     total = h * invertible
     if total % len(unit_residues):

@@ -37,12 +37,10 @@ from .qfield import (
     InternalCheckError,
     QFieldError,
     _egcd,
-    canonicalize_ideal,
     crt2,
     ideal_product,
     is_mult_congruent_one,
     make_ideal_triple,
-    make_lattice_basis,
     minimal_norm_elements,
     ray_class_number_oracle,
 )
@@ -196,19 +194,19 @@ def _equivalent_reduced(
 
 
 def _form_ideal(form: QuadForm, disc: Discriminant) -> IdealTriple:
-    # the integral ideal [a*omega, a], norm a
-    g1 = disc.element(1, _half(disc.b0 - form.b))
-    g2 = disc.element(0, form.a)
-    return canonicalize_ideal(make_lattice_basis(g1, g2))
+    # the integral ideal [a*omega, a], norm a: the HNF of the rows
+    # (1, w) and (0, a) with w = (b0 - b)/2
+    return make_ideal_triple(disc, 1, _half(disc.b0 - form.b) % form.a, form.a)
 
 
 def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
     """Independent equivalence test straight from the ray class definition.
 
-    Forms are sent to their upper-half-plane ideals, the quotient ideal is
-    scaled to an integral ideal coprime to the modulus, and principality plus
-    the multiplicative congruence of some generator is checked by minimal
-    norm enumeration.  No witness matrices are involved.
+    Forms are sent to their upper-half-plane ideals; the quotient ideal,
+    times a, is the integral ideal I1 * conj(I2), coprime to the modulus.
+    Principality plus the multiplicative congruence of some generator g/a
+    is checked by minimal norm enumeration, all on integer (tau, 1)
+    coordinates.  No witness matrices are involved.
     """
     _require_form(form1, mod)
     _require_form(form2, mod)
@@ -216,12 +214,10 @@ def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
     # the conjugate of form2's ideal is the ideal of (a, -b, c)
     conj2 = _form_ideal(QuadForm(form2.a, -form2.b, form2.c), disc)
     quotient = ideal_product(_form_ideal(form1, disc), conj2)
-    generators = minimal_norm_elements(quotient.lattice())
-    for gen in generators:
-        candidate = gen / form1.a
-        if is_mult_congruent_one(candidate, mod.ideal):
-            return True
-    return False
+    return any(
+        is_mult_congruent_one(u, v, form1.a, mod.ideal)
+        for u, v in minimal_norm_elements(quotient)
+    )
 
 
 def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix:
@@ -281,7 +277,9 @@ def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
     w = u * _half(disc.b0 - form.b) + v * form.a
     residues = []
     for eu, ev in disc.unit_coords():
-        # eps*x with tau^2 = -b0*tau - c0, reduced as in IdealTriple.residue
+        # eps*x with tau^2 = -b0*tau - c0, reduced as in IdealTriple.residue;
+        # written out rather than through Discriminant.mul, so class keys
+        # share no arithmetic with the ideal route that checks them
         xu = eu * (w - u * disc.b0) + ev * u
         xv = ev * w - eu * u * disc.c0
         residues.append((xu % n.a1, (xv - xu // n.a1 * n.a2) % n.c))

@@ -185,6 +185,14 @@ def test_ideal_gens_matches_triple():
     assert "not both" in err
 
 
+@pytest.mark.parametrize("gens", ["2,4;1,2", "0,6;0,3", "0,0;0,0", "2,0;0,3"])
+def test_ideal_gens_rejects_non_ideals(gens):
+    # three rank deficient generator pairs, and a lattice that is not an ideal
+    code, out, err = run("enumerate", "--dk", "-20", "--ideal-gens", gens)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_text_format():
     code, out, _ = run("table", "--dk", "-20", "--ideal", "2,4,6", "--format", "text")
     assert code == 0
@@ -252,6 +260,7 @@ def test_verify_second_field():
 # with the Fraction-coordinate oracles); any change to a sample, value or
 # detail string shows here
 VERIFY_DIGESTS = {
+    ("-111", "9,0,9", "40", "json"): "edcaf18a3f091912144de9d04e24c7a0bd7d7782bfcc84ed5b5222e39d277a2f",
     ("-20", "2,4,6", "40", "json"): "9788914cb238c47c5c8591d6f92733a389211e54a4a83403bc42eb869049f47b",
     ("-20", "2,4,6", "40", "text"): "61c2ff92dc1e7b8c3f045ea9f67a57e0fcffe6ac60116129c04e14814b1f8678",
     ("-23", "1,8,31", "40", "json"): "088687b798fcfdfcca3caaa0a410cff7db822a271738f0095dddf3a8100a3454",

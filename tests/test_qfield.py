@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,20 +45,18 @@ def st_element(draw, nonzero=False):
     d = draw(st_disc)
     u = draw(st_rational)
     v = draw(st_rational)
-    x = d.element(u, v)
-    if nonzero and x.is_zero():
-        x = d.element(u, v + 1)
-    return x
+    if nonzero and u == v == 0:
+        v = 1
+    return d.element(u, v)
 
 
 def same_disc_pair(draw, nonzero_second=False):
     x = draw(st_element())
     u = draw(st_rational)
     v = draw(st_rational)
-    y = x.disc.element(u, v)
-    if nonzero_second and y.is_zero():
-        y = x.disc.element(u, v + 1)
-    return x, y
+    if nonzero_second and u == v == 0:
+        v = 1
+    return x, x.disc.element(u, v)
 
 
 st_pair = st.composite(same_disc_pair)
@@ -108,23 +108,62 @@ def test_norm_is_product_with_conjugate(x):
 def test_tau_satisfies_minimal_polynomial():
     for d in (D20, D23, D4, D3):
         tau = d.tau()
-        assert (tau * tau + tau * d.b0 + d.c0).is_zero()
+        assert tau * tau + tau * d.b0 + d.c0 == d.element(0, 0)
+
+
+def _embed(disc, u, v):
+    # u*tau + v in C, tau = (-b0 + i*sqrt|d|)/2, sharing nothing with Discriminant.mul
+    return u * complex(-disc.b0 / 2, math.sqrt(-disc.d) / 2) + v
+
+
+def _coords(disc, z):
+    # the integer (tau, 1) coordinates of a complex number near the order
+    u = round(2 * z.imag / math.sqrt(-disc.d))
+    return u, round(z.real + u * disc.b0 / 2)
+
+
+@pytest.mark.parametrize("dk", [-3, -4, -20, -23])
+def test_mul_and_norm_match_complex_embedding(dk):
+    disc = make_discriminant(dk)
+    box = [(u, v) for u in range(-5, 6) for v in range(-5, 6)]
+    for x in box:
+        zx = _embed(disc, *x)
+        assert disc.norm(*x) == round(abs(zx) ** 2)
+        assert abs(disc.norm(*x) - abs(zx) ** 2) < 1e-9
+        for y in box[::3]:
+            prod = disc.mul(x, y)
+            z = zx * _embed(disc, *y)
+            assert prod == _coords(disc, z), (x, y)
+            assert abs(_embed(disc, *prod) - z) < 1e-9
+    half = disc.mul((Fraction(1, 2), 1), (Fraction(1, 3), Fraction(2, 3)))
+    assert all(isinstance(c, Fraction) for c in half)
+    assert cmath.isclose(_embed(disc, *map(float, half)),
+                         _embed(disc, 0.5, 1) * _embed(disc, 1 / 3, 2 / 3))
+    assert all(type(c) is int for c in disc.mul((2, -1), (3, 4)))
 
 
 def test_canonicalize_example_ideal():
-    tau = D20.tau()
-    n = canonicalize_ideal(make_lattice_basis(tau * 2 + 4, D20.element(0, 6)))
+    n = canonicalize_ideal(D20, [(2, 4), (0, 6)])
     assert (n.a1, n.a2, n.c) == (2, 4, 6)
-    swapped = canonicalize_ideal(make_lattice_basis(D20.element(0, 6), tau * 2 + 4))
+    swapped = canonicalize_ideal(D20, [(0, 6), (2, 4)])
     assert (swapped.a1, swapped.a2, swapped.c) == (2, 4, 6)
-    unit = canonicalize_ideal(make_lattice_basis(tau, D20.one()))
+    unit = canonicalize_ideal(D20, [(1, 0), (0, 1)])
     assert (unit.a1, unit.a2, unit.c) == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "rows", [[(2, 4), (1, 2)], [(0, 6), (0, 3)], [(0, 0), (0, 0)], [(2, 0), (0, 3)]]
+)
+def test_canonicalize_rejects(rows):
+    # rank deficient rows, and a lattice not closed under the order
+    with pytest.raises(QFieldError):
+        canonicalize_ideal(D20, rows)
 
 
 @pytest.mark.parametrize("triple", TRIPLES20 + TRIPLES23, ids=str)
 def test_canonicalize_roundtrip(triple):
     basis = triple.lattice()
-    again = canonicalize_ideal(basis)
+    again = canonicalize_ideal(triple.disc, [(int(g.u), int(g.v)) for g in (basis.g1, basis.g2)])
     assert (again.a1, again.a2, again.c) == (triple.a1, triple.a2, triple.c)
 
 
@@ -145,10 +184,10 @@ def test_canonicalize_basis_independent(triple, p, q, r):
         return
     else:
         mat = (p, q, r, s_entry)
-    b = triple.lattice()
-    r1 = b.g1 * mat[0] + b.g2 * mat[1]
-    r2 = b.g1 * mat[2] + b.g2 * mat[3]
-    again = canonicalize_ideal(make_lattice_basis(r1, r2))
+    (u1, v1), (u2, v2) = triple.rows()
+    r1 = (u1 * mat[0] + u2 * mat[1], v1 * mat[0] + v2 * mat[1])
+    r2 = (u1 * mat[2] + u2 * mat[3], v1 * mat[2] + v2 * mat[3])
+    again = canonicalize_ideal(triple.disc, [r1, r2])
     assert (again.a1, again.a2, again.c) == (triple.a1, triple.a2, triple.c)
 
 
@@ -160,6 +199,31 @@ def test_ideal_product_examples():
     sq = ideal_product(p2, p2)
     # the prime above 2 is ramified: its square is 2*O, canonical (2,0,2)
     assert (sq.a1, sq.a2, sq.c) == (2, 0, 2)
+
+
+def _embedded_product_triple(s, t):
+    # the four products of the rows through the complex embedding, rounded,
+    # then the HNF from 2x2 minors: the lattice determinant is their gcd, and
+    # (a1, a2) is the row whose adjunction leaves the determinant unchanged
+    disc = s.disc
+    rows = [_coords(disc, _embed(disc, *x) * _embed(disc, *y)) for x in s.rows() for y in t.rows()]
+    a1 = math.gcd(*(u for u, _ in rows))
+    det = math.gcd(*(u1 * v2 - v1 * u2 for u1, v1 in rows for u2, v2 in rows))
+    c = det // a1
+    (a2,) = [w for w in range(c) if math.gcd(det, *(u * w - v * a1 for u, v in rows)) == det]
+    return a1, a2, c
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [TRIPLES20, TRIPLES23, valid_triples(D3, 7), valid_triples(D4, 7)],
+    ids=["-20", "-23", "-3", "-4"],
+)
+def test_ideal_product_matches_embedding(triples):
+    for s in triples:
+        for t in triples:
+            p = ideal_product(s, t)
+            assert (p.a1, p.a2, p.c) == _embedded_product_triple(s, t), (s, t)
 
 
 @given(st.sampled_from(TRIPLES20), st.sampled_from(TRIPLES20))
@@ -190,25 +254,24 @@ def test_is_coprime():
     for t in TRIPLES20[:8] + TRIPLES23[:8] + valid_triples(D3, 7) + valid_triples(D4, 7):
         box = [t.disc.element(u, v) for u in range(t.a1) for v in range(t.c)]
         for x in box:
-            unit = any(t.contains(x * y - 1) for y in box)
+            unit = any(t.residue(int(p.u), int(p.v)) == (0, 0) for p in (x * y - 1 for y in box))
             assert _coprime(int(x.u), int(x.v), t) == unit, (t, x)
 
 
 def _principal_ideal(x):
-    return canonicalize_ideal(make_lattice_basis(x * x.disc.tau(), x))
+    return canonicalize_ideal(x.disc, [(int(g.u), int(g.v)) for g in (x * x.disc.tau(), x)])
 
 
 def test_minimal_norm_elements():
     unit = make_ideal_triple(D20, 1, 0, 1)
-    gens = minimal_norm_elements(unit.lattice())
-    assert set(gens) == {D20.one(), -D20.one()}
+    assert minimal_norm_elements(unit) == ((0, -1), (0, 1))
 
     p2 = make_ideal_triple(D20, 1, 1, 2)
-    assert minimal_norm_elements(p2.lattice()) == ()
+    assert minimal_norm_elements(p2) == ()
 
     twotau = _principal_ideal(D20.tau() * 2)
-    gens = minimal_norm_elements(twotau.lattice())
-    assert D20.element(2, 0) in gens and D20.element(-2, 0) in gens
+    gens = minimal_norm_elements(twotau)
+    assert (2, 0) in gens and (-2, 0) in gens
 
 
 def test_principal_ideal_norm():
@@ -218,36 +281,66 @@ def test_principal_ideal_norm():
 
 def test_mult_congruence_examples():
     n = make_ideal_triple(D20, 2, 4, 6)
-    assert is_mult_congruent_one(D20.one(), n)
-    assert not is_mult_congruent_one(-D20.one(), n)
-    assert is_mult_congruent_one(D20.one() + n.generator(), n)
+    assert is_mult_congruent_one(0, 1, 1, n)
+    assert not is_mult_congruent_one(0, -1, 1, n)
+    assert is_mult_congruent_one(2, 5, 1, n)  # 1 + (2*tau + 4)
+    assert is_mult_congruent_one(14, 35, 7, n)  # the same element over 7
 
 
 @given(st.sampled_from(TRIPLES20 + TRIPLES23))
 def test_mult_congruence_generator_shift(t):
-    one = t.disc.one()
-    assert is_mult_congruent_one(one + t.generator(), t)
-    assert is_mult_congruent_one(one + t.disc.element(0, t.c), t)
+    assert is_mult_congruent_one(t.a1, t.a2 + 1, 1, t)
+    assert is_mult_congruent_one(0, t.c + 1, 1, t)
 
 
 def test_mult_congruence_multiplicative():
     n = make_ideal_triple(D20, 2, 4, 6)
-    xs = [
-        D20.one() + n.generator(),
-        D20.one() + D20.element(0, 6),
-        D20.one() + n.generator() * 2,
-    ]
+    xs = [(2, 5), (0, 7), (4, 9)]
     for x in xs:
         for y in xs:
-            assert is_mult_congruent_one(x * y, n)
+            assert is_mult_congruent_one(*D20.mul(x, y), 1, n)
 
 
 def test_mult_congruence_rejects_noncoprime():
     n = make_ideal_triple(D20, 2, 4, 6)
     with pytest.raises(QFieldError):
-        is_mult_congruent_one(D20.element(0, Fraction(1, 2)), n)
+        is_mult_congruent_one(0, 1, 2, n)
     with pytest.raises(QFieldError):
-        is_mult_congruent_one(D20.element(0, 2), n)
+        is_mult_congruent_one(0, 2, 1, n)
+    with pytest.raises(QFieldError):
+        is_mult_congruent_one(0, 0, 1, n)
+
+
+def _congruent_one_by_fractions(u, v, m, t):
+    # the definition on x = (u*tau + v)/m in Fraction arithmetic: least
+    # denominator m first, then coprimality and alpha - m in the ideal;
+    # None where the congruence is undefined
+    x = (Fraction(u, m), Fraction(v, m))
+    m = math.lcm(x[0].denominator, x[1].denominator)
+    au, av = int(x[0] * m), int(x[1] * m)
+    if math.gcd(m, t.c) != 1 or not _coprime(au, av, t):
+        return None
+    return au % t.a1 == 0 and (av - m - au // t.a1 * t.a2) % t.c == 0
+
+
+@pytest.mark.parametrize(
+    "dk, ideal",
+    [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (5, 0, 5)), (-4, (2, 2, 4))],
+)
+def test_mult_congruence_matches_fraction_definition(dk, ideal):
+    t = make_ideal_triple(make_discriminant(dk), *ideal)
+    seen = set()
+    for m in (m for m in range(1, 13) if math.gcd(m, t.c) == 1):
+        for u in range(-7, 8):
+            for v in range(-7, 8):
+                ref = _congruent_one_by_fractions(u, v, m, t)
+                if ref is None:
+                    with pytest.raises(QFieldError):
+                        is_mult_congruent_one(u, v, m, t)
+                else:
+                    assert is_mult_congruent_one(u, v, m, t) == ref, (u, v, m)
+                seen.add(ref)
+    assert seen == {None, True, False}
 
 
 def test_class_numbers():
@@ -292,8 +385,8 @@ def test_triple_norm_divisibility():
 def test_triple_least_positive_integer():
     for t in TRIPLES20[:8]:
         for k in range(1, t.c):
-            assert not t.contains(t.disc.element(0, k))
-        assert t.contains(t.disc.element(0, t.c))
+            assert t.residue(0, k) != (0, 0)
+        assert t.residue(0, t.c) == (0, 0)
 
 
 def test_make_triple_rejections():
