@@ -97,10 +97,9 @@ def _law_residuals(p, rng, samples: int):
         yield abs(modular._fricke_at(label, num, p) - modular._fricke_at(moved, tau, p))
 
 
-def _route_residuals(reps, mod, p):
-    for rep in reps:
-        d = descriptor(rep, mod)
-        yield abs(modular.eval_descriptor(d, None, p) - modular.eval_descriptor_unreduced(d, None, p))
+def _route_residuals(descs, values, p):
+    for d, value in zip(descs, values):
+        yield abs(value - modular.eval_descriptor_unreduced(d, None, p))
 
 
 def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
@@ -129,9 +128,8 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     def value(form):
         return modular.eval_descriptor(descriptor(form, mod), None, p)
 
-    def invariance_residuals():
-        for rep in reps:
-            base = value(rep)
+    def invariance_residuals(values):
+        for rep, base in zip(reps, values):
             yield from (abs(base - value(moved)) for moved in _translates(rep, mod, rng, 2))
 
     h, oracle = len(reps), ray_class_number_oracle(disc, mod.ideal)
@@ -157,12 +155,18 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     numeric("power relations between the three indexed values", _power_residuals(p, rng, samples))
     numeric("row transformation law", _law_residuals(p, rng, samples))
 
-    xi = mod.cm_point()
-    direct = modular.weber(disc.one(), mod.ideal.lattice(), p)
-    resid = Fraction(str(abs(direct - value(QuadForm(1, disc.b0, disc.c0)))))
-    detail = f"residual {sci(resid)} at xi = ({xi.u})*tau + ({xi.v})"
-    record("identity-class value equals the unit-normalized lattice value", resid <= tol, detail)
+    # the unit-normalized value of the modulus lattice is the value at xi with
+    # row (0, 1/N), so the identity class carries it exactly when its
+    # descriptor has a_inv = 1 and sends the point to xi mod Z
+    xi, unit = mod.cm_point(), descriptor(QuadForm(1, disc.b0, disc.c0), mod)
+    gap = unit.eval_point() - xi
+    at_xi = unit.a_inv == 1 and gap.u == 0 and gap.v.denominator == 1
+    detail = f"a_inv {unit.a_inv}, point - xi = ({gap.u})*tau + ({gap.v})"
+    detail += f" at xi = ({xi.u})*tau + ({xi.v})"
+    record("identity-class descriptor sends the point to xi mod Z", at_xi, detail)
 
-    numeric("descriptor value constant on classes", invariance_residuals())
-    numeric("descriptor route vs unreduced route", _route_residuals(reps, mod, p))
+    descs = [descriptor(rep, mod) for rep in reps]
+    values = [modular.eval_descriptor(d, None, p) for d in descs]
+    numeric("descriptor value constant on classes", invariance_residuals(values))
+    numeric("descriptor route vs unreduced route", _route_residuals(descs, values, p))
     return checks

@@ -2,31 +2,35 @@
 
 The library works with the Eisenstein series of weights 4 and 6, the
 discriminant, j, the indexed division-value functions built from the
-Weierstrass pe-function (here "torsion-value functions"), and the
-unit-group-normalized pe value attached to a fractional ideal.  The pi
-powers cancel out of every exposed weight-zero combination, so all results
-come from E4, E6, the discriminant and the pi-free pe sum S alone.
+Weierstrass pe-function (here "torsion-value functions"); the index
+`weber_index` normalizes a value for the unit group.  The pi powers cancel
+out of every exposed weight-zero combination, so all results come from E4,
+E6, the discriminant and the pi-free pe sum S alone.
 
 These four numbers are computed along two independent routes:
 
 * the theta route (`_theta_core`): Jacobi theta series in the nome
   e^(i pi tau), whose terms fall like |q|^(n^2), so the term count grows
   as the square root of the digit count.  The discriminant is a product
-  of theta constants, with no cancellation.  Each theta sum runs in fixed
-  point with 3 bitlen(N + 1) + 4 guard bits for N terms, which keep its
-  error below 2^-(prec + 4) (`_theta_sum`).  `eisenstein_j` and `fricke`
-  use it; `eval_descriptor` is `fricke` at the descriptor point.
+  of theta constants, with no cancellation.  All seven theta sums of one
+  core come from one fixed-point pass (`_theta_sums`) over the shared
+  powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term with a
+  torsion point and 3 without; every factor has modulus at most 1, and
+  3 bitlen(N + 1) + 5 guard bits for N terms keep each sum's error below
+  2^-(prec + 4).  `eisenstein_j` and `fricke` use it; `eval_descriptor` is
+  `fricke` at the descriptor point.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
-  e^(2 pi i tau), with the discriminant as E4^3 - E6^2.  `weber` and
-  `eval_descriptor_unreduced` use it, so the checks comparing them with
-  the values above compare two independent series.  It stays on mpmath
-  floats, sharing no arithmetic with the fixed-point sums, to catch their slips.
+  e^(2 pi i tau), with the discriminant as E4^3 - E6^2.
+  `eval_descriptor_unreduced` uses it, so the check comparing it with
+  `eval_descriptor` compares two independent series.  It stays on mpmath
+  floats, sharing no arithmetic with the fixed-point sums, to catch their
+  slips.
 
-`fricke`, `weber`, both descriptor routes and the power check's
-`_power_values` run their core through `_reduced`: tau reduced to the
-fundamental domain, the exact row pushed through the reducing matrix.  Only
-the law check's `_fricke_at` runs a core at tau as given.  Every series is
-truncated at an explicit tail threshold.
+`fricke`, both descriptor routes and the power check's `_power_values` run
+their core through `_reduced`: tau reduced to the fundamental domain, the
+exact row pushed through the reducing matrix.  Only the law check's
+`_fricke_at` runs a core at tau as given.  Every series is truncated at an
+explicit tail threshold.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -45,28 +49,27 @@ from fractions import Fraction
 import mpmath
 
 from .forms import IDENT, S_FLIP, t_power
-from .qfield import (
-    Discriminant,
-    FieldElement,
-    InternalCheckError,
-    LatticeBasis,
-    QFieldError,
-)
+from .qfield import Discriminant, FieldElement, InternalCheckError, QFieldError
 from .rayclass import GaloisDescriptor
 
 _MAX_TERMS = 200000
+# the most digits a value may ask for: one value at 10^5 digits takes
+# minutes, and a count far above it exhausts memory before any term is summed
+MAX_DIGITS = 100000
 
 
 @dataclass(frozen=True)
 class Precision:
-    """Working precision in decimal digits; series tails stop below
-    10^-(digits+20)."""
+    """Working precision in decimal digits, from 30 to `MAX_DIGITS`; series
+    tails stop below 10^-(digits+20)."""
 
     digits: int = 80
 
     def __post_init__(self):
         if self.digits < 30:
             raise QFieldError(f"need at least 30 digits, got {self.digits}")
+        if self.digits > MAX_DIGITS:
+            raise QFieldError(f"need at most {MAX_DIGITS} digits, got {self.digits}")
 
 
 _CONTEXTS: dict[Precision, mpmath.ctx_mp.MPContext] = {}
@@ -214,30 +217,74 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
     raise InternalCheckError("theta series did not reach the tail cutoff")
 
 
-def _theta_sum(ctx, q, v, shift: int, terms: int):
-    """sum_{n=0}^{terms} q^(n^2 + shift*n) v^n; q^2, each step q^(2n+1+shift) v
-    and each term are pairs of ints scaled by 2^wp.  A complex product (three
-    int products, Gauss's form) and a floor shift is off by under
-    e = 2^(1/2 - wp) for factors of modulus at most 1, as every step and term
-    is (see `_theta_core`); step 0 enters off by 3e, q^2 by 2e.  So step n is
-    off by 3(n + 1) e, term n by (3n(n + 1)/2 + n) e and the sum by under
-    (terms + 1)^3 2^-wp <= 2^-(prec + 4), to first order, before its one rounding."""
-    wp = ctx.prec + 3 * (terms + 1).bit_length() + 4
-    q2 = ctx.fmul(q, q, prec=wp)
-    step = ctx.fmul(q2 if shift else q, v, prec=wp)
-    sr, si = ctx.to_fixed(step.real, wp), ctx.to_fixed(step.imag, wp)
-    qr, qi = ctx.to_fixed(q2.real, wp), ctx.to_fixed(q2.imag, wp)
-    qs, qd = qr + qi, qi - qr
-    tr = total_r = 1 << wp
-    ti = total_i = 0
-    for _ in range(terms):
-        k = sr * (tr + ti)
-        tr, ti = (k - ti * (sr + si)) >> wp, (k + tr * (si - sr)) >> wp
-        total_r += tr
-        total_i += ti
-        k = qr * (sr + si)
-        sr, si = (k - si * qs) >> wp, (k + sr * qd) >> wp
-    return ctx.mpc(ctx.ldexp(total_r, -wp), ctx.ldexp(total_i, -wp))
+def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 0.0):
+    """[sum T_n, sum (-1)^n T_n, p] for T_n = q^(n^2) and p = sum P_n,
+    P_n = q^(n^2 + n), and when a is given [H(a), G(a), G(1/a), H(1/a)]
+    after them (see `_theta_core`), from one fixed-point pass.
+
+    |q| < 1 and |a| <= 1, with logs lq and la; a_inv is 1/a, and
+    b = q a_inv has modulus |q|^(1 - 2|x|) <= 1.  The pass builds q^n, T_n
+    and P_n by T_(n+1) = P_n q^(n+1), P_(n+1) = T_(n+1) q^(n+1), and the
+    powers of a and b, and every sum reads them: the first two are the even
+    part of sum T_n plus and minus its odd part, H(a) = sum (-1)^n T_n a^n,
+    G(a) = sum (-1)^n P_n a^n, G(1/a) = sum (-1)^n T_n b^n and
+    H(1/a) = 1 + sum_(n>=1) (-1)^n P_(n-1) b^n.  Each sum stops at its own
+    `_theta_terms` count, N at most.
+
+    Every value is a pair of ints scaled by 2^wp, and every factor has
+    modulus at most 1.  A complex product (three int products, Gauss's
+    form) and a floor shift is off by under e = 2^(1/2 - wp) plus the
+    errors of its factors; q and a enter off by e, b by 2e (`ctx.fmul` at
+    wp, then the floor).  So q^n is off by (2n - 1) e, P_n by (2n^2 + 2n) e,
+    T_n by 2n^2 e, a^n by (2n - 1) e and b^n by (3n - 1) e, every term by
+    at most (2n^2 + 4n) e, and every sum by under (N + 1)^3 e
+    <= 2^-(prec + 4) to first order, before its one rounding to prec.
+    """
+    specs = [(0, 0), (0, 1)]
+    if a is not None:
+        specs += [(la, 0), (la, 1), (lq - la, 0), (-la, 0)]
+    counts = [_theta_terms(lq, lv, shift, lcut) for lv, shift in specs]
+    top = max(counts)
+    wp = ctx.prec + 3 * (top + 1).bit_length() + 5
+    one = (1 << wp, 0)
+
+    def fixed(z):
+        return ctx.to_fixed(z.real, wp), ctx.to_fixed(z.imag, wp)
+
+    def mul(x, y):
+        (xr, xi), (yr, yi) = x, y
+        k = yr * (xr + xi)
+        return (k - xi * (yr + yi)) >> wp, (k + xr * (yi - yr)) >> wp
+
+    def powers(z, count):
+        out = [one]
+        for _ in range(count):
+            out.append(mul(out[-1], z))
+        return out
+
+    def series(terms, sign=-1):
+        """sum sign^n terms[n], rounded once to an mpc value."""
+        even, odd = terms[::2], terms[1::2]
+        re, im = (sum(t[k] for t in even) + sign * sum(t[k] for t in odd) for k in (0, 1))
+        return ctx.mpc(ctx.ldexp(re, -wp), ctx.ldexp(im, -wp))
+
+    qq, qn, ts, ps = fixed(q), one, [one], [one]
+    for _ in range(top):
+        qn = mul(qn, qq)
+        ts.append(mul(ps[-1], qn))
+        ps.append(mul(ts[-1], qn))
+    n_t, n_p = counts[:2]
+    sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1]), series(ps[: n_p + 1], 1)]
+    if a is None:
+        return sums
+    n_h, n_g, n_gb, n_hb = counts[2:]
+    an = powers(fixed(a), max(n_h, n_g))
+    bn = powers(fixed(ctx.fmul(q, a_inv, prec=wp)), max(n_gb, n_hb))
+    sums.append(series([one] + [mul(ts[n], an[n]) for n in range(1, n_h + 1)]))
+    sums.append(series([one] + [mul(ps[n], an[n]) for n in range(1, n_g + 1)]))
+    sums.append(series([one] + [mul(ts[n], bn[n]) for n in range(1, n_gb + 1)]))
+    sums.append(series([one] + [mul(ps[n - 1], bn[n]) for n in range(1, n_hb + 1)]))
+    return sums
 
 
 def _theta_core(ctx, tau0, cutoff, x=None, y=None):
@@ -252,33 +299,34 @@ def _theta_core(ctx, tau0, cutoff, x=None, y=None):
     G(u) = sum (-1)^n q^(n(n+1)) u^n, and theta4(pi z) = H(w) + H(1/w) - 1
     for H(u) = sum (-1)^n q^(n^2) u^n; the quarter powers cancel from
     S = -(theta2^2 theta3^2 theta4(pi z)^2 / theta1(pi z)^2 - (t2 + t3)/3)/4,
-    which is the q-series route's S.  For x, y in [-1/2, 1/2] every one of
-    these one-sided sums starts with the term 1 and no term is larger, and
-    each is cut where `_theta_terms` bounds its tail below the cutoff.
+    which is the q-series route's S.  For x, y in [-1/2, 1/2], |w| <= 1
+    when x >= 0 and |1/w| <= 1 when x < 0; `_theta_sums` takes that one as
+    its a and returns all seven sums from one pass, each cut where
+    `_theta_terms` bounds its tail below the cutoff.
     """
     q = ctx.expjpi(tau0)
     lq = -math.pi * float(tau0.imag)
     # log of a number no larger than the cutoff
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
-    p = _theta_sum(ctx, q, 1, 1, _theta_terms(lq, 0, 1, lcut))
-    n = _theta_terms(lq, 0, 0, lcut)
-    th3 = 2 * _theta_sum(ctx, q, 1, 0, n) - 1
-    th4 = 2 * _theta_sum(ctx, q, -1, 0, n) - 1
+    if x is None:
+        s3, s4, p = _theta_sums(ctx, q, lq, lcut)
+    else:
+        w = ctx.expjpi(2 * (x * tau0 + y))
+        winv = 1 / w
+        lw = 2 * float(x) * lq
+        if x >= 0:
+            s3, s4, p, h_w, g_w, g_inv, h_inv = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
+        else:
+            s3, s4, p, h_inv, g_inv, g_w, h_w = _theta_sums(ctx, q, lq, lcut, winv, w, -lw)
+    th3, th4 = 2 * s3 - 1, 2 * s4 - 1
     t2, t3, t4 = 16 * q * (p * p) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
     e4 = (t2 * t2 + t3 * t3 + t4 * t4) / 2
     e6 = (t3 + t4) * (t2 + t3) * (t4 - t2) / 2
     delta = 27 * (t2 * t3 * t4) ** 2 / 4
     if x is None:
         return None, e4, e6, delta
-    w = ctx.expjpi(2 * (x * tau0 + y))
-    winv = 1 / w
-    lw = 2 * float(x) * lq
-
-    def one_sided(u, lu, shift):
-        return _theta_sum(ctx, q, -u, shift, _theta_terms(lq, lu, shift, lcut))
-
-    theta4_z = one_sided(w, lw, 0) + one_sided(winv, -lw, 0) - 1
-    theta1_z = one_sided(w, lw, 1) - one_sided(winv, -lw, 1) * winv
+    theta4_z = h_w + h_inv - 1
+    theta1_z = g_w - g_inv * winv
     s_val = (p * th3 * theta4_z / theta1_z) ** 2 * winv + (t2 + t3) / 12
     return s_val, e4, e6, delta
 
@@ -382,18 +430,6 @@ def weber_index(disc: Discriminant) -> int:
     return len(disc.unit_coords()) // 2
 
 
-def weber(z: FieldElement, basis: LatticeBasis, p: Precision = Precision()):
-    """Unit-normalized pe value of z relative to the lattice of the basis.
-
-    z = x*g1 + y*g2 exactly, and the value has weight zero, so it is the
-    q-series value at row (x, y) on [g1/g2, 1], reduced as in `fricke`.  The
-    index `weber_index`, half the unit count, kills the extra units.
-    """
-    ctx = _ctx(p)
-    values = _reduced(ctx, _qseries_core, _embed(ctx, basis.g1 / basis.g2), basis.solve(z), p)
-    return _torsion_value(ctx, weber_index(basis.disc), values)
-
-
 def _totient(n: int) -> int:
     result = 1
     m = n
@@ -419,11 +455,8 @@ def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
 
 
 def _descriptor_input(ctx, desc: GaloisDescriptor, i):
-    """`descriptor_label` and the embedded image (a1 point + off/a)/N of the
-    base point under the evaluation matrix ((a1, off/a), (0, N))."""
-    (a1, off_over_a), (_, level) = desc.eval_matrix
-    point = (desc.point * a1 + off_over_a) / level
-    return descriptor_label(desc, i), _embed(ctx, point)
+    """`descriptor_label` and the embedded evaluation point."""
+    return descriptor_label(desc, i), _embed(ctx, desc.eval_point())
 
 
 def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):

@@ -10,8 +10,7 @@ integer pairs only.  Integral ideals are rank two sublattices of the
 order; their canonical shape is the triple (a1, a2, c) describing the
 lattice spanned by the rows a1*tau + a2 and c, with 0 < a1 <= c,
 0 <= a2 < c, a1 | c, a1 | a2 and c | norm(a1*tau + a2).  `FieldElement`
-and `LatticeBasis` hold the exact rational points and lattices that the
-numeric layer embeds.
+holds the exact rational points that the numeric layer embeds.
 """
 
 from __future__ import annotations
@@ -183,58 +182,15 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero field element")
-        w = self * o.conj()
-        return FieldElement(self.disc, w.u / n, w.v / n)
+        return FieldElement(self.disc, self.u / other, self.v / other)
 
     def conj(self) -> "FieldElement":
         return FieldElement(self.disc, -self.u, self.v - self.u * self.disc.b0)
 
     def norm(self) -> Fraction:
         return self.disc.norm(self.u, self.v)
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Rank two lattice given by two generators; oriented so det > 0.
-
-    det is the determinant of the coordinate matrix over (tau, 1), which for a
-    fractional ideal equals its norm.
-    """
-
-    g1: FieldElement
-    g2: FieldElement
-
-    @property
-    def disc(self) -> Discriminant:
-        return self.g1.disc
-
-    def det(self) -> Fraction:
-        return self.g1.u * self.g2.v - self.g1.v * self.g2.u
-
-    def solve(self, x: FieldElement) -> tuple[Fraction, Fraction]:
-        """Coordinates (s, t) with x = s*g1 + t*g2."""
-        det = self.det()
-        s = (x.u * self.g2.v - x.v * self.g2.u) / det
-        t = (self.g1.u * x.v - self.g1.v * x.u) / det
-        return s, t
-
-
-def make_lattice_basis(g1: FieldElement, g2: FieldElement) -> LatticeBasis:
-    if g1.disc != g2.disc:
-        raise QFieldError("generators from different fields")
-    basis = LatticeBasis(g1, g2)
-    det = basis.det()
-    if det == 0:
-        raise QFieldError("generators are linearly dependent over Q")
-    if det < 0:
-        basis = LatticeBasis(g2, g1)
-    return basis
 
 
 @dataclass(frozen=True)
@@ -252,9 +208,6 @@ class IdealTriple:
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The integer (tau, 1) basis a1*tau + a2, c."""
         return (self.a1, self.a2), (0, self.c)
-
-    def lattice(self) -> LatticeBasis:
-        return make_lattice_basis(*(self.disc.element(u, v) for u, v in self.rows()))
 
     def residue(self, u: int, v: int) -> tuple[int, int]:
         """Normal form of the integral element u*tau + v mod the ideal;

@@ -108,6 +108,11 @@ class GaloisDescriptor:
     point: FieldElement
     twist: str = "S"
 
+    def eval_point(self) -> FieldElement:
+        """(a1 point + off/a)/N, the point's image under eval_matrix."""
+        (a1, off_over_a), (_, level) = self.eval_matrix
+        return (self.point * a1 + off_over_a) / level
+
 
 def _require_form(form: QuadForm, mod: Modulus) -> None:
     if form.a <= 0 or form.disc() >= 0:

@@ -19,7 +19,6 @@ from rayform.modular import (
     eval_descriptor,
     eval_descriptor_unreduced,
     fricke,
-    weber,
 )
 from rayform.qfield import make_discriminant, ray_class_number_oracle
 from rayform.rayclass import (
@@ -291,7 +290,10 @@ def test_criterion_7():
         worst_law = max(worst_law, abs(lhs - rhs))
     assert worst_law < tol40
 
-    unit_value = weber(D20.one(), MOD20.ideal.lattice(), P80)
+    # the unit-normalized value of the lattice [2 tau + 4, 6] at z = 1: the
+    # row (0, 1/6) on [xi, 1], xi = (2 tau + 4)/6 with tau = sqrt(-5)
+    xi = (2 * ctx.mpc(0, ctx.sqrt(5)) + 4) / 6
+    unit_value = fricke(FrickeLabel(1, 0, 1, 6), xi, P80)
     identity_value = eval_descriptor(descriptor(QuadForm(1, 0, 5), MOD20), None, P80)
     drift = abs(unit_value - identity_value)
     assert drift < tol40

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -41,12 +42,34 @@ def too_tight():
         "power relations between the three indexed values",
         "row transformation law",
         "descriptor value constant on classes",
-        "identity-class value equals the unit-normalized lattice value",
         "descriptor route vs unreduced route",
     ],
 )
 def test_numeric_checks_can_fail(too_tight, name):
     assert not too_tight[name].passed, too_tight[name].detail
+
+
+def test_identity_check_fails_on_a_wrong_offset(monkeypatch):
+    """An evaluation matrix whose offset is one off moves the identity
+    class's point by a1/N, off xi mod Z."""
+    name = "identity-class descriptor sends the point to xi mod Z"
+
+    def identity_check():
+        found = run_checks(MOD20, Precision(30), 15, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert identity_check().passed
+    right = checks.descriptor
+
+    def shifted(form, mod):
+        d = right(form, mod)
+        (a1, off), bottom = d.eval_matrix
+        return dataclasses.replace(d, eval_matrix=((a1, off + 1), bottom))
+
+    monkeypatch.setattr(checks, "descriptor", shifted)
+    check = identity_check()
+    assert not check.passed, check.detail
+    assert "point - xi = (0)*tau + (1/6)" in check.detail
 
 
 @pytest.mark.parametrize("samples", [0, -2])

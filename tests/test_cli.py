@@ -173,6 +173,19 @@ def test_digits_env_override():
         assert "got 0" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_digits_above_the_limit_exit_2(command):
+    # a series at this many digits would end in MemoryError, so exit 2 with
+    # the message shows the count is refused before any series runs
+    args = [command, "--dk", "-20", "--ideal", "2,4,6"]
+    if command == "eval":
+        args += ["--form", "7,-6,2"]
+    huge = "99999999999"
+    message = f"error: need at most {modular.MAX_DIGITS} digits, got {huge}\n"
+    for extra, env in ((["--digits", huge], None), ([], {"RAYFORM_DIGITS": huge})):
+        assert run(*args, *extra, env_extra=env) == (2, "", message)
+
+
 def test_ideal_gens_matches_triple():
     a = run_json("enumerate", "--dk", "-20", "--ideal", "2,4,6")
     b = run_json("enumerate", "--dk", "-20", "--ideal-gens", "2,4;0,6")
@@ -255,21 +268,20 @@ def test_verify_second_field():
     assert data["passed"] is True
 
 
-# sha256 of `verify` stdout, recorded with the fixed-point theta kernel and
-# the integer law matrices (the h=45 entry, where the ideal route dominates,
-# with the Fraction-coordinate oracles); any change to a sample, value or
-# detail string shows here
+# sha256 of `verify` stdout, recorded with the one-pass theta kernel and the
+# exact identity-class check; any change to a sample, value or detail
+# string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "edcaf18a3f091912144de9d04e24c7a0bd7d7782bfcc84ed5b5222e39d277a2f",
-    ("-20", "2,4,6", "40", "json"): "9788914cb238c47c5c8591d6f92733a389211e54a4a83403bc42eb869049f47b",
-    ("-20", "2,4,6", "40", "text"): "61c2ff92dc1e7b8c3f045ea9f67a57e0fcffe6ac60116129c04e14814b1f8678",
-    ("-23", "1,8,31", "40", "json"): "088687b798fcfdfcca3caaa0a410cff7db822a271738f0095dddf3a8100a3454",
-    ("-23", "3,9,12", "80", "json"): "530295365baaca8f77838b0a09aa4245427115be5c7a5426d8c81b370b41221b",
-    ("-23", "3,9,12", "80", "text"): "a357bdb2ece1b18b74661e94bb0d0ed8c219ec83449fe284c94dd86fec70649b",
-    ("-3", "6,0,6", "80", "json"): "c85ca42583909baf3db6be96b2bc36c18b3287a8b2d1cdf7ad3ff6b3833c81c6",
-    ("-3", "6,0,6", "80", "text"): "8a08c6c84f34e01e3aef34eb98c657f96d39902812478d0664e93bf09a6d9eb0",
-    ("-4", "6,0,6", "80", "json"): "6dbc929390be889aa7abf6d0269fc84c56541ec21a58be232b83ae7ef893a72c",
-    ("-4", "6,0,6", "80", "text"): "a6557324fd1208672dc8e343a11e817127b7a627eab445f6675c1b64eae286f6",
+    ("-111", "9,0,9", "40", "json"): "be13c2dd71c2772784ad59e95ab0241938c2c30721b8f57e3fddba55930a7473",
+    ("-20", "2,4,6", "40", "json"): "4497d0eb79562c97c177893e8f04a6b85a8c8c6c62133bcd476cea3aec418425",
+    ("-20", "2,4,6", "40", "text"): "0a69277fc6f2ad8905eae85716582c51c36dd44e2cb685c1369a9a6d0389a381",
+    ("-23", "1,8,31", "40", "json"): "2170466805b9f68006ca60a8e470d1658d341d39e9d93fd979ce3be425d45f09",
+    ("-23", "3,9,12", "80", "json"): "96a68d32312bf6d5517a9cadc3c38760f47eff4b2c114b36bebdef8528271368",
+    ("-23", "3,9,12", "80", "text"): "9a23087e875d39bab4e0f8cd3eb11d8112c5b9e5fe270bd04370627201c2d99e",
+    ("-3", "6,0,6", "80", "json"): "baec302108d7147111611f1efd0b3c99d67d508da0f56bfb6b1f3ae556dc60e9",
+    ("-3", "6,0,6", "80", "text"): "a93aa7dc033b7686ab5929d4037999593bf2d8f1752ff2b5eee80b6176913032",
+    ("-4", "6,0,6", "80", "json"): "d38b97b5364a36007c5d9c235d662dbfc106aa827966266498553d02e4003b30",
+    ("-4", "6,0,6", "80", "text"): "5336c1db05c58e5d0808f70ae607557728edc1035000d020404f78a0e483fdfb",
 }
 
 

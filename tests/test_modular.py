@@ -17,10 +17,9 @@ from rayform.modular import (
     eval_descriptor,
     eval_descriptor_unreduced,
     fricke,
-    weber,
     weber_index,
 )
-from rayform.qfield import QFieldError, make_discriminant, make_lattice_basis
+from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus
 from rayform.rayclass import class_translate
 
@@ -59,6 +58,9 @@ def test_precision_validation():
     assert Precision().digits == 80
     with pytest.raises(QFieldError):
         Precision(20)
+    assert Precision(modular.MAX_DIGITS).digits == modular.MAX_DIGITS
+    with pytest.raises(QFieldError, match="at most"):
+        Precision(modular.MAX_DIGITS + 1)
 
 
 def test_label_validation_and_normalization():
@@ -212,78 +214,6 @@ def test_weber_index_values():
     assert weber_index(D3) == 3
 
 
-def test_weber_scale_invariance():
-    ctx = ctx_for(80)
-    tol = ctx.mpf(10) ** -70
-    for disc in (D20, D4, D3):
-        tau = disc.tau()
-        one = disc.one()
-        z = disc.element(Fraction(1, 6), Fraction(1, 3))
-        base = weber(z, make_lattice_basis(tau, one), P80)
-        for nu in (disc.element(1, 2), disc.element(-2, 3), disc.element(0, 5)):
-            scaled = weber(z * nu, make_lattice_basis(tau * nu, one * nu), P80)
-            assert abs(scaled - base) < tol
-
-
-@pytest.mark.parametrize(
-    "disc, ideal", [(D20, (2, 4, 6)), (D4, (6, 0, 6)), (D3, (6, 0, 6))], ids=["-20", "-4", "-3"]
-)
-def test_weber_exact_cell_is_periodic(disc, ideal):
-    """z is placed in the lattice exactly, so translates by lattice vectors
-    give the same series input and the same value bit for bit."""
-    basis = make_modulus(disc, *ideal).ideal.lattice()
-    g1, g2 = basis.g1, basis.g2
-    for z in (disc.one(), disc.element(Fraction(1, 3), Fraction(-2, 5))):
-        base = weber(z, basis, P80)
-        for moved in (z + g1, z - 3 * g2, z + 2 * g1 - g2):
-            assert weber(moved, basis, P80) == base
-        assert abs(weber(-z, basis, P80) - base) < mpmath.mpf(10) ** -70 * abs(base)
-
-
-def test_weber_swaps_degenerate_basis():
-    tau = D20.tau()
-    one = D20.one()
-    z = D20.element(Fraction(1, 5), Fraction(1, 5))
-    swapped = make_lattice_basis(one, tau)
-    assert (swapped.g1, swapped.g2) == (tau, one)
-    assert weber(z, swapped, P30) == weber(z, make_lattice_basis(tau, one), P30)
-    with pytest.raises(QFieldError):
-        make_lattice_basis(tau, tau)
-    with pytest.raises(QFieldError):
-        make_lattice_basis(tau, D23.one())
-
-
-def test_weber_depends_only_on_the_lattice():
-    # (tau, 1 + 37 tau) spans the order too, with g1/g2 at Im ~ 1.6e-4: the
-    # reduction carries it back to tau and the row through the same matrix
-    ctx = ctx_for(80)
-    z = D20.element(Fraction(1, 6), Fraction(1, 3))
-    base = weber(z, make_lattice_basis(D20.tau(), D20.one()), P80)
-    for g2 in (D20.one() + 37 * D20.tau(), D20.one() - 5 * D20.tau()):
-        thin = weber(z, make_lattice_basis(D20.tau(), g2), P80)
-        assert abs(thin - base) < ctx.mpf(10) ** -70 * abs(base)
-
-
-def test_weber_rejects_lattice_point():
-    with pytest.raises(QFieldError):
-        weber(D20.element(2, -3), make_lattice_basis(D20.tau(), D20.one()), P30)
-    with pytest.raises(QFieldError):
-        weber(D20.element(0, 6), MOD20.ideal.lattice(), P30)
-
-
-def test_weber_equals_indexed_function_generic_disc():
-    # for unit group {1, -1} the normalized value is the index-1 function
-    ctx = ctx_for(80)
-    z = D20.element(Fraction(1, 6), Fraction(2, 6))
-    direct = weber(z, make_lattice_basis(D20.tau(), D20.one()), P80)
-    via_label = fricke(FrickeLabel(1, 1, 2, 6), _embed_tau(ctx, D20), P80)
-    assert abs(direct - via_label) < ctx.mpf(10) ** -70
-
-
-def _embed_tau(ctx, disc):
-    return (ctx.mpc(-disc.b0, ctx.sqrt(-disc.d))) / 2
-
-
 def test_descriptor_value_frozen():
     ctx = ctx_for(80)
     value = eval_descriptor(descriptor(QuadForm(7, -6, 2), MOD20), None, P80)
@@ -326,12 +256,16 @@ def test_descriptor_values_separate_classes():
 
 
 def test_identity_class_is_unit_normalized_lattice_value():
+    # the unit-normalized value of the lattice [a1 tau + a2, N] at z = 1 is
+    # the row (0, 1/N) on [xi, 1], xi = (a1 tau + a2)/N; the identity
+    # class's descriptor has a_inv = 1 and sends its point to xi mod Z
     ctx = ctx_for(80)
     d = descriptor(QuadForm(1, 0, 5), MOD20)
-    via_descriptor = eval_descriptor(d, None, P80)
-    lattice = MOD20.ideal.lattice()
-    via_lattice = weber(D20.one(), lattice, P80)
-    assert abs(via_descriptor - via_lattice) < ctx.mpf(10) ** -70
+    gap = d.eval_point() - MOD20.cm_point()
+    assert (d.a_inv, gap.u, gap.v.denominator) == (1, 0, 1)
+    xi = modular._embed(modular._ctx(P80), MOD20.cm_point())
+    via_lattice = fricke(FrickeLabel(1, 0, 1, 6), xi, P80)
+    assert abs(eval_descriptor(d, None, P80) - via_lattice) < ctx.mpf(10) ** -70
 
 
 def test_descriptor_index_argument_forms():
@@ -515,11 +449,23 @@ def test_theta_kernel_matches_mpmath_jtheta(digits):
                 assert abs(a - b) < tol * abs(b), (name, re, im, x, y)
 
 
+def plain_sum(ref, q, v, shift, terms):
+    """sum_{n=0}^{terms} q^(n^2 + shift*n) v^n by the mpc loop in ref."""
+    want = term = ref.mpc(1)
+    step, q2 = q ** (1 + shift) * v, q**2
+    for _ in range(terms):
+        term *= step
+        want += term
+        step *= q2
+    return want
+
+
 @pytest.mark.parametrize("digits", [80, 1000])
 def test_theta_sum_within_its_error_bound(digits):
-    """Every sum `_theta_core` takes at the points above, against the same
-    series summed by the mpc loop at twice the precision: off by at most the
-    kernel's 2^-(prec+4) plus the result's one rounding, 2^-prec |sum|."""
+    """Every sum `_theta_sums` returns at the points above, with no a (as for
+    j) and with a the one of w, 1/w of modulus at most 1, against the same
+    series summed by the mpc loop at twice the precision: off by at most
+    the kernel's 2^-(prec+4) plus the result's one rounding, 2^-prec |sum|."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
@@ -528,17 +474,33 @@ def test_theta_sum_within_its_error_bound(digits):
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
-        for x, y in KERNEL_CELLS:
-            w = ctx.expjpi(2 * (ctx.mpf(x) * tau + ctx.mpf(y)))
-            lw = 2 * float(x) * lq
-            for v, lv, shift in ((1, 0, 1), (-1, 0, 0), (-w, lw, 0), (-1 / w, -lw, 1)):
-                terms = modular._theta_terms(lq, lv, shift, lcut)
-                got = modular._theta_sum(ctx, q, v, shift, terms)
-                want = term = ref.mpc(1)
-                step, q2 = ref.mpc(q) ** (1 + shift) * v, ref.mpc(q) ** 2
-                for _ in range(terms):
-                    term *= step
-                    want += term
-                    step *= q2
+        rq = ref.mpc(q)
+        for cell in [None] + KERNEL_CELLS:
+            # (v, log|v|, shift) of sum q^(n^2 + shift*n) v^n
+            specs = [(1, 0, 0), (-1, 0, 0), (1, 0, 1)]
+            if cell is None:
+                got = modular._theta_sums(ctx, q, lq, lcut)
+            else:
+                x = ctx.mpf(cell[0])
+                w = ctx.expjpi(2 * (x * tau + ctx.mpf(cell[1])))
+                a, a_inv = (w, 1 / w) if x >= 0 else (1 / w, w)
+                la = 2 * abs(float(x)) * lq
+                got = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+                ra, ri = ref.mpc(a), ref.mpc(a_inv)
+                # H(a), G(a), G(1/a) = sum (-1)^n q^(n^2) b^n for b = q a_inv, H(1/a)
+                specs += [(-ra, la, 0), (-ra, la, 1), (-rq * ri, lq - la, 0), (-ri, -la, 0)]
+            assert len(got) == len(specs)
+            for k, (v, lv, shift) in enumerate(specs):
+                want = plain_sum(ref, rq, v, shift, modular._theta_terms(lq, lv, shift, lcut))
                 bound = (abs(want) + ref.mpf(1) / 16) * ref.mpf(2) ** -ctx.prec
-                assert abs(got - want) <= bound, (re, im, x, y, shift)
+                assert abs(got[k] - want) <= bound, (re, im, cell, k)
+
+
+def test_far_cell_holds_its_digits():
+    """dK=-23 mod 3,9,12, class (1223,-1097,246): tau0 = 1/2 + 2.398i and
+    x = y = 5/12, so 1/w has modulus |q|^(-5/6).  A kernel multiplying by
+    powers of 1/w in place of b = q/w kept only 972 of 1000 digits here."""
+    d = descriptor(QuadForm(1223, -1097, 246), make_modulus(D23, 3, 9, 12))
+    value = eval_descriptor(d, None, Precision(1000))
+    ref = eval_descriptor(d, None, Precision(1060))
+    assert abs(value - ref) < mpmath.mpf(10) ** -1000 * abs(ref)

@@ -182,9 +182,8 @@ def test_oracle_agreement_random(seed):
 def _unreduced_minimal_norm(t):
     # the x-range scan straight on the ideal's lattice basis, in FieldElement
     # arithmetic
-    basis = t.lattice()
-    g1, g2 = basis.g1, basis.g2
-    target = int(basis.det())
+    g1, g2 = (t.disc.element(u, v) for u, v in t.rows())
+    target = t.norm()
     a, c = int(g1.norm()), int(g2.norm())
     b = int((g1 * g2.conj() + g2 * g1.conj()).v)
     found = set()
