@@ -17,8 +17,7 @@ These four numbers are computed along two independent routes:
   powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term with a
   torsion point and 3 without; every factor has modulus at most 1, and
   3 bitlen(N + 1) + 5 guard bits for N terms keep each sum's error below
-  2^-(prec + 4).  `eisenstein_j` and `fricke` use it; `eval_descriptor` is
-  `fricke` at the descriptor point.
+  2^-(prec + 4).  `eisenstein_j`, `fricke` and `eval_descriptor` use it.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
   e^(2 pi i tau), with the discriminant as E4^3 - E6^2.
   `eval_descriptor_unreduced` uses it, so the check comparing it with
@@ -26,11 +25,14 @@ These four numbers are computed along two independent routes:
   floats, sharing no arithmetic with the fixed-point sums, to catch their
   slips.
 
-`fricke`, both descriptor routes and the power check's `_power_values` run
-their core through `_reduced`: tau reduced to the fundamental domain, the
-exact row pushed through the reducing matrix.  Only the law check's
-`_fricke_at` runs a core at tau as given.  Every series is truncated at an
-explicit tail threshold.
+Every core runs in the fundamental domain, with the exact row pushed
+through the reducing matrix (`_exact_cell`).  `eval_descriptor` reduces its
+point of K exactly, as the root of an integral form, by `forms.reduce`;
+`fricke`, `eval_descriptor_unreduced` and the power check's `_power_values`
+reduce a complex tau numerically (`_reduced`), so the two descriptor routes
+differ in the reduction as well as in the row and the series.  Only the
+law check's `_fricke_at` runs a core at tau as given.  Every series is
+truncated at an explicit tail threshold.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -48,7 +50,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .forms import IDENT, S_FLIP, t_power
+from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, reduce, t_power
 from .qfield import Discriminant, FieldElement, InternalCheckError, QFieldError
 from .rayclass import GaloisDescriptor
 
@@ -362,10 +364,14 @@ def _torsion_value(ctx, i: int, values):
     return _ensure_finite(ctx, ctx.mpc(value))
 
 
-def _exact_cell(ctx, v1: Fraction, v2: Fraction):
-    # v1, v2 are exact; shift into [-1/2, 1/2] before embedding
-    r1 = v1 - round(v1)
-    r2 = v2 - round(v2)
+def _exact_cell(ctx, row, g: UnimodMatrix):
+    """The exact row (v1, v2) pushed through g, row * g, shifted into
+    [-1/2, 1/2]^2 before embedding."""
+    v1, v2 = row
+    r1 = v1 * g.p + v2 * g.r
+    r2 = v1 * g.q + v2 * g.s
+    r1 -= round(r1)
+    r2 -= round(r2)
     if r1 == 0 and r2 == 0:
         raise QFieldError("row is integral: the point sits on the lattice")
     return _fr(ctx, r1), _fr(ctx, r2)
@@ -385,12 +391,11 @@ def _j(ctx, values):
 
 
 def _reduced(ctx, core, t, row, p: Precision):
-    """core's (S, E4, E6, Delta) at t reduced to t0 = g(t), with the exact
-    row pushed through g, so the series always run on a fat lattice."""
+    """core's (S, E4, E6, Delta) at t reduced numerically to t0, t = g(t0),
+    with the exact row pushed through g, so the series always run on a fat
+    lattice."""
     t0, g = _reduce_tau(ctx, t)
-    v1, v2 = row
-    x, y = _exact_cell(ctx, v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s)
-    return core(ctx, t0, _cutoff(ctx, p), x, y)
+    return core(ctx, t0, _cutoff(ctx, p), *_exact_cell(ctx, row, g))
 
 
 def _power_values(label: FrickeLabel, tau, p: Precision):
@@ -411,7 +416,7 @@ def _fricke_at(label: FrickeLabel, tau, p: Precision):
     t = ctx.mpc(tau)
     if t.imag <= 0:
         raise QFieldError("point is not in the upper half plane")
-    x, y = _exact_cell(ctx, *label.row())
+    x, y = _exact_cell(ctx, label.row(), IDENT)
     return _torsion_value(ctx, label.i, _theta_core(ctx, t, _cutoff(ctx, p), x, y))
 
 
@@ -454,35 +459,46 @@ def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
     return FrickeLabel(i, 0, desc.a_inv, desc.eval_matrix[1][1])
 
 
-def _descriptor_input(ctx, desc: GaloisDescriptor, i):
-    """`descriptor_label` and the embedded evaluation point."""
-    return descriptor_label(desc, i), _embed(ctx, desc.eval_point())
-
-
 def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     """Numeric value attached to a descriptor: `fricke` with twisted row
-    [0, a_inv/N] at the matrix image of the base point.
+    [0, a_inv/N] at the matrix image z = `eval_point()` of the base point,
+    with z reduced exactly in K.
+
+    z is the upper-half-plane root of its primitive integral form
+    k (X^2 - tr(z) X + N(z)); `forms.reduce` turns that form into the
+    reduced (a, b, c) and g with g(z) = tau0 = (-b + i sqrt|b^2 - 4ac|)/(2a),
+    and the row goes through g^-1, as `_reduced` pushes it.
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
     """
-    return fricke(*_descriptor_input(_ctx(p), desc, i), p)
+    ctx = _ctx(p)
+    label = descriptor_label(desc, i)
+    z = desc.eval_point()
+    trace, norm = 2 * z.v - z.disc.b0 * z.u, z.norm()
+    k = math.lcm(trace.denominator, norm.denominator)
+    form, g = reduce(QuadForm(k, int(-k * trace), int(k * norm)))
+    tau0 = ctx.mpc(-form.b, ctx.sqrt(-form.disc())) / (2 * form.a)
+    x, y = _exact_cell(ctx, label.row(), g.inv())
+    return _torsion_value(ctx, label.i, _theta_core(ctx, tau0, _cutoff(ctx, p), x, y))
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     """Same value along the unreduced route: row numerator a^(phi(N)-1),
-    as the product-ideal basis hands it over, and the q-series.  The
-    product-ideal matrix is the evaluation matrix scaled by a, the same
-    Moebius map, so both routes take one point; their independence lies in
+    as the product-ideal basis hands it over, the embedded point reduced
+    numerically, and the q-series.  The product-ideal matrix is the
+    evaluation matrix scaled by a, the same Moebius map, so both routes
+    start from one point of K; their independence lies in the reduction,
     the row and the series.  Agreement with eval_descriptor is a checkable
     identity, not a private shortcut; keep the two code paths separate.
     """
     ctx = _ctx(p)
-    label, point = _descriptor_input(ctx, desc, i)
+    label = descriptor_label(desc, i)
     a = Fraction(1) / desc.point.u
     if a.denominator != 1:
         raise InternalCheckError("descriptor point does not determine the form leader")
     row = (Fraction(0), Fraction(int(a) ** (_totient(label.level) - 1), label.level))
+    point = _embed(ctx, desc.eval_point())
     return _torsion_value(ctx, label.i, _reduced(ctx, _qseries_core, point, row, p))
 
 

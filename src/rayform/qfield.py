@@ -82,13 +82,6 @@ class Discriminant:
     def element(self, u, v) -> "FieldElement":
         return FieldElement(self, Fraction(u), Fraction(v))
 
-    def tau(self) -> "FieldElement":
-        """Generator of the maximal order over Z, root of x^2 + b0*x + c0."""
-        return self.element(1, 0)
-
-    def one(self) -> "FieldElement":
-        return self.element(0, 1)
-
     def unit_coords(self) -> tuple[tuple[int, int], ...]:
         """All units of the maximal order as integer (tau, 1) coordinates,
         +-1 first."""
@@ -185,9 +178,6 @@ class FieldElement:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return FieldElement(self.disc, self.u / other, self.v / other)
-
-    def conj(self) -> "FieldElement":
-        return FieldElement(self.disc, -self.u, self.v - self.u * self.disc.b0)
 
     def norm(self) -> Fraction:
         return self.disc.norm(self.u, self.v)

@@ -72,6 +72,29 @@ def test_identity_check_fails_on_a_wrong_offset(monkeypatch):
     assert "point - xi = (0)*tau + (1/6)" in check.detail
 
 
+@pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-23, 3, 9, 12)])
+def test_invariance_residuals_are_no_self_comparisons(ideal):
+    """Every translate residual is nonzero and small.  With the exact
+    reduction on both sides the same draws would give residuals of exactly
+    0: those translates reach the representative's reduced point form and
+    cell."""
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+    p = Precision(80)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    values = [eval_descriptor(descriptor(rep, mod), None, p) for rep in reps]
+    residuals = list(checks._invariance_residuals(mod, reps, values, p, random.Random(911)))
+    assert len(residuals) == 2 * len(reps)
+    assert all(r != 0 for r in residuals)
+    assert max(residuals) < mpmath.mpf(10) ** -80
+    rng = random.Random(911)
+    exact = [
+        abs(base - eval_descriptor(descriptor(moved, mod), None, p))
+        for rep, base in zip(reps, values)
+        for moved in checks._translates(rep, mod, rng, 2)
+    ]
+    assert exact.count(0) > 0
+
+
 @pytest.mark.parametrize("samples", [0, -2])
 def test_run_checks_rejects_fewer_than_one_sample(samples):
     """With no sample drawn the power and law checks would report a worst

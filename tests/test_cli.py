@@ -268,16 +268,16 @@ def test_verify_second_field():
     assert data["passed"] is True
 
 
-# sha256 of `verify` stdout, recorded with the one-pass theta kernel and the
-# exact identity-class check; any change to a sample, value or detail
-# string shows here
+# sha256 of `verify` stdout, recorded with the one-pass theta kernel, the
+# exact identity-class check and descriptor points reduced exactly in K; any
+# change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "be13c2dd71c2772784ad59e95ab0241938c2c30721b8f57e3fddba55930a7473",
-    ("-20", "2,4,6", "40", "json"): "4497d0eb79562c97c177893e8f04a6b85a8c8c6c62133bcd476cea3aec418425",
-    ("-20", "2,4,6", "40", "text"): "0a69277fc6f2ad8905eae85716582c51c36dd44e2cb685c1369a9a6d0389a381",
-    ("-23", "1,8,31", "40", "json"): "2170466805b9f68006ca60a8e470d1658d341d39e9d93fd979ce3be425d45f09",
-    ("-23", "3,9,12", "80", "json"): "96a68d32312bf6d5517a9cadc3c38760f47eff4b2c114b36bebdef8528271368",
-    ("-23", "3,9,12", "80", "text"): "9a23087e875d39bab4e0f8cd3eb11d8112c5b9e5fe270bd04370627201c2d99e",
+    ("-111", "9,0,9", "40", "json"): "89825e9ffa589b78a6c463f2cc709b1f24be3d230adec12e21db9a99fcf378be",
+    ("-20", "2,4,6", "40", "json"): "c56148fba072829b1ddec5d49f5f152020016d095b30f4902946737e3451d6fd",
+    ("-20", "2,4,6", "40", "text"): "3dc37cc1e9595acc9fb756b836c1913e86c7244086f5d74f8cbc99cfa1418a2e",
+    ("-23", "1,8,31", "40", "json"): "4149ce33beeb505a414553f802560c7bd05b4be99a58b85fb3a3a6aee7b6e77d",
+    ("-23", "3,9,12", "80", "json"): "ae7fcfed050a8ea8593f0c128dc72d6aeff83b95109993bca80d8c526587ded8",
+    ("-23", "3,9,12", "80", "text"): "8d34721c5b39c7a2471f4d059b416c6a4a1b082d7ef480f0f578542b34a0358b",
     ("-3", "6,0,6", "80", "json"): "baec302108d7147111611f1efd0b3c99d67d508da0f56bfb6b1f3ae556dc60e9",
     ("-3", "6,0,6", "80", "text"): "a93aa7dc033b7686ab5929d4037999593bf2d8f1752ff2b5eee80b6176913032",
     ("-4", "6,0,6", "80", "json"): "d38b97b5364a36007c5d9c235d662dbfc106aa827966266498553d02e4003b30",

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 from rayform import modular
-from rayform.forms import IDENT, QuadForm, S_FLIP, t_power
+from rayform.forms import IDENT, QuadForm, S_FLIP, reduce, t_power
 from rayform.modular import (
     FrickeLabel,
     Precision,
@@ -504,3 +504,65 @@ def test_far_cell_holds_its_digits():
     value = eval_descriptor(d, None, Precision(1000))
     ref = eval_descriptor(d, None, Precision(1060))
     assert abs(value - ref) < mpmath.mpf(10) ** -1000 * abs(ref)
+
+
+MOD23 = make_modulus(D23, 3, 9, 12)
+
+
+@pytest.mark.parametrize("digits", [80, 300])
+@pytest.mark.parametrize(
+    "form", [(199051, 285991, 102726), (17147, 204481, 609618), (56239, 339077, 511092)]
+)
+def test_six_digit_translates_hold_their_digits(digits, form):
+    """Class translates of dK=-23 mod 3,9,12 with six-digit coefficients.  A
+    numeric reduction of the embedded point spends guard digits on them:
+    that way the last two held only 1.2e-83 and 7.8e-84 at 80 digits, and
+    2.1e-303 and 2.1e-304 at 300."""
+    d = descriptor(QuadForm(*form), MOD23)
+    value = eval_descriptor(d, None, Precision(digits))
+    ref = eval_descriptor(d, None, Precision(digits + 120))
+    assert abs(value - ref) < mpmath.mpf(10) ** -(digits + 5)
+
+
+def _point_form(z):
+    """The primitive integral form (A, B, C) with A z^2 + B z + C = 0."""
+    trace = 2 * z.v - z.disc.b0 * z.u
+    k = math.lcm(trace.denominator, z.norm().denominator)
+    return QuadForm(k, int(-k * trace), int(k * z.norm()))
+
+
+@pytest.mark.parametrize(
+    "dk, ideal", [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (6, 0, 6))]
+)
+def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
+    """The exact route against `fricke`, which reduces the embedded point
+    numerically, on every class, relative to the value: the numeric side is
+    off by 2.6e-85 at |value| = 608 for (179, -131, 24) of dK=-23.  Each
+    modulus has a class whose reduced point form sits on the boundary of
+    the fundamental domain, where the two reductions may pick different
+    edges."""
+    p = Precision(80)
+    ctx = modular._ctx(p)
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    edges = 0
+    for fc in enumerate_classes(mod).classes:
+        d = descriptor(fc.rep, mod)
+        point = modular._embed(ctx, d.eval_point())
+        want = fricke(modular.descriptor_label(d), point, p)
+        assert abs(eval_descriptor(d, None, p) - want) < mpmath.mpf(10) ** -85 * abs(want), fc.rep
+        r, _ = reduce(_point_form(d.eval_point()))
+        edges += r.b == r.a or r.a == r.c
+    assert edges > 0
+
+
+def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
+    descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
+    before = [eval_descriptor(d, None, P80) for d in descs]
+
+    def refuse(ctx, t):
+        raise AssertionError("numeric reduction on the exact route")
+
+    monkeypatch.setattr(modular, "_reduce_tau", refuse)
+    assert [eval_descriptor(d, None, P80) for d in descs] == before
+    with pytest.raises(AssertionError, match="numeric reduction"):
+        eval_descriptor_unreduced(descs[0], None, P80)

@@ -185,7 +185,7 @@ def _unreduced_minimal_norm(t):
     g1, g2 = (t.disc.element(u, v) for u, v in t.rows())
     target = t.norm()
     a, c = int(g1.norm()), int(g2.norm())
-    b = int((g1 * g2.conj() + g2 * g1.conj()).v)
+    b = int((g1 + g2).norm()) - a - c
     found = set()
     bound = math.isqrt((-4 * c * target) // (b * b - 4 * a * c)) + 1
     for x in range(-bound, bound + 1):
@@ -598,7 +598,7 @@ def test_descriptor_golden():
     d0 = descriptor(QuadForm(1, 0, 5), MOD20)
     assert d0.a_inv == 1
     assert d0.eval_matrix == ((2, 4), (0, 6))
-    assert d0.point == D20.tau()
+    assert d0.point == D20.element(1, 0)
 
 
 @settings(max_examples=60, deadline=None)
