@@ -4,11 +4,12 @@ fields, with an arbitrary-precision modular-function layer on top.
 The exact side (qfield, forms, rayclass) runs on integers: canonical
 ideal triples and their products on integer (tau, 1) coordinates,
 quadratic forms, congruence-constrained equivalence, class enumeration,
-composition and group structure; Fractions appear only in the exact
-field points handed to the numeric side.  The numeric side (modular)
-evaluates the modular functions at whatever precision is asked for, from
-Jacobi theta series with the classical q-series as an independent
-reference, and never touches global state.  The checks module runs the
+composition and group structure.  A point of the field is the root of a
+primitive integral form; Fractions appear only when its coordinates are
+printed.  The numeric side (modular) evaluates the modular functions at
+whatever precision is asked for, from Jacobi theta series with the
+classical q-series as an independent reference, and never touches global
+state.  The checks module runs the
 property suite of one modulus, and the cli module exposes everything as
 subcommands.
 """

@@ -20,6 +20,7 @@ from .rayclass import (
     equivalent,
     equivalent_oracle,
     group_table,
+    point_coords,
 )
 
 
@@ -106,7 +107,7 @@ def _invariance_residuals(mod, reps, values, p, rng):
     for rep, base in zip(reps, values):
         for moved in _translates(rep, mod, rng, 2):
             d = descriptor(moved, mod)
-            point = modular._embed(ctx, d.eval_point())
+            point = modular._embed(ctx, d.eval_point(), mod.disc)
             yield abs(base - modular.fricke(modular.descriptor_label(d), point, p))
 
 
@@ -163,12 +164,15 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
 
     # the unit-normalized value of the modulus lattice is the value at xi with
     # row (0, 1/N), so the identity class carries it exactly when its
-    # descriptor has a_inv = 1 and sends the point to xi mod Z
-    xi, unit = mod.cm_point(), descriptor(QuadForm(1, disc.b0, disc.c0), mod)
-    gap = unit.eval_point() - xi
-    at_xi = unit.a_inv == 1 and gap.u == 0 and gap.v.denominator == 1
-    detail = f"a_inv {unit.a_inv}, point - xi = ({gap.u})*tau + ({gap.v})"
-    detail += f" at xi = ({xi.u})*tau + ({xi.v})"
+    # descriptor has a_inv = 1 and sends the point to xi mod Z: its point's
+    # form is a translate (A, B - 2A t, .) of xi's form (A, B, .)
+    xi, unit = mod.xi(), descriptor(QuadForm(1, disc.b0, disc.c0), mod)
+    z = unit.eval_point()
+    at_xi = unit.a_inv == 1 and (z.a, z.disc()) == (xi.a, xi.disc())
+    at_xi = at_xi and (z.b - xi.b) % (2 * z.a) == 0
+    (zu, zv), (xu, xv) = point_coords(z, disc), point_coords(xi, disc)
+    detail = f"a_inv {unit.a_inv}, point - xi = ({zu - xu})*tau + ({zv - xv})"
+    detail += f" at xi = ({xu})*tau + ({xv})"
     record("identity-class descriptor sends the point to xi mod Z", at_xi, detail)
 
     descs = [descriptor(rep, mod) for rep in reps]

@@ -21,7 +21,6 @@ from .qfield import (
     InternalCheckError,
     QFieldError,
     canonicalize_ideal,
-    element_to_json,
     make_discriminant,
     parse_ideal_triple,
     ray_class_number_oracle,
@@ -36,6 +35,7 @@ from .rayclass import (
     equivalent_oracle,
     group_table,
     make_modulus,
+    point_coords,
 )
 
 _VERIFY_SEED = 911
@@ -206,25 +206,23 @@ def _cmd_compose(args) -> int:
     return 0
 
 
-def _descriptor_json(d) -> dict:
-    return {
-        "a_inv": d.a_inv,
-        "eval_matrix": [list(d.eval_matrix[0]), list(d.eval_matrix[1])],
-        "point": element_to_json(d.point),
-        "twist": d.twist,
-    }
-
-
 def _cmd_descriptor(args) -> int:
     mod = _modulus(args)
     d = descriptor(parse_form(args.form), mod)
+    u, v = point_coords(d.point, mod.disc)
+    payload = {
+        "a_inv": d.a_inv,
+        "eval_matrix": [list(d.eval_matrix[0]), list(d.eval_matrix[1])],
+        "point": {"u": str(u), "v": str(v)},
+        "twist": d.twist,
+    }
     _emit(
         args,
-        _descriptor_json(d),
+        payload,
         lambda: [
             f"a_inv: {d.a_inv}",
             f"eval_matrix: {d.eval_matrix}",
-            f"point: {d.point.u}*tau + {d.point.v}",
+            f"point: {u}*tau + {v}",
             f"twist: {d.twist}",
         ],
     )

@@ -51,7 +51,7 @@ from fractions import Fraction
 import mpmath
 
 from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, reduce, t_power
-from .qfield import Discriminant, FieldElement, InternalCheckError, QFieldError
+from .qfield import Discriminant, InternalCheckError, QFieldError
 from .rayclass import GaloisDescriptor
 
 _MAX_TERMS = 200000
@@ -95,11 +95,12 @@ def _fr(ctx, x: Fraction):
     return ctx.mpf(x.numerator) / x.denominator
 
 
-def _embed(ctx, x: FieldElement):
-    """Numeric image of u*tau + v under the upper-half-plane embedding."""
-    d = x.disc
-    tau = (ctx.mpc(-d.b0, ctx.sqrt(-d.d))) / 2
-    return tau * _fr(ctx, x.u) + _fr(ctx, x.v)
+def _embed(ctx, form: QuadForm, disc: Discriminant):
+    """Numeric upper half plane root of the form, whose discriminant is
+    k^2 d: tau*(k/A) + (k*b0 - B)/(2A), each quotient correctly rounded."""
+    k = math.isqrt(form.disc() // disc.d)
+    tau = (ctx.mpc(-disc.b0, ctx.sqrt(-disc.d))) / 2
+    return tau * (ctx.mpf(k) / form.a) + ctx.mpf(k * disc.b0 - form.b) / (2 * form.a)
 
 
 def _ensure_finite(ctx, value):
@@ -455,7 +456,7 @@ def _totient(n: int) -> int:
 def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
     """The label (i, [0, a_inv/N]) of a descriptor's value, i None standing
     for `weber_index`."""
-    i = weber_index(desc.point.disc) if i is None else i
+    i = weber_index(desc.disc) if i is None else i
     return FrickeLabel(i, 0, desc.a_inv, desc.eval_matrix[1][1])
 
 
@@ -464,20 +465,17 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     [0, a_inv/N] at the matrix image z = `eval_point()` of the base point,
     with z reduced exactly in K.
 
-    z is the upper-half-plane root of its primitive integral form
-    k (X^2 - tr(z) X + N(z)); `forms.reduce` turns that form into the
-    reduced (a, b, c) and g with g(z) = tau0 = (-b + i sqrt|b^2 - 4ac|)/(2a),
-    and the row goes through g^-1, as `_reduced` pushes it.
+    z is the upper-half-plane root of the primitive integral form
+    `eval_point()`; `forms.reduce` turns that form into the reduced
+    (a, b, c) and g with g(z) = tau0 = (-b + i sqrt|b^2 - 4ac|)/(2a), and
+    the row goes through g^-1, as `_reduced` pushes it.
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
     """
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
-    z = desc.eval_point()
-    trace, norm = 2 * z.v - z.disc.b0 * z.u, z.norm()
-    k = math.lcm(trace.denominator, norm.denominator)
-    form, g = reduce(QuadForm(k, int(-k * trace), int(k * norm)))
+    form, g = reduce(desc.eval_point())
     tau0 = ctx.mpc(-form.b, ctx.sqrt(-form.disc())) / (2 * form.a)
     x, y = _exact_cell(ctx, label.row(), g.inv())
     return _torsion_value(ctx, label.i, _theta_core(ctx, tau0, _cutoff(ctx, p), x, y))
@@ -494,11 +492,8 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     """
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
-    a = Fraction(1) / desc.point.u
-    if a.denominator != 1:
-        raise InternalCheckError("descriptor point does not determine the form leader")
-    row = (Fraction(0), Fraction(int(a) ** (_totient(label.level) - 1), label.level))
-    point = _embed(ctx, desc.eval_point())
+    row = (Fraction(0), Fraction(desc.point.a ** (_totient(label.level) - 1), label.level))
+    point = _embed(ctx, desc.eval_point(), desc.disc)
     return _torsion_value(ctx, label.i, _reduced(ctx, _qseries_core, point, row, p))
 
 

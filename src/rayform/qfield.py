@@ -1,23 +1,22 @@
-"""Exact arithmetic in an imaginary quadratic field.
+"""Exact integer arithmetic in an imaginary quadratic field.
 
-Everything here runs on ints and Fractions; nothing is floating point.
-A field is fixed by a fundamental discriminant d < 0.  Elements are
-coordinate pairs (u, v) over the basis (tau, 1) of the maximal order,
-where tau is the upper half plane root of x^2 + b0*x + c0 and (1, b0, c0)
-is the principal form of discriminant d; `Discriminant.mul` and `.norm`
-are the one multiplication rule for such pairs.  The ideal layer works on
-integer pairs only.  Integral ideals are rank two sublattices of the
-order; their canonical shape is the triple (a1, a2, c) describing the
-lattice spanned by the rows a1*tau + a2 and c, with 0 < a1 <= c,
-0 <= a2 < c, a1 | c, a1 | a2 and c | norm(a1*tau + a2).  `FieldElement`
-holds the exact rational points that the numeric layer embeds.
+Nothing here is floating point or rational.  A field is fixed by a
+fundamental discriminant d < 0.  Elements are integer coordinate pairs
+(u, v) over the basis (tau, 1) of the maximal order, where tau is the
+upper half plane root of x^2 + b0*x + c0 and (1, b0, c0) is the principal
+form of discriminant d; `Discriminant.mul` and `.norm` are the one
+multiplication rule for such pairs.  Integral ideals are rank two
+sublattices of the order; their canonical shape is the triple (a1, a2, c)
+describing the lattice spanned by the rows a1*tau + a2 and c, with
+0 < a1 <= c, 0 <= a2 < c, a1 | c, a1 | a2 and c | norm(a1*tau + a2).
+Points of the field off the order are carried as the integral forms
+whose roots they are (`rayclass.GaloisDescriptor`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class QFieldError(ValueError):
@@ -79,17 +78,13 @@ class Discriminant:
     b0: int
     c0: int
 
-    def element(self, u, v) -> "FieldElement":
-        return FieldElement(self, Fraction(u), Fraction(v))
-
     def unit_coords(self) -> tuple[tuple[int, int], ...]:
         """All units of the maximal order as integer (tau, 1) coordinates,
         +-1 first."""
         return _UNIT_COORDS.get(self.d, _PLUS_MINUS_ONE)
 
     def mul(self, x, y):
-        """Product of the coordinate pairs x and y, from tau^2 = -b0*tau - c0;
-        ints give ints and Fractions give Fractions."""
+        """Product of the coordinate pairs x and y, from tau^2 = -b0*tau - c0."""
         (u1, v1), (u2, v2) = x, y
         uu = u1 * u2
         return u1 * v2 + v1 * u2 - uu * self.b0, v1 * v2 - uu * self.c0
@@ -124,63 +119,6 @@ def make_discriminant(d: int) -> Discriminant:
     b0 = d % 2
     c0 = (b0 - d) // 4
     return Discriminant(d, b0, c0)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """u*tau + v with rational u, v."""
-
-    disc: Discriminant
-    u: Fraction
-    v: Fraction
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.disc != self.disc:
-                raise QFieldError("mixed field arithmetic")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.disc, Fraction(0), Fraction(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.disc, self.u + o.u, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.disc, self.u - o.u, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return FieldElement(self.disc, -self.u, -self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.disc, *self.disc.mul((self.u, self.v), (o.u, o.v)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return FieldElement(self.disc, self.u / other, self.v / other)
-
-    def norm(self) -> Fraction:
-        return self.disc.norm(self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -389,7 +327,3 @@ def ray_class_number_oracle(disc: Discriminant, t: IdealTriple) -> int:
     if total % len(unit_residues):
         raise InternalCheckError("unit image size does not divide the residue count")
     return total // len(unit_residues)
-
-
-def element_to_json(x: FieldElement) -> dict:
-    return {"u": str(x.u), "v": str(x.v)}

@@ -6,7 +6,9 @@ forms of the field discriminant, those with leading coefficient coprime to N
 split into finitely many classes under a congruence-constrained unimodular
 equivalence; the classes form a group isomorphic to the ray class group mod n,
 with composition matching ideal multiplication.  Everything in this module is
-exact integer or Fraction arithmetic.
+exact integer arithmetic; points of the field are the roots of primitive
+integral forms, and `point_coords` turns one into rational (tau, 1)
+coordinates for printing.
 
 Two independent routes to the same questions are kept side by side on
 purpose: the witness-matrix equivalence test against the ideal-theoretic
@@ -32,7 +34,6 @@ from .forms import (
 )
 from .qfield import (
     Discriminant,
-    FieldElement,
     IdealTriple,
     InternalCheckError,
     QFieldError,
@@ -40,6 +41,7 @@ from .qfield import (
     crt2,
     ideal_product,
     is_mult_congruent_one,
+    make_discriminant,
     make_ideal_triple,
     minimal_norm_elements,
     ray_class_number_oracle,
@@ -60,10 +62,11 @@ class Modulus:
         """N, the least positive rational integer in the ideal."""
         return self.ideal.c
 
-    def cm_point(self) -> FieldElement:
-        """(a1*tau + a2)/N, the upper half plane point attached to the ideal."""
-        n = self.ideal
-        return self.disc.element(Fraction(n.a1, n.c), Fraction(n.a2, n.c))
+    def xi(self) -> QuadForm:
+        """The primitive form of xi = (a1*tau + a2)/N, the upper half plane
+        point attached to the ideal: N^2 (X^2 - tr(xi) X + norm(xi))."""
+        n, N = self.ideal, self.level
+        return _primitive(N * N, -N * (2 * n.a2 - self.disc.b0 * n.a1), self.disc.norm(n.a1, n.a2))
 
 
 def make_modulus(disc: Discriminant, a1: int, a2: int, c: int) -> Modulus:
@@ -98,20 +101,41 @@ class ClassGroup:
 class GaloisDescriptor:
     """Exact data describing the Galois action attached to a form class.
 
-    eval_matrix composed with the point is where a torsion-point function
-    gets evaluated; a_inv twists the function index, and the fixed twist
-    marker records the extra inversion letter.
+    point is the primitive form whose upper half plane root is the base
+    point; eval_matrix composed with that root is where a torsion-point
+    function gets evaluated; a_inv twists the function index, and the fixed
+    twist marker records the extra inversion letter.
     """
 
     a_inv: int
     eval_matrix: tuple[tuple[int, int], tuple[int, int]]
-    point: FieldElement
+    point: QuadForm
     twist: str = "S"
 
-    def eval_point(self) -> FieldElement:
-        """(a1 point + off/a)/N, the point's image under eval_matrix."""
-        (a1, off_over_a), (_, level) = self.eval_matrix
-        return (self.point * a1 + off_over_a) / level
+    @property
+    def disc(self) -> Discriminant:
+        """The field, read off the base point's form, of discriminant dK."""
+        return make_discriminant(self.point.disc())
+
+    def eval_point(self) -> QuadForm:
+        """The primitive form of z = (a1*p + m)/N, the image of the base
+        point p under eval_matrix [[a1, m], [0, N]]: A*p^2 + B*p + C = 0
+        with p = (N*z - m)/a1, times a1^2."""
+        (a1, m), (_, n) = self.eval_matrix
+        a, b, c = self.point.coeffs()
+        return _primitive(a * n * n, (b * a1 - 2 * a * m) * n, a * m * m - b * a1 * m + c * a1 * a1)
+
+
+def _primitive(a: int, b: int, c: int) -> QuadForm:
+    g = math.gcd(a, b, c)
+    return QuadForm(a // g, b // g, c // g)
+
+
+def point_coords(form: QuadForm, disc: Discriminant) -> tuple[Fraction, Fraction]:
+    """(u, v) with u*tau + v the upper half plane root of the form, whose
+    discriminant is k^2 d: (k/A, (k*b0 - B)/(2A)), the printed coordinates."""
+    k = math.isqrt(form.disc() // disc.d)
+    return Fraction(k, form.a), Fraction(k * disc.b0 - form.b, 2 * form.a)
 
 
 def _require_form(form: QuadForm, mod: Modulus) -> None:
@@ -514,19 +538,17 @@ def group_table(mod: Modulus) -> ClassGroup:
 
 def descriptor(form: QuadForm, mod: Modulus) -> GaloisDescriptor:
     """Exact Galois-action data of the class of the form: the twisted index,
-    the evaluation matrix, and the conjugate root as base point."""
+    the evaluation matrix, and the conjugate root as base point, the root
+    tau/a + (b0 + b)/(2a) of (a, -b, c)."""
     _require_form(form, mod)
     N, a = mod.level, form.a
     off = canonical_offset(form, mod)
     if off % a:
         raise InternalCheckError("offset not divisible by the leading coefficient")
-    point = mod.disc.element(
-        Fraction(1, a), Fraction(mod.disc.b0 + form.b, 2 * a)
-    )
     return GaloisDescriptor(
         a_inv=pow(a, -1, N),
         eval_matrix=((mod.ideal.a1, off // a), (0, N)),
-        point=point,
+        point=QuadForm(a, -form.b, form.c),
     )
 
 

@@ -1,8 +1,11 @@
+import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from rayform.forms import QuadForm
 from rayform.qfield import QFieldError, make_discriminant, make_ideal_triple
 from rayform.rayclass import group_table, make_modulus
 
@@ -29,6 +32,16 @@ def valid_triples(disc, max_c=12, skip_unit=True):
                     continue
                 out.append(t)
     return out
+
+
+def fraction_point_form(disc, u, v):
+    """The primitive integral form whose root is z = u*tau + v, u and v
+    rational, by trace and norm in Fraction arithmetic: k*(X^2 - tr(z)*X +
+    norm(z)) with k the least common denominator of tr(z) and norm(z)."""
+    u, v = Fraction(u), Fraction(v)
+    trace, norm = 2 * v - disc.b0 * u, disc.norm(u, v)
+    k = math.lcm(trace.denominator, norm.denominator)
+    return QuadForm(k, int(-k * trace), int(k * norm))
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rayform import checks, modular
+from rayform import checks, modular, rayclass
 from rayform.checks import run_checks, sci
 from rayform.modular import Precision, eval_descriptor
 from rayform.qfield import QFieldError, make_discriminant
@@ -49,27 +49,52 @@ def test_numeric_checks_can_fail(too_tight, name):
     assert not too_tight[name].passed, too_tight[name].detail
 
 
-def test_identity_check_fails_on_a_wrong_offset(monkeypatch):
-    """An evaluation matrix whose offset is one off moves the identity
-    class's point by a1/N, off xi mod Z."""
+@pytest.mark.parametrize(
+    "dk, mutation",
+    [
+        (-20, "offset"),
+        (-3, "offset"),
+        (-7, "offset"),
+        (-20, "a_inv"),
+        (-3, "a_inv"),
+        (-20, "base point"),
+    ],
+)
+def test_identity_check_fails_when_mutated(monkeypatch, dk, mutation):
+    """The exact identity-class check passes as shipped and fails on each
+    wrong descriptor:
+    - `canonical_offset` shifted by t*a, which moves the point by t/N, for
+      every t = 1..N-1.  For dK=-20 the shift by 4/N keeps the leader A and
+      the discriminant of xi's form, so only the middle coefficient B tells
+      it apart; for dK=-7 mod 1,0,2 the shift by 1/2 moves B by A alone,
+      so B must be compared mod 2A, not mod A;
+    - a_inv forced to the unit N - 1;
+    - the evaluation matrix made scalar, which leaves the base point tau,
+      a root of discriminant dK with another leader (for dK=-3 the base
+      point tau + 1 is xi + 1, so that case passes there)."""
+    ideal = {-20: (2, 4, 6), -3: (6, 0, 6), -7: (1, 0, 2)}[dk]
+    mod = make_modulus(make_discriminant(dk), *ideal)
     name = "identity-class descriptor sends the point to xi mod Z"
 
     def identity_check():
-        found = run_checks(MOD20, Precision(30), 15, random.Random(911))
+        found = run_checks(mod, Precision(30), 15, random.Random(911))
         return next(c for c in found if c.name == name)
 
     assert identity_check().passed
-    right = checks.descriptor
-
-    def shifted(form, mod):
-        d = right(form, mod)
-        (a1, off), bottom = d.eval_matrix
-        return dataclasses.replace(d, eval_matrix=((a1, off + 1), bottom))
-
-    monkeypatch.setattr(checks, "descriptor", shifted)
+    offset, right = rayclass.canonical_offset, checks.descriptor
+    if mutation == "offset":
+        for t in range(1, mod.level):
+            monkeypatch.setattr(rayclass, "canonical_offset", lambda f, m, t=t: offset(f, m) + t * f.a)
+            check = identity_check()
+            assert not check.passed, check.detail
+            assert f"point - xi = (0)*tau + ({Fraction(t, mod.level)})" in check.detail
+        return
+    change = {"a_inv": mod.level - 1} if mutation == "a_inv" else {
+        "eval_matrix": ((mod.level, 0), (0, mod.level))
+    }
+    monkeypatch.setattr(checks, "descriptor", lambda f, m: dataclasses.replace(right(f, m), **change))
     check = identity_check()
     assert not check.passed, check.detail
-    assert "point - xi = (0)*tau + (1/6)" in check.detail
 
 
 @pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-23, 3, 9, 12)])

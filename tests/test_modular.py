@@ -20,8 +20,10 @@ from rayform.modular import (
     weber_index,
 )
 from rayform.qfield import QFieldError, make_discriminant
-from rayform.rayclass import descriptor, enumerate_classes, make_modulus
+from rayform.rayclass import descriptor, enumerate_classes, make_modulus, point_coords
 from rayform.rayclass import class_translate
+
+from conftest import fraction_point_form
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -261,9 +263,10 @@ def test_identity_class_is_unit_normalized_lattice_value():
     # class's descriptor has a_inv = 1 and sends its point to xi mod Z
     ctx = ctx_for(80)
     d = descriptor(QuadForm(1, 0, 5), MOD20)
-    gap = d.eval_point() - MOD20.cm_point()
-    assert (d.a_inv, gap.u, gap.v.denominator) == (1, 0, 1)
-    xi = modular._embed(modular._ctx(P80), MOD20.cm_point())
+    (zu, zv), (xu, xv) = point_coords(d.eval_point(), D20), point_coords(MOD20.xi(), D20)
+    assert (xu, xv) == (Fraction(2, 6), Fraction(4, 6))
+    assert (d.a_inv, zu - xu, (zv - xv).denominator) == (1, 0, 1)
+    xi = modular._embed(modular._ctx(P80), MOD20.xi(), D20)
     via_lattice = fricke(FrickeLabel(1, 0, 1, 6), xi, P80)
     assert abs(eval_descriptor(d, None, P80) - via_lattice) < ctx.mpf(10) ** -70
 
@@ -524,11 +527,51 @@ def test_six_digit_translates_hold_their_digits(digits, form):
     assert abs(value - ref) < mpmath.mpf(10) ** -(digits + 5)
 
 
-def _point_form(z):
-    """The primitive integral form (A, B, C) with A z^2 + B z + C = 0."""
-    trace = 2 * z.v - z.disc.b0 * z.u
-    k = math.lcm(trace.denominator, z.norm().denominator)
-    return QuadForm(k, int(-k * trace), int(k * z.norm()))
+@pytest.mark.parametrize(
+    "dk, ideal",
+    [
+        (-20, (2, 4, 6)),
+        (-23, (3, 9, 12)),
+        (-23, (1, 8, 31)),
+        (-3, (6, 0, 6)),
+        (-4, (6, 0, 6)),
+        (-111, (9, 0, 9)),
+        (-3, (1, 3, 7)),
+        (-4, (1, 2, 5)),
+    ],
+)
+def test_point_forms_match_fraction_route(dk, ideal):
+    """Every class's base and evaluation point forms against the forms that
+    trace and norm give their Fraction coordinates, and `_embed` of the
+    evaluation point's form equal, not close, to tau*u + v at 40, 80 and
+    1000 digits.  Every evaluation point here has a form of discriminant
+    dK, so `_embed` also runs on the points 2u*tau + v, mostly of
+    discriminant k^2 dK with k > 1."""
+    disc = make_discriminant(dk)
+    mod = make_modulus(disc, *ideal)
+    taus, scaled = [], 0
+    for digits in (40, 80, 1000):
+        ctx = modular._ctx(Precision(digits))
+        taus.append((ctx, ctx.mpc(-disc.b0, ctx.sqrt(-disc.d)) / 2))
+    for fc in enumerate_classes(mod).classes:
+        d = descriptor(fc.rep, mod)
+        a, b = fc.rep.a, fc.rep.b
+        # the base point tau/a + (b0 + b)/(2a) and its image (a1*p + m)/N
+        v0 = Fraction(disc.b0 + b, 2 * a)
+        assert d.point == fraction_point_form(disc, Fraction(1, a), v0), fc.rep
+        (a1, m), (_, n) = d.eval_matrix
+        u, v = Fraction(a1, a * n), (a1 * v0 + m) / n
+        z = d.eval_point()
+        assert z == fraction_point_form(disc, u, v), fc.rep
+        assert point_coords(z, disc) == (u, v)
+        doubled = fraction_point_form(disc, 2 * u, v)
+        scaled += doubled.disc() != dk
+        for ctx, tau in taus:
+            for form, (x, y) in ((z, (u, v)), (doubled, (2 * u, v))):
+                x, y = (ctx.mpf(c.numerator) / c.denominator for c in (x, y))
+                want = tau * x + y
+                assert modular._embed(ctx, form, disc) == want, (fc.rep, form, ctx.dps)
+    assert scaled > 0
 
 
 @pytest.mark.parametrize(
@@ -547,10 +590,10 @@ def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
     edges = 0
     for fc in enumerate_classes(mod).classes:
         d = descriptor(fc.rep, mod)
-        point = modular._embed(ctx, d.eval_point())
+        point = modular._embed(ctx, d.eval_point(), mod.disc)
         want = fricke(modular.descriptor_label(d), point, p)
         assert abs(eval_descriptor(d, None, p) - want) < mpmath.mpf(10) ** -85 * abs(want), fc.rep
-        r, _ = reduce(_point_form(d.eval_point()))
+        r, _ = reduce(d.eval_point())
         edges += r.b == r.a or r.a == r.c
     assert edges > 0
 

@@ -13,7 +13,6 @@ from rayform.qfield import (
     canonicalize_ideal,
     class_number,
     crt2,
-    element_to_json,
     ideal_product,
     is_mult_congruent_one,
     make_discriminant,
@@ -23,7 +22,9 @@ from rayform.qfield import (
     ray_class_number_oracle,
 )
 
-from conftest import valid_triples
+from rayform.rayclass import point_coords
+
+from conftest import fraction_point_form, valid_triples
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -40,26 +41,14 @@ st_disc = st.sampled_from([D20, D23, D4, D3, make_discriminant(-7)])
 
 
 @st.composite
-def st_element(draw, nonzero=False):
+def st_pair(draw, nonzero_second=False):
+    """A field and two rational coordinate pairs (u, v) over (tau, 1)."""
     d = draw(st_disc)
-    u = draw(st_rational)
-    v = draw(st_rational)
-    if nonzero and u == v == 0:
-        v = 1
-    return d.element(u, v)
-
-
-def same_disc_pair(draw, nonzero_second=False):
-    x = draw(st_element())
-    u = draw(st_rational)
-    v = draw(st_rational)
-    if nonzero_second and u == v == 0:
-        v = 1
-    return x, x.disc.element(u, v)
-
-
-st_pair = st.composite(same_disc_pair)
-st_pair_nonzero = st.composite(lambda draw: same_disc_pair(draw, nonzero_second=True))
+    x = draw(st_rational), draw(st_rational)
+    y = draw(st_rational), draw(st_rational)
+    if nonzero_second and y == (0, 0):
+        y = (0, 1)
+    return d, x, y
 
 
 def test_discriminant_validation():
@@ -70,52 +59,57 @@ def test_discriminant_validation():
             make_discriminant(bad)
 
 
-def _conj(x):
+def _conj(d, x):
     # complex conjugation: tau + conj(tau) = -b0
-    return x.disc.element(-x.u, x.v - x.u * x.disc.b0)
+    u, v = x
+    return -u, v - u * d.b0
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
 
 
 def test_conjugate_and_norm_examples():
-    tau = D20.element(1, 0)
-    assert _conj(tau) == D20.element(-1, 0)
-    assert (tau * 2 + 4).norm() == 36
-    assert _conj(D23.element(1, 0)) == D23.element(-1, -1)
+    assert _conj(D20, (1, 0)) == (-1, 0)
+    assert D20.norm(2, 4) == 36 == round(abs(_embed(D20, 2, 4)) ** 2)
+    assert _conj(D23, (1, 0)) == (-1, -1)
+    assert _embed(D23, -1, -1) == _embed(D23, 1, 0).conjugate()
 
 
 @given(st_pair())
 def test_mul_norm_multiplicative(pair):
-    x, y = pair
-    assert (x * y).norm() == x.norm() * y.norm()
+    d, x, y = pair
+    assert d.norm(*d.mul(x, y)) == d.norm(*x) * d.norm(*y)
 
 
 @given(st_pair())
 def test_conj_is_ring_map(pair):
-    x, y = pair
-    assert _conj(x + y) == _conj(x) + _conj(y)
-    assert _conj(x * y) == _conj(x) * _conj(y)
-    assert _conj(_conj(x)) == x
+    d, x, y = pair
+    assert _conj(d, _add(x, y)) == _add(_conj(d, x), _conj(d, y))
+    assert _conj(d, d.mul(x, y)) == d.mul(_conj(d, x), _conj(d, y))
+    assert _conj(d, _conj(d, x)) == x
 
 
-@given(st_pair_nonzero())
+@given(st_pair(nonzero_second=True))
 def test_division_roundtrip(pair):
-    # division is by nonzero rationals only, here the norm of y
-    x, y = pair
-    assert (x / y.norm()) * y.norm() == x
-    with pytest.raises(TypeError):
-        x / y
+    # dividing by y is multiplying by conj(y)/norm(y)
+    d, x, y = pair
+    n = d.norm(*y)
+    u, v = d.mul(d.mul(x, y), _conj(d, y))
+    assert (u / n, v / n) == x
 
 
-@given(st_element())
-def test_norm_is_product_with_conjugate(x):
-    prod = x * _conj(x)
-    assert prod.u == 0
-    assert prod.v == x.norm()
+@given(st_pair())
+def test_norm_is_product_with_conjugate(pair):
+    d, x, _ = pair
+    assert d.mul(x, _conj(d, x)) == (0, d.norm(*x))
 
 
 def test_tau_satisfies_minimal_polynomial():
     for d in (D20, D23, D4, D3):
-        tau = d.element(1, 0)
-        assert tau * tau + tau * d.b0 + d.c0 == d.element(0, 0)
+        assert _add(d.mul((1, 0), (1, 0)), (d.b0, d.c0)) == (0, 0)
+        tau = _embed(d, 1, 0)
+        assert abs(tau * tau + d.b0 * tau + d.c0) < 1e-12
 
 
 def _embed(disc, u, v):
@@ -254,15 +248,14 @@ def test_is_coprime():
     assert not _coprime(1, 1, two)
     # independent route: x is coprime to t exactly when it is a unit mod t
     for t in TRIPLES20[:8] + TRIPLES23[:8] + valid_triples(D3, 7) + valid_triples(D4, 7):
-        box = [t.disc.element(u, v) for u in range(t.a1) for v in range(t.c)]
+        box = [(u, v) for u in range(t.a1) for v in range(t.c)]
         for x in box:
-            unit = any(t.residue(int(p.u), int(p.v)) == (0, 0) for p in (x * y - 1 for y in box))
-            assert _coprime(int(x.u), int(x.v), t) == unit, (t, x)
+            unit = any(t.residue(u, v - 1) == (0, 0) for u, v in (t.disc.mul(x, y) for y in box))
+            assert _coprime(*x, t) == unit, (t, x)
 
 
-def _principal_ideal(x):
-    gens = (x * x.disc.element(1, 0), x)
-    return canonicalize_ideal(x.disc, [(int(g.u), int(g.v)) for g in gens])
+def _principal_ideal(d, x):
+    return canonicalize_ideal(d, [d.mul(x, (1, 0)), x])
 
 
 def test_minimal_norm_elements():
@@ -272,14 +265,13 @@ def test_minimal_norm_elements():
     p2 = make_ideal_triple(D20, 1, 1, 2)
     assert minimal_norm_elements(p2) == ()
 
-    twotau = _principal_ideal(D20.element(2, 0))
+    twotau = _principal_ideal(D20, (2, 0))
     gens = minimal_norm_elements(twotau)
     assert (2, 0) in gens and (-2, 0) in gens
 
 
 def test_principal_ideal_norm():
-    x = D20.element(1, 3)
-    assert _principal_ideal(x).norm() == x.norm()
+    assert _principal_ideal(D20, (1, 3)).norm() == 14 == round(abs(_embed(D20, 1, 3)) ** 2)
 
 
 def test_mult_congruence_examples():
@@ -381,8 +373,7 @@ def test_ray_class_number_rejects_unit_ideal():
 
 def test_triple_norm_divisibility():
     for t in TRIPLES20 + TRIPLES23:
-        gen = t.disc.element(t.a1, t.a2)
-        assert gen.norm() % t.c == 0
+        assert t.disc.norm(t.a1, t.a2) % t.c == 0
 
 
 def test_triple_least_positive_integer():
@@ -421,10 +412,12 @@ def test_crt2():
         crt2(0, 4, 1, 6)
 
 
-@given(st_element())
-def test_element_json_roundtrip(x):
-    data = element_to_json(x)
-    assert x.disc.element(Fraction(data["u"]), Fraction(data["v"])) == x
+@given(st_disc, st_rational.filter(lambda u: u > 0), st_rational)
+def test_element_json_roundtrip(d, u, v):
+    """A field point u*tau + v in the upper half plane, as the form the
+    trace and norm give it, prints back as (u, v) in the descriptor JSON."""
+    coords = point_coords(fraction_point_form(d, u, v), d)
+    assert tuple(Fraction(str(c)) for c in coords) == (u, v)
 
 
 @settings(max_examples=60)

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from rayform.rayclass import (
     group_table,
     lift_bottom_row,
     make_modulus,
+    point_coords,
     row_classes,
     row_in_vq,
     witness_matrix,
@@ -180,12 +182,11 @@ def test_oracle_agreement_random(seed):
 
 
 def _unreduced_minimal_norm(t):
-    # the x-range scan straight on the ideal's lattice basis, in FieldElement
-    # arithmetic
-    g1, g2 = (t.disc.element(u, v) for u, v in t.rows())
+    # the x-range scan straight on the ideal's lattice basis, unreduced
+    disc, (g1, g2) = t.disc, t.rows()
     target = t.norm()
-    a, c = int(g1.norm()), int(g2.norm())
-    b = int((g1 + g2).norm()) - a - c
+    a, c = disc.norm(*g1), disc.norm(*g2)
+    b = disc.norm(g1[0] + g2[0], g1[1] + g2[1]) - a - c
     found = set()
     bound = math.isqrt((-4 * c * target) // (b * b - 4 * a * c)) + 1
     for x in range(-bound, bound + 1):
@@ -196,8 +197,7 @@ def _unreduced_minimal_norm(t):
         for num in (-b * x + r, -b * x - r):
             y, rem = divmod(num, 2 * c)
             if rem == 0 and a * x * x + b * x * y + c * y * y == target:
-                e = g1 * x + g2 * y
-                found.add((int(e.u), int(e.v)))
+                found.add((g1[0] * x + g2[0] * y, g1[1] * x + g2[1] * y))
     return tuple(sorted(found))
 
 
@@ -271,7 +271,7 @@ def test_rows_equivalence_relation():
 
 
 def test_row_key_matches_field_route():
-    # reference: the least residue of eps*x over the units as field elements,
+    # reference: the least residue of eps*x over the units by Discriminant.mul,
     # on the first sweep modulus of each (h_K, c, a1) cell and every dK=-3, -4 one
     with open(SWEEP) as fh:
         sweep = json.load(fh)["moduli"]
@@ -282,9 +282,9 @@ def test_row_key_matches_field_route():
             continue
         cells.add((h_k, c, a1))
         disc = make_discriminant(dk)
-        units = [disc.element(u, v) for u, v in disc.unit_coords()]
+        units = disc.unit_coords()
         assert len(set(units)) == {-3: 6, -4: 4}.get(dk, 2)
-        assert all(eps.norm() == 1 for eps in units)
+        assert all(disc.norm(*eps) == 1 for eps in units)
         mod = make_modulus(disc, a1, a2, c)
         level = mod.level
         for base in reduced_forms(disc):
@@ -293,9 +293,8 @@ def test_row_key_matches_field_route():
                 for v in range(level):
                     if not row_in_vq(form, (u, v), level):
                         continue
-                    x = disc.element(u, u * (disc.b0 - form.b) // 2 + v * form.a)
-                    products = (eps * x for eps in units)
-                    ref = min(mod.ideal.residue(int(p.u), int(p.v)) for p in products)
+                    x = (u, u * (disc.b0 - form.b) // 2 + v * form.a)
+                    ref = min(mod.ideal.residue(*disc.mul(eps, x)) for eps in units)
                     assert _row_key(form, (u, v), mod) == ref, (dk, a1, a2, c, form, u, v)
                     rows += 1
     assert rows > 15000
@@ -590,15 +589,15 @@ def test_descriptor_golden():
     d = descriptor(QuadForm(7, -6, 2), MOD20)
     assert d.a_inv == 1
     assert d.eval_matrix == ((2, 4), (0, 6))
-    from fractions import Fraction
-
-    assert d.point == D20.element(Fraction(1, 7), Fraction(-3, 7))
+    assert d.point == QuadForm(7, 6, 2)
+    assert point_coords(d.point, D20) == (Fraction(1, 7), Fraction(-3, 7))
     assert d.twist == "S"
 
     d0 = descriptor(QuadForm(1, 0, 5), MOD20)
     assert d0.a_inv == 1
     assert d0.eval_matrix == ((2, 4), (0, 6))
-    assert d0.point == D20.element(1, 0)
+    assert d0.point == QuadForm(1, 0, 5)
+    assert point_coords(d0.point, D20) == (1, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -616,9 +615,12 @@ def test_descriptor_invariants(seed):
     assert (dq + a1 * (form.b + mod.disc.b0) // 2 - a2) % level == 0
     assert (d.a_inv * form.a - 1) % level == 0
     assert 1 <= d.a_inv < level
-    assert d.point.u > 0  # Im(u*tau + v) = u*sqrt(|dK|)/2
-    p = d.point
-    assert form.a * p * p - form.b * p + form.c == mod.disc.element(0, 0)
+    u, v = point_coords(d.point, mod.disc)
+    assert u > 0  # Im(u*tau + v) = u*sqrt(|dK|)/2
+    # the base point is a root of (a, -b, c), squared by tau^2 = -b0*tau - c0
+    b0, c0 = mod.disc.b0, mod.disc.c0
+    assert form.a * (2 * u * v - b0 * u * u) - form.b * u == 0
+    assert form.a * (v * v - c0 * u * u) - form.b * v + form.c == 0
 
 
 def test_descriptor_rejects_noncoprime():
