@@ -14,12 +14,14 @@ from .qfield import QFieldError, _egcd, ray_class_number_oracle
 from .rayclass import (
     Modulus,
     _class_index,
+    class_key,
     class_translate,
     compose,
     descriptor,
     equivalent,
     equivalent_oracle,
     group_table,
+    ideal_keys,
     point_coords,
 )
 
@@ -136,18 +138,26 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
         worst = max((Fraction(str(r)) for r in residuals), default=Fraction(0))
         record(name, worst <= tol, f"worst residual {sci(worst)}")
 
-    def witness(f1, f2) -> bool:
-        return equivalent(f1, f2, mod) is not None
-
     h, oracle = len(reps), ray_class_number_oracle(disc, mod.ideal)
     record("class count vs ideal-theoretic oracle", h == oracle, f"{h} classes, oracle {oracle}")
 
-    pairs = [(f1, f2) for i, f1 in enumerate(reps) for f2 in reps[i:]]
-    agree = sum(witness(f1, f2) == equivalent_oracle(f1, f2, mod) for f1, f2 in pairs)
+    # the representatives and two translates each fall into h blocks under
+    # the class key, under (reduced form, ideal key) and under both
     moved = [(rep, m) for rep in reps for m in _translates(rep, mod, rng, 2)]
-    agree += sum(witness(rep, m) and equivalent_oracle(rep, m, mod) for rep, m in moved)
-    trials = len(pairs) + len(moved)
-    record("witness equivalence vs ideal route", agree == trials, f"{agree}/{trials} pairs agree")
+    forms = reps + [m for _, m in moved]
+    keys = [class_key(f, mod) for f in forms]
+    buckets: dict[QuadForm, list[QuadForm]] = {}
+    for f, key in zip(forms, keys):
+        buckets.setdefault(key[0], []).append(f)
+    ideal = {f: k for fs in buckets.values() for f, k in zip(fs, ideal_keys(fs, fs[0], mod))}
+    labels = [(key[0], ideal[f]) for f, key in zip(forms, keys)]
+    blocks = [len(set(keys)), len(set(labels)), len(set(zip(keys, labels)))]
+    unkeyed = sum(k is None for _, k in labels)
+    agree = sum(equivalent(r, m, mod) is not None and equivalent_oracle(r, m, mod) for r, m in moved)
+    passed = blocks == [h] * 3 and not unkeyed and agree == len(moved)
+    detail = f"{len(forms)} forms in {blocks[0]} classes by class key, {blocks[1]} by ideal key,"
+    detail += f" {blocks[2]} by both, {unkeyed} unkeyed; {agree}/{len(moved)} translate pairs agree"
+    record("witness equivalence vs ideal route", passed, detail)
 
     stable = 0
     for _ in range(10):

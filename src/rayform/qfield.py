@@ -269,22 +269,6 @@ def minimal_norm_elements(t: IdealTriple) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(found))
 
 
-def is_mult_congruent_one(u: int, v: int, m: int, t: IdealTriple) -> bool:
-    """Whether x = (u*tau + v)/m is multiplicatively congruent to 1 mod t.
-
-    Requires gcd(m, c) = 1 and u*tau + v coprime to the modulus, then tests
-    u*tau + v - m in the ideal.  No least denominator is taken: a factor
-    shared by m, u and v is coprime to t, so it changes neither test.
-    """
-    if math.gcd(m, t.c) != 1:
-        raise QFieldError(
-            f"denominator {m} shares a factor with {t.c}; congruence undefined here"
-        )
-    if not _coprime(u, v, t):
-        raise QFieldError("element is not coprime to the modulus")
-    return t.residue(u, v - m) == (0, 0)
-
-
 def _kronecker(d: int, n: int) -> int:
     """Kronecker symbol (d/n) for n >= 1, by quadratic reciprocity."""
     sign, two = 1, (0, 1, 0, -1, 0, -1, 0, 1)  # (m/2) = (2/m), by m mod 8

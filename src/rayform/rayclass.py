@@ -10,10 +10,10 @@ exact integer arithmetic; points of the field are the roots of primitive
 integral forms, and `point_coords` turns one into rational (tau, 1)
 coordinates for printing.
 
-Two independent routes to the same questions are kept side by side on
-purpose: the witness-matrix equivalence test against the ideal-theoretic
-`equivalent_oracle`, and the class enumeration against
-`ray_class_number_oracle`.
+Two independent routes to each question are kept side by side on purpose:
+reduction and the witness congruence (`class_key`, `equivalent`) against
+ideal arithmetic alone (`ideal_keys`, `equivalent_oracle`) for class
+membership, and enumeration against `ray_class_number_oracle` for the count.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .qfield import (
     _egcd,
     crt2,
     ideal_product,
-    is_mult_congruent_one,
     make_discriminant,
     make_ideal_triple,
     minimal_norm_elements,
@@ -197,19 +196,7 @@ def equivalent(
     """
     _require_form(form1, mod)
     _require_form(form2, mod)
-    return _equivalent_reduced(form1, reduce(form1), form2, reduce(form2), mod)
-
-
-def _equivalent_reduced(
-    form1: QuadForm,
-    reduced1: tuple[QuadForm, UnimodMatrix],
-    form2: QuadForm,
-    reduced2: tuple[QuadForm, UnimodMatrix],
-    mod: Modulus,
-) -> UnimodMatrix | None:
-    # `equivalent` past its two reductions, for callers that reduce once
-    red1, g1 = reduced1
-    red2, g2 = reduced2
+    (red1, g1), (red2, g2) = reduce(form1), reduce(form2)
     if red1 != red2:
         return None
     gamma0 = g2.inv() @ g1
@@ -228,25 +215,39 @@ def _form_ideal(form: QuadForm, disc: Discriminant) -> IdealTriple:
     return make_ideal_triple(disc, 1, _half(disc.b0 - form.b) % form.a, form.a)
 
 
-def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
-    """Independent equivalence test straight from the ray class definition.
+def ideal_keys(
+    forms: list[QuadForm], base: QuadForm, mod: Modulus
+) -> list[tuple[int, int] | None]:
+    """Ideal-route labels of forms in base's form class: for f = (a, b, c),
+    with ideal I_f = [a*omega, a] of norm a, the least residue mod n of
+    g*(a^-1 mod N) over the generators g of I_f*conj(I_base) listed by
+    `minimal_norm_elements`, or None if there is none (another form class).
 
-    Forms are sent to their upper-half-plane ideals; the quotient ideal,
-    times a, is the integral ideal I1 * conj(I2), coprime to the modulus.
-    Principality plus the multiplicative congruence of some generator g/a
-    is checked by minimal norm enumeration, all on integer (tau, 1)
-    coordinates.  No witness matrices are involved.
+    Equal keys mean ray equivalence.  The generators are eps*g with
+    N(g) = a*a_base, so I1*conj(I2) is generated by eps*g1*conj(g2)/a_base,
+    and "some generator over a1 is = 1 mod* n" becomes, times g2/(a1*a2),
+    eps*g1/a1 = g2/a2 mod* n.  Each g is prime to n, as N(g) = a*a_base and
+    `_require_form` makes both prime to N; so g/a = g*(a^-1 mod N) mod* n.
     """
-    _require_form(form1, mod)
-    _require_form(form2, mod)
-    disc = mod.disc
-    # the conjugate of form2's ideal is the ideal of (a, -b, c)
-    conj2 = _form_ideal(QuadForm(form2.a, -form2.b, form2.c), disc)
-    quotient = ideal_product(_form_ideal(form1, disc), conj2)
-    return any(
-        is_mult_congruent_one(u, v, form1.a, mod.ideal)
-        for u, v in minimal_norm_elements(quotient)
-    )
+    disc, n, N = mod.disc, mod.ideal, mod.level
+    _require_form(base, mod)
+    # the conjugate of base's ideal is the ideal of (a, -b, c)
+    conj = _form_ideal(QuadForm(base.a, -base.b, base.c), disc)
+    keys = []
+    for form in forms:
+        _require_form(form, mod)
+        a_inv = pow(form.a, -1, N)
+        gens = minimal_norm_elements(ideal_product(_form_ideal(form, disc), conj))
+        keys.append(min((n.residue(u * a_inv, v * a_inv) for u, v in gens), default=None))
+    return keys
+
+
+def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
+    """Independent equivalence test straight from the ray class definition:
+    form1's `ideal_keys` entry against form2 exists and equals form2's own.
+    No reduction and no witness matrices are involved."""
+    key1, key2 = ideal_keys([form1, form2], form2, mod)
+    return key1 is not None and key1 == key2
 
 
 def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix:
@@ -368,8 +369,8 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     Walks the reduced forms, renormalizes leading coefficients against the
     level, splits the admissible rows into congruence classes and pulls each
     back through a lifted matrix.  The count is checked against the
-    ideal-theoretic ray class number and the representatives are checked
-    pairwise inequivalent, so a miscount cannot pass silently.
+    ideal-theoretic ray class number and representatives sharing a reduced
+    form must have distinct `ideal_keys`, so a miscount cannot pass silently.
     """
     disc, N = mod.disc, mod.level
     reps: list[FormClass] = []
@@ -385,17 +386,13 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
             f"enumerated {len(reps)} classes, oracle says {expected}"
         )
     # only representatives with the same reduced form can be equivalent
-    reductions = [reduce(fc.rep) for fc in reps]
-    earlier: dict[QuadForm, list[int]] = {}
-    for j, (red, _) in enumerate(reductions):
-        for i in earlier.setdefault(red, []):
-            if _equivalent_reduced(
-                reps[i].rep, reductions[i], reps[j].rep, reductions[j], mod
-            ) is not None:
-                raise InternalCheckError(
-                    f"representatives {reps[i].rep} and {reps[j].rep} collide"
-                )
-        earlier[red].append(j)
+    buckets: dict[QuadForm, list[QuadForm]] = {}
+    for fc in reps:
+        buckets.setdefault(fc.key[0], []).append(fc.rep)
+    for red, forms in buckets.items():
+        keys = ideal_keys(forms, forms[0], mod) if len(forms) > 1 else []
+        if None in keys or len(set(keys)) != len(keys):
+            raise InternalCheckError(f"representatives reducing to {red} collide")
     if len({fc.key for fc in reps}) != len(reps):
         raise InternalCheckError("two representatives share a class key")
     principal = class_key(QuadForm(1, disc.b0, disc.c0), mod)
@@ -527,12 +524,10 @@ def group_table(mod: Modulus) -> ClassGroup:
     for g, pi in generators.items():
         if any(table[x][g] != pi[x] for x in range(size)):
             raise InternalCheckError("derived cell differs from its composed generator row")
-    for i in range(size):
-        if sorted(table[i]) != list(range(size)):
-            raise InternalCheckError("table row is not a permutation")
-        for j in range(size):
-            if table[i][j] != table[j][i]:
-                raise InternalCheckError("composition table is not commutative")
+    if any(len(set(row)) != size for row in table):
+        raise InternalCheckError("table row is not a permutation")
+    if table != tuple(zip(*table)):
+        raise InternalCheckError("composition table is not commutative")
     return ClassGroup(mod, group.classes, table, _invariant_factors(table))
 
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rayform import checks, modular, rayclass
+from rayform import checks, forms, modular, rayclass
 from rayform.checks import run_checks, sci
+from rayform.forms import act, t_power
 from rayform.modular import Precision, eval_descriptor
-from rayform.qfield import QFieldError, make_discriminant
+from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
@@ -188,3 +189,80 @@ def test_contexts_are_shared_and_keep_their_precision():
     eval_descriptor(desc, None, Precision(1000))
     assert modular._ctx(p80).dps == 90
     assert eval_descriptor(desc, None, p80) == before
+
+
+ROUTE_CHECK = "witness equivalence vs ideal route"
+
+
+def _route_check(mod):
+    found = run_checks(mod, Precision(30), 15, random.Random(911))
+    return next(c for c in found if c.name == ROUTE_CHECK)
+
+
+@pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-3, 6, 0, 6), (-4, 6, 0, 6)])
+@pytest.mark.parametrize("mutation", ["translate of another class", "first generator"])
+def test_route_check_fails_when_mutated(monkeypatch, ideal, mutation):
+    """The partition check passes as shipped and fails on each mutation:
+    - the translates of the first representative drawn from the second
+      one instead, which the class count cannot see;
+    - each ideal key taken from the first generator listed instead of the
+      least over all of them, over 2, 6 and 4 units."""
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+    assert _route_check(mod).passed
+    if mutation == "first generator":
+        gens = rayclass.minimal_norm_elements
+        monkeypatch.setattr(rayclass, "minimal_norm_elements", lambda t: gens(t)[:1])
+    else:
+        reps, translates = [fc.rep for fc in enumerate_classes(mod).classes], checks._translates
+        moved = lambda f, m, rng, want: translates(reps[1] if f == reps[0] else f, m, rng, want)
+        monkeypatch.setattr(checks, "_translates", moved)
+    check = _route_check(mod)
+    assert not check.passed, check.detail
+
+
+@pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-3, 6, 0, 6)])
+def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal):
+    """A `reduce` fault gives one translate of the second class the reduced
+    label (a, b + 2a, .), properly equivalent to the right one.  Both routes
+    built on reduction are fooled alike: the class key and the witness
+    search put the translate in a class of its own, and bucketing by that
+    reduced form splits the ideal-key partition the same way.  `verify`
+    fails first at `class_translate`'s own witness test; without that test
+    it fails at the route check, since the oracle uses no reduction and its
+    translate pair disagrees."""
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    rng = random.Random(911)
+    target = [checks._translates(rep, mod, rng, 2) for rep in reps][1][0]
+    reduce_ = forms.reduce
+
+    def split(form):
+        red, g = reduce_(form)
+        return (act(red, t_power(1)), t_power(-1) @ g) if form == target else (red, g)
+
+    for module in (forms, rayclass, modular):
+        monkeypatch.setattr(module, "reduce", split)
+    assert rayclass.class_key(target, mod) != rayclass.class_key(reps[1], mod)
+    assert rayclass.equivalent(reps[1], target, mod) is None
+    assert rayclass.equivalent_oracle(reps[1], target, mod)
+    with pytest.raises(InternalCheckError, match="translate left the class"):
+        run_checks(mod, Precision(30), 15, random.Random(911))
+
+    def unguarded(form, m, k, j):
+        moved = act(form, rayclass.witness_matrix(form, m, k, j).inv())
+        return moved if moved.a > 0 and math.gcd(moved.a, m.level) == 1 else None
+
+    monkeypatch.setattr(checks, "class_translate", unguarded)
+    found = run_checks(mod, Precision(30), 15, random.Random(911))
+    assert [c.name for c in found if not c.passed] == [ROUTE_CHECK]
+    h = len(reps)
+    assert f"{2 * h - 1}/{2 * h} translate pairs agree" in found[1].detail
+
+
+def test_run_checks_calls_the_oracle_once_per_translate_pair(monkeypatch):
+    calls = []
+    oracle = checks.equivalent_oracle
+    monkeypatch.setattr(checks, "equivalent_oracle", lambda *args: calls.append(args) or oracle(*args))
+    found = run_checks(MOD20, Precision(30), 15, random.Random(911))
+    assert all(c.passed for c in found)
+    assert len(calls) == 2 * len(enumerate_classes(MOD20).classes)

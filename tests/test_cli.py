@@ -269,19 +269,20 @@ def test_verify_second_field():
 
 
 # sha256 of `verify` stdout, recorded with the one-pass theta kernel, the
-# exact identity-class check and descriptor points reduced exactly in K; any
-# change to a sample, value or detail string shows here
+# exact identity-class check, descriptor points reduced exactly in K and the
+# route check on ideal-key partitions; any change to a sample, value or
+# detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "89825e9ffa589b78a6c463f2cc709b1f24be3d230adec12e21db9a99fcf378be",
-    ("-20", "2,4,6", "40", "json"): "c56148fba072829b1ddec5d49f5f152020016d095b30f4902946737e3451d6fd",
-    ("-20", "2,4,6", "40", "text"): "3dc37cc1e9595acc9fb756b836c1913e86c7244086f5d74f8cbc99cfa1418a2e",
-    ("-23", "1,8,31", "40", "json"): "4149ce33beeb505a414553f802560c7bd05b4be99a58b85fb3a3a6aee7b6e77d",
-    ("-23", "3,9,12", "80", "json"): "ae7fcfed050a8ea8593f0c128dc72d6aeff83b95109993bca80d8c526587ded8",
-    ("-23", "3,9,12", "80", "text"): "8d34721c5b39c7a2471f4d059b416c6a4a1b082d7ef480f0f578542b34a0358b",
-    ("-3", "6,0,6", "80", "json"): "baec302108d7147111611f1efd0b3c99d67d508da0f56bfb6b1f3ae556dc60e9",
-    ("-3", "6,0,6", "80", "text"): "a93aa7dc033b7686ab5929d4037999593bf2d8f1752ff2b5eee80b6176913032",
-    ("-4", "6,0,6", "80", "json"): "d38b97b5364a36007c5d9c235d662dbfc106aa827966266498553d02e4003b30",
-    ("-4", "6,0,6", "80", "text"): "5336c1db05c58e5d0808f70ae607557728edc1035000d020404f78a0e483fdfb",
+    ("-111", "9,0,9", "40", "json"): "76325f1bfe2f1f2499e4d977150136152d21188fa12d4b54091dd950e713fe95",
+    ("-20", "2,4,6", "40", "json"): "62f5a5628036a0b127de485e95ec1ed4e802299a7d348b8869c823dd11382684",
+    ("-20", "2,4,6", "40", "text"): "94d6e857ef2c992c4aecbbc90309ab9d541ec9469f8fc9582842c47ff35bcecc",
+    ("-23", "1,8,31", "40", "json"): "7c671b9618d44433859f8cb6869e4cccd61f6fc550ab2db4c8f568dd1ae1e173",
+    ("-23", "3,9,12", "80", "json"): "0a465e5987e4309c32d8376591f2bce9243aefec9bdb2f0e52a8430b4564e73f",
+    ("-23", "3,9,12", "80", "text"): "1fa59fa94a782f353a2b5a747cf8c3a39c07468a1ae49c4874d0f7e09d84cb65",
+    ("-3", "6,0,6", "80", "json"): "ba35d22614e5567992744bd8438c9fc26bc07afe4afbc93f1521273a90a62f95",
+    ("-3", "6,0,6", "80", "text"): "fcd4ddff168cc6bd3164ac889182b19438c22ca3154308e8f0dcb253dad7c4be",
+    ("-4", "6,0,6", "80", "json"): "f20eeb60dc9ea639f1bdb75ecb61efbc37c501041b49284f6ff947ba8c202631",
+    ("-4", "6,0,6", "80", "text"): "cd0b932e0abe877d9fba59f801bbba7f9e24a4efc85f07c6dca5fb3b3c691f7f",
 }
 
 

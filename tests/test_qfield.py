@@ -1,12 +1,13 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rayform.forms import reduced_forms
+from rayform.forms import QuadForm, reduced_forms
 from rayform.qfield import (
     _coprime,
     QFieldError,
@@ -14,7 +15,6 @@ from rayform.qfield import (
     class_number,
     crt2,
     ideal_product,
-    is_mult_congruent_one,
     make_discriminant,
     make_ideal_triple,
     minimal_norm_elements,
@@ -22,7 +22,15 @@ from rayform.qfield import (
     ray_class_number_oracle,
 )
 
-from rayform.rayclass import point_coords
+from rayform.rayclass import (
+    _form_ideal,
+    class_key,
+    class_translate,
+    enumerate_classes,
+    ideal_keys,
+    make_modulus,
+    point_coords,
+)
 
 from conftest import fraction_point_form, valid_triples
 
@@ -274,38 +282,6 @@ def test_principal_ideal_norm():
     assert _principal_ideal(D20, (1, 3)).norm() == 14 == round(abs(_embed(D20, 1, 3)) ** 2)
 
 
-def test_mult_congruence_examples():
-    n = make_ideal_triple(D20, 2, 4, 6)
-    assert is_mult_congruent_one(0, 1, 1, n)
-    assert not is_mult_congruent_one(0, -1, 1, n)
-    assert is_mult_congruent_one(2, 5, 1, n)  # 1 + (2*tau + 4)
-    assert is_mult_congruent_one(14, 35, 7, n)  # the same element over 7
-
-
-@given(st.sampled_from(TRIPLES20 + TRIPLES23))
-def test_mult_congruence_generator_shift(t):
-    assert is_mult_congruent_one(t.a1, t.a2 + 1, 1, t)
-    assert is_mult_congruent_one(0, t.c + 1, 1, t)
-
-
-def test_mult_congruence_multiplicative():
-    n = make_ideal_triple(D20, 2, 4, 6)
-    xs = [(2, 5), (0, 7), (4, 9)]
-    for x in xs:
-        for y in xs:
-            assert is_mult_congruent_one(*D20.mul(x, y), 1, n)
-
-
-def test_mult_congruence_rejects_noncoprime():
-    n = make_ideal_triple(D20, 2, 4, 6)
-    with pytest.raises(QFieldError):
-        is_mult_congruent_one(0, 1, 2, n)
-    with pytest.raises(QFieldError):
-        is_mult_congruent_one(0, 2, 1, n)
-    with pytest.raises(QFieldError):
-        is_mult_congruent_one(0, 0, 1, n)
-
-
 def _congruent_one_by_fractions(u, v, m, t):
     # the definition on x = (u*tau + v)/m in Fraction arithmetic: least
     # denominator m first, then coprimality and alpha - m in the ideal;
@@ -318,24 +294,49 @@ def _congruent_one_by_fractions(u, v, m, t):
     return au % t.a1 == 0 and (av - m - au // t.a1 * t.a2) % t.c == 0
 
 
+def _translate(form, mod, rng):
+    while True:
+        moved = class_translate(form, mod, rng.randrange(-5, 6), rng.randrange(-4, 5))
+        if moved is not None:
+            return moved
+
+
 @pytest.mark.parametrize(
     "dk, ideal",
     [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (5, 0, 5)), (-4, (2, 2, 4))],
 )
 def test_mult_congruence_matches_fraction_definition(dk, ideal):
-    t = make_ideal_triple(make_discriminant(dk), *ideal)
+    # the ideal keys of the forms of one bucket (one reduced form) against
+    # the definition: f1 and f2 share a key exactly when eps*(g1/a1)/(g2/a2)
+    # = eps*g1*conj(g2)*a2/(a1*N(g2)) is = 1 mod* n for some unit eps, with
+    # g1, g2 generators of I_f*conj(I_base)
+    disc = make_discriminant(dk)
+    mod = make_modulus(disc, *ideal)
+    rng = random.Random(dk)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    pool = reps + [_translate(f, mod, rng) for f in reps]
+    buckets = {}
+    for f in pool:
+        buckets.setdefault(class_key(f, mod)[0], []).append(f)
     seen = set()
-    for m in (m for m in range(1, 13) if math.gcd(m, t.c) == 1):
-        for u in range(-7, 8):
-            for v in range(-7, 8):
-                ref = _congruent_one_by_fractions(u, v, m, t)
-                if ref is None:
-                    with pytest.raises(QFieldError):
-                        is_mult_congruent_one(u, v, m, t)
-                else:
-                    assert is_mult_congruent_one(u, v, m, t) == ref, (u, v, m)
-                seen.add(ref)
-    assert seen == {None, True, False}
+    for forms in buckets.values():
+        base = forms[0]
+        conj = _form_ideal(QuadForm(base.a, -base.b, base.c), disc)
+        gens = [minimal_norm_elements(ideal_product(_form_ideal(f, disc), conj))[0] for f in forms]
+        keys = ideal_keys(forms, base, mod)
+        for f1, g1, k1 in zip(forms, gens, keys):
+            for f2, g2, k2 in zip(forms, gens, keys):
+                num = disc.mul(g1, _conj(disc, g2))
+                refs = {
+                    _congruent_one_by_fractions(
+                        *(f2.a * w for w in disc.mul(eps, num)), f1.a * disc.norm(*g2), mod.ideal
+                    )
+                    for eps in disc.unit_coords()
+                }
+                assert None not in refs and (k1 == k2) == (True in refs), (f1, f2)
+                seen.add(k1 == k2)
+    # dK=-4 mod 2,2,4 has a single class
+    assert seen == ({True, False} if len(reps) > 1 else {True})
 
 
 def test_class_numbers():

@@ -42,6 +42,7 @@ from rayform.rayclass import (
     equivalent,
     equivalent_oracle,
     group_table,
+    ideal_keys,
     lift_bottom_row,
     make_modulus,
     point_coords,
@@ -302,7 +303,7 @@ def test_row_key_matches_field_route():
 
 def test_collision_check_catches_a_repeated_row_class(monkeypatch):
     # a second row with the first row's key yields two representatives of one
-    # class; the witness check has to raise before the class key check does
+    # class; the ideal-key check has to raise before the class key check does
     row_classes_ = rayclass.row_classes
 
     def twin_rows(form, mod):
@@ -326,6 +327,40 @@ def test_collision_check_catches_a_repeated_row_class(monkeypatch):
             enumerate_classes(mod)
 
 
+@pytest.mark.parametrize("dk, ideal", [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (6, 0, 6))])
+def test_collision_check_catches_a_translated_representative(monkeypatch, dk, ideal):
+    # the second representative built is replaced by a translate of the
+    # first; the count stays right, so only the ideal keys can see it
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    act_, built = rayclass.act, []
+
+    def swapped(form, g):
+        built.append(act_(form, g))
+        if len(built) != 2:
+            return built[-1]
+        for k, j in itertools.product(range(1, 6), range(5)):
+            moved = act_(built[0], witness_matrix(built[0], mod, k, j).inv())
+            if moved.a > 0 and math.gcd(moved.a, mod.level) == 1:
+                return moved
+
+    monkeypatch.setattr(rayclass, "act", swapped)
+    with pytest.raises(InternalCheckError, match="collide"):
+        enumerate_classes(mod)
+
+
+def _ideal_labels(forms, mod):
+    # class keys, and (reduced form, ideal key against the first form of
+    # its bucket) labels, the buckets read off the class keys
+    keys = [class_key(f, mod) for f in forms]
+    buckets = {}
+    for f, key in zip(forms, keys):
+        buckets.setdefault(key[0], []).append(f)
+    labels = {}
+    for red, members in buckets.items():
+        labels.update(zip(members, ((red, k) for k in ideal_keys(members, members[0], mod))))
+    return keys, [labels[f] for f in forms]
+
+
 @pytest.mark.parametrize("dk", [-3, -4, -15, -20, -23])
 def test_class_key_agrees_with_both_routes(dk):
     # every pair among the representatives and one translate of each
@@ -335,13 +370,47 @@ def test_class_key_agrees_with_both_routes(dk):
         mod = make_modulus(disc, t.a1, t.a2, t.c)
         reps = [fc.rep for fc in enumerate_classes(mod).classes]
         forms = reps + [translates(f, mod, rng, 1)[0] for f in reps]
-        keys = [class_key(f, mod) for f in forms]
+        keys, labels = _ideal_labels(forms, mod)
         for i, f1 in enumerate(forms):
             for j in range(i, len(forms)):
                 f2 = forms[j]
                 same = keys[i] == keys[j]
                 assert same == (equivalent(f1, f2, mod) is not None)
                 assert same == equivalent_oracle(f1, f2, mod)
+                assert same == (labels[i] == labels[j])
+
+
+@pytest.mark.parametrize("dk, ideal", [(-3, (1, 3, 7)), (-4, (1, 2, 5)), (-111, (9, 0, 9))])
+def test_ideal_key_partition_is_the_class_partition(dk, ideal):
+    # linear in the form count: the representatives and two translates each
+    # fall into h blocks under the class key, the ideal key and both
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    rng = random.Random(dk)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    forms = reps + [g for f in reps for g in translates(f, mod, rng, 2)]
+    keys, labels = _ideal_labels(forms, mod)
+    assert all(key is not None for _, key in labels)
+    assert len(set(keys)) == len(set(labels)) == len(set(zip(keys, labels))) == len(reps)
+    # a leading coefficient sharing a factor with N has no ideal key
+    bad = {-3: QuadForm(7, 5, 1), -4: QuadForm(5, 4, 1), -111: QuadForm(3, 3, 10)}[dk]
+    for forms, base in (([bad], reps[0]), ([reps[0]], bad)):
+        with pytest.raises(QFieldError, match="shares a factor"):
+            ideal_keys(forms, base, mod)
+
+
+def test_group_table_makes_no_pairwise_equivalence_calls(monkeypatch):
+    # no witness search at all, and one ideal_keys call per shared bucket
+    def refuse(*args):
+        raise AssertionError("group_table compared two forms pairwise")
+
+    for name in ("equivalent", "equivalent_oracle", "_satisfies_witness"):
+        monkeypatch.setattr(rayclass, name, refuse)
+    sizes, keys = [], rayclass.ideal_keys
+    monkeypatch.setattr(
+        rayclass, "ideal_keys", lambda forms, base, mod: sizes.append(len(forms)) or keys(forms, base, mod)
+    )
+    assert len(group_table(make_modulus(D23, 1, 8, 31)).classes) == 45
+    assert len(sizes) <= 3 and sum(sizes) <= 45  # h_K = 3 buckets
 
 
 def test_lift_bottom_row():
