@@ -145,7 +145,7 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     # the class key, under (reduced form, ideal key) and under both
     moved = [(rep, m) for rep in reps for m in _translates(rep, mod, rng, 2)]
     forms = reps + [m for _, m in moved]
-    keys = [class_key(f, mod) for f in forms]
+    keys = [fc.key for fc in group.classes] + [class_key(m, mod) for _, m in moved]
     buckets: dict[QuadForm, list[QuadForm]] = {}
     for f, key in zip(forms, keys):
         buckets.setdefault(key[0], []).append(f)

@@ -9,7 +9,6 @@ them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -99,7 +98,6 @@ class UnimodMatrix:
 
 
 IDENT = UnimodMatrix(1, 0, 0, 1)
-NEG_IDENT = UnimodMatrix(-1, 0, 0, -1)
 S_FLIP = UnimodMatrix(0, -1, 1, 0)
 
 
@@ -165,44 +163,27 @@ def reduced_forms(disc: Discriminant) -> tuple[QuadForm, ...]:
 
 
 def automorphs(form: QuadForm) -> tuple[UnimodMatrix, ...]:
-    """The stabilizer of the form inside SL2(Z).
+    """The stabilizer of the form inside SL2(Z), read off the unit equation.
 
-    Plus and minus identity except over discriminants -3 and -4, where the
-    extra units of the order show up.  The special cases are found by brute
-    force on the reduced form (entries up to 2 suffice there) and conjugated
-    back along the reduction witness; that search runs once per reduced form
-    per process (`_reduced_stabilizer`).
+    Each integer solution (t, u) of t^2 - d*u^2 = 4 gives the automorph
+    [[(t - b*u)/2, -c*u], [a*u, (t + b*u)/2]] of (a, b, c): its determinant
+    is (t^2 - b^2*u^2)/4 + a*c*u^2 = (t^2 - d*u^2)/4 = 1, and its entries are
+    integers because t^2 = d*u^2 = b^2*u^2 (mod 4) forces t = b*u (mod 2).
+    As d <= -3, only u in {0, 1, -1} and |t| <= 2 can solve it: u = 0 gives
+    plus and minus identity, returned in that order, and u = +-1 adds four
+    more at d = -3 and two at d = -4, where all are sorted by (p, q, r, s).
     """
     d = form.disc()
     if d >= 0:
         raise QFieldError(f"form {form} is not definite")
-    if d not in (-3, -4):
-        return (IDENT, NEG_IDENT)
-    reduced, g = reduce(form)
-    ginv = g.inv()
-    conj = [ginv @ h @ g for h in _reduced_stabilizer(reduced)]
-    return tuple(sorted(conj, key=lambda m: (m.p, m.q, m.r, m.s)))
-
-
-@functools.cache
-def _reduced_stabilizer(reduced: QuadForm) -> tuple[UnimodMatrix, ...]:
-    # brute force over entries in [-2, 2], checked against the unit count
-    stab = []
-    for p in range(-2, 3):
-        for q in range(-2, 3):
-            for r in range(-2, 3):
-                for s in range(-2, 3):
-                    if p * s - q * r != 1:
-                        continue
-                    h = UnimodMatrix(p, q, r, s)
-                    if act(reduced, h) == reduced:
-                        stab.append(h)
-    expected = 6 if reduced.disc() == -3 else 4
-    if len(stab) != expected:
-        raise InternalCheckError(
-            f"automorph count {len(stab)} for {reduced}, expected {expected}"
-        )
-    return tuple(stab)
+    a, b, c = form.coeffs()
+    units = [(t, u) for u in (0, 1, -1) for t in (2, -2, 1, -1, 0) if t * t - d * u * u == 4]
+    auts = [UnimodMatrix((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2) for t, u in units]
+    if len(auts) > 2:
+        auts.sort(key=lambda m: (m.p, m.q, m.r, m.s))
+    if any(act(form, g) != form for g in auts):
+        raise InternalCheckError(f"a unit-equation automorph does not fix {form}")
+    return tuple(auts)
 
 
 def coprime_normalize(form: QuadForm, modulus: int) -> tuple[QuadForm, UnimodMatrix]:

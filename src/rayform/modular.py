@@ -52,7 +52,7 @@ import mpmath
 
 from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, reduce, t_power
 from .qfield import Discriminant, InternalCheckError, QFieldError
-from .rayclass import GaloisDescriptor
+from .rayclass import GaloisDescriptor, point_coords
 
 _MAX_TERMS = 200000
 # the most digits a value may ask for: one value at 10^5 digits takes
@@ -96,11 +96,11 @@ def _fr(ctx, x: Fraction):
 
 
 def _embed(ctx, form: QuadForm, disc: Discriminant):
-    """Numeric upper half plane root of the form, whose discriminant is
-    k^2 d: tau*(k/A) + (k*b0 - B)/(2A), each quotient correctly rounded."""
-    k = math.isqrt(form.disc() // disc.d)
+    """Numeric upper half plane root of the form: its exact `point_coords`
+    (u, v) as u*tau + v, each coordinate correctly rounded."""
+    u, v = point_coords(form, disc)
     tau = (ctx.mpc(-disc.b0, ctx.sqrt(-disc.d))) / 2
-    return tau * (ctx.mpf(k) / form.a) + ctx.mpf(k * disc.b0 - form.b) / (2 * form.a)
+    return tau * _fr(ctx, u) + _fr(ctx, v)
 
 
 def _ensure_finite(ctx, value):

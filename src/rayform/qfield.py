@@ -42,21 +42,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def crt2(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); moduli need not be coprime.
-
-    Returns the least nonnegative solution mod lcm(m1, m2), raises
-    QFieldError when the system is inconsistent.
-    """
-    g, p, _ = _egcd(m1, m2)
-    if (r2 - r1) % g:
-        raise QFieldError(f"inconsistent congruences x={r1} mod {m1}, x={r2} mod {m2}")
-    lcm = m1 // g * m2
-    # x = r1 + m1*t with m1*t = r2-r1 (mod m2)
-    t = ((r2 - r1) // g * p) % (m2 // g)
-    return (r1 + m1 * t) % lcm
-
-
 def _is_squarefree(n: int) -> bool:
     n = abs(n)
     if n % 4 == 0:

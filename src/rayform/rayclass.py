@@ -38,7 +38,6 @@ from .qfield import (
     InternalCheckError,
     QFieldError,
     _egcd,
-    crt2,
     ideal_product,
     make_discriminant,
     make_ideal_triple,
@@ -162,12 +161,14 @@ def canonical_offset(form: QuadForm, mod: Modulus) -> int:
     """The unique integer locating the product ideal's canonical basis.
 
     Congruent to a2 - a1*(b + b0)/2 mod N, divisible by a, and windowed so
-    that 0 <= offset + a1*(b + b0)/2 < N*a.
+    that 0 <= offset + a1*(b + b0)/2 < N*a.  With shift = a1*(b + b0)/2,
+    the base a*((a2 - shift)*a^-1 mod N) is the least x >= 0 with
+    x = a2 - shift (mod N) and a | x, as `_require_form` makes a prime to N.
     """
     _require_form(form, mod)
     n, N, a = mod.ideal, mod.level, form.a
     shift = n.a1 * _half(form.b + mod.disc.b0)
-    base = crt2((n.a2 - shift) % N, N, 0, a)
+    base = a * ((n.a2 - shift) * pow(a, -1, N) % N)
     period = N * a
     return (base + shift) % period - shift
 
@@ -278,10 +279,11 @@ def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix
 
 def class_translate(form: QuadForm, mod: Modulus, k: int, j: int) -> QuadForm | None:
     """A different representative of the form's class, or None when the
-    parameters land outside the coprime-leading-coefficient domain."""
+    parameters land outside the coprime-leading-coefficient domain or the
+    matrix fixes the form (k = j = 0 gives the identity or an automorph)."""
     g = witness_matrix(form, mod, k, j)
     moved = act(form, g.inv())
-    if moved.a <= 0 or math.gcd(moved.a, mod.level) != 1:
+    if moved == form or moved.a <= 0 or math.gcd(moved.a, mod.level) != 1:
         return None
     if equivalent(form, moved, mod) is None:
         raise InternalCheckError("translate left the class")

@@ -11,7 +11,13 @@ from rayform.checks import run_checks, sci
 from rayform.forms import act, t_power
 from rayform.modular import Precision, eval_descriptor
 from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
-from rayform.rayclass import descriptor, enumerate_classes, make_modulus
+from rayform.rayclass import (
+    class_translate,
+    descriptor,
+    enumerate_classes,
+    group_table,
+    make_modulus,
+)
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
 
@@ -119,6 +125,20 @@ def test_invariance_residuals_are_no_self_comparisons(ideal):
         for moved in checks._translates(rep, mod, rng, 2)
     ]
     assert exact.count(0) > 0
+
+
+@pytest.mark.parametrize("dk,ideal", [(-23, (1, 8, 31)), (-111, (9, 0, 9))])
+def test_translates_never_return_the_representative(dk, ideal):
+    """Drawn as the route check draws them, with `verify`'s seed, no translate
+    is its own representative; k = j = 0 used to hand back the form itself,
+    4 times at each of these moduli."""
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    reps = [fc.rep for fc in group_table(mod).classes]
+    rng = random.Random(911)
+    moved = [(rep, m) for rep in reps for m in checks._translates(rep, mod, rng, 2)]
+    assert len(moved) == 2 * len(reps)
+    assert all(m != rep for rep, m in moved)
+    assert all(class_translate(rep, mod, 0, 0) is None for rep in reps)
 
 
 @pytest.mark.parametrize("samples", [0, -2])

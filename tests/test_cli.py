@@ -269,20 +269,20 @@ def test_verify_second_field():
 
 
 # sha256 of `verify` stdout, recorded with the one-pass theta kernel, the
-# exact identity-class check, descriptor points reduced exactly in K and the
-# route check on ideal-key partitions; any change to a sample, value or
-# detail string shows here
+# exact identity-class check, descriptor points reduced exactly in K, the
+# route check on ideal-key partitions and translates that never return their
+# own form; any change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "76325f1bfe2f1f2499e4d977150136152d21188fa12d4b54091dd950e713fe95",
-    ("-20", "2,4,6", "40", "json"): "62f5a5628036a0b127de485e95ec1ed4e802299a7d348b8869c823dd11382684",
-    ("-20", "2,4,6", "40", "text"): "94d6e857ef2c992c4aecbbc90309ab9d541ec9469f8fc9582842c47ff35bcecc",
+    ("-111", "9,0,9", "40", "json"): "f72e16c31e4d51c04b3b4df071a51bb1d7948b36cb978377ea899905940c59f9",
+    ("-20", "2,4,6", "40", "json"): "92ae529fa7c14d9c78e2ab37d6f1d99deb6571094a5cb3e7a62474b803f1746d",
+    ("-20", "2,4,6", "40", "text"): "3adb62281b90847ffb530ea925569c1cbbd36bee8bb95851105fc9c82f03418b",
     ("-23", "1,8,31", "40", "json"): "7c671b9618d44433859f8cb6869e4cccd61f6fc550ab2db4c8f568dd1ae1e173",
-    ("-23", "3,9,12", "80", "json"): "0a465e5987e4309c32d8376591f2bce9243aefec9bdb2f0e52a8430b4564e73f",
-    ("-23", "3,9,12", "80", "text"): "1fa59fa94a782f353a2b5a747cf8c3a39c07468a1ae49c4874d0f7e09d84cb65",
-    ("-3", "6,0,6", "80", "json"): "ba35d22614e5567992744bd8438c9fc26bc07afe4afbc93f1521273a90a62f95",
-    ("-3", "6,0,6", "80", "text"): "fcd4ddff168cc6bd3164ac889182b19438c22ca3154308e8f0dcb253dad7c4be",
-    ("-4", "6,0,6", "80", "json"): "f20eeb60dc9ea639f1bdb75ecb61efbc37c501041b49284f6ff947ba8c202631",
-    ("-4", "6,0,6", "80", "text"): "cd0b932e0abe877d9fba59f801bbba7f9e24a4efc85f07c6dca5fb3b3c691f7f",
+    ("-23", "3,9,12", "80", "json"): "5d6146681225c516247b049b76367785b8d1f83ffbeede92db2a23a7a14f626d",
+    ("-23", "3,9,12", "80", "text"): "b5af6e9254fb178871917261c8ef1cc1f3ea1e03b67a7c0be95eae49ed35db8e",
+    ("-3", "6,0,6", "80", "json"): "556368513661d526fb2699a87c737afd993c811fde1e322cfb4fe109c735211f",
+    ("-3", "6,0,6", "80", "text"): "c8683fcc9381a60490fcc348b1851725d10f4a1f85ade4d304afb562fcf51925",
+    ("-4", "6,0,6", "80", "json"): "c31a5c05256c6088612653fe3c8cef0ea42adbfa9d0cee5cd678f44c630d6571",
+    ("-4", "6,0,6", "80", "text"): "979b6706f3a6a92b6ef54cbcdbb81d68a4420aea137dc8b4479ef11493bafea7",
 }
 
 

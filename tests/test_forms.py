@@ -194,7 +194,7 @@ def test_automorphs_fix_form_and_close(fd):
 
 def _reference_automorphs(form):
     # the brute-force stabilizer of the reduced form, conjugated along the
-    # reduction witness and sorted, searched afresh on every call
+    # reduction witness and sorted: a route independent of the unit equation
     reduced, g = reduce(form)
     stab = [
         UnimodMatrix(p, q, r, s)
@@ -202,6 +202,8 @@ def _reference_automorphs(form):
         if p * s - q * r == 1 and act(reduced, UnimodMatrix(p, q, r, s)) == reduced
     ]
     conj = [g.inv() @ h @ g for h in stab]
+    if len(conj) == 2:
+        return (IDENT, UnimodMatrix(-1, 0, 0, -1))
     return tuple(sorted(conj, key=lambda m: (m.p, m.q, m.r, m.s)))
 
 
@@ -212,8 +214,8 @@ def _random_sl2(rng):
     return g @ t_power(rng.randrange(-9, 10))
 
 
-@pytest.mark.parametrize("base", [QuadForm(1, 1, 1), QuadForm(1, 0, 1)])
-def test_cached_stabilizer_matches_fresh_search(base):
+@pytest.mark.parametrize("base", [QuadForm(1, 1, 1), QuadForm(1, 0, 1), QuadForm(2, 1, 3)])
+def test_unit_equation_automorphs_match_box_search(base):
     rng = random.Random(1207)
     for _ in range(220):
         form = act(base, _random_sl2(rng))
@@ -222,14 +224,25 @@ def test_cached_stabilizer_matches_fresh_search(base):
         assert all(act(form, h) == form for h in auts)
 
 
-@pytest.mark.parametrize("base", [QuadForm(1, 1, 1), QuadForm(1, 0, 1)])
+@pytest.mark.parametrize("base", [QuadForm(1, 1, 1), QuadForm(1, 0, 1), QuadForm(1, 0, 5)])
 def test_stabilizer_count_is_checked(base, monkeypatch):
-    # with act fixing every form, all 52 matrices of the box "stabilize"
+    # the self-check that replaced the count: with act moving every form, no
+    # unit-equation matrix fixes it
     form = act(base, t_power(3) @ S_FLIP)
-    forms._reduced_stabilizer.cache_clear()
-    monkeypatch.setattr(forms, "act", lambda form, g: form)
-    with pytest.raises(InternalCheckError, match="automorph count 52"):
+    monkeypatch.setattr(forms, "act", lambda form, g: QuadForm(form.a, form.b + 2 * form.a, form.c))
+    with pytest.raises(InternalCheckError, match="does not fix"):
         automorphs(form)
+
+
+def test_automorphs_need_no_reduction(monkeypatch):
+    def no_reduce(form):
+        raise AssertionError("automorphs called reduce")
+
+    monkeypatch.setattr(forms, "reduce", no_reduce)
+    assert automorphs(QuadForm(1, 0, 5))[0] == IDENT
+    assert automorphs(QuadForm(7, -6, 2)) == (IDENT, UnimodMatrix(-1, 0, 0, -1))
+    assert len(automorphs(QuadForm(3, 3, 1))) == 6
+    assert len(automorphs(QuadForm(2, 2, 1))) == 4
 
 
 def test_coprime_normalize_examples():

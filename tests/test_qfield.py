@@ -13,7 +13,6 @@ from rayform.qfield import (
     QFieldError,
     canonicalize_ideal,
     class_number,
-    crt2,
     ideal_product,
     make_discriminant,
     make_ideal_triple,
@@ -403,14 +402,6 @@ def test_parse_triple():
         parse_ideal_triple(D20, "2;4;6")
     with pytest.raises(QFieldError):
         parse_ideal_triple(D20, "2,4")
-
-
-def test_crt2():
-    assert crt2(1, 4, 3, 6) % 4 == 1
-    assert crt2(1, 4, 3, 6) % 6 == 3
-    assert crt2(0, 1, 5, 7) == 5
-    with pytest.raises(QFieldError):
-        crt2(0, 4, 1, 6)
 
 
 @given(st_disc, st_rational.filter(lambda u: u > 0), st_rational)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -706,6 +707,16 @@ def test_witness_matrix_and_translates():
             g = witness_matrix(base, mod, k, j)
             moved = act(base, g.inv())
             assert act(moved, g) == base
+
+
+@pytest.mark.parametrize("module", ["qfield", "forms", "rayclass"])
+def test_exact_layer_keeps_no_function_cache(module):
+    """The exact layer is stateless: no function or method of its modules is
+    wrapped by functools.cache or lru_cache, which is what adds cache_info."""
+    mod = importlib.import_module(f"rayform.{module}")
+    own = [v for v in vars(mod).values() if getattr(v, "__module__", None) == mod.__name__]
+    members = own + [m for cls in own if isinstance(cls, type) for m in vars(cls).values()]
+    assert [m for m in members if hasattr(m, "cache_info")] == []
 
 
 def test_enumerate_many_moduli_match_oracle():
