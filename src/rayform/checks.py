@@ -142,21 +142,16 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     record("class count vs ideal-theoretic oracle", h == oracle, f"{h} classes, oracle {oracle}")
 
     # the representatives and two translates each fall into h blocks under
-    # the class key, under (reduced form, ideal key) and under both
+    # the class key, under the ideal key and under both
     moved = [(rep, m) for rep in reps for m in _translates(rep, mod, rng, 2)]
     forms = reps + [m for _, m in moved]
     keys = [fc.key for fc in group.classes] + [class_key(m, mod) for _, m in moved]
-    buckets: dict[QuadForm, list[QuadForm]] = {}
-    for f, key in zip(forms, keys):
-        buckets.setdefault(key[0], []).append(f)
-    ideal = {f: k for fs in buckets.values() for f, k in zip(fs, ideal_keys(fs, fs[0], mod))}
-    labels = [(key[0], ideal[f]) for f, key in zip(forms, keys)]
+    labels = ideal_keys(forms, mod)
     blocks = [len(set(keys)), len(set(labels)), len(set(zip(keys, labels)))]
-    unkeyed = sum(k is None for _, k in labels)
     agree = sum(equivalent(r, m, mod) is not None and equivalent_oracle(r, m, mod) for r, m in moved)
-    passed = blocks == [h] * 3 and not unkeyed and agree == len(moved)
+    passed = blocks == [h] * 3 and agree == len(moved)
     detail = f"{len(forms)} forms in {blocks[0]} classes by class key, {blocks[1]} by ideal key,"
-    detail += f" {blocks[2]} by both, {unkeyed} unkeyed; {agree}/{len(moved)} translate pairs agree"
+    detail += f" {blocks[2]} by both; {agree}/{len(moved)} translate pairs agree"
     record("witness equivalence vs ideal route", passed, detail)
 
     stable = 0

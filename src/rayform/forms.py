@@ -153,11 +153,9 @@ def reduced_forms(disc: Discriminant) -> tuple[QuadForm, ...]:
             num = b * b - d
             if num % (4 * a):
                 continue
-            c = num // (4 * a)
-            if c < a or (a == c and b < 0):
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) == 1:
-                found.append(QuadForm(a, b, c))
+            form = QuadForm(a, b, num // (4 * a))
+            if form.is_reduced() and form.content() == 1:
+                found.append(form)
         a += 1
     return tuple(sorted(found, key=QuadForm.coeffs))
 

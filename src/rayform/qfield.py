@@ -211,23 +211,13 @@ def _coprime(u: int, v: int, t: IdealTriple) -> bool:
     return _hnf_rows(rows) == (1, 0, 1)
 
 
-def minimal_norm_elements(t: IdealTriple) -> tuple[tuple[int, int], ...]:
-    """All elements of the ideal whose norm equals the ideal's norm, as
-    sorted integer (tau, 1) pairs.
-
-    The ideal is principal exactly when this list is nonempty, and then the
-    list is the full set of generators.  The rows of t are Lagrange-reduced
-    on their norm form (a, b, c), a = N(g1), c = N(g2),
-    b = N(g1 + g2) - a - c, by integer steps of its own (g2 -= k*g1 with k
-    nearest to b/2a, or (g1, g2) -> (g2, -g1)) until |b| <= a <= c.  Then
-    the ellipse a*x^2 + b*x*y + c*y^2 = det is scanned over x.  On an ideal
-    no nonzero element has norm below det, so a >= det, and
-    x^2 <= 4*c*det/(4*a*c - b^2) <= 4/3 bounds the scan to |x| <= 2
-    whatever the ideal's size.
-    """
+def _lagrange(t: IdealTriple):
+    """A Lagrange-reduced basis g1, g2 of t with its norm form (a, b, c):
+    a = N(g1), c = N(g2), b = N(g1 + g2) - a - c and |b| <= a <= c, so a is
+    the least nonzero norm in t.  Each step has determinant 1: g2 -= k*g1
+    with k nearest to b/2a, or (g1, g2) -> (g2, -g1)."""
     disc = t.disc
     (u1, v1), (u2, v2) = t.rows()
-    target = t.norm()
     a_c, c_c = disc.norm(u1, v1), disc.norm(u2, v2)
     b_c = disc.norm(u1 + u2, v1 + v2) - a_c - c_c
     while abs(b_c) > a_c or a_c > c_c:
@@ -238,20 +228,35 @@ def minimal_norm_elements(t: IdealTriple) -> tuple[tuple[int, int], ...]:
         else:
             u1, v1, u2, v2 = u2, v2, -u1, -v1
             a_c, b_c, c_c = c_c, -b_c, a_c
-    disc_g = b_c * b_c - 4 * a_c * c_c  # equals d * target^2, negative
-    found = set()
-    x_bound = math.isqrt((-4 * c_c * target) // disc_g) + 1
-    for x in range(-x_bound, x_bound + 1):
-        # the integer roots y of c*y^2 + (b*x)*y + (a*x^2 - target) = 0
-        d_y = (b_c * x) ** 2 - 4 * c_c * (a_c * x * x - target)
-        r = math.isqrt(max(d_y, 0))
-        if r * r != d_y:
-            continue
-        for num in (-b_c * x + r, -b_c * x - r):
-            if num % (2 * c_c) == 0:
-                y = num // (2 * c_c)
-                found.add((u1 * x + u2 * y, v1 * x + v2 * y))
-    return tuple(sorted(found))
+    return (u1, v1), (u2, v2), (a_c, b_c, c_c)
+
+
+def ideal_class_form(t: IdealTriple) -> tuple[int, int, int]:
+    """The reduced form of discriminant d naming t's ideal class: the norm
+    form of `_lagrange`'s basis over N(t), with b -> -b when b = -a or when
+    a = c and b < 0.  Every canonical basis (a1*tau + a2, c) has one
+    orientation, Im(conj(a1*tau + a2)*c) = -a1*c*Im(tau) < 0, and every step
+    has determinant 1, so the form is fixed up to proper equivalence.  Times
+    x in K, an ideal keeps its orientation and each norm over N(t) is
+    unchanged, so one class gives one reduced form: that of (a, b, c) for
+    the ideal [a*omega, a], and (1, b0, c0) for principal ideals."""
+    _, _, (a, b, c) = _lagrange(t)
+    if b == -a or (a == c and b < 0):
+        b = -b
+    n = t.norm()
+    return a // n, b // n, c // n
+
+
+def minimal_norm_elements(t: IdealTriple) -> tuple[tuple[int, int], ...]:
+    """All elements of the ideal whose norm equals the ideal's norm, as
+    sorted integer (tau, 1) pairs: the generators of t, none unless t is
+    principal.  Every norm in t is a multiple of N(t) and `_lagrange`'s a
+    is the least, so t is principal exactly when a = N(t), and then its
+    generators are g1 times the units."""
+    g1, _, (a, _, _) = _lagrange(t)
+    if a != t.norm():
+        return ()
+    return tuple(sorted(t.disc.mul(eps, g1) for eps in t.disc.unit_coords()))
 
 
 def _kronecker(d: int, n: int) -> int:

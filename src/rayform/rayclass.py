@@ -38,6 +38,7 @@ from .qfield import (
     InternalCheckError,
     QFieldError,
     _egcd,
+    ideal_class_form,
     ideal_product,
     make_discriminant,
     make_ideal_triple,
@@ -48,6 +49,8 @@ from .qfield import (
 RowVec = tuple[int, int]
 # reduced form plus the canonical residue of its row's unit orbit
 ClassKey = tuple[QuadForm, tuple[int, int]]
+# ideal class form plus the least residue of a generator over a
+IdealKey = tuple[tuple[int, int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -216,39 +219,42 @@ def _form_ideal(form: QuadForm, disc: Discriminant) -> IdealTriple:
     return make_ideal_triple(disc, 1, _half(disc.b0 - form.b) % form.a, form.a)
 
 
-def ideal_keys(
-    forms: list[QuadForm], base: QuadForm, mod: Modulus
-) -> list[tuple[int, int] | None]:
-    """Ideal-route labels of forms in base's form class: for f = (a, b, c),
-    with ideal I_f = [a*omega, a] of norm a, the least residue mod n of
-    g*(a^-1 mod N) over the generators g of I_f*conj(I_base) listed by
-    `minimal_norm_elements`, or None if there is none (another form class).
+def ideal_keys(forms: list[QuadForm], mod: Modulus) -> list[IdealKey]:
+    """Ideal-route labels of the forms, comparable within one call only: for
+    f = (a, b, c), with ideal I_f = [a*omega, a] of norm a, the pair of
+    `ideal_class_form(I_f)` and the least residue mod n of g*(a^-1 mod N)
+    over the generators g of I_f*conj(I_base), base the list's first form
+    in I_f's class; conj(I_base) is the ideal of (a_base, -b_base, c_base).
 
-    Equal keys mean ray equivalence.  The generators are eps*g with
+    Equal labels mean ray equivalence.  The generators are eps*g with
     N(g) = a*a_base, so I1*conj(I2) is generated by eps*g1*conj(g2)/a_base,
     and "some generator over a1 is = 1 mod* n" becomes, times g2/(a1*a2),
     eps*g1/a1 = g2/a2 mod* n.  Each g is prime to n, as N(g) = a*a_base and
     `_require_form` makes both prime to N; so g/a = g*(a^-1 mod N) mod* n.
     """
     disc, n, N = mod.disc, mod.ideal, mod.level
-    _require_form(base, mod)
-    # the conjugate of base's ideal is the ideal of (a, -b, c)
-    conj = _form_ideal(QuadForm(base.a, -base.b, base.c), disc)
+    conjs: dict[tuple[int, int, int], IdealTriple] = {}
     keys = []
     for form in forms:
         _require_form(form, mod)
+        ideal = _form_ideal(form, disc)
+        name = ideal_class_form(ideal)
+        if name not in conjs:
+            conjs[name] = _form_ideal(QuadForm(form.a, -form.b, form.c), disc)
+        gens = minimal_norm_elements(ideal_product(ideal, conjs[name]))
+        if not gens:
+            raise InternalCheckError(f"I_f*conj(I_base) has no generator for {form} in class {name}")
         a_inv = pow(form.a, -1, N)
-        gens = minimal_norm_elements(ideal_product(_form_ideal(form, disc), conj))
-        keys.append(min((n.residue(u * a_inv, v * a_inv) for u, v in gens), default=None))
+        keys.append((name, min(n.residue(u * a_inv, v * a_inv) for u, v in gens)))
     return keys
 
 
 def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
     """Independent equivalence test straight from the ray class definition:
-    form1's `ideal_keys` entry against form2 exists and equals form2's own.
-    No reduction and no witness matrices are involved."""
-    key1, key2 = ideal_keys([form1, form2], form2, mod)
-    return key1 is not None and key1 == key2
+    the two forms' `ideal_keys` from one call are equal.  No reduction and
+    no witness matrices are involved."""
+    key1, key2 = ideal_keys([form1, form2], mod)
+    return key1 == key2
 
 
 def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix:
@@ -371,8 +377,8 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     Walks the reduced forms, renormalizes leading coefficients against the
     level, splits the admissible rows into congruence classes and pulls each
     back through a lifted matrix.  The count is checked against the
-    ideal-theoretic ray class number and representatives sharing a reduced
-    form must have distinct `ideal_keys`, so a miscount cannot pass silently.
+    ideal-theoretic ray class number and the representatives must have
+    distinct `ideal_keys`, so a miscount cannot pass silently.
     """
     disc, N = mod.disc, mod.level
     reps: list[FormClass] = []
@@ -387,14 +393,8 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
         raise InternalCheckError(
             f"enumerated {len(reps)} classes, oracle says {expected}"
         )
-    # only representatives with the same reduced form can be equivalent
-    buckets: dict[QuadForm, list[QuadForm]] = {}
-    for fc in reps:
-        buckets.setdefault(fc.key[0], []).append(fc.rep)
-    for red, forms in buckets.items():
-        keys = ideal_keys(forms, forms[0], mod) if len(forms) > 1 else []
-        if None in keys or len(set(keys)) != len(keys):
-            raise InternalCheckError(f"representatives reducing to {red} collide")
+    if len(set(ideal_keys([fc.rep for fc in reps], mod))) != len(reps):
+        raise InternalCheckError("two representatives collide under the ideal key")
     if len({fc.key for fc in reps}) != len(reps):
         raise InternalCheckError("two representatives share a class key")
     principal = class_key(QuadForm(1, disc.b0, disc.c0), mod)

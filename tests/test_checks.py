@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rayform import checks, forms, modular, rayclass
+from rayform import checks, forms, modular, qfield, rayclass
 from rayform.checks import run_checks, sci
 from rayform.forms import act, t_power
 from rayform.modular import Precision, eval_descriptor
@@ -245,11 +245,11 @@ def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal)
     """A `reduce` fault gives one translate of the second class the reduced
     label (a, b + 2a, .), properly equivalent to the right one.  Both routes
     built on reduction are fooled alike: the class key and the witness
-    search put the translate in a class of its own, and bucketing by that
-    reduced form splits the ideal-key partition the same way.  `verify`
-    fails first at `class_translate`'s own witness test; without that test
-    it fails at the route check, since the oracle uses no reduction and its
-    translate pair disagrees."""
+    search put the translate in a class of its own.  The ideal keys use no
+    reduction, so their partition keeps its h blocks and the oracle joins
+    the translate pair.  `verify` fails first at `class_translate`'s own
+    witness test; without that test it fails at the route check, where the
+    class key finds h + 1 blocks and the ideal key h."""
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
     reps = [fc.rep for fc in enumerate_classes(mod).classes]
     rng = random.Random(911)
@@ -276,7 +276,27 @@ def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal)
     found = run_checks(mod, Precision(30), 15, random.Random(911))
     assert [c.name for c in found if not c.passed] == [ROUTE_CHECK]
     h = len(reps)
+    assert f"in {h + 1} classes by class key, {h} by ideal key," in found[1].detail
     assert f"{2 * h - 1}/{2 * h} translate pairs agree" in found[1].detail
+
+
+@pytest.mark.parametrize(
+    "ideal, blocks", [((-23, 3, 9, 12), 14), ((-23, 1, 8, 31), 46), ((-111, 9, 0, 9), 218)]
+)
+def test_route_check_fails_without_the_boundary_flip(monkeypatch, ideal, blocks):
+    """`ideal_class_form` without its b -> -b step names one ideal class by
+    two forms, (a, -a, c) and (a, a, c) or (a, -b, a) and (a, b, a), so the
+    ideal-key partition splits classes and the route check fails."""
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+
+    def unflipped(t):
+        _, _, abc = qfield._lagrange(t)
+        return tuple(x // t.norm() for x in abc)
+
+    monkeypatch.setattr(rayclass, "ideal_class_form", unflipped)
+    check = _route_check(mod)
+    assert not check.passed
+    assert f" {blocks} by ideal key," in check.detail
 
 
 def test_run_checks_calls_the_oracle_once_per_translate_pair(monkeypatch):

@@ -7,10 +7,12 @@ import sys
 import mpmath
 import pytest
 
-from rayform import modular
+from rayform import cli, modular
 from rayform.forms import QuadForm
 from rayform.qfield import make_discriminant
 from rayform.rayclass import descriptor, make_modulus
+
+from conftest import drop_a_principal_row
 
 BASE = [sys.executable, "-m", "rayform.cli"]
 
@@ -248,6 +250,16 @@ def test_invalid_inputs_exit_2():
         assert "tolerance exponent" in err
 
 
+def test_miscount_exits_3(monkeypatch, capsys):
+    # enumeration one class short of the oracle stops both subcommands
+    # before any output, so verify's class count check can only pass
+    drop_a_principal_row(monkeypatch)
+    for args in (["enumerate"], ["verify", "--digits", "40"]):
+        assert cli.main([*args, "--dk", "-20", "--ideal", "2,4,6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "oracle says 4" in err
+
+
 def test_trivial_modulus_rejected():
     code, _, err = run("verify", "--dk", "-20", "--ideal", "1,0,1")
     assert code == 2
@@ -270,19 +282,20 @@ def test_verify_second_field():
 
 # sha256 of `verify` stdout, recorded with the one-pass theta kernel, the
 # exact identity-class check, descriptor points reduced exactly in K, the
-# route check on ideal-key partitions and translates that never return their
-# own form; any change to a sample, value or detail string shows here
+# route check on ideal-key partitions (labelled by qfield's own class form)
+# and translates that never return their own form; any change to a sample,
+# value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "f72e16c31e4d51c04b3b4df071a51bb1d7948b36cb978377ea899905940c59f9",
-    ("-20", "2,4,6", "40", "json"): "92ae529fa7c14d9c78e2ab37d6f1d99deb6571094a5cb3e7a62474b803f1746d",
-    ("-20", "2,4,6", "40", "text"): "3adb62281b90847ffb530ea925569c1cbbd36bee8bb95851105fc9c82f03418b",
-    ("-23", "1,8,31", "40", "json"): "7c671b9618d44433859f8cb6869e4cccd61f6fc550ab2db4c8f568dd1ae1e173",
-    ("-23", "3,9,12", "80", "json"): "5d6146681225c516247b049b76367785b8d1f83ffbeede92db2a23a7a14f626d",
-    ("-23", "3,9,12", "80", "text"): "b5af6e9254fb178871917261c8ef1cc1f3ea1e03b67a7c0be95eae49ed35db8e",
-    ("-3", "6,0,6", "80", "json"): "556368513661d526fb2699a87c737afd993c811fde1e322cfb4fe109c735211f",
-    ("-3", "6,0,6", "80", "text"): "c8683fcc9381a60490fcc348b1851725d10f4a1f85ade4d304afb562fcf51925",
-    ("-4", "6,0,6", "80", "json"): "c31a5c05256c6088612653fe3c8cef0ea42adbfa9d0cee5cd678f44c630d6571",
-    ("-4", "6,0,6", "80", "text"): "979b6706f3a6a92b6ef54cbcdbb81d68a4420aea137dc8b4479ef11493bafea7",
+    ("-111", "9,0,9", "40", "json"): "899749e51c529cfdb9ba9b914683f7c63b22affd0e918781951f62337477b1a4",
+    ("-20", "2,4,6", "40", "json"): "b22a42e7655765e5ba99d1a37a3e12c1690b46271915944eb05e445f1f31a060",
+    ("-20", "2,4,6", "40", "text"): "8e1a94dfd3327e60e3db2633318aa69901c5b1929560985468c83433f59d3011",
+    ("-23", "1,8,31", "40", "json"): "ecf2223f5f52ca4d58915767e6a9cec12f2d660f5c08cd0b695dd6ab1ef3c9fb",
+    ("-23", "3,9,12", "80", "json"): "ea0a64640959594546c919bc13b89249ce175711d31d3e4408a4f3565bd6fe84",
+    ("-23", "3,9,12", "80", "text"): "b7ff85204849cebd0b9967eeaa2f5afa84d5ab5f1bc47577d8b3c1b0b472b18f",
+    ("-3", "6,0,6", "80", "json"): "a319786e7d29164895792c46176727fcbda5017996cf8c89ef439b167b8258bf",
+    ("-3", "6,0,6", "80", "text"): "777877eddd23e3e34791b9e2cb777f0ddb0be29635dd5d3fa3fbffb0c4883b49",
+    ("-4", "6,0,6", "80", "json"): "d80b78696b1df0ada9950d5abd2290bba3e35977894a94ab041990a6cb5271f7",
+    ("-4", "6,0,6", "80", "text"): "fdccb688d04de338b9f64143985dadcb1cae4d03f77623afb32a7d83182f2884",
 }
 
 

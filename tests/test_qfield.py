@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rayform.forms import QuadForm, reduced_forms
+from rayform.forms import IDENT, S_FLIP, QuadForm, act, reduced_forms, t_power
 from rayform.qfield import (
     _coprime,
     QFieldError,
     canonicalize_ideal,
     class_number,
+    ideal_class_form,
     ideal_product,
     make_discriminant,
     make_ideal_triple,
@@ -23,7 +24,6 @@ from rayform.qfield import (
 
 from rayform.rayclass import (
     _form_ideal,
-    class_key,
     class_translate,
     enumerate_classes,
     ideal_keys,
@@ -277,6 +277,33 @@ def test_minimal_norm_elements():
     assert (2, 0) in gens and (-2, 0) in gens
 
 
+def _random_unimodular(rng):
+    g = IDENT
+    for _ in range(rng.randrange(1, 6)):
+        g = g @ t_power(rng.randrange(-4, 5)) @ S_FLIP
+    return g
+
+
+@pytest.mark.parametrize("dk", [-3, -4, -20, -23, -47, -71, -84, -111])
+def test_ideal_class_form_names_the_ideal_class(dk):
+    # the ideal k*[a*omega, a] of any SL2(Z) image (a, b, c) of a reduced
+    # form is named by that reduced form, distinct reduced forms get
+    # distinct names, and principal ideals get the principal form
+    disc = make_discriminant(dk)
+    rng = random.Random(dk)
+    names = []
+    for form in reduced_forms(disc):
+        for _ in range(100):
+            image, k = act(form, _random_unimodular(rng)), rng.randrange(1, 4)
+            w = (disc.b0 - image.b) // 2 % image.a
+            assert ideal_class_form(make_ideal_triple(disc, k, k * w, k * image.a)) == form.coeffs()
+        names.append(ideal_class_form(_form_ideal(form, disc)))
+    assert len(set(names)) == len(names) == class_number(disc)
+    for _ in range(50):
+        x = (rng.randrange(-20, 21), rng.randrange(1, 21))
+        assert ideal_class_form(_principal_ideal(disc, x)) == (1, disc.b0, disc.c0)
+
+
 def test_principal_ideal_norm():
     assert _principal_ideal(D20, (1, 3)).norm() == 14 == round(abs(_embed(D20, 1, 3)) ** 2)
 
@@ -305,36 +332,37 @@ def _translate(form, mod, rng):
     [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (5, 0, 5)), (-4, (2, 2, 4))],
 )
 def test_mult_congruence_matches_fraction_definition(dk, ideal):
-    # the ideal keys of the forms of one bucket (one reduced form) against
-    # the definition: f1 and f2 share a key exactly when eps*(g1/a1)/(g2/a2)
+    # the ideal keys of forms in one ideal class against the definition: f1
+    # and f2 share a key exactly when eps*(g1/a1)/(g2/a2)
     # = eps*g1*conj(g2)*a2/(a1*N(g2)) is = 1 mod* n for some unit eps, with
-    # g1, g2 generators of I_f*conj(I_base)
+    # g1, g2 generators of I_f*conj(I_base), base the class's first form
     disc = make_discriminant(dk)
     mod = make_modulus(disc, *ideal)
     rng = random.Random(dk)
     reps = [fc.rep for fc in enumerate_classes(mod).classes]
     pool = reps + [_translate(f, mod, rng) for f in reps]
-    buckets = {}
-    for f in pool:
-        buckets.setdefault(class_key(f, mod)[0], []).append(f)
-    seen = set()
-    for forms in buckets.values():
-        base = forms[0]
+    keys = ideal_keys(pool, mod)
+    bases, gens = {}, []
+    for f, (name, _) in zip(pool, keys):
+        base = bases.setdefault(name, f)
         conj = _form_ideal(QuadForm(base.a, -base.b, base.c), disc)
-        gens = [minimal_norm_elements(ideal_product(_form_ideal(f, disc), conj))[0] for f in forms]
-        keys = ideal_keys(forms, base, mod)
-        for f1, g1, k1 in zip(forms, gens, keys):
-            for f2, g2, k2 in zip(forms, gens, keys):
-                num = disc.mul(g1, _conj(disc, g2))
-                refs = {
-                    _congruent_one_by_fractions(
-                        *(f2.a * w for w in disc.mul(eps, num)), f1.a * disc.norm(*g2), mod.ideal
-                    )
-                    for eps in disc.unit_coords()
-                }
-                assert None not in refs and (k1 == k2) == (True in refs), (f1, f2)
-                seen.add(k1 == k2)
-    # dK=-4 mod 2,2,4 has a single class
+        gens.append(minimal_norm_elements(ideal_product(_form_ideal(f, disc), conj))[0])
+    seen = set()
+    for f1, g1, k1 in zip(pool, gens, keys):
+        for f2, g2, k2 in zip(pool, gens, keys):
+            if k1[0] != k2[0]:
+                continue
+            num = disc.mul(g1, _conj(disc, g2))
+            refs = {
+                _congruent_one_by_fractions(
+                    *(f2.a * w for w in disc.mul(eps, num)), f1.a * disc.norm(*g2), mod.ideal
+                )
+                for eps in disc.unit_coords()
+            }
+            assert None not in refs and (k1 == k2) == (True in refs), (f1, f2)
+            seen.add(k1 == k2)
+    # every ideal class of the field occurs; dK=-4 mod 2,2,4 has a single class
+    assert set(bases) == {f.coeffs() for f in reduced_forms(disc)}
     assert seen == ({True, False} if len(reps) > 1 else {True})
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import itertools
@@ -25,8 +26,10 @@ from rayform.forms import (
 from rayform.qfield import (
     InternalCheckError,
     QFieldError,
+    canonicalize_ideal,
     ideal_product,
     make_discriminant,
+    make_ideal_triple,
     minimal_norm_elements,
 )
 from rayform.rayclass import (
@@ -52,7 +55,7 @@ from rayform.rayclass import (
     witness_matrix,
 )
 
-from conftest import valid_triples
+from conftest import drop_a_principal_row, valid_triples
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -203,25 +206,45 @@ def _unreduced_minimal_norm(t):
     return tuple(sorted(found))
 
 
+def _random_ideal(disc, rng):
+    # a1*(1, w, m) with m | N(tau + w), or the principal ideal of a random
+    # element: norms up to 3^2*199 and 15^2*(c0 + 2) respectively
+    if rng.random() < 0.3:
+        x = (rng.randrange(-15, 16), rng.randrange(1, 16))
+        return canonicalize_ideal(disc, [disc.mul(x, (1, 0)), x])
+    while True:
+        m = rng.randrange(1, 200)
+        ws = [w for w in range(m) if disc.norm(1, w) % m == 0]
+        if ws:
+            a1 = rng.randrange(1, 4)
+            return make_ideal_triple(disc, a1, a1 * rng.choice(ws), a1 * m)
+
+
 @pytest.mark.parametrize(
-    "dk, ideal", [(-20, (2, 4, 6)), (-23, (1, 8, 31)), (-3, (6, 0, 6)), (-4, (5, 0, 5))]
+    "dk, ideal",
+    [(-20, (2, 4, 6)), (-23, (1, 8, 31)), (-3, (6, 0, 6)), (-4, (5, 0, 5)), (-111, (9, 0, 9))],
 )
 def test_minimal_norm_elements_match_unreduced_scan(dk, ideal):
-    # quotient ideals of the ideal route
+    # quotient ideals of the ideal route, then seeded random ideals
     mod = make_modulus(make_discriminant(dk), *ideal)
-    rng = random.Random(dk)
+    disc, rng = mod.disc, random.Random(dk)
     reps = [fc.rep for fc in enumerate_classes(mod).classes]
     pool = reps + [g for f in reps[:12] for g in translates(f, mod, rng, 2)]
-    principal = 0
+    quotients = []
     for _ in range(80):
         f1, f2 = rng.choice(pool), rng.choice(reps)
-        conj2 = _form_ideal(QuadForm(f2.a, -f2.b, f2.c), mod.disc)
-        quotient = ideal_product(_form_ideal(f1, mod.disc), conj2)
-        gens = minimal_norm_elements(quotient)
-        assert gens == _unreduced_minimal_norm(quotient), (f1, f2)
-        principal += bool(gens)
-    # class number 1 at dK=-3, -4: every quotient ideal is principal
-    assert principal == 80 if dk in (-3, -4) else 0 < principal < 80
+        conj2 = _form_ideal(QuadForm(f2.a, -f2.b, f2.c), disc)
+        quotients.append(ideal_product(_form_ideal(f1, disc), conj2))
+    ideals = [_random_ideal(disc, rng) for _ in range(150)]
+    for batch in (quotients, ideals):
+        principal = 0
+        for t in batch:
+            gens = minimal_norm_elements(t)
+            assert gens == _unreduced_minimal_norm(t), t
+            principal += bool(gens)
+        # class number 1 at dK=-3, -4: every ideal is principal
+        assert principal == len(batch) if dk in (-3, -4) else 0 < principal < len(batch)
+    assert max(t.norm() for t in ideals) >= 300
 
 
 def test_refines_classical_equivalence():
@@ -349,19 +372,6 @@ def test_collision_check_catches_a_translated_representative(monkeypatch, dk, id
         enumerate_classes(mod)
 
 
-def _ideal_labels(forms, mod):
-    # class keys, and (reduced form, ideal key against the first form of
-    # its bucket) labels, the buckets read off the class keys
-    keys = [class_key(f, mod) for f in forms]
-    buckets = {}
-    for f, key in zip(forms, keys):
-        buckets.setdefault(key[0], []).append(f)
-    labels = {}
-    for red, members in buckets.items():
-        labels.update(zip(members, ((red, k) for k in ideal_keys(members, members[0], mod))))
-    return keys, [labels[f] for f in forms]
-
-
 @pytest.mark.parametrize("dk", [-3, -4, -15, -20, -23])
 def test_class_key_agrees_with_both_routes(dk):
     # every pair among the representatives and one translate of each
@@ -371,7 +381,7 @@ def test_class_key_agrees_with_both_routes(dk):
         mod = make_modulus(disc, t.a1, t.a2, t.c)
         reps = [fc.rep for fc in enumerate_classes(mod).classes]
         forms = reps + [translates(f, mod, rng, 1)[0] for f in reps]
-        keys, labels = _ideal_labels(forms, mod)
+        keys, labels = [class_key(f, mod) for f in forms], ideal_keys(forms, mod)
         for i, f1 in enumerate(forms):
             for j in range(i, len(forms)):
                 f2 = forms[j]
@@ -389,29 +399,63 @@ def test_ideal_key_partition_is_the_class_partition(dk, ideal):
     rng = random.Random(dk)
     reps = [fc.rep for fc in enumerate_classes(mod).classes]
     forms = reps + [g for f in reps for g in translates(f, mod, rng, 2)]
-    keys, labels = _ideal_labels(forms, mod)
-    assert all(key is not None for _, key in labels)
+    keys, labels = [class_key(f, mod) for f in forms], ideal_keys(forms, mod)
     assert len(set(keys)) == len(set(labels)) == len(set(zip(keys, labels))) == len(reps)
+    # the ideal class form of each label is the reduced form of the class key
+    assert all(name == red.coeffs() for (red, _), (name, _) in zip(keys, labels))
     # a leading coefficient sharing a factor with N has no ideal key
     bad = {-3: QuadForm(7, 5, 1), -4: QuadForm(5, 4, 1), -111: QuadForm(3, 3, 10)}[dk]
-    for forms, base in (([bad], reps[0]), ([reps[0]], bad)):
+    for forms in ([bad], [reps[0], bad]):
         with pytest.raises(QFieldError, match="shares a factor"):
-            ideal_keys(forms, base, mod)
+            ideal_keys(forms, mod)
 
 
 def test_group_table_makes_no_pairwise_equivalence_calls(monkeypatch):
-    # no witness search at all, and one ideal_keys call per shared bucket
+    # no witness search at all, and one ideal_keys call over all h classes
     def refuse(*args):
         raise AssertionError("group_table compared two forms pairwise")
 
     for name in ("equivalent", "equivalent_oracle", "_satisfies_witness"):
         monkeypatch.setattr(rayclass, name, refuse)
     sizes, keys = [], rayclass.ideal_keys
-    monkeypatch.setattr(
-        rayclass, "ideal_keys", lambda forms, base, mod: sizes.append(len(forms)) or keys(forms, base, mod)
-    )
+    monkeypatch.setattr(rayclass, "ideal_keys", lambda forms, mod: sizes.append(len(forms)) or keys(forms, mod))
     assert len(group_table(make_modulus(D23, 1, 8, 31)).classes) == 45
-    assert len(sizes) <= 3 and sum(sizes) <= 45  # h_K = 3 buckets
+    assert sizes == [45]
+
+
+def test_ideal_route_needs_no_reduction(monkeypatch):
+    # qfield imports neither forms nor rayclass, and the ideal route runs
+    # with reduction refused
+    tree = ast.parse(Path(importlib.import_module("rayform.qfield").__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name.rsplit(".", 1)[-1] for name in imported} & {"forms", "rayclass"}
+    mod = make_modulus(D23, 1, 8, 31)
+    rng = random.Random(23)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    moved = [translates(f, mod, rng, 1)[0] for f in reps]
+    keys = [class_key(f, mod) for f in reps + moved]
+
+    def refuse(form):
+        raise AssertionError("the ideal route reduced a form")
+
+    monkeypatch.setattr("rayform.forms.reduce", refuse)
+    monkeypatch.setattr(rayclass, "reduce", refuse)
+    labels = ideal_keys(reps + moved, mod)
+    assert len(set(labels)) == len(set(zip(keys, labels))) == len(reps)
+    assert all(equivalent_oracle(f, m, mod) for f, m in zip(reps, moved))
+    assert not any(equivalent_oracle(f, m, mod) for f, m in zip(reps, moved[1:]))
+
+
+def test_miscount_raises_oracle_says(monkeypatch):
+    drop_a_principal_row(monkeypatch)
+    for mod in (MOD20, MOD23):
+        with pytest.raises(InternalCheckError, match="oracle says"):
+            enumerate_classes(mod)
 
 
 def test_lift_bottom_row():
