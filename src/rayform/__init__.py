@@ -12,6 +12,12 @@ classical q-series as an independent reference, and never touches global
 state.  The checks module runs the
 property suite of one modulus, and the cli module exposes everything as
 subcommands.
+
+The package root exports the exact layer only, so importing it loads
+neither mpmath nor modular (whose import runs its normalization
+self-test); `eval_descriptor` and `Precision` come from `rayform.modular`.
+The records are NamedTuples: each hashes and compares as the tuple of its
+fields, so it also equals a plain tuple of the same values.
 """
 
 from .qfield import make_discriminant
@@ -23,6 +29,5 @@ from .rayclass import (
     group_table,
     make_modulus,
 )
-from .modular import Precision, eval_descriptor
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ generator makes the report reproducible byte for byte."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import modular
 from .forms import QuadForm, UnimodMatrix
@@ -26,8 +26,7 @@ from .rayclass import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str

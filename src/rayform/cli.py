@@ -3,6 +3,10 @@
 Subcommands map one-to-one onto engine operations; all output goes to
 stdout as JSON by default or as aligned text with --format text.  Exit
 status: 0 success, 2 invalid input, 3 internal consistency failure.
+Only `eval` and `verify` import the numeric layer (modular and checks, and
+with them mpmath), inside their handlers: the other subcommands never load
+it, and a failed normalization self-test exits 3 like any other
+`InternalCheckError`.
 """
 
 from __future__ import annotations
@@ -12,10 +16,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict
 
-from . import modular
-from .checks import run_checks
 from .forms import QuadForm, parse_form, reduced_forms
 from .qfield import (
     InternalCheckError,
@@ -134,10 +135,6 @@ def _two_forms(args) -> tuple[QuadForm, QuadForm]:
     return parse_form(args.form[0]), parse_form(args.form[1])
 
 
-def _form_json(form: QuadForm) -> dict:
-    return {"a": form.a, "b": form.b, "c": form.c}
-
-
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -149,7 +146,7 @@ def _emit(args, payload: dict, text_lines) -> None:
 def _cmd_reduced(args) -> int:
     disc = make_discriminant(args.dk)
     forms = reduced_forms(disc)
-    payload = {"dK": disc.d, "forms": [_form_json(f) for f in forms]}
+    payload = {"dK": disc.d, "forms": [f._asdict() for f in forms]}
     _emit(args, payload, lambda: [str(f) for f in forms])
     return 0
 
@@ -202,7 +199,7 @@ def _cmd_compose(args) -> int:
     mod = _modulus(args)
     f1, f2 = _two_forms(args)
     result = compose(f1, f2, mod)
-    _emit(args, {"form": _form_json(result)}, lambda: [str(result)])
+    _emit(args, {"form": result._asdict()}, lambda: [str(result)])
     return 0
 
 
@@ -230,6 +227,8 @@ def _cmd_descriptor(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import modular
+
     mod = _modulus(args)
     d = descriptor(parse_form(args.form), mod)
     p = modular.Precision(_digits(args))
@@ -252,12 +251,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import modular
+    from .checks import run_checks
+
     mod = _modulus(args)
     digits = _digits(args)
     tol_exp = digits // 2 if args.tolerance_exponent is None else args.tolerance_exponent
     checks = run_checks(mod, modular.Precision(digits), tol_exp, random.Random(_VERIFY_SEED))
     passed = all(c.passed for c in checks)
-    results = [asdict(c) for c in checks]
+    results = [c._asdict() for c in checks]
     payload = {"dK": mod.disc.d, "ideal": str(mod.ideal), "passed": passed, "checks": results}
     _emit(args, payload, lambda: [*map(str, checks), f"overall: {'PASS' if passed else 'FAIL'}"])
     return 0 if passed else 3

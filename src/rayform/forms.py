@@ -10,7 +10,7 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qfield import (
     Discriminant,
@@ -20,8 +20,7 @@ from .qfield import (
 )
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(NamedTuple):
     a: int
     b: int
     c: int
@@ -67,20 +66,26 @@ def parse_form(text: str) -> QuadForm:
     return make_form(a, b, c)
 
 
-@dataclass(frozen=True)
-class UnimodMatrix:
-    """Element of SL2(Z), rows (p, q) and (r, s)."""
-
+class _MatrixEntries(NamedTuple):
     p: int
     q: int
     r: int
     s: int
 
-    def __post_init__(self):
-        if self.p * self.s - self.q * self.r != 1:
-            raise QFieldError(
-                f"matrix [[{self.p},{self.q}],[{self.r},{self.s}]] has determinant != 1"
-            )
+
+class UnimodMatrix(_MatrixEntries):
+    """Element of SL2(Z), rows (p, q) and (r, s).
+
+    The determinant is checked in `__new__`; `_replace` and `_make` skip it,
+    so the package builds matrices only through this constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, r: int, s: int):
+        if p * s - q * r != 1:
+            raise QFieldError(f"matrix [[{p},{q}],[{r},{s}]] has determinant != 1")
+        return tuple.__new__(cls, (p, q, r, s))
 
     def __matmul__(self, other: "UnimodMatrix") -> "UnimodMatrix":
         return UnimodMatrix(
@@ -157,7 +162,7 @@ def reduced_forms(disc: Discriminant) -> tuple[QuadForm, ...]:
             if form.is_reduced() and form.content() == 1:
                 found.append(form)
         a += 1
-    return tuple(sorted(found, key=QuadForm.coeffs))
+    return tuple(sorted(found))
 
 
 def automorphs(form: QuadForm) -> tuple[UnimodMatrix, ...]:
@@ -178,7 +183,7 @@ def automorphs(form: QuadForm) -> tuple[UnimodMatrix, ...]:
     units = [(t, u) for u in (0, 1, -1) for t in (2, -2, 1, -1, 0) if t * t - d * u * u == 4]
     auts = [UnimodMatrix((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2) for t, u in units]
     if len(auts) > 2:
-        auts.sort(key=lambda m: (m.p, m.q, m.r, m.s))
+        auts.sort()
     if any(act(form, g) != form for g in auts):
         raise InternalCheckError(f"a unit-equation automorph does not fix {form}")
     return tuple(auts)

@@ -45,8 +45,8 @@ j(rho) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -60,18 +60,23 @@ _MAX_TERMS = 200000
 MAX_DIGITS = 100000
 
 
-@dataclass(frozen=True)
-class Precision:
+class _Digits(NamedTuple):
+    digits: int
+
+
+class Precision(_Digits):
     """Working precision in decimal digits, from 30 to `MAX_DIGITS`; series
-    tails stop below 10^-(digits+20)."""
+    tails stop below 10^-(digits+20).  The range is checked in `__new__`,
+    which `_replace` and `_make` skip, so build one only by calling it."""
 
-    digits: int = 80
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.digits < 30:
-            raise QFieldError(f"need at least 30 digits, got {self.digits}")
-        if self.digits > MAX_DIGITS:
-            raise QFieldError(f"need at most {MAX_DIGITS} digits, got {self.digits}")
+    def __new__(cls, digits: int = 80):
+        if digits < 30:
+            raise QFieldError(f"need at least 30 digits, got {digits}")
+        if digits > MAX_DIGITS:
+            raise QFieldError(f"need at most {MAX_DIGITS} digits, got {digits}")
+        return tuple.__new__(cls, (digits,))
 
 
 _CONTEXTS: dict[Precision, mpmath.ctx_mp.MPContext] = {}
@@ -110,27 +115,32 @@ def _ensure_finite(ctx, value):
     return value
 
 
-@dataclass(frozen=True)
-class FrickeLabel:
-    """Index (i, [r/N, s/N]) of a torsion-value function of level N.
-
-    The row is stored reduced to [0, N)^2 and must not be integral.
-    """
-
+class _LabelFields(NamedTuple):
     i: int
     r: int
     s: int
     level: int
 
-    def __post_init__(self):
-        if self.i not in (1, 2, 3):
-            raise QFieldError(f"function index must be 1, 2 or 3, got {self.i}")
-        if self.level < 1:
-            raise QFieldError(f"level must be positive, got {self.level}")
-        object.__setattr__(self, "r", self.r % self.level)
-        object.__setattr__(self, "s", self.s % self.level)
-        if self.r == 0 and self.s == 0:
+
+class FrickeLabel(_LabelFields):
+    """Index (i, [r/N, s/N]) of a torsion-value function of level N.
+
+    The row is stored reduced to [0, N)^2 and must not be integral.  Both
+    are done in `__new__`, which `_replace` and `_make` skip, so build a
+    label only by calling the class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, r: int, s: int, level: int):
+        if i not in (1, 2, 3):
+            raise QFieldError(f"function index must be 1, 2 or 3, got {i}")
+        if level < 1:
+            raise QFieldError(f"level must be positive, got {level}")
+        r, s = r % level, s % level
+        if r == 0 and s == 0:
             raise QFieldError("row (0, 0) mod N indexes no torsion point")
+        return tuple.__new__(cls, (i, r, s, level))
 
     def row(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.r, self.level), Fraction(self.s, self.level)

@@ -16,7 +16,7 @@ whose roots they are (`rayclass.GaloisDescriptor`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class QFieldError(ValueError):
@@ -55,8 +55,7 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Discriminant:
+class Discriminant(NamedTuple):
     """A fundamental discriminant d < 0 with its principal form (1, b0, c0)."""
 
     d: int
@@ -106,8 +105,7 @@ def make_discriminant(d: int) -> Discriminant:
     return Discriminant(d, b0, c0)
 
 
-@dataclass(frozen=True)
-class IdealTriple:
+class IdealTriple(NamedTuple):
     """Canonical normal form (a1, a2, c) of an integral ideal."""
 
     disc: Discriminant

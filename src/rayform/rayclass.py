@@ -19,9 +19,9 @@ membership, and enumeration against `ray_class_number_oracle` for the count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .forms import (
     QuadForm,
@@ -51,10 +51,11 @@ RowVec = tuple[int, int]
 ClassKey = tuple[QuadForm, tuple[int, int]]
 # ideal class form plus the least residue of a generator over a
 IdealKey = tuple[tuple[int, int, int], tuple[int, int]]
+# A QuadForm is a tuple of its coefficients, so a ClassKey equals the
+# IdealKey of the same numbers: the two kinds never share a container.
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(NamedTuple):
     disc: Discriminant
     ideal: IdealTriple
 
@@ -77,20 +78,24 @@ def make_modulus(disc: Discriminant, a1: int, a2: int, c: int) -> Modulus:
     return Modulus(disc, ideal)
 
 
-@dataclass(frozen=True)
-class FormClass:
+class FormClass(NamedTuple):
     """One class: a representative form and the class key it carries."""
 
     rep: QuadForm
     key: ClassKey
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class _GroupFields(NamedTuple):
     modulus: Modulus
     classes: tuple[FormClass, ...]
     table: tuple[tuple[int, ...], ...] | None = None
     invariant_factors: tuple[int, ...] | None = None
+
+
+class ClassGroup(_GroupFields):
+    """The classes of a modulus, with the table and invariant factors once
+    `group_table` has filled them in.  A subclass of its fields, without
+    `__slots__`, so `index` is cached in the instance dict."""
 
     @cached_property
     def index(self) -> dict[ClassKey, int]:
@@ -98,8 +103,7 @@ class ClassGroup:
         return {fc.key: i for i, fc in enumerate(self.classes)}
 
 
-@dataclass(frozen=True)
-class GaloisDescriptor:
+class GaloisDescriptor(NamedTuple):
     """Exact data describing the Galois action attached to a form class.
 
     point is the primitive form whose upper half plane root is the base
@@ -553,9 +557,7 @@ def class_group_to_json(group: ClassGroup) -> dict:
     data = {
         "dK": group.modulus.disc.d,
         "ideal": str(group.modulus.ideal),
-        "classes": [
-            {"a": fc.rep.a, "b": fc.rep.b, "c": fc.rep.c} for fc in group.classes
-        ],
+        "classes": [fc.rep._asdict() for fc in group.classes],
         "table": [list(row) for row in group.table] if group.table else None,
         "invariant_factors": list(group.invariant_factors)
         if group.invariant_factors is not None

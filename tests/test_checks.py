@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -99,7 +98,7 @@ def test_identity_check_fails_when_mutated(monkeypatch, dk, mutation):
     change = {"a_inv": mod.level - 1} if mutation == "a_inv" else {
         "eval_matrix": ((mod.level, 0), (0, mod.level))
     }
-    monkeypatch.setattr(checks, "descriptor", lambda f, m: dataclasses.replace(right(f, m), **change))
+    monkeypatch.setattr(checks, "descriptor", lambda f, m: right(f, m)._replace(**change))
     check = identity_check()
     assert not check.passed, check.detail
 

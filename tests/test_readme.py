@@ -6,8 +6,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_library_sketch_runs():
-    """README's library sketch imports only from the package root and runs
-    as printed."""
+    """README's library sketch imports from the package root and from
+    rayform.modular, and runs as printed."""
     section = README.read_text().split("## Library sketch", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     names = {}
