@@ -108,14 +108,14 @@ class GaloisDescriptor(NamedTuple):
 
     point is the primitive form whose upper half plane root is the base
     point; eval_matrix composed with that root is where a torsion-point
-    function gets evaluated; a_inv twists the function index, and the fixed
-    twist marker records the extra inversion letter.
+    function gets evaluated; a_inv twists the function index, and the class
+    constant twist records the extra inversion letter.
     """
 
     a_inv: int
     eval_matrix: tuple[tuple[int, int], tuple[int, int]]
     point: QuadForm
-    twist: str = "S"
+    twist = "S"
 
     @property
     def disc(self) -> Discriminant:
@@ -144,14 +144,14 @@ def point_coords(form: QuadForm, disc: Discriminant) -> tuple[Fraction, Fraction
 
 
 def _require_form(form: QuadForm, mod: Modulus) -> None:
-    if form.a <= 0 or form.disc() >= 0:
+    """Check a caller's form for Q_N(dK): a > 0, disc = dK and gcd(a, N) = 1.
+    Content g > 1 would make form/g a form of discriminant dK/g^2, which a
+    fundamental dK rules out; a > 0 with disc < 0 makes the form definite."""
+    d = form.disc()
+    if form.a <= 0:
         raise QFieldError(f"form {form} is not positive definite")
-    if form.content() != 1:
-        raise QFieldError(f"form {form} is not primitive")
-    if form.disc() != mod.disc.d:
-        raise QFieldError(
-            f"form discriminant {form.disc()} does not match field {mod.disc.d}"
-        )
+    if d != mod.disc.d:
+        raise QFieldError(f"form discriminant {d} does not match field {mod.disc.d}")
     if math.gcd(form.a, mod.level) != 1:
         raise QFieldError(
             f"leading coefficient {form.a} shares a factor with level {mod.level}"
@@ -170,9 +170,8 @@ def canonical_offset(form: QuadForm, mod: Modulus) -> int:
     Congruent to a2 - a1*(b + b0)/2 mod N, divisible by a, and windowed so
     that 0 <= offset + a1*(b + b0)/2 < N*a.  With shift = a1*(b + b0)/2,
     the base a*((a2 - shift)*a^-1 mod N) is the least x >= 0 with
-    x = a2 - shift (mod N) and a | x, as `_require_form` makes a prime to N.
+    x = a2 - shift (mod N) and a | x, given a prime to N (`descriptor` checks).
     """
-    _require_form(form, mod)
     n, N, a = mod.ideal, mod.level, form.a
     shift = n.a1 * _half(form.b + mod.disc.b0)
     base = a * ((n.a2 - shift) * pow(a, -1, N) % N)
@@ -234,7 +233,7 @@ def ideal_keys(forms: list[QuadForm], mod: Modulus) -> list[IdealKey]:
     N(g) = a*a_base, so I1*conj(I2) is generated by eps*g1*conj(g2)/a_base,
     and "some generator over a1 is = 1 mod* n" becomes, times g2/(a1*a2),
     eps*g1/a1 = g2/a2 mod* n.  Each g is prime to n, as N(g) = a*a_base and
-    `_require_form` makes both prime to N; so g/a = g*(a^-1 mod N) mod* n.
+    this call checks both prime to N; so g/a = g*(a^-1 mod N) mod* n.
     """
     disc, n, N = mod.disc, mod.ideal, mod.level
     conjs: dict[tuple[int, int, int], IdealTriple] = {}
@@ -330,8 +329,7 @@ def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
 
 def row_classes(form: QuadForm, mod: Modulus) -> tuple[RowVec, ...]:
     """Lexicographically least representatives of admissible rows up to the
-    row congruence."""
-    _require_form(form, mod)
+    row congruence.  The form must be in Q_N(dK); it is not checked here."""
     N = mod.level
     reps: dict[tuple[int, int], RowVec] = {}
     for u in range(N):
@@ -345,9 +343,9 @@ def class_key(form: QuadForm, mod: Modulus) -> ClassKey:
     """Canonical label of the form's class: its reduced form plus the row
     key of the matrix carrying the coprime-normalized reduced form to it.
 
-    Two forms share a key exactly when `equivalent` joins them.
+    Two forms share a key exactly when `equivalent` joins them.  The form
+    must be in Q_N(dK); it is not checked here.
     """
-    _require_form(form, mod)
     red, g = reduce(form)
     normalized, n = coprime_normalize(red, mod.level)
     m = g.inv() @ n

@@ -250,6 +250,32 @@ def test_invalid_inputs_exit_2():
         assert "tolerance exponent" in err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("3,2,2", "error: leading coefficient 3 shares a factor with level 6\n"),
+        ("1,1,6", "error: form discriminant -23 does not match field -20\n"),
+    ],
+    ids=["level", "discriminant"],
+)
+def test_forms_outside_the_modulus_exit_2(capsys, bad, message):
+    # every --form position of every subcommand that takes a form; a form
+    # of content 2 is refused by parse_form before it reaches rayclass
+    good = ["--form", "1,0,5"]
+    for args in (
+        ["equiv", "--form", bad, *good],
+        ["equiv", *good, "--form", bad],
+        ["compose", "--form", bad, *good],
+        ["compose", *good, "--form", bad],
+        ["descriptor", "--form", bad],
+        ["eval", "--form", bad],
+    ):
+        assert cli.main([*args, "--dk", "-20", "--ideal", "2,4,6"]) == 2, args
+        assert capsys.readouterr() == ("", message), args
+    assert cli.main(["descriptor", "--dk", "-20", "--ideal", "2,4,6", "--form", "2,0,10"]) == 2
+    assert capsys.readouterr() == ("", "error: form (2,0,10) is not primitive\n")
+
+
 def test_miscount_exits_3(monkeypatch, capsys):
     # enumeration one class short of the oracle stops both subcommands
     # before any output, so verify's class count check can only pass

@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import importlib
 import itertools
@@ -6,6 +7,7 @@ import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -421,6 +423,27 @@ def test_group_table_makes_no_pairwise_equivalence_calls(monkeypatch):
     monkeypatch.setattr(rayclass, "ideal_keys", lambda forms, mod: sizes.append(len(forms)) or keys(forms, mod))
     assert len(group_table(make_modulus(D23, 1, 8, 31)).classes) == 45
     assert sizes == [45]
+
+
+def test_forms_are_checked_where_they_enter(monkeypatch):
+    # the h=45 table checks each class once in ideal_keys and both operands
+    # of its 90 compose calls; the forms that enumeration and compose build
+    # reach class_key, row_classes and canonical_offset unchecked
+    callers, check = [], rayclass._require_form
+
+    def counted(form, mod):
+        callers.append(sys._getframe(1).f_code.co_name)
+        check(form, mod)
+
+    monkeypatch.setattr(rayclass, "_require_form", counted)
+    assert len(group_table(make_modulus(D23, 1, 8, 31)).classes) == 45
+    assert collections.Counter(callers) == {"ideal_keys": 45, "compose": 180}
+    callers.clear()
+    descriptor(QuadForm(7, -6, 2), MOD20)
+    assert callers == ["descriptor"]
+    # content 2 gives discriminant 4*dK, so the discriminant test rejects it
+    with pytest.raises(QFieldError, match="^form discriminant -80 does not match field -20$"):
+        descriptor(QuadForm(2, 0, 10), MOD20)
 
 
 def test_ideal_route_needs_no_reduction(monkeypatch):
