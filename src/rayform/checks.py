@@ -19,7 +19,6 @@ from .rayclass import (
     compose,
     descriptor,
     equivalent,
-    equivalent_oracle,
     group_table,
     ideal_keys,
     point_coords,
@@ -141,13 +140,17 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     record("class count vs ideal-theoretic oracle", h == oracle, f"{h} classes, oracle {oracle}")
 
     # the representatives and two translates each fall into h blocks under
-    # the class key, under the ideal key and under both
-    moved = [(rep, m) for rep in reps for m in _translates(rep, mod, rng, 2)]
+    # the class key, under the ideal key and under both, and the witness
+    # search and the one ideal_keys call both join each translate pair
+    moved = [(i, m) for i, rep in enumerate(reps) for m in _translates(rep, mod, rng, 2)]
     forms = reps + [m for _, m in moved]
     keys = [fc.key for fc in group.classes] + [class_key(m, mod) for _, m in moved]
     labels = ideal_keys(forms, mod)
     blocks = [len(set(keys)), len(set(labels)), len(set(zip(keys, labels)))]
-    agree = sum(equivalent(r, m, mod) is not None and equivalent_oracle(r, m, mod) for r, m in moved)
+    agree = sum(
+        equivalent(reps[i], m, mod) is not None and labels[i] == labels[h + k]
+        for k, (i, m) in enumerate(moved)
+    )
     passed = blocks == [h] * 3 and agree == len(moved)
     detail = f"{len(forms)} forms in {blocks[0]} classes by class key, {blocks[1]} by ideal key,"
     detail += f" {blocks[2]} by both; {agree}/{len(moved)} translate pairs agree"

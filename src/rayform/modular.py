@@ -446,23 +446,6 @@ def weber_index(disc: Discriminant) -> int:
     return len(disc.unit_coords()) // 2
 
 
-def _totient(n: int) -> int:
-    result = 1
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            power = 1
-            while m % f == 0:
-                m //= f
-                power *= f
-            result *= power - power // f
-        f += 1
-    if m > 1:
-        result *= m - 1
-    return result
-
-
 def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
     """The label (i, [0, a_inv/N]) of a descriptor's value, i None standing
     for `weber_index`."""
@@ -502,7 +485,8 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     """
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
-    row = (Fraction(0), Fraction(desc.point.a ** (_totient(label.level) - 1), label.level))
+    phi = sum(math.gcd(x, label.level) == 1 for x in range(label.level))
+    row = (Fraction(0), Fraction(desc.point.a ** (phi - 1), label.level))
     point = _embed(ctx, desc.eval_point(), desc.disc)
     return _torsion_value(ctx, label.i, _reduced(ctx, _qseries_core, point, row, p))
 

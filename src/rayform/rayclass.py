@@ -14,6 +14,8 @@ Two independent routes to each question are kept side by side on purpose:
 reduction and the witness congruence (`class_key`, `equivalent`) against
 ideal arithmetic alone (`ideal_keys`, `equivalent_oracle`) for class
 membership, and enumeration against `ray_class_number_oracle` for the count.
+Each verdict is computed once, by its own route; the class key, the ideal
+labels and the witness search meet in `verify`'s route check.
 """
 
 from __future__ import annotations
@@ -288,14 +290,14 @@ def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix
 
 def class_translate(form: QuadForm, mod: Modulus, k: int, j: int) -> QuadForm | None:
     """A different representative of the form's class, or None when the
-    parameters land outside the coprime-leading-coefficient domain or the
-    matrix fixes the form (k = j = 0 gives the identity or an automorph)."""
+    leading coefficient shares a factor with N or the matrix fixes the form
+    (k = j = 0 gives the identity or an automorph).  It lies in the class by
+    the definition `equivalent` tests: act(moved, g) == form, and
+    `witness_matrix` checks that g meets the congruence for the form."""
     g = witness_matrix(form, mod, k, j)
     moved = act(form, g.inv())
-    if moved == form or moved.a <= 0 or math.gcd(moved.a, mod.level) != 1:
+    if moved == form or math.gcd(moved.a, mod.level) != 1:
         return None
-    if equivalent(form, moved, mod) is None:
-        raise InternalCheckError("translate left the class")
     return moved
 
 
@@ -378,9 +380,11 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
 
     Walks the reduced forms, renormalizes leading coefficients against the
     level, splits the admissible rows into congruence classes and pulls each
-    back through a lifted matrix.  The count is checked against the
-    ideal-theoretic ray class number and the representatives must have
-    distinct `ideal_keys`, so a miscount cannot pass silently.
+    back through a lifted matrix, keyed by the reduced form and row it was
+    built from: its `class_key`, which only the principal form goes through.
+    The count is checked against the ideal-theoretic ray class number and the
+    representatives must have distinct `ideal_keys`, so a miscount cannot
+    pass silently.
     """
     disc, N = mod.disc, mod.level
     reps: list[FormClass] = []
@@ -389,7 +393,7 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
         for row in row_classes(normalized, mod):
             gamma = lift_bottom_row(row, N)
             rep = act(normalized, gamma.inv())
-            reps.append(FormClass(rep, class_key(rep, mod)))
+            reps.append(FormClass(rep, (base, _row_key(normalized, row, mod))))
     expected = ray_class_number_oracle(disc, mod.ideal)
     if len(reps) != expected:
         raise InternalCheckError(

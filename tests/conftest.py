@@ -1,5 +1,6 @@
 import math
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from rayform.forms import QuadForm
 from rayform.qfield import QFieldError, make_discriminant, make_ideal_triple
-from rayform import rayclass
+from rayform import checks, forms, modular, rayclass
 from rayform.rayclass import group_table, make_modulus
 
 # the CLI and script tests start subprocesses; they import this checkout too
@@ -45,6 +46,27 @@ def drop_a_principal_row(monkeypatch):
         return rows[:-1] if form.a == 1 else rows
 
     monkeypatch.setattr(rayclass, "row_classes", fewer)
+
+
+def split_a_translate(monkeypatch, mod):
+    """Fault `reduce` on the first translate of the second class, drawn as
+    `verify`'s route check draws it (seed 911): that translate alone reduces
+    to (a, b + 2a, .), properly equivalent to the right reduced form, so the
+    class key and the witness search put it in a class of its own while the
+    ideal route, which reduces nothing, keeps it in its class.  Returns the
+    second representative and the translate."""
+    reps = [fc.rep for fc in rayclass.enumerate_classes(mod).classes]
+    rng = random.Random(911)
+    target = [checks._translates(rep, mod, rng, 2) for rep in reps][1][0]
+    reduce_, shift = forms.reduce, forms.t_power(1)
+
+    def split(form):
+        red, g = reduce_(form)
+        return (forms.act(red, shift), shift.inv() @ g) if form == target else (red, g)
+
+    for module in (forms, rayclass, modular):
+        monkeypatch.setattr(module, "reduce", split)
+    return reps[1], target
 
 
 def fraction_point_form(disc, u, v):

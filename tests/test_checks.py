@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -5,11 +6,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from rayform import checks, forms, modular, qfield, rayclass
+from rayform import checks, modular, qfield, rayclass
 from rayform.checks import run_checks, sci
-from rayform.forms import act, t_power
+from rayform.forms import IDENT
 from rayform.modular import Precision, eval_descriptor
-from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
+from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import (
     class_translate,
     descriptor,
@@ -17,6 +18,8 @@ from rayform.rayclass import (
     group_table,
     make_modulus,
 )
+
+from conftest import split_a_translate
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
 
@@ -219,11 +222,16 @@ def _route_check(mod):
 
 
 @pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-3, 6, 0, 6), (-4, 6, 0, 6)])
-@pytest.mark.parametrize("mutation", ["translate of another class", "first generator"])
+@pytest.mark.parametrize(
+    "mutation",
+    ["translate of another class", "translate of another class, every pair joined", "first generator"],
+)
 def test_route_check_fails_when_mutated(monkeypatch, ideal, mutation):
     """The partition check passes as shipped and fails on each mutation:
     - the translates of the first representative drawn from the second
       one instead, which the class count cannot see;
+    - the same with a witness search that joins every pair, so only the
+      pair's two ideal labels can tell;
     - each ideal key taken from the first generator listed instead of the
       least over all of them, over 2, 6 and 4 units."""
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
@@ -235,6 +243,8 @@ def test_route_check_fails_when_mutated(monkeypatch, ideal, mutation):
         reps, translates = [fc.rep for fc in enumerate_classes(mod).classes], checks._translates
         moved = lambda f, m, rng, want: translates(reps[1] if f == reps[0] else f, m, rng, want)
         monkeypatch.setattr(checks, "_translates", moved)
+    if mutation == "translate of another class, every pair joined":
+        monkeypatch.setattr(checks, "equivalent", lambda *args: IDENT)
     check = _route_check(mod)
     assert not check.passed, check.detail
 
@@ -245,36 +255,18 @@ def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal)
     label (a, b + 2a, .), properly equivalent to the right one.  Both routes
     built on reduction are fooled alike: the class key and the witness
     search put the translate in a class of its own.  The ideal keys use no
-    reduction, so their partition keeps its h blocks and the oracle joins
-    the translate pair.  `verify` fails first at `class_translate`'s own
-    witness test; without that test it fails at the route check, where the
-    class key finds h + 1 blocks and the ideal key h."""
+    reduction, so their partition keeps its h blocks and the translate pair
+    keeps one label.  `class_translate` searches for no witness, so the
+    fault reaches the route check, the one place where the three meet, and
+    the report shows it: h + 1 blocks by class key, h by ideal key."""
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
-    reps = [fc.rep for fc in enumerate_classes(mod).classes]
-    rng = random.Random(911)
-    target = [checks._translates(rep, mod, rng, 2) for rep in reps][1][0]
-    reduce_ = forms.reduce
-
-    def split(form):
-        red, g = reduce_(form)
-        return (act(red, t_power(1)), t_power(-1) @ g) if form == target else (red, g)
-
-    for module in (forms, rayclass, modular):
-        monkeypatch.setattr(module, "reduce", split)
-    assert rayclass.class_key(target, mod) != rayclass.class_key(reps[1], mod)
-    assert rayclass.equivalent(reps[1], target, mod) is None
-    assert rayclass.equivalent_oracle(reps[1], target, mod)
-    with pytest.raises(InternalCheckError, match="translate left the class"):
-        run_checks(mod, Precision(30), 15, random.Random(911))
-
-    def unguarded(form, m, k, j):
-        moved = act(form, rayclass.witness_matrix(form, m, k, j).inv())
-        return moved if moved.a > 0 and math.gcd(moved.a, m.level) == 1 else None
-
-    monkeypatch.setattr(checks, "class_translate", unguarded)
+    rep, target = split_a_translate(monkeypatch, mod)
+    assert rayclass.class_key(target, mod) != rayclass.class_key(rep, mod)
+    assert rayclass.equivalent(rep, target, mod) is None
+    assert rayclass.equivalent_oracle(rep, target, mod)
     found = run_checks(mod, Precision(30), 15, random.Random(911))
     assert [c.name for c in found if not c.passed] == [ROUTE_CHECK]
-    h = len(reps)
+    h = len(enumerate_classes(mod).classes)
     assert f"in {h + 1} classes by class key, {h} by ideal key," in found[1].detail
     assert f"{2 * h - 1}/{2 * h} translate pairs agree" in found[1].detail
 
@@ -298,10 +290,17 @@ def test_route_check_fails_without_the_boundary_flip(monkeypatch, ideal, blocks)
     assert f" {blocks} by ideal key," in check.detail
 
 
-def test_run_checks_calls_the_oracle_once_per_translate_pair(monkeypatch):
-    calls = []
-    oracle = checks.equivalent_oracle
-    monkeypatch.setattr(checks, "equivalent_oracle", lambda *args: calls.append(args) or oracle(*args))
+def test_run_checks_labels_once_and_searches_once_per_translate_pair(monkeypatch):
+    """One `ideal_keys` call labels the classes in enumeration and one labels
+    the route check's forms; `equivalent` runs once per translate pair and
+    nowhere else.  Counted at every module that binds the two names."""
+    h = len(enumerate_classes(MOD20).classes)
+    calls = collections.Counter()
+    for name in ("ideal_keys", "equivalent"):
+        inner = getattr(rayclass, name)
+        counted = lambda *args, name=name, inner=inner: calls.update([name]) or inner(*args)
+        for module in (rayclass, checks):
+            monkeypatch.setattr(module, name, counted)
     found = run_checks(MOD20, Precision(30), 15, random.Random(911))
     assert all(c.passed for c in found)
-    assert len(calls) == 2 * len(enumerate_classes(MOD20).classes)
+    assert calls == {"ideal_keys": 2, "equivalent": 2 * h}

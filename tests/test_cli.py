@@ -12,7 +12,7 @@ from rayform.forms import QuadForm
 from rayform.qfield import make_discriminant
 from rayform.rayclass import descriptor, make_modulus
 
-from conftest import drop_a_principal_row
+from conftest import drop_a_principal_row, split_a_translate
 
 BASE = [sys.executable, "-m", "rayform.cli"]
 
@@ -284,6 +284,18 @@ def test_miscount_exits_3(monkeypatch, capsys):
         assert cli.main([*args, "--dk", "-20", "--ideal", "2,4,6"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "oracle says 4" in err
+
+
+def test_verify_reports_a_reduce_fault(monkeypatch, capsys):
+    # the fault of `split_a_translate` reaches verify's report, where the
+    # route check fails, instead of stopping the run before any output
+    split_a_translate(monkeypatch, make_modulus(make_discriminant(-20), 2, 4, 6))
+    args = ["verify", "--dk", "-20", "--ideal", "2,4,6", "--digits", "30", "--format", "text"]
+    assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert "FAIL  witness equivalence vs ideal route: " in out
+    assert out.endswith("overall: FAIL\n")
+    assert "internal check failed" not in err
 
 
 def test_trivial_modulus_rejected():

@@ -446,6 +446,50 @@ def test_forms_are_checked_where_they_enter(monkeypatch):
         descriptor(QuadForm(2, 0, 10), MOD20)
 
 
+def test_class_translate_checks_its_form_once(monkeypatch):
+    # the translate is its own witness: one check of the form, in
+    # witness_matrix, and no witness search
+    callers, check = [], rayclass._require_form
+
+    def counted(form, mod):
+        callers.append(sys._getframe(1).f_code.co_name)
+        check(form, mod)
+
+    def refuse(*args):
+        raise AssertionError("class_translate searched for a witness")
+
+    reps = [fc.rep for fc in enumerate_classes(MOD20).classes]
+    monkeypatch.setattr(rayclass, "_require_form", counted)
+    monkeypatch.setattr(rayclass, "equivalent", refuse)
+    moved = [class_translate(f, MOD20, k, j) for f in reps for k in range(-3, 4) for j in (-1, 2)]
+    assert sum(m is not None for m in moved) > len(reps)
+    assert callers == ["witness_matrix"] * len(moved)
+
+
+def test_enumeration_reduces_only_the_principal_form(monkeypatch):
+    # each class keeps the key of the row it was built from
+    forms, key = [], rayclass.class_key
+    monkeypatch.setattr(rayclass, "class_key", lambda f, mod: forms.append(f) or key(f, mod))
+    for mod in (MOD20, MOD23, make_modulus(D3, 6, 0, 6)):
+        forms.clear()
+        enumerate_classes(mod)
+        assert forms == [QuadForm(1, mod.disc.b0, mod.disc.c0)]
+
+
+@pytest.mark.parametrize(
+    "dk, ideals",
+    [(dk, None) for dk in (-3, -4, -15, -20, -23)] + [(-23, [(1, 8, 31)]), (-111, [(9, 0, 9)])],
+)
+def test_enumeration_keys_are_class_keys(dk, ideals):
+    # the key built from the row is the key of the representative it makes;
+    # None stands for every modulus with c <= 12
+    disc = make_discriminant(dk)
+    for ideal in ideals or [(t.a1, t.a2, t.c) for t in valid_triples(disc)]:
+        mod = make_modulus(disc, *ideal)
+        classes = enumerate_classes(mod).classes
+        assert [fc.key for fc in classes] == [class_key(fc.rep, mod) for fc in classes]
+
+
 def test_ideal_route_needs_no_reduction(monkeypatch):
     # qfield imports neither forms nor rayclass, and the ideal route runs
     # with reduction refused
