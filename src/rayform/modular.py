@@ -17,9 +17,16 @@ These four numbers are computed along two independent routes:
   powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term with a
   torsion point and 3 without; every factor has modulus at most 1, and
   3 bitlen(N + 1) + 5 guard bits for N terms keep each sum's error below
-  2^-(prec + 4).  `eisenstein_j`, `fricke` and `eval_descriptor` use it.
+  2^-(prec + 4).  The sums stay ints: `_theta_values` forms S, E4, E6 and
+  the discriminant from them on complex ints, each value with its own
+  binary exponent and cut back to the working bits after every operation,
+  each within 2^-(prec + 3/2) of the formulas on the sums, relative to the
+  magnitude its docstring names, and each of the four is rounded to an
+  mpmath value once.  `eisenstein_j`, `fricke` and
+  `eval_descriptor` use it.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
-  e^(2 pi i tau), with the discriminant as E4^3 - E6^2.
+  e^(2 pi i tau), E4 and E6 from one loop over shared powers of q, with
+  the discriminant as E4^3 - E6^2.
   `eval_descriptor_unreduced` uses it, so the check comparing it with
   `eval_descriptor` compares two independent series.  It stays on mpmath
   floats, sharing no arithmetic with the fixed-point sums, to catch their
@@ -149,32 +156,42 @@ class FrickeLabel(_LabelFields):
         return f"{self.i}:{self.r},{self.s},{self.level}"
 
 
-def _sigma(n: int, k: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            if d != n // d:
-                total += (n // d) ** k
-        d += 1
-    return total
+def _divisor_sums(limit: int) -> tuple[list[int], list[int]]:
+    """sigma3(n) and sigma5(n) for n below limit, from one divisor sieve."""
+    s3, s5 = [0] * limit, [0] * limit
+    for d in range(1, limit):
+        d3 = d**3
+        d5 = d3 * d * d
+        for m in range(d, limit, d):
+            s3[m] += d3
+            s5[m] += d5
+    return s3, s5
 
 
-def _eisenstein(ctx, q, weight: int, cutoff):
-    # E4 = 1 + 240 sum sigma3(n) q^n;  E6 = 1 - 504 sum sigma5(n) q^n
-    coeff, power = (240, 3) if weight == 4 else (-504, 5)
-    total = ctx.mpf(1)
+def _eisenstein(ctx, q, cutoff):
+    """(E4, E6) from one loop over the shared q^n:
+    E4 = 1 + 240 sum sigma3(n) q^n and E6 = 1 - 504 sum sigma5(n) q^n.
+
+    Each series stops at its own tail rule, sigma_k(n) <= n^(k+1) bounding
+    the whole remaining tail crudely, and takes the same terms in the same
+    order as it would alone; E6's rule stops last."""
+    e4 = e6 = ctx.mpf(1)
     qn = ctx.mpc(1)
     aq = abs(q)
     aqn = ctx.mpf(1)
+    e4_done = False
+    s3 = s5 = ()
     for n in range(1, _MAX_TERMS):
+        if n >= len(s3):
+            s3, s5 = _divisor_sums(2 * n)
         qn *= q
-        total += coeff * _sigma(n, power) * qn
         aqn *= aq
-        # sigma_k(n) <= n^(k+1); bound the whole remaining tail crudely
-        if abs(coeff) * n ** (power + 1) * aqn / (1 - aq) < cutoff:
-            return total
+        if not e4_done:
+            e4 += 240 * s3[n] * qn
+            e4_done = 240 * n**4 * aqn / (1 - aq) < cutoff
+        e6 += -504 * s5[n] * qn
+        if 504 * n**6 * aqn / (1 - aq) < cutoff:
+            return e4, e6
     raise InternalCheckError("Eisenstein series did not reach the tail cutoff")
 
 
@@ -209,8 +226,7 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
     The reference route: Delta loses about log10(1/|q|) digits to
     cancellation, which the theta route does not.
     """
-    q = ctx.exp(2j * ctx.pi * tau0)
-    e4, e6 = _eisenstein(ctx, q, 4, cutoff), _eisenstein(ctx, q, 6, cutoff)
+    e4, e6 = _eisenstein(ctx, ctx.exp(2j * ctx.pi * tau0), cutoff)
     return _wp_sum(ctx, x, y, tau0, cutoff), e4, e6, e4**3 - e6**2
 
 
@@ -222,18 +238,27 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
     |q|^(2n + 1 + shift) |v|, which falls with n, so the omitted tail is at
     most |q|^(M^2 + shift*M) |v|^M / (1 - |q|^(2M + 1 + shift) |v|) with
     M = N + 1; N is the least count that puts this bound below e^lcut.
+    The bound exceeds its numerator, m^2 lq + m (shift lq + lv) in logs, a
+    parabola whose roots have opposite signs (lq and lcut are negative), so
+    no m up to its positive root r meets the bound.  The search starts one
+    below the floor of r, as computed in floats, and steps up to the least
+    m that meets the exact condition: near r the numerator falls by at
+    least 2 sqrt(lq lcut) per step, far more than the float error of r.
     """
-    for m in range(1, _MAX_TERMS):
+    b = shift * lq + lv
+    root = (b + math.sqrt(b * b + 4 * lq * lcut)) / (-2 * lq)
+    for m in range(max(1, int(root) - 1), _MAX_TERMS):
         ratio = (2 * m + 1 + shift) * lq + lv
-        if ratio < 0 and m * m * lq + m * (shift * lq + lv) - math.log1p(-math.exp(ratio)) < lcut:
+        if ratio < 0 and m * m * lq + m * b - math.log1p(-math.exp(ratio)) < lcut:
             return m - 1
     raise InternalCheckError("theta series did not reach the tail cutoff")
 
 
 def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 0.0):
-    """[sum T_n, sum (-1)^n T_n, p] for T_n = q^(n^2) and p = sum P_n,
-    P_n = q^(n^2 + n), and when a is given [H(a), G(a), G(1/a), H(1/a)]
-    after them (see `_theta_core`), from one fixed-point pass.
+    """(wp, sums): the sums [sum T_n, sum (-1)^n T_n, p] for T_n = q^(n^2)
+    and p = sum P_n, P_n = q^(n^2 + n), and when a is given
+    [H(a), G(a), G(1/a), H(1/a)] after them (see `_theta_core`), from one
+    fixed-point pass, each an int pair (re, im) scaled by 2^wp.
 
     |q| < 1 and |a| <= 1, with logs lq and la; a_inv is 1/a, and
     b = q a_inv has modulus |q|^(1 - 2|x|) <= 1.  The pass builds q^n, T_n
@@ -244,14 +269,14 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 
     H(1/a) = 1 + sum_(n>=1) (-1)^n P_(n-1) b^n.  Each sum stops at its own
     `_theta_terms` count, N at most.
 
-    Every value is a pair of ints scaled by 2^wp, and every factor has
-    modulus at most 1.  A complex product (three int products, Gauss's
-    form) and a floor shift is off by under e = 2^(1/2 - wp) plus the
-    errors of its factors; q and a enter off by e, b by 2e (`ctx.fmul` at
-    wp, then the floor).  So q^n is off by (2n - 1) e, P_n by (2n^2 + 2n) e,
-    T_n by 2n^2 e, a^n by (2n - 1) e and b^n by (3n - 1) e, every term by
-    at most (2n^2 + 4n) e, and every sum by under (N + 1)^3 e
-    <= 2^-(prec + 4) to first order, before its one rounding to prec.
+    Every factor has modulus at most 1.  A complex product (three int
+    products, Gauss's form) and a floor shift is off by under
+    e = 2^(1/2 - wp) plus the errors of its factors; q and a enter off by
+    e, b by 2e (`ctx.fmul` at wp, then the floor).  So q^n is off by
+    (2n - 1) e, P_n by (2n^2 + 2n) e, T_n by 2n^2 e, a^n by (2n - 1) e and
+    b^n by (3n - 1) e, every term by at most (2n^2 + 4n) e, and a sum of
+    N + 1 terms, added exactly, by under (N + 1)^3 e <= 2^-(prec + 4) to
+    first order.
     """
     specs = [(0, 0), (0, 1)]
     if a is not None:
@@ -276,10 +301,9 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 
         return out
 
     def series(terms, sign=-1):
-        """sum sign^n terms[n], rounded once to an mpc value."""
+        """sum sign^n terms[n], exact on the ints."""
         even, odd = terms[::2], terms[1::2]
-        re, im = (sum(t[k] for t in even) + sign * sum(t[k] for t in odd) for k in (0, 1))
-        return ctx.mpc(ctx.ldexp(re, -wp), ctx.ldexp(im, -wp))
+        return tuple(sum(t[k] for t in even) + sign * sum(t[k] for t in odd) for k in (0, 1))
 
     qq, qn, ts, ps = fixed(q), one, [one], [one]
     for _ in range(top):
@@ -289,7 +313,7 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 
     n_t, n_p = counts[:2]
     sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1]), series(ps[: n_p + 1], 1)]
     if a is None:
-        return sums
+        return wp, sums
     n_h, n_g, n_gb, n_hb = counts[2:]
     an = powers(fixed(a), max(n_h, n_g))
     bn = powers(fixed(ctx.fmul(q, a_inv, prec=wp)), max(n_gb, n_hb))
@@ -297,7 +321,87 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 
     sums.append(series([one] + [mul(ps[n], an[n]) for n in range(1, n_g + 1)]))
     sums.append(series([one] + [mul(ts[n], bn[n]) for n in range(1, n_gb + 1)]))
     sums.append(series([one] + [mul(ps[n - 1], bn[n]) for n in range(1, n_hb + 1)]))
-    return sums
+    return wp, sums
+
+
+def _theta_values(ctx, wp: int, sums, q, winv=None):
+    """(S, E4, E6, Delta) of `_theta_core`, each an exact value
+    (re, im, e) = (re + i im) 2^e, from `_theta_sums`' pairs at scale 2^wp
+    in the order s3, s4, p, H(w), G(w), G(1/w), H(1/w), with q and 1/w;
+    S is None when winv is None.
+
+    th3 = 2 s3 - 1, th4 = 2 s4 - 1 and theta4(pi z) = H(w) + H(1/w) - 1
+    are exact at scale 2^wp.  Every other value carries its own binary
+    exponent, so a small factor (th3 or th4 near a cusp, q at large
+    Im tau0, theta1(pi z)) keeps its relative precision.  q and 1/w enter
+    once, floored at a scale that gives them at least wp bits.  A product
+    is exact on ints and then floor-shifted to at most wp bits; a sum is
+    exact, its operands aligned on the smaller exponent, and then shifted
+    likewise; a quotient (by theta1, and by 12) keeps at least wp + 1 bits
+    of its floor.  A shift by s > 0 bits moves each part by under 2^s from
+    a value of at least 2^(wp - 1 + s), so every operation returns its
+    exact result on its stored operands within a relative u = 2^(3/2 - wp)
+    (the entry of q and 1/w and a quotient within 2^(1/2 - wp)).  Against
+    the formulas evaluated exactly on the sums, q and 1/w, to first order
+    in u: t3 and t4 are within 3u, t2 within 5u, and
+      Delta within 27u |Delta|,
+      E4 within 13u (|t2|^2 + |t3|^2 + |t4|^2)/2,
+      E6 within 18u (|t2| + |t3|)(|t3| + |t4|)(|t4| + |t2|)/2,
+      S within 16u (k |A| + (|t2| + |t3|)/12),
+    with A = (p th3 theta4(pi z)/theta1(pi z))^2 / w and
+    k = (|G(w)| + |G(1/w)/w|)/|theta1(pi z)| >= 1, the cancellation in
+    theta1.  Under wp >= prec + 3 bitlen(N + 1) + 5 >= prec + 8, each bound
+    is below 32u <= 2^-(prec + 3/2) times its magnitude, before the one
+    rounding to prec in `_theta_core`.
+    """
+    one = 1 << wp
+
+    def norm(re, im, e):
+        s = max(abs(re), abs(im)).bit_length() - wp
+        return (re >> s, im >> s, e + s) if s > 0 else (re, im, e)
+
+    def mul(x, y):
+        (xr, xi, xe), (yr, yi, ye) = x, y
+        k = yr * (xr + xi)
+        return norm(k - xi * (yr + yi), k + xr * (yi - yr), xe + ye)
+
+    def add(x, y, sign=1):
+        (xr, xi, xe), (yr, yi, ye) = x, y
+        e = min(xe, ye)
+        return norm((xr << xe - e) + sign * (yr << ye - e), (xi << xe - e) + sign * (yi << ye - e), e)
+
+    def div(x, y):
+        (xr, xi, xe), (yr, yi, ye) = x, y
+        den = yr * yr + yi * yi
+        nr, ni = xr * yr + xi * yi, xi * yr - xr * yi
+        k = max(0, wp + 1 + den.bit_length() - max(abs(nr), abs(ni)).bit_length())
+        return (nr << k) // den, (ni << k) // den, xe - ye - k
+
+    def scaled(x, c, k):
+        return c * x[0], c * x[1], x[2] + k
+
+    def enter(z):
+        k = wp + 2 - ctx.mag(z)
+        return ctx.to_fixed(z.real, k), ctx.to_fixed(z.imag, k), -k
+
+    th3, th4 = ((2 * re - one, 2 * im, -wp) for re, im in sums[:2])
+    p = (*sums[2], -wp)
+    p2, t3, t4 = mul(p, p), mul(th3, th3), mul(th4, th4)
+    t2 = scaled(mul(enter(q), mul(p2, p2)), 1, 4)
+    t3, t4 = mul(t3, t3), mul(t4, t4)
+    e4 = scaled(add(add(mul(t2, t2), mul(t3, t3)), mul(t4, t4)), 1, -1)
+    e6 = scaled(mul(mul(add(t3, t4), add(t2, t3)), add(t4, t2, -1)), 1, -1)
+    d = mul(mul(t2, t3), t4)
+    delta = scaled(mul(d, d), 27, -2)
+    if winv is None:
+        return None, e4, e6, delta
+    (hr, hi), g_w, g_inv, (ir, ii) = sums[3:]
+    wi = enter(winv)
+    theta4_z = (hr + ir - one, hi + ii, -wp)
+    theta1_z = add((*g_w, -wp), mul((*g_inv, -wp), wi), -1)
+    r = div(mul(mul(p, th3), theta4_z), theta1_z)
+    s_val = add(mul(mul(r, r), wi), div(add(t2, t3), (12, 0, 0)))
+    return s_val, e4, e6, delta
 
 
 def _theta_core(ctx, tau0, cutoff, x=None, y=None):
@@ -315,33 +419,30 @@ def _theta_core(ctx, tau0, cutoff, x=None, y=None):
     which is the q-series route's S.  For x, y in [-1/2, 1/2], |w| <= 1
     when x >= 0 and |1/w| <= 1 when x < 0; `_theta_sums` takes that one as
     its a and returns all seven sums from one pass, each cut where
-    `_theta_terms` bounds its tail below the cutoff.
+    `_theta_terms` bounds its tail below the cutoff.  `_theta_values` forms
+    the four values on ints, and each is rounded to an mpc once.
     """
     q = ctx.expjpi(tau0)
     lq = -math.pi * float(tau0.imag)
     # log of a number no larger than the cutoff
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
+    winv = None
     if x is None:
-        s3, s4, p = _theta_sums(ctx, q, lq, lcut)
+        wp, sums = _theta_sums(ctx, q, lq, lcut)
     else:
         w = ctx.expjpi(2 * (x * tau0 + y))
         winv = 1 / w
         lw = 2 * float(x) * lq
         if x >= 0:
-            s3, s4, p, h_w, g_w, g_inv, h_inv = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
+            wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
         else:
-            s3, s4, p, h_inv, g_inv, g_w, h_w = _theta_sums(ctx, q, lq, lcut, winv, w, -lw)
-    th3, th4 = 2 * s3 - 1, 2 * s4 - 1
-    t2, t3, t4 = 16 * q * (p * p) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
-    e4 = (t2 * t2 + t3 * t3 + t4 * t4) / 2
-    e6 = (t3 + t4) * (t2 + t3) * (t4 - t2) / 2
-    delta = 27 * (t2 * t3 * t4) ** 2 / 4
-    if x is None:
-        return None, e4, e6, delta
-    theta4_z = h_w + h_inv - 1
-    theta1_z = g_w - g_inv * winv
-    s_val = (p * th3 * theta4_z / theta1_z) ** 2 * winv + (t2 + t3) / 12
-    return s_val, e4, e6, delta
+            wp, sums = _theta_sums(ctx, q, lq, lcut, winv, w, -lw)
+            # a = 1/w: the sums at a and at 1/a trade places
+            sums[3:] = sums[:2:-1]
+    return tuple(
+        None if v is None else ctx.mpc(ctx.ldexp(v[0], v[2]), ctx.ldexp(v[1], v[2]))
+        for v in _theta_values(ctx, wp, sums, q, winv)
+    )
 
 
 def _reduce_tau(ctx, t):

@@ -318,22 +318,22 @@ def test_verify_second_field():
     assert data["passed"] is True
 
 
-# sha256 of `verify` stdout, recorded with the one-pass theta kernel, the
-# exact identity-class check, descriptor points reduced exactly in K, the
-# route check on ideal-key partitions (labelled by qfield's own class form)
-# and translates that never return their own form; any change to a sample,
-# value or detail string shows here
+# sha256 of `verify` stdout, recorded with the one-pass theta kernel and its
+# post-processing on ints, the exact identity-class check, descriptor points
+# reduced exactly in K, the route check on ideal-key partitions (labelled by
+# qfield's own class form) and translates that never return their own form;
+# any change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "899749e51c529cfdb9ba9b914683f7c63b22affd0e918781951f62337477b1a4",
-    ("-20", "2,4,6", "40", "json"): "b22a42e7655765e5ba99d1a37a3e12c1690b46271915944eb05e445f1f31a060",
-    ("-20", "2,4,6", "40", "text"): "8e1a94dfd3327e60e3db2633318aa69901c5b1929560985468c83433f59d3011",
-    ("-23", "1,8,31", "40", "json"): "ecf2223f5f52ca4d58915767e6a9cec12f2d660f5c08cd0b695dd6ab1ef3c9fb",
-    ("-23", "3,9,12", "80", "json"): "ea0a64640959594546c919bc13b89249ce175711d31d3e4408a4f3565bd6fe84",
-    ("-23", "3,9,12", "80", "text"): "b7ff85204849cebd0b9967eeaa2f5afa84d5ab5f1bc47577d8b3c1b0b472b18f",
-    ("-3", "6,0,6", "80", "json"): "a319786e7d29164895792c46176727fcbda5017996cf8c89ef439b167b8258bf",
-    ("-3", "6,0,6", "80", "text"): "777877eddd23e3e34791b9e2cb777f0ddb0be29635dd5d3fa3fbffb0c4883b49",
-    ("-4", "6,0,6", "80", "json"): "d80b78696b1df0ada9950d5abd2290bba3e35977894a94ab041990a6cb5271f7",
-    ("-4", "6,0,6", "80", "text"): "fdccb688d04de338b9f64143985dadcb1cae4d03f77623afb32a7d83182f2884",
+    ("-111", "9,0,9", "40", "json"): "c13e5c134fe333e7d686f65e29f85b84dec76cf3c5958d681e0c8be76a6a4364",
+    ("-20", "2,4,6", "40", "json"): "0f6daf6522ebd568e32310b366cd9eae8293eed9931bd46b7c8fce8ab1629e97",
+    ("-20", "2,4,6", "40", "text"): "39ceddaa83af137d048946052332ba01f0c54537e792412f71d2ae1966332216",
+    ("-23", "1,8,31", "40", "json"): "7d63acdeeb0da9b53e2c68733eca0abccbbfb62a93df4b379c2d60dda8431919",
+    ("-23", "3,9,12", "80", "json"): "a1c7e60ae6414f6572046cff4fe4eb6e5bd75e5f4dd013f437230f44fe71c0ab",
+    ("-23", "3,9,12", "80", "text"): "b05c636134b89423e70ef594747896947d3388b39b2affe38613f5aba904a8d3",
+    ("-3", "6,0,6", "80", "json"): "4261b2154e84d2dc9a66874f034532d7c0c4170686270376e58e93a06509c4d2",
+    ("-3", "6,0,6", "80", "text"): "e585c23a6523471a39f2702186fa38c09e433229d3295417f11da1fb1ab487c8",
+    ("-4", "6,0,6", "80", "json"): "948b43defbb1176a323753cfccc3fc9097ec5d42c19edf1018a1f7fd82f2f408",
+    ("-4", "6,0,6", "80", "text"): "998aed07025fad01e9e11e315cc167787fb28b99e5560945035293131c81dca5",
 }
 
 

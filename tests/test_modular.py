@@ -409,13 +409,39 @@ def test_theta_route_matches_qseries_route(digits):
                 assert abs(a - b) < tol * scale, (name, k, x, y)
 
 
+def eisenstein_alone(ctx, q, weight, cutoff):
+    """E4 or E6 summed alone to its own tail rule, sigma_k(n) by trial
+    division: the reference for `_eisenstein`'s shared loop."""
+    coeff, power = (240, 3) if weight == 4 else (-504, 5)
+    total, qn, aq, aqn = ctx.mpf(1), ctx.mpc(1), abs(q), ctx.mpf(1)
+    for n in range(1, modular._MAX_TERMS):
+        qn *= q
+        total += coeff * sum(d**power for d in range(1, n + 1) if n % d == 0) * qn
+        aqn *= aq
+        if abs(coeff) * n ** (power + 1) * aqn / (1 - aq) < cutoff:
+            return total
+    raise AssertionError("no tail below the cutoff")
+
+
+@pytest.mark.parametrize("digits", [30, 80, 300])
+def test_eisenstein_shared_loop_matches_each_series_alone(digits):
+    """E4 and E6 from one loop over shared q^n, with one divisor sieve, are
+    bit-identical to each series summed alone."""
+    p = Precision(digits)
+    ctx = modular._ctx(p)
+    cutoff = modular._cutoff(ctx, p)
+    for k, point in enumerate(ROUTE_TAUS):
+        q = ctx.exp(2j * ctx.pi * point(ctx))
+        want = tuple(eisenstein_alone(ctx, q, weight, cutoff) for weight in (4, 6))
+        assert modular._eisenstein(ctx, q, cutoff) == want, k
+
+
 # Im tau from the unreduced law-check range up to 20, each with cells on
-# both vertical edges x = +-1/2 and one inside.  Not tau = 0.05i: there
-# theta4 = 2*sum - 1 is 1.4e-6 and Delta = 27/4 (t2 t3 t4)^2 is only good to
-# a relative 10^-(digits+4.6), on the mpc kernel too (10^-(digits+3.5) at
-# 1000 digits), a loss of the formula, not of the sums
-KERNEL_TAUS = [("0.25", "0.05"), ("-0.5", "0.05"), ("-0.5", "0.4"), ("0.31", "1.2"),
-               ("-0.5", "3"), ("0.17", "7.3"), ("0.5", "20")]
+# both vertical edges x = +-1/2 and one inside, and the cusp tau = 0.05i,
+# where theta4 = 2*sum - 1 is 1.4e-6: formed on ints at the kernel's
+# precision, it keeps every value within the tolerance there too
+KERNEL_TAUS = [("0", "0.05"), ("0.25", "0.05"), ("-0.5", "0.05"), ("-0.5", "0.4"),
+               ("0.31", "1.2"), ("-0.5", "3"), ("0.17", "7.3"), ("0.5", "20")]
 KERNEL_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37")]
 
 
@@ -463,12 +489,31 @@ def plain_sum(ref, q, v, shift, terms):
     return want
 
 
+def theta_inputs(ctx, tau, cell):
+    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`,
+    a and a_inv None when cell is None; a is whichever of w, 1/w has
+    modulus at most 1."""
+    q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
+    if cell is None:
+        return q, lq, None, None, 0.0
+    x = ctx.mpf(cell[0])
+    w = ctx.expjpi(2 * (x * tau + ctx.mpf(cell[1])))
+    a, a_inv = (w, 1 / w) if x >= 0 else (1 / w, w)
+    return q, lq, a, a_inv, 2 * abs(float(x)) * lq
+
+
+def to_ref(ref, pair, scale):
+    """An int pair (re, im) scaled by 2^scale as an mpc of ref."""
+    return ref.mpc(ref.ldexp(pair[0], -scale), ref.ldexp(pair[1], -scale))
+
+
 @pytest.mark.parametrize("digits", [80, 1000])
 def test_theta_sum_within_its_error_bound(digits):
     """Every sum `_theta_sums` returns at the points above, with no a (as for
     j) and with a the one of w, 1/w of modulus at most 1, against the same
     series summed by the mpc loop at twice the precision: off by at most
-    the kernel's 2^-(prec+4) plus the result's one rounding, 2^-prec |sum|."""
+    (N+1)^3 2^(1/2-wp) for N + 1 terms, the bound of its docstring; the
+    sums are exact ints, so there is no rounding term."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
@@ -476,27 +521,116 @@ def test_theta_sum_within_its_error_bound(digits):
     lcut = (ctx.mag(modular._cutoff(ctx, p)) - 1) * math.log(2)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
-        q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
-        rq = ref.mpc(q)
         for cell in [None] + KERNEL_CELLS:
+            q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
+            rq = ref.mpc(q)
             # (v, log|v|, shift) of sum q^(n^2 + shift*n) v^n
             specs = [(1, 0, 0), (-1, 0, 0), (1, 0, 1)]
             if cell is None:
-                got = modular._theta_sums(ctx, q, lq, lcut)
+                wp, got = modular._theta_sums(ctx, q, lq, lcut)
             else:
-                x = ctx.mpf(cell[0])
-                w = ctx.expjpi(2 * (x * tau + ctx.mpf(cell[1])))
-                a, a_inv = (w, 1 / w) if x >= 0 else (1 / w, w)
-                la = 2 * abs(float(x)) * lq
-                got = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+                wp, got = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
                 ra, ri = ref.mpc(a), ref.mpc(a_inv)
                 # H(a), G(a), G(1/a) = sum (-1)^n q^(n^2) b^n for b = q a_inv, H(1/a)
                 specs += [(-ra, la, 0), (-ra, la, 1), (-rq * ri, lq - la, 0), (-ri, -la, 0)]
             assert len(got) == len(specs)
             for k, (v, lv, shift) in enumerate(specs):
-                want = plain_sum(ref, rq, v, shift, modular._theta_terms(lq, lv, shift, lcut))
-                bound = (abs(want) + ref.mpf(1) / 16) * ref.mpf(2) ** -ctx.prec
-                assert abs(got[k] - want) <= bound, (re, im, cell, k)
+                terms = modular._theta_terms(lq, lv, shift, lcut)
+                want = plain_sum(ref, rq, v, shift, terms)
+                bound = (terms + 1) ** 3 * ref.ldexp(ref.sqrt(2), -wp)
+                assert abs(to_ref(ref, got[k], wp) - want) <= bound, (re, im, cell, k)
+
+
+def mpc_theta_values(ref, wp, sums, q, winv):
+    """(S, E4, E6, Delta) from the integer sums by the mpc formulas of
+    `_theta_core`'s docstring, evaluated in ref, with the magnitude that
+    `_theta_values`' docstring bounds each error by (S and its magnitude
+    None when winv is None)."""
+    s3, s4, p, *rest = (to_ref(ref, pair, wp) for pair in sums)
+    q = ref.mpc(q)
+    th3, th4 = 2 * s3 - 1, 2 * s4 - 1
+    t2, t3, t4 = 16 * q * (p * p) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
+    a2, a3, a4 = abs(t2), abs(t3), abs(t4)
+    values = [
+        None,
+        (t2 * t2 + t3 * t3 + t4 * t4) / 2,
+        (t3 + t4) * (t2 + t3) * (t4 - t2) / 2,
+        27 * (t2 * t3 * t4) ** 2 / 4,
+    ]
+    mags = [None, (a2**2 + a3**2 + a4**2) / 2, (a2 + a3) * (a3 + a4) * (a4 + a2) / 2, abs(values[3])]
+    if winv is not None:
+        winv = ref.mpc(winv)
+        h_w, g_w, g_inv, h_inv = rest
+        theta1_z = g_w - g_inv * winv
+        big_a = (p * th3 * (h_w + h_inv - 1) / theta1_z) ** 2 * winv
+        values[0] = big_a + (t2 + t3) / 12
+        kappa = (abs(g_w) + abs(g_inv * winv)) / abs(theta1_z)
+        mags[0] = kappa * abs(big_a) + (a2 + a3) / 12
+    return values, mags
+
+
+@pytest.mark.parametrize("digits", [80, 1000])
+def test_theta_values_within_their_error_bound(digits):
+    """S, E4, E6 and Delta as `_theta_values` forms them on ints, before the
+    one rounding, against the mpc formulas at twice the working precision
+    on the same integer sums, q and 1/w: within the docstring's 32u times
+    each value's magnitude, u = 2^(3/2 - wp), at every point and cell above,
+    the cusp included.  `_theta_core` returns them rounded once."""
+    p = Precision(digits)
+    ctx = modular._ctx(p)
+    cutoff = modular._cutoff(ctx, p)
+    lcut = (ctx.mag(cutoff) - 1) * math.log(2)
+    for re, im in KERNEL_TAUS:
+        tau = ctx.mpc(re, im)
+        for cell in [None] + KERNEL_CELLS:
+            q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
+            if cell is None:
+                wp, sums = modular._theta_sums(ctx, q, lq, lcut)
+                winv, core = None, modular._theta_core(ctx, tau, cutoff)
+            else:
+                wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+                x, y = ctx.mpf(cell[0]), ctx.mpf(cell[1])
+                winv = a if x < 0 else a_inv
+                if x < 0:
+                    sums[3:] = sums[:2:-1]
+                core = modular._theta_core(ctx, tau, cutoff, x, y)
+            ref = mpmath.ctx_mp.MPContext()
+            ref.prec = 2 * wp
+            got = modular._theta_values(ctx, wp, sums, q, winv)
+            want, mags = mpc_theta_values(ref, wp, sums, q, winv)
+            bound = 32 * ref.ldexp(1, -wp) * ref.sqrt(8)
+            for name, g, w, m, c in zip(("S", "E4", "E6", "Delta"), got, want, mags, core):
+                if g is None:
+                    assert w is None and c is None
+                    continue
+                assert c == ctx.mpc(to_ref(ref, g[:2], -g[2])), (name, re, im, cell)
+                assert abs(to_ref(ref, g[:2], -g[2]) - w) <= bound * m, (name, re, im, cell)
+
+
+def plain_terms(lq, lv, shift, lcut):
+    """The least count that `_theta_terms` defines, found by trying every
+    m from 1 on."""
+    for m in range(1, modular._MAX_TERMS):
+        ratio = (2 * m + 1 + shift) * lq + lv
+        if ratio < 0 and m * m * lq + m * (shift * lq + lv) - math.log1p(-math.exp(ratio)) < lcut:
+            return m - 1
+    raise AssertionError("no count below the term limit")
+
+
+def test_theta_terms_match_the_plain_search():
+    """`_theta_terms`, which starts near the root of its bound's numerator,
+    against the search from m = 1, at every (lv, shift) of `_theta_sums`,
+    on a seeded grid: Im tau from 0.01 to 25, x in [-1/2, 1/2] and the
+    tail cutoff of 30 to 10^5 digits."""
+    rng = random.Random(23)
+    for _ in range(1500):
+        lq = -math.pi * math.exp(rng.uniform(math.log(0.01), math.log(25)))
+        digits = math.exp(rng.uniform(math.log(30), math.log(1e5)))
+        lcut = -(digits + 20) * math.log(10)
+        la = 2 * abs(rng.uniform(-0.5, 0.5)) * lq
+        for lv, shift in [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]:
+            got = modular._theta_terms(lq, lv, shift, lcut)
+            assert got == plain_terms(lq, lv, shift, lcut), (lq, lv, shift, lcut)
 
 
 def test_far_cell_holds_its_digits():
