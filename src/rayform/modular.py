@@ -14,16 +14,15 @@ These four numbers are computed along two independent routes:
   as the square root of the digit count.  The discriminant is a product
   of theta constants, with no cancellation.  All seven theta sums of one
   core come from one fixed-point pass (`_theta_sums`) over the shared
-  powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term with a
-  torsion point and 3 without; every factor has modulus at most 1, and
-  3 bitlen(N + 1) + 5 guard bits for N terms keep each sum's error below
-  2^-(prec + 4).  The sums stay ints: `_theta_values` forms S, E4, E6 and
-  the discriminant from them on complex ints, each value with its own
-  binary exponent and cut back to the working bits after every operation,
-  each within 2^-(prec + 3/2) of the formulas on the sums, relative to the
-  magnitude its docstring names, and each of the four is rounded to an
-  mpmath value once.  `eisenstein_j`, `fricke` and
-  `eval_descriptor` use it.
+  powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term; every
+  factor has modulus at most 1, and 3 bitlen(N + 1) + 5 guard bits for N
+  terms keep each sum's error below 2^-(prec + 4).  The sums stay ints:
+  `_theta_values` forms S, E4, E6 and the discriminant from them on
+  complex ints, each value with its own binary exponent and cut back to
+  the working bits after every operation, each within 2^-(prec + 3/2) of
+  the formulas on the sums, relative to the magnitude its docstring names,
+  and each of the four is rounded to an mpmath value once.
+  `eisenstein_j`, `fricke` and `eval_descriptor` use it.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
   e^(2 pi i tau), E4 and E6 from one loop over shared powers of q, with
   the discriminant as E4^3 - E6^2.
@@ -32,13 +31,15 @@ These four numbers are computed along two independent routes:
   floats, sharing no arithmetic with the fixed-point sums, to catch their
   slips.
 
-Every core runs in the fundamental domain, with the exact row pushed
-through the reducing matrix (`_exact_cell`).  `eval_descriptor` reduces its
-point of K exactly, as the root of an integral form, by `forms.reduce`;
-`fricke`, `eval_descriptor_unreduced` and the power check's `_power_values`
-reduce a complex tau numerically (`_reduced`), so the two descriptor routes
-differ in the reduction as well as in the row and the series.  Only the
-law check's `_fricke_at` runs a core at tau as given.  Every series is
+Every core takes a torsion point and runs in the fundamental domain, with
+the exact row pushed through the reducing matrix (`_exact_cell`).
+`eval_descriptor` reduces its point of K exactly, as the root of an
+integral form, by `forms.reduce`; `fricke`, `eval_descriptor_unreduced` and
+the power check's `_power_values` reduce a complex tau numerically
+(`_reduced`), so the two descriptor routes differ in the reduction as well
+as in the row and the series.  `eisenstein_j` reduces tau numerically too
+and runs the core at z = 1/2 of tau0, with no row to push.  Only the law
+check's `_fricke_at` runs a core at tau as given.  Every series is
 truncated at an explicit tail threshold.
 
 One read-only mpmath context per digit count, cached for the process by
@@ -195,12 +196,12 @@ def _eisenstein(ctx, q, cutoff):
     raise InternalCheckError("Eisenstein series did not reach the tail cutoff")
 
 
-def _wp_sum(ctx, x, y, tau, cutoff):
-    """The pi-free pe series at z = x*tau + y, with x, y in [-1/2, 1/2].
+def _wp_sum(ctx, x, y, tau, q, cutoff):
+    """The pi-free pe series at z = x*tau + y, with x, y in [-1/2, 1/2], in
+    the nome q = e^(2 pi i tau) that the caller computed.
 
     Returns S with pe(z; [tau, 1]) = -4 pi^2 S.
     """
-    q = ctx.exp(2j * ctx.pi * tau)
     w = ctx.exp(2j * ctx.pi * (x * tau + y))
     total = ctx.mpf(1) / 12 + w / (1 - w) ** 2
     qn = ctx.mpc(1)
@@ -226,8 +227,9 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
     The reference route: Delta loses about log10(1/|q|) digits to
     cancellation, which the theta route does not.
     """
-    e4, e6 = _eisenstein(ctx, ctx.exp(2j * ctx.pi * tau0), cutoff)
-    return _wp_sum(ctx, x, y, tau0, cutoff), e4, e6, e4**3 - e6**2
+    q = ctx.exp(2j * ctx.pi * tau0)
+    e4, e6 = _eisenstein(ctx, q, cutoff)
+    return _wp_sum(ctx, x, y, tau0, q, cutoff), e4, e6, e4**3 - e6**2
 
 
 def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
@@ -254,11 +256,11 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
     raise InternalCheckError("theta series did not reach the tail cutoff")
 
 
-def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 0.0):
+def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
     """(wp, sums): the sums [sum T_n, sum (-1)^n T_n, p] for T_n = q^(n^2)
-    and p = sum P_n, P_n = q^(n^2 + n), and when a is given
-    [H(a), G(a), G(1/a), H(1/a)] after them (see `_theta_core`), from one
-    fixed-point pass, each an int pair (re, im) scaled by 2^wp.
+    and p = sum P_n, P_n = q^(n^2 + n), then [H(a), G(a), G(1/a), H(1/a)]
+    (see `_theta_core`), from one fixed-point pass, each an int pair
+    (re, im) scaled by 2^wp.
 
     |q| < 1 and |a| <= 1, with logs lq and la; a_inv is 1/a, and
     b = q a_inv has modulus |q|^(1 - 2|x|) <= 1.  The pass builds q^n, T_n
@@ -278,9 +280,7 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 
     N + 1 terms, added exactly, by under (N + 1)^3 e <= 2^-(prec + 4) to
     first order.
     """
-    specs = [(0, 0), (0, 1)]
-    if a is not None:
-        specs += [(la, 0), (la, 1), (lq - la, 0), (-la, 0)]
+    specs = [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]
     counts = [_theta_terms(lq, lv, shift, lcut) for lv, shift in specs]
     top = max(counts)
     wp = ctx.prec + 3 * (top + 1).bit_length() + 5
@@ -310,13 +310,10 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 
         qn = mul(qn, qq)
         ts.append(mul(ps[-1], qn))
         ps.append(mul(ts[-1], qn))
-    n_t, n_p = counts[:2]
-    sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1]), series(ps[: n_p + 1], 1)]
-    if a is None:
-        return wp, sums
-    n_h, n_g, n_gb, n_hb = counts[2:]
+    n_t, n_p, n_h, n_g, n_gb, n_hb = counts
     an = powers(fixed(a), max(n_h, n_g))
     bn = powers(fixed(ctx.fmul(q, a_inv, prec=wp)), max(n_gb, n_hb))
+    sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1]), series(ps[: n_p + 1], 1)]
     sums.append(series([one] + [mul(ts[n], an[n]) for n in range(1, n_h + 1)]))
     sums.append(series([one] + [mul(ps[n], an[n]) for n in range(1, n_g + 1)]))
     sums.append(series([one] + [mul(ts[n], bn[n]) for n in range(1, n_gb + 1)]))
@@ -324,11 +321,10 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a=None, a_inv=None, la: float = 
     return wp, sums
 
 
-def _theta_values(ctx, wp: int, sums, q, winv=None):
+def _theta_values(ctx, wp: int, sums, q, winv):
     """(S, E4, E6, Delta) of `_theta_core`, each an exact value
     (re, im, e) = (re + i im) 2^e, from `_theta_sums`' pairs at scale 2^wp
-    in the order s3, s4, p, H(w), G(w), G(1/w), H(1/w), with q and 1/w;
-    S is None when winv is None.
+    in the order s3, s4, p, H(w), G(w), G(1/w), H(1/w), with q and 1/w.
 
     th3 = 2 s3 - 1, th4 = 2 s4 - 1 and theta4(pi z) = H(w) + H(1/w) - 1
     are exact at scale 2^wp.  Every other value carries its own binary
@@ -393,8 +389,6 @@ def _theta_values(ctx, wp: int, sums, q, winv=None):
     e6 = scaled(mul(mul(add(t3, t4), add(t2, t3)), add(t4, t2, -1)), 1, -1)
     d = mul(mul(t2, t3), t4)
     delta = scaled(mul(d, d), 27, -2)
-    if winv is None:
-        return None, e4, e6, delta
     (hr, hi), g_w, g_inv, (ir, ii) = sums[3:]
     wi = enter(winv)
     theta4_z = (hr + ir - one, hi + ii, -wp)
@@ -404,9 +398,9 @@ def _theta_values(ctx, wp: int, sums, q, winv=None):
     return s_val, e4, e6, delta
 
 
-def _theta_core(ctx, tau0, cutoff, x=None, y=None):
+def _theta_core(ctx, tau0, cutoff, x, y):
     """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y from Jacobi theta
-    series in the nome q = e^(i pi tau0); S is None when x is None.
+    series in the nome q = e^(i pi tau0).
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
@@ -426,22 +420,18 @@ def _theta_core(ctx, tau0, cutoff, x=None, y=None):
     lq = -math.pi * float(tau0.imag)
     # log of a number no larger than the cutoff
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
-    winv = None
-    if x is None:
-        wp, sums = _theta_sums(ctx, q, lq, lcut)
+    w = ctx.expjpi(2 * (x * tau0 + y))
+    winv = 1 / w
+    lw = 2 * float(x) * lq
+    if x >= 0:
+        wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
     else:
-        w = ctx.expjpi(2 * (x * tau0 + y))
-        winv = 1 / w
-        lw = 2 * float(x) * lq
-        if x >= 0:
-            wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
-        else:
-            wp, sums = _theta_sums(ctx, q, lq, lcut, winv, w, -lw)
-            # a = 1/w: the sums at a and at 1/a trade places
-            sums[3:] = sums[:2:-1]
+        wp, sums = _theta_sums(ctx, q, lq, lcut, winv, w, -lw)
+        # a = 1/w: the sums at a and at 1/a trade places
+        sums[3:] = sums[:2:-1]
     return tuple(
-        None if v is None else ctx.mpc(ctx.ldexp(v[0], v[2]), ctx.ldexp(v[1], v[2]))
-        for v in _theta_values(ctx, wp, sums, q, winv)
+        ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e))
+        for re, im, e in _theta_values(ctx, wp, sums, q, winv)
     )
 
 
@@ -490,11 +480,10 @@ def _exact_cell(ctx, row, g: UnimodMatrix):
 
 
 def eisenstein_j(tau, p: Precision = Precision()):
-    """The j-invariant of [tau, 1], via E4 and the discriminant after domain
-    reduction."""
+    """The j-invariant of [tau, 1]: the theta core at reduced tau0 and z = 1/2."""
     ctx = _ctx(p)
     t0, _ = _reduce_tau(ctx, ctx.mpc(tau))
-    return _j(ctx, _theta_core(ctx, t0, _cutoff(ctx, p)))
+    return _j(ctx, _theta_core(ctx, t0, _cutoff(ctx, p), ctx.zero, ctx.mpf(0.5)))
 
 
 def _j(ctx, values):

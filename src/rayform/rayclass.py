@@ -511,7 +511,11 @@ def group_table(mod: Modulus) -> ClassGroup:
     class x*g the row row(x*g)[y] = pi_g[row(x)[y]].  One wrong cell of a
     generator row breaks its identity cell pi_g[0] = g, a permutation, a
     derived cell table[x][g] = pi_g[x] or commutativity, all checked.  A
-    compose fault on a pair without a generator is left to `verify`.
+    compose fault on a pair without a generator is left to `verify`.  A
+    fault that keeps a generator row a permutation with pi_g[0] = g can
+    pass every check: at dK=-20 `2,4,6`, 2 of the 6 swaps of two cells in
+    the first generator row give a wrong table of Z/4.  The ideal-product
+    check of each cell (ROADMAP item 2) is the route that would see it.
     """
     group = enumerate_classes(mod)
     size = len(group.classes)

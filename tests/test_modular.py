@@ -117,6 +117,22 @@ def test_j_is_invariant():
         assert abs(eisenstein_j(moved, p) - base) < ctx.mpf(10) ** -35
 
 
+def test_j_pinned_to_the_bit():
+    """The mpf tuples of j at 40 seeded tau per digit count (30, 80, 1000),
+    Re tau in [-2, 2] and Im tau from 0.05 to 20 before reduction, hashed:
+    a change to the theta core or the reduction that moves j by one bit
+    fails here."""
+    rng = random.Random(24)
+    digest = hashlib.sha256()
+    for digits in (30, 80, 1000):
+        p = Precision(digits)
+        for _ in range(40):
+            tau = mpmath.mpc(rng.uniform(-2, 2), math.exp(rng.uniform(math.log(0.05), math.log(20))))
+            j = eisenstein_j(tau, p)
+            digest.update(repr([tuple(map(int, part._mpf_)) for part in (j.real, j.imag)]).encode())
+    assert digest.hexdigest() == "b24dabd7599c5aebe50ea7954cbe362a6fcd33deedf7d221b98e411dc02ebada"
+
+
 def _theta_pe(ctx, z, tau, p):
     """pe(z; [tau, 1]) = -4 pi^2 S from the theta route at tau itself, with
     z = x*tau + y for x, y in [-1/2, 1/2]."""
@@ -439,10 +455,11 @@ def test_eisenstein_shared_loop_matches_each_series_alone(digits):
 # Im tau from the unreduced law-check range up to 20, each with cells on
 # both vertical edges x = +-1/2 and one inside, and the cusp tau = 0.05i,
 # where theta4 = 2*sum - 1 is 1.4e-6: formed on ints at the kernel's
-# precision, it keeps every value within the tolerance there too
+# precision, it keeps every value within the tolerance there too; the cell
+# (0, 1/2) is the 2-torsion point that `eisenstein_j` runs the core at
 KERNEL_TAUS = [("0", "0.05"), ("0.25", "0.05"), ("-0.5", "0.05"), ("-0.5", "0.4"),
                ("0.31", "1.2"), ("-0.5", "3"), ("0.17", "7.3"), ("0.5", "20")]
-KERNEL_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37")]
+KERNEL_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37"), ("0", "0.5")]
 
 
 def jtheta_core(ctx, tau, x, y):
@@ -490,12 +507,9 @@ def plain_sum(ref, q, v, shift, terms):
 
 
 def theta_inputs(ctx, tau, cell):
-    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`,
-    a and a_inv None when cell is None; a is whichever of w, 1/w has
-    modulus at most 1."""
+    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`;
+    a is whichever of w, 1/w has modulus at most 1."""
     q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
-    if cell is None:
-        return q, lq, None, None, 0.0
     x = ctx.mpf(cell[0])
     w = ctx.expjpi(2 * (x * tau + ctx.mpf(cell[1])))
     a, a_inv = (w, 1 / w) if x >= 0 else (1 / w, w)
@@ -509,9 +523,8 @@ def to_ref(ref, pair, scale):
 
 @pytest.mark.parametrize("digits", [80, 1000])
 def test_theta_sum_within_its_error_bound(digits):
-    """Every sum `_theta_sums` returns at the points above, with no a (as for
-    j) and with a the one of w, 1/w of modulus at most 1, against the same
-    series summed by the mpc loop at twice the precision: off by at most
+    """Every sum `_theta_sums` returns at the points above, with a the one of
+    w, 1/w of modulus at most 1, against the same series summed by the mpc loop at twice the precision: off by at most
     (N+1)^3 2^(1/2-wp) for N + 1 terms, the bound of its docstring; the
     sums are exact ints, so there is no rounding term."""
     p = Precision(digits)
@@ -521,18 +534,14 @@ def test_theta_sum_within_its_error_bound(digits):
     lcut = (ctx.mag(modular._cutoff(ctx, p)) - 1) * math.log(2)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
-        for cell in [None] + KERNEL_CELLS:
+        for cell in KERNEL_CELLS:
             q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
-            rq = ref.mpc(q)
-            # (v, log|v|, shift) of sum q^(n^2 + shift*n) v^n
+            rq, ra, ri = ref.mpc(q), ref.mpc(a), ref.mpc(a_inv)
+            wp, got = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+            # (v, log|v|, shift) of sum q^(n^2 + shift*n) v^n: s3, s4, p, then
+            # H(a), G(a), G(1/a) = sum (-1)^n q^(n^2) b^n for b = q a_inv, H(1/a)
             specs = [(1, 0, 0), (-1, 0, 0), (1, 0, 1)]
-            if cell is None:
-                wp, got = modular._theta_sums(ctx, q, lq, lcut)
-            else:
-                wp, got = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-                ra, ri = ref.mpc(a), ref.mpc(a_inv)
-                # H(a), G(a), G(1/a) = sum (-1)^n q^(n^2) b^n for b = q a_inv, H(1/a)
-                specs += [(-ra, la, 0), (-ra, la, 1), (-rq * ri, lq - la, 0), (-ri, -la, 0)]
+            specs += [(-ra, la, 0), (-ra, la, 1), (-rq * ri, lq - la, 0), (-ri, -la, 0)]
             assert len(got) == len(specs)
             for k, (v, lv, shift) in enumerate(specs):
                 terms = modular._theta_terms(lq, lv, shift, lcut)
@@ -544,28 +553,28 @@ def test_theta_sum_within_its_error_bound(digits):
 def mpc_theta_values(ref, wp, sums, q, winv):
     """(S, E4, E6, Delta) from the integer sums by the mpc formulas of
     `_theta_core`'s docstring, evaluated in ref, with the magnitude that
-    `_theta_values`' docstring bounds each error by (S and its magnitude
-    None when winv is None)."""
-    s3, s4, p, *rest = (to_ref(ref, pair, wp) for pair in sums)
-    q = ref.mpc(q)
+    `_theta_values`' docstring bounds each error by."""
+    s3, s4, p, h_w, g_w, g_inv, h_inv = (to_ref(ref, pair, wp) for pair in sums)
+    q, winv = ref.mpc(q), ref.mpc(winv)
     th3, th4 = 2 * s3 - 1, 2 * s4 - 1
     t2, t3, t4 = 16 * q * (p * p) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
     a2, a3, a4 = abs(t2), abs(t3), abs(t4)
+    theta1_z = g_w - g_inv * winv
+    big_a = (p * th3 * (h_w + h_inv - 1) / theta1_z) ** 2 * winv
+    kappa = (abs(g_w) + abs(g_inv * winv)) / abs(theta1_z)
+    delta = 27 * (t2 * t3 * t4) ** 2 / 4
     values = [
-        None,
+        big_a + (t2 + t3) / 12,
         (t2 * t2 + t3 * t3 + t4 * t4) / 2,
         (t3 + t4) * (t2 + t3) * (t4 - t2) / 2,
-        27 * (t2 * t3 * t4) ** 2 / 4,
+        delta,
     ]
-    mags = [None, (a2**2 + a3**2 + a4**2) / 2, (a2 + a3) * (a3 + a4) * (a4 + a2) / 2, abs(values[3])]
-    if winv is not None:
-        winv = ref.mpc(winv)
-        h_w, g_w, g_inv, h_inv = rest
-        theta1_z = g_w - g_inv * winv
-        big_a = (p * th3 * (h_w + h_inv - 1) / theta1_z) ** 2 * winv
-        values[0] = big_a + (t2 + t3) / 12
-        kappa = (abs(g_w) + abs(g_inv * winv)) / abs(theta1_z)
-        mags[0] = kappa * abs(big_a) + (a2 + a3) / 12
+    mags = [
+        kappa * abs(big_a) + (a2 + a3) / 12,
+        (a2**2 + a3**2 + a4**2) / 2,
+        (a2 + a3) * (a3 + a4) * (a4 + a2) / 2,
+        abs(delta),
+    ]
     return values, mags
 
 
@@ -582,27 +591,20 @@ def test_theta_values_within_their_error_bound(digits):
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
-        for cell in [None] + KERNEL_CELLS:
+        for cell in KERNEL_CELLS:
             q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
-            if cell is None:
-                wp, sums = modular._theta_sums(ctx, q, lq, lcut)
-                winv, core = None, modular._theta_core(ctx, tau, cutoff)
-            else:
-                wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-                x, y = ctx.mpf(cell[0]), ctx.mpf(cell[1])
-                winv = a if x < 0 else a_inv
-                if x < 0:
-                    sums[3:] = sums[:2:-1]
-                core = modular._theta_core(ctx, tau, cutoff, x, y)
+            wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+            x, y = ctx.mpf(cell[0]), ctx.mpf(cell[1])
+            winv = a if x < 0 else a_inv
+            if x < 0:
+                sums[3:] = sums[:2:-1]
+            core = modular._theta_core(ctx, tau, cutoff, x, y)
             ref = mpmath.ctx_mp.MPContext()
             ref.prec = 2 * wp
             got = modular._theta_values(ctx, wp, sums, q, winv)
             want, mags = mpc_theta_values(ref, wp, sums, q, winv)
             bound = 32 * ref.ldexp(1, -wp) * ref.sqrt(8)
             for name, g, w, m, c in zip(("S", "E4", "E6", "Delta"), got, want, mags, core):
-                if g is None:
-                    assert w is None and c is None
-                    continue
                 assert c == ctx.mpc(to_ref(ref, g[:2], -g[2])), (name, re, im, cell)
                 assert abs(to_ref(ref, g[:2], -g[2]) - w) <= bound * m, (name, re, im, cell)
 
@@ -631,6 +633,23 @@ def test_theta_terms_match_the_plain_search():
         for lv, shift in [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]:
             got = modular._theta_terms(lq, lv, shift, lcut)
             assert got == plain_terms(lq, lv, shift, lcut), (lq, lv, shift, lcut)
+
+
+def test_j_cell_counts_only_theta_terms():
+    """At x = 0, where `eisenstein_j` runs the core, the six (lv, shift) of
+    `_theta_sums` count (T, P, T, P, P, T) terms, T for q^(n^2) and P for
+    q^(n^2 + n): no sum runs longer than the three theta constants need, so
+    the working precision and those three sums are the ones they would be
+    with no torsion point, at every point above and tail cutoffs of 30 to
+    10^5 digits."""
+    for _, im in KERNEL_TAUS:
+        lq = -math.pi * float(im)
+        la = 2 * 0.0 * lq  # as `_theta_core` forms it at x = 0
+        for digits in (30, 80, 300, 1000, 3000, 10000, 30000, 100000):
+            lcut = -(digits + 20) * math.log(10)
+            specs = [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]
+            t, p, *rest = (modular._theta_terms(lq, lv, shift, lcut) for lv, shift in specs)
+            assert rest == [t, p, p, t], (im, digits)
 
 
 def test_far_cell_holds_its_digits():
