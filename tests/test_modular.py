@@ -524,9 +524,10 @@ def to_ref(ref, pair, scale):
 @pytest.mark.parametrize("digits", [80, 1000])
 def test_theta_sum_within_its_error_bound(digits):
     """Every sum `_theta_sums` returns at the points above, with a the one of
-    w, 1/w of modulus at most 1, against the same series summed by the mpc loop at twice the precision: off by at most
-    (N+1)^3 2^(1/2-wp) for N + 1 terms, the bound of its docstring; the
-    sums are exact ints, so there is no rounding term."""
+    w, 1/w of modulus at most 1, against the same series summed by the mpc
+    loop at twice the precision: off by at most (N+1)^3 2^(1/2-wp) for
+    N + 1 terms, the bound of its docstring; the sums are exact ints, so
+    there is no rounding term."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
@@ -562,20 +563,14 @@ def mpc_theta_values(ref, wp, sums, q, winv):
     theta1_z = g_w - g_inv * winv
     big_a = (p * th3 * (h_w + h_inv - 1) / theta1_z) ** 2 * winv
     kappa = (abs(g_w) + abs(g_inv * winv)) / abs(theta1_z)
-    delta = 27 * (t2 * t3 * t4) ** 2 / 4
     values = [
         big_a + (t2 + t3) / 12,
         (t2 * t2 + t3 * t3 + t4 * t4) / 2,
         (t3 + t4) * (t2 + t3) * (t4 - t2) / 2,
-        delta,
+        27 * (t2 * t3 * t4) ** 2 / 4,
     ]
-    mags = [
-        kappa * abs(big_a) + (a2 + a3) / 12,
-        (a2**2 + a3**2 + a4**2) / 2,
-        (a2 + a3) * (a3 + a4) * (a4 + a2) / 2,
-        abs(delta),
-    ]
-    return values, mags
+    mags = [(a2**2 + a3**2 + a4**2) / 2, (a2 + a3) * (a3 + a4) * (a4 + a2) / 2, abs(values[3])]
+    return values, [kappa * abs(big_a) + (a2 + a3) / 12] + mags
 
 
 @pytest.mark.parametrize("digits", [80, 1000])
