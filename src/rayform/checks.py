@@ -120,8 +120,8 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     """The eight checks of `rayform verify`, in order.  The power relations
     and the transformation law each draw `samples` >= 1 random points; the
     class checks cover every class."""
-    if tol_exp < 1:
-        raise QFieldError(f"tolerance exponent must be at least 1, got {tol_exp}")
+    if not 1 <= tol_exp <= modular.MAX_DIGITS:
+        raise QFieldError(f"tolerance exponent must be from 1 to {modular.MAX_DIGITS}, got {tol_exp}")
     if samples < 1:
         raise QFieldError(f"sample count must be at least 1, got {samples}")
     tol = Fraction(10) ** -tol_exp

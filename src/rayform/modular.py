@@ -14,15 +14,16 @@ These four numbers are computed along two independent routes:
   as the square root of the digit count.  The discriminant is a product
   of theta constants, with no cancellation.  All seven theta sums of one
   core come from one fixed-point pass (`_theta_sums`) over the shared
-  powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term; every
-  factor has modulus at most 1, and 3 bitlen(N + 1) + 5 guard bits for N
-  terms keep each sum's error below 2^-(prec + 4).  The sums stay ints:
-  `_theta_values` forms S, E4, E6 and the discriminant from them on
-  complex ints, each value with its own binary exponent and cut back to
-  the working bits after every operation, each within 2^-(prec + 3/2) of
-  the formulas on the sums, relative to the magnitude its docstring names,
-  and each of the four is rounded to an mpmath value once.
-  `eisenstein_j`, `fricke` and `eval_descriptor` use it.
+  powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term; S is
+  even in z, so a cell with x < 0 is negated and every factor has modulus
+  at most 1, and 3 bitlen(N + 1) + 5 guard bits for N terms keep each
+  sum's error below 2^-(prec + 4).  The sums stay ints: `_theta_values`
+  forms S, E4, E6 and the discriminant from them on complex ints, each
+  value with its own binary exponent and cut back to the working bits
+  after every operation, each within 2^-(prec + 3/2) of the formulas on
+  the sums, relative to the magnitude its docstring names, and each of the
+  four is rounded to an mpmath value once.  `eisenstein_j`, `fricke` and
+  `eval_descriptor` use it.
 * the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
   e^(2 pi i tau), E4 and E6 from one loop over shared powers of q, with
   the discriminant as E4^3 - E6^2.
@@ -262,14 +263,14 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
     (see `_theta_core`), from one fixed-point pass, each an int pair
     (re, im) scaled by 2^wp.
 
-    |q| < 1 and |a| <= 1, with logs lq and la; a_inv is 1/a, and
-    b = q a_inv has modulus |q|^(1 - 2|x|) <= 1.  The pass builds q^n, T_n
-    and P_n by T_(n+1) = P_n q^(n+1), P_(n+1) = T_(n+1) q^(n+1), and the
-    powers of a and b, and every sum reads them: the first two are the even
-    part of sum T_n plus and minus its odd part, H(a) = sum (-1)^n T_n a^n,
-    G(a) = sum (-1)^n P_n a^n, G(1/a) = sum (-1)^n T_n b^n and
-    H(1/a) = 1 + sum_(n>=1) (-1)^n P_(n-1) b^n.  Each sum stops at its own
-    `_theta_terms` count, N at most.
+    |q| < 1 and a = w with x >= 0 (S is even), so |a| <= 1, with logs lq
+    and la; a_inv is 1/a, and b = q a_inv has modulus |q|^(1 - 2x) <= 1.
+    The pass builds q^n, T_n and P_n by T_(n+1) = P_n q^(n+1),
+    P_(n+1) = T_(n+1) q^(n+1), and the powers of a and b, and every sum
+    reads them: the first two are the even part of sum T_n plus and minus
+    its odd part, H(a) = sum (-1)^n T_n a^n, G(a) = sum (-1)^n P_n a^n,
+    G(1/a) = sum (-1)^n T_n b^n and H(1/a) = 1 + sum_(n>=1) (-1)^n
+    P_(n-1) b^n.  Each sum stops at its own `_theta_terms` count, N at most.
 
     Every factor has modulus at most 1.  A complex product (three int
     products, Gauss's form) and a floor shift is off by under
@@ -410,25 +411,22 @@ def _theta_core(ctx, tau0, cutoff, x, y):
     G(u) = sum (-1)^n q^(n(n+1)) u^n, and theta4(pi z) = H(w) + H(1/w) - 1
     for H(u) = sum (-1)^n q^(n^2) u^n; the quarter powers cancel from
     S = -(theta2^2 theta3^2 theta4(pi z)^2 / theta1(pi z)^2 - (t2 + t3)/3)/4,
-    which is the q-series route's S.  For x, y in [-1/2, 1/2], |w| <= 1
-    when x >= 0 and |1/w| <= 1 when x < 0; `_theta_sums` takes that one as
-    its a and returns all seven sums from one pass, each cut where
-    `_theta_terms` bounds its tail below the cutoff.  `_theta_values` forms
-    the four values on ints, and each is rounded to an mpc once.
+    which is the q-series route's S.  S reads theta4 (even) and theta1
+    (odd) squared, so it is even in z: a cell with x < 0 is negated, and
+    |w| <= 1 for x in [0, 1/2].  `_theta_sums` takes w as its a and returns
+    all seven sums from one pass, each cut where `_theta_terms` bounds its
+    tail below the cutoff.  `_theta_values` forms the four values on ints,
+    and each is rounded to an mpc once.
     """
     q = ctx.expjpi(tau0)
     lq = -math.pi * float(tau0.imag)
     # log of a number no larger than the cutoff
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
+    if x < 0:
+        x, y = -x, -y
     w = ctx.expjpi(2 * (x * tau0 + y))
     winv = 1 / w
-    lw = 2 * float(x) * lq
-    if x >= 0:
-        wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
-    else:
-        wp, sums = _theta_sums(ctx, q, lq, lcut, winv, w, -lw)
-        # a = 1/w: the sums at a and at 1/a trade places
-        sums[3:] = sums[:2:-1]
+    wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, 2 * float(x) * lq)
     return tuple(
         ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e))
         for re, im, e in _theta_values(ctx, wp, sums, q, winv)

@@ -33,6 +33,7 @@ from .forms import (
     coprime_normalize,
     reduce,
     reduced_forms,
+    t_power,
 )
 from .qfield import (
     Discriminant,
@@ -264,25 +265,14 @@ def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
 
 def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix:
     """A matrix meeting the witness congruence for the form, parametrized by
-    two free integers: k picks the bottom-left entry a1*k, j shears the top
-    row.  Acting by its inverse yields a form in the same class.
+    two free integers: k picks the bottom-left entry a1*k mod N, j shears
+    the top row.  Acting by its inverse yields a form in the same class.
+    The bottom row lifts (r, 1 + slope*r mod N), r = a1*k: the lift moves r
+    by multiples of N, which a1 divides, and the congruence reads r mod N.
     """
     _require_form(form, mod)
-    N, a1 = mod.level, mod.ideal.a1
-    r = a1 * k
-    s0 = (1 + _witness_slope(form, mod) * r) % N
-    s = None
-    for m in range(0, 2 * abs(r) + N + 2):
-        for cand in (s0 + N * m, s0 - N * m):
-            if math.gcd(r, cand) == 1:
-                s = cand
-                break
-        if s is not None:
-            break
-    if s is None:
-        raise InternalCheckError(f"no coprime completion of bottom row ({r}, ...)")
-    _, x, y = _egcd(s, r)
-    g = UnimodMatrix(x + j * r, -y + j * s, r, s)
+    N, r = mod.level, mod.ideal.a1 * k
+    g = t_power(j) @ lift_bottom_row((r, (1 + _witness_slope(form, mod) * r) % N), N)
     if not _satisfies_witness(g, form, mod):
         raise InternalCheckError(f"constructed matrix {g} fails the congruence")
     return g
@@ -508,23 +498,23 @@ def group_table(mod: Modulus) -> ClassGroup:
     `compose` calls for r generators, not h^2.  Each generator g is the first
     class not yet reached; its row pi_g[x] = index(x*g) is composed directly,
     with lookups in `ClassGroup.index`.  Breadth-first closure gives each new
-    class x*g the row row(x*g)[y] = pi_g[row(x)[y]].  One wrong cell of a
-    generator row breaks its identity cell pi_g[0] = g, a permutation, a
-    derived cell table[x][g] = pi_g[x] or commutativity, all checked.  A
-    compose fault on a pair without a generator is left to `verify`.  A
-    fault that keeps a generator row a permutation with pi_g[0] = g can
-    pass every check: at dK=-20 `2,4,6`, 2 of the 6 swaps of two cells in
-    the first generator row give a wrong table of Z/4.  The ideal-product
-    check of each cell (ROADMAP item 2) is the route that would see it.
+    class x*g the row row(x*g)[y] = pi_g[row(x)[y]]; it reaches x = 0 first,
+    so row g is pi_g once pi_g[0] = g is checked, and commutativity covers
+    table[x][g] = pi_g[x].  One wrong cell of a generator row breaks
+    pi_g[0] = g, a permutation or commutativity, all checked.  A compose
+    fault on a pair without a generator is left to `verify`.  A fault that
+    keeps a generator row a permutation with pi_g[0] = g can pass every
+    check: at dK=-20 `2,4,6`, 2 of the 6 swaps of two cells in the first
+    generator row give a wrong table of Z/4.  The ideal-product check of
+    each cell (ROADMAP item 2) is the route that would see it.
     """
     group = enumerate_classes(mod)
     size = len(group.classes)
     reps = [fc.rep for fc in group.classes]
     rows = {0: list(range(size))}
-    generators = {}
     while len(rows) < size:
         g = next(x for x in range(size) if x not in rows)
-        pi = generators[g] = [_class_index(compose(rep, reps[g], mod), group) for rep in reps]
+        pi = [_class_index(compose(rep, reps[g], mod), group) for rep in reps]
         if pi[0] != g:  # row 0 is the identity by construction; g must be reached
             raise InternalCheckError("identity row is not the identity permutation")
         reached = list(rows)
@@ -533,9 +523,6 @@ def group_table(mod: Modulus) -> ClassGroup:
                 rows[pi[x]] = [pi[y] for y in rows[x]]
                 reached.append(pi[x])
     table = tuple(tuple(rows[x]) for x in range(size))
-    for g, pi in generators.items():
-        if any(table[x][g] != pi[x] for x in range(size)):
-            raise InternalCheckError("derived cell differs from its composed generator row")
     if any(len(set(row)) != size for row in table):
         raise InternalCheckError("table row is not a permutation")
     if table != tuple(zip(*table)):

@@ -188,6 +188,15 @@ def test_digits_above_the_limit_exit_2(command):
         assert run(*args, *extra, env_extra=env) == (2, "", message)
 
 
+def test_tolerance_exponent_above_the_limit_exits_2():
+    # 10^-t for t this large takes seconds to build as a Fraction before
+    # any check runs, so exit 2 with the message shows t is refused first
+    huge = "99999999999"
+    message = f"error: tolerance exponent must be from 1 to {modular.MAX_DIGITS}, got {huge}\n"
+    args = ["verify", "--dk", "-20", "--ideal", "2,4,6", "--tolerance-exponent", huge]
+    assert run(*args) == (2, "", message)
+
+
 def test_ideal_gens_matches_triple():
     a = run_json("enumerate", "--dk", "-20", "--ideal", "2,4,6")
     b = run_json("enumerate", "--dk", "-20", "--ideal-gens", "2,4;0,6")
@@ -321,15 +330,16 @@ def test_verify_second_field():
 # sha256 of `verify` stdout, recorded with the one-pass theta kernel and its
 # post-processing on ints, the exact identity-class check, descriptor points
 # reduced exactly in K, the route check on ideal-key partitions (labelled by
-# qfield's own class form) and translates that never return their own form;
+# qfield's own class form), translates that never return their own form,
+# witness matrices from `lift_bottom_row` and theta cores run at x >= 0;
 # any change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "c13e5c134fe333e7d686f65e29f85b84dec76cf3c5958d681e0c8be76a6a4364",
-    ("-20", "2,4,6", "40", "json"): "0f6daf6522ebd568e32310b366cd9eae8293eed9931bd46b7c8fce8ab1629e97",
-    ("-20", "2,4,6", "40", "text"): "39ceddaa83af137d048946052332ba01f0c54537e792412f71d2ae1966332216",
-    ("-23", "1,8,31", "40", "json"): "7d63acdeeb0da9b53e2c68733eca0abccbbfb62a93df4b379c2d60dda8431919",
-    ("-23", "3,9,12", "80", "json"): "a1c7e60ae6414f6572046cff4fe4eb6e5bd75e5f4dd013f437230f44fe71c0ab",
-    ("-23", "3,9,12", "80", "text"): "b05c636134b89423e70ef594747896947d3388b39b2affe38613f5aba904a8d3",
+    ("-111", "9,0,9", "40", "json"): "8fce43a64da9d71a0b1f5a342047cbab0451fdab7b49d4ff68bda4ed6e81857f",
+    ("-20", "2,4,6", "40", "json"): "6dfa14b55d30e9266124f8ae00d575210602bec7db811f7ea82c647d95365b60",
+    ("-20", "2,4,6", "40", "text"): "8257641683be61a167e5383686d4c22cbffd089313280c30acf25fa7f7665ac3",
+    ("-23", "1,8,31", "40", "json"): "b247ed186cc02415746e30b8eadc6a1909307983276ef713ccefd7426b0a4a43",
+    ("-23", "3,9,12", "80", "json"): "76d2ebcc7791549770bf5665527a8928914ed4cab1ecdc0cf5fa7ff41220fbf3",
+    ("-23", "3,9,12", "80", "text"): "0a63621003423e1d016717d7cda1660c7e3c9d21a22689a839e9466a825544ad",
     ("-3", "6,0,6", "80", "json"): "4261b2154e84d2dc9a66874f034532d7c0c4170686270376e58e93a06509c4d2",
     ("-3", "6,0,6", "80", "text"): "e585c23a6523471a39f2702186fa38c09e433229d3295417f11da1fb1ab487c8",
     ("-4", "6,0,6", "80", "json"): "948b43defbb1176a323753cfccc3fc9097ec5d42c19edf1018a1f7fd82f2f408",

@@ -456,10 +456,12 @@ def test_eisenstein_shared_loop_matches_each_series_alone(digits):
 # both vertical edges x = +-1/2 and one inside, and the cusp tau = 0.05i,
 # where theta4 = 2*sum - 1 is 1.4e-6: formed on ints at the kernel's
 # precision, it keeps every value within the tolerance there too; the cell
-# (0, 1/2) is the 2-torsion point that `eisenstein_j` runs the core at
+# (0, 1/2) is the 2-torsion point that `eisenstein_j` runs the core at, and
+# (-0.3, 0.1) an inner cell with x < 0, which the core negates, S being even:
+# jtheta runs at the cell as given, so it checks that evenness off the edges
 KERNEL_TAUS = [("0", "0.05"), ("0.25", "0.05"), ("-0.5", "0.05"), ("-0.5", "0.4"),
                ("0.31", "1.2"), ("-0.5", "3"), ("0.17", "7.3"), ("0.5", "20")]
-KERNEL_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37"), ("0", "0.5")]
+KERNEL_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37"), ("0", "0.5"), ("-0.3", "0.1")]
 
 
 def jtheta_core(ctx, tau, x, y):
@@ -507,13 +509,15 @@ def plain_sum(ref, q, v, shift, terms):
 
 
 def theta_inputs(ctx, tau, cell):
-    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`;
-    a is whichever of w, 1/w has modulus at most 1."""
+    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`:
+    a cell with x < 0 is negated, S being even, and a is w, of modulus at
+    most 1."""
     q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
-    x = ctx.mpf(cell[0])
-    w = ctx.expjpi(2 * (x * tau + ctx.mpf(cell[1])))
-    a, a_inv = (w, 1 / w) if x >= 0 else (1 / w, w)
-    return q, lq, a, a_inv, 2 * abs(float(x)) * lq
+    x, y = ctx.mpf(cell[0]), ctx.mpf(cell[1])
+    if x < 0:
+        x, y = -x, -y
+    w = ctx.expjpi(2 * (x * tau + y))
+    return q, lq, w, 1 / w, 2 * float(x) * lq
 
 
 def to_ref(ref, pair, scale):
@@ -523,8 +527,8 @@ def to_ref(ref, pair, scale):
 
 @pytest.mark.parametrize("digits", [80, 1000])
 def test_theta_sum_within_its_error_bound(digits):
-    """Every sum `_theta_sums` returns at the points above, with a the one of
-    w, 1/w of modulus at most 1, against the same series summed by the mpc
+    """Every sum `_theta_sums` returns at the points above, with a = w at
+    the cell negated to x >= 0, against the same series summed by the mpc
     loop at twice the precision: off by at most (N+1)^3 2^(1/2-wp) for
     N + 1 terms, the bound of its docstring; the sums are exact ints, so
     there is no rounding term."""
@@ -589,15 +593,11 @@ def test_theta_values_within_their_error_bound(digits):
         for cell in KERNEL_CELLS:
             q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
             wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-            x, y = ctx.mpf(cell[0]), ctx.mpf(cell[1])
-            winv = a if x < 0 else a_inv
-            if x < 0:
-                sums[3:] = sums[:2:-1]
-            core = modular._theta_core(ctx, tau, cutoff, x, y)
+            core = modular._theta_core(ctx, tau, cutoff, ctx.mpf(cell[0]), ctx.mpf(cell[1]))
             ref = mpmath.ctx_mp.MPContext()
             ref.prec = 2 * wp
-            got = modular._theta_values(ctx, wp, sums, q, winv)
-            want, mags = mpc_theta_values(ref, wp, sums, q, winv)
+            got = modular._theta_values(ctx, wp, sums, q, a_inv)
+            want, mags = mpc_theta_values(ref, wp, sums, q, a_inv)
             bound = 32 * ref.ldexp(1, -wp) * ref.sqrt(8)
             for name, g, w, m, c in zip(("S", "E4", "E6", "Delta"), got, want, mags, core):
                 assert c == ctx.mpc(to_ref(ref, g[:2], -g[2])), (name, re, im, cell)

@@ -720,6 +720,56 @@ def test_table_catches_a_wrong_generator_row_cell(dk, ideal, monkeypatch):
             group_table(mod)
 
 
+@pytest.mark.parametrize(
+    "dk, ideal, passing, swaps",
+    [(-20, (2, 4, 6), 2, 6), (-23, (3, 9, 12), 30, 66)],
+    ids=["-20:2,4,6", "-23:3,9,12"],
+)
+def test_table_census_of_first_generator_row_faults(dk, ideal, passing, swaps, monkeypatch):
+    """Every change of one cell of the first generator row raises, and the
+    swaps of two of its cells that pass every check of `group_table` are
+    counted.  Those swaps keep the row a permutation with pi_g[0] = g, so
+    the closure builds a wrong abelian table from it: they are the blind
+    spot that the ideal-product check of each cell (ROADMAP item 2) is to
+    close, and that change should lower the pinned counts to 0."""
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    group = enumerate_classes(mod)
+    size = len(group.classes)
+    lookup, composed = rayclass._class_index, {}
+
+    def cached_compose(form1, form2, modulus):
+        if (form1, form2) not in composed:
+            composed[form1, form2] = compose(form1, form2, modulus)
+        return composed[form1, form2]
+
+    monkeypatch.setattr(rayclass, "enumerate_classes", lambda m: group)
+    monkeypatch.setattr(rayclass, "compose", cached_compose)
+
+    def run_with(change):
+        calls = itertools.count()
+
+        def corrupted(form, grp):
+            idx, n = lookup(form, grp), next(calls)
+            return change.get(n, idx) if n < size else idx
+
+        monkeypatch.setattr(rayclass, "_class_index", corrupted)
+        try:
+            group_table(mod)
+        except InternalCheckError:
+            return False
+        return True
+
+    monkeypatch.setattr(rayclass, "_class_index", lookup)
+    row = [lookup(compose(fc.rep, group.classes[1].rep, mod), group) for fc in group.classes]
+    for cell in range(size):
+        for wrong in range(size):
+            if wrong != row[cell]:
+                assert not run_with({cell: wrong}), (cell, wrong)
+    pairs = list(itertools.combinations(range(size), 2))
+    assert len(pairs) == swaps
+    assert sum(run_with({x: row[y], y: row[x]}) for x, y in pairs) == passing
+
+
 def test_table_composes_only_generator_rows(monkeypatch):
     mod = make_modulus(D23, 1, 8, 31)
     seconds = []
@@ -818,6 +868,18 @@ def test_witness_matrix_and_translates():
             g = witness_matrix(base, mod, k, j)
             moved = act(base, g.inv())
             assert act(moved, g) == base
+    # the lifted bottom row of every class for k in [-50, 50] meets the
+    # congruence with bottom-left entry a1*k mod N, and k = 0 lifts (0, 1)
+    # as it is, leaving the shear alone
+    for dk, ideal in ((-3, (6, 0, 6)), (-4, (6, 0, 6)), (-23, (1, 8, 31))):
+        mod = make_modulus(make_discriminant(dk), *ideal)
+        for fc in enumerate_classes(mod).classes:
+            for k in range(-50, 51):
+                j = k % 9 - 4
+                g = witness_matrix(fc.rep, mod, k, j)
+                assert rayclass._satisfies_witness(g, fc.rep, mod), (dk, fc.rep, k)
+                assert (g.r - mod.ideal.a1 * k) % mod.level == 0, (dk, fc.rep, k)
+                assert k != 0 or g == t_power(j), (dk, fc.rep, j)
 
 
 @pytest.mark.parametrize("module", ["qfield", "forms", "rayclass"])
