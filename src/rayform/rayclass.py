@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from .forms import (
@@ -88,22 +87,16 @@ class FormClass(NamedTuple):
     key: ClassKey
 
 
-class _GroupFields(NamedTuple):
+class ClassGroup(NamedTuple):
+    """The classes of a modulus and the position of each class key in them,
+    with the table and invariant factors once `group_table` has filled them
+    in.  `index` is a dict, so a group does not hash."""
+
     modulus: Modulus
     classes: tuple[FormClass, ...]
+    index: dict[ClassKey, int]
     table: tuple[tuple[int, ...], ...] | None = None
     invariant_factors: tuple[int, ...] | None = None
-
-
-class ClassGroup(_GroupFields):
-    """The classes of a modulus, with the table and invariant factors once
-    `group_table` has filled them in.  A subclass of its fields, without
-    `__slots__`, so `index` is cached in the instance dict."""
-
-    @cached_property
-    def index(self) -> dict[ClassKey, int]:
-        """Position of each class key in `classes`."""
-        return {fc.key: i for i, fc in enumerate(self.classes)}
 
 
 class GaloisDescriptor(NamedTuple):
@@ -371,8 +364,10 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     Walks the reduced forms, renormalizes leading coefficients against the
     level, splits the admissible rows into congruence classes and pulls each
     back through a lifted matrix, keyed by the reduced form and row it was
-    built from: its `class_key`, which only the principal form goes through.
-    The count is checked against the ideal-theoretic ray class number and the
+    built from: its `class_key`, with no form reduced.  The least reduced
+    form is principal and its first row (0, 1) lifts to the identity, so the
+    first class built is the identity, checked against the principal form.  The
+    count is checked against the ideal-theoretic ray class number and the
     representatives must have distinct `ideal_keys`, so a miscount cannot
     pass silently.
     """
@@ -391,17 +386,13 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
         )
     if len(set(ideal_keys([fc.rep for fc in reps], mod))) != len(reps):
         raise InternalCheckError("two representatives collide under the ideal key")
-    if len({fc.key for fc in reps}) != len(reps):
+    if reps[0].rep != QuadForm(1, disc.b0, disc.c0):
+        raise InternalCheckError(f"first class built is {reps[0].rep}, not the principal form")
+    classes = (reps[0], *sorted(reps[1:], key=lambda fc: fc.rep.coeffs()))
+    index = {fc.key: i for i, fc in enumerate(classes)}
+    if len(index) != len(classes):
         raise InternalCheckError("two representatives share a class key")
-    principal = class_key(QuadForm(1, disc.b0, disc.c0), mod)
-    identity = [fc for fc in reps if fc.key == principal]
-    if len(identity) != 1:
-        raise InternalCheckError("identity class not found exactly once")
-    rest = sorted(
-        (fc for fc in reps if fc is not identity[0]),
-        key=lambda fc: fc.rep.coeffs(),
-    )
-    return ClassGroup(mod, tuple(identity + rest))
+    return ClassGroup(mod, classes, index)
 
 
 def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
@@ -422,8 +413,6 @@ def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
     a, b = form1.a, form1.b
     moved, gamma = coprime_normalize(form2, 2 * a * N * abs(d))
     a2, b2 = moved.a, moved.b
-    if math.gcd(a, a2) != 1:
-        raise InternalCheckError("leading coefficients not coprime after move")
     # B = b mod 2a, B = b2 mod 2a2; the strengthened move makes gcd(2a, 2a2) = 2
     t = (_half(b2 - b) * pow(a, -1, a2)) % a2
     big_b = (b + 2 * a * t) % (2 * a * a2)
@@ -500,8 +489,9 @@ def group_table(mod: Modulus) -> ClassGroup:
     with lookups in `ClassGroup.index`.  Breadth-first closure gives each new
     class x*g the row row(x*g)[y] = pi_g[row(x)[y]]; it reaches x = 0 first,
     so row g is pi_g once pi_g[0] = g is checked, and commutativity covers
-    table[x][g] = pi_g[x].  One wrong cell of a generator row breaks
-    pi_g[0] = g, a permutation or commutativity, all checked.  A compose
+    table[x][g] = pi_g[x].  Permutations are checked on generator rows only,
+    as every derived row composes them.  One wrong cell of a generator row
+    breaks pi_g[0] = g, a permutation or commutativity, all checked.  A compose
     fault on a pair without a generator is left to `verify`.  A fault that
     keeps a generator row a permutation with pi_g[0] = g can pass every
     check: at dK=-20 `2,4,6`, 2 of the 6 swaps of two cells in the first
@@ -515,19 +505,17 @@ def group_table(mod: Modulus) -> ClassGroup:
     while len(rows) < size:
         g = next(x for x in range(size) if x not in rows)
         pi = [_class_index(compose(rep, reps[g], mod), group) for rep in reps]
-        if pi[0] != g:  # row 0 is the identity by construction; g must be reached
-            raise InternalCheckError("identity row is not the identity permutation")
+        if pi[0] != g or len(set(pi)) != size:  # row 0 is the identity by construction
+            raise InternalCheckError(f"generator row {g} is not a permutation sending 0 to {g}")
         reached = list(rows)
         for x in reached:
             if pi[x] not in rows:
                 rows[pi[x]] = [pi[y] for y in rows[x]]
                 reached.append(pi[x])
     table = tuple(tuple(rows[x]) for x in range(size))
-    if any(len(set(row)) != size for row in table):
-        raise InternalCheckError("table row is not a permutation")
     if table != tuple(zip(*table)):
         raise InternalCheckError("composition table is not commutative")
-    return ClassGroup(mod, group.classes, table, _invariant_factors(table))
+    return group._replace(table=table, invariant_factors=_invariant_factors(table))
 
 
 def descriptor(form: QuadForm, mod: Modulus) -> GaloisDescriptor:

@@ -466,14 +466,24 @@ def test_class_translate_checks_its_form_once(monkeypatch):
     assert callers == ["witness_matrix"] * len(moved)
 
 
-def test_enumeration_reduces_only_the_principal_form(monkeypatch):
-    # each class keeps the key of the row it was built from
+def test_enumeration_reduces_no_form(monkeypatch):
+    # each class keeps the key of the row it was built from, and the
+    # identity is the first class built
     forms, key = [], rayclass.class_key
     monkeypatch.setattr(rayclass, "class_key", lambda f, mod: forms.append(f) or key(f, mod))
     for mod in (MOD20, MOD23, make_modulus(D3, 6, 0, 6)):
-        forms.clear()
         enumerate_classes(mod)
-        assert forms == [QuadForm(1, mod.disc.b0, mod.disc.c0)]
+    assert forms == []
+
+
+@pytest.mark.parametrize("mod", [MOD20, MOD23])
+def test_enumeration_checks_the_first_class_is_principal(monkeypatch, mod):
+    # reduced forms walked backwards build a non-principal class first,
+    # which enumeration refuses: it takes the first class as the identity
+    forms = rayclass.reduced_forms
+    monkeypatch.setattr(rayclass, "reduced_forms", lambda disc: forms(disc)[::-1])
+    with pytest.raises(InternalCheckError, match="not the principal form"):
+        enumerate_classes(mod)
 
 
 @pytest.mark.parametrize(

@@ -21,12 +21,12 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_residual_report_prints_all_eight_checks():
+def test_residual_report_prints_all_seven_checks():
     lines = run_script("residual_report.py", "--digits", "30", "--samples", "2")
     assert lines[0] == "digits=30 samples=2 seed=20260822"
-    assert len(lines) == 9
+    assert len(lines) == 8
     assert all(line.startswith("PASS  ") for line in lines[1:])
-    assert lines[4].startswith(
+    assert lines[3].startswith(
         "PASS  power relations between the three indexed values: worst residual "
     )
 
