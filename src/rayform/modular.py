@@ -24,9 +24,9 @@ These four numbers are computed along two independent routes:
   the sums, relative to the magnitude its docstring names, and each of the
   four is rounded to an mpmath value once.  `eisenstein_j`, `fricke` and
   `eval_descriptor` use it.
-* the q-series route (`_qseries_core`): the Eisenstein and pe q-series in
-  e^(2 pi i tau), E4 and E6 from one loop over shared powers of q, with
-  the discriminant as E4^3 - E6^2.
+* the q-series route (`_qseries_core`): the pe q-series in e^(2 pi i tau)
+  with E4 and E6 as Lambert series in the same loop, over shared powers
+  of q and one stopping rule, and the discriminant as E4^3 - E6^2.
   `eval_descriptor_unreduced` uses it, so the check comparing it with
   `eval_descriptor` compares two independent series.  It stays on mpmath
   floats, sharing no arithmetic with the fixed-point sums, to catch their
@@ -158,79 +158,52 @@ class FrickeLabel(_LabelFields):
         return f"{self.i}:{self.r},{self.s},{self.level}"
 
 
-def _divisor_sums(limit: int) -> tuple[list[int], list[int]]:
-    """sigma3(n) and sigma5(n) for n below limit, from one divisor sieve."""
-    s3, s5 = [0] * limit, [0] * limit
-    for d in range(1, limit):
-        d3 = d**3
-        d5 = d3 * d * d
-        for m in range(d, limit, d):
-            s3[m] += d3
-            s5[m] += d5
-    return s3, s5
-
-
-def _eisenstein(ctx, q, cutoff):
-    """(E4, E6) from one loop over the shared q^n:
-    E4 = 1 + 240 sum sigma3(n) q^n and E6 = 1 - 504 sum sigma5(n) q^n.
-
-    Each series stops at its own tail rule, sigma_k(n) <= n^(k+1) bounding
-    the whole remaining tail crudely, and takes the same terms in the same
-    order as it would alone; E6's rule stops last."""
-    e4 = e6 = ctx.mpf(1)
-    qn = ctx.mpc(1)
-    aq = abs(q)
-    aqn = ctx.mpf(1)
-    e4_done = False
-    s3 = s5 = ()
-    for n in range(1, _MAX_TERMS):
-        if n >= len(s3):
-            s3, s5 = _divisor_sums(2 * n)
-        qn *= q
-        aqn *= aq
-        if not e4_done:
-            e4 += 240 * s3[n] * qn
-            e4_done = 240 * n**4 * aqn / (1 - aq) < cutoff
-        e6 += -504 * s5[n] * qn
-        if 504 * n**6 * aqn / (1 - aq) < cutoff:
-            return e4, e6
-    raise InternalCheckError("Eisenstein series did not reach the tail cutoff")
-
-
-def _wp_sum(ctx, x, y, tau, q, cutoff):
-    """The pi-free pe series at z = x*tau + y, with x, y in [-1/2, 1/2], in
-    the nome q = e^(2 pi i tau) that the caller computed.
-
-    Returns S with pe(z; [tau, 1]) = -4 pi^2 S.
-    """
-    w = ctx.exp(2j * ctx.pi * (x * tau + y))
-    total = ctx.mpf(1) / 12 + w / (1 - w) ** 2
-    qn = ctx.mpc(1)
-    aq = abs(q)
-    # |w| lies between |q|^(1/2) and |q|^(-1/2); aqh is |q|^(n + 1/2)
-    aqh = ctx.sqrt(aq)
-    cube = (1 - aq) ** 3
-    winv = 1 / w
-    for n in range(1, _MAX_TERMS):
-        qn *= q
-        total += qn * w / (1 - qn * w) ** 2
-        total += qn * winv / (1 - qn * winv) ** 2
-        total -= 2 * qn / (1 - qn) ** 2
-        aqh *= aq
-        if 4 * aqh / cube < cutoff:
-            return total
-    raise InternalCheckError("pe series did not reach the tail cutoff")
-
-
 def _qseries_core(ctx, tau0, cutoff, x, y):
-    """(S, E4, E6, Delta) from the q-series, Delta = E4^3 - E6^2.
+    """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y, x, y in [-1/2, 1/2],
+    from q-series in q = e^(2 pi i tau0), with Delta = E4^3 - E6^2.
+
+    One loop over the shared q^n, t = 1/(1 - q^n) and u = q^n t sums the
+    Lambert series E4 = 1 + 240 sum n^3 u and E6 = 1 - 504 sum n^5 u beside
+    S = 1/12 + w/(1 - w)^2 + sum (a/(1 - a)^2 + b/(1 - b)^2 - 2 u t), with
+    w = e^(2 pi i z), a = q^n w, b = q^n/w and pe(z; [tau0, 1]) = -4 pi^2 S.
+    It stops at the first n with B = 504 n^6 |q|^n below the cutoff.
+    `_reduced` hands over |Re tau0| <= 1/2 and |tau0| >= 1 up to rounding,
+    so |q| < 1/200 and each tail is below B/2: the tail of sum n^k u
+    (k = 3, 5) is sum_(m > n) c_m q^m with 0 <= c_m <= sigma_k(m) <= m^(k+1),
+    under n^(k+1) |q|^n sum_(j >= 1) (1 + j)^6 200^-j < 0.34 n^(k+1) |q|^n;
+    |a|, |b| <= |q|^(m - 1/2) in term m, as |w| lies between |q|^(1/2) and
+    |q|^(-1/2), so S's tail is below |q|^n.  Each mpc operation rounds
+    within a relative e = 2^(1 - prec), so q and w enter within
+    (1 + 4 pi |tau0|) e and (5 + 26 |z|) e, and q^n gains q's error plus e
+    per power.  Over terms falling as |q|^n, E4 and E6 are within
+    B/2 + (4n + 96) e of their series and S within B/2 +
+    (4n + 96) e (1 + |w|/|1 - w|^2) + (5 + 26 |z|) e |w| |1 + w|/|1 - w|^3,
+    the last term w's rounding through w/(1 - w)^2.
 
     The reference route: Delta loses about log10(1/|q|) digits to
     cancellation, which the theta route does not.
     """
     q = ctx.exp(2j * ctx.pi * tau0)
-    e4, e6 = _eisenstein(ctx, q, cutoff)
-    return _wp_sum(ctx, x, y, tau0, q, cutoff), e4, e6, e4**3 - e6**2
+    w = ctx.exp(2j * ctx.pi * (x * tau0 + y))
+    winv = 1 / w
+    s_val = ctx.mpf(1) / 12 + w / (1 - w) ** 2
+    l4 = l6 = ctx.mpc(0)
+    qn = ctx.mpc(1)
+    aq, aqn = abs(q), ctx.mpf(1)
+    for n in range(1, _MAX_TERMS):
+        qn *= q
+        t = 1 / (1 - qn)
+        u = qn * t
+        a, b = qn * w, qn * winv
+        s_val += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * u * t
+        n3u = n**3 * u
+        l4 += n3u
+        l6 += n * n * n3u
+        aqn *= aq
+        if 504 * n**6 * aqn < cutoff:
+            e4, e6 = 1 + 240 * l4, 1 - 504 * l6
+            return s_val, e4, e6, e4**3 - e6**2
+    raise InternalCheckError("q-series did not reach the tail cutoff")
 
 
 def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:

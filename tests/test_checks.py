@@ -202,6 +202,30 @@ def test_power_check_fails_on_a_wrong_e6(monkeypatch):
     assert not check.passed, check.detail
 
 
+@pytest.mark.parametrize("slot", [2, 0], ids=["E6", "S"])
+def test_route_check_fails_on_a_wrong_qseries_value(monkeypatch, slot):
+    """E6 or S off by a relative 10^-40 on the q-series route moves every
+    unreduced value, so the route check must fail at 10^-40: it reads the
+    reference route, not the theta route twice."""
+    name = "descriptor route vs unreduced route"
+
+    def route_check():
+        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert route_check().passed
+    qseries_core = modular._qseries_core
+
+    def wrong_value(ctx, *args):
+        values = list(qseries_core(ctx, *args))
+        values[slot] *= 1 + ctx.mpf(10) ** -40
+        return tuple(values)
+
+    monkeypatch.setattr(modular, "_qseries_core", wrong_value)
+    check = route_check()
+    assert not check.passed, check.detail
+
+
 def test_contexts_are_shared_and_keep_their_precision():
     p80 = Precision(80)
     assert modular._ctx(Precision(80)) is modular._ctx(Precision(80))

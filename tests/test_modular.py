@@ -426,8 +426,9 @@ def test_theta_route_matches_qseries_route(digits):
 
 
 def eisenstein_alone(ctx, q, weight, cutoff):
-    """E4 or E6 summed alone to its own tail rule, sigma_k(n) by trial
-    division: the reference for `_eisenstein`'s shared loop."""
+    """E4 or E6 summed alone as its divisor-sum series to its own tail rule,
+    sigma_k(n) by trial division: the reference for `_qseries_core`'s
+    Lambert series."""
     coeff, power = (240, 3) if weight == 4 else (-504, 5)
     total, qn, aq, aqn = ctx.mpf(1), ctx.mpc(1), abs(q), ctx.mpf(1)
     for n in range(1, modular._MAX_TERMS):
@@ -440,16 +441,66 @@ def eisenstein_alone(ctx, q, weight, cutoff):
 
 
 @pytest.mark.parametrize("digits", [30, 80, 300])
-def test_eisenstein_shared_loop_matches_each_series_alone(digits):
-    """E4 and E6 from one loop over shared q^n, with one divisor sieve, are
-    bit-identical to each series summed alone."""
+def test_lambert_eisenstein_matches_divisor_sums(digits):
+    """E4 and E6 as Lambert series in the pe sum's loop agree with the
+    divisor-sum series summed alone within 10^-digits, relative where the
+    value is not near 0 (E6 vanishes at i, E4 at rho)."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     cutoff = modular._cutoff(ctx, p)
+    near_zero = mpmath.mpf(10) ** -(digits // 2)
+    tol = mpmath.mpf(10) ** -digits
     for k, point in enumerate(ROUTE_TAUS):
-        q = ctx.exp(2j * ctx.pi * point(ctx))
-        want = tuple(eisenstein_alone(ctx, q, weight, cutoff) for weight in (4, 6))
-        assert modular._eisenstein(ctx, q, cutoff) == want, k
+        tau0 = point(ctx)
+        q = ctx.exp(2j * ctx.pi * tau0)
+        _, e4, e6, _ = modular._qseries_core(ctx, tau0, cutoff, ctx.mpf("0.2"), ctx.mpf("-0.37"))
+        for weight, got in ((4, e4), (6, e6)):
+            want = eisenstein_alone(ctx, q, weight, cutoff)
+            scale = abs(want) if abs(want) > near_zero else 1
+            assert abs(got - want) < tol * scale, (k, weight)
+
+
+def qseries_bounds(c, tau0, cutoff, z, w):
+    """The bounds of `_qseries_core`'s docstring on its (S, E4, E6) in the
+    context c: the tail B/2 at the n where it stops, found by the same
+    products, plus the rounding."""
+    aq, aqn = abs(c.exp(2j * c.pi * tau0)), c.mpf(1)
+    for n in range(1, modular._MAX_TERMS):
+        aqn *= aq
+        if 504 * n**6 * aqn < cutoff:
+            break
+    half_b = 252 * n**6 * aqn
+    e = mpmath.ldexp(1, 1 - c.prec)
+    loop = (4 * n + 96) * e
+    head = (5 + 26 * abs(z)) * e * abs(w) * abs(1 + w) / abs(1 - w) ** 3
+    return half_b + loop * (1 + abs(w) / abs(1 - w) ** 2) + head, half_b + loop, half_b + loop
+
+
+@pytest.mark.parametrize("digits", [80, 300])
+def test_qseries_within_its_error_bound(digits):
+    """S, E4 and E6 from `_qseries_core` at its cutoff, at working precision
+    and at twice that, against the same call at the squared cutoff with
+    twice the precision: within the sum of both calls' bounds from its
+    docstring.  At twice the precision the rounding is far below the
+    cutoff, so that call tests the tail bound B/2 alone."""
+    p = Precision(digits)
+    ctx = modular._ctx(p)
+    cutoff = modular._cutoff(ctx, p)
+    ref = mpmath.ctx_mp.MPContext()
+    ref.prec = 2 * ctx.prec
+    for k, point in enumerate(ROUTE_TAUS):
+        tau0, ref_tau0 = point(ctx), ref.mpc(point(ctx))
+        for x, y in ROUTE_CELLS:
+            x, y = ctx.mpf(x), ctx.mpf(y)
+            z = x * ref_tau0 + y
+            w = ref.exp(2j * ref.pi * z)
+            want = modular._qseries_core(ref, ref_tau0, ref.mpf(cutoff) ** 2, x, y)
+            slack = qseries_bounds(ref, ref_tau0, ref.mpf(cutoff) ** 2, z, w)
+            for c, tau in ((ctx, tau0), (ref, ref_tau0)):
+                got = modular._qseries_core(c, tau, cutoff, x, y)
+                bounds = qseries_bounds(c, tau, cutoff, z, w)
+                for name, a, b, bound, s in zip(("S", "E4", "E6"), got, want, bounds, slack):
+                    assert abs(a - b) <= bound + s, (name, k, x, y, c.prec)
 
 
 # Im tau from the unreduced law-check range up to 20, each with cells on
