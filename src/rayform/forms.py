@@ -196,20 +196,20 @@ def coprime_normalize(form: QuadForm, modulus: int) -> tuple[QuadForm, UnimodMat
 
     The primitive vector becoming the first column of g is the first hit in
     a deterministic ring search; when the form already qualifies the witness
-    is the identity.
+    is the identity.  Ring r walks only its boundary max(|x|, |y|) = r, in
+    (x, y) order: every y when |x| = r, else y = -r then y = r.
     """
     if modulus <= 0:
         raise QFieldError(f"modulus must be positive, got {modulus}")
-    if math.gcd(form.a, modulus) == 1:
+    a, b, c = form
+    if math.gcd(a, modulus) == 1:
         return form, IDENT
     for ring in range(1, 2 * modulus + 3):
         for x in range(-ring, ring + 1):
-            for y in range(-ring, ring + 1):
-                if max(abs(x), abs(y)) != ring:
-                    continue
+            for y in range(-ring, ring + 1) if abs(x) == ring else (-ring, ring):
                 if math.gcd(x, y) != 1:
                     continue
-                if math.gcd(form(x, y), modulus) != 1:
+                if math.gcd(a * x * x + b * x * y + c * y * y, modulus) != 1:
                     continue
                 # complete (x, y) to the first column of a unimodular matrix
                 _, inv_x, inv_y = _egcd(x, y)

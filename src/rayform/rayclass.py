@@ -284,12 +284,6 @@ def class_translate(form: QuadForm, mod: Modulus, k: int, j: int) -> QuadForm | 
     return moved
 
 
-def row_in_vq(form: QuadForm, row: RowVec, level: int) -> bool:
-    """Whether the row (u, v) indexes an admissible torsion point for the form."""
-    u, v = row
-    return math.gcd(level, form(v, -u)) == 1
-
-
 def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
     """Canonical label of the row's class under the row congruence.
 
@@ -301,27 +295,33 @@ def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
     u, v = row
     disc, n = mod.disc, mod.ideal
     w = u * _half(disc.b0 - form.b) + v * form.a
-    residues = []
+    key = None
     for eu, ev in disc.unit_coords():
         # eps*x with tau^2 = -b0*tau - c0, reduced as in IdealTriple.residue;
         # written out rather than through Discriminant.mul, so class keys
         # share no arithmetic with the ideal route that checks them
         xu = eu * (w - u * disc.b0) + ev * u
         xv = ev * w - eu * u * disc.c0
-        residues.append((xu % n.a1, (xv - xu // n.a1 * n.a2) % n.c))
-    return min(residues)
+        residue = (xu % n.a1, (xv - xu // n.a1 * n.a2) % n.c)
+        if key is None or residue < key:
+            key = residue
+    return key
 
 
-def row_classes(form: QuadForm, mod: Modulus) -> tuple[RowVec, ...]:
-    """Lexicographically least representatives of admissible rows up to the
-    row congruence.  The form must be in Q_N(dK); it is not checked here."""
+def row_classes(form: QuadForm, mod: Modulus) -> tuple[tuple[tuple[int, int], RowVec], ...]:
+    """The (key, row) pairs of the lexicographically least admissible row of
+    each row class, keyed by `_row_key`, in row order.  A row (u, v) mod N
+    is admissible, indexing a torsion point of the form (a, b, c), when
+    gcd(N, a*v^2 - b*u*v + c*u^2) = 1.  The form must be in Q_N(dK); it is
+    not checked here."""
     N = mod.level
+    a, b, c = form
     reps: dict[tuple[int, int], RowVec] = {}
     for u in range(N):
         for v in range(N):
-            if row_in_vq(form, (u, v), N):
+            if math.gcd(N, a * v * v - b * u * v + c * u * u) == 1:
                 reps.setdefault(_row_key(form, (u, v), mod), (u, v))
-    return tuple(reps.values())
+    return tuple(reps.items())
 
 
 def class_key(form: QuadForm, mod: Modulus) -> ClassKey:
@@ -349,7 +349,7 @@ def lift_bottom_row(row: RowVec, level: int) -> UnimodMatrix:
     for total in range(0, 2 * level + 3):
         for k in range(-total, total + 1):
             rem = total - abs(k)
-            for l in sorted({-rem, rem}):
+            for l in (-rem, rem) if rem else (0,):
                 r = u + k * level
                 s = v + l * level
                 if math.gcd(r, s) == 1:
@@ -375,10 +375,10 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     reps: list[FormClass] = []
     for base in reduced_forms(disc):
         normalized, _ = coprime_normalize(base, N)
-        for row in row_classes(normalized, mod):
+        for key, row in row_classes(normalized, mod):
             gamma = lift_bottom_row(row, N)
             rep = act(normalized, gamma.inv())
-            reps.append(FormClass(rep, (base, _row_key(normalized, row, mod))))
+            reps.append(FormClass(rep, (base, key)))
     expected = ray_class_number_oracle(disc, mod.ideal)
     if len(reps) != expected:
         raise InternalCheckError(
@@ -496,7 +496,7 @@ def group_table(mod: Modulus) -> ClassGroup:
     keeps a generator row a permutation with pi_g[0] = g can pass every
     check: at dK=-20 `2,4,6`, 2 of the 6 swaps of two cells in the first
     generator row give a wrong table of Z/4.  The ideal-product check of
-    each cell (ROADMAP item 2) is the route that would see it.
+    each cell (ROADMAP item 1) is the route that would see it.
     """
     group = enumerate_classes(mod)
     size = len(group.classes)

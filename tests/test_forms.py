@@ -21,7 +21,7 @@ from rayform.forms import (
     reduced_forms,
     t_power,
 )
-from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
+from rayform.qfield import InternalCheckError, QFieldError, _egcd, make_discriminant
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -261,6 +261,41 @@ def test_coprime_normalize_property(fd, m):
     moved, g = coprime_normalize(form, m)
     assert math.gcd(moved.a, m) == 1
     assert act(form, g) == moved
+
+
+def full_square_normalize(form, modulus):
+    """Reference ring search: ring r scans the whole (2r+1)^2 square in
+    (x, y) order and skips every point off its boundary."""
+    if math.gcd(form.a, modulus) == 1:
+        return form, IDENT
+    for ring in range(1, 2 * modulus + 3):
+        for x in range(-ring, ring + 1):
+            for y in range(-ring, ring + 1):
+                if max(abs(x), abs(y)) != ring or math.gcd(x, y) != 1:
+                    continue
+                if math.gcd(form(x, y), modulus) == 1:
+                    _, inv_x, inv_y = _egcd(x, y)
+                    g = UnimodMatrix(x, -inv_y, y, inv_x)
+                    return act(form, g), g
+    raise AssertionError(f"no hit for {form} mod {modulus}")
+
+
+def test_coprime_normalize_matches_full_square():
+    # the boundary walk returns the reference's first hit, form and matrix,
+    # at a level N and at compose's strengthened modulus 2*a*N*|d|
+    rng = random.Random(28)
+    searched = 0
+    for dk in (-3, -4, -20, -23, -111):
+        reds = reduced_forms(make_discriminant(dk))
+        for _ in range(40):
+            k = [rng.randint(-4, 4) for _ in range(3)]
+            form = act(rng.choice(reds), small_matrix(*k, rng.random() < 0.5))
+            other = act(rng.choice(reds), small_matrix(*k[::-1], False))
+            level = rng.randint(2, 60)
+            for modulus in (level, 2 * other.a * level * -dk):
+                assert coprime_normalize(form, modulus) == full_square_normalize(form, modulus)
+                searched += math.gcd(form.a, modulus) != 1
+    assert searched > 150
 
 
 def test_make_form_validation():

@@ -53,7 +53,6 @@ from rayform.rayclass import (
     make_modulus,
     point_coords,
     row_classes,
-    row_in_vq,
     witness_matrix,
 )
 
@@ -260,20 +259,67 @@ def test_refines_classical_equivalence():
                 assert reduce(f1)[0] == reduce(f2)[0]
 
 
-def test_row_membership():
+def row_in_vq(form, row, level):
+    """Reference admissibility: the row (u, v) indexes a torsion point of
+    the form when gcd(level, Q(v, -u)) = 1."""
+    u, v = row
+    return math.gcd(level, form(v, -u)) == 1
+
+
+def test_row_membership(monkeypatch):
+    # row_classes keys exactly the admissible rows, judged by the reference
     assert row_in_vq(QuadForm(1, 0, 5), (0, 1), 6)
     assert not row_in_vq(QuadForm(1, 0, 5), (1, 1), 6)
+    keyed = []
+    row_key = rayclass._row_key
+
+    def recording(form, row, mod):
+        keyed.append((form, row))
+        return row_key(form, row, mod)
+
+    monkeypatch.setattr(rayclass, "_row_key", recording)
     for form in REPS4:
-        assert row_in_vq(form, (0, 1), 6)
+        row_classes(form, MOD20)
+        assert (form, (0, 1)) in keyed
+        rows = [(u, v) for u in range(6) for v in range(6) if row_in_vq(form, (u, v), 6)]
+        assert [row for f, row in keyed if f == form] == rows
+    assert (QuadForm(1, 0, 5), (1, 1)) not in keyed
+
+
+def assert_keyed_rows(form, mod, rows):
+    pairs = row_classes(form, mod)
+    assert tuple(row for _, row in pairs) == rows
+    assert all(key == _row_key(form, row, mod) for key, row in pairs)
 
 
 def test_row_classes_golden_d20():
-    assert row_classes(QuadForm(1, 0, 5), MOD20) == ((0, 1), (1, 0))
-    assert row_classes(QuadForm(7, -6, 2), MOD20) == ((0, 1), (1, 3))
+    assert_keyed_rows(QuadForm(1, 0, 5), MOD20, ((0, 1), (1, 0)))
+    assert_keyed_rows(QuadForm(7, -6, 2), MOD20, ((0, 1), (1, 3)))
 
 
 def test_row_classes_golden_d23():
-    assert row_classes(QuadForm(41, -31, 6), MOD23) == ((0, 1), (0, 5), (2, 1), (2, 7))
+    assert_keyed_rows(QuadForm(41, -31, 6), MOD23, ((0, 1), (0, 5), (2, 1), (2, 7)))
+
+
+def test_row_classes_match_brute_force():
+    # every admissible row keyed by `_row_key`, the least row kept per key,
+    # in row order, on every normalized reduced form of each modulus
+    with open(SWEEP) as fh:
+        sweep = json.load(fh)["moduli"]
+    cases = [(-3, 6, 0, 6), (-4, 6, 0, 6), (-23, 1, 8, 31)]
+    cases += [tuple(m[:4]) for m in random.Random(28).sample(sweep, 12)]
+    for dk, a1, a2, c in cases:
+        mod = make_modulus(make_discriminant(dk), a1, a2, c)
+        level = mod.level
+        for base in reduced_forms(mod.disc):
+            form, _ = coprime_normalize(base, level)
+            least = {}
+            for u in range(level):
+                for v in range(level):
+                    if row_in_vq(form, (u, v), level):
+                        least.setdefault(_row_key(form, (u, v), mod), (u, v))
+            brute = tuple(sorted(least.items(), key=lambda kr: kr[1]))
+            assert row_classes(form, mod) == brute, (dk, a1, a2, c, form)
 
 
 def test_rows_equivalence_relation():
@@ -336,16 +382,16 @@ def test_collision_check_catches_a_repeated_row_class(monkeypatch):
         rows = row_classes_(form, mod)
         if len(rows) < 2:
             return rows
-        level, key = mod.level, _row_key(form, rows[0], mod)
+        level, (key, first) = mod.level, rows[0]
         twin = next(
             (u, v)
             for u in range(level)
             for v in range(level)
-            if (u, v) != rows[0]
+            if (u, v) != first
             and row_in_vq(form, (u, v), level)
             and _row_key(form, (u, v), mod) == key
         )
-        return (rows[0], twin) + rows[2:]
+        return (rows[0], (key, twin)) + rows[2:]
 
     monkeypatch.setattr(rayclass, "row_classes", twin_rows)
     for mod in (MOD20, MOD23):
