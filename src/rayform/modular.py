@@ -14,10 +14,11 @@ These four numbers are computed along two independent routes:
   as the square root of the digit count.  The discriminant is a product
   of theta constants, with no cancellation.  All seven theta sums of one
   core come from one fixed-point pass (`_theta_sums`) over the shared
-  powers q^n, q^(n^2) and q^(n^2 + n), 9 complex products per term; S is
-  even in z, so a cell with x < 0 is negated and every factor has modulus
-  at most 1, and 3 bitlen(N + 1) + 5 guard bits for N terms keep each
-  sum's error below 2^-(prec + 4).  The sums stay ints: `_theta_values`
+  powers q^n, q^(n^2) and q^(n^2 + n), the four sums in w by Horner's
+  rule, 7 complex products per term; S is even in z, so a cell with
+  x < 0 is negated and every factor has modulus at most 1, and
+  3 bitlen(N + 1) + 5 guard bits for N terms keep each sum's error below
+  2^-(prec + 4).  The sums stay ints: `_theta_values`
   forms S, E4, E6 and the discriminant from them on complex ints, each
   value with its own binary exponent and cut back to the working bits
   after every operation, each within 2^-(prec + 3/2) of the formulas on
@@ -239,20 +240,27 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
     |q| < 1 and a = w with x >= 0 (S is even), so |a| <= 1, with logs lq
     and la; a_inv is 1/a, and b = q a_inv has modulus |q|^(1 - 2x) <= 1.
     The pass builds q^n, T_n and P_n by T_(n+1) = P_n q^(n+1),
-    P_(n+1) = T_(n+1) q^(n+1), and the powers of a and b, and every sum
-    reads them: the first two are the even part of sum T_n plus and minus
-    its odd part, H(a) = sum (-1)^n T_n a^n, G(a) = sum (-1)^n P_n a^n,
+    P_(n+1) = T_(n+1) q^(n+1), and every sum reads them: the first two are
+    the even part of sum T_n plus and minus its odd part, and the four
+    w-sums H(a) = sum (-1)^n T_n a^n, G(a) = sum (-1)^n P_n a^n,
     G(1/a) = sum (-1)^n T_n b^n and H(1/a) = 1 + sum_(n>=1) (-1)^n
-    P_(n-1) b^n.  Each sum stops at its own `_theta_terms` count, N at most.
+    P_(n-1) b^n go by Horner's rule, c_0 - z (c_1 - z (c_2 - ...)) over
+    the coefficients c_n = T_n, P_n, T_n and (1, P_0, P_1, ...) with z = a,
+    a, b and b: r_N = c_N, r_k = c_k - z r_(k+1), one complex product per
+    term and no power of a or b.  Each sum stops at its own `_theta_terms`
+    count, N at most.
 
     Every factor has modulus at most 1.  A complex product (three int
     products, Gauss's form) and a floor shift is off by under
     e = 2^(1/2 - wp) plus the errors of its factors; q and a enter off by
     e, b by 2e (`ctx.fmul` at wp, then the floor).  So q^n is off by
-    (2n - 1) e, P_n by (2n^2 + 2n) e, T_n by 2n^2 e, a^n by (2n - 1) e and
-    b^n by (3n - 1) e, every term by at most (2n^2 + 4n) e, and a sum of
-    N + 1 terms, added exactly, by under (N + 1)^3 e <= 2^-(prec + 4) to
-    first order.
+    (2n - 1) e, T_n by 2n^2 e and P_n by (2n^2 + 2n) e.  A Horner step adds
+    to the error of r_(k+1), times |z| <= 1, its floor e, c_k's error and
+    z's entry error (at most 2e) times the exact r_(k+1), whose modulus is
+    at most sum_(m > k) |c_m| <= N - k.  With c_n off by at most
+    (2n^2 + 2n) e, a sum of N + 1 terms is off by under
+    (N(N + 1)(2N + 4)/3 + N(N + 1) + N) e <= (N + 1)^3 e <= 2^-(prec + 4)
+    to first order.
     """
     specs = [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]
     counts = [_theta_terms(lq, lv, shift, lcut) for lv, shift in specs]
@@ -268,16 +276,18 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
         k = yr * (xr + xi)
         return (k - xi * (yr + yi)) >> wp, (k + xr * (yi - yr)) >> wp
 
-    def powers(z, count):
-        out = [one]
-        for _ in range(count):
-            out.append(mul(out[-1], z))
-        return out
-
-    def series(terms, sign=-1):
+    def series(terms, sign):
         """sum sign^n terms[n], exact on the ints."""
         even, odd = terms[::2], terms[1::2]
         return tuple(sum(t[k] for t in even) + sign * sum(t[k] for t in odd) for k in (0, 1))
+
+    def horner(coeffs, z):
+        """sum (-1)^n coeffs[n] z^n as c_0 - z (c_1 - z (...))."""
+        r = coeffs[-1]
+        for cr, ci in reversed(coeffs[:-1]):
+            zr, zi = mul(r, z)
+            r = cr - zr, ci - zi
+        return r
 
     qq, qn, ts, ps = fixed(q), one, [one], [one]
     for _ in range(top):
@@ -285,13 +295,10 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
         ts.append(mul(ps[-1], qn))
         ps.append(mul(ts[-1], qn))
     n_t, n_p, n_h, n_g, n_gb, n_hb = counts
-    an = powers(fixed(a), max(n_h, n_g))
-    bn = powers(fixed(ctx.fmul(q, a_inv, prec=wp)), max(n_gb, n_hb))
-    sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1]), series(ps[: n_p + 1], 1)]
-    sums.append(series([one] + [mul(ts[n], an[n]) for n in range(1, n_h + 1)]))
-    sums.append(series([one] + [mul(ps[n], an[n]) for n in range(1, n_g + 1)]))
-    sums.append(series([one] + [mul(ts[n], bn[n]) for n in range(1, n_gb + 1)]))
-    sums.append(series([one] + [mul(ps[n - 1], bn[n]) for n in range(1, n_hb + 1)]))
+    a, b = fixed(a), fixed(ctx.fmul(q, a_inv, prec=wp))
+    sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1], -1), series(ps[: n_p + 1], 1)]
+    sums += [horner(ts[: n_h + 1], a), horner(ps[: n_g + 1], a)]
+    sums += [horner(ts[: n_gb + 1], b), horner([one] + ps[:n_hb], b)]
     return wp, sums
 
 

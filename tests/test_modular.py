@@ -373,6 +373,16 @@ def test_printed_values_pinned(dk, ideal):
         assert hashlib.sha256(json.dumps(printed).encode()).hexdigest() == want, (digits, printed)
 
 
+@pytest.mark.parametrize("digits", [80, 300, 1000])
+@pytest.mark.parametrize("dk, ideal, form", [(-3, (1, 2, 3), (1, 1, 1)), (-4, (1, 1, 2), (1, 0, 1))])
+def test_vanishing_values_stay_below_the_digits(digits, dk, ideal, form):
+    """The two CM classes of the eval benchmark's draw whose value is 0:
+    what the core returns is rounding noise, and it stays below
+    10^-digits (1.7e-276 at 80 digits for dK=-3, 1.6e-185 for dK=-4)."""
+    d = descriptor(QuadForm(*form), make_modulus(make_discriminant(dk), *ideal))
+    assert abs(eval_descriptor(d, None, Precision(digits))) < mpmath.mpf(10) ** -digits
+
+
 D107 = make_discriminant(-107)
 
 
@@ -576,7 +586,7 @@ def to_ref(ref, pair, scale):
     return ref.mpc(ref.ldexp(pair[0], -scale), ref.ldexp(pair[1], -scale))
 
 
-@pytest.mark.parametrize("digits", [80, 1000])
+@pytest.mark.parametrize("digits", [80, 300, 1000])
 def test_theta_sum_within_its_error_bound(digits):
     """Every sum `_theta_sums` returns at the points above, with a = w at
     the cell negated to x >= 0, against the same series summed by the mpc
@@ -604,6 +614,23 @@ def test_theta_sum_within_its_error_bound(digits):
                 want = plain_sum(ref, rq, v, shift, terms)
                 bound = (terms + 1) ** 3 * ref.ldexp(ref.sqrt(2), -wp)
                 assert abs(to_ref(ref, got[k], wp) - want) <= bound, (re, im, cell, k)
+
+
+@pytest.mark.parametrize("digits", [30, 80, 1000])
+def test_j_cell_w_sums_equal_the_theta_constants(digits):
+    """At x = 0, y = 1/2, where `eisenstein_j` runs the core, a = w = -1
+    exactly, and a fixed-point product by (-2^wp, 0) is exact, so Horner's
+    H(a) and G(a) come out as s3 and p bit for bit.  j reads only s3, s4
+    and p, whose loop the w-sums leave alone, so `test_j_pinned_to_the_bit`
+    needs no re-pin when the w-sums change form."""
+    p = Precision(digits)
+    ctx = modular._ctx(p)
+    lcut = (ctx.mag(modular._cutoff(ctx, p)) - 1) * math.log(2)
+    for re, im in KERNEL_TAUS:
+        q, lq, a, a_inv, la = theta_inputs(ctx, ctx.mpc(re, im), ("0", "0.5"))
+        assert a == -1, (re, im)
+        _, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+        assert sums[3] == sums[0] and sums[4] == sums[2], (re, im)
 
 
 def mpc_theta_values(ref, wp, sums, q, winv):
