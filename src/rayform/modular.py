@@ -44,6 +44,17 @@ and runs the core at z = 1/2 of tau0, with no row to push.  Only the law
 check's `_fricke_at` runs a core at tau as given.  Every series is
 truncated at an explicit tail threshold.
 
+The theta core takes the nome q = e^(i pi tau0) and w = e^(2 pi i z) from
+its caller.  At a numeric tau (`fricke`, `_power_values`, `_fricke_at`,
+`eisenstein_j`) `_theta_at` takes each from mpmath's expjpi, a complex
+exponential.  `eval_descriptor`'s point is exact: tau0 = (-b + i sqrt|d|)/(2a)
+and the cell is (k/n, m/n), so `_exact_nome` takes one real exponential
+R = e^(-pi sqrt|d|/(2an)), with |q| = R^n and |w| = R^(2k) by binary
+powering, and two exact rational phases.  Each phase goes through one
+`mpf_cos_sin_pi` after an exact integer fold into [0, 1/4] (`_cos_sin_pi`):
+mpmath 1.3.0 on its pure-Python backend runs an argument beyond 1/4 that
+lies below its nearest half-integer at about twice the precision.
+
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
 values; they are exchangeable across contexts.
@@ -59,6 +70,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
+from mpmath import libmp
 
 from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, reduce, t_power
 from .qfield import Discriminant, InternalCheckError, QFieldError
@@ -379,38 +391,124 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     return s_val, e4, e6, delta
 
 
-def _theta_core(ctx, tau0, cutoff, x, y):
+def _theta_core(ctx, cutoff, q, lq: float, w, lw: float):
     """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y from Jacobi theta
-    series in the nome q = e^(i pi tau0).
+    series in the nome q = e^(i pi tau0), with w = e^(2 pi i z), both
+    given by the caller with the float logs lq = log|q| and lw = log|w|.
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
     E6 = (t3 + t4)(t2 + t3)(t4 - t2)/2 and Delta = E4^3 - E6^2 =
-    27/4 (t2 t3 t4)^2, a product with no cancellation.  With w = e^(2 pi i z),
+    27/4 (t2 t3 t4)^2, a product with no cancellation.
     theta1(pi z) = -i q^(1/4) w^(1/2) (G(w) - G(1/w)/w) for
     G(u) = sum (-1)^n q^(n(n+1)) u^n, and theta4(pi z) = H(w) + H(1/w) - 1
     for H(u) = sum (-1)^n q^(n^2) u^n; the quarter powers cancel from
     S = -(theta2^2 theta3^2 theta4(pi z)^2 / theta1(pi z)^2 - (t2 + t3)/3)/4,
     which is the q-series route's S.  S reads theta4 (even) and theta1
-    (odd) squared, so it is even in z: a cell with x < 0 is negated, and
-    |w| <= 1 for x in [0, 1/2].  `_theta_sums` takes w as its a and returns
-    all seven sums from one pass, each cut where `_theta_terms` bounds its
-    tail below the cutoff.  `_theta_values` forms the four values on ints,
-    and each is rounded to an mpc once.
+    (odd) squared, so it is even in z: the caller negates a cell with
+    x < 0, and |w| <= 1 for x in [0, 1/2].  `_theta_sums` takes w as its a
+    and returns all seven sums from one pass, each cut where `_theta_terms`
+    bounds its tail below the cutoff.  `_theta_values` forms the four
+    values on ints, and each is rounded to an mpc once.
+
+    At a numeric tau0 `_theta_at` takes q and w from mpmath's expjpi; at
+    an exact point `_exact_nome` builds them with no complex exponential.
     """
-    q = ctx.expjpi(tau0)
-    lq = -math.pi * float(tau0.imag)
     # log of a number no larger than the cutoff
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
-    if x < 0:
-        x, y = -x, -y
-    w = ctx.expjpi(2 * (x * tau0 + y))
     winv = 1 / w
-    wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, 2 * float(x) * lq)
+    wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
     return tuple(
         ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e))
         for re, im, e in _theta_values(ctx, wp, sums, q, winv)
     )
+
+
+def _theta_at(ctx, tau0, cutoff, x, y):
+    """`_theta_core` at a numeric tau0 and the cell (x, y) as mpfs, negated
+    when x < 0: q = e^(i pi tau0) and w = e^(2 pi i (x tau0 + y)) each from
+    one complex exponential at the context's precision."""
+    q = ctx.expjpi(tau0)
+    lq = -math.pi * float(tau0.imag)
+    if x < 0:
+        x, y = -x, -y
+    w = ctx.expjpi(2 * (x * tau0 + y))
+    return _theta_core(ctx, cutoff, q, lq, w, 2 * float(x) * lq)
+
+
+def _cos_sin_pi(num: int, den: int, prec: int):
+    """(cos, sin)(pi num/den) for den > 0, as raw mpfs each within
+    2^(2 - prec), from one `mpf_cos_sin_pi` at an argument in [0, 1/4].
+
+    The fold is exact on ints: num/den is taken mod 2, then
+    t -> 2 - t (sin changes sign) brings it into [0, 1], t -> 1 - t (cos
+    changes sign) into [0, 1/2] and t -> 1/2 - t (cos and sin trade places)
+    into [0, 1/4].  The fold is for speed: with pi=True, mpmath 1.3.0's
+    `mpf_cos_sin` subtracts the nearest half-integer from an argument
+    beyond 1/4, which leaves a negative mantissa when the argument lies
+    below it; the pure-Python bitcount gives 0 for that, and the working
+    precision becomes about twice prec (at 1000 digits on a 2-core Xeon,
+    cos_sin_pi(8/31) took 1.33 ms, cos_sin_pi(20/31) 0.34 ms and 8/31
+    folded to 15/62 0.34 ms).  In [0, 1/4) nothing is subtracted.  The
+    folded argument is rounded to prec bits, which moves pi t by under
+    2^(-prec) pi/2, and each part is rounded once more.
+    """
+    num %= 2 * den
+    flip = num > den
+    if flip:
+        num = 2 * den - num
+    neg = 2 * num > den
+    if neg:
+        num = den - num
+    swap = 4 * num > den
+    if swap:
+        num, den = den - 2 * num, 2 * den
+    c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(num, den, prec), prec)
+    if swap:
+        c, s = s, c
+    return (libmp.mpf_neg(c) if neg else c), (libmp.mpf_neg(s) if flip else s)
+
+
+def _exact_nome(ctx, form: QuadForm, x: Fraction, y: Fraction):
+    """(q, lq, w, lw) for `_theta_core` at tau0 = (-b + i sqrt|d|)/(2a),
+    the root of the reduced form (a, b, c) of discriminant d, and the exact
+    cell (x, y), negated when x < 0, with no complex exponential.
+
+    Over the common denominator n, x = k/n and y = m/n, so with
+    R = e^(-pi sqrt|d|/(2an)), |q| = R^n, |w| = R^(2k), and the phases are
+    the exact rationals q / |q| = e^(-i pi b/(2a)) and
+    w / |w| = e^(i pi (4am - 2bk)/(2an)), each through `_cos_sin_pi`.
+    Error bound: at wp = prec + g bits every mpf operation rounds within a
+    relative e = 2^(1 - wp).  The exponent pi sqrt|d|/(2an) takes four
+    roundings, so R is within (4L/n + 1) e, with L = pi sqrt|d|/(2a) =
+    -log|q|, and its j-th power for j <= n (`mpf_pow_int`, binary
+    powering; j = n for q, 2k <= n for w as x <= 1/2) within (4L + n + 2) e;
+    each phase part is within 2e, so each
+    product is within (4L + n + 5) e of its modulus.  The guard
+    g = bitlen(2an) + ceil(bitlen|d|/2) + 6 grows with the level and makes
+    that at most 2^(1 - prec)/16, as 4L < 2^(3 + ceil(bitlen|d|/2)) and
+    n + 5 < 2^(bitlen(2an) + 2).  Rounding each part to the context's
+    precision then leaves q and w within 2^(3/2 - prec) of their modulus.
+    """
+    if x < 0:
+        x, y = -x, -y
+    n = math.lcm(x.denominator, y.denominator)
+    k, m = x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)
+    a, b, d = form.a, form.b, -form.disc()
+    prec, rnd = ctx._prec_rounding
+    wp = prec + (2 * a * n).bit_length() + (d.bit_length() + 1) // 2 + 6
+    ell = libmp.mpf_mul(libmp.mpf_pi(wp), libmp.mpf_sqrt(libmp.from_int(d), wp), wp)
+    root = libmp.mpf_exp(libmp.mpf_neg(libmp.mpf_div(ell, libmp.from_int(2 * a * n), wp)), wp)
+
+    def polar(power, num, den):
+        radius = libmp.mpf_pow_int(root, power, wp)
+        c, s = _cos_sin_pi(num, den, wp)
+        return ctx.make_mpc(tuple(libmp.mpf_mul(radius, part, prec, rnd) for part in (c, s)))
+
+    lq = -math.pi * (math.sqrt(d) / (2 * a))
+    q = polar(n, -b, 2 * a)
+    w = polar(2 * k, 4 * a * m - 2 * b * k, 2 * a * n)
+    return q, lq, w, 2 * (k / n) * lq
 
 
 def _reduce_tau(ctx, t):
@@ -444,9 +542,9 @@ def _torsion_value(ctx, i: int, values):
     return _ensure_finite(ctx, ctx.mpc(value))
 
 
-def _exact_cell(ctx, row, g: UnimodMatrix):
+def _exact_cell(row, g: UnimodMatrix) -> tuple[Fraction, Fraction]:
     """The exact row (v1, v2) pushed through g, row * g, shifted into
-    [-1/2, 1/2]^2 before embedding."""
+    [-1/2, 1/2]^2."""
     v1, v2 = row
     r1 = v1 * g.p + v2 * g.r
     r2 = v1 * g.q + v2 * g.s
@@ -454,14 +552,14 @@ def _exact_cell(ctx, row, g: UnimodMatrix):
     r2 -= round(r2)
     if r1 == 0 and r2 == 0:
         raise QFieldError("row is integral: the point sits on the lattice")
-    return _fr(ctx, r1), _fr(ctx, r2)
+    return r1, r2
 
 
 def eisenstein_j(tau, p: Precision = Precision()):
     """The j-invariant of [tau, 1]: the theta core at reduced tau0 and z = 1/2."""
     ctx = _ctx(p)
     t0, _ = _reduce_tau(ctx, ctx.mpc(tau))
-    return _j(ctx, _theta_core(ctx, t0, _cutoff(ctx, p), ctx.zero, ctx.mpf(0.5)))
+    return _j(ctx, _theta_at(ctx, t0, _cutoff(ctx, p), ctx.zero, ctx.mpf(0.5)))
 
 
 def _j(ctx, values):
@@ -474,14 +572,14 @@ def _reduced(ctx, core, t, row, p: Precision):
     with the exact row pushed through g, so the series always run on a fat
     lattice."""
     t0, g = _reduce_tau(ctx, t)
-    return core(ctx, t0, _cutoff(ctx, p), *_exact_cell(ctx, row, g))
+    return core(ctx, t0, _cutoff(ctx, p), *(_fr(ctx, r) for r in _exact_cell(row, g)))
 
 
 def _power_values(label: FrickeLabel, tau, p: Precision):
     """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
     ctx = _ctx(p)
-    values = _reduced(ctx, _theta_core, ctx.mpc(tau), label.row(), p)
+    values = _reduced(ctx, _theta_at, ctx.mpc(tau), label.row(), p)
     return (_j(ctx, values),) + tuple(_torsion_value(ctx, i, values) for i in (1, 2, 3))
 
 
@@ -495,8 +593,8 @@ def _fricke_at(label: FrickeLabel, tau, p: Precision):
     t = ctx.mpc(tau)
     if t.imag <= 0:
         raise QFieldError("point is not in the upper half plane")
-    x, y = _exact_cell(ctx, label.row(), IDENT)
-    return _torsion_value(ctx, label.i, _theta_core(ctx, t, _cutoff(ctx, p), x, y))
+    x, y = (_fr(ctx, r) for r in _exact_cell(label.row(), IDENT))
+    return _torsion_value(ctx, label.i, _theta_at(ctx, t, _cutoff(ctx, p), x, y))
 
 
 def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
@@ -506,7 +604,7 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     through the same matrix.
     """
     ctx = _ctx(p)
-    return _torsion_value(ctx, label.i, _reduced(ctx, _theta_core, ctx.mpc(tau), label.row(), p))
+    return _torsion_value(ctx, label.i, _reduced(ctx, _theta_at, ctx.mpc(tau), label.row(), p))
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -529,7 +627,9 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     z is the upper-half-plane root of the primitive integral form
     `eval_point()`; `forms.reduce` turns that form into the reduced
     (a, b, c) and g with g(z) = tau0 = (-b + i sqrt|b^2 - 4ac|)/(2a), and
-    the row goes through g^-1, as `_reduced` pushes it.
+    the row goes through g^-1, as `_reduced` pushes it.  The theta core
+    takes q and w from that exact data (`_exact_nome`), with no complex
+    exponential.
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
@@ -537,9 +637,8 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
     form, g = reduce(desc.eval_point())
-    tau0 = ctx.mpc(-form.b, ctx.sqrt(-form.disc())) / (2 * form.a)
-    x, y = _exact_cell(ctx, label.row(), g.inv())
-    return _torsion_value(ctx, label.i, _theta_core(ctx, tau0, _cutoff(ctx, p), x, y))
+    nome = _exact_nome(ctx, form, *_exact_cell(label.row(), g.inv()))
+    return _torsion_value(ctx, label.i, _theta_core(ctx, _cutoff(ctx, p), *nome))
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
@@ -560,10 +659,22 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:
-    """Each part to p.digits digits, or 0.0 when below 10^-digits |value| (noise)."""
+    """Each part to p.digits digits, or 0.0 below the noise floor
+    10^-digits max(1, |value|).
+
+    A value is a product of powers of S, E4, E6 and 1/Delta, each of which
+    the theta core returns within 2^-(prec + 3/2) of the magnitude its
+    docstring names, prec being digits + 10 digits.  So a value is within
+    about 10^-(digits + 9) |value| unless a factor is small against its
+    magnitude, which happens where it vanishes: S at a torsion point fixed
+    by a unit of dK = -3 or -4 (the value 0 of dK=-3 `1,2,3` class (1,1,1)
+    and dK=-4 `1,1,2` class (1,0,1)), E4 at rho, E6 at i.  There the factor
+    comes out near 10^-(digits + 10) times a magnitude of order 1, so the
+    value stays below 10^-digits and prints as 0.0 in both parts.
+    """
     ctx = _ctx(p)
     v = ctx.mpc(value)
-    noise = abs(v) * ctx.mpf(10) ** -p.digits
+    noise = max(ctx.one, abs(v)) * ctx.mpf(10) ** -p.digits
     return {
         key: ctx.nstr(part if abs(part) >= noise else ctx.zero, p.digits, strip_zeros=False)
         for key, part in (("re", v.real), ("im", v.imag))

@@ -343,15 +343,15 @@ def test_verify_second_field():
 # sample, value or detail string shows here
 VERIFY_DIGESTS = {
     ("-111", "9,0,9", "40", "json"): "60a36bbac1ca92537e79bc682d6553c70a666306f59172fe62d091c45ad5171d",
-    ("-20", "2,4,6", "40", "json"): "1206d1636b9f5d2df9867932417fc718bd2fc965ceb1062d6786333bfb40f4a5",
-    ("-20", "2,4,6", "40", "text"): "0784907c6c1edd461c2ab1823cfd67e04f9bc1aff663af66c0a0dec2470fd2ac",
+    ("-20", "2,4,6", "40", "json"): "d7f700bc1335ea91f789674421bfcf06954b145f4881162d1107ed6636d643a2",
+    ("-20", "2,4,6", "40", "text"): "fedfcd301a3b84c885fea1f2127d9a59b032215de68501576a3ed091902087c4",
     ("-23", "1,8,31", "40", "json"): "b1fd10138bb2bbfa876f0cde5d2716351708f4df708ddd393a4439194e1b9d07",
-    ("-23", "3,9,12", "80", "json"): "0721a8f1cb32e936ee9f1d4b7428a9c0a377b4a82701c82239695d4938aaf37f",
-    ("-23", "3,9,12", "80", "text"): "9ae5290f4546e5d4e90383ab1e7a8dcd430545dd8c10bc9613443712c48e90f3",
-    ("-3", "6,0,6", "80", "json"): "546755e5e044184beffe7f03bac82e95306378382dbf6036a5df17abde859f94",
-    ("-3", "6,0,6", "80", "text"): "470aec741456147bf082ffea1a96ea6bfad426bbf8ee2c2cd4fd14355842e7ac",
-    ("-4", "6,0,6", "80", "json"): "2a8ccc783012e13166151b6955d4020f6c0b7ccf5034fd0938e26d4be986358b",
-    ("-4", "6,0,6", "80", "text"): "c36cd5b9b6c1a5221c4c5a62c26bc6a85b2b269be290a14ac2163ba6c6583450",
+    ("-23", "3,9,12", "80", "json"): "72218fbc0d0b51cba3eff623d5584a3d71378af628f6a78daffd0b7d8f191ae3",
+    ("-23", "3,9,12", "80", "text"): "e61ccb3fd93ec8f369190fdd1eabb554521e52a45fee326fbcc04a06f7a06102",
+    ("-3", "6,0,6", "80", "json"): "b589c1f5d470980ba675d65e1861b35b16415b2294a16f72249f6c8aa1d4dc53",
+    ("-3", "6,0,6", "80", "text"): "5e09030d0b29587a7675dc8f7553f980d29263f0edaaf0098dd1ff398a18c31f",
+    ("-4", "6,0,6", "80", "json"): "99e02202bef6ca39c7fadded6356fac233bab70b6b4e606207a239aa9ca871a7",
+    ("-4", "6,0,6", "80", "text"): "ff6958c13b7a70af0ce93c65d8b7d804dadcec1ea6685e46543d8e2211984829",
 }
 
 

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 from rayform import modular
-from rayform.forms import IDENT, QuadForm, S_FLIP, reduce, t_power
+from rayform.forms import IDENT, QuadForm, S_FLIP, reduce, reduced_forms, t_power
 from rayform.modular import (
     FrickeLabel,
     Precision,
@@ -138,7 +138,7 @@ def _theta_pe(ctx, z, tau, p):
     z = x*tau + y for x, y in [-1/2, 1/2]."""
     x = z.imag / tau.imag
     y = z.real - x * tau.real
-    s_val = modular._theta_core(ctx, tau, modular._cutoff(ctx, p), x, y)[0]
+    s_val = modular._theta_at(ctx, tau, modular._cutoff(ctx, p), x, y)[0]
     return -4 * ctx.pi**2 * s_val
 
 
@@ -378,9 +378,14 @@ def test_printed_values_pinned(dk, ideal):
 def test_vanishing_values_stay_below_the_digits(digits, dk, ideal, form):
     """The two CM classes of the eval benchmark's draw whose value is 0:
     what the core returns is rounding noise, and it stays below
-    10^-digits (1.7e-276 at 80 digits for dK=-3, 1.6e-185 for dK=-4)."""
+    10^-digits (1.7e-276 at 80 digits for dK=-3, 1.6e-185 for dK=-4), so
+    under the noise floor 10^-digits max(1, |value|) both parts print as
+    0.0."""
     d = descriptor(QuadForm(*form), make_modulus(make_discriminant(dk), *ideal))
-    assert abs(eval_descriptor(d, None, Precision(digits))) < mpmath.mpf(10) ** -digits
+    p = Precision(digits)
+    value = eval_descriptor(d, None, p)
+    assert abs(value) < mpmath.mpf(10) ** -digits
+    assert complex_to_json(value, p) == {"re": "0.0", "im": "0.0"}
 
 
 D107 = make_discriminant(-107)
@@ -426,7 +431,7 @@ def test_theta_route_matches_qseries_route(digits):
         ref_ctx = modular._ctx(ref_p)
         ref_cutoff = modular._cutoff(ref_ctx, ref_p)
         for x, y in ROUTE_CELLS:
-            theta = modular._theta_core(ctx, tau0, cutoff, ctx.mpf(x), ctx.mpf(y))
+            theta = modular._theta_at(ctx, tau0, cutoff, ctx.mpf(x), ctx.mpf(y))
             ref = modular._qseries_core(
                 ref_ctx, point(ref_ctx), ref_cutoff, ref_ctx.mpf(x), ref_ctx.mpf(y)
             )
@@ -552,7 +557,7 @@ def test_theta_kernel_matches_mpmath_jtheta(digits):
         tau = ctx.mpc(re, im)
         for x, y in KERNEL_CELLS:
             x, y = ctx.mpf(x), ctx.mpf(y)
-            got = modular._theta_core(ctx, tau, cutoff, x, y)
+            got = modular._theta_at(ctx, tau, cutoff, x, y)
             want = jtheta_core(ref, ref.mpc(tau), ref.mpf(x), ref.mpf(y))
             for name, a, b in zip(("S", "E4", "E6", "Delta"), got, want):
                 assert abs(a - b) < tol * abs(b), (name, re, im, x, y)
@@ -570,9 +575,9 @@ def plain_sum(ref, q, v, shift, terms):
 
 
 def theta_inputs(ctx, tau, cell):
-    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`:
-    a cell with x < 0 is negated, S being even, and a is w, of modulus at
-    most 1."""
+    """(q, lq, a, a_inv, la) as `_theta_at` and `_theta_core` hand them to
+    `_theta_sums`: a cell with x < 0 is negated, S being even, and a is w,
+    of modulus at most 1."""
     q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
     x, y = ctx.mpf(cell[0]), ctx.mpf(cell[1])
     if x < 0:
@@ -671,7 +676,7 @@ def test_theta_values_within_their_error_bound(digits):
         for cell in KERNEL_CELLS:
             q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
             wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-            core = modular._theta_core(ctx, tau, cutoff, ctx.mpf(cell[0]), ctx.mpf(cell[1]))
+            core = modular._theta_at(ctx, tau, cutoff, ctx.mpf(cell[0]), ctx.mpf(cell[1]))
             ref = mpmath.ctx_mp.MPContext()
             ref.prec = 2 * wp
             got = modular._theta_values(ctx, wp, sums, q, a_inv)
@@ -717,12 +722,62 @@ def test_j_cell_counts_only_theta_terms():
     10^5 digits."""
     for _, im in KERNEL_TAUS:
         lq = -math.pi * float(im)
-        la = 2 * 0.0 * lq  # as `_theta_core` forms it at x = 0
+        la = 2 * 0.0 * lq  # as `_theta_at` forms it at x = 0
         for digits in (30, 80, 300, 1000, 3000, 10000, 30000, 100000):
             lcut = -(digits + 20) * math.log(10)
             specs = [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]
             t, p, *rest = (modular._theta_terms(lq, lv, shift, lcut) for lv, shift in specs)
             assert rest == [t, p, p, t], (im, digits)
+
+
+# the cells of `_exact_nome`'s test: x = 0, x = 1/2 on both edges, x < 0 and
+# denominators up to 40, each in [-1/2, 1/2]^2 as `_exact_cell` leaves it
+NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5),
+              (7, -13, 40), (-19, 1, 40), (20, 20, 40), (3, 14, 31), (-11, 5, 24)]
+
+
+@pytest.mark.parametrize("digits", [80, 300, 1000])
+def test_exact_nome_within_its_error_bound(digits):
+    """q and w from `_exact_nome` at every reduced form of five
+    discriminants and the cells above, against mpmath's expjpi at twice
+    the precision: each within 2^(3/2 - prec) of its modulus, the bound of
+    its docstring, with log|q| and log|w| good to float rounding."""
+    ctx = modular._ctx(Precision(digits))
+    ref = mpmath.ctx_mp.MPContext()
+    ref.prec = 2 * ctx.prec
+    bound = ref.ldexp(ref.sqrt(2), 1 - ctx.prec)
+    for dk in (-3, -4, -20, -23, -111):
+        for form in reduced_forms(make_discriminant(dk)):
+            tau0 = ref.mpc(-form.b, ref.sqrt(-form.disc())) / (2 * form.a)
+            q_ref = ref.expjpi(tau0)
+            for k, m, n in NOME_CELLS:
+                x, y = Fraction(k, n), Fraction(m, n)
+                q, lq, w, lw = modular._exact_nome(ctx, form, x, y)
+                if x < 0:
+                    x, y = -x, -y
+                x, y = (ref.mpf(c.numerator) / c.denominator for c in (x, y))
+                w_ref = ref.expjpi(2 * (x * tau0 + y))
+                for got, want, log in ((q, q_ref, lq), (w, w_ref, lw)):
+                    where = (dk, form, k, m, n)
+                    assert abs(ref.mpc(got) - want) <= bound * abs(want), where
+                    assert abs(log - float(ref.log(abs(want)))) <= 1e-12 * (1 + abs(log)), where
+
+
+def test_cos_sin_pi_fold_matches_mpmath():
+    """`_cos_sin_pi` on every num/den with den <= 48 and |num/den| <= 3,
+    so every octant edge 0, +-1/4, +-1/2, +-3/4, +-1 and beyond, against
+    mpmath's cospi and sinpi at 40 more digits: each part within
+    2^(2 - prec), the bound of its docstring."""
+    prec = modular._ctx(P80).prec
+    ref = mpmath.ctx_mp.MPContext()
+    ref.dps = 80 + 10 + 40
+    bound = ref.ldexp(1, 2 - prec)
+    for den in range(1, 49):
+        for num in range(-3 * den, 3 * den + 1):
+            c, s = modular._cos_sin_pi(num, den, prec)
+            t = ref.mpf(num) / den
+            assert abs(ref.make_mpf(c) - ref.cospi(t)) <= bound, (num, den)
+            assert abs(ref.make_mpf(s) - ref.sinpi(t)) <= bound, (num, den)
 
 
 def test_far_cell_holds_its_digits():
@@ -822,6 +877,26 @@ def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
         r, _ = reduce(d.eval_point())
         edges += r.b == r.a or r.a == r.c
     assert edges > 0
+
+
+def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
+    """`eval_descriptor` builds q and w from one real exponential: with
+    mpmath's complex exponentials refusing in every context made after
+    the patch, its values are unchanged, while `fricke` at the same point,
+    which takes them from expjpi, fails."""
+    descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
+    before = [eval_descriptor(d, None, P80) for d in descs]
+
+    def refuse(*args):
+        raise AssertionError("complex exponential on the exact route")
+
+    for name in ("mpc_expjpi", "mpc_exp"):
+        monkeypatch.setattr(mpmath.libmp, name, refuse)
+    monkeypatch.setattr(modular, "_CONTEXTS", {})
+    assert [eval_descriptor(d, None, P80) for d in descs] == before
+    point = modular._embed(modular._ctx(P80), descs[0].eval_point(), MOD23.disc)
+    with pytest.raises(AssertionError, match="complex exponential"):
+        fricke(modular.descriptor_label(descs[0]), point, P80)
 
 
 def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
