@@ -12,6 +12,7 @@ it, and a failed normalization self-test exits 3 like any other
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -137,7 +138,12 @@ def _two_forms(args) -> tuple[QuadForm, QuadForm]:
 
 def _emit(args, payload: dict, text_lines) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        # streamed like json.dump, but 4096 encoder chunks per write, so an
+        # unbuffered stdout (python -u) takes no write call per token
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in text_lines():
             print(line)

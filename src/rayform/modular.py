@@ -38,22 +38,22 @@ the exact row pushed through the reducing matrix (`_exact_cell`).
 `eval_descriptor` reduces its point of K exactly, as the root of an
 integral form, by `forms.reduce`; `fricke`, `eval_descriptor_unreduced` and
 the power check's `_power_values` reduce a complex tau numerically
-(`_reduced`), so the two descriptor routes differ in the reduction as well
-as in the row and the series.  `eisenstein_j` reduces tau numerically too
+(`_reduce_tau`), so the two descriptor routes differ in the reduction as
+well as in the row and the series.  `eisenstein_j` reduces tau numerically too
 and runs the core at z = 1/2 of tau0, with no row to push.  Only the law
 check's `_fricke_at` runs a core at tau as given.  Every series is
 truncated at an explicit tail threshold.
 
-The theta core takes the nome q = e^(i pi tau0) and w = e^(2 pi i z) from
-its caller.  At a numeric tau (`fricke`, `_power_values`, `_fricke_at`,
-`eisenstein_j`) `_theta_at` takes each from mpmath's expjpi, a complex
-exponential.  `eval_descriptor`'s point is exact: tau0 = (-b + i sqrt|d|)/(2a)
-and the cell is (k/n, m/n), so `_exact_nome` takes one real exponential
-R = e^(-pi sqrt|d|/(2an)), with |q| = R^n and |w| = R^(2k) by binary
-powering, and two exact rational phases.  Each phase goes through one
-`mpf_cos_sin_pi` after an exact integer fold into [0, 1/4] (`_cos_sin_pi`):
-mpmath 1.3.0 on its pure-Python backend runs an argument beyond 1/4 that
-lies below its nearest half-integer at about twice the precision.
+Every theta core gets q = e^(i pi tau0) and w = e^(2 pi i z) from one
+builder, `_exact_nome`, at an exact point: Re tau0 and (Im tau0)^2 as
+Fractions, (-b/(2a), |d|/(4a^2)) at `eval_descriptor`'s reduced form and
+the dyadic parts of a numeric tau0 (`_exact_point`), and the cell
+(k/n, m/n).  It takes one real exponential R = e^(-pi Im tau0/n), with
+|q| = R^n and |w| = R^(2k) by binary powering, and two exact rational
+phases, each through one `mpf_cos_sin_pi` after an exact integer fold into
+[0, 1/4] (`_cos_sin_pi`): mpmath 1.3.0 on its pure-Python backend runs an
+argument beyond 1/4 that lies below its nearest half-integer at about
+twice the precision.  Only the q-series route calls a complex exponential.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -180,7 +180,7 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
     S = 1/12 + w/(1 - w)^2 + sum (a/(1 - a)^2 + b/(1 - b)^2 - 2 u t), with
     w = e^(2 pi i z), a = q^n w, b = q^n/w and pe(z; [tau0, 1]) = -4 pi^2 S.
     It stops at the first n with B = 504 n^6 |q|^n below the cutoff.
-    `_reduced` hands over |Re tau0| <= 1/2 and |tau0| >= 1 up to rounding,
+    `_reduce_tau` hands over |Re tau0| <= 1/2 and |tau0| >= 1 up to rounding,
     so |q| < 1/200 and each tail is below B/2: the tail of sum n^k u
     (k = 3, 5) is sum_(m > n) c_m q^m with 0 <= c_m <= sigma_k(m) <= m^(k+1),
     under n^(k+1) |q|^n sum_(j >= 1) (1 + j)^6 200^-j < 0.34 n^(k+1) |q|^n;
@@ -391,10 +391,11 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     return s_val, e4, e6, delta
 
 
-def _theta_core(ctx, cutoff, q, lq: float, w, lw: float):
-    """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y from Jacobi theta
-    series in the nome q = e^(i pi tau0), with w = e^(2 pi i z), both
-    given by the caller with the float logs lq = log|q| and lw = log|w|.
+def _theta_core(ctx, cutoff, re: Fraction, im2: Fraction, x: Fraction, y: Fraction):
+    """(S, E4, E6, Delta) at the exact point tau0, Re tau0 = re and
+    (Im tau0)^2 = im2, and z = x*tau0 + y from Jacobi theta series in the
+    nome q = e^(i pi tau0), with w = e^(2 pi i z), both from `_exact_nome`
+    with the float logs lq = log|q| and lw = log|w|.
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
@@ -411,9 +412,10 @@ def _theta_core(ctx, cutoff, q, lq: float, w, lw: float):
     bounds its tail below the cutoff.  `_theta_values` forms the four
     values on ints, and each is rounded to an mpc once.
 
-    At a numeric tau0 `_theta_at` takes q and w from mpmath's expjpi; at
-    an exact point `_exact_nome` builds them with no complex exponential.
+    Each caller hands over its point exactly, a numeric tau0 as the dyadic
+    Fractions it is (`_exact_point`), so one builder makes every q and w.
     """
+    q, lq, w, lw = _exact_nome(ctx, re, im2, x, y)
     # log of a number no larger than the cutoff
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
     winv = 1 / w
@@ -422,18 +424,6 @@ def _theta_core(ctx, cutoff, q, lq: float, w, lw: float):
         ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e))
         for re, im, e in _theta_values(ctx, wp, sums, q, winv)
     )
-
-
-def _theta_at(ctx, tau0, cutoff, x, y):
-    """`_theta_core` at a numeric tau0 and the cell (x, y) as mpfs, negated
-    when x < 0: q = e^(i pi tau0) and w = e^(2 pi i (x tau0 + y)) each from
-    one complex exponential at the context's precision."""
-    q = ctx.expjpi(tau0)
-    lq = -math.pi * float(tau0.imag)
-    if x < 0:
-        x, y = -x, -y
-    w = ctx.expjpi(2 * (x * tau0 + y))
-    return _theta_core(ctx, cutoff, q, lq, w, 2 * float(x) * lq)
 
 
 def _cos_sin_pi(num: int, den: int, prec: int):
@@ -469,46 +459,53 @@ def _cos_sin_pi(num: int, den: int, prec: int):
     return (libmp.mpf_neg(c) if neg else c), (libmp.mpf_neg(s) if flip else s)
 
 
-def _exact_nome(ctx, form: QuadForm, x: Fraction, y: Fraction):
-    """(q, lq, w, lw) for `_theta_core` at tau0 = (-b + i sqrt|d|)/(2a),
-    the root of the reduced form (a, b, c) of discriminant d, and the exact
-    cell (x, y), negated when x < 0, with no complex exponential.
+def _exact_point(t) -> tuple[Fraction, Fraction]:
+    """(Re t, (Im t)^2) of an mpc as exact Fractions: each part is an mpf
+    man 2^exp, a dyadic rational."""
+    re, im = (Fraction(*libmp.to_rational(part._mpf_)) for part in (t.real, t.imag))
+    return re, im * im
+
+
+def _exact_nome(ctx, re: Fraction, im2: Fraction, x: Fraction, y: Fraction):
+    """(q, lq, w, lw) for `_theta_core` at the exact point Re tau0 = re,
+    (Im tau0)^2 = im2, and cell (x, y), negated when x < 0, with no
+    complex exponential.
 
     Over the common denominator n, x = k/n and y = m/n, so with
-    R = e^(-pi sqrt|d|/(2an)), |q| = R^n, |w| = R^(2k), and the phases are
-    the exact rationals q / |q| = e^(-i pi b/(2a)) and
-    w / |w| = e^(i pi (4am - 2bk)/(2an)), each through `_cos_sin_pi`.
+    L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n, |w| = R^(2k), and
+    the phases are the exact rationals q / |q| = e^(i pi re) and
+    w / |w| = e^(i pi (2k re + 2m)/n), each through `_cos_sin_pi`.  For
+    im2 = u/v in lowest terms, Im tau0 = sqrt(uv)/v, and the square root is
+    exact when Im tau0 is an mpf of at most prec bits.
     Error bound: at wp = prec + g bits every mpf operation rounds within a
-    relative e = 2^(1 - wp).  The exponent pi sqrt|d|/(2an) takes four
-    roundings, so R is within (4L/n + 1) e, with L = pi sqrt|d|/(2a) =
-    -log|q|, and its j-th power for j <= n (`mpf_pow_int`, binary
-    powering; j = n for q, 2k <= n for w as x <= 1/2) within (4L + n + 2) e;
-    each phase part is within 2e, so each
-    product is within (4L + n + 5) e of its modulus.  The guard
-    g = bitlen(2an) + ceil(bitlen|d|/2) + 6 grows with the level and makes
-    that at most 2^(1 - prec)/16, as 4L < 2^(3 + ceil(bitlen|d|/2)) and
-    n + 5 < 2^(bitlen(2an) + 2).  Rounding each part to the context's
+    relative e = 2^(1 - wp).  L/n = pi sqrt(uv)/(vn) takes four roundings,
+    so R is within (4L/n + 1) e, and its j-th power for j <= n
+    (`mpf_pow_int`, binary powering; j = n for q, 2k <= n for w as
+    x <= 1/2) within (4L + n + 2) e; each phase part is within 2e, so each
+    product is within (4L + n + 5) e of its modulus.  With
+    A = isqrt(floor(im2)) + 1 > Im tau0, 4L + n + 5 < 13A + n + 5 <
+    16A (n + 5), so the guard g = bitlen(A) + bitlen(n + 5) + 8 makes that
+    at most 2^(1 - prec)/16.  Rounding each part to the context's
     precision then leaves q and w within 2^(3/2 - prec) of their modulus.
     """
     if x < 0:
         x, y = -x, -y
     n = math.lcm(x.denominator, y.denominator)
     k, m = x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)
-    a, b, d = form.a, form.b, -form.disc()
+    u, v = im2.numerator, im2.denominator
     prec, rnd = ctx._prec_rounding
-    wp = prec + (2 * a * n).bit_length() + (d.bit_length() + 1) // 2 + 6
-    ell = libmp.mpf_mul(libmp.mpf_pi(wp), libmp.mpf_sqrt(libmp.from_int(d), wp), wp)
-    root = libmp.mpf_exp(libmp.mpf_neg(libmp.mpf_div(ell, libmp.from_int(2 * a * n), wp)), wp)
+    wp = prec + (math.isqrt(u // v) + 1).bit_length() + (n + 5).bit_length() + 8
+    scaled = libmp.mpf_sqrt(libmp.from_int(u * v), wp)  # v Im tau0
+    ell = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(wp), scaled, wp), libmp.from_int(v * n), wp)
+    root = libmp.mpf_exp(libmp.mpf_neg(ell), wp)
 
-    def polar(power, num, den):
+    def polar(power, phase: Fraction):
         radius = libmp.mpf_pow_int(root, power, wp)
-        c, s = _cos_sin_pi(num, den, wp)
+        c, s = _cos_sin_pi(phase.numerator, phase.denominator, wp)
         return ctx.make_mpc(tuple(libmp.mpf_mul(radius, part, prec, rnd) for part in (c, s)))
 
-    lq = -math.pi * (math.sqrt(d) / (2 * a))
-    q = polar(n, -b, 2 * a)
-    w = polar(2 * k, 4 * a * m - 2 * b * k, 2 * a * n)
-    return q, lq, w, 2 * (k / n) * lq
+    lq = -math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n"))
+    return polar(n, re), lq, polar(2 * k, (2 * k * re + 2 * m) / n), 2 * (k / n) * lq
 
 
 def _reduce_tau(ctx, t):
@@ -559,7 +556,7 @@ def eisenstein_j(tau, p: Precision = Precision()):
     """The j-invariant of [tau, 1]: the theta core at reduced tau0 and z = 1/2."""
     ctx = _ctx(p)
     t0, _ = _reduce_tau(ctx, ctx.mpc(tau))
-    return _j(ctx, _theta_at(ctx, t0, _cutoff(ctx, p), ctx.zero, ctx.mpf(0.5)))
+    return _j(ctx, _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t0), Fraction(0), Fraction(1, 2)))
 
 
 def _j(ctx, values):
@@ -567,19 +564,12 @@ def _j(ctx, values):
     return _ensure_finite(ctx, ctx.mpc(1728 * e4 * e4 * e4 / delta))
 
 
-def _reduced(ctx, core, t, row, p: Precision):
-    """core's (S, E4, E6, Delta) at t reduced numerically to t0, t = g(t0),
-    with the exact row pushed through g, so the series always run on a fat
-    lattice."""
-    t0, g = _reduce_tau(ctx, t)
-    return core(ctx, t0, _cutoff(ctx, p), *(_fr(ctx, r) for r in _exact_cell(row, g)))
-
-
 def _power_values(label: FrickeLabel, tau, p: Precision):
     """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
     ctx = _ctx(p)
-    values = _reduced(ctx, _theta_at, ctx.mpc(tau), label.row(), p)
+    t0, g = _reduce_tau(ctx, ctx.mpc(tau))
+    values = _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t0), *_exact_cell(label.row(), g))
     return (_j(ctx, values),) + tuple(_torsion_value(ctx, i, values) for i in (1, 2, 3))
 
 
@@ -593,8 +583,8 @@ def _fricke_at(label: FrickeLabel, tau, p: Precision):
     t = ctx.mpc(tau)
     if t.imag <= 0:
         raise QFieldError("point is not in the upper half plane")
-    x, y = (_fr(ctx, r) for r in _exact_cell(label.row(), IDENT))
-    return _torsion_value(ctx, label.i, _theta_at(ctx, t, _cutoff(ctx, p), x, y))
+    values = _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t), *_exact_cell(label.row(), IDENT))
+    return _torsion_value(ctx, label.i, values)
 
 
 def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
@@ -604,7 +594,9 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     through the same matrix.
     """
     ctx = _ctx(p)
-    return _torsion_value(ctx, label.i, _reduced(ctx, _theta_at, ctx.mpc(tau), label.row(), p))
+    t0, g = _reduce_tau(ctx, ctx.mpc(tau))
+    values = _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t0), *_exact_cell(label.row(), g))
+    return _torsion_value(ctx, label.i, values)
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -627,9 +619,8 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     z is the upper-half-plane root of the primitive integral form
     `eval_point()`; `forms.reduce` turns that form into the reduced
     (a, b, c) and g with g(z) = tau0 = (-b + i sqrt|b^2 - 4ac|)/(2a), and
-    the row goes through g^-1, as `_reduced` pushes it.  The theta core
-    takes q and w from that exact data (`_exact_nome`), with no complex
-    exponential.
+    the row goes through g^-1, as `fricke` pushes it.  The theta core
+    runs at that exact point, (Re tau0, (Im tau0)^2) = (-b/(2a), |d|/(4a^2)).
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
@@ -637,8 +628,9 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
     form, g = reduce(desc.eval_point())
-    nome = _exact_nome(ctx, form, *_exact_cell(label.row(), g.inv()))
-    return _torsion_value(ctx, label.i, _theta_core(ctx, _cutoff(ctx, p), *nome))
+    point = Fraction(-form.b, 2 * form.a), Fraction(-form.disc(), 4 * form.a**2)
+    values = _theta_core(ctx, _cutoff(ctx, p), *point, *_exact_cell(label.row(), g.inv()))
+    return _torsion_value(ctx, label.i, values)
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
@@ -654,8 +646,9 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     label = descriptor_label(desc, i)
     phi = sum(math.gcd(x, label.level) == 1 for x in range(label.level))
     row = (Fraction(0), Fraction(desc.point.a ** (phi - 1), label.level))
-    point = _embed(ctx, desc.eval_point(), desc.disc)
-    return _torsion_value(ctx, label.i, _reduced(ctx, _qseries_core, point, row, p))
+    t0, g = _reduce_tau(ctx, _embed(ctx, desc.eval_point(), desc.disc))
+    x, y = (_fr(ctx, r) for r in _exact_cell(row, g))
+    return _torsion_value(ctx, label.i, _qseries_core(ctx, t0, _cutoff(ctx, p), x, y))
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:

@@ -10,7 +10,7 @@ import pytest
 from rayform import cli, modular
 from rayform.forms import QuadForm
 from rayform.qfield import make_discriminant
-from rayform.rayclass import descriptor, make_modulus
+from rayform.rayclass import class_group_to_json, descriptor, group_table, make_modulus
 
 from conftest import drop_a_principal_row, split_a_translate
 
@@ -57,6 +57,16 @@ def test_table():
     assert data["invariant_factors"] == [4]
     assert len(data["table"]) == 4
     assert data["table"][0] == [0, 1, 2, 3]
+
+
+def test_table_stdout_is_the_indented_document():
+    """`table` streams its JSON, byte for byte the one document
+    `json.dumps(..., indent=2)` makes, plus a newline; at h = 216 the
+    stream takes several writes."""
+    code, out, err = run("table", "--dk", "-111", "--ideal", "9,0,9")
+    assert code == 0, err
+    group = group_table(make_modulus(make_discriminant(-111), 9, 0, 9))
+    assert out == json.dumps(class_group_to_json(group), indent=2) + "\n"
 
 
 def test_equiv_true_has_witness():
@@ -338,20 +348,21 @@ def test_verify_second_field():
 # reduced exactly in K, the route check on ideal-key partitions (labelled by
 # qfield's own class form), translates that never return their own form,
 # witness matrices from `lift_bottom_row`, theta cores run at x >= 0, the
-# q-series route's E4 and E6 as Lambert series in the pe sum's loop and
-# no class count line (enumeration checks the count); any change to a
-# sample, value or detail string shows here
+# q-series route's E4 and E6 as Lambert series in the pe sum's loop, no
+# class count line (enumeration checks the count) and every theta core's
+# q and w built from one real exponential at its exact point; any change
+# to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "60a36bbac1ca92537e79bc682d6553c70a666306f59172fe62d091c45ad5171d",
-    ("-20", "2,4,6", "40", "json"): "d7f700bc1335ea91f789674421bfcf06954b145f4881162d1107ed6636d643a2",
-    ("-20", "2,4,6", "40", "text"): "fedfcd301a3b84c885fea1f2127d9a59b032215de68501576a3ed091902087c4",
+    ("-111", "9,0,9", "40", "json"): "ca97fd632733d5f3c657eb77444b6fb022c6b83e1e06b2a727edb62b1dc60553",
+    ("-20", "2,4,6", "40", "json"): "3e18ef8ae506cfaf2e1c1fb96a8bde8011556b99def08b417359c751bc4d06a9",
+    ("-20", "2,4,6", "40", "text"): "5fae82ab21bb20987432dd926a871383d38b0cf6259b0754f538df59965d5c03",
     ("-23", "1,8,31", "40", "json"): "b1fd10138bb2bbfa876f0cde5d2716351708f4df708ddd393a4439194e1b9d07",
-    ("-23", "3,9,12", "80", "json"): "72218fbc0d0b51cba3eff623d5584a3d71378af628f6a78daffd0b7d8f191ae3",
-    ("-23", "3,9,12", "80", "text"): "e61ccb3fd93ec8f369190fdd1eabb554521e52a45fee326fbcc04a06f7a06102",
+    ("-23", "3,9,12", "80", "json"): "9f00cde84d6a15bf230428cbcf58c7a409139337aa479fdb6c0ffa7b72f8eb65",
+    ("-23", "3,9,12", "80", "text"): "30089ce4304a6464cc1731a54acf28e939fdb0f2ea17530e73e61f62d7da0e33",
     ("-3", "6,0,6", "80", "json"): "b589c1f5d470980ba675d65e1861b35b16415b2294a16f72249f6c8aa1d4dc53",
     ("-3", "6,0,6", "80", "text"): "5e09030d0b29587a7675dc8f7553f980d29263f0edaaf0098dd1ff398a18c31f",
-    ("-4", "6,0,6", "80", "json"): "99e02202bef6ca39c7fadded6356fac233bab70b6b4e606207a239aa9ca871a7",
-    ("-4", "6,0,6", "80", "text"): "ff6958c13b7a70af0ce93c65d8b7d804dadcec1ea6685e46543d8e2211984829",
+    ("-4", "6,0,6", "80", "json"): "09a3182831436d8b2ac0a1e1884d07adee05c5f8a3c0a86c50facfbd835933b4",
+    ("-4", "6,0,6", "80", "text"): "63c61e808a12bf1c170e1c27aac492736f531a0206f6139e27d8283361d56e1a",
 }
 
 

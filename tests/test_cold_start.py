@@ -35,18 +35,17 @@ def test_exact_layer_loads_no_numeric_code():
     assert "mpmath" not in after_table and "dataclasses" not in after_table
 
 
-# every new mpmath context with exp(i*pi*x) scaled by 1 + 1e-6: modular's
-# import-time j(i) and j(rho) self-test must fail, and fail only the
-# subcommands that load modular
+# mpmath's real exponential scaled by 1 + 1e-6, as `modular` reads it from
+# libmp when the theta route builds its nome: modular's import-time j(i)
+# and j(rho) self-test must fail, and fail only the subcommands that load
+# modular
 SKEWED = """
 import sys
-import mpmath
-init = mpmath.ctx_mp.MPContext.__init__
-def skewed(ctx, *args, **kwargs):
-    init(ctx, *args, **kwargs)
-    exact = ctx.expjpi
-    ctx.expjpi = lambda x, **kw: exact(x, **kw) * (1 + 1e-6)
-mpmath.ctx_mp.MPContext.__init__ = skewed
+from mpmath import libmp
+exact = libmp.mpf_exp
+def skewed(x, prec, rnd="d"):
+    return libmp.mpf_mul(exact(x, prec, rnd), libmp.from_float(1 + 1e-6), prec, rnd)
+libmp.mpf_exp = skewed
 from rayform import cli
 sys.exit(cli.main({argv!r}))
 """

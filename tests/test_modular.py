@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
+from mpmath.libmp import libelefun
 
 from rayform import modular
+from rayform.checks import run_checks
 from rayform.forms import IDENT, QuadForm, S_FLIP, reduce, reduced_forms, t_power
 from rayform.modular import (
     FrickeLabel,
@@ -133,19 +136,25 @@ def test_j_pinned_to_the_bit():
     assert digest.hexdigest() == "b24dabd7599c5aebe50ea7954cbe362a6fcd33deedf7d221b98e411dc02ebada"
 
 
-def _theta_pe(ctx, z, tau, p):
+def theta_at(ctx, tau, cutoff, x, y):
+    """`_theta_core` at a numeric tau, entering as the exact dyadics of its
+    parts as `fricke` hands it over, and at the exact cell (x, y), each a
+    Fraction or a decimal string."""
+    re, im2 = modular._exact_point(ctx.mpc(tau))
+    return modular._theta_core(ctx, cutoff, re, im2, Fraction(x), Fraction(y))
+
+
+def _theta_pe(ctx, tau, x, y, p):
     """pe(z; [tau, 1]) = -4 pi^2 S from the theta route at tau itself, with
-    z = x*tau + y for x, y in [-1/2, 1/2]."""
-    x = z.imag / tau.imag
-    y = z.real - x * tau.real
-    s_val = modular._theta_at(ctx, tau, modular._cutoff(ctx, p), x, y)[0]
+    z = x*tau + y for exact x, y in [-1/2, 1/2]."""
+    s_val = theta_at(ctx, tau, modular._cutoff(ctx, p), x, y)[0]
     return -4 * ctx.pi**2 * s_val
 
 
 def test_theta_s_leading_term():
     ctx = modular._ctx(P80)
     z = ctx.mpf(10) ** -5
-    val = _theta_pe(ctx, ctx.mpc(z), ctx.mpc(0, 1), P80)
+    val = _theta_pe(ctx, ctx.mpc(0, 1), 0, Fraction(1, 10**5), P80)
     assert abs(z**2 * val - 1) < ctx.mpf(10) ** -17
 
 
@@ -154,8 +163,12 @@ def test_theta_s_matches_direct_lattice_sum():
     # window of lattice translates; 0.6 + 0.45i lies outside the
     # fundamental domain, where the theta series need more terms
     ctx = modular._ctx(P30)
-    z = ctx.mpc("0.31", "0.17")
-    for tau in (ctx.mpc("0.1", "1.2"), ctx.mpc("0.6", "0.45")):
+    for re, im in (("0.1", "1.2"), ("0.6", "0.45")):
+        tau = ctx.mpc(re, im)
+        # the cell of z = 0.31 + 0.17i, exact in the decimal parts of tau
+        x = Fraction("0.17") / Fraction(im)
+        y = Fraction("0.31") - x * Fraction(re)
+        z = tau * modular._fr(ctx, x) + modular._fr(ctx, y)
         direct = 1 / z**2
         for m in range(-50, 51):
             for n in range(-50, 51):
@@ -163,7 +176,7 @@ def test_theta_s_matches_direct_lattice_sum():
                     continue
                 w = m * tau + n
                 direct += 1 / (z - w) ** 2 - 1 / w**2
-        assert abs(_theta_pe(ctx, z, tau, P30) - direct) < ctx.mpf("1e-2")
+        assert abs(_theta_pe(ctx, tau, x, y, P30) - direct) < ctx.mpf("1e-2")
 
 
 def power_samples(ctx):
@@ -431,7 +444,7 @@ def test_theta_route_matches_qseries_route(digits):
         ref_ctx = modular._ctx(ref_p)
         ref_cutoff = modular._cutoff(ref_ctx, ref_p)
         for x, y in ROUTE_CELLS:
-            theta = modular._theta_at(ctx, tau0, cutoff, ctx.mpf(x), ctx.mpf(y))
+            theta = theta_at(ctx, tau0, cutoff, x, y)
             ref = modular._qseries_core(
                 ref_ctx, point(ref_ctx), ref_cutoff, ref_ctx.mpf(x), ref_ctx.mpf(y)
             )
@@ -556,8 +569,7 @@ def test_theta_kernel_matches_mpmath_jtheta(digits):
         ref.dps = digits + 40 + 6 * math.ceil(float(im))
         tau = ctx.mpc(re, im)
         for x, y in KERNEL_CELLS:
-            x, y = ctx.mpf(x), ctx.mpf(y)
-            got = modular._theta_at(ctx, tau, cutoff, x, y)
+            got = theta_at(ctx, tau, cutoff, x, y)
             want = jtheta_core(ref, ref.mpc(tau), ref.mpf(x), ref.mpf(y))
             for name, a, b in zip(("S", "E4", "E6", "Delta"), got, want):
                 assert abs(a - b) < tol * abs(b), (name, re, im, x, y)
@@ -575,15 +587,12 @@ def plain_sum(ref, q, v, shift, terms):
 
 
 def theta_inputs(ctx, tau, cell):
-    """(q, lq, a, a_inv, la) as `_theta_at` and `_theta_core` hand them to
-    `_theta_sums`: a cell with x < 0 is negated, S being even, and a is w,
-    of modulus at most 1."""
-    q, lq = ctx.expjpi(tau), -math.pi * float(tau.imag)
-    x, y = ctx.mpf(cell[0]), ctx.mpf(cell[1])
-    if x < 0:
-        x, y = -x, -y
-    w = ctx.expjpi(2 * (x * tau + y))
-    return q, lq, w, 1 / w, 2 * float(x) * lq
+    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`
+    at tau and the cell entered as `theta_at` enters them: `_exact_nome`
+    negates a cell with x < 0, S being even, so a is w, of modulus at
+    most 1."""
+    q, lq, w, lw = modular._exact_nome(ctx, *modular._exact_point(tau), *map(Fraction, cell))
+    return q, lq, w, 1 / w, lw
 
 
 def to_ref(ref, pair, scale):
@@ -676,7 +685,7 @@ def test_theta_values_within_their_error_bound(digits):
         for cell in KERNEL_CELLS:
             q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
             wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-            core = modular._theta_at(ctx, tau, cutoff, ctx.mpf(cell[0]), ctx.mpf(cell[1]))
+            core = theta_at(ctx, tau, cutoff, *cell)
             ref = mpmath.ctx_mp.MPContext()
             ref.prec = 2 * wp
             got = modular._theta_values(ctx, wp, sums, q, a_inv)
@@ -722,7 +731,7 @@ def test_j_cell_counts_only_theta_terms():
     10^5 digits."""
     for _, im in KERNEL_TAUS:
         lq = -math.pi * float(im)
-        la = 2 * 0.0 * lq  # as `_theta_at` forms it at x = 0
+        la = 2 * 0.0 * lq  # as `_exact_nome` forms it at x = 0
         for digits in (30, 80, 300, 1000, 3000, 10000, 30000, 100000):
             lcut = -(digits + 20) * math.log(10)
             specs = [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]
@@ -738,29 +747,41 @@ NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5
 
 @pytest.mark.parametrize("digits", [80, 300, 1000])
 def test_exact_nome_within_its_error_bound(digits):
-    """q and w from `_exact_nome` at every reduced form of five
-    discriminants and the cells above, against mpmath's expjpi at twice
-    the precision: each within 2^(3/2 - prec) of its modulus, the bound of
-    its docstring, with log|q| and log|w| good to float rounding."""
+    """q and w from `_exact_nome` at the cells above and at two kinds of
+    point: every reduced form of five discriminants, entering as
+    (-b/(2a), |d|/(4a^2)), and the numeric points of `KERNEL_TAUS`
+    (Im tau 0.05 to 20) and a law-check image tau/(2 tau + 1) at
+    tau = 1/2 + 0.4i (Im 0.086), entering as the exact dyadics of their
+    parts; against mpmath's expjpi at twice the precision: each within
+    2^(3/2 - prec) of its modulus, the bound of its docstring, with log|q|
+    and log|w| good to float rounding."""
     ctx = modular._ctx(Precision(digits))
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
     bound = ref.ldexp(ref.sqrt(2), 1 - ctx.prec)
+    points = []
     for dk in (-3, -4, -20, -23, -111):
         for form in reduced_forms(make_discriminant(dk)):
-            tau0 = ref.mpc(-form.b, ref.sqrt(-form.disc())) / (2 * form.a)
-            q_ref = ref.expjpi(tau0)
-            for k, m, n in NOME_CELLS:
-                x, y = Fraction(k, n), Fraction(m, n)
-                q, lq, w, lw = modular._exact_nome(ctx, form, x, y)
-                if x < 0:
-                    x, y = -x, -y
-                x, y = (ref.mpf(c.numerator) / c.denominator for c in (x, y))
-                w_ref = ref.expjpi(2 * (x * tau0 + y))
-                for got, want, log in ((q, q_ref, lq), (w, w_ref, lw)):
-                    where = (dk, form, k, m, n)
-                    assert abs(ref.mpc(got) - want) <= bound * abs(want), where
-                    assert abs(log - float(ref.log(abs(want)))) <= 1e-12 * (1 + abs(log)), where
+            a, b, d = form.a, form.b, -form.disc()
+            tau0 = ref.mpc(-b, ref.sqrt(d)) / (2 * a)
+            points.append((tau0, Fraction(-b, 2 * a), Fraction(d, 4 * a * a)))
+    law = ctx.mpc("0.5", "0.4")
+    for tau in [ctx.mpc(re, im) for re, im in KERNEL_TAUS] + [law / (2 * law + 1)]:
+        points.append((ref.mpc(tau), *modular._exact_point(tau)))
+    assert points[-1][0].imag < 0.1
+    for tau0, re, im2 in points:
+        q_ref = ref.expjpi(tau0)
+        for k, m, n in NOME_CELLS:
+            x, y = Fraction(k, n), Fraction(m, n)
+            q, lq, w, lw = modular._exact_nome(ctx, re, im2, x, y)
+            if x < 0:
+                x, y = -x, -y
+            x, y = (ref.mpf(c.numerator) / c.denominator for c in (x, y))
+            w_ref = ref.expjpi(2 * (x * tau0 + y))
+            for got, want, log in ((q, q_ref, lq), (w, w_ref, lw)):
+                where = (tau0, k, m, n)
+                assert abs(ref.mpc(got) - want) <= bound * abs(want), where
+                assert abs(log - float(ref.log(abs(want)))) <= 1e-12 * (1 + abs(log)), where
 
 
 def test_cos_sin_pi_fold_matches_mpmath():
@@ -880,23 +901,60 @@ def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
 
 
 def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
-    """`eval_descriptor` builds q and w from one real exponential: with
-    mpmath's complex exponentials refusing in every context made after
-    the patch, its values are unchanged, while `fricke` at the same point,
-    which takes them from expjpi, fails."""
+    """Every theta route entry builds q and w from one real exponential:
+    with mpmath's complex exponentials refusing in every context made after
+    the patch, `eval_descriptor`, `fricke`, `_power_values`, `_fricke_at`
+    and `eisenstein_j` return unchanged values, while the q-series route,
+    `eval_descriptor_unreduced`, which takes them from exp, fails."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
-    before = [eval_descriptor(d, None, P80) for d in descs]
+    label = modular.descriptor_label(descs[0])
+    point = modular._embed(modular._ctx(P80), descs[0].eval_point(), MOD23.disc)
+    tau = mpmath.mpc("0.31", "0.45")
+    calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
+        lambda: fricke(label, point, P80),
+        lambda: modular._power_values(label, point, P80),
+        lambda: modular._fricke_at(label, tau, P80),
+        lambda: eisenstein_j(tau, P80),
+    ]
+    before = [call() for call in calls]
 
     def refuse(*args):
-        raise AssertionError("complex exponential on the exact route")
+        raise AssertionError("complex exponential on the theta route")
 
     for name in ("mpc_expjpi", "mpc_exp"):
         monkeypatch.setattr(mpmath.libmp, name, refuse)
     monkeypatch.setattr(modular, "_CONTEXTS", {})
-    assert [eval_descriptor(d, None, P80) for d in descs] == before
-    point = modular._embed(modular._ctx(P80), descs[0].eval_point(), MOD23.disc)
+    assert [call() for call in calls] == before
     with pytest.raises(AssertionError, match="complex exponential"):
-        fricke(modular.descriptor_label(descs[0]), point, P80)
+        eval_descriptor_unreduced(descs[0], None, P80)
+
+
+def test_theta_phases_enter_cos_sin_pi_folded(monkeypatch):
+    """Every `mpf_cos_sin_pi` argument of a `verify` pass outside
+    `_qseries_core` (dK=-20 `2,4,6`, 40 digits) lies in [0, 1/4]: each phase
+    is folded exactly first (`_cos_sin_pi`).  On mpmath 1.3.0's pure-Python
+    backend an unfolded argument just below a half-integer runs at about
+    twice the precision, about 4 times slower."""
+    cos_sin, qseries = libelefun.mpf_cos_sin, modular._qseries_core
+    args, inside = [], []
+
+    def recorded(x, prec, rnd=libelefun.round_fast, which=0, pi=False):
+        if pi and not inside:
+            args.append(Fraction(*libmp.to_rational(x)))
+        return cos_sin(x, prec, rnd, which, pi)
+
+    def qseries_core(*a):
+        inside.append(True)
+        try:
+            return qseries(*a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(libelefun, "mpf_cos_sin", recorded)
+    monkeypatch.setattr(modular, "_qseries_core", qseries_core)
+    assert all(c.passed for c in run_checks(MOD20, Precision(40), 20, random.Random(911)))
+    assert args
+    assert all(0 <= t <= Fraction(1, 4) for t in args), max(args)
 
 
 def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
