@@ -100,8 +100,8 @@ def _law_residuals(p, rng, samples: int):
 
 def _invariance_residuals(mod, reps, values, p, rng):
     """Each representative's `eval_descriptor` value against `fricke` at the
-    embedded, numerically reduced point of two translates.  With the exact
-    reduction on both sides, most translates reach the representative's
+    embedded point of two translates, whose rounded form `fricke` reduces.
+    Reduced from its form in K, most translates reach the representative's
     reduced form and cell, and the check would compare a value with itself."""
     ctx = modular._ctx(p)
     for rep, base in zip(reps, values):

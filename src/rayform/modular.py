@@ -11,20 +11,18 @@ These four numbers are computed along two independent routes:
 
 * the theta route (`_theta_core`): Jacobi theta series in the nome
   e^(i pi tau), whose terms fall like |q|^(n^2), so the term count grows
-  as the square root of the digit count.  The discriminant is a product
-  of theta constants, with no cancellation.  All seven theta sums of one
-  core come from one fixed-point pass (`_theta_sums`) over the shared
-  powers q^n, q^(n^2) and q^(n^2 + n), the four sums in w by Horner's
-  rule, 7 complex products per term; S is even in z, so a cell with
-  x < 0 is negated and every factor has modulus at most 1, and
-  3 bitlen(N + 1) + 5 guard bits for N terms keep each sum's error below
-  2^-(prec + 4).  The sums stay ints: `_theta_values`
-  forms S, E4, E6 and the discriminant from them on complex ints, each
-  value with its own binary exponent and cut back to the working bits
-  after every operation, each within 2^-(prec + 3/2) of the formulas on
-  the sums, relative to the magnitude its docstring names, and each of the
-  four is rounded to an mpmath value once.  `eisenstein_j`, `fricke` and
-  `eval_descriptor` use it.
+  as the square root of the digit count.  The discriminant is a product of
+  theta constants, with no cancellation.  All seven theta sums of one core
+  come from one fixed-point pass (`_theta_sums`) over the shared powers
+  q^n, q^(n^2) and q^(n^2 + n), the four sums in w by Horner's rule,
+  7 complex products per term; S is even in z, so a cell with x < 0 is
+  negated and every factor has modulus at most 1, and 3 bitlen(N + 1) + 5
+  guard bits for N terms keep each sum's error below 2^-(prec + 4).  The
+  sums stay ints: `_theta_values` forms S, E4, E6 and the discriminant
+  from them on complex ints, each value with its own binary exponent and
+  cut back to the working bits after every operation, each within
+  2^-(prec + 3/2) of the formulas on the sums, relative to the magnitude
+  its docstring names, and each is rounded to an mpmath value once.
 * the q-series route (`_qseries_core`): the pe q-series in e^(2 pi i tau)
   with E4 and E6 as Lambert series in the same loop, over shared powers
   of q and one stopping rule, and the discriminant as E4^3 - E6^2.
@@ -34,26 +32,21 @@ These four numbers are computed along two independent routes:
   slips.
 
 Every core takes a torsion point and runs in the fundamental domain, with
-the exact row pushed through the reducing matrix (`_exact_cell`).
-`eval_descriptor` reduces its point of K exactly, as the root of an
-integral form, by `forms.reduce`; `fricke`, `eval_descriptor_unreduced` and
-the power check's `_power_values` reduce a complex tau numerically
-(`_reduce_tau`), so the two descriptor routes differ in the reduction as
-well as in the row and the series.  `eisenstein_j` reduces tau numerically too
-and runs the core at z = 1/2 of tau0, with no row to push.  Only the law
-check's `_fricke_at` runs a core at tau as given.  Every series is
+the exact row pushed through the reducing matrix (`_exact_cell`).  The
+theta route reduces exactly, by `forms.reduce` on an integral form:
+`eval_descriptor` on its point of K, and `fricke`, `_power_values` and
+`eisenstein_j` on the form `_point_form` makes of a numeric tau; the law
+check's `_fricke_at` runs at the unreduced form.  The q-series route
+reduces a complex tau numerically (`_reduce_tau`), so the descriptor
+routes differ in the reduction, the row and the series.  Every series is
 truncated at an explicit tail threshold.
 
 Every theta core gets q = e^(i pi tau0) and w = e^(2 pi i z) from one
-builder, `_exact_nome`, at an exact point: Re tau0 and (Im tau0)^2 as
-Fractions, (-b/(2a), |d|/(4a^2)) at `eval_descriptor`'s reduced form and
-the dyadic parts of a numeric tau0 (`_exact_point`), and the cell
-(k/n, m/n).  It takes one real exponential R = e^(-pi Im tau0/n), with
-|q| = R^n and |w| = R^(2k) by binary powering, and two exact rational
-phases, each through one `mpf_cos_sin_pi` after an exact integer fold into
-[0, 1/4] (`_cos_sin_pi`): mpmath 1.3.0 on its pure-Python backend runs an
-argument beyond 1/4 that lies below its nearest half-integer at about
-twice the precision.  Only the q-series route calls a complex exponential.
+builder, `_exact_nome`, at the root of the form and the cell (k/n, m/n):
+one real exponential R = e^(-pi Im tau0/n), with |q| = R^n and
+|w| = R^(2k) by binary powering, and two exact rational phases, each
+through one `mpf_cos_sin_pi` after an exact integer fold into [0, 1/4]
+(`_cos_sin_pi`).  Only the q-series route calls a complex exponential.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -330,7 +323,12 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     of its floor.  A shift by s > 0 bits moves each part by under 2^s from
     a value of at least 2^(wp - 1 + s), so every operation returns its
     exact result on its stored operands within a relative u = 2^(3/2 - wp)
-    (the entry of q and 1/w and a quotient within 2^(1/2 - wp)).  Against
+    (the entry of q and 1/w and a quotient within 2^(1/2 - wp)).  Where a
+    sum's exponents lie over 2 wp apart and its top bits are t and
+    t' < t - wp - 2 (far up the half plane t2 lies 2 pi Im tau0/ln 2 bits
+    below t3), the smaller is first floored at 2^(t - wp - 3): the sum
+    exceeds 2^(t - 2), so its own shift floors at 2^(t - wp - 1) or above,
+    the two floors make one, and no shift spans the gap.  Against
     the formulas evaluated exactly on the sums, q and 1/w, to first order
     in u: t3 and t4 are within 3u, t2 within 5u, and
       Delta within 27u |Delta|,
@@ -354,7 +352,14 @@ def _theta_values(ctx, wp: int, sums, q, winv):
         k = yr * (xr + xi)
         return norm(k - xi * (yr + yi), k + xr * (yi - yr), xe + ye)
 
+    def top(v):
+        return max(abs(v[0]), abs(v[1])).bit_length() + v[2]
+
     def add(x, y, sign=1):
+        if abs(x[2] - y[2]) > 2 * wp:
+            x, y = sorted((x, scaled(y, sign, 0)), key=top)
+            k, sign = (top(y) - wp - 3 - x[2] if top(x) < top(y) - wp - 2 else 0), 1
+            x = (x[0] >> k, x[1] >> k, x[2] + k)
         (xr, xi, xe), (yr, yi, ye) = x, y
         e = min(xe, ye)
         return norm((xr << xe - e) + sign * (yr << ye - e), (xi << xe - e) + sign * (yi << ye - e), e)
@@ -391,11 +396,11 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     return s_val, e4, e6, delta
 
 
-def _theta_core(ctx, cutoff, re: Fraction, im2: Fraction, x: Fraction, y: Fraction):
-    """(S, E4, E6, Delta) at the exact point tau0, Re tau0 = re and
-    (Im tau0)^2 = im2, and z = x*tau0 + y from Jacobi theta series in the
-    nome q = e^(i pi tau0), with w = e^(2 pi i z), both from `_exact_nome`
-    with the float logs lq = log|q| and lw = log|w|.
+def _theta_core(ctx, cutoff, form: QuadForm, x: Fraction, y: Fraction):
+    """(S, E4, E6, Delta) at the upper half plane root tau0 of a positive
+    definite integral form and z = x*tau0 + y from Jacobi theta series in
+    the nome q = e^(i pi tau0), with w = e^(2 pi i z), both from
+    `_exact_nome` with the float logs lq = log|q| and lw = log|w|.
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
@@ -411,11 +416,8 @@ def _theta_core(ctx, cutoff, re: Fraction, im2: Fraction, x: Fraction, y: Fracti
     and returns all seven sums from one pass, each cut where `_theta_terms`
     bounds its tail below the cutoff.  `_theta_values` forms the four
     values on ints, and each is rounded to an mpc once.
-
-    Each caller hands over its point exactly, a numeric tau0 as the dyadic
-    Fractions it is (`_exact_point`), so one builder makes every q and w.
     """
-    q, lq, w, lw = _exact_nome(ctx, re, im2, x, y)
+    q, lq, w, lw = _exact_nome(ctx, form, x, y)
     # log of a number no larger than the cutoff
     lcut = (ctx.mag(cutoff) - 1) * math.log(2)
     winv = 1 / w
@@ -459,35 +461,42 @@ def _cos_sin_pi(num: int, den: int, prec: int):
     return (libmp.mpf_neg(c) if neg else c), (libmp.mpf_neg(s) if flip else s)
 
 
-def _exact_point(t) -> tuple[Fraction, Fraction]:
-    """(Re t, (Im t)^2) of an mpc as exact Fractions: each part is an mpf
-    man 2^exp, a dyadic rational."""
-    re, im = (Fraction(*libmp.to_rational(part._mpf_)) for part in (t.real, t.imag))
-    return re, im * im
+def _point_form(t) -> QuadForm:
+    """The integral form (n^2, -2xn, x^2 + y^2) whose upper half plane root
+    is the mpc t = (x + iy)/n exactly: each finite part is an mpf, a dyadic
+    rational, and n is their common power-of-two denominator.  conj t has
+    the same form, so t off the upper half plane, or not finite, stops here."""
+    if not (t.imag > 0 and mpmath.isfinite(t)):
+        raise QFieldError("tau is not a finite point of the upper half plane")
+    (x, d), (y, e) = (libmp.to_rational(part._mpf_) for part in (t.real, t.imag))
+    n = max(d, e)
+    x, y = x * (n // d), y * (n // e)
+    return QuadForm(n * n, -2 * x * n, x * x + y * y)
 
 
-def _exact_nome(ctx, re: Fraction, im2: Fraction, x: Fraction, y: Fraction):
-    """(q, lq, w, lw) for `_theta_core` at the exact point Re tau0 = re,
-    (Im tau0)^2 = im2, and cell (x, y), negated when x < 0, with no
-    complex exponential.
+def _exact_nome(ctx, form: QuadForm, x: Fraction, y: Fraction):
+    """(q, lq, w, lw) for `_theta_core` at the root tau0 of the form (a, b, c),
+    re = Re tau0 = -b/(2a) and im2 = (Im tau0)^2 = |d|/(4a^2), and cell
+    (x, y), negated when x < 0, with no complex exponential.
 
     Over the common denominator n, x = k/n and y = m/n, so with
     L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n, |w| = R^(2k), and
     the phases are the exact rationals q / |q| = e^(i pi re) and
     w / |w| = e^(i pi (2k re + 2m)/n), each through `_cos_sin_pi`.  For
     im2 = u/v in lowest terms, Im tau0 = sqrt(uv)/v, and the square root is
-    exact when Im tau0 is an mpf of at most prec bits.
+    exact when Im tau0 is rational, as at a numeric point's form.
     Error bound: at wp = prec + g bits every mpf operation rounds within a
     relative e = 2^(1 - wp).  L/n = pi sqrt(uv)/(vn) takes four roundings,
     so R is within (4L/n + 1) e, and its j-th power for j <= n
     (`mpf_pow_int`, binary powering; j = n for q, 2k <= n for w as
     x <= 1/2) within (4L + n + 2) e; each phase part is within 2e, so each
     product is within (4L + n + 5) e of its modulus.  With
-    A = isqrt(floor(im2)) + 1 > Im tau0, 4L + n + 5 < 13A + n + 5 <
+    A = isqrt(|d| // (4a^2)) + 1 > Im tau0, 4L + n + 5 < 13A + n + 5 <
     16A (n + 5), so the guard g = bitlen(A) + bitlen(n + 5) + 8 makes that
     at most 2^(1 - prec)/16.  Rounding each part to the context's
     precision then leaves q and w within 2^(3/2 - prec) of their modulus.
     """
+    re, im2 = Fraction(-form.b, 2 * form.a), Fraction(-form.disc(), 4 * form.a**2)
     if x < 0:
         x, y = -x, -y
     n = math.lcm(x.denominator, y.denominator)
@@ -509,8 +518,6 @@ def _exact_nome(ctx, re: Fraction, im2: Fraction, x: Fraction, y: Fraction):
 
 
 def _reduce_tau(ctx, t):
-    if t.imag <= 0:
-        raise QFieldError("point is not in the upper half plane")
     edge = 1 - ctx.mpf(10) ** -(ctx.dps - 5)
     g = IDENT
     for _ in range(10000):
@@ -553,10 +560,10 @@ def _exact_cell(row, g: UnimodMatrix) -> tuple[Fraction, Fraction]:
 
 
 def eisenstein_j(tau, p: Precision = Precision()):
-    """The j-invariant of [tau, 1]: the theta core at reduced tau0 and z = 1/2."""
+    """The j-invariant of [tau, 1]: the theta core at z = 1/2 and tau's reduced form."""
     ctx = _ctx(p)
-    t0, _ = _reduce_tau(ctx, ctx.mpc(tau))
-    return _j(ctx, _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t0), Fraction(0), Fraction(1, 2)))
+    form, _ = reduce(_point_form(ctx.mpc(tau)))
+    return _j(ctx, _theta_core(ctx, _cutoff(ctx, p), form, Fraction(0), Fraction(1, 2)))
 
 
 def _j(ctx, values):
@@ -568,8 +575,8 @@ def _power_values(label: FrickeLabel, tau, p: Precision):
     """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
     ctx = _ctx(p)
-    t0, g = _reduce_tau(ctx, ctx.mpc(tau))
-    values = _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t0), *_exact_cell(label.row(), g))
+    form, g = reduce(_point_form(ctx.mpc(tau)))
+    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), g.inv()))
     return (_j(ctx, values),) + tuple(_torsion_value(ctx, i, values) for i in (1, 2, 3))
 
 
@@ -580,22 +587,17 @@ def _fricke_at(label: FrickeLabel, tau, p: Precision):
     never share an input, so comparing them tests the transformation law
     that `fricke`'s reduction relies on."""
     ctx = _ctx(p)
-    t = ctx.mpc(tau)
-    if t.imag <= 0:
-        raise QFieldError("point is not in the upper half plane")
-    values = _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t), *_exact_cell(label.row(), IDENT))
+    form = _point_form(ctx.mpc(tau))
+    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), IDENT))
     return _torsion_value(ctx, label.i, values)
 
 
 def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
-    """The indexed torsion-value function at tau, on the theta route.
-
-    tau is reduced to the fundamental domain and the row index is pushed
-    through the same matrix.
-    """
+    """The indexed torsion-value function at tau on the theta route, at
+    tau's form (`_point_form`) reduced and its row pushed as in `eval_descriptor`."""
     ctx = _ctx(p)
-    t0, g = _reduce_tau(ctx, ctx.mpc(tau))
-    values = _theta_core(ctx, _cutoff(ctx, p), *_exact_point(t0), *_exact_cell(label.row(), g))
+    form, g = reduce(_point_form(ctx.mpc(tau)))
+    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), g.inv()))
     return _torsion_value(ctx, label.i, values)
 
 
@@ -619,8 +621,7 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     z is the upper-half-plane root of the primitive integral form
     `eval_point()`; `forms.reduce` turns that form into the reduced
     (a, b, c) and g with g(z) = tau0 = (-b + i sqrt|b^2 - 4ac|)/(2a), and
-    the row goes through g^-1, as `fricke` pushes it.  The theta core
-    runs at that exact point, (Re tau0, (Im tau0)^2) = (-b/(2a), |d|/(4a^2)).
+    the row goes through g^-1, as `fricke` pushes it.
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
@@ -628,8 +629,7 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
     form, g = reduce(desc.eval_point())
-    point = Fraction(-form.b, 2 * form.a), Fraction(-form.disc(), 4 * form.a**2)
-    values = _theta_core(ctx, _cutoff(ctx, p), *point, *_exact_cell(label.row(), g.inv()))
+    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), g.inv()))
     return _torsion_value(ctx, label.i, values)
 
 

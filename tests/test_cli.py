@@ -349,20 +349,21 @@ def test_verify_second_field():
 # qfield's own class form), translates that never return their own form,
 # witness matrices from `lift_bottom_row`, theta cores run at x >= 0, the
 # q-series route's E4 and E6 as Lambert series in the pe sum's loop, no
-# class count line (enumeration checks the count) and every theta core's
-# q and w built from one real exponential at its exact point; any change
-# to a sample, value or detail string shows here
+# class count line (enumeration checks the count), every theta core's
+# q and w built from one real exponential at its exact point and every
+# theta entry's point reduced exactly as the root of its integral form;
+# any change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "ca97fd632733d5f3c657eb77444b6fb022c6b83e1e06b2a727edb62b1dc60553",
-    ("-20", "2,4,6", "40", "json"): "3e18ef8ae506cfaf2e1c1fb96a8bde8011556b99def08b417359c751bc4d06a9",
-    ("-20", "2,4,6", "40", "text"): "5fae82ab21bb20987432dd926a871383d38b0cf6259b0754f538df59965d5c03",
-    ("-23", "1,8,31", "40", "json"): "b1fd10138bb2bbfa876f0cde5d2716351708f4df708ddd393a4439194e1b9d07",
-    ("-23", "3,9,12", "80", "json"): "9f00cde84d6a15bf230428cbcf58c7a409139337aa479fdb6c0ffa7b72f8eb65",
-    ("-23", "3,9,12", "80", "text"): "30089ce4304a6464cc1731a54acf28e939fdb0f2ea17530e73e61f62d7da0e33",
-    ("-3", "6,0,6", "80", "json"): "b589c1f5d470980ba675d65e1861b35b16415b2294a16f72249f6c8aa1d4dc53",
-    ("-3", "6,0,6", "80", "text"): "5e09030d0b29587a7675dc8f7553f980d29263f0edaaf0098dd1ff398a18c31f",
-    ("-4", "6,0,6", "80", "json"): "09a3182831436d8b2ac0a1e1884d07adee05c5f8a3c0a86c50facfbd835933b4",
-    ("-4", "6,0,6", "80", "text"): "63c61e808a12bf1c170e1c27aac492736f531a0206f6139e27d8283361d56e1a",
+    ("-111", "9,0,9", "40", "json"): "dda7b84bffd68aeb86903a98792bef67d1c8a29059eddebe40138865a4202fa7",
+    ("-20", "2,4,6", "40", "json"): "bd1d4e64a851be591d6a6aeba39d58d3bc171e7f0873a50b92f9c3e9e5525814",
+    ("-20", "2,4,6", "40", "text"): "5f710d0a61d19d8dead48c99a23e82504da73ef9bee6d219023223dc7e67f733",
+    ("-23", "1,8,31", "40", "json"): "0d56c25c0fc4395fb338b872ac29f2e1a16d35f5a130ab9a91c76b3747dd51b8",
+    ("-23", "3,9,12", "80", "json"): "fc205fec8183c1bb0c95527c1225395340877e352a62d550cd35ba53a379519e",
+    ("-23", "3,9,12", "80", "text"): "a98a644a3778ce4c2b2e06ab2fc017e33ddba5f94968fcc771f0791b94ce8a9f",
+    ("-3", "6,0,6", "80", "json"): "0347315c434b8a0a57424916cc6db97b3b0820cefcd17bda8e529e6df4a1216c",
+    ("-3", "6,0,6", "80", "text"): "ffa9d90db623dcf772536e2b0710e94d675dcf673447da82413c98879d9d1d5b",
+    ("-4", "6,0,6", "80", "json"): "c455ad9422d386d4d83bb4aa290acaec4c691dfdf5d91d6fc1ac61a9b2d49740",
+    ("-4", "6,0,6", "80", "text"): "6a3ff498d44ba94b7b95730a22e3d77d6c454c6474d37a8a296a70e095999166",
 }
 
 

@@ -95,9 +95,6 @@ def test_reduce_tau():
     back = (g.p * t0 + g.q) / (g.r * t0 + g.s)
     assert abs(back - tau) < ctx.mpf(10) ** -25
 
-    with pytest.raises(QFieldError):
-        modular._reduce_tau(ctx, ctx.mpc(1, -1))
-
 
 def test_j_special_values():
     ctx = ctx_for(80)
@@ -120,28 +117,95 @@ def test_j_is_invariant():
         assert abs(eisenstein_j(moved, p) - base) < ctx.mpf(10) ** -35
 
 
-def test_j_pinned_to_the_bit():
-    """The mpf tuples of j at 40 seeded tau per digit count (30, 80, 1000),
-    Re tau in [-2, 2] and Im tau from 0.05 to 20 before reduction, hashed:
-    a change to the theta core or the reduction that moves j by one bit
-    fails here."""
+def pinned_taus():
+    """(digits, tau): 40 seeded tau per digit count (30, 80, 1000), Re tau
+    in [-2, 2] and Im tau from 0.05 to 20 before reduction."""
     rng = random.Random(24)
-    digest = hashlib.sha256()
     for digits in (30, 80, 1000):
-        p = Precision(digits)
         for _ in range(40):
-            tau = mpmath.mpc(rng.uniform(-2, 2), math.exp(rng.uniform(math.log(0.05), math.log(20))))
-            j = eisenstein_j(tau, p)
-            digest.update(repr([tuple(map(int, part._mpf_)) for part in (j.real, j.imag)]).encode())
-    assert digest.hexdigest() == "b24dabd7599c5aebe50ea7954cbe362a6fcd33deedf7d221b98e411dc02ebada"
+            re = rng.uniform(-2, 2)
+            yield digits, mpmath.mpc(re, math.exp(rng.uniform(math.log(0.05), math.log(20))))
+
+
+def test_j_pinned_to_the_bit():
+    """The mpf tuples of j at the pinned tau, hashed: a change to the theta
+    core or the reduction that moves j by one bit fails here."""
+    digest = hashlib.sha256()
+    for digits, tau in pinned_taus():
+        j = eisenstein_j(tau, Precision(digits))
+        digest.update(repr([tuple(map(int, part._mpf_)) for part in (j.real, j.imag)]).encode())
+    assert digest.hexdigest() == "13d1f38aeba5413f531c737dc6b1085115b36eab1c099e541eddf397ee0d9000"
+
+
+def test_j_matches_kleinj():
+    """j at the pinned tau against 1728 kleinj(tau) at 60 more digits:
+    within 16 2^-prec max(|j|, 1728).  With tau reduced exactly as the root
+    of its form the worst is about 5; a numeric reduction of tau, rounding
+    at every step, left up to 77."""
+    for digits, tau in pinned_taus():
+        p = Precision(digits)
+        prec = modular._ctx(p).prec
+        ref = mpmath.ctx_mp.MPContext()
+        ref.dps = digits + 60
+        j, want = ref.mpc(eisenstein_j(tau, p)), 1728 * ref.kleinj(ref.mpc(tau))
+        assert abs(j - want) <= 16 * ref.ldexp(max(abs(j), 1728), -prec), (digits, tau)
+
+
+@pytest.mark.parametrize("digits", [30, 80])
+def test_j_far_up_the_half_plane(digits):
+    """At Im tau = 1e16, 1e23 and 1e100, j = 1/q + 744 + O(q) with
+    q = e^(2 pi i tau) within 10^-digits.  There t2 lies about
+    2 pi Im tau/ln 2 bits below t3 and t4, and E4's sum once aligned them
+    by that whole gap: MemoryError at 1e16, OverflowError from 1e23 on."""
+    p = Precision(digits)
+    for im in (1e16, 1e23, 1e100):
+        for re in (0, 0.3):
+            tau = mpmath.mpc(re, im)
+            ref = mpmath.ctx_mp.MPContext()
+            ref.dps = digits + 30 + round(math.log10(im))
+            q = ref.exp(-2 * ref.pi * im) * ref.expjpi(2 * ref.mpf(re))
+            want = 1 / q + 744
+            got = ref.mpc(eisenstein_j(tau, p))
+            assert abs(got - want) < ref.mpf(10) ** -digits * abs(want), tau
+
+
+def test_point_form_has_the_point_as_its_root():
+    """`_point_form` of an mpc t is an integral form whose root is t
+    exactly: -b/(2a) = Re t and |d|/(4a^2) = (Im t)^2 as Fractions, at the
+    points of `KERNEL_TAUS`, seeded doubles and points with prec-bit parts.
+    Every theta entry refuses Im tau = 0 and Im tau < 0, where conj tau
+    would give the same form, and a part that is infinite or nan, which
+    has no dyadic value."""
+    ctx = modular._ctx(P80)
+    rng = random.Random(32)
+    points = [ctx.mpc(re, im) for re, im in KERNEL_TAUS]
+    points += [ctx.mpc(rng.uniform(-3, 3), rng.uniform(1e-3, 50)) for _ in range(50)]
+    for _ in range(50):
+        re, im = rng.getrandbits(ctx.prec) - 2 ** (ctx.prec - 1), rng.getrandbits(ctx.prec) + 1
+        points.append(ctx.mpc(ctx.ldexp(re, rng.randrange(-ctx.prec - 8, 8 - ctx.prec)),
+                              ctx.ldexp(im, rng.randrange(-ctx.prec - 8, 8 - ctx.prec))))
+    for t in points:
+        form = modular._point_form(t)
+        re, im = (Fraction(*libmp.to_rational(part._mpf_)) for part in (t.real, t.imag))
+        root = Fraction(-form.b, 2 * form.a), Fraction(-form.disc(), 4 * form.a**2)
+        assert root == (re, im * im), t
+    label = FrickeLabel(1, 1, 0, 6)
+    inf, nan = mpmath.inf, mpmath.nan
+    for parts in ((0.3, 0), (0.3, -0.8), (inf, 1), (0.2, inf), (nan, 1), (0.1, nan)):
+        tau = mpmath.mpc(*parts)
+        for call in (fricke, modular._power_values, modular._fricke_at):
+            with pytest.raises(QFieldError, match="upper half plane"):
+                call(label, tau, P80)
+        with pytest.raises(QFieldError, match="upper half plane"):
+            eisenstein_j(tau, P80)
 
 
 def theta_at(ctx, tau, cutoff, x, y):
-    """`_theta_core` at a numeric tau, entering as the exact dyadics of its
-    parts as `fricke` hands it over, and at the exact cell (x, y), each a
+    """`_theta_core` at a numeric tau, entering as its form (`_point_form`),
+    whose root is tau exactly, and at the exact cell (x, y), each a
     Fraction or a decimal string."""
-    re, im2 = modular._exact_point(ctx.mpc(tau))
-    return modular._theta_core(ctx, cutoff, re, im2, Fraction(x), Fraction(y))
+    form = modular._point_form(ctx.mpc(tau))
+    return modular._theta_core(ctx, cutoff, form, Fraction(x), Fraction(y))
 
 
 def _theta_pe(ctx, tau, x, y, p):
@@ -591,7 +655,7 @@ def theta_inputs(ctx, tau, cell):
     at tau and the cell entered as `theta_at` enters them: `_exact_nome`
     negates a cell with x < 0, S being even, so a is w, of modulus at
     most 1."""
-    q, lq, w, lw = modular._exact_nome(ctx, *modular._exact_point(tau), *map(Fraction, cell))
+    q, lq, w, lw = modular._exact_nome(ctx, modular._point_form(tau), *map(Fraction, cell))
     return q, lq, w, 1 / w, lw
 
 
@@ -747,14 +811,13 @@ NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5
 
 @pytest.mark.parametrize("digits", [80, 300, 1000])
 def test_exact_nome_within_its_error_bound(digits):
-    """q and w from `_exact_nome` at the cells above and at two kinds of
-    point: every reduced form of five discriminants, entering as
-    (-b/(2a), |d|/(4a^2)), and the numeric points of `KERNEL_TAUS`
-    (Im tau 0.05 to 20) and a law-check image tau/(2 tau + 1) at
-    tau = 1/2 + 0.4i (Im 0.086), entering as the exact dyadics of their
-    parts; against mpmath's expjpi at twice the precision: each within
-    2^(3/2 - prec) of its modulus, the bound of its docstring, with log|q|
-    and log|w| good to float rounding."""
+    """q and w from `_exact_nome` at the cells above and at the roots of
+    two kinds of form: every reduced form of five discriminants, and the
+    forms (`_point_form`) of the numeric points of `KERNEL_TAUS`
+    (Im tau 0.05 to 20) and of a law-check image tau/(2 tau + 1) at
+    tau = 1/2 + 0.4i (Im 0.086); against mpmath's expjpi at twice the
+    precision: each within 2^(3/2 - prec) of its modulus, the bound of its
+    docstring, with log|q| and log|w| good to float rounding."""
     ctx = modular._ctx(Precision(digits))
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
@@ -762,18 +825,17 @@ def test_exact_nome_within_its_error_bound(digits):
     points = []
     for dk in (-3, -4, -20, -23, -111):
         for form in reduced_forms(make_discriminant(dk)):
-            a, b, d = form.a, form.b, -form.disc()
-            tau0 = ref.mpc(-b, ref.sqrt(d)) / (2 * a)
-            points.append((tau0, Fraction(-b, 2 * a), Fraction(d, 4 * a * a)))
+            tau0 = ref.mpc(-form.b, ref.sqrt(-form.disc())) / (2 * form.a)
+            points.append((tau0, form))
     law = ctx.mpc("0.5", "0.4")
     for tau in [ctx.mpc(re, im) for re, im in KERNEL_TAUS] + [law / (2 * law + 1)]:
-        points.append((ref.mpc(tau), *modular._exact_point(tau)))
+        points.append((ref.mpc(tau), modular._point_form(tau)))
     assert points[-1][0].imag < 0.1
-    for tau0, re, im2 in points:
+    for tau0, form in points:
         q_ref = ref.expjpi(tau0)
         for k, m, n in NOME_CELLS:
             x, y = Fraction(k, n), Fraction(m, n)
-            q, lq, w, lw = modular._exact_nome(ctx, re, im2, x, y)
+            q, lq, w, lw = modular._exact_nome(ctx, form, x, y)
             if x < 0:
                 x, y = -x, -y
             x, y = (ref.mpf(c.numerator) / c.denominator for c in (x, y))
@@ -880,12 +942,12 @@ def test_point_forms_match_fraction_route(dk, ideal):
     "dk, ideal", [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (6, 0, 6))]
 )
 def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
-    """The exact route against `fricke`, which reduces the embedded point
-    numerically, on every class, relative to the value: the numeric side is
-    off by 2.6e-85 at |value| = 608 for (179, -131, 24) of dK=-23.  Each
-    modulus has a class whose reduced point form sits on the boundary of
-    the fundamental domain, where the two reductions may pick different
-    edges."""
+    """The exact route against `fricke` at the embedded point, rounded to
+    an mpc before its form is reduced, on every class, relative to the
+    value: the numeric side is off by 2.4e-85 at |value| = 608 for
+    (179, -131, 24) of dK=-23, lost in the embedding.  Each modulus has a
+    class whose reduced point form sits on the boundary of the fundamental
+    domain, where the two reductions may pick different edges."""
     p = Precision(80)
     ctx = modular._ctx(p)
     mod = make_modulus(make_discriminant(dk), *ideal)
@@ -958,13 +1020,27 @@ def test_theta_phases_enter_cos_sin_pi_folded(monkeypatch):
 
 
 def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
+    """No theta route entry reduces numerically: with `_reduce_tau`
+    refusing, `eval_descriptor`, `fricke`, `_power_values`, `eisenstein_j`
+    and `_fricke_at` return unchanged values, each reducing by
+    `forms.reduce` or not at all, while the q-series route,
+    `eval_descriptor_unreduced`, which owns `_reduce_tau`, fails."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
-    before = [eval_descriptor(d, None, P80) for d in descs]
+    label = modular.descriptor_label(descs[0])
+    point = modular._embed(modular._ctx(P80), descs[0].eval_point(), MOD23.disc)
+    tau = mpmath.mpc("0.31", "0.45")
+    calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
+        lambda: fricke(label, point, P80),
+        lambda: modular._power_values(label, tau, P80),
+        lambda: eisenstein_j(point, P80),
+        lambda: modular._fricke_at(label, tau, P80),
+    ]
+    before = [call() for call in calls]
 
     def refuse(ctx, t):
         raise AssertionError("numeric reduction on the exact route")
 
     monkeypatch.setattr(modular, "_reduce_tau", refuse)
-    assert [eval_descriptor(d, None, P80) for d in descs] == before
+    assert [call() for call in calls] == before
     with pytest.raises(AssertionError, match="numeric reduction"):
         eval_descriptor_unreduced(descs[0], None, P80)
