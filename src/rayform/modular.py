@@ -31,22 +31,23 @@ These four numbers are computed along two independent routes:
   floats, sharing no arithmetic with the fixed-point sums, to catch their
   slips.
 
-Every core takes a torsion point and runs in the fundamental domain, with
-the exact row pushed through the reducing matrix (`_exact_cell`).  The
-theta route reduces exactly, by `forms.reduce` on an integral form:
-`eval_descriptor` on its point of K, and `fricke`, `_power_values` and
-`eisenstein_j` on the form `_point_form` makes of a numeric tau; the law
-check's `_fricke_at` runs at the unreduced form.  The q-series route
-reduces a complex tau numerically (`_reduce_tau`), so the descriptor
-routes differ in the reduction, the row and the series.  Every series is
-truncated at an explicit tail threshold.
+Every core takes a torsion point and runs in the fundamental domain, the
+row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
+coordinates x = k/n and y = m/n (`_exact_cell`).  The theta route reduces
+exactly, by `forms.reduce` on an integral form: `eval_descriptor` on its
+point of K, and `fricke`, `_power_values` and `eisenstein_j` on the form
+`_point_form` makes of a numeric tau; the law check's `_fricke_at` runs at
+the unreduced form.  The q-series route reduces a complex tau numerically
+(`_reduce_tau`), so the descriptor routes differ in the reduction, the row
+and the series.  Every series is truncated at an explicit tail threshold.
 
 Every theta core gets q = e^(i pi tau0) and w = e^(2 pi i z) from one
-builder, `_exact_nome`, at the root of the form and the cell (k/n, m/n):
+builder, `_exact_nome`, at the root of the form (a, b, c) and the cell:
 one real exponential R = e^(-pi Im tau0/n), with |q| = R^n and
-|w| = R^(2k) by binary powering, and two exact rational phases, each
-through one `mpf_cos_sin_pi` after an exact integer fold into [0, 1/4]
-(`_cos_sin_pi`).  Only the q-series route calls a complex exponential.
+|w| = R^(2k) by binary powering, and the phases pi (-b)/(2a) and
+pi (2ma - kb)/(an), each an integer pair through one `mpf_cos_sin_pi`
+after an exact integer fold into [0, 1/4] (`_cos_sin_pi`).  Only the
+q-series route calls a complex exponential.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -59,7 +60,6 @@ j(rho) = 0.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
@@ -67,7 +67,7 @@ from mpmath import libmp
 
 from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, reduce, t_power
 from .qfield import Discriminant, InternalCheckError, QFieldError
-from .rayclass import GaloisDescriptor, point_coords
+from .rayclass import GaloisDescriptor
 
 _MAX_TERMS = 200000
 # the most digits a value may ask for: one value at 10^5 digits takes
@@ -80,13 +80,15 @@ class _Digits(NamedTuple):
 
 
 class Precision(_Digits):
-    """Working precision in decimal digits, from 30 to `MAX_DIGITS`; series
-    tails stop below 10^-(digits+20).  The range is checked in `__new__`,
+    """Working precision in decimal digits, an int from 30 to `MAX_DIGITS`;
+    series tails stop below 10^-(digits+20).  Both are checked in `__new__`,
     which `_replace` and `_make` skip, so build one only by calling it."""
 
     __slots__ = ()
 
     def __new__(cls, digits: int = 80):
+        if type(digits) is not int:
+            raise QFieldError(f"digit count must be an integer, got {digits!r}")
         if digits < 30:
             raise QFieldError(f"need at least 30 digits, got {digits}")
         if digits > MAX_DIGITS:
@@ -107,20 +109,17 @@ def _ctx(p: Precision) -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def _cutoff(ctx, p: Precision):
-    return ctx.mpf(10) ** -(p.digits + 20)
-
-
-def _fr(ctx, x: Fraction):
-    return ctx.mpf(x.numerator) / x.denominator
+def _cutoff(ctx):
+    """The series tail threshold 10^-(digits + 20) of `_ctx(Precision(digits))`."""
+    return ctx.mpf(10) ** -(ctx.dps + 10)
 
 
 def _embed(ctx, form: QuadForm, disc: Discriminant):
-    """Numeric upper half plane root of the form: its exact `point_coords`
-    (u, v) as u*tau + v, each coordinate correctly rounded."""
-    u, v = point_coords(form, disc)
+    """Numeric root u*tau + v of the form (A, B, C) of discriminant k^2 d,
+    `point_coords`' u = k/A and v = (k*b0 - B)/(2A) as mpf quotients of ints."""
+    k = math.isqrt(form.disc() // disc.d)
     tau = (ctx.mpc(-disc.b0, ctx.sqrt(-disc.d))) / 2
-    return tau * _fr(ctx, u) + _fr(ctx, v)
+    return tau * (ctx.mpf(k) / form.a) + ctx.mpf(k * disc.b0 - form.b) / (2 * form.a)
 
 
 def _ensure_finite(ctx, value):
@@ -138,7 +137,7 @@ class _LabelFields(NamedTuple):
 
 
 class FrickeLabel(_LabelFields):
-    """Index (i, [r/N, s/N]) of a torsion-value function of level N.
+    """Index (i, [r/N, s/N]) of a torsion-value function of level N, as ints.
 
     The row is stored reduced to [0, N)^2 and must not be integral.  Both
     are done in `__new__`, which `_replace` and `_make` skip, so build a
@@ -156,9 +155,6 @@ class FrickeLabel(_LabelFields):
         if r == 0 and s == 0:
             raise QFieldError("row (0, 0) mod N indexes no torsion point")
         return tuple.__new__(cls, (i, r, s, level))
-
-    def row(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.r, self.level), Fraction(self.s, self.level)
 
     def __str__(self) -> str:
         return f"{self.i}:{self.r},{self.s},{self.level}"
@@ -226,9 +222,10 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
     below the floor of r, as computed in floats, and steps up to the least
     m that meets the exact condition: near r the numerator falls by at
     least 2 sqrt(lq lcut) per step, far more than the float error of r.
+    r goes through hypot, as b^2 overflows a float far up the half plane.
     """
     b = shift * lq + lv
-    root = (b + math.sqrt(b * b + 4 * lq * lcut)) / (-2 * lq)
+    root = (b + math.hypot(b, 2 * math.sqrt(lq * lcut))) / (-2 * lq)
     for m in range(max(1, int(root) - 1), _MAX_TERMS):
         ratio = (2 * m + 1 + shift) * lq + lv
         if ratio < 0 and m * m * lq + m * b - math.log1p(-math.exp(ratio)) < lcut:
@@ -396,11 +393,11 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     return s_val, e4, e6, delta
 
 
-def _theta_core(ctx, cutoff, form: QuadForm, x: Fraction, y: Fraction):
+def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int]):
     """(S, E4, E6, Delta) at the upper half plane root tau0 of a positive
-    definite integral form and z = x*tau0 + y from Jacobi theta series in
-    the nome q = e^(i pi tau0), with w = e^(2 pi i z), both from
-    `_exact_nome` with the float logs lq = log|q| and lw = log|w|.
+    definite integral form and z = x*tau0 + y, cell (k, m, n) = (xn, yn, n),
+    from Jacobi theta series in the nome q = e^(i pi tau0), with
+    w = e^(2 pi i z), both from `_exact_nome` with their float logs.
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
@@ -411,15 +408,15 @@ def _theta_core(ctx, cutoff, form: QuadForm, x: Fraction, y: Fraction):
     for H(u) = sum (-1)^n q^(n^2) u^n; the quarter powers cancel from
     S = -(theta2^2 theta3^2 theta4(pi z)^2 / theta1(pi z)^2 - (t2 + t3)/3)/4,
     which is the q-series route's S.  S reads theta4 (even) and theta1
-    (odd) squared, so it is even in z: the caller negates a cell with
+    (odd) squared, so it is even in z: `_exact_nome` negates a cell with
     x < 0, and |w| <= 1 for x in [0, 1/2].  `_theta_sums` takes w as its a
     and returns all seven sums from one pass, each cut where `_theta_terms`
-    bounds its tail below the cutoff.  `_theta_values` forms the four
-    values on ints, and each is rounded to an mpc once.
+    bounds its tail below the context's `_cutoff`.  `_theta_values` forms
+    the four values on ints, and each is rounded to an mpc once.
     """
-    q, lq, w, lw = _exact_nome(ctx, form, x, y)
+    q, lq, w, lw = _exact_nome(ctx, form, cell)
     # log of a number no larger than the cutoff
-    lcut = (ctx.mag(cutoff) - 1) * math.log(2)
+    lcut = (ctx.mag(_cutoff(ctx)) - 1) * math.log(2)
     winv = 1 / w
     wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
     return tuple(
@@ -474,47 +471,47 @@ def _point_form(t) -> QuadForm:
     return QuadForm(n * n, -2 * x * n, x * x + y * y)
 
 
-def _exact_nome(ctx, form: QuadForm, x: Fraction, y: Fraction):
-    """(q, lq, w, lw) for `_theta_core` at the root tau0 of the form (a, b, c),
-    re = Re tau0 = -b/(2a) and im2 = (Im tau0)^2 = |d|/(4a^2), and cell
-    (x, y), negated when x < 0, with no complex exponential.
+def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
+    """(q, lq, w, lw) for `_theta_core` at the root tau0 of the form (a, b, c)
+    and the cell (k, m, n) of `_exact_cell`, negated when k < 0, from ints
+    alone: no complex exponential and no Fraction.
 
-    Over the common denominator n, x = k/n and y = m/n, so with
-    L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n, |w| = R^(2k), and
-    the phases are the exact rationals q / |q| = e^(i pi re) and
-    w / |w| = e^(i pi (2k re + 2m)/n), each through `_cos_sin_pi`.  For
-    im2 = u/v in lowest terms, Im tau0 = sqrt(uv)/v, and the square root is
-    exact when Im tau0 is rational, as at a numeric point's form.
+    With L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n and
+    |w| = R^(2k), and the phases go to `_cos_sin_pi` as integer pairs:
+    q / |q| = e^(i pi (-b)/(2a)) and w / |w| = e^(i pi (2ma - kb)/(an)),
+    as 2(k Re tau0 + m)/n.  One gcd puts (Im tau0)^2 = |d|/(4a^2) in lowest
+    terms u/v; Im tau0 = sqrt(uv)/v, exact when Im tau0 is rational, as at
+    a numeric point's form.
     Error bound: at wp = prec + g bits every mpf operation rounds within a
     relative e = 2^(1 - wp).  L/n = pi sqrt(uv)/(vn) takes four roundings,
     so R is within (4L/n + 1) e, and its j-th power for j <= n
-    (`mpf_pow_int`, binary powering; j = n for q, 2k <= n for w as
-    x <= 1/2) within (4L + n + 2) e; each phase part is within 2e, so each
-    product is within (4L + n + 5) e of its modulus.  With
-    A = isqrt(|d| // (4a^2)) + 1 > Im tau0, 4L + n + 5 < 13A + n + 5 <
+    (`mpf_pow_int`, binary powering; j = n for q, j = 2k <= n for w as
+    0 <= k <= n/2) within (4L + n + 2) e; each phase part is within 2e, so
+    each product is within (4L + n + 5) e of its modulus.  With
+    A = isqrt(u // v) + 1 > Im tau0, 4L + n + 5 < 13A + n + 5 <
     16A (n + 5), so the guard g = bitlen(A) + bitlen(n + 5) + 8 makes that
     at most 2^(1 - prec)/16.  Rounding each part to the context's
     precision then leaves q and w within 2^(3/2 - prec) of their modulus.
     """
-    re, im2 = Fraction(-form.b, 2 * form.a), Fraction(-form.disc(), 4 * form.a**2)
-    if x < 0:
-        x, y = -x, -y
-    n = math.lcm(x.denominator, y.denominator)
-    k, m = x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)
-    u, v = im2.numerator, im2.denominator
+    a, b = form.a, form.b
+    k, m, n = cell
+    if k < 0:
+        k, m = -k, -m
+    g = math.gcd(form.disc(), 4 * a * a)
+    u, v = -form.disc() // g, 4 * a * a // g
     prec, rnd = ctx._prec_rounding
     wp = prec + (math.isqrt(u // v) + 1).bit_length() + (n + 5).bit_length() + 8
     scaled = libmp.mpf_sqrt(libmp.from_int(u * v), wp)  # v Im tau0
     ell = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(wp), scaled, wp), libmp.from_int(v * n), wp)
     root = libmp.mpf_exp(libmp.mpf_neg(ell), wp)
 
-    def polar(power, phase: Fraction):
+    def polar(power, num, den):
         radius = libmp.mpf_pow_int(root, power, wp)
-        c, s = _cos_sin_pi(phase.numerator, phase.denominator, wp)
+        c, s = _cos_sin_pi(num, den, wp)
         return ctx.make_mpc(tuple(libmp.mpf_mul(radius, part, prec, rnd) for part in (c, s)))
 
     lq = -math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n"))
-    return polar(n, re), lq, polar(2 * k, (2 * k * re + 2 * m) / n), 2 * (k / n) * lq
+    return polar(n, -b, 2 * a), lq, polar(2 * k, 2 * m * a - k * b, a * n), 2 * (k / n) * lq
 
 
 def _reduce_tau(ctx, t):
@@ -546,24 +543,26 @@ def _torsion_value(ctx, i: int, values):
     return _ensure_finite(ctx, ctx.mpc(value))
 
 
-def _exact_cell(row, g: UnimodMatrix) -> tuple[Fraction, Fraction]:
-    """The exact row (v1, v2) pushed through g, row * g, shifted into
-    [-1/2, 1/2]^2."""
-    v1, v2 = row
-    r1 = v1 * g.p + v2 * g.r
-    r2 = v1 * g.q + v2 * g.s
-    r1 -= round(r1)
-    r2 -= round(r2)
-    if r1 == 0 and r2 == 0:
+def _exact_cell(r: int, s: int, level: int, g: UnimodMatrix) -> tuple[int, int, int]:
+    """The row (r/level, s/level) pushed through g, row * g, as the cell
+    (k, m, n): x = k/n and y = m/n over their least common denominator,
+    each taken mod 2 and less its nearest integer, a half rounded to even
+    as by `round`: +1/2 over an even floor, -1/2 over an odd one, which
+    decides the sign `_exact_nome`'s negation gives y."""
+    r1, r2 = r * g.p + s * g.r, r * g.q + s * g.s
+    d = math.gcd(r1, r2, level)
+    n = level // d
+    if n == 1:
         raise QFieldError("row is integral: the point sits on the lattice")
-    return r1, r2
+    k, m = (t // d % (2 * n) for t in (r1, r2))
+    return k - n * ((2 * k > n) + (2 * k >= 3 * n)), m - n * ((2 * m > n) + (2 * m >= 3 * n)), n
 
 
 def eisenstein_j(tau, p: Precision = Precision()):
     """The j-invariant of [tau, 1]: the theta core at z = 1/2 and tau's reduced form."""
     ctx = _ctx(p)
     form, _ = reduce(_point_form(ctx.mpc(tau)))
-    return _j(ctx, _theta_core(ctx, _cutoff(ctx, p), form, Fraction(0), Fraction(1, 2)))
+    return _j(ctx, _theta_core(ctx, form, (0, 1, 2)))
 
 
 def _j(ctx, values):
@@ -576,7 +575,7 @@ def _power_values(label: FrickeLabel, tau, p: Precision):
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
     ctx = _ctx(p)
     form, g = reduce(_point_form(ctx.mpc(tau)))
-    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), g.inv()))
+    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
     return (_j(ctx, values),) + tuple(_torsion_value(ctx, i, values) for i in (1, 2, 3))
 
 
@@ -588,7 +587,7 @@ def _fricke_at(label: FrickeLabel, tau, p: Precision):
     that `fricke`'s reduction relies on."""
     ctx = _ctx(p)
     form = _point_form(ctx.mpc(tau))
-    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), IDENT))
+    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, IDENT))
     return _torsion_value(ctx, label.i, values)
 
 
@@ -597,7 +596,7 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     tau's form (`_point_form`) reduced and its row pushed as in `eval_descriptor`."""
     ctx = _ctx(p)
     form, g = reduce(_point_form(ctx.mpc(tau)))
-    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), g.inv()))
+    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
     return _torsion_value(ctx, label.i, values)
 
 
@@ -629,7 +628,7 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
     form, g = reduce(desc.eval_point())
-    values = _theta_core(ctx, _cutoff(ctx, p), form, *_exact_cell(label.row(), g.inv()))
+    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
     return _torsion_value(ctx, label.i, values)
 
 
@@ -645,10 +644,10 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
     phi = sum(math.gcd(x, label.level) == 1 for x in range(label.level))
-    row = (Fraction(0), Fraction(desc.point.a ** (phi - 1), label.level))
     t0, g = _reduce_tau(ctx, _embed(ctx, desc.eval_point(), desc.disc))
-    x, y = (_fr(ctx, r) for r in _exact_cell(row, g))
-    return _torsion_value(ctx, label.i, _qseries_core(ctx, t0, _cutoff(ctx, p), x, y))
+    k, m, n = _exact_cell(0, desc.point.a ** (phi - 1), label.level, g)
+    x, y = ctx.mpf(k) / n, ctx.mpf(m) / n
+    return _torsion_value(ctx, label.i, _qseries_core(ctx, t0, _cutoff(ctx), x, y))
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:

@@ -1,3 +1,4 @@
+import fractions
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from mpmath.libmp import libelefun
 
 from rayform import modular
 from rayform.checks import run_checks
-from rayform.forms import IDENT, QuadForm, S_FLIP, reduce, reduced_forms, t_power
+from rayform.forms import IDENT, QuadForm, S_FLIP, UnimodMatrix, reduce, reduced_forms, t_power
 from rayform.modular import (
     FrickeLabel,
     Precision,
@@ -66,12 +67,14 @@ def test_precision_validation():
     assert Precision(modular.MAX_DIGITS).digits == modular.MAX_DIGITS
     with pytest.raises(QFieldError, match="at most"):
         Precision(modular.MAX_DIGITS + 1)
+    for digits in (80.5, 80.0, "80", True):
+        with pytest.raises(QFieldError, match="integer"):
+            Precision(digits)
 
 
 def test_label_validation_and_normalization():
     lab = FrickeLabel(2, 7, -1, 6)
     assert (lab.r, lab.s) == (1, 5)
-    assert lab.row() == (Fraction(1, 6), Fraction(5, 6))
     with pytest.raises(QFieldError):
         FrickeLabel(4, 1, 0, 6)
     with pytest.raises(QFieldError):
@@ -80,6 +83,52 @@ def test_label_validation_and_normalization():
         FrickeLabel(1, 6, 12, 6)
     with pytest.raises(QFieldError):
         FrickeLabel(1, 1, 0, 0)
+
+
+def fraction_cell(r, s, level, g):
+    """The cell by the rule `_exact_cell` kept on Fractions: the row
+    (r/level, s/level) pushed through g, each part less `round` of it,
+    which rounds a half to even."""
+    v1, v2 = Fraction(r, level), Fraction(s, level)
+    r1, r2 = v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s
+    return r1 - round(r1), r2 - round(r2)
+
+
+def test_exact_cell_matches_the_fraction_rule():
+    """`_exact_cell`'s int cell (k, m, n) against the Fraction rule, on
+    every row of levels 2 to 12, as reduced labels and as raw numerators of
+    the size a^(phi(N) - 1) that `eval_descriptor_unreduced` pushes, through
+    seeded SL2(Z) matrices: k/n and m/n equal the reference cell and n is
+    its least common denominator.  Exact halves occur over both an even
+    and an odd floor, where half to even picks +1/2 and -1/2.  An integral
+    row refuses."""
+    rng = random.Random(33)
+    mats = [IDENT, S_FLIP, t_power(1)] + small_matrices(rng, 12)
+    mats += [UnimodMatrix(3, 2, 1, 1), UnimodMatrix(5, 7, 2, 3)]
+    floors = set()
+    for level in range(2, 13):
+        phi = sum(math.gcd(x, level) == 1 for x in range(level))
+        for r in range(level):
+            for s in range(level):
+                if r == 0 and s == 0:
+                    continue
+                a = rng.randrange(10**5, 10**6)
+                raw = (r + level * a ** (phi - 1), s + level * rng.randrange(10**6))
+                for g in mats:
+                    for row in ((r, s), raw):
+                        k, m, n = modular._exact_cell(*row, level, g)
+                        want = fraction_cell(*row, level, g)
+                        assert (Fraction(k, n), Fraction(m, n)) == want, (row, level, g)
+                        assert n == math.lcm(*(c.denominator for c in want)), (row, level, g)
+                        v1, v2 = Fraction(row[0], level), Fraction(row[1], level)
+                        for part in (v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s):
+                            if part.denominator == 2:
+                                floors.add(math.floor(part) % 2)
+    assert floors == {0, 1}
+    for g in mats:
+        for r, s in ((0, 6), (6, 0), (12, -18), (6 * 10**20, 6)):
+            with pytest.raises(QFieldError, match="integral"):
+                modular._exact_cell(r, s, 6, g)
 
 
 def test_reduce_tau():
@@ -153,12 +202,14 @@ def test_j_matches_kleinj():
 
 @pytest.mark.parametrize("digits", [30, 80])
 def test_j_far_up_the_half_plane(digits):
-    """At Im tau = 1e16, 1e23 and 1e100, j = 1/q + 744 + O(q) with
+    """At Im tau = 1e16 to 1e300, j = 1/q + 744 + O(q) with
     q = e^(2 pi i tau) within 10^-digits.  There t2 lies about
     2 pi Im tau/ln 2 bits below t3 and t4, and E4's sum once aligned them
-    by that whole gap: MemoryError at 1e16, OverflowError from 1e23 on."""
+    by that whole gap: MemoryError at 1e16, OverflowError from 1e23 on.
+    From 1e154 on the square b^2 in `_theta_terms`' float root overflowed
+    too, until the root went through hypot."""
     p = Precision(digits)
-    for im in (1e16, 1e23, 1e100):
+    for im in (1e16, 1e23, 1e100, 1e154, 1e160, 1e200, 1e300):
         for re in (0, 0.3):
             tau = mpmath.mpc(re, im)
             ref = mpmath.ctx_mp.MPContext()
@@ -200,25 +251,32 @@ def test_point_form_has_the_point_as_its_root():
             eisenstein_j(tau, P80)
 
 
-def theta_at(ctx, tau, cutoff, x, y):
+def int_cell(x, y):
+    """The cell (k, m, n) of the exact x = k/n and y = m/n, each a Fraction,
+    an int or a decimal string, over their least common denominator n."""
+    x, y = Fraction(x), Fraction(y)
+    n = math.lcm(x.denominator, y.denominator)
+    return int(x * n), int(y * n), n
+
+
+def theta_at(ctx, tau, x, y):
     """`_theta_core` at a numeric tau, entering as its form (`_point_form`),
     whose root is tau exactly, and at the exact cell (x, y), each a
     Fraction or a decimal string."""
     form = modular._point_form(ctx.mpc(tau))
-    return modular._theta_core(ctx, cutoff, form, Fraction(x), Fraction(y))
+    return modular._theta_core(ctx, form, int_cell(x, y))
 
 
-def _theta_pe(ctx, tau, x, y, p):
+def _theta_pe(ctx, tau, x, y):
     """pe(z; [tau, 1]) = -4 pi^2 S from the theta route at tau itself, with
     z = x*tau + y for exact x, y in [-1/2, 1/2]."""
-    s_val = theta_at(ctx, tau, modular._cutoff(ctx, p), x, y)[0]
-    return -4 * ctx.pi**2 * s_val
+    return -4 * ctx.pi**2 * theta_at(ctx, tau, x, y)[0]
 
 
 def test_theta_s_leading_term():
     ctx = modular._ctx(P80)
     z = ctx.mpf(10) ** -5
-    val = _theta_pe(ctx, ctx.mpc(0, 1), 0, Fraction(1, 10**5), P80)
+    val = _theta_pe(ctx, ctx.mpc(0, 1), 0, Fraction(1, 10**5))
     assert abs(z**2 * val - 1) < ctx.mpf(10) ** -17
 
 
@@ -232,7 +290,7 @@ def test_theta_s_matches_direct_lattice_sum():
         # the cell of z = 0.31 + 0.17i, exact in the decimal parts of tau
         x = Fraction("0.17") / Fraction(im)
         y = Fraction("0.31") - x * Fraction(re)
-        z = tau * modular._fr(ctx, x) + modular._fr(ctx, y)
+        z = tau * (ctx.mpf(x.numerator) / x.denominator) + ctx.mpf(y.numerator) / y.denominator
         direct = 1 / z**2
         for m in range(-50, 51):
             for n in range(-50, 51):
@@ -240,7 +298,7 @@ def test_theta_s_matches_direct_lattice_sum():
                     continue
                 w = m * tau + n
                 direct += 1 / (z - w) ** 2 - 1 / w**2
-        assert abs(_theta_pe(ctx, tau, x, y, P30) - direct) < ctx.mpf("1e-2")
+        assert abs(_theta_pe(ctx, tau, x, y) - direct) < ctx.mpf("1e-2")
 
 
 def power_samples(ctx):
@@ -498,7 +556,6 @@ def test_theta_route_matches_qseries_route(digits):
     many, plus the digits the reference's E4^3 - E6^2 cancels at
     |q| = e^(-2 pi Im tau0)."""
     ctx = modular._ctx(Precision(digits))
-    cutoff = modular._cutoff(ctx, Precision(digits))
     near_zero = mpmath.mpf(10) ** -(digits // 2)
     tol = mpmath.mpf(10) ** -digits
     for k, point in enumerate(ROUTE_TAUS):
@@ -506,9 +563,9 @@ def test_theta_route_matches_qseries_route(digits):
         cancel = math.ceil(2 * math.pi * float(tau0.imag) / math.log(10))
         ref_p = Precision(2 * digits + cancel)
         ref_ctx = modular._ctx(ref_p)
-        ref_cutoff = modular._cutoff(ref_ctx, ref_p)
+        ref_cutoff = modular._cutoff(ref_ctx)
         for x, y in ROUTE_CELLS:
-            theta = theta_at(ctx, tau0, cutoff, x, y)
+            theta = theta_at(ctx, tau0, x, y)
             ref = modular._qseries_core(
                 ref_ctx, point(ref_ctx), ref_cutoff, ref_ctx.mpf(x), ref_ctx.mpf(y)
             )
@@ -539,7 +596,7 @@ def test_lambert_eisenstein_matches_divisor_sums(digits):
     value is not near 0 (E6 vanishes at i, E4 at rho)."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    cutoff = modular._cutoff(ctx, p)
+    cutoff = modular._cutoff(ctx)
     near_zero = mpmath.mpf(10) ** -(digits // 2)
     tol = mpmath.mpf(10) ** -digits
     for k, point in enumerate(ROUTE_TAUS):
@@ -577,7 +634,7 @@ def test_qseries_within_its_error_bound(digits):
     cutoff, so that call tests the tail bound B/2 alone."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    cutoff = modular._cutoff(ctx, p)
+    cutoff = modular._cutoff(ctx)
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
     for k, point in enumerate(ROUTE_TAUS):
@@ -624,7 +681,6 @@ def jtheta_core(ctx, tau, x, y):
 def test_theta_kernel_matches_mpmath_jtheta(digits):
     p = Precision(digits)
     ctx = modular._ctx(p)
-    cutoff = modular._cutoff(ctx, p)
     tol = mpmath.mpf(10) ** -(digits + 5)
     for re, im in KERNEL_TAUS:
         ref = mpmath.ctx_mp.MPContext()
@@ -633,7 +689,7 @@ def test_theta_kernel_matches_mpmath_jtheta(digits):
         ref.dps = digits + 40 + 6 * math.ceil(float(im))
         tau = ctx.mpc(re, im)
         for x, y in KERNEL_CELLS:
-            got = theta_at(ctx, tau, cutoff, x, y)
+            got = theta_at(ctx, tau, x, y)
             want = jtheta_core(ref, ref.mpc(tau), ref.mpf(x), ref.mpf(y))
             for name, a, b in zip(("S", "E4", "E6", "Delta"), got, want):
                 assert abs(a - b) < tol * abs(b), (name, re, im, x, y)
@@ -655,7 +711,7 @@ def theta_inputs(ctx, tau, cell):
     at tau and the cell entered as `theta_at` enters them: `_exact_nome`
     negates a cell with x < 0, S being even, so a is w, of modulus at
     most 1."""
-    q, lq, w, lw = modular._exact_nome(ctx, modular._point_form(tau), *map(Fraction, cell))
+    q, lq, w, lw = modular._exact_nome(ctx, modular._point_form(tau), int_cell(*cell))
     return q, lq, w, 1 / w, lw
 
 
@@ -675,7 +731,7 @@ def test_theta_sum_within_its_error_bound(digits):
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
-    lcut = (ctx.mag(modular._cutoff(ctx, p)) - 1) * math.log(2)
+    lcut = (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         for cell in KERNEL_CELLS:
@@ -703,7 +759,7 @@ def test_j_cell_w_sums_equal_the_theta_constants(digits):
     needs no re-pin when the w-sums change form."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    lcut = (ctx.mag(modular._cutoff(ctx, p)) - 1) * math.log(2)
+    lcut = (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
     for re, im in KERNEL_TAUS:
         q, lq, a, a_inv, la = theta_inputs(ctx, ctx.mpc(re, im), ("0", "0.5"))
         assert a == -1, (re, im)
@@ -742,14 +798,13 @@ def test_theta_values_within_their_error_bound(digits):
     the cusp included.  `_theta_core` returns them rounded once."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    cutoff = modular._cutoff(ctx, p)
-    lcut = (ctx.mag(cutoff) - 1) * math.log(2)
+    lcut = (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         for cell in KERNEL_CELLS:
             q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
             wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-            core = theta_at(ctx, tau, cutoff, *cell)
+            core = theta_at(ctx, tau, *cell)
             ref = mpmath.ctx_mp.MPContext()
             ref.prec = 2 * wp
             got = modular._theta_values(ctx, wp, sums, q, a_inv)
@@ -835,7 +890,7 @@ def test_exact_nome_within_its_error_bound(digits):
         q_ref = ref.expjpi(tau0)
         for k, m, n in NOME_CELLS:
             x, y = Fraction(k, n), Fraction(m, n)
-            q, lq, w, lw = modular._exact_nome(ctx, form, x, y)
+            q, lq, w, lw = modular._exact_nome(ctx, form, int_cell(x, y))
             if x < 0:
                 x, y = -x, -y
             x, y = (ref.mpf(c.numerator) / c.denominator for c in (x, y))
@@ -1044,3 +1099,31 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     assert [call() for call in calls] == before
     with pytest.raises(AssertionError, match="numeric reduction"):
         eval_descriptor_unreduced(descs[0], None, P80)
+
+
+def test_theta_route_builds_no_fraction(monkeypatch):
+    """The exact inputs stay ints from the row to the nome: with
+    `Fraction.__new__` refusing, `eval_descriptor` and
+    `eval_descriptor_unreduced` on every class of dK=-23 `3,9,12`, and
+    `fricke`, `_power_values`, `_fricke_at` and `eisenstein_j` at a numeric
+    tau, return the values of their unpatched calls."""
+    descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
+    label = FrickeLabel(1, 2, 5, 6)
+    tau = mpmath.mpc("0.31", "0.45")
+    calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs]
+    calls += [lambda d=d: eval_descriptor_unreduced(d, None, P80) for d in descs]
+    calls += [
+        lambda: fricke(label, tau, P80),
+        lambda: modular._power_values(label, tau, P80),
+        lambda: modular._fricke_at(label, tau, P80),
+        lambda: eisenstein_j(tau, P80),
+    ]
+    before = [call() for call in calls]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError, match="Fraction was built"):
+        Fraction(1, 2)
+    assert [call() for call in calls] == before
