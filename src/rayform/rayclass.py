@@ -308,12 +308,22 @@ def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
     return key
 
 
-def row_classes(form: QuadForm, mod: Modulus) -> tuple[tuple[tuple[int, int], RowVec], ...]:
+def row_classes(
+    form: QuadForm, mod: Modulus, fiber: int
+) -> tuple[tuple[tuple[int, int], RowVec], ...]:
     """The (key, row) pairs of the lexicographically least admissible row of
-    each row class, keyed by `_row_key`, in row order.  A row (u, v) mod N
-    is admissible, indexing a torsion point of the form (a, b, c), when
+    each row class, keyed by `_row_key`, in row order, up to the row that
+    completes `fiber` keys.  A row (u, v) mod N is admissible, indexing a
+    torsion point of the form (a, b, c), when
     gcd(N, a*v^2 - b*u*v + c*u^2) = 1.  The form must be in Q_N(dK); it is
-    not checked here."""
+    not checked here.
+
+    Every reduced form's fiber in the ray class group holds h/h_K classes
+    (Cox, §7: 1 -> (O/n)^*/im O^* -> Cl_n -> Cl_K -> 1), so once the scan
+    holds that many keys no later row can add one and it stops.  The stop
+    is checked by `enumerate_classes`: a fault that splits a class leaves
+    two keys of one class, which the ideal keys see, and one that merges two
+    classes runs out of rows short of the fiber, which the count sees."""
     N = mod.level
     a, b, c = form
     reps: dict[tuple[int, int], RowVec] = {}
@@ -321,6 +331,8 @@ def row_classes(form: QuadForm, mod: Modulus) -> tuple[tuple[tuple[int, int], Ro
         for v in range(N):
             if math.gcd(N, a * v * v - b * u * v + c * u * u) == 1:
                 reps.setdefault(_row_key(form, (u, v), mod), (u, v))
+                if len(reps) == fiber:
+                    return tuple(reps.items())
     return tuple(reps.items())
 
 
@@ -364,28 +376,43 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     Walks the reduced forms, renormalizes leading coefficients against the
     level, splits the admissible rows into congruence classes and pulls each
     back through a lifted matrix, keyed by the reduced form and row it was
-    built from: its `class_key`, with no form reduced.  The least reduced
-    form is principal and its first row (0, 1) lifts to the identity, so the
-    first class built is the identity, checked against the principal form.  The
-    count is checked against the ideal-theoretic ray class number and the
-    representatives must have distinct `ideal_keys`, so a miscount cannot
-    pass silently.
+    built from: its `class_key`, with no form reduced.  Each reduced form's
+    fiber holds h/h_K classes, h the ideal-theoretic ray class number and
+    h_K the number of reduced forms, so its row scan stops at h // h_K keys.
+    The least reduced form is principal and its first row (0, 1) lifts to
+    the identity, so the first class built is the identity, checked against
+    the principal form.
+
+    The representatives must have distinct `ideal_keys` and their count must
+    equal h, so neither a miscount nor a wrong stop can pass silently:
+    - a row key that splits a class stops a scan holding two keys of one
+      class, and the ideal keys collide;
+    - a row key that merges two classes runs a scan out of rows short of
+      its fiber, and the count falls short;
+    - a duplicated reduced form walks the rows of its twin, whose classes
+      collide; a missing one leaves the count short;
+    - h_K not dividing h leaves the count short, since no fiber yields more
+      than h // h_K keys.
     """
     disc, N = mod.disc, mod.level
+    bases = reduced_forms(disc)
+    expected = ray_class_number_oracle(disc, mod.ideal)
+    fiber = expected // len(bases)
     reps: list[FormClass] = []
-    for base in reduced_forms(disc):
+    for base in bases:
         normalized, _ = coprime_normalize(base, N)
-        for key, row in row_classes(normalized, mod):
+        for key, row in row_classes(normalized, mod, fiber):
             gamma = lift_bottom_row(row, N)
             rep = act(normalized, gamma.inv())
             reps.append(FormClass(rep, (base, key)))
-    expected = ray_class_number_oracle(disc, mod.ideal)
+    # collisions first: a duplicated reduced form may also miscount the fiber
+    if len(set(ideal_keys([fc.rep for fc in reps], mod))) != len(reps):
+        raise InternalCheckError("two representatives collide under the ideal key")
     if len(reps) != expected:
         raise InternalCheckError(
             f"enumerated {len(reps)} classes, oracle says {expected}"
+            f" over {len(bases)} reduced forms"
         )
-    if len(set(ideal_keys([fc.rep for fc in reps], mod))) != len(reps):
-        raise InternalCheckError("two representatives collide under the ideal key")
     if reps[0].rep != QuadForm(1, disc.b0, disc.c0):
         raise InternalCheckError(f"first class built is {reps[0].rep}, not the principal form")
     classes = (reps[0], *sorted(reps[1:], key=lambda fc: fc.rep.coeffs()))

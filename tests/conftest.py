@@ -41,8 +41,8 @@ def drop_a_principal_row(monkeypatch):
     it finds one class fewer than the ray class number oracle."""
     row_classes = rayclass.row_classes
 
-    def fewer(form, mod):
-        rows = row_classes(form, mod)
+    def fewer(form, mod, fiber):
+        rows = row_classes(form, mod, fiber)
         return rows[:-1] if form.a == 1 else rows
 
     monkeypatch.setattr(rayclass, "row_classes", fewer)

@@ -52,6 +52,12 @@ def test_enumerate():
     assert data["invariant_factors"] is None
 
 
+def test_enumerate_large_level():
+    # a degree-one prime of norm 2003: the row scan stops at each fiber
+    data = run_json("enumerate", "--dk", "-23", "--ideal", "1,1565,2003")
+    assert len(data["classes"]) == 3003
+
+
 def test_table():
     data = run_json("table", "--dk", "-20", "--ideal", "2,4,6")
     assert data["invariant_factors"] == [4]

@@ -33,6 +33,7 @@ from rayform.qfield import (
     make_discriminant,
     make_ideal_triple,
     minimal_norm_elements,
+    ray_class_number_oracle,
 )
 from rayform.rayclass import (
     _form_ideal,
@@ -266,8 +267,14 @@ def row_in_vq(form, row, level):
     return math.gcd(level, form(v, -u)) == 1
 
 
+def fiber_of(mod):
+    """Classes over each reduced form: h / h_K."""
+    return ray_class_number_oracle(mod.disc, mod.ideal) // len(reduced_forms(mod.disc))
+
+
 def test_row_membership(monkeypatch):
-    # row_classes keys exactly the admissible rows, judged by the reference
+    # row_classes keys exactly the admissible rows, judged by the reference,
+    # in row order up to the row that completes the fiber
     assert row_in_vq(QuadForm(1, 0, 5), (0, 1), 6)
     assert not row_in_vq(QuadForm(1, 0, 5), (1, 1), 6)
     keyed = []
@@ -278,16 +285,18 @@ def test_row_membership(monkeypatch):
         return row_key(form, row, mod)
 
     monkeypatch.setattr(rayclass, "_row_key", recording)
+    fiber = fiber_of(MOD20)
     for form in REPS4:
-        row_classes(form, MOD20)
-        assert (form, (0, 1)) in keyed
+        pairs = row_classes(form, MOD20, fiber)
+        assert len(pairs) == fiber and (form, (0, 1)) in keyed
         rows = [(u, v) for u in range(6) for v in range(6) if row_in_vq(form, (u, v), 6)]
-        assert [row for f, row in keyed if f == form] == rows
+        stop = rows.index(pairs[-1][1])
+        assert [row for f, row in keyed if f == form] == rows[: stop + 1]
     assert (QuadForm(1, 0, 5), (1, 1)) not in keyed
 
 
 def assert_keyed_rows(form, mod, rows):
-    pairs = row_classes(form, mod)
+    pairs = row_classes(form, mod, fiber_of(mod))
     assert tuple(row for _, row in pairs) == rows
     assert all(key == _row_key(form, row, mod) for key, row in pairs)
 
@@ -303,14 +312,16 @@ def test_row_classes_golden_d23():
 
 def test_row_classes_match_brute_force():
     # every admissible row keyed by `_row_key`, the least row kept per key,
-    # in row order, on every normalized reduced form of each modulus
+    # in row order, on every normalized reduced form of each modulus: the
+    # full scan finds exactly h / h_K keys, which the stopped scan returns
     with open(SWEEP) as fh:
         sweep = json.load(fh)["moduli"]
-    cases = [(-3, 6, 0, 6), (-4, 6, 0, 6), (-23, 1, 8, 31)]
-    cases += [tuple(m[:4]) for m in random.Random(28).sample(sweep, 12)]
+    cases = [(-3, 6, 0, 6), (-4, 6, 0, 6), (-23, 1, 8, 31), (-23, 1, 176, 211)]
+    cases += [tuple(m[:4]) for m in sweep]
+    assert len(cases) == 829
     for dk, a1, a2, c in cases:
         mod = make_modulus(make_discriminant(dk), a1, a2, c)
-        level = mod.level
+        level, fiber = mod.level, fiber_of(mod)
         for base in reduced_forms(mod.disc):
             form, _ = coprime_normalize(base, level)
             least = {}
@@ -319,7 +330,8 @@ def test_row_classes_match_brute_force():
                     if row_in_vq(form, (u, v), level):
                         least.setdefault(_row_key(form, (u, v), mod), (u, v))
             brute = tuple(sorted(least.items(), key=lambda kr: kr[1]))
-            assert row_classes(form, mod) == brute, (dk, a1, a2, c, form)
+            assert len(brute) == fiber, (dk, a1, a2, c, form)
+            assert row_classes(form, mod, fiber) == brute, (dk, a1, a2, c, form)
 
 
 def test_rows_equivalence_relation():
@@ -378,8 +390,8 @@ def test_collision_check_catches_a_repeated_row_class(monkeypatch):
     # class; the ideal-key check has to raise before the class key check does
     row_classes_ = rayclass.row_classes
 
-    def twin_rows(form, mod):
-        rows = row_classes_(form, mod)
+    def twin_rows(form, mod, fiber):
+        rows = row_classes_(form, mod, fiber)
         if len(rows) < 2:
             return rows
         level, (key, first) = mod.level, rows[0]
@@ -579,6 +591,83 @@ def test_miscount_raises_oracle_says(monkeypatch):
     for mod in (MOD20, MOD23):
         with pytest.raises(InternalCheckError, match="oracle says"):
             enumerate_classes(mod)
+
+
+STOP_MODULI = [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (6, 0, 6))]
+
+
+@pytest.mark.parametrize("dk, ideal", STOP_MODULI)
+def test_stop_catches_a_split_row_key(monkeypatch, dk, ideal):
+    # the first row that repeats a key gets a key of its own, so a scan
+    # stops holding two keys of one class; these moduli repeat a key before
+    # the stop, which the first h rows of a degree-one prime never do
+    row_key, seen, split = rayclass._row_key, {}, []
+
+    def splitting(form, row, mod):
+        key = row_key(form, row, mod)
+        if not split and seen.setdefault((form, key), row) != row:
+            split.append(row)
+            return (-1, -1)
+        return key
+
+    monkeypatch.setattr(rayclass, "_row_key", splitting)
+    with pytest.raises(InternalCheckError, match="collide"):
+        enumerate_classes(make_modulus(make_discriminant(dk), *ideal))
+    assert split
+
+
+@pytest.mark.parametrize("dk, ideal", STOP_MODULI)
+def test_stop_catches_merged_row_keys(monkeypatch, dk, ideal):
+    # the principal form's second key is read as its first, so its scan
+    # runs out of rows one class short of the fiber
+    row_key, keys = rayclass._row_key, []
+
+    def merging(form, row, mod):
+        key = row_key(form, row, mod)
+        if form.a != 1:
+            return key
+        if key not in keys and len(keys) < 2:
+            keys.append(key)
+        return keys[0] if key == keys[-1] else key
+
+    monkeypatch.setattr(rayclass, "_row_key", merging)
+    with pytest.raises(InternalCheckError, match="oracle says"):
+        enumerate_classes(make_modulus(make_discriminant(dk), *ideal))
+
+
+@pytest.mark.parametrize("dk, ideal", STOP_MODULI)
+def test_stop_catches_a_duplicated_reduced_form(monkeypatch, dk, ideal):
+    # a twin of the principal form shrinks every fiber and walks the
+    # principal form's rows again, whose classes collide
+    forms = rayclass.reduced_forms
+    monkeypatch.setattr(rayclass, "reduced_forms", lambda disc: forms(disc) + forms(disc)[:1])
+    with pytest.raises(InternalCheckError, match="collide"):
+        enumerate_classes(make_modulus(make_discriminant(dk), *ideal))
+
+
+@pytest.mark.parametrize("mod", [MOD20, MOD23, make_modulus(D23, 1, 8, 31)], ids=["d20", "d23", "h=45"])
+def test_stop_catches_a_missing_reduced_form(monkeypatch, mod):
+    # one reduced form fewer widens the fiber past the rows' classes; at
+    # h=45 over two forms h_K does not divide h, and the count falls short too
+    forms = rayclass.reduced_forms
+    monkeypatch.setattr(rayclass, "reduced_forms", lambda disc: forms(disc)[:-1])
+    with pytest.raises(InternalCheckError, match="oracle says"):
+        enumerate_classes(mod)
+
+
+@pytest.mark.parametrize("ideal, calls", [((1, 8, 31), 45), ((1, 176, 211), 315), ((1, 784, 1013), 1518)])
+def test_row_scan_keys_each_class_once_at_degree_one_primes(monkeypatch, ideal, calls):
+    # at a degree-one prime every admissible row up to the stop is a new
+    # class, so the scan keys h rows, not the N^2 square
+    row_key, keyed = rayclass._row_key, []
+
+    def counting(form, row, mod):
+        keyed.append(row)
+        return row_key(form, row, mod)
+
+    monkeypatch.setattr(rayclass, "_row_key", counting)
+    group = enumerate_classes(make_modulus(D23, *ideal))
+    assert len(keyed) == len(group.classes) == calls
 
 
 def test_lift_bottom_row():
@@ -949,7 +1038,6 @@ def test_exact_layer_keeps_no_function_cache(module):
 
 
 def test_enumerate_many_moduli_match_oracle():
-    from rayform.qfield import ray_class_number_oracle
 
     count = 0
     for disc in (D20, D4):
@@ -983,8 +1071,9 @@ def test_tables_match_sweep_digests():
         (-23, (1, 8, 31), "7baa4480a00f7f689fb138f8cf040b27c969ad82c5482eadf9e334a5f5963cf1"),
         (-111, (9, 0, 9), "ea9d4e7d7908e69686a1a60505d0c7436b291ef5b2d7f50689695731546eae0d"),
         (-71, (13, 0, 13), "d4c44b51cebaaed59e9dd6a335d0f2e850b06cc8a91f39ad0f5be7fbc609979c"),
+        (-23, (1, 176, 211), "d81c4ce60dd2f398e6193169bc5d70dcb51d5a577a21a47a89e1fe7fd62e1ebd"),
     ],
-    ids=["h=45", "h=216", "h=588"],
+    ids=["h=45", "h=216", "h=588", "h=315"],
 )
 def test_large_tables_pinned(dk, ideal, digest):
     group = group_table(make_modulus(make_discriminant(dk), *ideal))
