@@ -153,6 +153,9 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     detail += f" {blocks[2]} by both; {agree}/{len(moved)} translate pairs agree"
     record("witness equivalence vs ideal route", passed, detail)
 
+    # the full representative path of `compose` (lift and act) against the
+    # table, whose cells `group_table` keys from the product form and the
+    # correcting row alone: the one place where the two meet
     stable = 0
     for _ in range(10):
         i = rng.randrange(h)

@@ -15,7 +15,12 @@ reduction and the witness congruence (`class_key`, `equivalent`) against
 ideal arithmetic alone (`ideal_keys`, `equivalent_oracle`) for class
 membership, and enumeration against `ray_class_number_oracle` for the count.
 Each verdict is computed once, by its own route; the class key, the ideal
-labels and the witness search meet in `verify`'s route check.
+labels and the witness search meet in `verify`'s route check.  Composition
+has one body, `_compose_parts` (Dirichlet's product form and the bottom row
+of its correcting matrix): `compose` lifts that row to a representative,
+and `group_table` keys each generator cell from the product and the row
+(`_key_at`) without building one; `verify`'s well-definedness trials are
+where the two meet.
 """
 
 from __future__ import annotations
@@ -336,17 +341,39 @@ def row_classes(
     return tuple(reps.items())
 
 
-def class_key(form: QuadForm, mod: Modulus) -> ClassKey:
-    """Canonical label of the form's class: its reduced form plus the row
-    key of the matrix carrying the coprime-normalized reduced form to it.
+def _key_at(form: QuadForm, row: RowVec, mod: Modulus) -> ClassKey:
+    """Class key of act(form, sigma^-1) for any sigma with bottom row = row
+    mod N: the reduced form plus the row key of row*g^-1*n, with form ==
+    act(red, g) and n carrying red to its coprime-normalized form.
 
-    Two forms share a key exactly when `equivalent` joins them.  The form
+    `group_table` keys each cell from `_compose_parts` this way, and the
+    key equals `class_key(compose(f1, f2))`.  The representative `compose`
+    builds is act(product, sigma^-1), with sigma's bottom row = (x, y)
+    mod N; reducing the product as act(red, g_p), the representative is
+    act(red, g_p*sigma^-1), whose reduction witness is h*g_p*sigma^-1 for
+    some automorph h of red.  Its key row is then (x, y)*g_p^-1*h^-1*n
+    mod N, and n^-1*h^-1*n fixes the normalized form, so it multiplies the
+    row's field element by a unit; `_row_key` reads the row mod N and takes
+    the least residue over the unit orbit, which absorbs both, the same
+    invariance `class_key` relies on for any form of the class.  The form
     must be in Q_N(dK); it is not checked here.
     """
     red, g = reduce(form)
     normalized, n = coprime_normalize(red, mod.level)
     m = g.inv() @ n
-    return red, _row_key(normalized, (m.r, m.s), mod)
+    u, v = row
+    return red, _row_key(normalized, (u * m.p + v * m.r, u * m.q + v * m.s), mod)
+
+
+def class_key(form: QuadForm, mod: Modulus) -> ClassKey:
+    """Canonical label of the form's class: its reduced form plus the row
+    key of the matrix carrying the coprime-normalized reduced form to it,
+    `_key_at` the row (0, 1).
+
+    Two forms share a key exactly when `equivalent` joins them.  The form
+    must be in Q_N(dK); it is not checked here.
+    """
+    return _key_at(form, (0, 1), mod)
 
 
 def lift_bottom_row(row: RowVec, level: int) -> UnimodMatrix:
@@ -422,8 +449,9 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     return ClassGroup(mod, classes, index)
 
 
-def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
-    """Class composition compatible with ideal multiplication.
+def _compose_parts(form1: QuadForm, form2: QuadForm, mod: Modulus) -> tuple[QuadForm, RowVec]:
+    """Dirichlet composition up to its correcting row: the product form and
+    the bottom row (x, y) mod N of the matrix that `compose` moves it by.
 
     form2 is first moved inside its class, by a matrix with bottom row
     (r, s), so the two leading coefficients are coprime (and coprime to 2, N
@@ -432,10 +460,9 @@ def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
     omega(Q) the upper-half-plane root of Q(x, 1), the correcting matrix has
     the bottom row (x, y) with r*omega(moved) + s = x*omega(product) + y.
     Comparing coordinates over (tau, 1) gives x = a*r and
-    y = s + r*(B - b2)/(2*a2), an integer since B = b2 mod 2*a2.
+    y = s + r*(B - b2)/(2*a2), an integer since B = b2 mod 2*a2.  The forms
+    must be in Q_N(dK); they are not checked here.
     """
-    _require_form(form1, mod)
-    _require_form(form2, mod)
     N, d = mod.level, mod.disc.d
     a, b = form1.a, form1.b
     moved, gamma = coprime_normalize(form2, 2 * a * N * abs(d))
@@ -454,18 +481,33 @@ def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
     x, y = a * gamma.r, gamma.s + gamma.r * ((big_b - b2) // (2 * a2))
     if math.gcd(math.gcd(x, y), N) != 1:
         raise InternalCheckError("correcting row not unimodular mod level")
-    sigma = lift_bottom_row((x % N, y % N), N)
-    result = act(product, sigma.inv())
-    if math.gcd(result.a, N) != 1 or result.content() != 1 or result.a <= 0:
+    return product, (x % N, y % N)
+
+
+def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
+    """Class composition compatible with ideal multiplication: the product
+    form of `_compose_parts` moved by the inverse of `lift_bottom_row` of its
+    correcting row, a representative prime to N.  `group_table` keys its
+    cells from the product and the row alone, with no representative."""
+    _require_form(form1, mod)
+    _require_form(form2, mod)
+    product, row = _compose_parts(form1, form2, mod)
+    result = act(product, lift_bottom_row(row, mod.level).inv())
+    if math.gcd(result.a, mod.level) != 1 or result.content() != 1 or result.a <= 0:
         raise InternalCheckError(f"composite representative {result} is invalid")
     return result
 
 
-def _class_index(form: QuadForm, group: ClassGroup) -> int:
-    idx = group.index.get(class_key(form, group.modulus))
+def _class_at(key: ClassKey, group: ClassGroup) -> int:
+    """Position of the class key among the enumerated classes."""
+    idx = group.index.get(key)
     if idx is None:
-        raise InternalCheckError(f"form {form} matches no enumerated class")
+        raise InternalCheckError(f"class key {key} matches no enumerated class")
     return idx
+
+
+def _class_index(form: QuadForm, group: ClassGroup) -> int:
+    return _class_at(class_key(form, group.modulus), group)
 
 
 def _invariant_factors(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -511,15 +553,18 @@ def group_table(mod: Modulus) -> ClassGroup:
     invariant factor decomposition.
 
     The group is abelian, so the table follows from generator rows: h*r
-    `compose` calls for r generators, not h^2.  Each generator g is the first
+    composed cells for r generators, not h^2.  Each generator g is the first
     class not yet reached; its row pi_g[x] = index(x*g) is composed directly,
-    with lookups in `ClassGroup.index`.  Breadth-first closure gives each new
+    each cell keyed by `_key_at` from the product form and correcting row of
+    `_compose_parts`, with no representative built, and looked up in
+    `ClassGroup.index`.  Breadth-first closure gives each new
     class x*g the row row(x*g)[y] = pi_g[row(x)[y]]; it reaches x = 0 first,
     so row g is pi_g once pi_g[0] = g is checked, and commutativity covers
     table[x][g] = pi_g[x].  Permutations are checked on generator rows only,
     as every derived row composes them.  One wrong cell of a generator row
-    breaks pi_g[0] = g, a permutation or commutativity, all checked.  A compose
-    fault on a pair without a generator is left to `verify`.  A fault that
+    breaks pi_g[0] = g, a permutation or commutativity, all checked, and a
+    key that matches no class raises.  A compose fault on a pair without a
+    generator, or in `compose`'s lift alone, is left to `verify`.  A fault that
     keeps a generator row a permutation with pi_g[0] = g can pass every
     check: at dK=-20 `2,4,6`, 2 of the 6 swaps of two cells in the first
     generator row give a wrong table of Z/4.  The ideal-product check of
@@ -531,7 +576,7 @@ def group_table(mod: Modulus) -> ClassGroup:
     rows = {0: list(range(size))}
     while len(rows) < size:
         g = next(x for x in range(size) if x not in rows)
-        pi = [_class_index(compose(rep, reps[g], mod), group) for rep in reps]
+        pi = [_class_at(_key_at(*_compose_parts(rep, reps[g], mod), mod), group) for rep in reps]
         if pi[0] != g or len(set(pi)) != size:  # row 0 is the identity by construction
             raise InternalCheckError(f"generator row {g} is not a permutation sending 0 to {g}")
         reached = list(rows)

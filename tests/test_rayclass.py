@@ -484,9 +484,10 @@ def test_group_table_makes_no_pairwise_equivalence_calls(monkeypatch):
 
 
 def test_forms_are_checked_where_they_enter(monkeypatch):
-    # the h=45 table checks each class once in ideal_keys and both operands
-    # of its 90 compose calls; the forms that enumeration and compose build
-    # reach class_key, row_classes and canonical_offset unchecked
+    # the h=45 table checks each class once in ideal_keys; its cells key the
+    # product form and correcting row of `_compose_parts` and check nothing,
+    # as the forms that enumeration builds reach class_key, row_classes and
+    # canonical_offset unchecked
     callers, check = [], rayclass._require_form
 
     def counted(form, mod):
@@ -495,7 +496,7 @@ def test_forms_are_checked_where_they_enter(monkeypatch):
 
     monkeypatch.setattr(rayclass, "_require_form", counted)
     assert len(group_table(make_modulus(D23, 1, 8, 31)).classes) == 45
-    assert collections.Counter(callers) == {"ideal_keys": 45, "compose": 180}
+    assert collections.Counter(callers) == {"ideal_keys": 45}
     callers.clear()
     descriptor(QuadForm(7, -6, 2), MOD20)
     assert callers == ["descriptor"]
@@ -852,15 +853,15 @@ def test_table_catches_a_wrong_generator_row_cell(dk, ideal, monkeypatch):
     # the first h lookups of `group_table` fill the first generator's row
     mod = make_modulus(make_discriminant(dk), *ideal)
     size = len(enumerate_classes(mod).classes)
-    lookup = rayclass._class_index
+    lookup = rayclass._class_at
     for wrong in range(size):
         calls = itertools.count()
 
-        def off_by_one(form, group):
-            idx = lookup(form, group)
+        def off_by_one(key, group):
+            idx = lookup(key, group)
             return (idx + 1) % size if next(calls) == wrong else idx
 
-        monkeypatch.setattr(rayclass, "_class_index", off_by_one)
+        monkeypatch.setattr(rayclass, "_class_at", off_by_one)
         with pytest.raises(InternalCheckError):
             group_table(mod)
 
@@ -880,32 +881,32 @@ def test_table_census_of_first_generator_row_faults(dk, ideal, passing, swaps, m
     mod = make_modulus(make_discriminant(dk), *ideal)
     group = enumerate_classes(mod)
     size = len(group.classes)
-    lookup, composed = rayclass._class_index, {}
+    lookup, parts, composed = rayclass._class_at, rayclass._compose_parts, {}
 
-    def cached_compose(form1, form2, modulus):
+    def cached_parts(form1, form2, modulus):
         if (form1, form2) not in composed:
-            composed[form1, form2] = compose(form1, form2, modulus)
+            composed[form1, form2] = parts(form1, form2, modulus)
         return composed[form1, form2]
 
     monkeypatch.setattr(rayclass, "enumerate_classes", lambda m: group)
-    monkeypatch.setattr(rayclass, "compose", cached_compose)
+    monkeypatch.setattr(rayclass, "_compose_parts", cached_parts)
 
     def run_with(change):
         calls = itertools.count()
 
-        def corrupted(form, grp):
-            idx, n = lookup(form, grp), next(calls)
+        def corrupted(key, grp):
+            idx, n = lookup(key, grp), next(calls)
             return change.get(n, idx) if n < size else idx
 
-        monkeypatch.setattr(rayclass, "_class_index", corrupted)
+        monkeypatch.setattr(rayclass, "_class_at", corrupted)
         try:
             group_table(mod)
         except InternalCheckError:
             return False
         return True
 
-    monkeypatch.setattr(rayclass, "_class_index", lookup)
-    row = [lookup(compose(fc.rep, group.classes[1].rep, mod), group) for fc in group.classes]
+    monkeypatch.setattr(rayclass, "_class_at", lookup)
+    row = [rayclass._class_index(compose(fc.rep, group.classes[1].rep, mod), group) for fc in group.classes]
     for cell in range(size):
         for wrong in range(size):
             if wrong != row[cell]:
@@ -917,17 +918,66 @@ def test_table_census_of_first_generator_row_faults(dk, ideal, passing, swaps, m
 
 def test_table_composes_only_generator_rows(monkeypatch):
     mod = make_modulus(D23, 1, 8, 31)
-    seconds = []
+    seconds, parts = [], rayclass._compose_parts
 
     def counting(form1, form2, modulus):
         seconds.append(form2)
-        return compose(form1, form2, modulus)
+        return parts(form1, form2, modulus)
 
-    monkeypatch.setattr(rayclass, "compose", counting)
+    monkeypatch.setattr(rayclass, "_compose_parts", counting)
     size = len(group_table(mod).classes)
     generators = len(set(seconds))
     assert 1 <= generators <= 3
     assert len(seconds) == size * generators
+
+
+CELL_MODULI = pytest.mark.parametrize(
+    "dk, ideal",
+    [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (5, 0, 5)), (-4, (6, 0, 6))],
+    ids=["-20:2,4,6", "-23:3,9,12", "-3:6,0,6", "-4:5,0,5", "-4:6,0,6"],
+)
+
+
+@CELL_MODULI
+def test_keyed_cells_match_composed_representatives(dk, ideal, monkeypatch):
+    # every cell keyed from the product form and correcting row is the key
+    # of the representative `compose` builds; at dK=-3 and -4 the reduced
+    # forms' extra automorphs are absorbed by the row key's unit orbit, and
+    # so is the unit -1 that negates the correcting row
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    for f in reps:
+        for g in reps:
+            keyed = rayclass._key_at(*rayclass._compose_parts(f, g, mod), mod)
+            assert keyed == class_key(compose(f, g, mod), mod), (f, g)
+    table, parts = group_table(mod).table, rayclass._compose_parts
+
+    def negated(form1, form2, modulus):
+        product, (x, y) = parts(form1, form2, modulus)
+        return product, (-x % modulus.level, -y % modulus.level)
+
+    monkeypatch.setattr(rayclass, "_compose_parts", negated)
+    assert group_table(mod).table == table
+
+
+@CELL_MODULI
+@pytest.mark.parametrize(
+    "fault",
+    [lambda x, y: (0, 1), lambda x, y: (y, x), lambda x, y: (0, y)],
+    ids=["row (0,1)", "swapped", "x zeroed"],
+)
+def test_table_catches_a_wrong_correcting_row(dk, ideal, fault, monkeypatch):
+    # a wrong row keys a wrong or unknown class: either way the table raises
+    # InternalCheckError, never a bare KeyError from the class index
+    mod, parts = make_modulus(make_discriminant(dk), *ideal), rayclass._compose_parts
+
+    def faulty(form1, form2, modulus):
+        product, row = parts(form1, form2, modulus)
+        return product, fault(*row)
+
+    monkeypatch.setattr(rayclass, "_compose_parts", faulty)
+    with pytest.raises(InternalCheckError):
+        group_table(mod)
 
 
 @pytest.mark.parametrize(
@@ -1072,8 +1122,10 @@ def test_tables_match_sweep_digests():
         (-111, (9, 0, 9), "ea9d4e7d7908e69686a1a60505d0c7436b291ef5b2d7f50689695731546eae0d"),
         (-71, (13, 0, 13), "d4c44b51cebaaed59e9dd6a335d0f2e850b06cc8a91f39ad0f5be7fbc609979c"),
         (-23, (1, 176, 211), "d81c4ce60dd2f398e6193169bc5d70dcb51d5a577a21a47a89e1fe7fd62e1ebd"),
+        (-23, (1, 784, 1013), "e98cef4f795fb49bcd195e7954be070733da7d38c9fce84f6d04a87809da4ff4"),
+        (-23, (1, 1565, 2003), "4fb9a7ea085d3b4303ff4a021c7c39178ade0300f242737f3ec0b81587cb2c49"),
     ],
-    ids=["h=45", "h=216", "h=588", "h=315"],
+    ids=["h=45", "h=216", "h=588", "h=315", "h=1518", "h=3003"],
 )
 def test_large_tables_pinned(dk, ideal, digest):
     group = group_table(make_modulus(make_discriminant(dk), *ideal))
