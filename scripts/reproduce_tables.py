@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 
 from rayform.forms import QuadForm
-from rayform.qfield import make_discriminant
+from rayform.qfield import InternalCheckError, make_discriminant
 from rayform.rayclass import _class_index, group_table, make_modulus
 
 
@@ -62,7 +62,7 @@ def run_case(case: Case) -> None:
     disc = make_discriminant(case.dk)
     mod = make_modulus(disc, *case.ideal)
     group = group_table(mod)
-    print(f"== {case.name}: dK = {case.dk}, modulus {mod.ideal} ==")
+    print(f"== {case.name}: dK = {case.dk}, modulus {mod} ==")
     print(f"classes ({len(group.classes)}):")
 
     names = {_class_index(form, group): name for name, form in case.named_forms}
@@ -87,9 +87,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--case", choices=[c.name for c in CASES], default=None)
     args = parser.parse_args()
-    for case in CASES:
-        if args.case is None or case.name == args.case:
-            run_case(case)
+    try:
+        for case in CASES:
+            if args.case is None or case.name == args.case:
+                run_case(case)
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -11,7 +11,7 @@ import sys
 
 from rayform.checks import run_checks
 from rayform.modular import Precision
-from rayform.qfield import QFieldError, make_discriminant
+from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import make_modulus
 
 
@@ -29,6 +29,9 @@ def main() -> int:
     except QFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     print(f"digits={args.digits} samples={args.samples} seed={args.seed}")
     for check in checks:
         print(check)

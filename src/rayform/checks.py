@@ -10,9 +10,8 @@ from typing import NamedTuple
 
 from . import modular
 from .forms import QuadForm, UnimodMatrix
-from .qfield import QFieldError, _egcd
+from .qfield import IdealTriple, QFieldError, _egcd
 from .rayclass import (
-    Modulus,
     _class_index,
     class_key,
     class_translate,
@@ -113,10 +112,10 @@ def _invariance_residuals(mod, reps, values, p, rng):
 
 def _route_residuals(descs, values, p):
     for d, value in zip(descs, values):
-        yield abs(value - modular.eval_descriptor_unreduced(d, None, p))
+        yield abs(value - modular.eval_descriptor_unreduced(d, p))
 
 
-def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
+def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
     """The seven checks of `rayform verify`, in order.  The power relations
     and the transformation law each draw `samples` >= 1 random points; the
     class checks cover every class."""
@@ -169,15 +168,14 @@ def run_checks(mod: Modulus, p, tol_exp: int, rng, samples: int = 5) -> list[Che
     numeric("power relations between the three indexed values", _power_residuals(p, rng, samples))
     numeric("row transformation law", _law_residuals(p, rng, samples))
 
-    # the unit-normalized value of the modulus lattice is the value at xi with
-    # row (0, 1/N), so the identity class carries it exactly when its
-    # descriptor has a_inv = 1 and sends the point to xi mod Z: its point's
-    # form is a translate (A, B - 2A t, .) of xi's form (A, B, .)
-    xi, unit = mod.xi(), descriptor(QuadForm(1, disc.b0, disc.c0), mod)
-    z = unit.eval_point()
-    at_xi = unit.a_inv == 1 and (z.a, z.disc()) == (xi.a, xi.disc())
-    at_xi = at_xi and (z.b - xi.b) % (2 * z.a) == 0
-    (zu, zv), (xu, xv) = point_coords(z, disc), point_coords(xi, disc)
+    # the unit-normalized value of the modulus lattice is the value at
+    # xi = (a1/N)*tau + a2/N with row (0, 1/N), so the identity class carries
+    # it exactly when its descriptor has a_inv = 1 and sends the point to xi
+    # mod Z: the same tau coordinate, and constant terms an integer apart
+    xu, xv = Fraction(mod.a1, mod.c), Fraction(mod.a2, mod.c)
+    unit = descriptor(QuadForm(1, disc.b0, disc.c0), mod)
+    zu, zv = point_coords(unit.eval_point(), disc)
+    at_xi = unit.a_inv == 1 and zu == xu and (zv - xv).denominator == 1
     detail = f"a_inv {unit.a_inv}, point - xi = ({zu - xu})*tau + ({zv - xv})"
     detail += f" at xi = ({xu})*tau + ({xv})"
     record("identity-class descriptor sends the point to xi mod Z", at_xi, detail)

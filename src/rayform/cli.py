@@ -20,6 +20,7 @@ import sys
 
 from .forms import QuadForm, parse_form, reduced_forms
 from .qfield import (
+    IdealTriple,
     InternalCheckError,
     QFieldError,
     canonicalize_ideal,
@@ -28,7 +29,6 @@ from .qfield import (
     ray_class_number_oracle,
 )
 from .rayclass import (
-    Modulus,
     class_group_to_json,
     compose,
     descriptor,
@@ -110,7 +110,7 @@ def _digits(args) -> int:
     return 80
 
 
-def _modulus(args) -> Modulus:
+def _modulus(args) -> IdealTriple:
     disc = make_discriminant(args.dk)
     if args.ideal and args.ideal_gens:
         raise QFieldError("give either --ideal or --ideal-gens, not both")
@@ -251,7 +251,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mod = _modulus(args)
-    count = ray_class_number_oracle(mod.disc, mod.ideal)
+    count = ray_class_number_oracle(mod.disc, mod)
     _emit(args, {"ray_class_number": count}, lambda: [str(count)])
     return 0
 
@@ -266,7 +266,7 @@ def _cmd_verify(args) -> int:
     checks = run_checks(mod, modular.Precision(digits), tol_exp, random.Random(_VERIFY_SEED))
     passed = all(c.passed for c in checks)
     results = [c._asdict() for c in checks]
-    payload = {"dK": mod.disc.d, "ideal": str(mod.ideal), "passed": passed, "checks": results}
+    payload = {"dK": mod.disc.d, "ideal": str(mod), "passed": passed, "checks": results}
     _emit(args, payload, lambda: [*map(str, checks), f"overall: {'PASS' if passed else 'FAIL'}"])
     return 0 if passed else 3
 

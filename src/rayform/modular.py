@@ -632,7 +632,7 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     return _torsion_value(ctx, label.i, values)
 
 
-def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
+def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):
     """Same value along the unreduced route: row numerator a^(phi(N)-1),
     as the product-ideal basis hands it over, the embedded point reduced
     numerically, and the q-series.  The product-ideal matrix is the
@@ -642,7 +642,7 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, i=None, p: Precision = Pre
     identity, not a private shortcut; keep the two code paths separate.
     """
     ctx = _ctx(p)
-    label = descriptor_label(desc, i)
+    label = descriptor_label(desc)
     phi = sum(math.gcd(x, label.level) == 1 for x in range(label.level))
     t0, g = _reduce_tau(ctx, _embed(ctx, desc.eval_point(), desc.disc))
     k, m, n = _exact_cell(0, desc.point.a ** (phi - 1), label.level, g)

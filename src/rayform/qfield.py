@@ -106,7 +106,8 @@ def make_discriminant(d: int) -> Discriminant:
 
 
 class IdealTriple(NamedTuple):
-    """Canonical normal form (a1, a2, c) of an integral ideal."""
+    """Canonical normal form (a1, a2, c) of an integral ideal; c is N, the
+    least positive rational integer in the ideal."""
 
     disc: Discriminant
     a1: int

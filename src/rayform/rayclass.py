@@ -1,11 +1,12 @@
 """Form classes over a ray modulus of an imaginary quadratic field.
 
-The modulus is a nontrivial integral ideal n of the maximal order, with level
-N the least positive integer it contains.  Among primitive positive definite
-forms of the field discriminant, those with leading coefficient coprime to N
-split into finitely many classes under a congruence-constrained unimodular
-equivalence; the classes form a group isomorphic to the ray class group mod n,
-with composition matching ideal multiplication.  Everything in this module is
+The modulus is a nontrivial integral ideal n of the maximal order, an
+`IdealTriple` (a1, a2, c) whose c is the level N, the least positive integer
+it contains.  Among primitive positive definite forms of the field
+discriminant, those with leading coefficient coprime to N split into
+finitely many classes under a congruence-constrained unimodular equivalence;
+the classes form a group isomorphic to the ray class group mod n, with
+composition matching ideal multiplication.  Everything in this module is
 exact integer arithmetic; points of the field are the roots of primitive
 integral forms, and `point_coords` turns one into rational (tau, 1)
 coordinates for printing.
@@ -62,27 +63,11 @@ IdealKey = tuple[tuple[int, int, int], tuple[int, int]]
 # IdealKey of the same numbers: the two kinds never share a container.
 
 
-class Modulus(NamedTuple):
-    disc: Discriminant
-    ideal: IdealTriple
-
-    @property
-    def level(self) -> int:
-        """N, the least positive rational integer in the ideal."""
-        return self.ideal.c
-
-    def xi(self) -> QuadForm:
-        """The primitive form of xi = (a1*tau + a2)/N, the upper half plane
-        point attached to the ideal: N^2 (X^2 - tr(xi) X + norm(xi))."""
-        n, N = self.ideal, self.level
-        return _primitive(N * N, -N * (2 * n.a2 - self.disc.b0 * n.a1), self.disc.norm(n.a1, n.a2))
-
-
-def make_modulus(disc: Discriminant, a1: int, a2: int, c: int) -> Modulus:
+def make_modulus(disc: Discriminant, a1: int, a2: int, c: int) -> IdealTriple:
     ideal = make_ideal_triple(disc, a1, a2, c)
     if (a1, a2, c) == (1, 0, 1):
         raise QFieldError("modulus must be a proper ideal of the order")
-    return Modulus(disc, ideal)
+    return ideal
 
 
 class FormClass(NamedTuple):
@@ -97,7 +82,7 @@ class ClassGroup(NamedTuple):
     with the table and invariant factors once `group_table` has filled them
     in.  `index` is a dict, so a group does not hash."""
 
-    modulus: Modulus
+    modulus: IdealTriple
     classes: tuple[FormClass, ...]
     index: dict[ClassKey, int]
     table: tuple[tuple[int, ...], ...] | None = None
@@ -144,7 +129,7 @@ def point_coords(form: QuadForm, disc: Discriminant) -> tuple[Fraction, Fraction
     return Fraction(k, form.a), Fraction(k * disc.b0 - form.b, 2 * form.a)
 
 
-def _require_form(form: QuadForm, mod: Modulus) -> None:
+def _require_form(form: QuadForm, mod: IdealTriple) -> None:
     """Check a caller's form for Q_N(dK): a > 0, disc = dK and gcd(a, N) = 1.
     Content g > 1 would make form/g a form of discriminant dK/g^2, which a
     fundamental dK rules out; a > 0 with disc < 0 makes the form definite."""
@@ -153,9 +138,9 @@ def _require_form(form: QuadForm, mod: Modulus) -> None:
         raise QFieldError(f"form {form} is not positive definite")
     if d != mod.disc.d:
         raise QFieldError(f"form discriminant {d} does not match field {mod.disc.d}")
-    if math.gcd(form.a, mod.level) != 1:
+    if math.gcd(form.a, mod.c) != 1:
         raise QFieldError(
-            f"leading coefficient {form.a} shares a factor with level {mod.level}"
+            f"leading coefficient {form.a} shares a factor with level {mod.c}"
         )
 
 
@@ -165,7 +150,7 @@ def _half(n: int) -> int:
     return n // 2
 
 
-def canonical_offset(form: QuadForm, mod: Modulus) -> int:
+def canonical_offset(form: QuadForm, mod: IdealTriple) -> int:
     """The unique integer locating the product ideal's canonical basis.
 
     Congruent to a2 - a1*(b + b0)/2 mod N, divisible by a, and windowed so
@@ -173,27 +158,27 @@ def canonical_offset(form: QuadForm, mod: Modulus) -> int:
     the base a*((a2 - shift)*a^-1 mod N) is the least x >= 0 with
     x = a2 - shift (mod N) and a | x, given a prime to N (`descriptor` checks).
     """
-    n, N, a = mod.ideal, mod.level, form.a
-    shift = n.a1 * _half(form.b + mod.disc.b0)
-    base = a * ((n.a2 - shift) * pow(a, -1, N) % N)
+    N, a = mod.c, form.a
+    shift = mod.a1 * _half(form.b + mod.disc.b0)
+    base = a * ((mod.a2 - shift) * pow(a, -1, N) % N)
     period = N * a
     return (base + shift) % period - shift
 
 
-def _witness_slope(form: QuadForm, mod: Modulus) -> int:
+def _witness_slope(form: QuadForm, mod: IdealTriple) -> int:
     # k with the witness condition s = 1 + k*r mod N, built from the form
-    n, N = mod.ideal, mod.level
+    N = mod.c
     a_inv = pow(form.a, -1, N)
-    return (a_inv * (n.a2 // n.a1 - _half(mod.disc.b0 - form.b))) % N
+    return (a_inv * (mod.a2 // mod.a1 - _half(mod.disc.b0 - form.b))) % N
 
 
-def _satisfies_witness(g: UnimodMatrix, form: QuadForm, mod: Modulus) -> bool:
+def _satisfies_witness(g: UnimodMatrix, form: QuadForm, mod: IdealTriple) -> bool:
     k = _witness_slope(form, mod)
-    return g.r % mod.ideal.a1 == 0 and (g.s - 1 - k * g.r) % mod.level == 0
+    return g.r % mod.a1 == 0 and (g.s - 1 - k * g.r) % mod.c == 0
 
 
 def equivalent(
-    form1: QuadForm, form2: QuadForm, mod: Modulus
+    form1: QuadForm, form2: QuadForm, mod: IdealTriple
 ) -> UnimodMatrix | None:
     """Witness matrix alpha with form1 == act(form2, alpha) meeting the
     congruence conditions, or None when the classes differ.
@@ -223,7 +208,7 @@ def _form_ideal(form: QuadForm, disc: Discriminant) -> IdealTriple:
     return make_ideal_triple(disc, 1, _half(disc.b0 - form.b) % form.a, form.a)
 
 
-def ideal_keys(forms: list[QuadForm], mod: Modulus) -> list[IdealKey]:
+def ideal_keys(forms: list[QuadForm], mod: IdealTriple) -> list[IdealKey]:
     """Ideal-route labels of the forms, comparable within one call only: for
     f = (a, b, c), with ideal I_f = [a*omega, a] of norm a, the pair of
     `ideal_class_form(I_f)` and the least residue mod n of g*(a^-1 mod N)
@@ -236,7 +221,7 @@ def ideal_keys(forms: list[QuadForm], mod: Modulus) -> list[IdealKey]:
     eps*g1/a1 = g2/a2 mod* n.  Each g is prime to n, as N(g) = a*a_base and
     this call checks both prime to N; so g/a = g*(a^-1 mod N) mod* n.
     """
-    disc, n, N = mod.disc, mod.ideal, mod.level
+    disc, N = mod.disc, mod.c
     conjs: dict[tuple[int, int, int], IdealTriple] = {}
     keys = []
     for form in forms:
@@ -249,11 +234,11 @@ def ideal_keys(forms: list[QuadForm], mod: Modulus) -> list[IdealKey]:
         if not gens:
             raise InternalCheckError(f"I_f*conj(I_base) has no generator for {form} in class {name}")
         a_inv = pow(form.a, -1, N)
-        keys.append((name, min(n.residue(u * a_inv, v * a_inv) for u, v in gens)))
+        keys.append((name, min(mod.residue(u * a_inv, v * a_inv) for u, v in gens)))
     return keys
 
 
-def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
+def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: IdealTriple) -> bool:
     """Independent equivalence test straight from the ray class definition:
     the two forms' `ideal_keys` from one call are equal.  No reduction and
     no witness matrices are involved."""
@@ -261,7 +246,7 @@ def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: Modulus) -> bool:
     return key1 == key2
 
 
-def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix:
+def witness_matrix(form: QuadForm, mod: IdealTriple, k: int, j: int) -> UnimodMatrix:
     """A matrix meeting the witness congruence for the form, parametrized by
     two free integers: k picks the bottom-left entry a1*k mod N, j shears
     the top row.  Acting by its inverse yields a form in the same class.
@@ -269,14 +254,14 @@ def witness_matrix(form: QuadForm, mod: Modulus, k: int, j: int) -> UnimodMatrix
     by multiples of N, which a1 divides, and the congruence reads r mod N.
     """
     _require_form(form, mod)
-    N, r = mod.level, mod.ideal.a1 * k
+    N, r = mod.c, mod.a1 * k
     g = t_power(j) @ lift_bottom_row((r, (1 + _witness_slope(form, mod) * r) % N), N)
     if not _satisfies_witness(g, form, mod):
         raise InternalCheckError(f"constructed matrix {g} fails the congruence")
     return g
 
 
-def class_translate(form: QuadForm, mod: Modulus, k: int, j: int) -> QuadForm | None:
+def class_translate(form: QuadForm, mod: IdealTriple, k: int, j: int) -> QuadForm | None:
     """A different representative of the form's class, or None when the
     leading coefficient shares a factor with N or the matrix fixes the form
     (k = j = 0 gives the identity or an automorph).  It lies in the class by
@@ -284,12 +269,12 @@ def class_translate(form: QuadForm, mod: Modulus, k: int, j: int) -> QuadForm | 
     `witness_matrix` checks that g meets the congruence for the form."""
     g = witness_matrix(form, mod, k, j)
     moved = act(form, g.inv())
-    if moved == form or math.gcd(moved.a, mod.level) != 1:
+    if moved == form or math.gcd(moved.a, mod.c) != 1:
         return None
     return moved
 
 
-def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
+def _row_key(form: QuadForm, row: RowVec, mod: IdealTriple) -> tuple[int, int]:
     """Canonical label of the row's class under the row congruence.
 
     The row (u, v) stands for x = a*(u*omega + v) = u*tau + w with
@@ -298,7 +283,7 @@ def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
     orbit of x, all in integer (tau, 1) coordinates.
     """
     u, v = row
-    disc, n = mod.disc, mod.ideal
+    disc = mod.disc
     w = u * _half(disc.b0 - form.b) + v * form.a
     key = None
     for eu, ev in disc.unit_coords():
@@ -307,14 +292,14 @@ def _row_key(form: QuadForm, row: RowVec, mod: Modulus) -> tuple[int, int]:
         # share no arithmetic with the ideal route that checks them
         xu = eu * (w - u * disc.b0) + ev * u
         xv = ev * w - eu * u * disc.c0
-        residue = (xu % n.a1, (xv - xu // n.a1 * n.a2) % n.c)
+        residue = (xu % mod.a1, (xv - xu // mod.a1 * mod.a2) % mod.c)
         if key is None or residue < key:
             key = residue
     return key
 
 
 def row_classes(
-    form: QuadForm, mod: Modulus, fiber: int
+    form: QuadForm, mod: IdealTriple, fiber: int
 ) -> tuple[tuple[tuple[int, int], RowVec], ...]:
     """The (key, row) pairs of the lexicographically least admissible row of
     each row class, keyed by `_row_key`, in row order, up to the row that
@@ -329,7 +314,7 @@ def row_classes(
     is checked by `enumerate_classes`: a fault that splits a class leaves
     two keys of one class, which the ideal keys see, and one that merges two
     classes runs out of rows short of the fiber, which the count sees."""
-    N = mod.level
+    N = mod.c
     a, b, c = form
     reps: dict[tuple[int, int], RowVec] = {}
     for u in range(N):
@@ -341,7 +326,7 @@ def row_classes(
     return tuple(reps.items())
 
 
-def _key_at(form: QuadForm, row: RowVec, mod: Modulus) -> ClassKey:
+def _key_at(form: QuadForm, row: RowVec, mod: IdealTriple) -> ClassKey:
     """Class key of act(form, sigma^-1) for any sigma with bottom row = row
     mod N: the reduced form plus the row key of row*g^-1*n, with form ==
     act(red, g) and n carrying red to its coprime-normalized form.
@@ -359,13 +344,13 @@ def _key_at(form: QuadForm, row: RowVec, mod: Modulus) -> ClassKey:
     must be in Q_N(dK); it is not checked here.
     """
     red, g = reduce(form)
-    normalized, n = coprime_normalize(red, mod.level)
+    normalized, n = coprime_normalize(red, mod.c)
     m = g.inv() @ n
     u, v = row
     return red, _row_key(normalized, (u * m.p + v * m.r, u * m.q + v * m.s), mod)
 
 
-def class_key(form: QuadForm, mod: Modulus) -> ClassKey:
+def class_key(form: QuadForm, mod: IdealTriple) -> ClassKey:
     """Canonical label of the form's class: its reduced form plus the row
     key of the matrix carrying the coprime-normalized reduced form to it,
     `_key_at` the row (0, 1).
@@ -397,7 +382,7 @@ def lift_bottom_row(row: RowVec, level: int) -> UnimodMatrix:
     raise InternalCheckError(f"no coprime lift of {row} mod {level} within bound")
 
 
-def enumerate_classes(mod: Modulus) -> ClassGroup:
+def enumerate_classes(mod: IdealTriple) -> ClassGroup:
     """All classes of the modulus, each as an explicit representative form.
 
     Walks the reduced forms, renormalizes leading coefficients against the
@@ -421,9 +406,9 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     - h_K not dividing h leaves the count short, since no fiber yields more
       than h // h_K keys.
     """
-    disc, N = mod.disc, mod.level
+    disc, N = mod.disc, mod.c
     bases = reduced_forms(disc)
-    expected = ray_class_number_oracle(disc, mod.ideal)
+    expected = ray_class_number_oracle(disc, mod)
     fiber = expected // len(bases)
     reps: list[FormClass] = []
     for base in bases:
@@ -449,7 +434,7 @@ def enumerate_classes(mod: Modulus) -> ClassGroup:
     return ClassGroup(mod, classes, index)
 
 
-def _compose_parts(form1: QuadForm, form2: QuadForm, mod: Modulus) -> tuple[QuadForm, RowVec]:
+def _compose_parts(form1: QuadForm, form2: QuadForm, mod: IdealTriple) -> tuple[QuadForm, RowVec]:
     """Dirichlet composition up to its correcting row: the product form and
     the bottom row (x, y) mod N of the matrix that `compose` moves it by.
 
@@ -463,7 +448,7 @@ def _compose_parts(form1: QuadForm, form2: QuadForm, mod: Modulus) -> tuple[Quad
     y = s + r*(B - b2)/(2*a2), an integer since B = b2 mod 2*a2.  The forms
     must be in Q_N(dK); they are not checked here.
     """
-    N, d = mod.level, mod.disc.d
+    N, d = mod.c, mod.disc.d
     a, b = form1.a, form1.b
     moved, gamma = coprime_normalize(form2, 2 * a * N * abs(d))
     a2, b2 = moved.a, moved.b
@@ -484,7 +469,7 @@ def _compose_parts(form1: QuadForm, form2: QuadForm, mod: Modulus) -> tuple[Quad
     return product, (x % N, y % N)
 
 
-def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
+def compose(form1: QuadForm, form2: QuadForm, mod: IdealTriple) -> QuadForm:
     """Class composition compatible with ideal multiplication: the product
     form of `_compose_parts` moved by the inverse of `lift_bottom_row` of its
     correcting row, a representative prime to N.  `group_table` keys its
@@ -492,8 +477,8 @@ def compose(form1: QuadForm, form2: QuadForm, mod: Modulus) -> QuadForm:
     _require_form(form1, mod)
     _require_form(form2, mod)
     product, row = _compose_parts(form1, form2, mod)
-    result = act(product, lift_bottom_row(row, mod.level).inv())
-    if math.gcd(result.a, mod.level) != 1 or result.content() != 1 or result.a <= 0:
+    result = act(product, lift_bottom_row(row, mod.c).inv())
+    if math.gcd(result.a, mod.c) != 1 or result.content() != 1 or result.a <= 0:
         raise InternalCheckError(f"composite representative {result} is invalid")
     return result
 
@@ -548,7 +533,7 @@ def _invariant_factors(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(reversed(factors))
 
 
-def group_table(mod: Modulus) -> ClassGroup:
+def group_table(mod: IdealTriple) -> ClassGroup:
     """Enumerate the classes and fill in the full composition table plus the
     invariant factor decomposition.
 
@@ -590,18 +575,18 @@ def group_table(mod: Modulus) -> ClassGroup:
     return group._replace(table=table, invariant_factors=_invariant_factors(table))
 
 
-def descriptor(form: QuadForm, mod: Modulus) -> GaloisDescriptor:
+def descriptor(form: QuadForm, mod: IdealTriple) -> GaloisDescriptor:
     """Exact Galois-action data of the class of the form: the twisted index,
     the evaluation matrix, and the conjugate root as base point, the root
     tau/a + (b0 + b)/(2a) of (a, -b, c)."""
     _require_form(form, mod)
-    N, a = mod.level, form.a
+    N, a = mod.c, form.a
     off = canonical_offset(form, mod)
     if off % a:
         raise InternalCheckError("offset not divisible by the leading coefficient")
     return GaloisDescriptor(
         a_inv=pow(a, -1, N),
-        eval_matrix=((mod.ideal.a1, off // a), (0, N)),
+        eval_matrix=((mod.a1, off // a), (0, N)),
         point=QuadForm(a, -form.b, form.c),
     )
 
@@ -609,7 +594,7 @@ def descriptor(form: QuadForm, mod: Modulus) -> GaloisDescriptor:
 def class_group_to_json(group: ClassGroup) -> dict:
     data = {
         "dK": group.modulus.disc.d,
-        "ideal": str(group.modulus.ideal),
+        "ideal": str(group.modulus),
         "classes": [fc.rep._asdict() for fc in group.classes],
         "table": [list(row) for row in group.table] if group.table else None,
         "invariant_factors": list(group.invariant_factors)

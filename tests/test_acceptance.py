@@ -321,6 +321,6 @@ def test_criterion_8():
             value = eval_descriptor(descriptor(moved, MOD20), None, P80)
             worst = max(worst, abs(value - ref))
         d = descriptor(fc.rep, MOD20)
-        worst = max(worst, abs(eval_descriptor_unreduced(d, None, P80) - ref))
+        worst = max(worst, abs(eval_descriptor_unreduced(d, P80) - ref))
     assert worst < tol40
     report(8, f"class-invariance and route agreement, worst deviation {mpmath.nstr(worst, 3)}")

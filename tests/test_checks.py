@@ -92,18 +92,40 @@ def test_identity_check_fails_when_mutated(monkeypatch, dk, mutation):
     assert identity_check().passed
     offset, right = rayclass.canonical_offset, checks.descriptor
     if mutation == "offset":
-        for t in range(1, mod.level):
+        for t in range(1, mod.c):
             monkeypatch.setattr(rayclass, "canonical_offset", lambda f, m, t=t: offset(f, m) + t * f.a)
             check = identity_check()
             assert not check.passed, check.detail
-            assert f"point - xi = (0)*tau + ({Fraction(t, mod.level)})" in check.detail
+            assert f"point - xi = (0)*tau + ({Fraction(t, mod.c)})" in check.detail
         return
-    change = {"a_inv": mod.level - 1} if mutation == "a_inv" else {
-        "eval_matrix": ((mod.level, 0), (0, mod.level))
+    change = {"a_inv": mod.c - 1} if mutation == "a_inv" else {
+        "eval_matrix": ((mod.c, 0), (0, mod.c))
     }
     monkeypatch.setattr(checks, "descriptor", lambda f, m: right(f, m)._replace(**change))
     check = identity_check()
     assert not check.passed, check.detail
+
+
+@pytest.mark.parametrize("dk, ideal", [(-3, (3, 6, 9)), (-4, (4, 4, 8))])
+def test_modulus_is_the_canonical_triple(dk, ideal):
+    """The modulus is its ideal: `make_modulus` returns the canonical triple
+    and rejects the order itself, and a triple parsed from text or spanned
+    by other generators (`--ideal-gens`) gives the same table and report."""
+    disc = make_discriminant(dk)
+    a1, a2, c = ideal
+    mod = make_modulus(disc, a1, a2, c)
+    assert mod == qfield.make_ideal_triple(disc, a1, a2, c)
+    with pytest.raises(QFieldError):
+        make_modulus(disc, 1, 0, 1)
+    table = group_table(mod)
+    report = run_checks(mod, Precision(30), 15, random.Random(911), 1)
+    assert all(check.passed for check in report)
+    parsed = qfield.parse_ideal_triple(disc, f"{a1},{a2},{c}")
+    spanned = qfield.canonicalize_ideal(disc, [(a1, a2 + c), (2 * a1, 2 * a2 + c)])
+    for triple in (parsed, spanned):
+        assert triple == mod
+        assert group_table(triple) == table
+        assert run_checks(triple, Precision(30), 15, random.Random(911), 1) == report
 
 
 @pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-23, 3, 9, 12)])

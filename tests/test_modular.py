@@ -396,7 +396,7 @@ def test_descriptor_two_routes_agree():
     group = enumerate_classes(MOD20)
     for fc in group.classes:
         d = descriptor(fc.rep, MOD20)
-        assert abs(eval_descriptor(d, None, P80) - eval_descriptor_unreduced(d, None, P80)) < tol
+        assert abs(eval_descriptor(d, None, P80) - eval_descriptor_unreduced(d, P80)) < tol
 
 
 def test_descriptor_values_separate_classes():
@@ -414,10 +414,10 @@ def test_identity_class_is_unit_normalized_lattice_value():
     # class's descriptor has a_inv = 1 and sends its point to xi mod Z
     ctx = ctx_for(80)
     d = descriptor(QuadForm(1, 0, 5), MOD20)
-    (zu, zv), (xu, xv) = point_coords(d.eval_point(), D20), point_coords(MOD20.xi(), D20)
-    assert (xu, xv) == (Fraction(2, 6), Fraction(4, 6))
-    assert (d.a_inv, zu - xu, (zv - xv).denominator) == (1, 0, 1)
-    xi = modular._embed(modular._ctx(P80), MOD20.xi(), D20)
+    zu, zv = point_coords(d.eval_point(), D20)
+    assert (d.a_inv, zu, (zv - Fraction(4, 6)).denominator) == (1, Fraction(2, 6), 1)
+    tau = modular._embed(modular._ctx(P80), QuadForm(1, 0, 5), D20)
+    xi = (2 * tau + 4) / 6
     via_lattice = fricke(FrickeLabel(1, 0, 1, 6), xi, P80)
     assert abs(eval_descriptor(d, None, P80) - via_lattice) < ctx.mpf(10) ** -70
 
@@ -430,7 +430,7 @@ def test_descriptor_index_argument_forms():
     assert eval_descriptor(d4, None, P30) == eval_descriptor(d4, 2, P30)
 
 
-@pytest.mark.parametrize("route", [eval_descriptor, eval_descriptor_unreduced])
+@pytest.mark.parametrize("route", [eval_descriptor])
 @pytest.mark.parametrize("index", [0, 4])
 def test_descriptor_routes_reject_bad_index(route, index):
     d = descriptor(QuadForm(7, -6, 2), MOD20)
@@ -1043,7 +1043,7 @@ def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
     monkeypatch.setattr(modular, "_CONTEXTS", {})
     assert [call() for call in calls] == before
     with pytest.raises(AssertionError, match="complex exponential"):
-        eval_descriptor_unreduced(descs[0], None, P80)
+        eval_descriptor_unreduced(descs[0], P80)
 
 
 def test_theta_phases_enter_cos_sin_pi_folded(monkeypatch):
@@ -1098,7 +1098,7 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     monkeypatch.setattr(modular, "_reduce_tau", refuse)
     assert [call() for call in calls] == before
     with pytest.raises(AssertionError, match="numeric reduction"):
-        eval_descriptor_unreduced(descs[0], None, P80)
+        eval_descriptor_unreduced(descs[0], P80)
 
 
 def test_theta_route_builds_no_fraction(monkeypatch):
@@ -1111,7 +1111,7 @@ def test_theta_route_builds_no_fraction(monkeypatch):
     label = FrickeLabel(1, 2, 5, 6)
     tau = mpmath.mpc("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs]
-    calls += [lambda d=d: eval_descriptor_unreduced(d, None, P80) for d in descs]
+    calls += [lambda d=d: eval_descriptor_unreduced(d, P80) for d in descs]
     calls += [
         lambda: fricke(label, tau, P80),
         lambda: modular._power_values(label, tau, P80),

@@ -355,7 +355,7 @@ def test_mult_congruence_matches_fraction_definition(dk, ideal):
             num = disc.mul(g1, _conj(disc, g2))
             refs = {
                 _congruent_one_by_fractions(
-                    *(f2.a * w for w in disc.mul(eps, num)), f1.a * disc.norm(*g2), mod.ideal
+                    *(f2.a * w for w in disc.mul(eps, num)), f1.a * disc.norm(*g2), mod
                 )
                 for eps in disc.unit_coords()
             }

@@ -104,8 +104,8 @@ def test_modulus_rejects_unit_ideal():
 
 
 def test_modulus_level():
-    assert MOD20.level == 6
-    assert MOD23.level == 12
+    assert MOD20.c == 6
+    assert MOD23.c == 12
 
 
 def test_canonical_offset_golden():
@@ -120,8 +120,8 @@ def test_canonical_offset_unique_in_window(seed):
     mod = rng.choice([MOD20, MOD23])
     base = rng.choice(enumerate_classes(mod).classes).rep
     form = translates(base, mod, rng, 1)[0]
-    a1, a2 = mod.ideal.a1, mod.ideal.a2
-    level, a = mod.level, form.a
+    a1, a2 = mod.a1, mod.a2
+    level, a = mod.c, form.a
     shift = a1 * (form.b + mod.disc.b0) // 2
     hits = [
         x
@@ -269,7 +269,7 @@ def row_in_vq(form, row, level):
 
 def fiber_of(mod):
     """Classes over each reduced form: h / h_K."""
-    return ray_class_number_oracle(mod.disc, mod.ideal) // len(reduced_forms(mod.disc))
+    return ray_class_number_oracle(mod.disc, mod) // len(reduced_forms(mod.disc))
 
 
 def test_row_membership(monkeypatch):
@@ -321,7 +321,7 @@ def test_row_classes_match_brute_force():
     assert len(cases) == 829
     for dk, a1, a2, c in cases:
         mod = make_modulus(make_discriminant(dk), a1, a2, c)
-        level, fiber = mod.level, fiber_of(mod)
+        level, fiber = mod.c, fiber_of(mod)
         for base in reduced_forms(mod.disc):
             form, _ = coprime_normalize(base, level)
             least = {}
@@ -338,7 +338,7 @@ def test_rows_equivalence_relation():
     # rows share a key exactly when their lifted forms are equivalent
     rng = random.Random(3)
     for mod, form in ((MOD20, QuadForm(7, -6, 2)), (MOD23, QuadForm(41, -31, 6))):
-        level = mod.level
+        level = mod.c
         members = [
             (u, v)
             for u in range(level)
@@ -371,7 +371,7 @@ def test_row_key_matches_field_route():
         assert len(set(units)) == {-3: 6, -4: 4}.get(dk, 2)
         assert all(disc.norm(*eps) == 1 for eps in units)
         mod = make_modulus(disc, a1, a2, c)
-        level = mod.level
+        level = mod.c
         for base in reduced_forms(disc):
             form, _ = coprime_normalize(base, level)
             for u in range(level):
@@ -379,7 +379,7 @@ def test_row_key_matches_field_route():
                     if not row_in_vq(form, (u, v), level):
                         continue
                     x = (u, u * (disc.b0 - form.b) // 2 + v * form.a)
-                    ref = min(mod.ideal.residue(*disc.mul(eps, x)) for eps in units)
+                    ref = min(mod.residue(*disc.mul(eps, x)) for eps in units)
                     assert _row_key(form, (u, v), mod) == ref, (dk, a1, a2, c, form, u, v)
                     rows += 1
     assert rows > 15000
@@ -394,7 +394,7 @@ def test_collision_check_catches_a_repeated_row_class(monkeypatch):
         rows = row_classes_(form, mod, fiber)
         if len(rows) < 2:
             return rows
-        level, (key, first) = mod.level, rows[0]
+        level, (key, first) = mod.c, rows[0]
         twin = next(
             (u, v)
             for u in range(level)
@@ -424,7 +424,7 @@ def test_collision_check_catches_a_translated_representative(monkeypatch, dk, id
             return built[-1]
         for k, j in itertools.product(range(1, 6), range(5)):
             moved = act_(built[0], witness_matrix(built[0], mod, k, j).inv())
-            if moved.a > 0 and math.gcd(moved.a, mod.level) == 1:
+            if moved.a > 0 and math.gcd(moved.a, mod.c) == 1:
                 return moved
 
     monkeypatch.setattr(rayclass, "act", swapped)
@@ -876,8 +876,9 @@ def test_table_census_of_first_generator_row_faults(dk, ideal, passing, swaps, m
     swaps of two of its cells that pass every check of `group_table` are
     counted.  Those swaps keep the row a permutation with pi_g[0] = g, so
     the closure builds a wrong abelian table from it: they are the blind
-    spot that the ideal-product check of each cell (ROADMAP item 2) is to
-    close, and that change should lower the pinned counts to 0."""
+    spot that the ideal-product check of each cell (ROADMAP item 1) is to
+    close.  That check is to run in `verify`, not in `group_table`, so the
+    pinned counts here stay at 2 and 30; it should fail on every swap."""
     mod = make_modulus(make_discriminant(dk), *ideal)
     group = enumerate_classes(mod)
     size = len(group.classes)
@@ -954,7 +955,7 @@ def test_keyed_cells_match_composed_representatives(dk, ideal, monkeypatch):
 
     def negated(form1, form2, modulus):
         product, (x, y) = parts(form1, form2, modulus)
-        return product, (-x % modulus.level, -y % modulus.level)
+        return product, (-x % modulus.c, -y % modulus.c)
 
     monkeypatch.setattr(rayclass, "_compose_parts", negated)
     assert group_table(mod).table == table
@@ -1034,8 +1035,8 @@ def test_descriptor_invariants(seed):
     base = rng.choice(enumerate_classes(mod).classes).rep
     form = translates(base, mod, rng, 1)[0]
     d = descriptor(form, mod)
-    a1, a2 = mod.ideal.a1, mod.ideal.a2
-    level = mod.level
+    a1, a2 = mod.a1, mod.a2
+    level = mod.c
     dq = d.eval_matrix[0][1] * form.a
     assert d.eval_matrix[0][0] * d.eval_matrix[1][1] == a1 * level
     assert (dq + a1 * (form.b + mod.disc.b0) // 2 - a2) % level == 0
@@ -1073,7 +1074,7 @@ def test_witness_matrix_and_translates():
                 j = k % 9 - 4
                 g = witness_matrix(fc.rep, mod, k, j)
                 assert rayclass._satisfies_witness(g, fc.rep, mod), (dk, fc.rep, k)
-                assert (g.r - mod.ideal.a1 * k) % mod.level == 0, (dk, fc.rep, k)
+                assert (g.r - mod.a1 * k) % mod.c == 0, (dk, fc.rep, k)
                 assert k != 0 or g == t_power(j), (dk, fc.rep, j)
 
 

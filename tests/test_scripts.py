@@ -70,3 +70,38 @@ def test_reproduce_tables_rejects_uncovered_classes():
     assert proc.returncode == 1
     assert proc.stderr.strip() == "error: the named forms of the order-4 group do not cover every class"
     assert "table" not in proc.stdout
+
+
+def start_with_fault(name, fault, *args):
+    # run the script's main under -O, in a process whose package carries a
+    # fault injected before the script imports it
+    code = (
+        f"import sys; sys.path.insert(0, 'scripts'); sys.argv[1:] = {list(args)!r}; "
+        f"from rayform import checks, rayclass; {fault}; "
+        f"import {name} as script; sys.exit(script.main())"
+    )
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, cwd=ROOT, timeout=300
+    )
+
+
+@pytest.mark.parametrize("name", ["residual_report", "reproduce_tables"])
+def test_scripts_exit_3_on_an_internal_check(name):
+    # exits 1 and 2 mean a failed check (or uncovered class) and invalid
+    # input; an InternalCheckError is a bug and exits 3 as `rayform` does.
+    # An oracle count one too high trips enumeration's own count check.
+    proc = start_with_fault(name, "rayclass.ray_class_number_oracle = lambda disc, t: 5")
+    assert proc.returncode == 3
+    assert proc.stderr.strip() == (
+        "internal check failed: enumerated 4 classes, oracle says 5 over 2 reduced forms"
+    )
+    assert proc.stdout == ""
+
+
+def test_residual_report_exits_1_on_a_failed_check():
+    # wrong coordinates for every point fail the identity-class check alone
+    fault = "checks.point_coords = lambda form, disc: (0, 0)"
+    proc = start_with_fault("residual_report", fault, "--digits", "30", "--samples", "1")
+    assert proc.returncode == 1, proc.stderr
+    verdicts = [line[:4] for line in proc.stdout.splitlines()[1:]]
+    assert verdicts == ["PASS"] * 4 + ["FAIL"] + ["PASS"] * 2
