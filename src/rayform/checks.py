@@ -62,6 +62,8 @@ def _random_row(rng) -> tuple[int, int, int]:
 
 
 def _power_residuals(p, rng, samples: int):
+    """Both reduce to Delta = E4^3 - E6^2, where S is only a scale factor:
+    they test Jacobi's identity among the theta constants, not S."""
     for _ in range(samples):
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
         label = modular.FrickeLabel(1, *_random_row(rng))
@@ -118,7 +120,9 @@ def _route_residuals(descs, values, p):
 def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
     """The seven checks of `rayform verify`, in order.  The power relations
     and the transformation law each draw `samples` >= 1 random points; the
-    class checks cover every class."""
+    class checks cover every class.  Of the numeric checks only the route
+    check reads the q-series, so it alone sees a fault in S on the theta
+    route: the law and invariance compare the theta route with itself."""
     if not 1 <= tol_exp <= modular.MAX_DIGITS:
         raise QFieldError(f"tolerance exponent must be from 1 to {modular.MAX_DIGITS}, got {tol_exp}")
     if samples < 1:

@@ -34,8 +34,8 @@ from .rayclass import (
     descriptor,
     enumerate_classes,
     equivalent,
-    equivalent_oracle,
     group_table,
+    ideal_keys,
     make_modulus,
     point_coords,
 )
@@ -183,19 +183,20 @@ def _cmd_equiv(args) -> int:
     mod = _modulus(args)
     f1, f2 = _two_forms(args)
     witness = equivalent(f1, f2, mod)
-    oracle = equivalent_oracle(f1, f2, mod)
-    if (witness is not None) != oracle:
+    key1, key2 = ideal_keys([f1, f2], mod)
+    same = key1 == key2
+    if (witness is not None) != same:
         raise InternalCheckError(
             f"equivalence routes disagree on {f1} vs {f2}: "
-            f"witness={witness is not None}, ideal route={oracle}"
+            f"witness={witness is not None}, ideal route={same}"
         )
-    payload = {"equivalent": oracle}
+    payload = {"equivalent": same}
     if witness is not None:
-        payload["witness"] = [list(r) for r in witness.rows()]
+        payload["witness"] = witness.rows()
     _emit(
         args,
         payload,
-        lambda: [f"equivalent: {str(oracle).lower()}"]
+        lambda: [f"equivalent: {str(same).lower()}"]
         + ([f"witness: {witness.rows()}"] if witness is not None else []),
     )
     return 0
@@ -215,7 +216,7 @@ def _cmd_descriptor(args) -> int:
     u, v = point_coords(d.point, mod.disc)
     payload = {
         "a_inv": d.a_inv,
-        "eval_matrix": [list(d.eval_matrix[0]), list(d.eval_matrix[1])],
+        "eval_matrix": d.eval_matrix,
         "point": {"u": str(u), "v": str(v)},
         "twist": d.twist,
     }

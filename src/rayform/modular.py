@@ -492,6 +492,9 @@ def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
     16A (n + 5), so the guard g = bitlen(A) + bitlen(n + 5) + 8 makes that
     at most 2^(1 - prec)/16.  Rounding each part to the context's
     precision then leaves q and w within 2^(3/2 - prec) of their modulus.
+    The float log lq = -L, infinite from Im tau0 near 5.7e307 on, is floored
+    at -1e300: each log in `_theta_terms` is lq times a nonnegative
+    polynomial in n, so the floor only enlarges the tail bounds.
     """
     a, b = form.a, form.b
     k, m, n = cell
@@ -510,7 +513,7 @@ def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
         c, s = _cos_sin_pi(num, den, wp)
         return ctx.make_mpc(tuple(libmp.mpf_mul(radius, part, prec, rnd) for part in (c, s)))
 
-    lq = -math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n"))
+    lq = max(-math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n")), -1e300)
     return polar(n, -b, 2 * a), lq, polar(2 * k, 2 * m * a - k * b, a * n), 2 * (k / n) * lq
 
 

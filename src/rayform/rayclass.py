@@ -13,13 +13,13 @@ coordinates for printing.
 
 Two independent routes to each question are kept side by side on purpose:
 reduction and the witness congruence (`class_key`, `equivalent`) against
-ideal arithmetic alone (`ideal_keys`, `equivalent_oracle`) for class
-membership, and enumeration against `ray_class_number_oracle` for the count.
-Each verdict is computed once, by its own route; the class key, the ideal
-labels and the witness search meet in `verify`'s route check.  Composition
-has one body, `_compose_parts` (Dirichlet's product form and the bottom row
-of its correcting matrix): `compose` lifts that row to a representative,
-and `group_table` keys each generator cell from the product and the row
+ideal arithmetic alone (`ideal_keys`) for class membership, and enumeration
+against `ray_class_number_oracle` for the count.  Each verdict is computed
+once, by its own route; the class key, the ideal labels and the witness
+search meet in `verify`'s route check.  Composition has one body,
+`_compose_parts` (Dirichlet's product form and the bottom row of its
+correcting matrix): `compose` lifts that row to a representative, and
+`group_table` keys each generator cell from the product and the row
 (`_key_at`) without building one; `verify`'s well-definedness trials are
 where the two meet.
 """
@@ -236,14 +236,6 @@ def ideal_keys(forms: list[QuadForm], mod: IdealTriple) -> list[IdealKey]:
         a_inv = pow(form.a, -1, N)
         keys.append((name, min(mod.residue(u * a_inv, v * a_inv) for u, v in gens)))
     return keys
-
-
-def equivalent_oracle(form1: QuadForm, form2: QuadForm, mod: IdealTriple) -> bool:
-    """Independent equivalence test straight from the ray class definition:
-    the two forms' `ideal_keys` from one call are equal.  No reduction and
-    no witness matrices are involved."""
-    key1, key2 = ideal_keys([form1, form2], mod)
-    return key1 == key2
 
 
 def witness_matrix(form: QuadForm, mod: IdealTriple, k: int, j: int) -> UnimodMatrix:
@@ -592,13 +584,10 @@ def descriptor(form: QuadForm, mod: IdealTriple) -> GaloisDescriptor:
 
 
 def class_group_to_json(group: ClassGroup) -> dict:
-    data = {
+    return {
         "dK": group.modulus.disc.d,
         "ideal": str(group.modulus),
         "classes": [fc.rep._asdict() for fc in group.classes],
-        "table": [list(row) for row in group.table] if group.table else None,
-        "invariant_factors": list(group.invariant_factors)
-        if group.invariant_factors is not None
-        else None,
+        "table": group.table,
+        "invariant_factors": group.invariant_factors,
     }
-    return data

@@ -36,6 +36,13 @@ def valid_triples(disc, max_c=12, skip_unit=True):
     return out
 
 
+def same_ideal_label(form1, form2, mod):
+    """The ideal route's verdict on two forms: their labels from one
+    `ideal_keys` call are equal."""
+    key1, key2 = rayclass.ideal_keys([form1, form2], mod)
+    return key1 == key2
+
+
 def drop_a_principal_row(monkeypatch):
     """Make enumeration lose the last row class of the principal form, so
     it finds one class fewer than the ray class number oracle."""

@@ -19,7 +19,7 @@ from rayform.rayclass import (
     make_modulus,
 )
 
-from conftest import split_a_translate
+from conftest import same_ideal_label, split_a_translate
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
 
@@ -248,6 +248,29 @@ def test_route_check_fails_on_a_wrong_qseries_value(monkeypatch, slot):
     assert not check.passed, check.detail
 
 
+def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
+    """S scaled by 1 + 2^-100 (about 8e-31) on the theta route, at 80 digits
+    and a tolerance of 10^-40: only "descriptor route vs unreduced route"
+    fails, the one check with a value from the q-series route.  Both power
+    relations reduce to Delta = E4^3 - E6^2, where S enters only as a scale
+    factor, so they test Jacobi's identity among the theta constants; the
+    law and invariance compare the theta route with itself.  This pins
+    that blind spot, as the table census pins the table's."""
+    before = run_checks(MOD20, Precision(80), 40, random.Random(911))
+    theta_values = modular._theta_values
+
+    def scaled_s(*args):
+        (re, im, e), *rest = theta_values(*args)
+        return ((re * (2**100 + 1), im * (2**100 + 1), e - 100), *rest)
+
+    monkeypatch.setattr(modular, "_theta_values", scaled_s)
+    after = run_checks(MOD20, Precision(80), 40, random.Random(911))
+    assert all(c.passed for c in before)
+    assert [c.name for c in after if not c.passed] == ["descriptor route vs unreduced route"]
+    assert after[5] == before[5]  # invariance: the scale cancels to the bit
+    assert after[6].detail == "worst residual 3.395e-29"
+
+
 def test_contexts_are_shared_and_keep_their_precision():
     p80 = Precision(80)
     assert modular._ctx(Precision(80)) is modular._ctx(Precision(80))
@@ -309,7 +332,7 @@ def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal)
     rep, target = split_a_translate(monkeypatch, mod)
     assert rayclass.class_key(target, mod) != rayclass.class_key(rep, mod)
     assert rayclass.equivalent(rep, target, mod) is None
-    assert rayclass.equivalent_oracle(rep, target, mod)
+    assert same_ideal_label(rep, target, mod)
     found = run_checks(mod, Precision(30), 15, random.Random(911))
     assert [c.name for c in found if not c.passed] == [ROUTE_CHECK]
     h = len(enumerate_classes(mod).classes)

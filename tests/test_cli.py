@@ -121,6 +121,27 @@ def test_descriptor():
     assert data["twist"] == "S"
 
 
+# sha256 of stdout at dK=-20, modulus 2,4,6, recorded while the payloads
+# still copied the witness rows and the evaluation matrix into lists: `json`
+# writes a tuple as it writes a list, so the records' own tuples print alike
+PAYLOAD_DIGESTS = {
+    ("equiv", "7,-6,2", "7,8,3", "json"): "34717835741d1265c0533a3270736c236b1a7d0e456e90c6bdaaadae75763095",
+    ("equiv", "7,-6,2", "7,8,3", "text"): "2a1e4bdc133150f8fe3250dec368989a2d4938783f241fc79d5fd4ff94d891bb",
+    ("equiv", "1,0,5", "5,0,1", "json"): "da1524430fc03f16643a6c7e5735bfea9705277bd03afea6fdc0d0a21e2857c4",
+    ("equiv", "1,0,5", "5,0,1", "text"): "0c093f037a859b79e636c6bb739b72840ee4bcf152b0908c01c04415fa0b5773",
+    ("descriptor", "7,-6,2", "json"): "539e0c007fbc517b7f6b924f0c59819373c83db232f40dc4319bc6ecb97e9b48",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_DIGESTS))
+def test_payloads_pinned(case):
+    command, *forms, fmt = case
+    args = [a for f in forms for a in ("--form", f)]
+    code, out, err = run(command, "--dk", "-20", "--ideal", "2,4,6", *args, "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PAYLOAD_DIGESTS[case], out
+
+
 def test_eval_value():
     data = run_json(
         "eval", "--dk", "-20", "--ideal", "2,4,6", "--form", "7,-6,2"
@@ -309,6 +330,24 @@ def test_miscount_exits_3(monkeypatch, capsys):
         assert cli.main([*args, "--dk", "-20", "--ideal", "2,4,6"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "oracle says 4" in err
+
+
+@pytest.mark.parametrize(
+    "forms, faulted, verdict",
+    [(("7,-6,2", "7,8,3"), [0, 1], "witness=True, ideal route=False"),
+     (("1,0,5", "5,0,1"), [0, 0], "witness=False, ideal route=True")],
+    ids=["split", "joined"],
+)
+def test_equiv_exits_3_when_the_routes_disagree(monkeypatch, capsys, forms, faulted, verdict):
+    # one ideal_keys call on both forms, its labels faulted against the witness
+    calls = []
+    monkeypatch.setattr(cli, "ideal_keys", lambda fs, mod: calls.append(fs) or faulted)
+    args = ["equiv", "--dk", "-20", "--ideal", "2,4,6", "--form", forms[0], "--form", forms[1]]
+    assert cli.main(args) == 3
+    assert capsys.readouterr() == (
+        "", f"internal check failed: equivalence routes disagree on {forms[0]} vs {forms[1]}: {verdict}\n"
+    )
+    assert [[str(f) for f in fs] for fs in calls] == [list(forms)]
 
 
 def test_verify_reports_a_reduce_fault(monkeypatch, capsys):

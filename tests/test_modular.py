@@ -202,22 +202,46 @@ def test_j_matches_kleinj():
 
 @pytest.mark.parametrize("digits", [30, 80])
 def test_j_far_up_the_half_plane(digits):
-    """At Im tau = 1e16 to 1e300, j = 1/q + 744 + O(q) with
+    """At Im tau = 1e16 to 1e1000, j = 1/q + 744 + O(q) with
     q = e^(2 pi i tau) within 10^-digits.  There t2 lies about
     2 pi Im tau/ln 2 bits below t3 and t4, and E4's sum once aligned them
     by that whole gap: MemoryError at 1e16, OverflowError from 1e23 on.
     From 1e154 on the square b^2 in `_theta_terms`' float root overflowed
-    too, until the root went through hypot."""
+    too, until the root went through hypot; from about 1e305 on the
+    product lq lcut under its square root overflowed (OverflowError), and
+    from about 5.7e307 on `_exact_nome`'s float log lq was -inf, NaN at
+    k = 0 (ValueError), until lq was floored.  Im tau is 10^e rounded to
+    53 bits, and the reference reads tau's exact mpf parts."""
     p = Precision(digits)
-    for im in (1e16, 1e23, 1e100, 1e154, 1e160, 1e200, 1e300):
+    for e in (16, 23, 100, 154, 160, 200, 300, 305, 306, 307, 308, 309, 400, 1000):
         for re in (0, 0.3):
-            tau = mpmath.mpc(re, im)
+            tau = mpmath.mpc(re, mpmath.mpf(10) ** e)
             ref = mpmath.ctx_mp.MPContext()
-            ref.dps = digits + 30 + round(math.log10(im))
-            q = ref.exp(-2 * ref.pi * im) * ref.expjpi(2 * ref.mpf(re))
+            ref.dps = digits + 30 + e
+            q = ref.exp(-2 * ref.pi * ref.mpf(tau.imag)) * ref.expjpi(2 * ref.mpf(tau.real))
             want = 1 / q + 744
             got = ref.mpc(eisenstein_j(tau, p))
-            assert abs(got - want) < ref.mpf(10) ** -digits * abs(want), tau
+            assert abs(got - want) < ref.mpf(10) ** -digits * abs(want), (e, re)
+
+
+def test_j_and_fricke_near_a_cusp():
+    """At tau = 0.3 + 10^-1000 i (0.3 a double) the reduced point lies
+    about 10^967 up the half plane, where `_exact_nome`'s float log lq was
+    -inf before it was floored: `eisenstein_j` and `fricke` raised
+    ValueError.  j matches 1/q + 744 at the reduced form's root, and
+    `fricke` equals `_power_values`' f1."""
+    p, label = P30, FrickeLabel(1, 1, 2, 6)
+    tau = mpmath.mpc(0.3, mpmath.mpf(10) ** -1000)
+    form, _ = reduce(modular._point_form(modular._ctx(p).mpc(tau)))
+    ref = mpmath.ctx_mp.MPContext()
+    ref.dps = 60 + len(str(form.c))
+    root = (-form.b + 1j * ref.sqrt(-form.disc())) / (2 * form.a)
+    assert root.imag > ref.mpf(10) ** 900
+    want = 1 / ref.expjpi(2 * root) + 744
+    got = ref.mpc(eisenstein_j(tau, p))
+    assert abs(got - want) < ref.mpf(10) ** -30 * abs(want)
+    f1 = fricke(label, tau, p)
+    assert ref.isfinite(f1) and f1 == modular._power_values(label, tau, p)[1]
 
 
 def test_point_form_has_the_point_as_its_root():

@@ -47,7 +47,6 @@ from rayform.rayclass import (
     descriptor,
     enumerate_classes,
     equivalent,
-    equivalent_oracle,
     group_table,
     ideal_keys,
     lift_bottom_row,
@@ -57,7 +56,7 @@ from rayform.rayclass import (
     witness_matrix,
 )
 
-from conftest import drop_a_principal_row, valid_triples
+from conftest import drop_a_principal_row, same_ideal_label, valid_triples
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -144,7 +143,7 @@ def test_translates_stay_equivalent():
         for k in range(-3, 4):
             moved = act(base, t_power(k))
             assert equivalent(base, moved, MOD20) is not None
-            assert equivalent_oracle(base, moved, MOD20)
+            assert same_ideal_label(base, moved, MOD20)
 
 
 def test_equivalent_witness_exactness():
@@ -173,8 +172,8 @@ def test_oracle_agrees_on_reference_forms():
     for f1 in REPS4:
         for f2 in REPS4:
             witness = equivalent(f1, f2, MOD20)
-            assert (witness is not None) == equivalent_oracle(f1, f2, MOD20)
-            assert equivalent_oracle(f1, f1, MOD20)
+            assert (witness is not None) == same_ideal_label(f1, f2, MOD20)
+            assert same_ideal_label(f1, f1, MOD20)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,7 +184,7 @@ def test_oracle_agreement_random(seed):
     classes = enumerate_classes(mod).classes
     f1 = translates(rng.choice(classes).rep, mod, rng, 1)[0]
     f2 = translates(rng.choice(classes).rep, mod, rng, 1)[0]
-    assert (equivalent(f1, f2, mod) is not None) == equivalent_oracle(f1, f2, mod)
+    assert (equivalent(f1, f2, mod) is not None) == same_ideal_label(f1, f2, mod)
 
 
 def _unreduced_minimal_norm(t):
@@ -447,7 +446,7 @@ def test_class_key_agrees_with_both_routes(dk):
                 f2 = forms[j]
                 same = keys[i] == keys[j]
                 assert same == (equivalent(f1, f2, mod) is not None)
-                assert same == equivalent_oracle(f1, f2, mod)
+                assert same == same_ideal_label(f1, f2, mod)
                 assert same == (labels[i] == labels[j])
 
 
@@ -475,7 +474,7 @@ def test_group_table_makes_no_pairwise_equivalence_calls(monkeypatch):
     def refuse(*args):
         raise AssertionError("group_table compared two forms pairwise")
 
-    for name in ("equivalent", "equivalent_oracle", "_satisfies_witness"):
+    for name in ("equivalent", "_satisfies_witness"):
         monkeypatch.setattr(rayclass, name, refuse)
     sizes, keys = [], rayclass.ideal_keys
     monkeypatch.setattr(rayclass, "ideal_keys", lambda forms, mod: sizes.append(len(forms)) or keys(forms, mod))
@@ -583,8 +582,8 @@ def test_ideal_route_needs_no_reduction(monkeypatch):
     monkeypatch.setattr(rayclass, "reduce", refuse)
     labels = ideal_keys(reps + moved, mod)
     assert len(set(labels)) == len(set(zip(keys, labels))) == len(reps)
-    assert all(equivalent_oracle(f, m, mod) for f, m in zip(reps, moved))
-    assert not any(equivalent_oracle(f, m, mod) for f, m in zip(reps, moved[1:]))
+    assert all(same_ideal_label(f, m, mod) for f, m in zip(reps, moved))
+    assert not any(same_ideal_label(f, m, mod) for f, m in zip(reps, moved[1:]))
 
 
 def test_miscount_raises_oracle_says(monkeypatch):
@@ -1139,5 +1138,5 @@ def test_class_group_json(group20):
     assert data["dK"] == -20
     assert data["ideal"] == "2,4,6"
     assert data["classes"][0] == {"a": 1, "b": 0, "c": 5}
-    assert len(data["table"]) == 4
-    assert data["invariant_factors"] == [4]
+    assert data["table"] is group20.table and len(data["table"]) == 4
+    assert data["invariant_factors"] == (4,)
