@@ -127,13 +127,17 @@ def reduce(form: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
     Each step acts by t_power((a - b) // (2a)) while b lies outside (-a, a],
     and by S_FLIP while a > c (or a == c and b < 0).  The form and the
     product (p, q, r, s) of the steps so far are carried as plain integers;
-    the witness is the inverse of that product.
+    the witness is the inverse of that product.  A flip comes only with
+    |b| <= a, so it sets a' = c <= (a^2 + |d|)/(4a): a halves while
+    a >= sqrt|d| and falls by at least 1 below it, and a tie flip (a == c)
+    ends the loop.  At most one translation comes before each flip, so
+    2*(bitlen(a) + isqrt|d|) + 4 steps suffice; needing more is a bug.
     """
     a, b, c = form.a, form.b, form.c
     if a <= 0 or form.disc() >= 0:
         raise QFieldError(f"cannot reduce indefinite or negative form {form}")
     p, q, r, s = 1, 0, 0, 1
-    for _ in range(10000):
+    for _ in range(2 * (a.bit_length() + math.isqrt(-form.disc())) + 4):
         if b <= -a or b > a:
             k = (a - b) // (2 * a)
             b, c = b + 2 * a * k, (a * k + b) * k + c

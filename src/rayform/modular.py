@@ -34,12 +34,13 @@ These four numbers are computed along two independent routes:
 Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
 coordinates x = k/n and y = m/n (`_exact_cell`).  The theta route reduces
-exactly, by `forms.reduce` on an integral form: `eval_descriptor` on its
-point of K, and `fricke`, `_power_values` and `eisenstein_j` on the form
-`_point_form` makes of a numeric tau; the law check's `_fricke_at` runs at
-the unreduced form.  The q-series route reduces a complex tau numerically
-(`_reduce_tau`), so the descriptor routes differ in the reduction, the row
-and the series.  Every series is truncated at an explicit tail threshold.
+exactly, by `forms.reduce` on an integral form, in `_reduced_values` for
+`eval_descriptor` (its point of K), `fricke` and `_power_values` (the form
+`_point_form` makes of a numeric tau); `eisenstein_j` reduces that form for
+its fixed cell (0, 1, 2), and the law check's `_fricke_at` runs unreduced.
+The q-series route reduces a complex tau numerically (`_reduce_tau`), so
+the descriptor routes differ in the reduction, the row and the series.
+Every series is truncated at an explicit tail threshold.
 
 Every theta core gets q = e^(i pi tau0) and w = e^(2 pi i z) from one
 builder, `_exact_nome`, at the root of the form (a, b, c) and the cell:
@@ -120,13 +121,6 @@ def _embed(ctx, form: QuadForm, disc: Discriminant):
     k = math.isqrt(form.disc() // disc.d)
     tau = (ctx.mpc(-disc.b0, ctx.sqrt(-disc.d))) / 2
     return tau * (ctx.mpf(k) / form.a) + ctx.mpf(k * disc.b0 - form.b) / (2 * form.a)
-
-
-def _ensure_finite(ctx, value):
-    for part in (value.real, value.imag):
-        if ctx.isnan(part) or ctx.isinf(part):
-            raise InternalCheckError("non-finite value escaped a series evaluation")
-    return value
 
 
 class _LabelFields(NamedTuple):
@@ -534,16 +528,21 @@ def _reduce_tau(ctx, t):
 
 
 def _torsion_value(ctx, i: int, values):
-    """Torsion-value function number i from one route's (S, E4, E6, Delta);
-    the pi powers cancel by construction."""
+    """Torsion-value function number i from one route's (S, E4, E6, Delta),
+    i = 0 standing for j; the pi powers cancel by construction."""
     s_val, e4, e6, dd = values
-    if i == 1:
+    if i == 0:
+        value = 1728 * e4 * e4 * e4 / dd
+    elif i == 1:
         value = -2 * e4 * e6 * s_val / (3 * dd)
     elif i == 2:
         value = 12 * e4**2 * s_val**2 / dd
     else:
         value = -8 * e6 * s_val * s_val * s_val / dd
-    return _ensure_finite(ctx, ctx.mpc(value))
+    value = ctx.mpc(value)
+    if not ctx.isfinite(value):
+        raise InternalCheckError("non-finite value escaped a series evaluation")
+    return value
 
 
 def _exact_cell(r: int, s: int, level: int, g: UnimodMatrix) -> tuple[int, int, int]:
@@ -565,21 +564,22 @@ def eisenstein_j(tau, p: Precision = Precision()):
     """The j-invariant of [tau, 1]: the theta core at z = 1/2 and tau's reduced form."""
     ctx = _ctx(p)
     form, _ = reduce(_point_form(ctx.mpc(tau)))
-    return _j(ctx, _theta_core(ctx, form, (0, 1, 2)))
+    return _torsion_value(ctx, 0, _theta_core(ctx, form, (0, 1, 2)))
 
 
-def _j(ctx, values):
-    _, e4, _, delta = values
-    return _ensure_finite(ctx, ctx.mpc(1728 * e4 * e4 * e4 / delta))
+def _reduced_values(ctx, form: QuadForm, label: FrickeLabel):
+    """(S, E4, E6, Delta) of the theta core at the reduced form red, with
+    form == act(red, g) by `forms.reduce`, and the label's row pushed through g^-1."""
+    form, g = reduce(form)
+    return _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
 
 
 def _power_values(label: FrickeLabel, tau, p: Precision):
     """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
     ctx = _ctx(p)
-    form, g = reduce(_point_form(ctx.mpc(tau)))
-    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
-    return (_j(ctx, values),) + tuple(_torsion_value(ctx, i, values) for i in (1, 2, 3))
+    values = _reduced_values(ctx, _point_form(ctx.mpc(tau)), label)
+    return tuple(_torsion_value(ctx, i, values) for i in range(4))
 
 
 def _fricke_at(label: FrickeLabel, tau, p: Precision):
@@ -598,9 +598,7 @@ def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     """The indexed torsion-value function at tau on the theta route, at
     tau's form (`_point_form`) reduced and its row pushed as in `eval_descriptor`."""
     ctx = _ctx(p)
-    form, g = reduce(_point_form(ctx.mpc(tau)))
-    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
-    return _torsion_value(ctx, label.i, values)
+    return _torsion_value(ctx, label.i, _reduced_values(ctx, _point_form(ctx.mpc(tau)), label))
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -621,18 +619,14 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     with z reduced exactly in K.
 
     z is the upper-half-plane root of the primitive integral form
-    `eval_point()`; `forms.reduce` turns that form into the reduced
-    (a, b, c) and g with g(z) = tau0 = (-b + i sqrt|b^2 - 4ac|)/(2a), and
-    the row goes through g^-1, as `fricke` pushes it.
+    `eval_point()`, reduced with the row by `_reduced_values` as in `fricke`.
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
     """
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
-    form, g = reduce(desc.eval_point())
-    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
-    return _torsion_value(ctx, label.i, values)
+    return _torsion_value(ctx, label.i, _reduced_values(ctx, desc.eval_point(), label))
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):

@@ -534,36 +534,37 @@ def group_table(mod: IdealTriple) -> ClassGroup:
     class not yet reached; its row pi_g[x] = index(x*g) is composed directly,
     each cell keyed by `_key_at` from the product form and correcting row of
     `_compose_parts`, with no representative built, and looked up in
-    `ClassGroup.index`.  Breadth-first closure gives each new
-    class x*g the row row(x*g)[y] = pi_g[row(x)[y]]; it reaches x = 0 first,
-    so row g is pi_g once pi_g[0] = g is checked, and commutativity covers
-    table[x][g] = pi_g[x].  Permutations are checked on generator rows only,
-    as every derived row composes them.  One wrong cell of a generator row
-    breaks pi_g[0] = g, a permutation or commutativity, all checked, and a
-    key that matches no class raises.  A compose fault on a pair without a
-    generator, or in `compose`'s lift alone, is left to `verify`.  A fault that
-    keeps a generator row a permutation with pi_g[0] = g can pass every
-    check: at dK=-20 `2,4,6`, 2 of the 6 swaps of two cells in the first
-    generator row give a wrong table of Z/4.  The ideal-product check of
-    each cell (ROADMAP item 1) is the route that would see it.
+    `ClassGroup.index`; a key that matches no class raises.  Each generator
+    row must be a permutation with pi_g[0] = g commuting with every earlier
+    one; closure gives each new class x*g the row pi_g o row(x), a product
+    of generator rows sending 0 to x.  Commuting permutations that reach
+    every class from 0 act regularly (what fixes 0 fixes every class), so
+    the table is the abelian group they generate: symmetric, with
+    table[x][g] = pi_g[x], and one generator leaves nothing to check.
+    Faults that keep all that pass: at dK=-20 `2,4,6`, 2 of the 6 swaps of
+    two cells of the first generator row and 1 of the 3 of cells x, y >= 1
+    of the second give wrong tables.  These, and compose faults on pairs
+    without a generator or in the lift of `compose`, are left to `verify`
+    and the ideal-product check of each cell (ROADMAP item 1).
     """
     group = enumerate_classes(mod)
     size = len(group.classes)
     reps = [fc.rep for fc in group.classes]
-    rows = {0: list(range(size))}
+    rows, generators = {0: tuple(range(size))}, []
     while len(rows) < size:
         g = next(x for x in range(size) if x not in rows)
-        pi = [_class_at(_key_at(*_compose_parts(rep, reps[g], mod), mod), group) for rep in reps]
+        pi = tuple(_class_at(_key_at(*_compose_parts(rep, reps[g], mod), mod), group) for rep in reps)
         if pi[0] != g or len(set(pi)) != size:  # row 0 is the identity by construction
             raise InternalCheckError(f"generator row {g} is not a permutation sending 0 to {g}")
+        if any(pi[q[x]] != q[pi[x]] for q in generators for x in range(size)):
+            raise InternalCheckError(f"generator row {g} does not commute with an earlier one")
+        generators.append(pi)
         reached = list(rows)
         for x in reached:
             if pi[x] not in rows:
-                rows[pi[x]] = [pi[y] for y in rows[x]]
+                rows[pi[x]] = tuple([pi[y] for y in rows[x]])
                 reached.append(pi[x])
-    table = tuple(tuple(rows[x]) for x in range(size))
-    if table != tuple(zip(*table)):
-        raise InternalCheckError("composition table is not commutative")
+    table = tuple(rows[x] for x in range(size))
     return group._replace(table=table, invariant_factors=_invariant_factors(table))
 
 

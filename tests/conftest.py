@@ -36,6 +36,16 @@ def valid_triples(disc, max_c=12, skip_unit=True):
     return out
 
 
+def far_form():
+    """act((1, 0, 5), [[2, 1], [1, 1]]^5100): a valid form of discriminant
+    -20 with a prime to 6 and 4264-digit coefficients, whose reduction
+    takes 10202 steps."""
+    g = forms.IDENT
+    for _ in range(5100):
+        g = g @ forms.UnimodMatrix(2, 1, 1, 1)
+    return forms.act(QuadForm(1, 0, 5), g)
+
+
 def same_ideal_label(form1, form2, mod):
     """The ideal route's verdict on two forms: their labels from one
     `ideal_keys` call are equal."""

@@ -12,7 +12,7 @@ from rayform.forms import QuadForm
 from rayform.qfield import make_discriminant
 from rayform.rayclass import class_group_to_json, descriptor, group_table, make_modulus
 
-from conftest import drop_a_principal_row, split_a_translate
+from conftest import drop_a_principal_row, far_form, split_a_translate
 
 BASE = [sys.executable, "-m", "rayform.cli"]
 
@@ -360,6 +360,14 @@ def test_verify_reports_a_reduce_fault(monkeypatch, capsys):
     assert "FAIL  witness equivalence vs ideal route: " in out
     assert out.endswith("overall: FAIL\n")
     assert "internal check failed" not in err
+
+
+def test_equiv_on_a_form_far_from_reduced(capsys):
+    # `reduce` needs 10202 steps on this valid form; both routes agree
+    args = ["equiv", "--dk", "-20", "--ideal", "2,4,6", "--form", str(far_form()), "--form", "1,0,5"]
+    assert cli.main(args) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["equivalent"] is True
 
 
 def test_trivial_modulus_rejected():

@@ -23,6 +23,8 @@ from rayform.forms import (
 )
 from rayform.qfield import InternalCheckError, QFieldError, _egcd, make_discriminant
 
+from conftest import far_form
+
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
 D4 = make_discriminant(-4)
@@ -126,6 +128,15 @@ def test_reduce_matches_step_walk():
         forms.append(QuadForm(a, rng.randint(-bound, bound), c))
     for form in forms:
         assert reduce(form) == _reduce_step_walk(form), form
+
+
+def test_reduce_step_cap_grows_with_the_form():
+    # a fixed cap of 10^4 steps stopped this form with InternalCheckError
+    form = far_form()
+    assert len(str(form.a)) == 4264 and math.gcd(form.a, 6) == 1
+    red, g = reduce(form)
+    assert red == QuadForm(1, 0, 5)
+    assert act(red, g) == form
 
 
 def test_reduced_forms_lists():

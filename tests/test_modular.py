@@ -23,7 +23,7 @@ from rayform.modular import (
     fricke,
     weber_index,
 )
-from rayform.qfield import QFieldError, make_discriminant
+from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus, point_coords
 from rayform.rayclass import class_translate
 
@@ -357,6 +357,19 @@ def test_power_values_equal_the_public_calls():
         assert values == [
             fricke(FrickeLabel(i, lab.r, lab.s, lab.level), tau, P80) for i in (1, 2, 3)
         ]
+
+
+def test_torsion_value_rejects_a_non_finite_value():
+    """`_torsion_value`'s one finiteness test stops j (i = 0) at an infinite
+    E4 and each indexed function at a NaN S, and passes finite values."""
+    ctx = ctx_for(80)
+    one = ctx.mpc(1)
+    assert modular._torsion_value(ctx, 0, (one, one, one, one)) == 1728
+    with pytest.raises(InternalCheckError, match="non-finite value escaped"):
+        modular._torsion_value(ctx, 0, (one, ctx.mpc(ctx.inf), one, one))
+    for i in (1, 2, 3):
+        with pytest.raises(InternalCheckError, match="non-finite value escaped"):
+            modular._torsion_value(ctx, i, (ctx.mpc(ctx.nan), one, one, one))
 
 
 def test_row_negation_symmetry():

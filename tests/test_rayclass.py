@@ -916,6 +916,72 @@ def test_table_census_of_first_generator_row_faults(dk, ideal, passing, swaps, m
     assert sum(run_with({x: row[y], y: row[x]}) for x, y in pairs) == passing
 
 
+@pytest.mark.parametrize(
+    "dk, ideal, passing, swaps",
+    [(-20, (2, 4, 6), 1, 3), (-23, (3, 9, 12), 0, 55), (-23, (1, 8, 31), 0, 946)],
+    ids=["-20:2,4,6", "-23:3,9,12", "-23:1,8,31"],
+)
+def test_table_census_of_second_generator_row_faults(dk, ideal, passing, swaps, monkeypatch):
+    """The swaps of two cells x, y >= 1 of the second generator row that
+    pass every check of `group_table`, with the harness of the first-row
+    census.  Each keeps the row a permutation with pi_g[0] = g, so only the
+    commutation check with the first generator row can see it: at dK=-23
+    it sees all of them, where a symmetry check of the whole table let 12
+    of the 55 and 3 of the 946 through.  The one swap that passes at
+    dK=-20 `2,4,6` gives a valid table of the wrong group, left to the
+    ideal-product check of each cell (ROADMAP item 1)."""
+    mod = make_modulus(make_discriminant(dk), *ideal)
+    group = enumerate_classes(mod)
+    size = len(group.classes)
+    reps = [fc.rep for fc in group.classes]
+    lookup, parts, key_at, composed, keyed = (
+        rayclass._class_at, rayclass._compose_parts, rayclass._key_at, {}, {}
+    )
+
+    def cached_parts(form1, form2, modulus):
+        if (form1, form2) not in composed:
+            composed[form1, form2] = parts(form1, form2, modulus)
+        return composed[form1, form2]
+
+    def cached_key(form, row, modulus):
+        if (form, row) not in keyed:
+            keyed[form, row] = key_at(form, row, modulus)
+        return keyed[form, row]
+
+    monkeypatch.setattr(rayclass, "enumerate_classes", lambda m: group)
+    monkeypatch.setattr(rayclass, "_compose_parts", cached_parts)
+    monkeypatch.setattr(rayclass, "_key_at", cached_key)
+
+    def run_with(change):
+        calls = itertools.count()
+
+        def corrupted(key, grp):
+            idx, n = lookup(key, grp), next(calls) - size
+            return change.get(n, idx) if 0 <= n < size else idx
+
+        monkeypatch.setattr(rayclass, "_class_at", corrupted)
+        try:
+            group_table(mod)
+        except InternalCheckError:
+            return False
+        return True
+
+    def composed_row(g):
+        return [rayclass._class_index(compose(f, reps[g], mod), group) for f in reps]
+
+    # the first generator is class 1; the second is the first class its
+    # powers miss, and its row fills lookups size to 2*size - 1
+    first, powers, x = composed_row(1), {0}, 1
+    while x:
+        powers.add(x)
+        x = first[x]
+    row = composed_row(min(set(range(size)) - powers))
+    assert run_with({})
+    pairs = list(itertools.combinations(range(1, size), 2))
+    assert len(pairs) == swaps
+    assert sum(run_with({x: row[y], y: row[x]}) for x, y in pairs) == passing
+
+
 def test_table_composes_only_generator_rows(monkeypatch):
     mod = make_modulus(D23, 1, 8, 31)
     seconds, parts = [], rayclass._compose_parts
@@ -1124,8 +1190,10 @@ def test_tables_match_sweep_digests():
         (-23, (1, 176, 211), "d81c4ce60dd2f398e6193169bc5d70dcb51d5a577a21a47a89e1fe7fd62e1ebd"),
         (-23, (1, 784, 1013), "e98cef4f795fb49bcd195e7954be070733da7d38c9fce84f6d04a87809da4ff4"),
         (-23, (1, 1565, 2003), "4fb9a7ea085d3b4303ff4a021c7c39178ade0300f242737f3ec0b81587cb2c49"),
+        (-23, (31, 0, 31), "98d4331e8d3262e6dbfd26ceec7997ce28b698bb0950574b6997a495502c1462"),
+        (-23, (47, 0, 47), "031bdbe814818b579e7917da0b9883a8edc0a7155ea4d712f6bd0822026a984b"),
     ],
-    ids=["h=45", "h=216", "h=588", "h=315", "h=1518", "h=3003"],
+    ids=["h=45", "h=216", "h=588", "h=315", "h=1518", "h=3003", "h=1350", "h=3174"],
 )
 def test_large_tables_pinned(dk, ideal, digest):
     group = group_table(make_modulus(make_discriminant(dk), *ideal))
