@@ -230,32 +230,28 @@ def _lagrange(t: IdealTriple):
     return (u1, v1), (u2, v2), (a_c, b_c, c_c)
 
 
-def ideal_class_form(t: IdealTriple) -> tuple[int, int, int]:
-    """The reduced form of discriminant d naming t's ideal class: the norm
-    form of `_lagrange`'s basis over N(t), with b -> -b when b = -a or when
-    a = c and b < 0.  Every canonical basis (a1*tau + a2, c) has one
-    orientation, Im(conj(a1*tau + a2)*c) = -a1*c*Im(tau) < 0, and every step
-    has determinant 1, so the form is fixed up to proper equivalence.  Times
-    x in K, an ideal keeps its orientation and each norm over N(t) is
+def reduced_basis(t: IdealTriple) -> tuple[tuple[int, int], tuple[int, int, int]]:
+    """The first vector g1 of a reduced basis of t, and the reduced form of
+    discriminant d naming t's ideal class: the norm form of that basis over
+    N(t).  The basis is `_lagrange`'s, with the boundary step applied to it:
+    g2 -> g2 + g1 when b = -a, which makes the form (a, a, c), and
+    (g1, g2) -> (g2, -g1) when a = c and b < 0, which makes it (a, -b, a).
+    Every canonical basis (a1*tau + a2, c) has one orientation,
+    Im(conj(a1*tau + a2)*c) = -a1*c*Im(tau) < 0, and every step has
+    determinant 1, so the form is fixed up to proper equivalence.  Times x
+    in K, an ideal keeps its orientation and each norm over N(t) is
     unchanged, so one class gives one reduced form: that of (a, b, c) for
-    the ideal [a*omega, a], and (1, b0, c0) for principal ideals."""
-    _, _, (a, b, c) = _lagrange(t)
-    if b == -a or (a == c and b < 0):
-        b = -b
+    the ideal [a*omega, a], and (1, b0, c0) for principal ideals.  N(g1) is
+    the name's leading coefficient times N(t), the least nonzero norm in t,
+    so t is principal exactly when that coefficient is 1, and then g1
+    generates t."""
+    g1, g2, (a, b, c) = _lagrange(t)
+    if b == -a:  # g2 -> g2 + g1 keeps g1
+        b = a
+    elif a == c and b < 0:  # (g1, g2) -> (g2, -g1)
+        g1, b = g2, -b
     n = t.norm()
-    return a // n, b // n, c // n
-
-
-def minimal_norm_elements(t: IdealTriple) -> tuple[tuple[int, int], ...]:
-    """All elements of the ideal whose norm equals the ideal's norm, as
-    sorted integer (tau, 1) pairs: the generators of t, none unless t is
-    principal.  Every norm in t is a multiple of N(t) and `_lagrange`'s a
-    is the least, so t is principal exactly when a = N(t), and then its
-    generators are g1 times the units."""
-    g1, _, (a, _, _) = _lagrange(t)
-    if a != t.norm():
-        return ()
-    return tuple(sorted(t.disc.mul(eps, g1) for eps in t.disc.unit_coords()))
+    return g1, (a // n, b // n, c // n)
 
 
 def _kronecker(d: int, n: int) -> int:
@@ -274,20 +270,36 @@ def _kronecker(d: int, n: int) -> int:
 
 
 def class_number(disc: Discriminant) -> int:
-    """Form class number by Dirichlet's formula, sharing no code with the
-    reduced-form walk: h = -(w/(2|d|)) sum_{0<n<|d|} (d/n) n, w units."""
+    """Form class number by half of Dirichlet's sum, sharing no code with
+    the reduced-form walk: h = w * sum_{0<n<k/2} chi(n) / (2*(2 - chi(2))),
+    with k = |d|, chi = (d/.) and w the number of units.
+
+    It follows from the full sum h = -(w/(2k)) * S, S = sum_{0<n<k} chi(n)*n
+    (Davenport, Multiplicative Number Theory, ch. 6).  Write
+    S1 = sum_{0<n<k/2} chi(n) and T = sum_{0<n<k/2} chi(n)*n.  chi is odd,
+    chi(k - n) = -chi(n), so pairing n with k - n gives S = 2T - k*S1.
+    - k odd: chi(2) = +-1.  The even n < k are 2m and the odd ones k - 2m,
+      0 < m < k/2, so S = 2*chi(2)*T - chi(2)*(k*S1 - 2T) = chi(2)*(2S + k*S1).
+      Solved for S, with chi(2) = +-1: S = -k*S1/(2 - chi(2)).
+    - k even: chi(2) = 0, and chi(n + k/2) = -chi(n): the factor of chi at
+      2 has period 4 or 8 and changes sign under a shift by k/2 = 2 mod 4
+      or 4 mod 8, while the odd factor's period divides k/2.  So
+      S = T - (T + (k/2)*S1) = -k*S1/2 = -k*S1/(2 - chi(2)).
+    Either way h = -w*S/(2k) = w*S1/(2*(2 - chi(2))).
+    """
     d, w = disc.d, len(disc.unit_coords())
-    h, rem = divmod(-w * sum(_kronecker(d, n) * n for n in range(1, -d)), -2 * d)
+    half = sum(_kronecker(d, n) for n in range(1, (1 - d) // 2))
+    h, rem = divmod(w * half, 2 * (2 - _kronecker(d, 2)))
     if h < 1 or rem:
         raise InternalCheckError(f"class number formula leaves {h} rem {rem} for {d}")
     return h
 
 
 def ray_class_number_oracle(disc: Discriminant, t: IdealTriple) -> int:
-    """Ray class number for the modulus t, by the analytic-free index formula.
-
-    h * |(O/t)^*| / |image of unit group|, with the residue count done by
-    brute force over the a1 x c box of residues.
+    """Ray class number for the modulus t, by the index formula
+    h * |(O/t)^*| / |image of unit group|: h from Dirichlet's analytic class
+    number formula (`class_number`), the residue count done by brute force
+    over the a1 x c box of residues.
     """
     if t.disc != disc:
         raise QFieldError("ideal from a different field")

@@ -13,8 +13,10 @@ coordinates for printing.
 
 Two independent routes to each question are kept side by side on purpose:
 reduction and the witness congruence (`class_key`, `equivalent`) against
-ideal arithmetic alone (`ideal_keys`) for class membership, and enumeration
-against `ray_class_number_oracle` for the count.  Each verdict is computed
+ideal arithmetic alone (`ideal_keys`, one reduced basis per form's ideal and
+a generator of its quotient by the class's base read off two such bases)
+for class membership, and enumeration against `ray_class_number_oracle`
+for the count.  Each verdict is computed
 once, by its own route; the class key, the ideal labels and the witness
 search meet in `verify`'s route check.  Composition has one body,
 `_compose_parts` (Dirichlet's product form and the bottom row of its
@@ -46,12 +48,10 @@ from .qfield import (
     InternalCheckError,
     QFieldError,
     _egcd,
-    ideal_class_form,
-    ideal_product,
     make_discriminant,
     make_ideal_triple,
-    minimal_norm_elements,
     ray_class_number_oracle,
+    reduced_basis,
 )
 
 RowVec = tuple[int, int]
@@ -210,10 +210,23 @@ def _form_ideal(form: QuadForm, disc: Discriminant) -> IdealTriple:
 
 def ideal_keys(forms: list[QuadForm], mod: IdealTriple) -> list[IdealKey]:
     """Ideal-route labels of the forms, comparable within one call only: for
-    f = (a, b, c), with ideal I_f = [a*omega, a] of norm a, the pair of
-    `ideal_class_form(I_f)` and the least residue mod n of g*(a^-1 mod N)
-    over the generators g of I_f*conj(I_base), base the list's first form
-    in I_f's class; conj(I_base) is the ideal of (a_base, -b_base, c_base).
+    f = (a, b, c), with ideal I_f = [a*omega, a] of norm a, the pair of the
+    ideal class form (A, B, C) of `reduced_basis(I_f)` and the least
+    residue mod n of x*(a^-1 mod N) over the unit orbit of x, the generator
+    x = g1*conj(h1)/A of I_f*conj(I_base).  Here g1 is `reduced_basis`'s
+    vector of I_f, h1 that of I_base, and base the list's first form in
+    I_f's class.
+
+    Why x generates I_f*conj(I_base): both reduced bases are positively
+    oriented, every step having determinant 1, and both have the norm form
+    (A, B, C) times their ideal's norm.  So g_i -> h_i is an
+    orientation-preserving similarity of the plane, multiplication by
+    gamma = g1/h1, and I_f = gamma*I_base.  Then
+    I_f*conj(I_base) = gamma*N(I_base) = (g1*conj(h1)/A), since
+    N(h1) = A*N(I_base).  Any two such bases differ by a proper automorph
+    of the reduced form, which is +-1, or a unit at d = -3, -4, so x is
+    fixed up to a unit and the least residue over its unit orbit absorbs
+    it: the orbit is the generator set of I_f*conj(I_base).
 
     Equal labels mean ray equivalence.  The generators are eps*g with
     N(g) = a*a_base, so I1*conj(I2) is generated by eps*g1*conj(g2)/a_base,
@@ -222,19 +235,19 @@ def ideal_keys(forms: list[QuadForm], mod: IdealTriple) -> list[IdealKey]:
     this call checks both prime to N; so g/a = g*(a^-1 mod N) mod* n.
     """
     disc, N = mod.disc, mod.c
-    conjs: dict[tuple[int, int, int], IdealTriple] = {}
+    conjs: dict[tuple[int, int, int], tuple[int, int]] = {}
     keys = []
     for form in forms:
         _require_form(form, mod)
-        ideal = _form_ideal(form, disc)
-        name = ideal_class_form(ideal)
+        g1, name = reduced_basis(_form_ideal(form, disc))
         if name not in conjs:
-            conjs[name] = _form_ideal(QuadForm(form.a, -form.b, form.c), disc)
-        gens = minimal_norm_elements(ideal_product(ideal, conjs[name]))
-        if not gens:
-            raise InternalCheckError(f"I_f*conj(I_base) has no generator for {form} in class {name}")
+            conjs[name] = (-g1[0], g1[1] - disc.b0 * g1[0])
+        xu, xv = disc.mul(g1, conjs[name])
+        if xu % name[0] or xv % name[0]:
+            raise InternalCheckError(f"g1*conj(h1) is not divisible by {name[0]} for {form} in class {name}")
         a_inv = pow(form.a, -1, N)
-        keys.append((name, min(mod.residue(u * a_inv, v * a_inv) for u, v in gens)))
+        x = (xu // name[0] * a_inv, xv // name[0] * a_inv)
+        keys.append((name, min(mod.residue(*disc.mul(eps, x)) for eps in disc.unit_coords())))
     return keys
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rayform.forms import QuadForm
-from rayform.qfield import QFieldError, make_discriminant, make_ideal_triple
+from rayform.qfield import QFieldError, make_discriminant, make_ideal_triple, reduced_basis
 from rayform import checks, forms, modular, rayclass
 from rayform.rayclass import group_table, make_modulus
 
@@ -34,6 +34,16 @@ def valid_triples(disc, max_c=12, skip_unit=True):
                     continue
                 out.append(t)
     return out
+
+
+def generators(t):
+    """The generators of the ideal t as sorted integer (tau, 1) pairs, read
+    off `reduced_basis`: g1 times the units when t's class form has leading
+    coefficient 1, that is N(g1) = N(t), and none otherwise."""
+    g1, name = reduced_basis(t)
+    if name[0] != 1:
+        return ()
+    return tuple(sorted(t.disc.mul(eps, g1) for eps in t.disc.unit_coords()))
 
 
 def far_form():

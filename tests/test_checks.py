@@ -301,13 +301,21 @@ def test_route_check_fails_when_mutated(monkeypatch, ideal, mutation):
       one instead, which the class count cannot see;
     - the same with a witness search that joins every pair, so only the
       pair's two ideal labels can tell;
-    - each ideal key taken from the first generator listed instead of the
-      least over all of them, over 2, 6 and 4 units."""
+    - each ideal key read from the generator x = g1*conj(h1)/A itself
+      instead of the least over its unit orbit, over 2, 6 and 4 units: every
+      `ideal_keys` call sees the unit +1 alone, and nothing else does."""
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
     assert _route_check(mod).passed
     if mutation == "first generator":
-        gens = rayclass.minimal_norm_elements
-        monkeypatch.setattr(rayclass, "minimal_norm_elements", lambda t: gens(t)[:1])
+        keys = rayclass.ideal_keys
+
+        def first_generator(forms, m):
+            with monkeypatch.context() as inner:
+                inner.setattr(qfield.Discriminant, "unit_coords", lambda disc: ((0, 1),))
+                return keys(forms, m)
+
+        for module in (rayclass, checks):
+            monkeypatch.setattr(module, "ideal_keys", first_generator)
     else:
         reps, translates = [fc.rep for fc in enumerate_classes(mod).classes], checks._translates
         moved = lambda f, m, rng, want: translates(reps[1] if f == reps[0] else f, m, rng, want)
@@ -344,16 +352,17 @@ def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal)
     "ideal, blocks", [((-23, 3, 9, 12), 14), ((-23, 1, 8, 31), 46), ((-111, 9, 0, 9), 218)]
 )
 def test_route_check_fails_without_the_boundary_flip(monkeypatch, ideal, blocks):
-    """`ideal_class_form` without its b -> -b step names one ideal class by
-    two forms, (a, -a, c) and (a, a, c) or (a, -b, a) and (a, b, a), so the
-    ideal-key partition splits classes and the route check fails."""
+    """`reduced_basis` without its boundary step, the name and basis taken
+    straight from `_lagrange`, names one ideal class by two forms, (a, -a, c)
+    and (a, a, c) or (a, -b, a) and (a, b, a), so the ideal-key partition
+    splits classes and the route check fails."""
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
 
     def unflipped(t):
-        _, _, abc = qfield._lagrange(t)
-        return tuple(x // t.norm() for x in abc)
+        g1, _, abc = qfield._lagrange(t)
+        return g1, tuple(x // t.norm() for x in abc)
 
-    monkeypatch.setattr(rayclass, "ideal_class_form", unflipped)
+    monkeypatch.setattr(rayclass, "reduced_basis", unflipped)
     check = _route_check(mod)
     assert not check.passed
     assert f" {blocks} by ideal key," in check.detail

@@ -12,14 +12,14 @@ from rayform.qfield import (
     _coprime,
     QFieldError,
     canonicalize_ideal,
+    _kronecker,
     class_number,
-    ideal_class_form,
     ideal_product,
     make_discriminant,
     make_ideal_triple,
-    minimal_norm_elements,
     parse_ideal_triple,
     ray_class_number_oracle,
+    reduced_basis,
 )
 
 from rayform.rayclass import (
@@ -31,7 +31,7 @@ from rayform.rayclass import (
     point_coords,
 )
 
-from conftest import fraction_point_form, valid_triples
+from conftest import fraction_point_form, generators, valid_triples
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -266,14 +266,15 @@ def _principal_ideal(d, x):
 
 
 def test_minimal_norm_elements():
+    # the elements of least norm N(t), the generators, from `reduced_basis`
     unit = make_ideal_triple(D20, 1, 0, 1)
-    assert minimal_norm_elements(unit) == ((0, -1), (0, 1))
+    assert generators(unit) == ((0, -1), (0, 1))
 
     p2 = make_ideal_triple(D20, 1, 1, 2)
-    assert minimal_norm_elements(p2) == ()
+    assert generators(p2) == ()
 
     twotau = _principal_ideal(D20, (2, 0))
-    gens = minimal_norm_elements(twotau)
+    gens = generators(twotau)
     assert (2, 0) in gens and (-2, 0) in gens
 
 
@@ -296,12 +297,15 @@ def test_ideal_class_form_names_the_ideal_class(dk):
         for _ in range(100):
             image, k = act(form, _random_unimodular(rng)), rng.randrange(1, 4)
             w = (disc.b0 - image.b) // 2 % image.a
-            assert ideal_class_form(make_ideal_triple(disc, k, k * w, k * image.a)) == form.coeffs()
-        names.append(ideal_class_form(_form_ideal(form, disc)))
+            ideal = make_ideal_triple(disc, k, k * w, k * image.a)
+            g1, name = reduced_basis(ideal)
+            assert name == form.coeffs()
+            assert disc.norm(*g1) == form.a * ideal.norm()
+        names.append(reduced_basis(_form_ideal(form, disc))[1])
     assert len(set(names)) == len(names) == class_number(disc)
     for _ in range(50):
         x = (rng.randrange(-20, 21), rng.randrange(1, 21))
-        assert ideal_class_form(_principal_ideal(disc, x)) == (1, disc.b0, disc.c0)
+        assert reduced_basis(_principal_ideal(disc, x))[1] == (1, disc.b0, disc.c0)
 
 
 def test_principal_ideal_norm():
@@ -346,7 +350,9 @@ def test_mult_congruence_matches_fraction_definition(dk, ideal):
     for f, (name, _) in zip(pool, keys):
         base = bases.setdefault(name, f)
         conj = _form_ideal(QuadForm(base.a, -base.b, base.c), disc)
-        gens.append(minimal_norm_elements(ideal_product(_form_ideal(f, disc), conj))[0])
+        g, quotient_name = reduced_basis(ideal_product(_form_ideal(f, disc), conj))
+        assert quotient_name == (1, disc.b0, disc.c0)
+        gens.append(g)
     seen = set()
     for f1, g1, k1 in zip(pool, gens, keys):
         for f2, g2, k2 in zip(pool, gens, keys):
@@ -376,14 +382,18 @@ def test_class_numbers():
 
 
 def test_class_number_formula_counts_reduced_forms():
-    # Dirichlet's formula against the reduced-form walk it replaced as oracle
+    # half of Dirichlet's sum against the full sum
+    # h = -(w/(2|d|)) sum_{0<n<|d|} (d/n) n and the reduced-form walk it
+    # replaced as oracle
     count = 0
     for d in range(-2000, -2):
         try:
             disc = make_discriminant(d)
         except QFieldError:
             continue
-        assert class_number(disc) == len(reduced_forms(disc)), d
+        w = len(disc.unit_coords())
+        full, rem = divmod(-w * sum(_kronecker(d, n) * n for n in range(1, -d)), -2 * d)
+        assert rem == 0 and class_number(disc) == full == len(reduced_forms(disc)), d
         count += 1
     assert count == 611
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import rayform.qfield as qfield
 import rayform.rayclass as rayclass
 from rayform.forms import (
     IDENT,
@@ -32,8 +33,8 @@ from rayform.qfield import (
     ideal_product,
     make_discriminant,
     make_ideal_triple,
-    minimal_norm_elements,
     ray_class_number_oracle,
+    reduced_basis,
 )
 from rayform.rayclass import (
     _form_ideal,
@@ -56,7 +57,7 @@ from rayform.rayclass import (
     witness_matrix,
 )
 
-from conftest import drop_a_principal_row, same_ideal_label, valid_triples
+from conftest import drop_a_principal_row, generators, same_ideal_label, valid_triples
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -207,6 +208,56 @@ def _unreduced_minimal_norm(t):
     return tuple(sorted(found))
 
 
+def test_quotient_generator_is_the_unreduced_scan():
+    # the unit orbit of x = g1*conj(h1)/A, read off the reduced bases of
+    # I_f and I_base, is the generator set of I_f*conj(I_base) that the
+    # unreduced scan finds, and each ideal key is the least residue of
+    # g*(a^-1 mod N) over that set: the representatives and one translate
+    # each of every sweep modulus and four more
+    with open(SWEEP) as fh:
+        sweep = json.load(fh)["moduli"]
+    cases = [(-3, 6, 0, 6), (-4, 6, 0, 6), (-23, 1, 8, 31), (-23, 1, 176, 211)]
+    cases += [tuple(m[:4]) for m in sweep]
+    rng = random.Random(39)
+    for dk, a1, a2, c in cases:
+        mod = make_modulus(make_discriminant(dk), a1, a2, c)
+        disc = mod.disc
+        reps = [fc.rep for fc in enumerate_classes(mod).classes]
+        forms = reps + [translates(f, mod, rng, 1)[0] for f in reps]
+        bases = {}
+        for f, (name, label) in zip(forms, ideal_keys(forms, mod)):
+            g1, found = reduced_basis(_form_ideal(f, disc))
+            base = bases.setdefault(name, f)
+            h1, _ = reduced_basis(_form_ideal(base, disc))
+            xu, xv = disc.mul(g1, (-h1[0], h1[1] - disc.b0 * h1[0]))
+            x = (xu // name[0], xv // name[0])
+            orbit = tuple(sorted(disc.mul(eps, x) for eps in disc.unit_coords()))
+            conj = _form_ideal(QuadForm(base.a, -base.b, base.c), disc)
+            gens = _unreduced_minimal_norm(ideal_product(_form_ideal(f, disc), conj))
+            assert found == name and disc.mul(x, (0, name[0])) == (xu, xv)
+            assert orbit == gens, (dk, a1, a2, c, f)
+            a_inv = pow(f.a, -1, mod.c)
+            assert label == min(mod.residue(u * a_inv, v * a_inv) for u, v in gens)
+
+
+def test_ideal_keys_reduce_one_basis_per_form(monkeypatch):
+    # one Lagrange reduction per form, and no ideal product or HNF
+    def refuse(*args):
+        raise AssertionError("ideal_keys built an ideal product")
+
+    mod = make_modulus(D23, 1, 8, 31)
+    rng = random.Random(23)
+    reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    forms = reps + [translates(f, mod, rng, 1)[0] for f in reps]
+    calls, lagrange = [], qfield._lagrange
+    monkeypatch.setattr(qfield, "_lagrange", lambda t: calls.append(t) or lagrange(t))
+    for name in ("ideal_product", "_hnf_rows", "canonicalize_ideal"):
+        monkeypatch.setattr(qfield, name, refuse)
+    labels = ideal_keys(forms, mod)
+    assert len(calls) == len(forms) == 90
+    assert len(set(labels)) == 45
+
+
 def _random_ideal(disc, rng):
     # a1*(1, w, m) with m | N(tau + w), or the principal ideal of a random
     # element: norms up to 3^2*199 and 15^2*(c0 + 2) respectively
@@ -226,6 +277,7 @@ def _random_ideal(disc, rng):
     [(-20, (2, 4, 6)), (-23, (1, 8, 31)), (-3, (6, 0, 6)), (-4, (5, 0, 5)), (-111, (9, 0, 9))],
 )
 def test_minimal_norm_elements_match_unreduced_scan(dk, ideal):
+    # the generators `reduced_basis` gives against the unreduced scan, on
     # quotient ideals of the ideal route, then seeded random ideals
     mod = make_modulus(make_discriminant(dk), *ideal)
     disc, rng = mod.disc, random.Random(dk)
@@ -240,7 +292,7 @@ def test_minimal_norm_elements_match_unreduced_scan(dk, ideal):
     for batch in (quotients, ideals):
         principal = 0
         for t in batch:
-            gens = minimal_norm_elements(t)
+            gens = generators(t)
             assert gens == _unreduced_minimal_norm(t), t
             principal += bool(gens)
         # class number 1 at dK=-3, -4: every ideal is principal
