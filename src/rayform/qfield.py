@@ -204,10 +204,22 @@ def ideal_product(s: IdealTriple, t: IdealTriple) -> IdealTriple:
 
 def _coprime(u: int, v: int, t: IdealTriple) -> bool:
     """Whether the integral element x = u*tau + v, given by its integer
-    (tau, 1) coordinates, and the ideal t generate the order: the lattice
-    spanned by t's rows, x*tau and x is the order itself."""
-    rows = [*t.rows(), t.disc.mul((u, v), (1, 0)), (u, v)]
-    return _hnf_rows(rows) == (1, 0, 1)
+    (tau, 1) coordinates, and the ideal t generate the order, by one gcd.
+
+    t + x*O is the lattice spanned by t's rows (a1, a2) and (0, c), by
+    x*tau = (xu, xv) = (v - u*b0, -u*c0) and by x = (u, v); x is prime to
+    t exactly when that lattice is the whole order, of index 1 in Z^2.  The
+    index of a full-rank lattice spanned by integer rows is the gcd of their
+    2x2 minors, here the six a1*c, a1*xv - a2*xu, a1*v - a2*u, c*xu, c*u
+    (each up to sign) and xu*v - xv*u = N(x); a1*c > 0 makes the rank full.
+    Three of them decide whether that gcd is 1, for a prime p dividing
+    a1*c, a1*v - a2*u and N(x) divides the other three:
+    - p divides c, as a1 | c, and with it c*xu and c*u;
+    - with alpha = a1*tau + a2, alpha*conj(x) = U*tau + V for
+      U = a1*v - a2*u and V = -(a1*xv - a2*xu), and
+      N(alpha)*N(x) = c0*U^2 - b0*U*V + V^2 = V^2 mod p, so p divides V.
+    So x is prime to t exactly when gcd(a1*c, a1*v - a2*u, N(x)) = 1."""
+    return math.gcd(t.a1 * t.c, t.a1 * v - t.a2 * u, t.disc.norm(u, v)) == 1
 
 
 def _lagrange(t: IdealTriple):
@@ -299,7 +311,7 @@ def ray_class_number_oracle(disc: Discriminant, t: IdealTriple) -> int:
     """Ray class number for the modulus t, by the index formula
     h * |(O/t)^*| / |image of unit group|: h from Dirichlet's analytic class
     number formula (`class_number`), the residue count done by brute force
-    over the a1 x c box of residues.
+    over the a1 x c box of residues, one gcd each (`_coprime`).
     """
     if t.disc != disc:
         raise QFieldError("ideal from a different field")

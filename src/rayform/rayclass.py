@@ -19,11 +19,13 @@ for class membership, and enumeration against `ray_class_number_oracle`
 for the count.  Each verdict is computed
 once, by its own route; the class key, the ideal labels and the witness
 search meet in `verify`'s route check.  Composition has one body,
-`_compose_parts` (Dirichlet's product form and the bottom row of its
-correcting matrix): `compose` lifts that row to a representative, and
-`group_table` keys each generator cell from the product and the row
-(`_key_at`) without building one; `verify`'s well-definedness trials are
-where the two meet.
+`_compose_parts` (Dirichlet's product form of a form and a moved second
+form, and the bottom row of its correcting matrix), and each caller moves
+the second form itself: `compose` moves it per call and lifts the row to a
+representative, and `group_table` reuses each generator's few moves over
+its row and keys each cell from the product and the row (`_key_at`, with
+the reduced forms' normalizations that enumeration made) without building
+one; `verify`'s well-definedness trials are where the two meet.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ from .qfield import (
 )
 
 RowVec = tuple[int, int]
+# reduced form -> its coprime_normalize pair (normalized form, witness) mod N
+Normals = dict[QuadForm, tuple[QuadForm, UnimodMatrix]]
 # reduced form plus the canonical residue of its row's unit orbit
 ClassKey = tuple[QuadForm, tuple[int, int]]
 # ideal class form plus the least residue of a generator over a
@@ -331,13 +335,16 @@ def row_classes(
     return tuple(reps.items())
 
 
-def _key_at(form: QuadForm, row: RowVec, mod: IdealTriple) -> ClassKey:
+def _key_at(form: QuadForm, row: RowVec, mod: IdealTriple, normals: Normals) -> ClassKey:
     """Class key of act(form, sigma^-1) for any sigma with bottom row = row
     mod N: the reduced form plus the row key of row*g^-1*n, with form ==
-    act(red, g) and n carrying red to its coprime-normalized form.
+    act(red, g) and (normalized, n) = coprime_normalize(red, N), read from
+    `normals`, a dict of the caller's that maps reduced forms to those pairs
+    and is filled here with any it lacks.  The row product is taken on ints.
 
-    `group_table` keys each cell from `_compose_parts` this way, and the
-    key equals `class_key(compose(f1, f2))`.  The representative `compose`
+    `group_table` keys each cell from `_compose_parts` this way, with the
+    pairs `enumerate_classes` made for every reduced form, and the key
+    equals `class_key(compose(f1, f2))`.  The representative `compose`
     builds is act(product, sigma^-1), with sigma's bottom row = (x, y)
     mod N; reducing the product as act(red, g_p), the representative is
     act(red, g_p*sigma^-1), whose reduction witness is h*g_p*sigma^-1 for
@@ -349,10 +356,13 @@ def _key_at(form: QuadForm, row: RowVec, mod: IdealTriple) -> ClassKey:
     must be in Q_N(dK); it is not checked here.
     """
     red, g = reduce(form)
-    normalized, n = coprime_normalize(red, mod.c)
-    m = g.inv() @ n
+    if red not in normals:
+        normals[red] = coprime_normalize(red, mod.c)
+    normalized, n = normals[red]
     u, v = row
-    return red, _row_key(normalized, (u * m.p + v * m.r, u * m.q + v * m.s), mod)
+    # row*g^-1, with g^-1 = [[s, -q], [-r, p]]
+    x, y = u * g.s - v * g.r, v * g.p - u * g.q
+    return red, _row_key(normalized, (x * n.p + y * n.r, x * n.q + y * n.s), mod)
 
 
 def class_key(form: QuadForm, mod: IdealTriple) -> ClassKey:
@@ -363,7 +373,7 @@ def class_key(form: QuadForm, mod: IdealTriple) -> ClassKey:
     Two forms share a key exactly when `equivalent` joins them.  The form
     must be in Q_N(dK); it is not checked here.
     """
-    return _key_at(form, (0, 1), mod)
+    return _key_at(form, (0, 1), mod, {})
 
 
 def lift_bottom_row(row: RowVec, level: int) -> UnimodMatrix:
@@ -411,13 +421,21 @@ def enumerate_classes(mod: IdealTriple) -> ClassGroup:
     - h_K not dividing h leaves the count short, since no fiber yields more
       than h // h_K keys.
     """
+    return _enumerate(mod)[0]
+
+
+def _enumerate(mod: IdealTriple) -> tuple[ClassGroup, Normals]:
+    """`enumerate_classes`, with the dict of each reduced form's
+    `coprime_normalize(base, N)` pair that it built the classes from, which
+    `group_table` hands to `_key_at`."""
     disc, N = mod.disc, mod.c
     bases = reduced_forms(disc)
     expected = ray_class_number_oracle(disc, mod)
     fiber = expected // len(bases)
     reps: list[FormClass] = []
+    normals: Normals = {}
     for base in bases:
-        normalized, _ = coprime_normalize(base, N)
+        normalized, _ = normals[base] = coprime_normalize(base, N)
         for key, row in row_classes(normalized, mod, fiber):
             gamma = lift_bottom_row(row, N)
             rep = act(normalized, gamma.inv())
@@ -436,28 +454,33 @@ def enumerate_classes(mod: IdealTriple) -> ClassGroup:
     index = {fc.key: i for i, fc in enumerate(classes)}
     if len(index) != len(classes):
         raise InternalCheckError("two representatives share a class key")
-    return ClassGroup(mod, classes, index)
+    return ClassGroup(mod, classes, index), normals
 
 
-def _compose_parts(form1: QuadForm, form2: QuadForm, mod: IdealTriple) -> tuple[QuadForm, RowVec]:
+def _compose_parts(
+    form1: QuadForm, moved: QuadForm, gamma: UnimodMatrix, mod: IdealTriple
+) -> tuple[QuadForm, RowVec]:
     """Dirichlet composition up to its correcting row: the product form and
     the bottom row (x, y) mod N of the matrix that `compose` moves it by.
 
-    form2 is first moved inside its class, by a matrix with bottom row
-    (r, s), so the two leading coefficients are coprime (and coprime to 2, N
-    and the discriminant, which is stronger than needed but cheap); the
-    middle coefficient B of the product (a*a2, B, .) is aligned by CRT.  With
-    omega(Q) the upper-half-plane root of Q(x, 1), the correcting matrix has
-    the bottom row (x, y) with r*omega(moved) + s = x*omega(product) + y.
-    Comparing coordinates over (tau, 1) gives x = a*r and
-    y = s + r*(B - b2)/(2*a2), an integer since B = b2 mod 2*a2.  The forms
-    must be in Q_N(dK); they are not checked here.
+    moved = act(form2, gamma) is the second form moved inside its class by
+    the caller, gamma with bottom row (r, s), so that its leading
+    coefficient a2 is prime to 2*a (`compose` moves it against 2*a*N*|d|,
+    and `group_table` reuses one move for every a it is prime to); a
+    shared factor raises.  The middle coefficient B of the product
+    (a*a2, B, .) is aligned by CRT.  With omega(Q) the upper-half-plane
+    root of Q(x, 1), the correcting matrix has the bottom row (x, y) with
+    r*omega(moved) + s = x*omega(product) + y.  Comparing coordinates over
+    (tau, 1) gives x = a*r and y = s + r*(B - b2)/(2*a2), an integer since
+    B = b2 mod 2*a2.  The forms must be in Q_N(dK); they are not checked
+    here.
     """
     N, d = mod.c, mod.disc.d
     a, b = form1.a, form1.b
-    moved, gamma = coprime_normalize(form2, 2 * a * N * abs(d))
     a2, b2 = moved.a, moved.b
-    # B = b mod 2a, B = b2 mod 2a2; the strengthened move makes gcd(2a, 2a2) = 2
+    if math.gcd(a2, 2 * a) != 1:
+        raise InternalCheckError(f"moved form {moved} shares a factor with 2*{a}")
+    # B = b mod 2a, B = b2 mod 2a2, solvable as gcd(2a, 2a2) = 2
     t = (_half(b2 - b) * pow(a, -1, a2)) % a2
     big_b = (b + 2 * a * t) % (2 * a * a2)
     if (big_b - b) % (2 * a) or (big_b - b2) % (2 * a2):
@@ -475,13 +498,17 @@ def _compose_parts(form1: QuadForm, form2: QuadForm, mod: IdealTriple) -> tuple[
 
 
 def compose(form1: QuadForm, form2: QuadForm, mod: IdealTriple) -> QuadForm:
-    """Class composition compatible with ideal multiplication: the product
-    form of `_compose_parts` moved by the inverse of `lift_bottom_row` of its
-    correcting row, a representative prime to N.  `group_table` keys its
-    cells from the product and the row alone, with no representative."""
+    """Class composition compatible with ideal multiplication: form2 moved
+    inside its class to a leading coefficient prime to 2*a*N*|d| (to 2, N
+    and the discriminant too, stronger than `_compose_parts` needs but
+    cheap), then the product form of `_compose_parts` moved by the inverse
+    of `lift_bottom_row` of its correcting row, a representative prime to
+    N.  `group_table` keys its cells from the product and the row alone,
+    with no representative."""
     _require_form(form1, mod)
     _require_form(form2, mod)
-    product, row = _compose_parts(form1, form2, mod)
+    moved, gamma = coprime_normalize(form2, 2 * form1.a * mod.c * abs(mod.disc.d))
+    product, row = _compose_parts(form1, moved, gamma, mod)
     result = act(product, lift_bottom_row(row, mod.c).inv())
     if math.gcd(result.a, mod.c) != 1 or result.content() != 1 or result.a <= 0:
         raise InternalCheckError(f"composite representative {result} is invalid")
@@ -547,10 +574,20 @@ def group_table(mod: IdealTriple) -> ClassGroup:
     class not yet reached; its row pi_g[x] = index(x*g) is composed directly,
     each cell keyed by `_key_at` from the product form and correcting row of
     `_compose_parts`, with no representative built, and looked up in
-    `ClassGroup.index`; a key that matches no class raises.  Each generator
-    row must be a permutation with pi_g[0] = g commuting with every earlier
-    one; closure gives each new class x*g the row pi_g o row(x), a product
-    of generator rows sending 0 to x.  Commuting permutations that reach
+    `ClassGroup.index`; a key that matches no class raises.  Each
+    normalization is done once per input it depends on: the row keeps a
+    list of moves of g, starting with `coprime_normalize(g, 2*N*|d|)`, and
+    a cell takes the first whose leading coefficient is prime to x's,
+    adding `coprime_normalize(g, 2*N*|d|*a_x)` only when none is (8 moves
+    for the 90 cells of dK=-23 `1,8,31`); `_key_at` reads each reduced
+    product's normalization from the dict `_enumerate` built the classes
+    from.  One move against 2*N*|d| times the lcm of all a_x would serve
+    the whole row, but at dK=-23 `1,784,1013` (h=1518) that lcm has 16,837
+    bits, and its one search costs more than the list's 8 moves (5.5 ms
+    against 0.08 ms in all, Python 3.11.7 on a 2-core x86-64 machine).
+    Each generator row must be a permutation with pi_g[0] = g commuting
+    with every earlier one; closure gives each new class x*g the row
+    pi_g o row(x), a product of generator rows sending 0 to x.  Commuting permutations that reach
     every class from 0 act regularly (what fixes 0 fixes every class), so
     the table is the abelian group they generate: symmetric, with
     table[x][g] = pi_g[x], and one generator leaves nothing to check.
@@ -560,13 +597,21 @@ def group_table(mod: IdealTriple) -> ClassGroup:
     without a generator or in the lift of `compose`, are left to `verify`
     and the ideal-product check of each cell (ROADMAP item 1).
     """
-    group = enumerate_classes(mod)
+    group, normals = _enumerate(mod)
     size = len(group.classes)
     reps = [fc.rep for fc in group.classes]
+    level = 2 * mod.c * abs(mod.disc.d)
     rows, generators = {0: tuple(range(size))}, []
     while len(rows) < size:
         g = next(x for x in range(size) if x not in rows)
-        pi = tuple(_class_at(_key_at(*_compose_parts(rep, reps[g], mod), mod), group) for rep in reps)
+        moves, cells = [coprime_normalize(reps[g], level)], []
+        for rep in reps:
+            move = next((m for m in moves if math.gcd(m[0].a, rep.a) == 1), None)
+            if move is None:
+                move = coprime_normalize(reps[g], level * rep.a)
+                moves.append(move)
+            cells.append(_class_at(_key_at(*_compose_parts(rep, *move, mod), mod, normals), group))
+        pi = tuple(cells)
         if pi[0] != g or len(set(pi)) != size:  # row 0 is the identity by construction
             raise InternalCheckError(f"generator row {g} is not a permutation sending 0 to {g}")
         if any(pi[q[x]] != q[pi[x]] for q in generators for x in range(size)):

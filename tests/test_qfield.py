@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ import hypothesis.strategies as st
 from rayform.forms import IDENT, S_FLIP, QuadForm, act, reduced_forms, t_power
 from rayform.qfield import (
     _coprime,
+    _hnf_rows,
     QFieldError,
     canonicalize_ideal,
     _kronecker,
@@ -259,6 +262,30 @@ def test_is_coprime():
         for x in box:
             unit = any(t.residue(u, v - 1) == (0, 0) for u, v in (t.disc.mul(x, y) for y in box))
             assert _coprime(*x, t) == unit, (t, x)
+
+
+def test_coprime_minors_match_the_hnf():
+    # the HNF of the lattice t + x*O, spanned by t's rows,
+    # x*tau = (v - u*b0, -u*c0) and x = (u, v), over every residue box of
+    # the sweep moduli and four more: its index is the gcd of the six 2x2
+    # minors, and `_coprime`'s three decide whether it is 1
+    sweep = Path(__file__).resolve().parents[1] / "bench" / "refs" / "sweep.json"
+    with open(sweep) as fh:
+        cases = [(dk, a1, a2, c) for dk, a1, a2, c, *_ in json.load(fh)["moduli"]]
+    cases += [(-3, 6, 0, 6), (-4, 6, 0, 6), (-4, 5, 0, 5), (-23, 1, 784, 1013)]
+    residues = 0
+    for dk, a1, a2, c in cases:
+        t = make_ideal_triple(make_discriminant(dk), a1, a2, c)
+        b0, c0 = t.disc.b0, t.disc.c0
+        for u in range(a1):
+            for v in range(c):
+                xu, xv = v - u * b0, -u * c0
+                hnf = _hnf_rows([(a1, a2), (0, c), (xu, xv), (u, v)])
+                minors = math.gcd(a1 * c, a1 * xv - a2 * xu, a1 * v - a2 * u, c * xu, c * u, xu * v - xv * u)
+                assert minors == hnf[0] * hnf[2], (dk, a1, a2, c, u, v)
+                assert _coprime(u, v, t) == (hnf == (1, 0, 1)), (dk, a1, a2, c, u, v)
+                residues += 1
+    assert residues == 17858
 
 
 def _principal_ideal(d, x):

@@ -917,6 +917,13 @@ def test_table_catches_a_wrong_generator_row_cell(dk, ideal, monkeypatch):
             group_table(mod)
 
 
+def _generator_count(moves):
+    # the generator rows a table run composed: each (moved, gamma) that
+    # `_compose_parts` took is a move act(generator, gamma), and a row may
+    # use several moves of its generator
+    return len({act(moved, gamma.inv()) for moved, gamma in moves})
+
+
 @pytest.mark.parametrize(
     "dk, ideal, passing, swaps",
     [(-20, (2, 4, 6), 2, 6), (-23, (3, 9, 12), 30, 66)],
@@ -931,16 +938,18 @@ def test_table_census_of_first_generator_row_faults(dk, ideal, passing, swaps, m
     close.  That check is to run in `verify`, not in `group_table`, so the
     pinned counts here stay at 2 and 30; it should fail on every swap."""
     mod = make_modulus(make_discriminant(dk), *ideal)
-    group = enumerate_classes(mod)
+    enumerated = rayclass._enumerate(mod)
+    group = enumerated[0]
     size = len(group.classes)
-    lookup, parts, composed = rayclass._class_at, rayclass._compose_parts, {}
+    lookup, parts, composed, seconds = rayclass._class_at, rayclass._compose_parts, {}, []
 
-    def cached_parts(form1, form2, modulus):
-        if (form1, form2) not in composed:
-            composed[form1, form2] = parts(form1, form2, modulus)
-        return composed[form1, form2]
+    def cached_parts(form1, moved, gamma, modulus):
+        seconds.append((moved, gamma))
+        if (form1, moved, gamma) not in composed:
+            composed[form1, moved, gamma] = parts(form1, moved, gamma, modulus)
+        return composed[form1, moved, gamma]
 
-    monkeypatch.setattr(rayclass, "enumerate_classes", lambda m: group)
+    monkeypatch.setattr(rayclass, "_enumerate", lambda m: enumerated)
     monkeypatch.setattr(rayclass, "_compose_parts", cached_parts)
 
     def run_with(change):
@@ -957,6 +966,8 @@ def test_table_census_of_first_generator_row_faults(dk, ideal, passing, swaps, m
             return False
         return True
 
+    assert run_with({})
+    assert len(seconds) == size * _generator_count(seconds)
     monkeypatch.setattr(rayclass, "_class_at", lookup)
     row = [rayclass._class_index(compose(fc.rep, group.classes[1].rep, mod), group) for fc in group.classes]
     for cell in range(size):
@@ -983,24 +994,27 @@ def test_table_census_of_second_generator_row_faults(dk, ideal, passing, swaps, 
     dK=-20 `2,4,6` gives a valid table of the wrong group, left to the
     ideal-product check of each cell (ROADMAP item 1)."""
     mod = make_modulus(make_discriminant(dk), *ideal)
-    group = enumerate_classes(mod)
+    enumerated = rayclass._enumerate(mod)
+    group = enumerated[0]
     size = len(group.classes)
     reps = [fc.rep for fc in group.classes]
-    lookup, parts, key_at, composed, keyed = (
-        rayclass._class_at, rayclass._compose_parts, rayclass._key_at, {}, {}
+    lookup, parts, key_at, composed, keyed, seconds, rows_keyed = (
+        rayclass._class_at, rayclass._compose_parts, rayclass._key_at, {}, {}, [], []
     )
 
-    def cached_parts(form1, form2, modulus):
-        if (form1, form2) not in composed:
-            composed[form1, form2] = parts(form1, form2, modulus)
-        return composed[form1, form2]
+    def cached_parts(form1, moved, gamma, modulus):
+        seconds.append((moved, gamma))
+        if (form1, moved, gamma) not in composed:
+            composed[form1, moved, gamma] = parts(form1, moved, gamma, modulus)
+        return composed[form1, moved, gamma]
 
-    def cached_key(form, row, modulus):
+    def cached_key(form, row, modulus, normals):
+        rows_keyed.append(row)
         if (form, row) not in keyed:
-            keyed[form, row] = key_at(form, row, modulus)
+            keyed[form, row] = key_at(form, row, modulus, normals)
         return keyed[form, row]
 
-    monkeypatch.setattr(rayclass, "enumerate_classes", lambda m: group)
+    monkeypatch.setattr(rayclass, "_enumerate", lambda m: enumerated)
     monkeypatch.setattr(rayclass, "_compose_parts", cached_parts)
     monkeypatch.setattr(rayclass, "_key_at", cached_key)
 
@@ -1028,7 +1042,10 @@ def test_table_census_of_second_generator_row_faults(dk, ideal, passing, swaps, 
         powers.add(x)
         x = first[x]
     row = composed_row(min(set(range(size)) - powers))
+    seconds.clear()  # `compose` and `class_key` reach the seams too
+    rows_keyed.clear()
     assert run_with({})
+    assert len(seconds) == size * _generator_count(seconds) == len(rows_keyed)
     pairs = list(itertools.combinations(range(1, size), 2))
     assert len(pairs) == swaps
     assert sum(run_with({x: row[y], y: row[x]}) for x, y in pairs) == passing
@@ -1038,15 +1055,57 @@ def test_table_composes_only_generator_rows(monkeypatch):
     mod = make_modulus(D23, 1, 8, 31)
     seconds, parts = [], rayclass._compose_parts
 
-    def counting(form1, form2, modulus):
-        seconds.append(form2)
-        return parts(form1, form2, modulus)
+    def counting(form1, moved, gamma, modulus):
+        seconds.append((moved, gamma))
+        return parts(form1, moved, gamma, modulus)
 
     monkeypatch.setattr(rayclass, "_compose_parts", counting)
-    size = len(group_table(mod).classes)
-    generators = len(set(seconds))
+    group = group_table(mod)
+    generators = _generator_count(seconds)
     assert 1 <= generators <= 3
-    assert len(seconds) == size * generators
+    assert len(seconds) == len(group.classes) * generators
+
+
+@pytest.mark.parametrize(
+    "dk, ideal, moves",
+    [
+        (-4, (5, 0, 5), {QuadForm(2, 2, 1): 1}),
+        (-3, (6, 0, 6), {QuadForm(7, 5, 1): 2}),
+        (-4, (6, 0, 6), {QuadForm(5, 4, 1): 2}),
+        (-20, (2, 4, 6), {QuadForm(7, -6, 2): 2, QuadForm(5, 0, 1): 1}),
+        (-23, (3, 9, 12), {QuadForm(13, -9, 2): 2, QuadForm(23, -23, 6): 1}),
+        (-23, (1, 8, 31), {QuadForm(2, -1, 3): 4, QuadForm(2, 1, 3): 4}),
+    ],
+    ids=["-4:5,0,5", "-3:6,0,6", "-4:6,0,6", "-20:2,4,6", "-23:3,9,12", "-23:1,8,31"],
+)
+def test_table_normalizes_once_per_input(dk, ideal, moves, monkeypatch):
+    # `group_table` moves each generator once per leading coefficient that
+    # its earlier moves share a factor with (a second move at every modulus
+    # here but dK=-4 `5,0,5`), and keys its cells with the reduced forms'
+    # normalizations that enumeration made, one per form: no
+    # `coprime_normalize` runs per cell
+    mod, normalize, calls = make_modulus(make_discriminant(dk), *ideal), coprime_normalize, []
+
+    def counting(form, modulus):
+        calls.append((sys._getframe(1).f_code.co_name, form))
+        return normalize(form, modulus)
+
+    monkeypatch.setattr(rayclass, "coprime_normalize", counting)
+    group_table(mod)
+    by_caller = collections.Counter(caller for caller, _ in calls)
+    assert by_caller == {"_enumerate": len(reduced_forms(mod.disc)), "group_table": sum(moves.values())}
+    assert collections.Counter(form for caller, form in calls if caller == "group_table") == moves
+
+
+def test_compose_parts_checks_its_move():
+    # handed an unmoved second form sharing a factor with 2*a, the CRT step
+    # raises InternalCheckError, not pow's bare ValueError; `compose` moves
+    # the same forms first and succeeds
+    mod = make_modulus(D23, 1, 8, 31)
+    for form1, form2 in [(QuadForm(3, 1, 2), QuadForm(3, -1, 2)), (QuadForm(1, 1, 6), QuadForm(2, 1, 3))]:
+        with pytest.raises(InternalCheckError, match="shares a factor"):
+            rayclass._compose_parts(form1, form2, IDENT, mod)
+        assert math.gcd(compose(form1, form2, mod).a, mod.c) == 1
 
 
 CELL_MODULI = pytest.mark.parametrize(
@@ -1064,18 +1123,22 @@ def test_keyed_cells_match_composed_representatives(dk, ideal, monkeypatch):
     # so is the unit -1 that negates the correcting row
     mod = make_modulus(make_discriminant(dk), *ideal)
     reps = [fc.rep for fc in enumerate_classes(mod).classes]
+    level = 2 * mod.c * abs(mod.disc.d)
     for f in reps:
         for g in reps:
-            keyed = rayclass._key_at(*rayclass._compose_parts(f, g, mod), mod)
+            moved, gamma = coprime_normalize(g, level * f.a)
+            keyed = rayclass._key_at(*rayclass._compose_parts(f, moved, gamma, mod), mod, {})
             assert keyed == class_key(compose(f, g, mod), mod), (f, g)
-    table, parts = group_table(mod).table, rayclass._compose_parts
+    group, parts, seconds = group_table(mod), rayclass._compose_parts, []
 
-    def negated(form1, form2, modulus):
-        product, (x, y) = parts(form1, form2, modulus)
+    def negated(form1, moved, gamma, modulus):
+        seconds.append((moved, gamma))
+        product, (x, y) = parts(form1, moved, gamma, modulus)
         return product, (-x % modulus.c, -y % modulus.c)
 
     monkeypatch.setattr(rayclass, "_compose_parts", negated)
-    assert group_table(mod).table == table
+    assert group_table(mod).table == group.table
+    assert len(seconds) == len(group.classes) * _generator_count(seconds)
 
 
 @CELL_MODULI
@@ -1087,13 +1150,19 @@ def test_keyed_cells_match_composed_representatives(dk, ideal, monkeypatch):
 def test_table_catches_a_wrong_correcting_row(dk, ideal, fault, monkeypatch):
     # a wrong row keys a wrong or unknown class: either way the table raises
     # InternalCheckError, never a bare KeyError from the class index
-    mod, parts = make_modulus(make_discriminant(dk), *ideal), rayclass._compose_parts
+    mod, parts, seconds = make_modulus(make_discriminant(dk), *ideal), rayclass._compose_parts, []
+    faults = [lambda x, y: (x, y)]
 
-    def faulty(form1, form2, modulus):
-        product, row = parts(form1, form2, modulus)
-        return product, fault(*row)
+    def faulty(form1, moved, gamma, modulus):
+        seconds.append((moved, gamma))
+        product, row = parts(form1, moved, gamma, modulus)
+        return product, faults[-1](*row)
 
     monkeypatch.setattr(rayclass, "_compose_parts", faulty)
+    # unfaulted, the seam keys every generator cell
+    group = group_table(mod)
+    assert len(seconds) == len(group.classes) * _generator_count(seconds)
+    faults.append(fault)
     with pytest.raises(InternalCheckError):
         group_table(mod)
 
