@@ -12,17 +12,21 @@ These four numbers are computed along two independent routes:
 * the theta route (`_theta_core`): Jacobi theta series in the nome
   e^(i pi tau), whose terms fall like |q|^(n^2), so the term count grows
   as the square root of the digit count.  The discriminant is a product of
-  theta constants, with no cancellation.  All seven theta sums of one core
-  come from one fixed-point pass (`_theta_sums`) over the shared powers
-  q^n, q^(n^2) and q^(n^2 + n), the four sums in w by Horner's rule,
-  7 complex products per term; S is even in z, so a cell with x < 0 is
-  negated and every factor has modulus at most 1, and 3 bitlen(N + 1) + 5
-  guard bits for N terms keep each sum's error below 2^-(prec + 4).  The
-  sums stay ints: `_theta_values` forms S, E4, E6 and the discriminant
-  from them on complex ints, each value with its own binary exponent and
-  cut back to the working bits after every operation, each within
-  2^-(prec + 3/2) of the formulas on the sums, relative to the magnitude
-  its docstring names, and each is rounded to an mpmath value once.
+  theta constants, with no cancellation.  S takes theta1(pi z) and
+  theta2(pi z), two series of the same monomials q^(n^2 + n) w^(+-n) with
+  and without the sign (-1)^n.  All the sums of one core come from one
+  fixed-point pass (`_theta_sums`) over the shared powers q^n, q^(n^2)
+  and q^(n^2 + n): each w-series side as its even and odd halves by
+  Horner's rule in the square of its point, whose sum and difference give
+  both theta functions, 5 complex products per term; S is even in z, so a
+  cell with x < 0 is negated and every factor has modulus at most 1, and
+  3 bitlen(N + 1) + 5 guard bits for N terms keep each sum's error below
+  2^-(prec + 4).  The sums stay ints: `_theta_values` forms S, E4, E6 and
+  the discriminant from them on complex ints, each value with its own
+  binary exponent and cut back to the working bits after every operation,
+  each within 2^-(prec + 3/2) of the formulas on the sums, relative to the
+  magnitude its docstring names, and each is rounded to an mpmath value
+  once.
 * the q-series route (`_qseries_core`): the pe q-series in e^(2 pi i tau)
   with E4 and E6 as Lambert series in the same loop, over shared powers
   of q and one stopping rule, and the discriminant as E4^3 - E6^2.
@@ -229,38 +233,43 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
 
 def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
     """(wp, sums): the sums [sum T_n, sum (-1)^n T_n, p] for T_n = q^(n^2)
-    and p = sum P_n, P_n = q^(n^2 + n), then [H(a), G(a), G(1/a), H(1/a)]
-    (see `_theta_core`), from one fixed-point pass, each an int pair
-    (re, im) scaled by 2^wp.
+    and p = sum P_n, P_n = q^(n^2 + n), then the even and odd halves
+    [E(a), O(a), E(b), O(b)] of the two w-series (see `_theta_core`), from
+    one fixed-point pass, each an int pair (re, im) scaled by 2^wp.
 
     |q| < 1 and a = w with x >= 0 (S is even), so |a| <= 1, with logs lq
     and la; a_inv is 1/a, and b = q a_inv has modulus |q|^(1 - 2x) <= 1.
     The pass builds q^n, T_n and P_n by T_(n+1) = P_n q^(n+1),
     P_(n+1) = T_(n+1) q^(n+1), and every sum reads them: the first two are
-    the even part of sum T_n plus and minus its odd part, and the four
-    w-sums H(a) = sum (-1)^n T_n a^n, G(a) = sum (-1)^n P_n a^n,
-    G(1/a) = sum (-1)^n T_n b^n and H(1/a) = 1 + sum_(n>=1) (-1)^n
-    P_(n-1) b^n go by Horner's rule, c_0 - z (c_1 - z (c_2 - ...)) over
-    the coefficients c_n = T_n, P_n, T_n and (1, P_0, P_1, ...) with z = a,
-    a, b and b: r_N = c_N, r_k = c_k - z r_(k+1), one complex product per
-    term and no power of a or b.  Each sum stops at its own `_theta_terms`
-    count, N at most.
+    the even part of sum T_n plus and minus its odd part.  The w-series
+    take c_n = P_n at z = a and c_n = T_n at z = b (both terms are
+    q^(n^2 + n) w^(+-n)): E(z) = sum c_n z^n over even n goes by Horner's
+    rule in z^2, r_k = c_2k + z^2 r_(k+1), one complex product per term
+    and no power of z, and O(z), over odd n, the same way and then times z
+    once.  So E + O and E - O, the series with and without the sign
+    (-1)^n, come from one pass over each side's coefficients, each side
+    cut at its own `_theta_terms` count, N at most.
 
     Every factor has modulus at most 1.  A complex product (three int
     products, Gauss's form) and a floor shift is off by under
     e = 2^(1/2 - wp) plus the errors of its factors; q and a enter off by
-    e, b by 2e (`ctx.fmul` at wp, then the floor).  So q^n is off by
-    (2n - 1) e, T_n by 2n^2 e and P_n by (2n^2 + 2n) e.  A Horner step adds
-    to the error of r_(k+1), times |z| <= 1, its floor e, c_k's error and
-    z's entry error (at most 2e) times the exact r_(k+1), whose modulus is
-    at most sum_(m > k) |c_m| <= N - k.  With c_n off by at most
-    (2n^2 + 2n) e, a sum of N + 1 terms is off by under
-    (N(N + 1)(2N + 4)/3 + N(N + 1) + N) e <= (N + 1)^3 e <= 2^-(prec + 4)
-    to first order.
+    e, b by 2e (`ctx.fmul` at wp, then the floor), so z^2 is off by at
+    most 5e.  q^n is off by (2n - 1) e, T_n by 2n^2 e and P_n by
+    (2n^2 + 2n) e.  A Horner step adds to the error of r_(k+1), times
+    |z^2| <= 1, its floor e, c_2k's error and z^2's error times the exact
+    r_(k+1), whose modulus is at most its count of terms; the product by z
+    adds e and z's error, 2e, times the odd half's count.  For a side of
+    N + 1 terms, the coefficients' errors sum to under N(N + 1)(2N + 4)/3 e,
+    the N + 1 floors (N - 1 steps, z^2 and the product by z) to (N + 1) e,
+    z^2's error to 5 (2N^2 + 2N - 1)/8 e and z's to (N + 1) e.  That is
+    below (N + 1)^3 e from N = 3 on; at N = 2 it is 25e (c_0 + z^2 c_2
+    18e, c_1 z 7e), at N = 1 7e, and N = 0 leaves c_0 = 1 exact.  So
+    E + O and E - O are each off by under (N + 1)^3 e <= 2^-(prec + 4) to
+    first order.
     """
-    specs = [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]
-    counts = [_theta_terms(lq, lv, shift, lcut) for lv, shift in specs]
-    top = max(counts)
+    specs = [(0, 0), (0, 1), (la, 1), (lq - la, 0)]
+    n_t, n_p, n_a, n_b = (_theta_terms(lq, lv, shift, lcut) for lv, shift in specs)
+    top = max(n_t, n_p, n_a, n_b)
     wp = ctx.prec + 3 * (top + 1).bit_length() + 5
     one = (1 << wp, 0)
 
@@ -277,60 +286,70 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
         even, odd = terms[::2], terms[1::2]
         return tuple(sum(t[k] for t in even) + sign * sum(t[k] for t in odd) for k in (0, 1))
 
-    def horner(coeffs, z):
-        """sum (-1)^n coeffs[n] z^n as c_0 - z (c_1 - z (...))."""
-        r = coeffs[-1]
-        for cr, ci in reversed(coeffs[:-1]):
-            zr, zi = mul(r, z)
-            r = cr - zr, ci - zi
+    def horner(coeffs, z2):
+        """sum coeffs[k] z2^k as c_0 + z2 (c_1 + z2 (...)); 0 when empty."""
+        r = (0, 0)
+        for cr, ci in reversed(coeffs):
+            zr, zi = mul(r, z2)
+            r = cr + zr, ci + zi
         return r
+
+    def halves(coeffs, z):
+        z2 = mul(z, z)
+        return horner(coeffs[::2], z2), mul(horner(coeffs[1::2], z2), z)
 
     qq, qn, ts, ps = fixed(q), one, [one], [one]
     for _ in range(top):
         qn = mul(qn, qq)
         ts.append(mul(ps[-1], qn))
         ps.append(mul(ts[-1], qn))
-    n_t, n_p, n_h, n_g, n_gb, n_hb = counts
     a, b = fixed(a), fixed(ctx.fmul(q, a_inv, prec=wp))
     sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1], -1), series(ps[: n_p + 1], 1)]
-    sums += [horner(ts[: n_h + 1], a), horner(ps[: n_g + 1], a)]
-    sums += [horner(ts[: n_gb + 1], b), horner([one] + ps[:n_hb], b)]
-    return wp, sums
+    return wp, sums + [*halves(ps[: n_a + 1], a), *halves(ts[: n_b + 1], b)]
 
 
 def _theta_values(ctx, wp: int, sums, q, winv):
     """(S, E4, E6, Delta) of `_theta_core`, each an exact value
     (re, im, e) = (re + i im) 2^e, from `_theta_sums`' pairs at scale 2^wp
-    in the order s3, s4, p, H(w), G(w), G(1/w), H(1/w), with q and 1/w.
+    in the order s3, s4, p, E(w), O(w), E(b), O(b), with q and 1/w.
 
-    th3 = 2 s3 - 1, th4 = 2 s4 - 1 and theta4(pi z) = H(w) + H(1/w) - 1
-    are exact at scale 2^wp.  Every other value carries its own binary
-    exponent, so a small factor (th3 or th4 near a cusp, q at large
-    Im tau0, theta1(pi z)) keeps its relative precision.  q and 1/w enter
-    once, floored at a scale that gives them at least wp bits.  A product
-    is exact on ints and then floor-shifted to at most wp bits; a sum is
-    exact, its operands aligned on the smaller exponent, and then shifted
-    likewise; a quotient (by theta1, and by 12) keeps at least wp + 1 bits
-    of its floor.  A shift by s > 0 bits moves each part by under 2^s from
-    a value of at least 2^(wp - 1 + s), so every operation returns its
-    exact result on its stored operands within a relative u = 2^(3/2 - wp)
-    (the entry of q and 1/w and a quotient within 2^(1/2 - wp)).  Where a
-    sum's exponents lie over 2 wp apart and its top bits are t and
-    t' < t - wp - 2 (far up the half plane t2 lies 2 pi Im tau0/ln 2 bits
-    below t3), the smaller is first floored at 2^(t - wp - 3): the sum
-    exceeds 2^(t - 2), so its own shift floors at 2^(t - wp - 1) or above,
-    the two floors make one, and no shift spans the gap.  Against
-    the formulas evaluated exactly on the sums, q and 1/w, to first order
-    in u: t3 and t4 are within 3u, t2 within 5u, and
+    th3 = 2 s3 - 1, th4 = 2 s4 - 1 and the four w-series
+    G~(w) = E(w) + O(w), G(w) = E(w) - O(w), G~(1/w) = E(b) + O(b) and
+    G(1/w) = E(b) - O(b) are exact at scale 2^wp.  Every other value
+    carries its own binary exponent, so a small factor (th3 or th4 near a
+    cusp, q at large Im tau0, theta1(pi z), theta2(pi z) near z = 1/2)
+    keeps its relative precision.  q and 1/w enter once, floored at a scale
+    that gives them at least wp bits.  A product is exact on ints and then
+    floor-shifted to at most wp bits; a sum is exact, its operands aligned
+    on the smaller exponent, and then shifted likewise; a quotient (by
+    theta1, and by 12) keeps at least wp + 1 bits of its floor.  A shift by
+    s > 0 bits moves each part by under 2^s from a value of at least
+    2^(wp - 1 + s), so every operation returns its exact result on its
+    stored operands within a relative u = 2^(3/2 - wp) (the entry of q and
+    1/w and a quotient within 2^(1/2 - wp)).  Where a sum's exponents lie
+    over 2 wp apart and its top bits are t and t' < t - wp - 2 (far up the
+    half plane t2 lies 2 pi Im tau0/ln 2 bits below t3), the smaller is
+    first floored at 2^(t - wp - 3): the sum exceeds 2^(t - 2), so its own
+    shift floors at 2^(t - wp - 1) or above, the two floors make one, and
+    no shift spans the gap.  Against the formulas evaluated exactly on the
+    sums, q and 1/w, to first order in u: t3 and t4 are within 3u, t2
+    within 5u, and
       Delta within 27u |Delta|,
       E4 within 13u (|t2|^2 + |t3|^2 + |t4|^2)/2,
       E6 within 18u (|t2| + |t3|)(|t3| + |t4|)(|t4| + |t2|)/2,
-      S within 16u (k |A| + (|t2| + |t3|)/12),
-    with A = (p th3 theta4(pi z)/theta1(pi z))^2 / w and
-    k = (|G(w)| + |G(1/w)/w|)/|theta1(pi z)| >= 1, the cancellation in
-    theta1.  Under wp >= prec + 3 bitlen(N + 1) + 5 >= prec + 8, each bound
-    is below 32u <= 2^-(prec + 3/2) times its magnitude, before the one
-    rounding to prec in `_theta_core`.
+      S within 9u ((k + k~) |A| + (|t3| + |t4|)/12),
+    with A = (th3 th4 num/den)^2/4 for num = G~(w) + G~(1/w)/w and
+    den = G(w) - G(1/w)/w, and the cancellations k = (|G(w)| +
+    |G(1/w)/w|)/|den| >= 1 in theta1(pi z) and k~ = (|G~(w)| +
+    |G~(1/w)/w|)/|num| >= 1 in theta2(pi z); k~ |A| stays finite as num
+    vanishes at z = 1/2.  For S: each of num and den is within (3k/2 + 1)u
+    <= 5ku/2 (with its own k) of its exact value, th3 th4 num within
+    (2 + 5k~/2)u, the quotient r within 5(1 + k + k~)u/2 and r^2/4 within
+    (6 + 5k + 5k~)u <= 8(k + k~)u; (t3 + t4)/12 is within
+    9u (|t3| + |t4|)/24, and the difference adds u (|A| + (|t3| + |t4|)/12).
+    Under wp >= prec + 3 bitlen(N + 1) + 5 >= prec + 8, each bound is below
+    32u <= 2^-(prec + 3/2) times its magnitude, before the one rounding to
+    prec in `_theta_core`.
     """
     one = 1 << wp
 
@@ -378,12 +397,15 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     e6 = scaled(mul(mul(add(t3, t4), add(t2, t3)), add(t4, t2, -1)), 1, -1)
     d = mul(mul(t2, t3), t4)
     delta = scaled(mul(d, d), 27, -2)
-    (hr, hi), g_w, g_inv, (ir, ii) = sums[3:]
+    # G~(w), G(w), G~(1/w), G(1/w): each side's halves added and subtracted
+    gt_w, g_w, gt_b, g_b = (
+        (e[0] + c * o[0], e[1] + c * o[1], -wp) for e, o in (sums[3:5], sums[5:]) for c in (1, -1)
+    )
     wi = enter(winv)
-    theta4_z = (hr + ir - one, hi + ii, -wp)
-    theta1_z = add((*g_w, -wp), mul((*g_inv, -wp), wi), -1)
-    r = div(mul(mul(p, th3), theta4_z), theta1_z)
-    s_val = add(mul(mul(r, r), wi), div(add(t2, t3), (12, 0, 0)))
+    num = add(gt_w, mul(gt_b, wi))
+    den = add(g_w, mul(g_b, wi), -1)
+    r = div(mul(mul(th3, th4), num), den)
+    s_val = add(scaled(mul(r, r), 1, -2), div(add(t3, t4), (12, 0, 0)), -1)
     return s_val, e4, e6, delta
 
 
@@ -397,16 +419,22 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int]):
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
     E6 = (t3 + t4)(t2 + t3)(t4 - t2)/2 and Delta = E4^3 - E6^2 =
     27/4 (t2 t3 t4)^2, a product with no cancellation.
-    theta1(pi z) = -i q^(1/4) w^(1/2) (G(w) - G(1/w)/w) for
-    G(u) = sum (-1)^n q^(n(n+1)) u^n, and theta4(pi z) = H(w) + H(1/w) - 1
-    for H(u) = sum (-1)^n q^(n^2) u^n; the quarter powers cancel from
-    S = -(theta2^2 theta3^2 theta4(pi z)^2 / theta1(pi z)^2 - (t2 + t3)/3)/4,
-    which is the q-series route's S.  S reads theta4 (even) and theta1
-    (odd) squared, so it is even in z: `_exact_nome` negates a cell with
-    x < 0, and |w| <= 1 for x in [0, 1/2].  `_theta_sums` takes w as its a
-    and returns all seven sums from one pass, each cut where `_theta_terms`
-    bounds its tail below the context's `_cutoff`.  `_theta_values` forms
-    the four values on ints, and each is rounded to an mpc once.
+    theta1(pi z) = -i q^(1/4) w^(1/2) (G(w) - G(1/w)/w) and
+    theta2(pi z) = q^(1/4) w^(1/2) (G~(w) + G~(1/w)/w) for
+    G(u) = sum (-1)^n q^(n(n+1)) u^n and G~(u) = sum q^(n(n+1)) u^n.  With
+    pe(z) = e1 + pi^2 (theta3 theta4 theta2(pi z)/theta1(pi z))^2 and
+    e1 = pi^2 (t3 + t4)/3 (DLMF 23.6.2 and 23.6.5, 2 omega1 = 1), the
+    factors q^(1/4) w^(1/2) cancel from the q-series route's
+    S = -pe/(4 pi^2) = (theta3 theta4 num/den)^2/4 - (t3 + t4)/12, with
+    num = G~(w) + G~(1/w)/w and den = G(w) - G(1/w)/w.  S reads theta2
+    (even) and theta1 (odd) squared, so it is even in z: `_exact_nome`
+    negates a cell with x < 0, and |w| <= 1 for x in [0, 1/2].
+    `_theta_sums` takes w as its a and returns from one pass the three
+    theta-constant sums and the even and odd halves of G~ at w and at 1/w
+    (G is the same halves with the odd one negated), each cut where
+    `_theta_terms` bounds its tail below the context's `_cutoff`.
+    `_theta_values` forms the four values on ints, and each is rounded to
+    an mpc once.
     """
     q, lq, w, lw = _exact_nome(ctx, form, cell)
     # log of a number no larger than the cutoff
@@ -511,10 +539,15 @@ def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
     return polar(n, -b, 2 * a), lq, polar(2 * k, 2 * m * a - k * b, a * n), 2 * (k / n) * lq
 
 
-def _reduce_tau(ctx, t):
+def _reduce_tau(ctx, t, steps: int):
+    """(t0, g) with t = g(t0) and t0 in the fundamental domain up to
+    rounding, in at most `steps` rounds, each a translation by the nearest
+    integer and at most one flip.  The rounds follow `forms.reduce` on the
+    form whose root t is, a flip only below |t| = 1, so the caller passes
+    that form's cap 2*(bitlen(a) + isqrt|d|) + 4; needing more is a bug."""
     edge = 1 - ctx.mpf(10) ** -(ctx.dps - 5)
     g = IDENT
-    for _ in range(10000):
+    for _ in range(steps):
         shift = int(ctx.nint(t.real))
         if shift:
             t = t - shift
@@ -641,7 +674,9 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()
     ctx = _ctx(p)
     label = descriptor_label(desc)
     phi = sum(math.gcd(x, label.level) == 1 for x in range(label.level))
-    t0, g = _reduce_tau(ctx, _embed(ctx, desc.eval_point(), desc.disc))
+    form = desc.eval_point()
+    steps = 2 * (form.a.bit_length() + math.isqrt(-form.disc())) + 4
+    t0, g = _reduce_tau(ctx, _embed(ctx, form, desc.disc), steps)
     k, m, n = _exact_cell(0, desc.point.a ** (phi - 1), label.level, g)
     x, y = ctx.mpf(k) / n, ctx.mpf(m) / n
     return _torsion_value(ctx, label.i, _qseries_core(ctx, t0, _cutoff(ctx), x, y))
@@ -655,11 +690,13 @@ def complex_to_json(value, p: Precision = Precision()) -> dict:
     the theta core returns within 2^-(prec + 3/2) of the magnitude its
     docstring names, prec being digits + 10 digits.  So a value is within
     about 10^-(digits + 9) |value| unless a factor is small against its
-    magnitude, which happens where it vanishes: S at a torsion point fixed
-    by a unit of dK = -3 or -4 (the value 0 of dK=-3 `1,2,3` class (1,1,1)
-    and dK=-4 `1,1,2` class (1,0,1)), E4 at rho, E6 at i.  There the factor
-    comes out near 10^-(digits + 10) times a magnitude of order 1, so the
-    value stays below 10^-digits and prints as 0.0 in both parts.
+    magnitude, which happens where it vanishes: S, whose magnitude
+    (k + k~) |A| + (|t3| + |t4|)/12 counts both of its terms, where A and
+    (t3 + t4)/12 cancel at a torsion point fixed by a unit of dK = -3 or -4
+    (the value 0 of dK=-3 `1,2,3` class (1,1,1) and dK=-4 `1,1,2` class
+    (1,0,1)), E4 at rho, E6 at i.  There the factor comes out near
+    10^-(digits + 10) times a magnitude of order 1, so the value stays
+    below 10^-digits and prints as 0.0 in both parts.
     """
     ctx = _ctx(p)
     v = ctx.mpc(value)

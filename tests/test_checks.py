@@ -271,6 +271,62 @@ def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
     assert after[6].detail == "worst residual 3.395e-29"
 
 
+def _theta_fault(monkeypatch, fault):
+    """Inject one fault into the theta route's S.  The odd halves of both
+    w-series are negated where `_theta_sums` returns them; the other two
+    move S = A - (t3 + t4)/12 as `_theta_values` would with its constant
+    taking t2 for t4, or with A's /4 dropped, t_k from mpmath's jtheta at
+    the core's own nome."""
+    if fault == "odd half's sign flipped":
+        theta_sums = modular._theta_sums
+
+        def flipped(*args):
+            wp, sums = theta_sums(*args)
+            for k in (4, 6):
+                sums[k] = (-sums[k][0], -sums[k][1])
+            return wp, sums
+
+        monkeypatch.setattr(modular, "_theta_sums", flipped)
+        return
+    theta_core = modular._theta_core
+
+    def moved(ctx, form, cell):
+        s_val, *rest = theta_core(ctx, form, cell)
+        q = modular._exact_nome(ctx, form, cell)[0]
+        t2, t3, t4 = (ctx.jtheta(k, 0, q) ** 4 for k in (2, 3, 4))
+        if fault == "t2 for t4 in the constant":
+            s_val -= (t2 - t4) / 12
+        else:
+            s_val = 4 * s_val + (t3 + t4) / 4
+        return (s_val, *rest)
+
+    monkeypatch.setattr(modular, "_theta_core", moved)
+
+
+@pytest.mark.parametrize("digits", [40, 80])
+@pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-3, 6, 0, 6), (-4, 6, 0, 6)])
+@pytest.mark.parametrize("fault", ["odd half's sign flipped", "t2 for t4 in the constant", "the /4 dropped"])
+def test_route_check_fails_on_a_theta_fault(monkeypatch, fault, ideal, digits):
+    """The route check as `verify` runs it (tolerance 10^-(digits // 2),
+    seed 911) passes as shipped and fails on each fault in S's theta
+    form: it compares the theta route with the q-series route, which
+    shares none of S's formula.  The one fault that stays hidden is t2 for
+    t4 at dK=-4 `6,0,6`: every point there reduces to tau = i, where
+    theta2 = theta4 (tau -> -1/tau swaps them), so t2 = t4 and the fault
+    moves no value; dK=-20 and -3 see it."""
+    name = "descriptor route vs unreduced route"
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+
+    def route_check():
+        found = run_checks(mod, Precision(digits), digits // 2, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert route_check().passed
+    _theta_fault(monkeypatch, fault)
+    check = route_check()
+    assert check.passed == (fault == "t2 for t4 in the constant" and ideal[0] == -4), check.detail
+
+
 def test_contexts_are_shared_and_keep_their_precision():
     p80 = Precision(80)
     assert modular._ctx(Precision(80)) is modular._ctx(Precision(80))

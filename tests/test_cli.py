@@ -404,19 +404,20 @@ def test_verify_second_field():
 # q-series route's E4 and E6 as Lambert series in the pe sum's loop, no
 # class count line (enumeration checks the count), every theta core's
 # q and w built from one real exponential at its exact point and every
-# theta entry's point reduced exactly as the root of its integral form;
-# any change to a sample, value or detail string shows here
+# theta entry's point reduced exactly as the root of its integral form,
+# and S from theta2(pi z)/theta1(pi z); any change to a sample, value or
+# detail string shows here
 VERIFY_DIGESTS = {
     ("-111", "9,0,9", "40", "json"): "dda7b84bffd68aeb86903a98792bef67d1c8a29059eddebe40138865a4202fa7",
     ("-20", "2,4,6", "40", "json"): "bd1d4e64a851be591d6a6aeba39d58d3bc171e7f0873a50b92f9c3e9e5525814",
     ("-20", "2,4,6", "40", "text"): "5f710d0a61d19d8dead48c99a23e82504da73ef9bee6d219023223dc7e67f733",
-    ("-23", "1,8,31", "40", "json"): "0d56c25c0fc4395fb338b872ac29f2e1a16d35f5a130ab9a91c76b3747dd51b8",
+    ("-23", "1,8,31", "40", "json"): "29365dbf02ebcf6d54eb1ff953a6472270f102fa2398a2e33e4a327d4b67e327",
     ("-23", "3,9,12", "80", "json"): "fc205fec8183c1bb0c95527c1225395340877e352a62d550cd35ba53a379519e",
     ("-23", "3,9,12", "80", "text"): "a98a644a3778ce4c2b2e06ab2fc017e33ddba5f94968fcc771f0791b94ce8a9f",
-    ("-3", "6,0,6", "80", "json"): "0347315c434b8a0a57424916cc6db97b3b0820cefcd17bda8e529e6df4a1216c",
-    ("-3", "6,0,6", "80", "text"): "ffa9d90db623dcf772536e2b0710e94d675dcf673447da82413c98879d9d1d5b",
-    ("-4", "6,0,6", "80", "json"): "c455ad9422d386d4d83bb4aa290acaec4c691dfdf5d91d6fc1ac61a9b2d49740",
-    ("-4", "6,0,6", "80", "text"): "6a3ff498d44ba94b7b95730a22e3d77d6c454c6474d37a8a296a70e095999166",
+    ("-3", "6,0,6", "80", "json"): "383e1f4941223d4949ef92cd8e6c338b9f8224034b9e479fa69cdce7253755f9",
+    ("-3", "6,0,6", "80", "text"): "737d588527a52ada0d7546ef6f1bdd153b93f792f1fd225589d971a7d5dbb6bd",
+    ("-4", "6,0,6", "80", "json"): "750ae94fb01c25239dd0af3f19e59ed0f0f27456b8656f36738205c834c82f1b",
+    ("-4", "6,0,6", "80", "text"): "d18e0159bf15820008d959c96988b826ee07c4fb5edc949a514d5e961de539b6",
 }
 
 

@@ -131,18 +131,57 @@ def test_exact_cell_matches_the_fraction_rule():
                 modular._exact_cell(r, s, 6, g)
 
 
+def tau_cap(form):
+    """The step cap `eval_descriptor_unreduced` gives `_reduce_tau` at the
+    root of the form: `forms.reduce`'s, 2*(bitlen(a) + isqrt|d|) + 4."""
+    return 2 * (form.a.bit_length() + math.isqrt(-form.disc())) + 4
+
+
 def test_reduce_tau():
     ctx = modular._ctx(P30)
-    t0, g = modular._reduce_tau(ctx, ctx.mpc(0, 1))
+    t0, g = modular._reduce_tau(ctx, ctx.mpc(0, 1), 1)
     assert g == IDENT
     assert abs(t0 - ctx.mpc(0, 1)) < ctx.mpf(10) ** -25
 
     tau = ctx.mpc("0.3", "0.007")
-    t0, g = modular._reduce_tau(ctx, tau)
+    t0, g = modular._reduce_tau(ctx, tau, tau_cap(modular._point_form(tau)))
     assert t0.imag > ctx.sqrt(3) / 2 - ctx.mpf(10) ** -20
     assert abs(t0.real) <= ctx.mpf("0.5") + ctx.mpf(10) ** -20
     back = (g.p * t0 + g.q) / (g.r * t0 + g.s)
     assert abs(back - tau) < ctx.mpf(10) ** -25
+
+
+def rounds_suffice(ctx, tau, steps):
+    try:
+        modular._reduce_tau(ctx, tau, steps)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def test_reduce_tau_stops_at_its_cap():
+    """`_reduce_tau` at the root of a form takes at most that form's cap,
+    and a cap one short of the rounds a point needs raises: the embedded
+    descriptor points of dK=-23 `1,8,31` and `1,176,211` and of dK=-3
+    `6,0,6` (up to 7 rounds), and the numeric point 0.3 + 0.007i (4
+    rounds), entering as its form (`_point_form`)."""
+    ctx = modular._ctx(P30)
+    points = []
+    for dk, ideal in ((-23, (1, 8, 31)), (-23, (1, 176, 211)), (-3, (6, 0, 6))):
+        mod = make_modulus(make_discriminant(dk), *ideal)
+        for fc in enumerate_classes(mod).classes[:40]:
+            form = descriptor(fc.rep, mod).eval_point()
+            points.append((form, modular._embed(ctx, form, mod.disc)))
+    tau = ctx.mpc("0.3", "0.007")
+    points.append((modular._point_form(tau), tau))
+    most = 0
+    for form, tau in points:
+        need = next(n for n in range(1, tau_cap(form) + 1) if rounds_suffice(ctx, tau, n))
+        most = max(most, need)
+        if need > 1:
+            with pytest.raises(InternalCheckError, match="did not terminate"):
+                modular._reduce_tau(ctx, tau, need - 1)
+    assert most >= 4
 
 
 def test_j_special_values():
@@ -545,6 +584,30 @@ def test_printed_values_pinned(dk, ideal):
         assert hashlib.sha256(json.dumps(printed).encode()).hexdigest() == want, (digits, printed)
 
 
+# sha256 of the printed value of the 16 worked classes (dK=-20 `2,4,6`,
+# then -23 `3,9,12`) at every index (None, 1, 2, 3), recorded while S came
+# from theta4(pi z)/theta1(pi z); the theta2(pi z)/theta1(pi z) form
+# prints the same
+INDEXED_DIGESTS = {
+    80: "a53cd1b6b214ccca50d5b6bf4b119ec691169ab28eeddc12035e78481922eccb",
+    300: "d4570129271d15047a47d61273b39a68eed95063b274f03ec937f6ef08935caf",
+    1000: "9486eafffc696870a27c574447c49b1d36ad23f82a48e1965001c14a2c78207a",
+}
+
+
+@pytest.mark.parametrize("digits", sorted(INDEXED_DIGESTS))
+def test_indexed_values_pinned(digits):
+    p = Precision(digits)
+    printed = []
+    for dk, ideal in ((-20, (2, 4, 6)), (-23, (3, 9, 12))):
+        mod = make_modulus(make_discriminant(dk), *ideal)
+        for fc in enumerate_classes(mod).classes:
+            d = descriptor(fc.rep, mod)
+            printed += [complex_to_json(eval_descriptor(d, i, p), p) for i in (None, 1, 2, 3)]
+    assert len(printed) == 64
+    assert hashlib.sha256(json.dumps(printed).encode()).hexdigest() == INDEXED_DIGESTS[digits], printed
+
+
 @pytest.mark.parametrize("digits", [80, 300, 1000])
 @pytest.mark.parametrize("dk, ideal, form", [(-3, (1, 2, 3), (1, 1, 1)), (-4, (1, 1, 2), (1, 0, 1))])
 def test_vanishing_values_stay_below_the_digits(digits, dk, ideal, form):
@@ -702,8 +765,10 @@ KERNEL_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37"), ("0", "0.5"), 
 
 
 def jtheta_core(ctx, tau, x, y):
-    """(S, E4, E6, Delta) from mpmath.jtheta, by the identities in
-    `_theta_core`'s docstring; no arithmetic shared with the kernel."""
+    """(S, E4, E6, Delta) from mpmath.jtheta, with S by the e3 form of pe,
+    theta2 theta3 theta4(pi z)/theta1(pi z) (DLMF 23.6.5), where the
+    kernel takes the e1 form: no arithmetic and no identity for S shared
+    with the kernel."""
     q = ctx.expjpi(tau)
     th2, th3, th4 = (ctx.jtheta(k, 0, q) for k in (2, 3, 4))
     t2, t3, t4 = th2**4, th3**4, th4**4
@@ -732,13 +797,15 @@ def test_theta_kernel_matches_mpmath_jtheta(digits):
                 assert abs(a - b) < tol * abs(b), (name, re, im, x, y)
 
 
-def plain_sum(ref, q, v, shift, terms):
-    """sum_{n=0}^{terms} q^(n^2 + shift*n) v^n by the mpc loop in ref."""
-    want = term = ref.mpc(1)
+def plain_sum(ref, q, v, shift, terms, parity=None):
+    """sum_{n=0}^{terms} q^(n^2 + shift*n) v^n by the mpc loop in ref, over
+    every n, or over the n of the given parity (0 even, 1 odd)."""
+    want, term = ref.mpc(0), ref.mpc(1)
     step, q2 = q ** (1 + shift) * v, q**2
-    for _ in range(terms):
+    for n in range(terms + 1):
+        if parity is None or n % 2 == parity:
+            want += term
         term *= step
-        want += term
         step *= q2
     return want
 
@@ -761,9 +828,11 @@ def to_ref(ref, pair, scale):
 def test_theta_sum_within_its_error_bound(digits):
     """Every sum `_theta_sums` returns at the points above, with a = w at
     the cell negated to x >= 0, against the same series summed by the mpc
-    loop at twice the precision: off by at most (N+1)^3 2^(1/2-wp) for
-    N + 1 terms, the bound of its docstring; the sums are exact ints, so
-    there is no rounding term."""
+    loop at twice the precision: s3, s4 and p each off by at most
+    (N+1)^3 2^(1/2-wp) for N + 1 terms, the bound of its docstring, and
+    the even and odd halves of each w-series off by at most that bound
+    together, so their sum and difference are too; the sums are exact
+    ints, so there is no rounding term."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
@@ -775,23 +844,30 @@ def test_theta_sum_within_its_error_bound(digits):
             q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
             rq, ra, ri = ref.mpc(q), ref.mpc(a), ref.mpc(a_inv)
             wp, got = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-            # (v, log|v|, shift) of sum q^(n^2 + shift*n) v^n: s3, s4, p, then
-            # H(a), G(a), G(1/a) = sum (-1)^n q^(n^2) b^n for b = q a_inv, H(1/a)
-            specs = [(1, 0, 0), (-1, 0, 0), (1, 0, 1)]
-            specs += [(-ra, la, 0), (-ra, la, 1), (-rq * ri, lq - la, 0), (-ri, -la, 0)]
-            assert len(got) == len(specs)
-            for k, (v, lv, shift) in enumerate(specs):
+            assert len(got) == 7
+            e = ref.ldexp(ref.sqrt(2), -wp)
+            # (v, log|v|, shift) of sum q^(n^2 + shift*n) v^n: s3, s4, p
+            for k, (v, lv, shift) in enumerate([(1, 0, 0), (-1, 0, 0), (1, 0, 1)]):
                 terms = modular._theta_terms(lq, lv, shift, lcut)
-                want = plain_sum(ref, rq, v, shift, terms)
-                bound = (terms + 1) ** 3 * ref.ldexp(ref.sqrt(2), -wp)
-                assert abs(to_ref(ref, got[k], wp) - want) <= bound, (re, im, cell, k)
+                off = abs(to_ref(ref, got[k], wp) - plain_sum(ref, rq, v, shift, terms))
+                assert off <= (terms + 1) ** 3 * e, (re, im, cell, k)
+            # the halves of sum P_n a^n and of sum T_n b^n, b = q a_inv
+            for k, (v, lv, shift) in [(3, (ra, la, 1)), (5, (rq * ri, lq - la, 0))]:
+                terms = modular._theta_terms(lq, lv, shift, lcut)
+                halves = (plain_sum(ref, rq, v, shift, terms, n) for n in (0, 1))
+                off = sum(abs(to_ref(ref, got[k + n], wp) - h) for n, h in enumerate(halves))
+                assert off <= (terms + 1) ** 3 * e, (re, im, cell, k)
 
 
 @pytest.mark.parametrize("digits", [30, 80, 1000])
 def test_j_cell_w_sums_equal_the_theta_constants(digits):
     """At x = 0, y = 1/2, where `eisenstein_j` runs the core, a = w = -1
-    exactly, and a fixed-point product by (-2^wp, 0) is exact, so Horner's
-    H(a) and G(a) come out as s3 and p bit for bit.  j reads only s3, s4
+    exactly, and a fixed-point product by (+-2^wp, 0) is exact, so a^2 = 1
+    and the a-side halves are exact sums of the P_n ints: E - O = G(-1)
+    is p bit for bit, and at a = 1 the same halves come out with O
+    negated, so E + O = G~(-1) is sum (-1)^n P_n on those ints, within the
+    sums' bound of the mpc loop.  theta2(pi/2) = 0, so num cancels and S
+    is -(t3 + t4)/12 within `_theta_values`' bound.  j reads only s3, s4
     and p, whose loop the w-sums leave alone, so `test_j_pinned_to_the_bit`
     needs no re-pin when the w-sums change form."""
     p = Precision(digits)
@@ -800,30 +876,46 @@ def test_j_cell_w_sums_equal_the_theta_constants(digits):
     for re, im in KERNEL_TAUS:
         q, lq, a, a_inv, la = theta_inputs(ctx, ctx.mpc(re, im), ("0", "0.5"))
         assert a == -1, (re, im)
-        _, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-        assert sums[3] == sums[0] and sums[4] == sums[2], (re, im)
+        wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+        (er, ei), (orr, oi) = sums[3:5]
+        assert (er - orr, ei - oi) == sums[2], (re, im)
+        _, plus = modular._theta_sums(ctx, q, lq, lcut, ctx.mpc(1), ctx.mpc(1), la)
+        assert plus[3] == (er, ei) and plus[4] == (-orr, -oi), (re, im)
+        ref = mpmath.ctx_mp.MPContext()
+        ref.prec = 2 * wp
+        terms = modular._theta_terms(lq, la, 1, lcut)
+        off = abs(to_ref(ref, (er + orr, ei + oi), wp) - plain_sum(ref, ref.mpc(q), -1, 1, terms))
+        assert off <= (terms + 1) ** 3 * ref.ldexp(ref.sqrt(2), -wp), (re, im)
+        s_re, s_im, s_e = modular._theta_values(ctx, wp, sums, q, a_inv)[0]
+        (_, _, _, _, t3, t4), _ = mpc_theta_values(ref, wp, sums, q, a_inv)
+        bound = 32 * ref.ldexp(1, -wp) * ref.sqrt(8) * (abs(t3) + abs(t4)) / 12
+        assert abs(to_ref(ref, (s_re, s_im), -s_e) + (t3 + t4) / 12) <= bound, (re, im)
 
 
 def mpc_theta_values(ref, wp, sums, q, winv):
-    """(S, E4, E6, Delta) from the integer sums by the mpc formulas of
-    `_theta_core`'s docstring, evaluated in ref, with the magnitude that
-    `_theta_values`' docstring bounds each error by."""
-    s3, s4, p, h_w, g_w, g_inv, h_inv = (to_ref(ref, pair, wp) for pair in sums)
+    """((S, E4, E6, Delta, t3, t4), magnitudes): the values from the integer
+    sums by the mpc formulas of `_theta_core`'s docstring, evaluated in ref,
+    with the magnitude that `_theta_values`' docstring bounds each error by;
+    k~ |A| is formed with |num| cancelled, so it stays finite at num = 0."""
+    s3, s4, p, e_w, o_w, e_b, o_b = (to_ref(ref, pair, wp) for pair in sums)
     q, winv = ref.mpc(q), ref.mpc(winv)
     th3, th4 = 2 * s3 - 1, 2 * s4 - 1
     t2, t3, t4 = 16 * q * (p * p) ** 2, (th3 * th3) ** 2, (th4 * th4) ** 2
     a2, a3, a4 = abs(t2), abs(t3), abs(t4)
-    theta1_z = g_w - g_inv * winv
-    big_a = (p * th3 * (h_w + h_inv - 1) / theta1_z) ** 2 * winv
-    kappa = (abs(g_w) + abs(g_inv * winv)) / abs(theta1_z)
+    g_w, g_inv, gt_w, gt_inv = e_w - o_w, (e_b - o_b) * winv, e_w + o_w, (e_b + o_b) * winv
+    den, num = g_w - g_inv, gt_w + gt_inv
+    scale = abs(th3 * th4 / den) ** 2 / 4
+    big_a = (th3 * th4 * num / den) ** 2 / 4
+    # (k + k~) |A|, with |A| = scale |num|^2
+    cancel = ((abs(g_w) + abs(g_inv)) * abs(num) / abs(den) + abs(gt_w) + abs(gt_inv)) * abs(num) * scale
     values = [
-        big_a + (t2 + t3) / 12,
+        big_a - (t3 + t4) / 12,
         (t2 * t2 + t3 * t3 + t4 * t4) / 2,
         (t3 + t4) * (t2 + t3) * (t4 - t2) / 2,
         27 * (t2 * t3 * t4) ** 2 / 4,
     ]
     mags = [(a2**2 + a3**2 + a4**2) / 2, (a2 + a3) * (a3 + a4) * (a4 + a2) / 2, abs(values[3])]
-    return values, [kappa * abs(big_a) + (a2 + a3) / 12] + mags
+    return values + [t3, t4], [cancel + (a3 + a4) / 12] + mags
 
 
 @pytest.mark.parametrize("digits", [80, 1000])
@@ -873,14 +965,14 @@ def test_theta_terms_match_the_plain_search():
         digits = math.exp(rng.uniform(math.log(30), math.log(1e5)))
         lcut = -(digits + 20) * math.log(10)
         la = 2 * abs(rng.uniform(-0.5, 0.5)) * lq
-        for lv, shift in [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]:
+        for lv, shift in [(0, 0), (0, 1), (la, 1), (lq - la, 0)]:
             got = modular._theta_terms(lq, lv, shift, lcut)
             assert got == plain_terms(lq, lv, shift, lcut), (lq, lv, shift, lcut)
 
 
 def test_j_cell_counts_only_theta_terms():
-    """At x = 0, where `eisenstein_j` runs the core, the six (lv, shift) of
-    `_theta_sums` count (T, P, T, P, P, T) terms, T for q^(n^2) and P for
+    """At x = 0, where `eisenstein_j` runs the core, the four (lv, shift) of
+    `_theta_sums` count (T, P, P, P) terms, T for q^(n^2) and P for
     q^(n^2 + n): no sum runs longer than the three theta constants need, so
     the working precision and those three sums are the ones they would be
     with no torsion point, at every point above and tail cutoffs of 30 to
@@ -890,9 +982,9 @@ def test_j_cell_counts_only_theta_terms():
         la = 2 * 0.0 * lq  # as `_exact_nome` forms it at x = 0
         for digits in (30, 80, 300, 1000, 3000, 10000, 30000, 100000):
             lcut = -(digits + 20) * math.log(10)
-            specs = [(0, 0), (0, 1), (la, 0), (la, 1), (lq - la, 0), (-la, 0)]
+            specs = [(0, 0), (0, 1), (la, 1), (lq - la, 0)]
             t, p, *rest = (modular._theta_terms(lq, lv, shift, lcut) for lv, shift in specs)
-            assert rest == [t, p, p, t], (im, digits)
+            assert rest == [p, p], (im, digits)
 
 
 # the cells of `_exact_nome`'s test: x = 0, x = 1/2 on both edges, x < 0 and
@@ -1129,7 +1221,7 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     ]
     before = [call() for call in calls]
 
-    def refuse(ctx, t):
+    def refuse(ctx, t, steps):
         raise AssertionError("numeric reduction on the exact route")
 
     monkeypatch.setattr(modular, "_reduce_tau", refuse)
