@@ -2,7 +2,9 @@
 
 Runs the property suite of `rayform verify` (rayform.checks) on dK = -20,
 modulus 2,4,6, with its own sample count and seed, and prints one line per
-check with its worst residual.  The tolerance is 10^-(digits/2).
+check with its worst residual.  The tolerance is 10^-(digits/2).  Exits 0
+when every check passes, 3 when one fails or an internal check fails (as
+`rayform verify` does), and 2 on invalid input.
 """
 
 import argparse
@@ -35,7 +37,7 @@ def main() -> int:
     print(f"digits={args.digits} samples={args.samples} seed={args.seed}")
     for check in checks:
         print(check)
-    return 0 if all(c.passed for c in checks) else 1
+    return 0 if all(c.passed for c in checks) else 3
 
 
 if __name__ == "__main__":

@@ -25,15 +25,18 @@ These four numbers are computed along two independent routes:
   the discriminant from them on complex ints, each value with its own
   binary exponent and cut back to the working bits after every operation,
   each within 2^-(prec + 3/2) of the formulas on the sums, relative to the
-  magnitude its docstring names, and each is rounded to an mpmath value
-  once.
+  magnitude its docstring names.  `_torsion_exact` forms each requested
+  value, j or an indexed function, from those four with the same
+  operations, within 2^-prec of its formula relative to the magnitude
+  its docstring names, and each is rounded to an mpmath value once.
 * the q-series route (`_qseries_core`): the pe q-series in e^(2 pi i tau)
   with E4 and E6 as Lambert series in the same loop, over shared powers
   of q and one stopping rule, and the discriminant as E4^3 - E6^2.
   `eval_descriptor_unreduced` uses it, so the check comparing it with
   `eval_descriptor` compares two independent series.  It stays on mpmath
-  floats, sharing no arithmetic with the fixed-point sums, to catch their
-  slips.
+  floats through `_torsion_value`'s products and quotient, sharing no
+  arithmetic with the fixed-point sums or `_torsion_exact`, to catch
+  their slips.
 
 Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
@@ -46,13 +49,15 @@ The q-series route reduces a complex tau numerically (`_reduce_tau`), so
 the descriptor routes differ in the reduction, the row and the series.
 Every series is truncated at an explicit tail threshold.
 
-Every theta core gets q = e^(i pi tau0) and w = e^(2 pi i z) from one
-builder, `_exact_nome`, at the root of the form (a, b, c) and the cell:
-one real exponential R = e^(-pi Im tau0/n), with |q| = R^n and
-|w| = R^(2k) by binary powering, and the phases pi (-b)/(2a) and
-pi (2ma - kb)/(an), each an integer pair through one `mpf_cos_sin_pi`
-after an exact integer fold into [0, 1/4] (`_cos_sin_pi`).  Only the
-q-series route calls a complex exponential.
+Every theta core gets q = e^(i pi tau0), w = e^(2 pi i z), 1/w and q/w
+from one builder, `_exact_nome`, at the root of the form (a, b, c) and
+the cell: one real exponential R = e^(-pi Im tau0/n), with |q| = R^n,
+|w| = R^(2k), |1/w| = 1/R^(2k) and |q/w| = R^(n - 2k) by binary
+powering, and the phases pi (-b)/(2a) and pi (2ma - kb)/(an), each an
+integer pair through one `mpf_cos_sin_pi` after an exact integer fold
+into [0, 1/4] (`_cos_sin_pi`); 1/w and q/w take their phases from those
+two by a conjugate and a product.  Only the q-series route calls a
+complex exponential.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -231,14 +236,14 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
     raise InternalCheckError("theta series did not reach the tail cutoff")
 
 
-def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
+def _theta_sums(ctx, q, lq: float, lcut: float, a, b, la: float):
     """(wp, sums): the sums [sum T_n, sum (-1)^n T_n, p] for T_n = q^(n^2)
     and p = sum P_n, P_n = q^(n^2 + n), then the even and odd halves
     [E(a), O(a), E(b), O(b)] of the two w-series (see `_theta_core`), from
     one fixed-point pass, each an int pair (re, im) scaled by 2^wp.
 
     |q| < 1 and a = w with x >= 0 (S is even), so |a| <= 1, with logs lq
-    and la; a_inv is 1/a, and b = q a_inv has modulus |q|^(1 - 2x) <= 1.
+    and la; b = q/a has modulus |q|^(1 - 2x) <= 1.
     The pass builds q^n, T_n and P_n by T_(n+1) = P_n q^(n+1),
     P_(n+1) = T_(n+1) q^(n+1), and every sum reads them: the first two are
     the even part of sum T_n plus and minus its odd part.  The w-series
@@ -252,20 +257,20 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
 
     Every factor has modulus at most 1.  A complex product (three int
     products, Gauss's form) and a floor shift is off by under
-    e = 2^(1/2 - wp) plus the errors of its factors; q and a enter off by
-    e, b by 2e (`ctx.fmul` at wp, then the floor), so z^2 is off by at
-    most 5e.  q^n is off by (2n - 1) e, T_n by 2n^2 e and P_n by
-    (2n^2 + 2n) e.  A Horner step adds to the error of r_(k+1), times
-    |z^2| <= 1, its floor e, c_2k's error and z^2's error times the exact
-    r_(k+1), whose modulus is at most its count of terms; the product by z
-    adds e and z's error, 2e, times the odd half's count.  For a side of
-    N + 1 terms, the coefficients' errors sum to under N(N + 1)(2N + 4)/3 e,
-    the N + 1 floors (N - 1 steps, z^2 and the product by z) to (N + 1) e,
-    z^2's error to 5 (2N^2 + 2N - 1)/8 e and z's to (N + 1) e.  That is
-    below (N + 1)^3 e from N = 3 on; at N = 2 it is 25e (c_0 + z^2 c_2
-    18e, c_1 z 7e), at N = 1 7e, and N = 0 leaves c_0 = 1 exact.  So
-    E + O and E - O are each off by under (N + 1)^3 e <= 2^-(prec + 4) to
-    first order.
+    e = 2^(1/2 - wp) plus the errors of its factors; q, a and b enter off
+    by e (the floor), so z^2 is off by at most 3e.  q^n is off by
+    (2n - 1) e, T_n by 2n^2 e and P_n by (2n^2 + 2n) e.  A Horner step
+    adds to the error of r_(k+1), times |z^2| <= 1, its floor e, c_2k's
+    error and z^2's error times the exact r_(k+1), whose modulus is at most
+    its count of terms; the product by z adds e and z's error, e, times
+    the odd half's count.  For a side of N + 1 terms, the coefficients'
+    errors sum to under N(N + 1)(2N + 4)/3 e, the N + 1 floors (N - 1
+    steps, z^2 and the product by z) to (N + 1) e, z^2's error to
+    3 (2N^2 + 2N - 1)/8 e and z's to (N + 1) e/2.  That is below
+    (N + 1)^3 e from N = 3 on; at N = 2 it is 22e (c_0 + z^2 c_2 16e,
+    c_1 z 6e), at N = 1 6e, and N = 0 leaves c_0 = 1 exact.  So E + O and
+    E - O are each off by under (N + 1)^3 e <= 2^-(prec + 4) to first
+    order.
     """
     specs = [(0, 0), (0, 1), (la, 1), (lq - la, 0)]
     n_t, n_p, n_a, n_b = (_theta_terms(lq, lv, shift, lcut) for lv, shift in specs)
@@ -303,9 +308,37 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, a_inv, la: float):
         qn = mul(qn, qq)
         ts.append(mul(ps[-1], qn))
         ps.append(mul(ts[-1], qn))
-    a, b = fixed(a), fixed(ctx.fmul(q, a_inv, prec=wp))
+    a, b = fixed(a), fixed(b)
     sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1], -1), series(ps[: n_p + 1], 1)]
     return wp, sums + [*halves(ps[: n_a + 1], a), *halves(ts[: n_b + 1], b)]
+
+
+def _norm(re: int, im: int, e: int, wp: int):
+    """(re + i im) 2^e as (re, im, e), floor-shifted to at most wp bits."""
+    s = max(abs(re), abs(im)).bit_length() - wp
+    return (re >> s, im >> s, e + s) if s > 0 else (re, im, e)
+
+
+def _mul(x, y, wp: int):
+    """The product of two exact values (re, im, e) on ints (three int
+    products, Gauss's form), cut back to wp bits by `_norm`."""
+    (xr, xi, xe), (yr, yi, ye) = x, y
+    k = yr * (xr + xi)
+    return _norm(k - xi * (yr + yi), k + xr * (yi - yr), xe + ye, wp)
+
+
+def _div(x, y, wp: int):
+    """The quotient x/y of two exact values, floored with at least wp + 1 bits."""
+    (xr, xi, xe), (yr, yi, ye) = x, y
+    den = yr * yr + yi * yi
+    nr, ni = xr * yr + xi * yi, xi * yr - xr * yi
+    k = max(0, wp + 1 + den.bit_length() - max(abs(nr), abs(ni)).bit_length())
+    return (nr << k) // den, (ni << k) // den, xe - ye - k
+
+
+def _scaled(x, c: int, k: int = 0):
+    """The exact value x times c 2^k."""
+    return c * x[0], c * x[1], x[2] + k
 
 
 def _theta_values(ctx, wp: int, sums, q, winv):
@@ -348,41 +381,27 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     (6 + 5k + 5k~)u <= 8(k + k~)u; (t3 + t4)/12 is within
     9u (|t3| + |t4|)/24, and the difference adds u (|A| + (|t3| + |t4|)/12).
     Under wp >= prec + 3 bitlen(N + 1) + 5 >= prec + 8, each bound is below
-    32u <= 2^-(prec + 3/2) times its magnitude, before the one rounding to
-    prec in `_theta_core`.
+    32u <= 2^-(prec + 3/2) times its magnitude; `_torsion_exact` combines
+    them on the same ints.
     """
     one = 1 << wp
 
-    def norm(re, im, e):
-        s = max(abs(re), abs(im)).bit_length() - wp
-        return (re >> s, im >> s, e + s) if s > 0 else (re, im, e)
-
     def mul(x, y):
-        (xr, xi, xe), (yr, yi, ye) = x, y
-        k = yr * (xr + xi)
-        return norm(k - xi * (yr + yi), k + xr * (yi - yr), xe + ye)
+        return _mul(x, y, wp)
 
     def top(v):
         return max(abs(v[0]), abs(v[1])).bit_length() + v[2]
 
     def add(x, y, sign=1):
         if abs(x[2] - y[2]) > 2 * wp:
-            x, y = sorted((x, scaled(y, sign, 0)), key=top)
+            x, y = sorted((x, _scaled(y, sign)), key=top)
             k, sign = (top(y) - wp - 3 - x[2] if top(x) < top(y) - wp - 2 else 0), 1
             x = (x[0] >> k, x[1] >> k, x[2] + k)
         (xr, xi, xe), (yr, yi, ye) = x, y
         e = min(xe, ye)
-        return norm((xr << xe - e) + sign * (yr << ye - e), (xi << xe - e) + sign * (yi << ye - e), e)
-
-    def div(x, y):
-        (xr, xi, xe), (yr, yi, ye) = x, y
-        den = yr * yr + yi * yi
-        nr, ni = xr * yr + xi * yi, xi * yr - xr * yi
-        k = max(0, wp + 1 + den.bit_length() - max(abs(nr), abs(ni)).bit_length())
-        return (nr << k) // den, (ni << k) // den, xe - ye - k
-
-    def scaled(x, c, k):
-        return c * x[0], c * x[1], x[2] + k
+        return _norm(
+            (xr << xe - e) + sign * (yr << ye - e), (xi << xe - e) + sign * (yi << ye - e), e, wp
+        )
 
     def enter(z):
         k = wp + 2 - ctx.mag(z)
@@ -391,12 +410,12 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     th3, th4 = ((2 * re - one, 2 * im, -wp) for re, im in sums[:2])
     p = (*sums[2], -wp)
     p2, t3, t4 = mul(p, p), mul(th3, th3), mul(th4, th4)
-    t2 = scaled(mul(enter(q), mul(p2, p2)), 1, 4)
+    t2 = _scaled(mul(enter(q), mul(p2, p2)), 1, 4)
     t3, t4 = mul(t3, t3), mul(t4, t4)
-    e4 = scaled(add(add(mul(t2, t2), mul(t3, t3)), mul(t4, t4)), 1, -1)
-    e6 = scaled(mul(mul(add(t3, t4), add(t2, t3)), add(t4, t2, -1)), 1, -1)
+    e4 = _scaled(add(add(mul(t2, t2), mul(t3, t3)), mul(t4, t4)), 1, -1)
+    e6 = _scaled(mul(mul(add(t3, t4), add(t2, t3)), add(t4, t2, -1)), 1, -1)
     d = mul(mul(t2, t3), t4)
-    delta = scaled(mul(d, d), 27, -2)
+    delta = _scaled(mul(d, d), 27, -2)
     # G~(w), G(w), G~(1/w), G(1/w): each side's halves added and subtracted
     gt_w, g_w, gt_b, g_b = (
         (e[0] + c * o[0], e[1] + c * o[1], -wp) for e, o in (sums[3:5], sums[5:]) for c in (1, -1)
@@ -404,16 +423,52 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     wi = enter(winv)
     num = add(gt_w, mul(gt_b, wi))
     den = add(g_w, mul(g_b, wi), -1)
-    r = div(mul(mul(th3, th4), num), den)
-    s_val = add(scaled(mul(r, r), 1, -2), div(add(t3, t4), (12, 0, 0)), -1)
+    r = _div(mul(mul(th3, th4), num), den, wp)
+    s_val = add(_scaled(mul(r, r), 1, -2), _div(add(t3, t4), (12, 0, 0), wp), -1)
     return s_val, e4, e6, delta
 
 
-def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int]):
-    """(S, E4, E6, Delta) at the upper half plane root tau0 of a positive
-    definite integral form and z = x*tau0 + y, cell (k, m, n) = (xn, yn, n),
-    from Jacobi theta series in the nome q = e^(i pi tau0), with
-    w = e^(2 pi i z), both from `_exact_nome` with their float logs.
+def _torsion_exact(wp: int, i: int, values):
+    """Torsion-value function number i, i = 0 standing for j, as an exact
+    value (re, im, e) from `_theta_values`' (S, E4, E6, Delta) at wp bits:
+    j = 1728 E4^3/Delta, f1 = -2 E4 E6 S/(3 Delta), f2 = 12 (E4 S)^2/Delta
+    and f3 = -8 E6 S^3/Delta, the constants exact on ints.
+
+    Every product and quotient is `_theta_values`' own, each within a
+    relative u = 2^(3/2 - wp) of its exact result on its stored operands.
+    Write M_S, M4, M6 and |Delta| for the magnitudes that `_theta_values`
+    bounds the errors of S (9u), E4 (13u), E6 (18u) and Delta (27u) by;
+    each is at least its factor's modulus.  To first order in u, a product
+    of m factors taken with m - 1 products is then within the sum of its
+    factors' errors plus (m - 1) u, relative to the product of their
+    magnitudes, and the quotient by Delta adds 27u + u.  Relative to the
+    magnitude M = |c| times the factors' magnitudes over |Delta|:
+      j within 69u, M = 1728 M4^3/|Delta|,
+      f1 within 70u, M = 2 M4 M6 M_S/(3 |Delta|),
+      f2 within 75u, M = 12 (M4 M_S)^2/|Delta|,
+      f3 within 76u, M = 8 M6 M_S^3/|Delta|.
+    Under wp >= prec + 8 each is below 2^(13/2) u = 2^(8 - wp) <= 2^-prec
+    times M, before the one rounding to prec in `_theta_core`.
+    """
+    s_val, e4, e6, delta = values
+    if i == 0:
+        num, den = _scaled(_mul(_mul(e4, e4, wp), e4, wp), 1728), delta
+    elif i == 1:
+        num, den = _scaled(_mul(_mul(e4, e6, wp), s_val, wp), -2), _scaled(delta, 3)
+    elif i == 2:
+        e4s = _mul(e4, s_val, wp)
+        num, den = _scaled(_mul(e4s, e4s, wp), 12), delta
+    else:
+        num, den = _scaled(_mul(_mul(_mul(s_val, s_val, wp), s_val, wp), e6, wp), -8), delta
+    return _div(num, den, wp)
+
+
+def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
+    """The torsion-value functions numbered in indices (0 standing for j)
+    at the upper half plane root tau0 of a positive definite integral form
+    and z = x*tau0 + y, cell (k, m, n) = (xn, yn, n), from Jacobi theta
+    series in the nome q = e^(i pi tau0), with w = e^(2 pi i z), 1/w and
+    b = q/w, all from `_exact_nome` with the float logs of q and w.
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
@@ -429,21 +484,22 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int]):
     num = G~(w) + G~(1/w)/w and den = G(w) - G(1/w)/w.  S reads theta2
     (even) and theta1 (odd) squared, so it is even in z: `_exact_nome`
     negates a cell with x < 0, and |w| <= 1 for x in [0, 1/2].
-    `_theta_sums` takes w as its a and returns from one pass the three
-    theta-constant sums and the even and odd halves of G~ at w and at 1/w
-    (G is the same halves with the odd one negated), each cut where
-    `_theta_terms` bounds its tail below the context's `_cutoff`.
-    `_theta_values` forms the four values on ints, and each is rounded to
-    an mpc once.
+    `_theta_sums` takes w as its a, and b, and returns from one pass the
+    three theta-constant sums and the even and odd halves of G~ at w and
+    at 1/w (G is the same halves with the odd one negated), each cut where
+    `_theta_terms` bounds its tail below 2^-bitlen(10^(dps + 10)), which
+    is below the context's `_cutoff`.  `_theta_values` forms S, E4, E6
+    and Delta from the sums on ints, `_torsion_exact` each requested value
+    from those, and each value is rounded to an mpc once.
     """
-    q, lq, w, lw = _exact_nome(ctx, form, cell)
-    # log of a number no larger than the cutoff
-    lcut = (ctx.mag(_cutoff(ctx)) - 1) * math.log(2)
-    winv = 1 / w
-    wp, sums = _theta_sums(ctx, q, lq, lcut, w, winv, lw)
+    q, w, winv, b, lq, lw = _exact_nome(ctx, form, cell)
+    lcut = -(10 ** (ctx.dps + 10)).bit_length() * math.log(2)
+    wp, sums = _theta_sums(ctx, q, lq, lcut, w, b, lw)
+    values = _theta_values(ctx, wp, sums, q, winv)
+    prec, rnd = ctx._prec_rounding
     return tuple(
-        ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e))
-        for re, im, e in _theta_values(ctx, wp, sums, q, winv)
+        ctx.make_mpc((libmp.from_man_exp(re, e, prec, rnd), libmp.from_man_exp(im, e, prec, rnd)))
+        for re, im, e in (_torsion_exact(wp, i, values) for i in indices)
     )
 
 
@@ -494,26 +550,31 @@ def _point_form(t) -> QuadForm:
 
 
 def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
-    """(q, lq, w, lw) for `_theta_core` at the root tau0 of the form (a, b, c)
-    and the cell (k, m, n) of `_exact_cell`, negated when k < 0, from ints
-    alone: no complex exponential and no Fraction.
+    """(q, w, 1/w, q/w, lq, lw) for `_theta_core` at the root tau0 of the
+    form (a, b, c) and the cell (k, m, n) of `_exact_cell`, negated when
+    k < 0, with the float logs of |q| and |w|, from ints alone: no complex
+    exponential, no complex division and no Fraction.
 
-    With L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n and
-    |w| = R^(2k), and the phases go to `_cos_sin_pi` as integer pairs:
+    With L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n, |w| = R^(2k),
+    |1/w| = 1/R^(2k) and |q/w| = R^(n - 2k) (0 <= 2k <= n), each power by
+    binary powering, and the phases go to `_cos_sin_pi` as integer pairs:
     q / |q| = e^(i pi (-b)/(2a)) and w / |w| = e^(i pi (2ma - kb)/(an)),
-    as 2(k Re tau0 + m)/n.  One gcd puts (Im tau0)^2 = |d|/(4a^2) in lowest
-    terms u/v; Im tau0 = sqrt(uv)/v, exact when Im tau0 is rational, as at
-    a numeric point's form.
+    as 2(k Re tau0 + m)/n; 1/w takes the conjugate of w's phase, and q/w
+    the product of q's phase with that conjugate.  One gcd puts
+    (Im tau0)^2 = |d|/(4a^2) in lowest terms u/v, and v Im tau0 = sqrt(uv)
+    is `math.isqrt` of uv at wp fraction bits, exact when Im tau0 is
+    rational, as at a numeric point's form.
     Error bound: at wp = prec + g bits every mpf operation rounds within a
-    relative e = 2^(1 - wp).  L/n = pi sqrt(uv)/(vn) takes four roundings,
-    so R is within (4L/n + 1) e, and its j-th power for j <= n
-    (`mpf_pow_int`, binary powering; j = n for q, j = 2k <= n for w as
-    0 <= k <= n/2) within (4L + n + 2) e; each phase part is within 2e, so
-    each product is within (4L + n + 5) e of its modulus.  With
-    A = isqrt(u // v) + 1 > Im tau0, 4L + n + 5 < 13A + n + 5 <
+    relative e = 2^(1 - wp), and the isqrt floor is within e/2, as
+    uv >= 1.  L/n = pi sqrt(uv)/(vn) takes four roundings, so R is within
+    (4L/n + 1) e, and its j-th power for j <= n (`mpf_pow_int`) within
+    (4L + n + 2) e, its reciprocal within one e more; each phase part is
+    within 2e, and each part of q/w's phase within 7e, so each of the four
+    products is within (4L + n + 9) e of its modulus.  With
+    A = isqrt(u // v) + 1 > Im tau0, 4L + n + 9 < 13A + n + 9 <
     16A (n + 5), so the guard g = bitlen(A) + bitlen(n + 5) + 8 makes that
     at most 2^(1 - prec)/16.  Rounding each part to the context's
-    precision then leaves q and w within 2^(3/2 - prec) of their modulus.
+    precision then leaves each value within 2^(3/2 - prec) of its modulus.
     The float log lq = -L, infinite from Im tau0 near 5.7e307 on, is floored
     at -1e300: each log in `_theta_terms` is lq times a nonnegative
     polynomial in n, so the floor only enlarges the tail bounds.
@@ -526,17 +587,28 @@ def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
     u, v = -form.disc() // g, 4 * a * a // g
     prec, rnd = ctx._prec_rounding
     wp = prec + (math.isqrt(u // v) + 1).bit_length() + (n + 5).bit_length() + 8
-    scaled = libmp.mpf_sqrt(libmp.from_int(u * v), wp)  # v Im tau0
+    scaled = libmp.from_man_exp(math.isqrt(u * v << 2 * wp), -wp)  # v Im tau0
     ell = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(wp), scaled, wp), libmp.from_int(v * n), wp)
     root = libmp.mpf_exp(libmp.mpf_neg(ell), wp)
+    cq, sq = _cos_sin_pi(-b, 2 * a, wp)
+    cw, sw = _cos_sin_pi(2 * m * a - k * b, a * n, wp)
+    sw_conj = libmp.mpf_neg(sw)
+    cb = libmp.mpf_add(libmp.mpf_mul(cq, cw), libmp.mpf_mul(sq, sw), wp)
+    sb = libmp.mpf_add(libmp.mpf_mul(sq, cw), libmp.mpf_mul(cq, sw_conj), wp)
+    rw = libmp.mpf_pow_int(root, 2 * k, wp)
 
-    def polar(power, num, den):
-        radius = libmp.mpf_pow_int(root, power, wp)
-        c, s = _cos_sin_pi(num, den, wp)
+    def polar(radius, c, s):
         return ctx.make_mpc(tuple(libmp.mpf_mul(radius, part, prec, rnd) for part in (c, s)))
 
     lq = max(-math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n")), -1e300)
-    return polar(n, -b, 2 * a), lq, polar(2 * k, 2 * m * a - k * b, a * n), 2 * (k / n) * lq
+    return (
+        polar(libmp.mpf_pow_int(root, n, wp), cq, sq),
+        polar(rw, cw, sw),
+        polar(libmp.mpf_div(libmp.fone, rw, wp), cw, sw_conj),
+        polar(libmp.mpf_pow_int(root, n - 2 * k, wp), cb, sb),
+        lq,
+        2 * (k / n) * lq,
+    )
 
 
 def _reduce_tau(ctx, t, steps: int):
@@ -561,8 +633,10 @@ def _reduce_tau(ctx, t, steps: int):
 
 
 def _torsion_value(ctx, i: int, values):
-    """Torsion-value function number i from one route's (S, E4, E6, Delta),
-    i = 0 standing for j; the pi powers cancel by construction."""
+    """Torsion-value function number i from the q-series route's
+    (S, E4, E6, Delta) on mpc floats, i = 0 standing for j; the pi powers
+    cancel by construction.  The theta route forms its values on ints
+    (`_torsion_exact`), so the route check compares this step too."""
     s_val, e4, e6, dd = values
     if i == 0:
         value = 1728 * e4 * e4 * e4 / dd
@@ -597,22 +671,21 @@ def eisenstein_j(tau, p: Precision = Precision()):
     """The j-invariant of [tau, 1]: the theta core at z = 1/2 and tau's reduced form."""
     ctx = _ctx(p)
     form, _ = reduce(_point_form(ctx.mpc(tau)))
-    return _torsion_value(ctx, 0, _theta_core(ctx, form, (0, 1, 2)))
+    return _theta_core(ctx, form, (0, 1, 2), (0,))[0]
 
 
-def _reduced_values(ctx, form: QuadForm, label: FrickeLabel):
-    """(S, E4, E6, Delta) of the theta core at the reduced form red, with
+def _reduced_values(ctx, form: QuadForm, label: FrickeLabel, indices):
+    """The theta core's values at indices, at the reduced form red, with
     form == act(red, g) by `forms.reduce`, and the label's row pushed through g^-1."""
     form, g = reduce(form)
-    return _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()))
+    return _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
 
 
 def _power_values(label: FrickeLabel, tau, p: Precision):
     """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
     to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
     ctx = _ctx(p)
-    values = _reduced_values(ctx, _point_form(ctx.mpc(tau)), label)
-    return tuple(_torsion_value(ctx, i, values) for i in range(4))
+    return _reduced_values(ctx, _point_form(ctx.mpc(tau)), label, (0, 1, 2, 3))
 
 
 def _fricke_at(label: FrickeLabel, tau, p: Precision):
@@ -623,15 +696,15 @@ def _fricke_at(label: FrickeLabel, tau, p: Precision):
     that `fricke`'s reduction relies on."""
     ctx = _ctx(p)
     form = _point_form(ctx.mpc(tau))
-    values = _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, IDENT))
-    return _torsion_value(ctx, label.i, values)
+    cell = _exact_cell(label.r, label.s, label.level, IDENT)
+    return _theta_core(ctx, form, cell, (label.i,))[0]
 
 
 def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
     """The indexed torsion-value function at tau on the theta route, at
     tau's form (`_point_form`) reduced and its row pushed as in `eval_descriptor`."""
     ctx = _ctx(p)
-    return _torsion_value(ctx, label.i, _reduced_values(ctx, _point_form(ctx.mpc(tau)), label))
+    return _reduced_values(ctx, _point_form(ctx.mpc(tau)), label, (label.i,))[0]
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -659,7 +732,7 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     """
     ctx = _ctx(p)
     label = descriptor_label(desc, i)
-    return _torsion_value(ctx, label.i, _reduced_values(ctx, desc.eval_point(), label))
+    return _reduced_values(ctx, desc.eval_point(), label, (label.i,))[0]
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):
@@ -686,10 +759,12 @@ def complex_to_json(value, p: Precision = Precision()) -> dict:
     """Each part to p.digits digits, or 0.0 below the noise floor
     10^-digits max(1, |value|).
 
-    A value is a product of powers of S, E4, E6 and 1/Delta, each of which
-    the theta core returns within 2^-(prec + 3/2) of the magnitude its
-    docstring names, prec being digits + 10 digits.  So a value is within
-    about 10^-(digits + 9) |value| unless a factor is small against its
+    A theta-route value is a constant times a product of powers of S, E4,
+    E6 and 1/Delta, formed on ints by `_torsion_exact` within one written
+    bound, 2^-prec of its magnitude M (the constant times its factors'
+    magnitudes over |Delta|), and rounded to prec once, prec being
+    digits + 10 digits.  So a value is within about
+    10^-(digits + 9) |value| unless a factor is small against its
     magnitude, which happens where it vanishes: S, whose magnitude
     (k + k~) |A| + (|t3| + |t4|)/12 counts both of its terms, where A and
     (t3 + t4)/12 cancel at a torsion point fixed by a unit of dK = -3 or -4

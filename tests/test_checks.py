@@ -202,6 +202,13 @@ def test_law_matrices_are_small_and_drawn_from_the_integers():
     assert {(g.r, g.s) for g in drawn} == rows
 
 
+def scaled_by(value, num, den):
+    """An exact value (re, im, e) of the theta route times num/den, floored
+    200 bits below its own last bit."""
+    re, im, e = value
+    return (re * num << 200) // den, (im * num << 200) // den, e - 200
+
+
 def test_power_check_fails_on_a_wrong_e6(monkeypatch):
     """E6 off by a relative 10^-40 breaks E4^3 - E6^2 = Delta on the theta
     route, so the power relations must fail at 10^-40: the check is not
@@ -213,13 +220,13 @@ def test_power_check_fails_on_a_wrong_e6(monkeypatch):
         return next(c for c in found if c.name == name)
 
     assert power_check().passed
-    theta_core = modular._theta_core
+    theta_values = modular._theta_values
 
-    def wrong_e6(ctx, *args):
-        s_val, e4, e6, delta = theta_core(ctx, *args)
-        return s_val, e4, e6 * (1 + ctx.mpf(10) ** -40), delta
+    def wrong_e6(*args):
+        s_val, e4, e6, delta = theta_values(*args)
+        return s_val, e4, scaled_by(e6, 10**40 + 1, 10**40), delta
 
-    monkeypatch.setattr(modular, "_theta_core", wrong_e6)
+    monkeypatch.setattr(modular, "_theta_values", wrong_e6)
     check = power_check()
     assert not check.passed, check.detail
 
@@ -274,9 +281,9 @@ def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
 def _theta_fault(monkeypatch, fault):
     """Inject one fault into the theta route's S.  The odd halves of both
     w-series are negated where `_theta_sums` returns them; the other two
-    move S = A - (t3 + t4)/12 as `_theta_values` would with its constant
-    taking t2 for t4, or with A's /4 dropped, t_k from mpmath's jtheta at
-    the core's own nome."""
+    move S = A - (t3 + t4)/12 where `_theta_values` returns it, as if its
+    constant took t2 for t4, or A's /4 were dropped, t_k from mpmath's
+    jtheta at the core's own nome."""
     if fault == "odd half's sign flipped":
         theta_sums = modular._theta_sums
 
@@ -288,19 +295,20 @@ def _theta_fault(monkeypatch, fault):
 
         monkeypatch.setattr(modular, "_theta_sums", flipped)
         return
-    theta_core = modular._theta_core
+    theta_values = modular._theta_values
 
-    def moved(ctx, form, cell):
-        s_val, *rest = theta_core(ctx, form, cell)
-        q = modular._exact_nome(ctx, form, cell)[0]
+    def moved(ctx, wp, sums, q, winv):
+        (re, im, e), *rest = theta_values(ctx, wp, sums, q, winv)
+        s_val = ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e))
         t2, t3, t4 = (ctx.jtheta(k, 0, q) ** 4 for k in (2, 3, 4))
         if fault == "t2 for t4 in the constant":
             s_val -= (t2 - t4) / 12
         else:
             s_val = 4 * s_val + (t3 + t4) / 4
-        return (s_val, *rest)
+        k = wp - ctx.mag(s_val)
+        return ((ctx.to_fixed(s_val.real, k), ctx.to_fixed(s_val.imag, k), -k), *rest)
 
-    monkeypatch.setattr(modular, "_theta_core", moved)
+    monkeypatch.setattr(modular, "_theta_values", moved)
 
 
 @pytest.mark.parametrize("digits", [40, 80])
@@ -325,6 +333,33 @@ def test_route_check_fails_on_a_theta_fault(monkeypatch, fault, ideal, digits):
     _theta_fault(monkeypatch, fault)
     check = route_check()
     assert check.passed == (fault == "t2 for t4 in the constant" and ideal[0] == -4), check.detail
+
+
+@pytest.mark.parametrize("i, ideal", [(1, (-20, 2, 4, 6)), (2, (-4, 6, 0, 6)), (3, (-3, 6, 0, 6))])
+def test_route_check_fails_on_a_fault_in_one_theta_value(monkeypatch, i, ideal):
+    """f_i alone scaled by 1 + 10^-40 where `_torsion_exact` forms it on
+    the theta route, i the modulus's `weber_index`, fails `verify`'s route
+    check at 80 digits (tolerance 10^-40, seed 911): the q-series route
+    combines its (S, E4, E6, Delta) in `_torsion_value`, which shares no
+    arithmetic with `_torsion_exact`.  One function for both routes would
+    move both values alike and hide the fault."""
+    name = "descriptor route vs unreduced route"
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+
+    def route_check():
+        found = run_checks(mod, Precision(80), 40, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert route_check().passed
+    torsion_exact = modular._torsion_exact
+
+    def wrong_value(wp, index, values):
+        value = torsion_exact(wp, index, values)
+        return scaled_by(value, 10**40 + 1, 10**40) if index == i else value
+
+    monkeypatch.setattr(modular, "_torsion_exact", wrong_value)
+    check = route_check()
+    assert not check.passed, check.detail
 
 
 def test_contexts_are_shared_and_keep_their_precision():

@@ -405,19 +405,20 @@ def test_verify_second_field():
 # class count line (enumeration checks the count), every theta core's
 # q and w built from one real exponential at its exact point and every
 # theta entry's point reduced exactly as the root of its integral form,
-# and S from theta2(pi z)/theta1(pi z); any change to a sample, value or
-# detail string shows here
+# S from theta2(pi z)/theta1(pi z), and each theta-route value formed on
+# ints from the nome to the value and rounded once; any change to a sample,
+# value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "dda7b84bffd68aeb86903a98792bef67d1c8a29059eddebe40138865a4202fa7",
-    ("-20", "2,4,6", "40", "json"): "bd1d4e64a851be591d6a6aeba39d58d3bc171e7f0873a50b92f9c3e9e5525814",
-    ("-20", "2,4,6", "40", "text"): "5f710d0a61d19d8dead48c99a23e82504da73ef9bee6d219023223dc7e67f733",
-    ("-23", "1,8,31", "40", "json"): "29365dbf02ebcf6d54eb1ff953a6472270f102fa2398a2e33e4a327d4b67e327",
-    ("-23", "3,9,12", "80", "json"): "fc205fec8183c1bb0c95527c1225395340877e352a62d550cd35ba53a379519e",
-    ("-23", "3,9,12", "80", "text"): "a98a644a3778ce4c2b2e06ab2fc017e33ddba5f94968fcc771f0791b94ce8a9f",
-    ("-3", "6,0,6", "80", "json"): "383e1f4941223d4949ef92cd8e6c338b9f8224034b9e479fa69cdce7253755f9",
-    ("-3", "6,0,6", "80", "text"): "737d588527a52ada0d7546ef6f1bdd153b93f792f1fd225589d971a7d5dbb6bd",
-    ("-4", "6,0,6", "80", "json"): "750ae94fb01c25239dd0af3f19e59ed0f0f27456b8656f36738205c834c82f1b",
-    ("-4", "6,0,6", "80", "text"): "d18e0159bf15820008d959c96988b826ee07c4fb5edc949a514d5e961de539b6",
+    ("-111", "9,0,9", "40", "json"): "f3bc20cc0ed41f394ddd22f18c4df27312f2b8beb41fbcaa6338229d613b229d",
+    ("-20", "2,4,6", "40", "json"): "341f38ff497b49118eb363358456d51cd117f8985c4e067c82ffd8642134e032",
+    ("-20", "2,4,6", "40", "text"): "577c22a9fb6c743579f346445094049db2643541fbeae64d7eb50887ac35dce8",
+    ("-23", "1,8,31", "40", "json"): "0778d058722079dfbcdc8d87029b0f611abbc4f6754a58ec147596ecfafdb444",
+    ("-23", "3,9,12", "80", "json"): "e1cc3405c66039f00190a5d40fa36de8e1116549a3ddc9f08b3a8683a98d609d",
+    ("-23", "3,9,12", "80", "text"): "834e0cb9db6baf41c6b12cd34c5de54298f37c86359428d1fc08e07de86dded5",
+    ("-3", "6,0,6", "80", "json"): "1b36526516a131292d35fb7631448f6f34da726a9361b9c63d9eac1faffb8e5d",
+    ("-3", "6,0,6", "80", "text"): "e7fd1355dcc7cf7951f520f65cec81978366af62c2e0d877e380630c77d2532b",
+    ("-4", "6,0,6", "80", "json"): "577603a8c7afa77d398de9f74b646fe569f8e4f37ecae368d9d91b016f4c1cb3",
+    ("-4", "6,0,6", "80", "text"): "92e4d757a5b20d07df952219c2fc315b8d55beea2354479e73901b74c71c8431",
 }
 
 

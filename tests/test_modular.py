@@ -222,14 +222,14 @@ def test_j_pinned_to_the_bit():
     for digits, tau in pinned_taus():
         j = eisenstein_j(tau, Precision(digits))
         digest.update(repr([tuple(map(int, part._mpf_)) for part in (j.real, j.imag)]).encode())
-    assert digest.hexdigest() == "13d1f38aeba5413f531c737dc6b1085115b36eab1c099e541eddf397ee0d9000"
+    assert digest.hexdigest() == "90a754a8fa70fdc5b783fccb7e26a2ef15329a3ac7664edc0211be555a701e5e"
 
 
 def test_j_matches_kleinj():
     """j at the pinned tau against 1728 kleinj(tau) at 60 more digits:
     within 16 2^-prec max(|j|, 1728).  With tau reduced exactly as the root
-    of its form the worst is about 5; a numeric reduction of tau, rounding
-    at every step, left up to 77."""
+    of its form and j formed on ints and rounded once the worst is about
+    2.2; a numeric reduction of tau, rounding at every step, left up to 77."""
     for digits, tau in pinned_taus():
         p = Precision(digits)
         prec = modular._ctx(p).prec
@@ -322,12 +322,27 @@ def int_cell(x, y):
     return int(x * n), int(y * n), n
 
 
+def theta_lcut(ctx):
+    """The log of a number no larger than the context's tail cutoff."""
+    return (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
+
+
+def kernel_values(ctx, form, cell):
+    """(wp, sums, q, 1/w, values): `_theta_core`'s steps at the root of form
+    and the cell up to `_theta_values`' exact (S, E4, E6, Delta)."""
+    q, w, winv, b, lq, lw = modular._exact_nome(ctx, form, cell)
+    wp, sums = modular._theta_sums(ctx, q, lq, theta_lcut(ctx), w, b, lw)
+    return wp, sums, q, winv, modular._theta_values(ctx, wp, sums, q, winv)
+
+
 def theta_at(ctx, tau, x, y):
-    """`_theta_core` at a numeric tau, entering as its form (`_point_form`),
-    whose root is tau exactly, and at the exact cell (x, y), each a
-    Fraction or a decimal string."""
+    """(S, E4, E6, Delta) of the theta kernel, each rounded to an mpc once,
+    at a numeric tau, entering as its form (`_point_form`), whose root is
+    tau exactly, and at the exact cell (x, y), each a Fraction or a
+    decimal string."""
     form = modular._point_form(ctx.mpc(tau))
-    return modular._theta_core(ctx, form, int_cell(x, y))
+    *_, values = kernel_values(ctx, form, int_cell(x, y))
+    return tuple(ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e)) for re, im, e in values)
 
 
 def _theta_pe(ctx, tau, x, y):
@@ -811,12 +826,12 @@ def plain_sum(ref, q, v, shift, terms, parity=None):
 
 
 def theta_inputs(ctx, tau, cell):
-    """(q, lq, a, a_inv, la) as `_theta_core` hands them to `_theta_sums`
-    at tau and the cell entered as `theta_at` enters them: `_exact_nome`
+    """(q, lq, a, b, la) as `_theta_core` hands them to `_theta_sums` at
+    tau and the cell entered as `theta_at` enters them: `_exact_nome`
     negates a cell with x < 0, S being even, so a is w, of modulus at
-    most 1."""
-    q, lq, w, lw = modular._exact_nome(ctx, modular._point_form(tau), int_cell(*cell))
-    return q, lq, w, 1 / w, lw
+    most 1, and b = q/w."""
+    q, w, _, b, lq, lw = modular._exact_nome(ctx, modular._point_form(tau), int_cell(*cell))
+    return q, lq, w, b, lw
 
 
 def to_ref(ref, pair, scale):
@@ -827,23 +842,24 @@ def to_ref(ref, pair, scale):
 @pytest.mark.parametrize("digits", [80, 300, 1000])
 def test_theta_sum_within_its_error_bound(digits):
     """Every sum `_theta_sums` returns at the points above, with a = w at
-    the cell negated to x >= 0, against the same series summed by the mpc
-    loop at twice the precision: s3, s4 and p each off by at most
-    (N+1)^3 2^(1/2-wp) for N + 1 terms, the bound of its docstring, and
-    the even and odd halves of each w-series off by at most that bound
-    together, so their sum and difference are too; the sums are exact
-    ints, so there is no rounding term."""
+    the cell negated to x >= 0 and b = q/w as `_exact_nome` hands them
+    over, against the same series summed by the mpc loop at twice the
+    precision: s3, s4 and p each off by at most (N+1)^3 2^(1/2-wp) for
+    N + 1 terms, the bound of its docstring, and the even and odd halves
+    of each w-series off by at most that bound together, so their sum and
+    difference are too; the sums are exact ints, so there is no rounding
+    term."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
-    lcut = (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
+    lcut = theta_lcut(ctx)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         for cell in KERNEL_CELLS:
-            q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
-            rq, ra, ri = ref.mpc(q), ref.mpc(a), ref.mpc(a_inv)
-            wp, got = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+            q, lq, a, b, la = theta_inputs(ctx, tau, cell)
+            rq, ra, rb = ref.mpc(q), ref.mpc(a), ref.mpc(b)
+            wp, got = modular._theta_sums(ctx, q, lq, lcut, a, b, la)
             assert len(got) == 7
             e = ref.ldexp(ref.sqrt(2), -wp)
             # (v, log|v|, shift) of sum q^(n^2 + shift*n) v^n: s3, s4, p
@@ -851,8 +867,8 @@ def test_theta_sum_within_its_error_bound(digits):
                 terms = modular._theta_terms(lq, lv, shift, lcut)
                 off = abs(to_ref(ref, got[k], wp) - plain_sum(ref, rq, v, shift, terms))
                 assert off <= (terms + 1) ** 3 * e, (re, im, cell, k)
-            # the halves of sum P_n a^n and of sum T_n b^n, b = q a_inv
-            for k, (v, lv, shift) in [(3, (ra, la, 1)), (5, (rq * ri, lq - la, 0))]:
+            # the halves of sum P_n a^n and of sum T_n b^n
+            for k, (v, lv, shift) in [(3, (ra, la, 1)), (5, (rb, lq - la, 0))]:
                 terms = modular._theta_terms(lq, lv, shift, lcut)
                 halves = (plain_sum(ref, rq, v, shift, terms, n) for n in (0, 1))
                 off = sum(abs(to_ref(ref, got[k + n], wp) - h) for n, h in enumerate(halves))
@@ -862,24 +878,24 @@ def test_theta_sum_within_its_error_bound(digits):
 @pytest.mark.parametrize("digits", [30, 80, 1000])
 def test_j_cell_w_sums_equal_the_theta_constants(digits):
     """At x = 0, y = 1/2, where `eisenstein_j` runs the core, a = w = -1
-    exactly, and a fixed-point product by (+-2^wp, 0) is exact, so a^2 = 1
-    and the a-side halves are exact sums of the P_n ints: E - O = G(-1)
-    is p bit for bit, and at a = 1 the same halves come out with O
-    negated, so E + O = G~(-1) is sum (-1)^n P_n on those ints, within the
-    sums' bound of the mpc loop.  theta2(pi/2) = 0, so num cancels and S
-    is -(t3 + t4)/12 within `_theta_values`' bound.  j reads only s3, s4
-    and p, whose loop the w-sums leave alone, so `test_j_pinned_to_the_bit`
-    needs no re-pin when the w-sums change form."""
+    and b = -q exactly, and a fixed-point product by (+-2^wp, 0) is exact,
+    so a^2 = 1 and the a-side halves are exact sums of the P_n ints:
+    E - O = G(-1) is p bit for bit, and at a = 1, b = q the same halves
+    come out with O negated, so E + O = G~(-1) is sum (-1)^n P_n on those
+    ints, within the sums' bound of the mpc loop.  theta2(pi/2) = 0, so
+    num cancels and S is -(t3 + t4)/12 within `_theta_values`' bound.  j
+    reads only s3, s4 and p, whose loop the w-sums leave alone."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    lcut = (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
+    lcut = theta_lcut(ctx)
     for re, im in KERNEL_TAUS:
-        q, lq, a, a_inv, la = theta_inputs(ctx, ctx.mpc(re, im), ("0", "0.5"))
-        assert a == -1, (re, im)
-        wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
+        form = modular._point_form(ctx.mpc(re, im))
+        q, a, a_inv, b, lq, la = modular._exact_nome(ctx, form, int_cell("0", "0.5"))
+        assert (a, a_inv, b) == (-1, -1, -q), (re, im)
+        wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, b, la)
         (er, ei), (orr, oi) = sums[3:5]
         assert (er - orr, ei - oi) == sums[2], (re, im)
-        _, plus = modular._theta_sums(ctx, q, lq, lcut, ctx.mpc(1), ctx.mpc(1), la)
+        _, plus = modular._theta_sums(ctx, q, lq, lcut, ctx.mpc(1), q, la)
         assert plus[3] == (er, ei) and plus[4] == (-orr, -oi), (re, im)
         ref = mpmath.ctx_mp.MPContext()
         ref.prec = 2 * wp
@@ -918,30 +934,62 @@ def mpc_theta_values(ref, wp, sums, q, winv):
     return values + [t3, t4], [cancel + (a3 + a4) / 12] + mags
 
 
-@pytest.mark.parametrize("digits", [80, 1000])
+def mpc_torsion_values(values, mags):
+    """[(f_i, its magnitude, its bound in units u)] for i = 0 (j), 1, 2, 3:
+    the formulas of `_torsion_exact`'s docstring on the mpc values of
+    `mpc_theta_values`, each with the magnitude and the factor of u that
+    its docstring bounds the error by."""
+    s_val, e4, e6, delta = values[:4]
+    m_s, m4, m6, m_delta = mags
+    return [
+        (1728 * e4**3 / delta, 1728 * m4**3 / m_delta, 69),
+        (-2 * e4 * e6 * s_val / (3 * delta), 2 * m4 * m6 * m_s / (3 * m_delta), 70),
+        (12 * (e4 * s_val) ** 2 / delta, 12 * (m4 * m_s) ** 2 / m_delta, 75),
+        (-8 * e6 * s_val**3 / delta, 8 * m6 * m_s**3 / m_delta, 76),
+    ]
+
+
+def vanishing_cells():
+    """(form, cell) of the two CM classes whose value is 0 (see
+    `test_vanishing_values_stay_below_the_digits`), as `eval_descriptor`
+    hands them to `_theta_core`: the reduced form and the pushed row."""
+    for dk, ideal, rep in [(-3, (1, 2, 3), (1, 1, 1)), (-4, (1, 1, 2), (1, 0, 1))]:
+        d = descriptor(QuadForm(*rep), make_modulus(make_discriminant(dk), *ideal))
+        label = modular.descriptor_label(d)
+        form, g = reduce(d.eval_point())
+        yield form, modular._exact_cell(label.r, label.s, label.level, g.inv())
+
+
+@pytest.mark.parametrize("digits", [80, 300, 1000])
 def test_theta_values_within_their_error_bound(digits):
-    """S, E4, E6 and Delta as `_theta_values` forms them on ints, before the
-    one rounding, against the mpc formulas at twice the working precision
-    on the same integer sums, q and 1/w: within the docstring's 32u times
-    each value's magnitude, u = 2^(3/2 - wp), at every point and cell above,
-    the cusp included.  `_theta_core` returns them rounded once."""
+    """S, E4, E6 and Delta as `_theta_values` forms them on ints, and j, f1,
+    f2 and f3 as `_torsion_exact` forms them from those, before the one
+    rounding, against the mpc formulas at twice the working precision on
+    the same integer sums, q and 1/w: within the docstrings' 32u (69u to
+    76u for the f_i) times each value's magnitude, u = 2^(3/2 - wp), at
+    every point and cell above, the cusp included, and at the two
+    vanishing CM values, where S cancels.  `_theta_core` returns each f_i
+    rounded once."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    lcut = (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
-    for re, im in KERNEL_TAUS:
-        tau = ctx.mpc(re, im)
-        for cell in KERNEL_CELLS:
-            q, lq, a, a_inv, la = theta_inputs(ctx, tau, cell)
-            wp, sums = modular._theta_sums(ctx, q, lq, lcut, a, a_inv, la)
-            core = theta_at(ctx, tau, *cell)
-            ref = mpmath.ctx_mp.MPContext()
-            ref.prec = 2 * wp
-            got = modular._theta_values(ctx, wp, sums, q, a_inv)
-            want, mags = mpc_theta_values(ref, wp, sums, q, a_inv)
-            bound = 32 * ref.ldexp(1, -wp) * ref.sqrt(8)
-            for name, g, w, m, c in zip(("S", "E4", "E6", "Delta"), got, want, mags, core):
-                assert c == ctx.mpc(to_ref(ref, g[:2], -g[2])), (name, re, im, cell)
-                assert abs(to_ref(ref, g[:2], -g[2]) - w) <= bound * m, (name, re, im, cell)
+    points = [
+        (modular._point_form(ctx.mpc(*tau)), int_cell(*cell))
+        for tau in KERNEL_TAUS
+        for cell in KERNEL_CELLS
+    ]
+    for form, cell in points + list(vanishing_cells()):
+        wp, sums, q, winv, got = kernel_values(ctx, form, cell)
+        core = modular._theta_core(ctx, form, cell, range(4))
+        ref = mpmath.ctx_mp.MPContext()
+        ref.prec = 2 * wp
+        want, mags = mpc_theta_values(ref, wp, sums, q, winv)
+        u = ref.ldexp(1, -wp) * ref.sqrt(8)
+        for name, g, w, m in zip(("S", "E4", "E6", "Delta"), got, want, mags):
+            assert abs(to_ref(ref, g[:2], -g[2]) - w) <= 32 * u * m, (name, form, cell)
+        for i, (w, m, units) in enumerate(mpc_torsion_values(want, mags)):
+            f = modular._torsion_exact(wp, i, got)
+            assert core[i] == ctx.mpc(to_ref(ref, f[:2], -f[2])), (i, form, cell)
+            assert abs(to_ref(ref, f[:2], -f[2]) - w) <= units * u * m, (i, form, cell)
 
 
 def plain_terms(lq, lv, shift, lcut):
@@ -987,6 +1035,21 @@ def test_j_cell_counts_only_theta_terms():
             assert rest == [p, p], (im, digits)
 
 
+def test_theta_cutoff_log_is_the_cutoffs_exponent():
+    """`_theta_core` takes the log of its tail cutoff as
+    -bitlen(10^(dps + 10)) ln 2, from an int: that exponent equals
+    mag(`_cutoff`) - 1 at every digit count from 30 to 2000 and at
+    `MAX_DIGITS`, so the theta terms stop where they stopped when the log
+    came from the mpf cutoff.  Each count takes a fresh context, so the
+    `_ctx` cache does not grow."""
+    cached = len(modular._CONTEXTS)
+    for digits in [*range(30, 2001), modular.MAX_DIGITS]:
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.dps = digits + 10
+        assert -(10 ** (ctx.dps + 10)).bit_length() == ctx.mag(modular._cutoff(ctx)) - 1, digits
+    assert len(modular._CONTEXTS) == cached
+
+
 # the cells of `_exact_nome`'s test: x = 0, x = 1/2 on both edges, x < 0 and
 # denominators up to 40, each in [-1/2, 1/2]^2 as `_exact_cell` leaves it
 NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5),
@@ -995,13 +1058,14 @@ NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5
 
 @pytest.mark.parametrize("digits", [80, 300, 1000])
 def test_exact_nome_within_its_error_bound(digits):
-    """q and w from `_exact_nome` at the cells above and at the roots of
-    two kinds of form: every reduced form of five discriminants, and the
-    forms (`_point_form`) of the numeric points of `KERNEL_TAUS`
-    (Im tau 0.05 to 20) and of a law-check image tau/(2 tau + 1) at
-    tau = 1/2 + 0.4i (Im 0.086); against mpmath's expjpi at twice the
-    precision: each within 2^(3/2 - prec) of its modulus, the bound of its
-    docstring, with log|q| and log|w| good to float rounding."""
+    """q, w, 1/w and b = q/w from `_exact_nome` at the cells above and at
+    the roots of two kinds of form: every reduced form of five
+    discriminants, and the forms (`_point_form`) of the numeric points of
+    `KERNEL_TAUS` (Im tau 0.05 to 20) and of a law-check image
+    tau/(2 tau + 1) at tau = 1/2 + 0.4i (Im 0.086); against mpmath's
+    expjpi at twice the precision, and its quotients: each within
+    2^(3/2 - prec) of its modulus, the bound of its docstring, with log|q|
+    and log|w| good to float rounding."""
     ctx = modular._ctx(Precision(digits))
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
@@ -1019,14 +1083,15 @@ def test_exact_nome_within_its_error_bound(digits):
         q_ref = ref.expjpi(tau0)
         for k, m, n in NOME_CELLS:
             x, y = Fraction(k, n), Fraction(m, n)
-            q, lq, w, lw = modular._exact_nome(ctx, form, int_cell(x, y))
+            q, w, winv, b, lq, lw = modular._exact_nome(ctx, form, int_cell(x, y))
             if x < 0:
                 x, y = -x, -y
             x, y = (ref.mpf(c.numerator) / c.denominator for c in (x, y))
             w_ref = ref.expjpi(2 * (x * tau0 + y))
-            for got, want, log in ((q, q_ref, lq), (w, w_ref, lw)):
-                where = (tau0, k, m, n)
+            where = (tau0, k, m, n)
+            for got, want in ((q, q_ref), (w, w_ref), (winv, 1 / w_ref), (b, q_ref / w_ref)):
                 assert abs(ref.mpc(got) - want) <= bound * abs(want), where
+            for log, want in ((lq, q_ref), (lw, w_ref)):
                 assert abs(log - float(ref.log(abs(want)))) <= 1e-12 * (1 + abs(log)), where
 
 

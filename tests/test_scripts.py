@@ -39,7 +39,7 @@ def test_residual_report_prints_all_seven_checks():
     ],
 )
 def test_residual_report_rejects_invalid_input(args, message):
-    # exit 1 means a check failed; invalid input exits 2 as `rayform` does
+    # invalid input exits 2 as `rayform` does; a failed check exits 3
     proc = start_script("residual_report.py", *args)
     assert proc.returncode == 2
     assert proc.stderr.strip() == message
@@ -87,8 +87,8 @@ def start_with_fault(name, fault, *args):
 
 @pytest.mark.parametrize("name", ["residual_report", "reproduce_tables"])
 def test_scripts_exit_3_on_an_internal_check(name):
-    # exits 1 and 2 mean a failed check (or uncovered class) and invalid
-    # input; an InternalCheckError is a bug and exits 3 as `rayform` does.
+    # exit 2 means invalid input (and, for reproduce_tables, 1 an uncovered
+    # class); an InternalCheckError is a bug and exits 3 as `rayform` does.
     # An oracle count one too high trips enumeration's own count check.
     proc = start_with_fault(name, "rayclass.ray_class_number_oracle = lambda disc, t: 5")
     assert proc.returncode == 3
@@ -98,10 +98,11 @@ def test_scripts_exit_3_on_an_internal_check(name):
     assert proc.stdout == ""
 
 
-def test_residual_report_exits_1_on_a_failed_check():
-    # wrong coordinates for every point fail the identity-class check alone
+def test_residual_report_exits_3_on_a_failed_check():
+    # wrong coordinates for every point fail the identity-class check alone;
+    # a failed check exits 3, as `rayform verify` does
     fault = "checks.point_coords = lambda form, disc: (0, 0)"
     proc = start_with_fault("residual_report", fault, "--digits", "30", "--samples", "1")
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == 3, proc.stderr
     verdicts = [line[:4] for line in proc.stdout.splitlines()[1:]]
     assert verdicts == ["PASS"] * 4 + ["FAIL"] + ["PASS"] * 2
