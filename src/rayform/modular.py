@@ -56,8 +56,9 @@ the cell: one real exponential R = e^(-pi Im tau0/n), with |q| = R^n,
 powering, and the phases pi (-b)/(2a) and pi (2ma - kb)/(an), each an
 integer pair through one `mpf_cos_sin_pi` after an exact integer fold
 into [0, 1/4] (`_cos_sin_pi`); 1/w and q/w take their phases from those
-two by a conjugate and a product.  Only the q-series route calls a
-complex exponential.
+two by a conjugate and a product.  All four are exact values
+(re, im, e) = (re + i im) 2^e, never rounded to the context's precision.
+Only the q-series route calls a complex exponential.
 
 One read-only mpmath context per digit count, cached for the process by
 `_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
@@ -236,7 +237,7 @@ def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
     raise InternalCheckError("theta series did not reach the tail cutoff")
 
 
-def _theta_sums(ctx, q, lq: float, lcut: float, a, b, la: float):
+def _theta_sums(prec: int, q, lq: float, lcut: float, a, b, la: float):
     """(wp, sums): the sums [sum T_n, sum (-1)^n T_n, p] for T_n = q^(n^2)
     and p = sum P_n, P_n = q^(n^2 + n), then the even and odd halves
     [E(a), O(a), E(b), O(b)] of the two w-series (see `_theta_core`), from
@@ -258,7 +259,7 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, b, la: float):
     Every factor has modulus at most 1.  A complex product (three int
     products, Gauss's form) and a floor shift is off by under
     e = 2^(1/2 - wp) plus the errors of its factors; q, a and b enter off
-    by e (the floor), so z^2 is off by at most 3e.  q^n is off by
+    by e (the floor, `_shift`), so z^2 is off by at most 3e.  q^n is off by
     (2n - 1) e, T_n by 2n^2 e and P_n by (2n^2 + 2n) e.  A Horner step
     adds to the error of r_(k+1), times |z^2| <= 1, its floor e, c_2k's
     error and z^2's error times the exact r_(k+1), whose modulus is at most
@@ -275,11 +276,8 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, b, la: float):
     specs = [(0, 0), (0, 1), (la, 1), (lq - la, 0)]
     n_t, n_p, n_a, n_b = (_theta_terms(lq, lv, shift, lcut) for lv, shift in specs)
     top = max(n_t, n_p, n_a, n_b)
-    wp = ctx.prec + 3 * (top + 1).bit_length() + 5
+    wp = prec + 3 * (top + 1).bit_length() + 5
     one = (1 << wp, 0)
-
-    def fixed(z):
-        return ctx.to_fixed(z.real, wp), ctx.to_fixed(z.imag, wp)
 
     def mul(x, y):
         (xr, xi), (yr, yi) = x, y
@@ -303,14 +301,20 @@ def _theta_sums(ctx, q, lq: float, lcut: float, a, b, la: float):
         z2 = mul(z, z)
         return horner(coeffs[::2], z2), mul(horner(coeffs[1::2], z2), z)
 
-    qq, qn, ts, ps = fixed(q), one, [one], [one]
+    qq, a, b = (_shift(z, -wp)[:2] for z in (q, a, b))
+    qn, ts, ps = one, [one], [one]
     for _ in range(top):
         qn = mul(qn, qq)
         ts.append(mul(ps[-1], qn))
         ps.append(mul(ts[-1], qn))
-    a, b = fixed(a), fixed(b)
     sums = [series(ts[: n_t + 1], 1), series(ts[: n_t + 1], -1), series(ps[: n_p + 1], 1)]
     return wp, sums + [*halves(ps[: n_a + 1], a), *halves(ts[: n_b + 1], b)]
+
+
+def _shift(x, e: int):
+    """The exact value x = (re, im, xe) at exponent e, each part floored."""
+    re, im, xe = x
+    return (re << xe - e, im << xe - e, e) if xe >= e else (re >> e - xe, im >> e - xe, e)
 
 
 def _norm(re: int, im: int, e: int, wp: int):
@@ -341,7 +345,7 @@ def _scaled(x, c: int, k: int = 0):
     return c * x[0], c * x[1], x[2] + k
 
 
-def _theta_values(ctx, wp: int, sums, q, winv):
+def _theta_values(wp: int, sums, q, winv):
     """(S, E4, E6, Delta) of `_theta_core`, each an exact value
     (re, im, e) = (re + i im) 2^e, from `_theta_sums`' pairs at scale 2^wp
     in the order s3, s4, p, E(w), O(w), E(b), O(b), with q and 1/w.
@@ -351,22 +355,21 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     G(1/w) = E(b) - O(b) are exact at scale 2^wp.  Every other value
     carries its own binary exponent, so a small factor (th3 or th4 near a
     cusp, q at large Im tau0, theta1(pi z), theta2(pi z) near z = 1/2)
-    keeps its relative precision.  q and 1/w enter once, floored at a scale
-    that gives them at least wp bits.  A product is exact on ints and then
-    floor-shifted to at most wp bits; a sum is exact, its operands aligned
-    on the smaller exponent, and then shifted likewise; a quotient (by
-    theta1, and by 12) keeps at least wp + 1 bits of its floor.  A shift by
-    s > 0 bits moves each part by under 2^s from a value of at least
-    2^(wp - 1 + s), so every operation returns its exact result on its
-    stored operands within a relative u = 2^(3/2 - wp) (the entry of q and
-    1/w and a quotient within 2^(1/2 - wp)).  Where a sum's exponents lie
-    over 2 wp apart and its top bits are t and t' < t - wp - 2 (far up the
-    half plane t2 lies 2 pi Im tau0/ln 2 bits below t3), the smaller is
-    first floored at 2^(t - wp - 3): the sum exceeds 2^(t - 2), so its own
-    shift floors at 2^(t - wp - 1) or above, the two floors make one, and
-    no shift spans the gap.  Against the formulas evaluated exactly on the
-    sums, q and 1/w, to first order in u: t3 and t4 are within 3u, t2
-    within 5u, and
+    keeps its relative precision.  q and 1/w enter exact, as `_exact_nome`
+    forms them.  A product is exact on ints and then floor-shifted to at
+    most wp bits; a sum is exact, its operands aligned on the smaller
+    exponent, and then shifted likewise; a quotient (by theta1, and by 12)
+    keeps at least wp + 1 bits of its floor.  A shift by s > 0 bits moves
+    each part by under 2^s from a value of at least 2^(wp - 1 + s), so
+    every operation returns its exact result on its stored operands within
+    a relative u = 2^(3/2 - wp) (a quotient within 2^(1/2 - wp)).  Where a
+    sum's exponents lie over 2 wp apart and its top bits are t and
+    t' < t - wp - 2 (far up the half plane t2 lies 2 pi Im tau0/ln 2 bits
+    below t3), the smaller is first floored at 2^(t - wp - 3): the sum
+    exceeds 2^(t - 2), so its own shift floors at 2^(t - wp - 1) or above,
+    the two floors make one, and no shift spans the gap.  Against the
+    formulas evaluated exactly on the sums, q and 1/w, to first order in
+    u: t3 and t4 are within 3u, t2 within 5u, and
       Delta within 27u |Delta|,
       E4 within 13u (|t2|^2 + |t3|^2 + |t4|^2)/2,
       E6 within 18u (|t2| + |t3|)(|t3| + |t4|)(|t4| + |t2|)/2,
@@ -396,21 +399,15 @@ def _theta_values(ctx, wp: int, sums, q, winv):
         if abs(x[2] - y[2]) > 2 * wp:
             x, y = sorted((x, _scaled(y, sign)), key=top)
             k, sign = (top(y) - wp - 3 - x[2] if top(x) < top(y) - wp - 2 else 0), 1
-            x = (x[0] >> k, x[1] >> k, x[2] + k)
-        (xr, xi, xe), (yr, yi, ye) = x, y
-        e = min(xe, ye)
-        return _norm(
-            (xr << xe - e) + sign * (yr << ye - e), (xi << xe - e) + sign * (yi << ye - e), e, wp
-        )
-
-    def enter(z):
-        k = wp + 2 - ctx.mag(z)
-        return ctx.to_fixed(z.real, k), ctx.to_fixed(z.imag, k), -k
+            x = _shift(x, x[2] + k)
+        e = min(x[2], y[2])
+        (xr, xi, _), (yr, yi, _) = _shift(x, e), _shift(y, e)
+        return _norm(xr + sign * yr, xi + sign * yi, e, wp)
 
     th3, th4 = ((2 * re - one, 2 * im, -wp) for re, im in sums[:2])
     p = (*sums[2], -wp)
     p2, t3, t4 = mul(p, p), mul(th3, th3), mul(th4, th4)
-    t2 = _scaled(mul(enter(q), mul(p2, p2)), 1, 4)
+    t2 = _scaled(mul(q, mul(p2, p2)), 1, 4)
     t3, t4 = mul(t3, t3), mul(t4, t4)
     e4 = _scaled(add(add(mul(t2, t2), mul(t3, t3)), mul(t4, t4)), 1, -1)
     e6 = _scaled(mul(mul(add(t3, t4), add(t2, t3)), add(t4, t2, -1)), 1, -1)
@@ -420,9 +417,8 @@ def _theta_values(ctx, wp: int, sums, q, winv):
     gt_w, g_w, gt_b, g_b = (
         (e[0] + c * o[0], e[1] + c * o[1], -wp) for e, o in (sums[3:5], sums[5:]) for c in (1, -1)
     )
-    wi = enter(winv)
-    num = add(gt_w, mul(gt_b, wi))
-    den = add(g_w, mul(g_b, wi), -1)
+    num = add(gt_w, mul(gt_b, winv))
+    den = add(g_w, mul(g_b, winv), -1)
     r = _div(mul(mul(th3, th4), num), den, wp)
     s_val = add(_scaled(mul(r, r), 1, -2), _div(add(t3, t4), (12, 0, 0), wp), -1)
     return s_val, e4, e6, delta
@@ -468,7 +464,7 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
     at the upper half plane root tau0 of a positive definite integral form
     and z = x*tau0 + y, cell (k, m, n) = (xn, yn, n), from Jacobi theta
     series in the nome q = e^(i pi tau0), with w = e^(2 pi i z), 1/w and
-    b = q/w, all from `_exact_nome` with the float logs of q and w.
+    b = q/w, exact values from `_exact_nome`, with the float logs of q and w.
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
@@ -490,13 +486,14 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
     `_theta_terms` bounds its tail below 2^-bitlen(10^(dps + 10)), which
     is below the context's `_cutoff`.  `_theta_values` forms S, E4, E6
     and Delta from the sums on ints, `_torsion_exact` each requested value
-    from those, and each value is rounded to an mpc once.
+    from those, and each value is rounded to an mpc once, the one use of
+    the context besides prec and the cutoff's log.
     """
-    q, w, winv, b, lq, lw = _exact_nome(ctx, form, cell)
-    lcut = -(10 ** (ctx.dps + 10)).bit_length() * math.log(2)
-    wp, sums = _theta_sums(ctx, q, lq, lcut, w, b, lw)
-    values = _theta_values(ctx, wp, sums, q, winv)
     prec, rnd = ctx._prec_rounding
+    q, w, winv, b, lq, lw = _exact_nome(prec, form, cell)
+    lcut = -(10 ** (ctx.dps + 10)).bit_length() * math.log(2)
+    wp, sums = _theta_sums(prec, q, lq, lcut, w, b, lw)
+    values = _theta_values(wp, sums, q, winv)
     return tuple(
         ctx.make_mpc((libmp.from_man_exp(re, e, prec, rnd), libmp.from_man_exp(im, e, prec, rnd)))
         for re, im, e in (_torsion_exact(wp, i, values) for i in indices)
@@ -504,8 +501,8 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
 
 
 def _cos_sin_pi(num: int, den: int, prec: int):
-    """(cos, sin)(pi num/den) for den > 0, as raw mpfs each within
-    2^(2 - prec), from one `mpf_cos_sin_pi` at an argument in [0, 1/4].
+    """e^(i pi num/den) for den > 0 as an exact value (re, im, e), each part
+    within 2^(2 - prec), from one `mpf_cos_sin_pi` at an argument in [0, 1/4].
 
     The fold is exact on ints: num/den is taken mod 2, then
     t -> 2 - t (sin changes sign) brings it into [0, 1], t -> 1 - t (cos
@@ -518,7 +515,7 @@ def _cos_sin_pi(num: int, den: int, prec: int):
     cos_sin_pi(8/31) took 1.33 ms, cos_sin_pi(20/31) 0.34 ms and 8/31
     folded to 15/62 0.34 ms).  In [0, 1/4) nothing is subtracted.  The
     folded argument is rounded to prec bits, which moves pi t by under
-    2^(-prec) pi/2, and each part is rounded once more.
+    2^(-prec) pi/2, and each part is rounded once more and taken exactly.
     """
     num %= 2 * den
     flip = num > den
@@ -531,9 +528,9 @@ def _cos_sin_pi(num: int, den: int, prec: int):
     if swap:
         num, den = den - 2 * num, 2 * den
     c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(num, den, prec), prec)
-    if swap:
-        c, s = s, c
-    return (libmp.mpf_neg(c) if neg else c), (libmp.mpf_neg(s) if flip else s)
+    (cs, cm, ce, _), (ss, sm, se, _) = (s, c) if swap else (c, s)
+    e = min(ce, se)
+    return (cm if cs == neg else -cm) << ce - e, (sm if ss == flip else -sm) << se - e, e
 
 
 def _point_form(t) -> QuadForm:
@@ -549,18 +546,21 @@ def _point_form(t) -> QuadForm:
     return QuadForm(n * n, -2 * x * n, x * x + y * y)
 
 
-def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
+def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     """(q, w, 1/w, q/w, lq, lw) for `_theta_core` at the root tau0 of the
     form (a, b, c) and the cell (k, m, n) of `_exact_cell`, negated when
-    k < 0, with the float logs of |q| and |w|, from ints alone: no complex
-    exponential, no complex division and no Fraction.
+    k < 0: the four as exact values (re, im, e), with the float logs of |q|
+    and |w|, from ints alone: no complex exponential, no complex division
+    and no Fraction.
 
     With L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n, |w| = R^(2k),
     |1/w| = 1/R^(2k) and |q/w| = R^(n - 2k) (0 <= 2k <= n), each power by
     binary powering, and the phases go to `_cos_sin_pi` as integer pairs:
     q / |q| = e^(i pi (-b)/(2a)) and w / |w| = e^(i pi (2ma - kb)/(an)),
-    as 2(k Re tau0 + m)/n; 1/w takes the conjugate of w's phase, and q/w
-    the product of q's phase with that conjugate.  One gcd puts
+    as 2(k Re tau0 + m)/n.  Each value is its radius times its phase by
+    `_mul`; 1/w takes the conjugate of w's phase, and q/w is R^(n - 2k)
+    times q's phase, times that conjugate, so at the j cell (0, 1, 2), where
+    w's phase is -1, q/w = -q exactly.  One gcd puts
     (Im tau0)^2 = |d|/(4a^2) in lowest terms u/v, and v Im tau0 = sqrt(uv)
     is `math.isqrt` of uv at wp fraction bits, exact when Im tau0 is
     rational, as at a numeric point's form.
@@ -568,13 +568,15 @@ def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
     relative e = 2^(1 - wp), and the isqrt floor is within e/2, as
     uv >= 1.  L/n = pi sqrt(uv)/(vn) takes four roundings, so R is within
     (4L/n + 1) e, and its j-th power for j <= n (`mpf_pow_int`) within
-    (4L + n + 2) e, its reciprocal within one e more; each phase part is
-    within 2e, and each part of q/w's phase within 7e, so each of the four
-    products is within (4L + n + 9) e of its modulus.  With
-    A = isqrt(u // v) + 1 > Im tau0, 4L + n + 9 < 13A + n + 9 <
-    16A (n + 5), so the guard g = bitlen(A) + bitlen(n + 5) + 8 makes that
-    at most 2^(1 - prec)/16.  Rounding each part to the context's
-    precision then leaves each value within 2^(3/2 - prec) of its modulus.
+    (4L + n + 2) e; `_div`'s reciprocal adds e/2.  Each phase part is
+    within 2e, so each phase within 2 sqrt(2) e < 3e, and each cut by
+    `_norm` moves a product by under a relative 2^(3/2 - wp) < e.  So, to
+    first order, q and w are within (4L + n + 6) e of their modulus, 1/w
+    within (4L + n + 7) e and q/w, with two phases and two cuts, within
+    (4L + n + 10) e.  With A = isqrt(u // v) + 1 > Im tau0,
+    4L + n + 10 < 13A + n + 10 < 16A (n + 5) < 2^(g - 4) for the guard
+    g = bitlen(A) + bitlen(n + 5) + 8, so each of the four, never rounded
+    to prec, is within 2^(-3 - prec) of its modulus.
     The float log lq = -L, infinite from Im tau0 near 5.7e307 on, is floored
     at -1e300: each log in `_theta_terms` is lq times a nonnegative
     polynomial in n, so the floor only enlarges the tail bounds.
@@ -585,27 +587,24 @@ def _exact_nome(ctx, form: QuadForm, cell: tuple[int, int, int]):
         k, m = -k, -m
     g = math.gcd(form.disc(), 4 * a * a)
     u, v = -form.disc() // g, 4 * a * a // g
-    prec, rnd = ctx._prec_rounding
     wp = prec + (math.isqrt(u // v) + 1).bit_length() + (n + 5).bit_length() + 8
     scaled = libmp.from_man_exp(math.isqrt(u * v << 2 * wp), -wp)  # v Im tau0
     ell = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(wp), scaled, wp), libmp.from_int(v * n), wp)
     root = libmp.mpf_exp(libmp.mpf_neg(ell), wp)
-    cq, sq = _cos_sin_pi(-b, 2 * a, wp)
-    cw, sw = _cos_sin_pi(2 * m * a - k * b, a * n, wp)
-    sw_conj = libmp.mpf_neg(sw)
-    cb = libmp.mpf_add(libmp.mpf_mul(cq, cw), libmp.mpf_mul(sq, sw), wp)
-    sb = libmp.mpf_add(libmp.mpf_mul(sq, cw), libmp.mpf_mul(cq, sw_conj), wp)
-    rw = libmp.mpf_pow_int(root, 2 * k, wp)
 
-    def polar(radius, c, s):
-        return ctx.make_mpc(tuple(libmp.mpf_mul(radius, part, prec, rnd) for part in (c, s)))
+    def radius(j):
+        _, man, exp, _ = libmp.mpf_pow_int(root, j, wp)
+        return man, 0, exp
 
+    pq = _cos_sin_pi(-b, 2 * a, wp)
+    cw, sw, ew = _cos_sin_pi(2 * m * a - k * b, a * n, wp)
+    rw, conj = radius(2 * k), (cw, -sw, ew)
     lq = max(-math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n")), -1e300)
     return (
-        polar(libmp.mpf_pow_int(root, n, wp), cq, sq),
-        polar(rw, cw, sw),
-        polar(libmp.mpf_div(libmp.fone, rw, wp), cw, sw_conj),
-        polar(libmp.mpf_pow_int(root, n - 2 * k, wp), cb, sb),
+        _mul(radius(n), pq, wp),
+        _mul(rw, (cw, sw, ew), wp),
+        _mul(_div((1, 0, 0), rw, wp), conj, wp),
+        _mul(_mul(radius(n - 2 * k), pq, wp), conj, wp),
         lq,
         2 * (k / n) * lq,
     )

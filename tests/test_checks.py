@@ -297,10 +297,13 @@ def _theta_fault(monkeypatch, fault):
         return
     theta_values = modular._theta_values
 
-    def moved(ctx, wp, sums, q, winv):
-        (re, im, e), *rest = theta_values(ctx, wp, sums, q, winv)
+    def moved(wp, sums, q, winv):
+        (re, im, e), *rest = theta_values(wp, sums, q, winv)
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.prec = wp
         s_val = ctx.mpc(ctx.ldexp(re, e), ctx.ldexp(im, e))
-        t2, t3, t4 = (ctx.jtheta(k, 0, q) ** 4 for k in (2, 3, 4))
+        nome = ctx.mpc(ctx.ldexp(q[0], q[2]), ctx.ldexp(q[1], q[2]))
+        t2, t3, t4 = (ctx.jtheta(k, 0, nome) ** 4 for k in (2, 3, 4))
         if fault == "t2 for t4 in the constant":
             s_val -= (t2 - t4) / 12
         else:

@@ -406,19 +406,20 @@ def test_verify_second_field():
 # q and w built from one real exponential at its exact point and every
 # theta entry's point reduced exactly as the root of its integral form,
 # S from theta2(pi z)/theta1(pi z), and each theta-route value formed on
-# ints from the nome to the value and rounded once; any change to a sample,
-# value or detail string shows here
+# ints from the nome to the value and rounded once, the nome handed to the
+# kernel as exact ints, unrounded; any change to a sample, value or detail
+# string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "f3bc20cc0ed41f394ddd22f18c4df27312f2b8beb41fbcaa6338229d613b229d",
-    ("-20", "2,4,6", "40", "json"): "341f38ff497b49118eb363358456d51cd117f8985c4e067c82ffd8642134e032",
-    ("-20", "2,4,6", "40", "text"): "577c22a9fb6c743579f346445094049db2643541fbeae64d7eb50887ac35dce8",
-    ("-23", "1,8,31", "40", "json"): "0778d058722079dfbcdc8d87029b0f611abbc4f6754a58ec147596ecfafdb444",
-    ("-23", "3,9,12", "80", "json"): "e1cc3405c66039f00190a5d40fa36de8e1116549a3ddc9f08b3a8683a98d609d",
-    ("-23", "3,9,12", "80", "text"): "834e0cb9db6baf41c6b12cd34c5de54298f37c86359428d1fc08e07de86dded5",
-    ("-3", "6,0,6", "80", "json"): "1b36526516a131292d35fb7631448f6f34da726a9361b9c63d9eac1faffb8e5d",
-    ("-3", "6,0,6", "80", "text"): "e7fd1355dcc7cf7951f520f65cec81978366af62c2e0d877e380630c77d2532b",
-    ("-4", "6,0,6", "80", "json"): "577603a8c7afa77d398de9f74b646fe569f8e4f37ecae368d9d91b016f4c1cb3",
-    ("-4", "6,0,6", "80", "text"): "92e4d757a5b20d07df952219c2fc315b8d55beea2354479e73901b74c71c8431",
+    ("-111", "9,0,9", "40", "json"): "2835cb012a23d5ceda6f0dc9055ac6764cb6e2c08897898ccab332a14bea0463",
+    ("-20", "2,4,6", "40", "json"): "095b3d86c9588419f1d0b36c3b94191681a942f7c80942b85cbd34fd3ee8aa7b",
+    ("-20", "2,4,6", "40", "text"): "e8ffe48fab1e8149d8e7a98bfa126bd2faa5fc0405b67e977d732a06af8dbaee",
+    ("-23", "1,8,31", "40", "json"): "79a2718bee5e58122fa2187073f8bb2ae8e4ac9620f8020881bcda6588f8203f",
+    ("-23", "3,9,12", "80", "json"): "a00498fb206cee36c777717bf82c996dcc650279e81022712a197a8af0443c49",
+    ("-23", "3,9,12", "80", "text"): "bce1b2b8fc13a380efc92011977d468cb1899666084227bcc9c1f359c8e1e4fa",
+    ("-3", "6,0,6", "80", "json"): "dfeb2bb4c2ca07a7c68e7f79284a2b92f0e4ffa840932a7216b6eca26268d196",
+    ("-3", "6,0,6", "80", "text"): "771fb381fdc89e1d5e8cc842ae9ae60ab5d1b4407fb7b172e93c959213b5698f",
+    ("-4", "6,0,6", "80", "json"): "73b33374530199597434cd3f91d4ac34d2d1ac2699d63a95c07c1642a7b58c48",
+    ("-4", "6,0,6", "80", "text"): "7a2373073432827c68a84190d0237ea7efb148371bf8236d7085ee9721f0bb3f",
 }
 
 
