@@ -2,7 +2,8 @@
 
 Runs the property suite of `rayform verify` (rayform.checks) on dK = -20,
 modulus 2,4,6, with its own sample count and seed, and prints one line per
-check with its worst residual.  The tolerance is 10^-(digits/2).  Exits 0
+check with its detail: the worst residual of each numeric check, counts
+for the exact ones.  The tolerance is 10^-(digits/2).  Exits 0
 when every check passes, 3 when one fails or an internal check fails (as
 `rayform verify` does), and 2 on invalid input.
 """

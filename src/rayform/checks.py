@@ -1,7 +1,9 @@
 """The property suite of one modulus behind `rayform verify`: exact checks of
-the class group, then numeric checks of the modular identities.  All random
-samples come from the caller's generator in a fixed order, so a seeded
-generator makes the report reproducible byte for byte."""
+the class group, numeric checks of the modular identities, the exact
+identity-class and invariance checks of the descriptors, and the numeric
+route check.  All random samples come from the caller's generator in a
+fixed order, so a seeded generator makes the report reproducible byte for
+byte."""
 
 from __future__ import annotations
 
@@ -99,30 +101,20 @@ def _law_residuals(p, rng, samples: int):
         yield abs(modular._fricke_at(label, num, p) - modular._fricke_at(moved, tau, p))
 
 
-def _invariance_residuals(mod, reps, values, p, rng):
-    """Each representative's `eval_descriptor` value against `fricke` at the
-    embedded point of two translates, whose rounded form `fricke` reduces.
-    Reduced from its form in K, most translates reach the representative's
-    reduced form and cell, and the check would compare a value with itself."""
-    ctx = modular._ctx(p)
-    for rep, base in zip(reps, values):
-        for moved in _translates(rep, mod, rng, 2):
-            d = descriptor(moved, mod)
-            point = modular._embed(ctx, d.eval_point(), mod.disc)
-            yield abs(base - modular.fricke(modular.descriptor_label(d), point, p))
-
-
-def _route_residuals(descs, values, p):
-    for d, value in zip(descs, values):
-        yield abs(value - modular.eval_descriptor_unreduced(d, p))
+def _route_residuals(descs, p):
+    for d in descs:
+        yield abs(modular.eval_descriptor(d, None, p) - modular.eval_descriptor_unreduced(d, p))
 
 
 def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
     """The seven checks of `rayform verify`, in order.  The power relations
     and the transformation law each draw `samples` >= 1 random points; the
-    class checks cover every class.  Of the numeric checks only the route
-    check reads the q-series, so it alone sees a fault in S on the theta
-    route: the law and invariance compare the theta route with itself."""
+    class checks cover every class.  Invariance is decided exactly, with no
+    series: each translate of the route check must reach its
+    representative's `modular._value_key`, the reduced point and cell its
+    value is computed from.  Of the numeric checks only the route check
+    reads the q-series, so it alone sees a fault in S on the theta route:
+    the law compares the theta route with itself."""
     if not 1 <= tol_exp <= modular.MAX_DIGITS:
         raise QFieldError(f"tolerance exponent must be from 1 to {modular.MAX_DIGITS}, got {tol_exp}")
     if samples < 1:
@@ -184,9 +176,12 @@ def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list
     detail += f" at xi = ({xu})*tau + ({xv})"
     record("identity-class descriptor sends the point to xi mod Z", at_xi, detail)
 
+    # the route check's translates against their representatives on the
+    # exact input of the value: the reduced point and the normalized cell
     descs = [descriptor(rep, mod) for rep in reps]
-    values = [modular.eval_descriptor(d, None, p) for d in descs]
-    invariance = _invariance_residuals(mod, reps, values, p, rng)
-    numeric("descriptor value constant on classes", invariance)
-    numeric("descriptor route vs unreduced route", _route_residuals(descs, values, p))
+    rep_keys = [modular._value_key(d) for d in descs]
+    same = sum(modular._value_key(descriptor(m, mod)) == rep_keys[i] for i, m in moved)
+    detail = f"{same}/{len(moved)} translates reach the representative's reduced point and cell"
+    record("descriptor value constant on classes", same == len(moved), detail)
+    numeric("descriptor route vs unreduced route", _route_residuals(descs, p))
     return checks

@@ -45,6 +45,7 @@ exactly, by `forms.reduce` on an integral form, in `_reduced_values` for
 `eval_descriptor` (its point of K), `fricke` and `_power_values` (the form
 `_point_form` makes of a numeric tau); `eisenstein_j` reduces that form for
 its fixed cell (0, 1, 2), and the law check's `_fricke_at` runs unreduced.
+`verify`'s invariance check compares the exact input itself (`_value_key`).
 The q-series route reduces a complex tau numerically (`_reduce_tau`), so
 the descriptor routes differ in the reduction, the row and the series.
 Every series is truncated at an explicit tail threshold.
@@ -76,7 +77,7 @@ from typing import NamedTuple
 import mpmath
 from mpmath import libmp
 
-from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, reduce, t_power
+from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, automorphs, reduce, t_power
 from .qfield import Discriminant, InternalCheckError, QFieldError
 from .rayclass import GaloisDescriptor
 
@@ -678,6 +679,29 @@ def _reduced_values(ctx, form: QuadForm, label: FrickeLabel, indices):
     form == act(red, g) by `forms.reduce`, and the label's row pushed through g^-1."""
     form, g = reduce(form)
     return _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
+
+
+def _value_key(desc: GaloisDescriptor):
+    """(red, (k, m, n)): `eval_descriptor`'s exact input up to the moves
+    that keep its value, so two descriptors of one field with one key have
+    one value at every index, decided with no series.
+
+    `eval_descriptor` reduces (red, g) = `forms.reduce(eval_point())` and
+    takes the cell (k, m, n) of the row [0, a_inv/N] pushed through g^-1,
+    z = (k tau0 + m)/n at the root tau0 of red.  The cell enters the value
+    through S alone, and each step below moves it and keeps S:
+    - the automorphs h of red fix tau0, so by the transformation law
+      f_r(h tau0) = f_(r h)(tau0) the row pushed through g^-1 h gives the
+      same value: these are the cells of every witness of form == act(red, .).
+      -1 is an automorph of every form, and its move (k, m) -> (-k, -m)
+      is S's evenness in z;
+    - S is periodic on the lattice [tau0, 1], so only k and m mod n count.
+    The key is red and the least cell so normalized over the automorphs.
+    """
+    red, g = reduce(desc.eval_point())
+    level, ginv = desc.eval_matrix[1][1], g.inv()
+    cells = (_exact_cell(0, desc.a_inv, level, ginv @ h) for h in automorphs(red))
+    return red, min((k % n, m % n, n) for k, m, n in cells)
 
 
 def _power_values(label: FrickeLabel, tau, p: Precision):

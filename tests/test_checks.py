@@ -8,7 +8,7 @@ import pytest
 
 from rayform import checks, modular, qfield, rayclass
 from rayform.checks import run_checks, sci
-from rayform.forms import IDENT
+from rayform.forms import IDENT, reduce
 from rayform.modular import Precision, eval_descriptor
 from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import (
@@ -50,7 +50,6 @@ def too_tight():
     [
         "power relations between the three indexed values",
         "row transformation law",
-        "descriptor value constant on classes",
         "descriptor route vs unreduced route",
     ],
 )
@@ -128,27 +127,106 @@ def test_modulus_is_the_canonical_triple(dk, ideal):
         assert run_checks(triple, Precision(30), 15, random.Random(911), 1) == report
 
 
-@pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-23, 3, 9, 12)])
-def test_invariance_residuals_are_no_self_comparisons(ideal):
-    """Every translate residual is nonzero and small.  With the exact
-    reduction on both sides the same draws would give residuals of exactly
-    0: those translates reach the representative's reduced point form and
-    cell."""
+INVARIANCE = "descriptor value constant on classes"
+
+
+@pytest.mark.parametrize("ideal", [(-3, 6, 0, 6), (-4, 5, 0, 5), (-4, 6, 0, 6), (-111, 9, 0, 9)])
+def test_value_key_steps_are_needed_and_keep_the_value(ideal):
+    """`_value_key`'s automorph and mod-n steps are needed: some
+    translates reach `eval_descriptor`'s raw input, the reduced point and
+    the cell of the row pushed through the witness, other than their
+    representative's, and compare equal only after the steps.  And they
+    keep the value: there each translate's value at 80 digits is its
+    representative's within a relative 10^-90.  The translates are the
+    route check's, drawn as `run_checks` draws them with seed 911."""
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
-    p = Precision(80)
-    reps = [fc.rep for fc in enumerate_classes(mod).classes]
-    values = [eval_descriptor(descriptor(rep, mod), None, p) for rep in reps]
-    residuals = list(checks._invariance_residuals(mod, reps, values, p, random.Random(911)))
-    assert len(residuals) == 2 * len(reps)
-    assert all(r != 0 for r in residuals)
-    assert max(residuals) < mpmath.mpf(10) ** -80
+    reps = [fc.rep for fc in group_table(mod).classes]
     rng = random.Random(911)
-    exact = [
-        abs(base - eval_descriptor(descriptor(moved, mod), None, p))
-        for rep, base in zip(reps, values)
-        for moved in checks._translates(rep, mod, rng, 2)
-    ]
-    assert exact.count(0) > 0
+    moved = [(rep, m) for rep in reps for m in checks._translates(rep, mod, rng, 2)]
+    p = Precision(80)
+
+    def raw(desc):
+        red, g = reduce(desc.eval_point())
+        return red, modular._exact_cell(0, desc.a_inv, desc.eval_matrix[1][1], g.inv())
+
+    pairs = [(descriptor(rep, mod), descriptor(m, mod)) for rep, m in moved]
+    differ = [(rep, d) for rep, d in pairs if raw(d) != raw(rep)]
+    assert differ
+    for rep, d in pairs:
+        assert modular._value_key(d) == modular._value_key(rep)
+    for rep, d in differ:
+        base = eval_descriptor(rep, None, p)
+        assert abs(eval_descriptor(d, None, p) - base) <= abs(base) * mpmath.mpf(10) ** -90
+
+
+def _descriptor_fault(monkeypatch, fault):
+    """Inject one fault into the descriptors of the forms with 3 | b and
+    a > 1 (the identity class's form (1, ., .) is never hit)."""
+    hit = lambda f: f.b % 3 == 0 and f.a > 1
+    if fault == "offset shifted by a":
+        offset = rayclass.canonical_offset
+        shifted = lambda f, m: offset(f, m) + f.a * hit(f)
+        monkeypatch.setattr(rayclass, "canonical_offset", shifted)
+        return
+    right = checks.descriptor
+
+    def moved(f, m):
+        d = right(f, m)
+        if not hit(f):
+            return d
+        if fault == "a_inv moved by 1":
+            # left alone where it would reach 0, a row of no torsion point
+            return d._replace(a_inv=(d.a_inv + 1) % m.c or d.a_inv)
+        (a1, off), bottom = d.eval_matrix
+        return d._replace(eval_matrix=((a1, off + 1), bottom))
+
+    monkeypatch.setattr(checks, "descriptor", moved)
+
+
+DESCRIPTOR_FAULTS = ["offset shifted by a", "a_inv moved by 1", "m moved by 1"]
+
+
+@pytest.mark.parametrize(
+    "ideal, reached",
+    [((-20, 2, 4, 6), (2, 5, 2)), ((-3, 6, 0, 6), (3, 3, 3)), ((-4, 5, 0, 5), (5, 7, 5))],
+    ids=["-20", "-3", "-4"],
+)
+@pytest.mark.parametrize("fault", DESCRIPTOR_FAULTS)
+def test_invariance_check_fails_on_a_descriptor_fault(monkeypatch, ideal, reached, fault):
+    """The exact invariance check passes as shipped and fails on each fault
+    in the descriptors of some classes: `canonical_offset` shifted by a,
+    a_inv moved to a_inv + 1 mod N, and the evaluation matrix's entry m
+    moved to m + 1.  The route check compares two routes from the
+    descriptor's one point, so it passes on the offset fault: only this
+    check sees a descriptor that moves the point."""
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+    translates = 2 * len(group_table(mod).classes)
+
+    def report():
+        return {c.name: c for c in run_checks(mod, Precision(30), 15, random.Random(911))}
+
+    before = report()[INVARIANCE]
+    assert before.passed
+    assert before.detail.startswith(f"{translates}/{translates} translates reach")
+    _descriptor_fault(monkeypatch, fault)
+    after = report()
+    check = after[INVARIANCE]
+    assert not check.passed
+    reach = reached[DESCRIPTOR_FAULTS.index(fault)]
+    assert check.detail.startswith(f"{reach}/{translates} translates reach")
+    if fault == "offset shifted by a":
+        assert [c.name for c in after.values() if not c.passed] == [INVARIANCE]
+
+
+def test_verify_never_calls_fricke(monkeypatch):
+    """Every check of `run_checks` passes with `fricke` raising: the
+    invariance check compares exact inputs, not values at rounded points."""
+
+    def refused(*args):
+        raise AssertionError("fricke called")
+
+    monkeypatch.setattr(modular, "fricke", refused)
+    assert all(c.passed for c in run_checks(MOD20, Precision(80), 40, random.Random(911)))
 
 
 @pytest.mark.parametrize("dk,ideal", [(-23, (1, 8, 31)), (-111, (9, 0, 9))])
@@ -261,8 +339,9 @@ def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
     fails, the one check with a value from the q-series route.  Both power
     relations reduce to Delta = E4^3 - E6^2, where S enters only as a scale
     factor, so they test Jacobi's identity among the theta constants; the
-    law and invariance compare the theta route with itself.  This pins
-    that blind spot, as the table census pins the table's."""
+    law compares the theta route with itself, and invariance compares
+    exact inputs, no values.  This pins that blind spot, as the table
+    census pins the table's."""
     before = run_checks(MOD20, Precision(80), 40, random.Random(911))
     theta_values = modular._theta_values
 
@@ -274,7 +353,7 @@ def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
     after = run_checks(MOD20, Precision(80), 40, random.Random(911))
     assert all(c.passed for c in before)
     assert [c.name for c in after if not c.passed] == ["descriptor route vs unreduced route"]
-    assert after[5] == before[5]  # invariance: the scale cancels to the bit
+    assert after[5] == before[5]  # invariance: exact, no value read
     assert after[6].detail == "worst residual 3.395e-29"
 
 

@@ -407,19 +407,20 @@ def test_verify_second_field():
 # theta entry's point reduced exactly as the root of its integral form,
 # S from theta2(pi z)/theta1(pi z), and each theta-route value formed on
 # ints from the nome to the value and rounded once, the nome handed to the
-# kernel as exact ints, unrounded; any change to a sample, value or detail
-# string shows here
+# kernel as exact ints, unrounded, and class invariance decided on each
+# translate's exact reduced point and cell, with no series; any change to a
+# sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "2835cb012a23d5ceda6f0dc9055ac6764cb6e2c08897898ccab332a14bea0463",
-    ("-20", "2,4,6", "40", "json"): "095b3d86c9588419f1d0b36c3b94191681a942f7c80942b85cbd34fd3ee8aa7b",
-    ("-20", "2,4,6", "40", "text"): "e8ffe48fab1e8149d8e7a98bfa126bd2faa5fc0405b67e977d732a06af8dbaee",
-    ("-23", "1,8,31", "40", "json"): "79a2718bee5e58122fa2187073f8bb2ae8e4ac9620f8020881bcda6588f8203f",
-    ("-23", "3,9,12", "80", "json"): "a00498fb206cee36c777717bf82c996dcc650279e81022712a197a8af0443c49",
-    ("-23", "3,9,12", "80", "text"): "bce1b2b8fc13a380efc92011977d468cb1899666084227bcc9c1f359c8e1e4fa",
-    ("-3", "6,0,6", "80", "json"): "dfeb2bb4c2ca07a7c68e7f79284a2b92f0e4ffa840932a7216b6eca26268d196",
-    ("-3", "6,0,6", "80", "text"): "771fb381fdc89e1d5e8cc842ae9ae60ab5d1b4407fb7b172e93c959213b5698f",
-    ("-4", "6,0,6", "80", "json"): "73b33374530199597434cd3f91d4ac34d2d1ac2699d63a95c07c1642a7b58c48",
-    ("-4", "6,0,6", "80", "text"): "7a2373073432827c68a84190d0237ea7efb148371bf8236d7085ee9721f0bb3f",
+    ("-111", "9,0,9", "40", "json"): "98427370e9723d14d9abd26e470be86c860dd8ab3b3b2f7f8778433fbce307d0",
+    ("-20", "2,4,6", "40", "json"): "5b6a8d9f47b2a0eca61b8672bae10b5ac2c6f34a138a31c1dd02c06648f0309c",
+    ("-20", "2,4,6", "40", "text"): "37a3f85b578f6fa0e8df074ef13f28c7693da00faf693c8d0e1e0e529edbeaa0",
+    ("-23", "1,8,31", "40", "json"): "7216efbd6b37b0584ff80a8db043d236b07dce199534dfa72a1c368c2ab29d30",
+    ("-23", "3,9,12", "80", "json"): "3a6ee94bd5b3259e95babfbf30b80461e6476ab47ab07320493d71c718b101f2",
+    ("-23", "3,9,12", "80", "text"): "cf45490b353d5d34bede45a2e2da482b8b67cd168d4209ab1823a4743fb7bdd6",
+    ("-3", "6,0,6", "80", "json"): "3aa1f0c5d8f505afa4e4c9271fba4d9702475adb734543f3452cc4feaa3cda8e",
+    ("-3", "6,0,6", "80", "text"): "e3a018ebc7e0d718e72e3e91e915daf67e534b188fc21f88efc0cbacffd55c57",
+    ("-4", "6,0,6", "80", "json"): "fa24fc0785ca84657daf7585e0bd0c9d4ad57e3c2243405a49cc5c7ff658da80",
+    ("-4", "6,0,6", "80", "text"): "05f294de6e413303eee15de81e8a91beb16a3e7b21c722af9a70978f9666158c",
 }
 
 
