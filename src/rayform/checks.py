@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import modular
-from .forms import QuadForm, UnimodMatrix
+from .forms import QuadForm, UnimodMatrix, act
 from .qfield import IdealTriple, QFieldError, _egcd
 from .rayclass import (
     _class_index,
@@ -63,13 +63,28 @@ def _random_row(rng) -> tuple[int, int, int]:
     return rng.randrange(level), rng.randrange(1, level), level
 
 
+def _random_form(rng) -> QuadForm:
+    """A random primitive form (a, b, c) with a of 16 bits whose root tau
+    lies in the strip |Re tau| <= 1/2, 0.4 <= Im tau <= 1.4: |b| <= a, as
+    Re tau = -b/(2a), and c within (Im tau)^2 = (4ac - b^2)/(4a^2) from
+    0.16 to 1.96.  So |d| >= 0.64 a^2 > 4, and the form has only the
+    automorphs +-1."""
+    while True:
+        a = rng.randrange(1 << 15, 1 << 16)
+        b = rng.randrange(-a, a + 1)
+        lo = -(-(16 * a * a + 25 * b * b) // (100 * a))
+        form = QuadForm(a, b, rng.randrange(lo, (196 * a * a + 25 * b * b) // (100 * a) + 1))
+        if form.content() == 1:
+            return form
+
+
 def _power_residuals(p, rng, samples: int):
     """Both reduce to Delta = E4^3 - E6^2, where S is only a scale factor:
     they test Jacobi's identity among the theta constants, not S."""
     for _ in range(samples):
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
+        form = _random_form(rng)
         label = modular.FrickeLabel(1, *_random_row(rng))
-        jv, f1, f2, f3 = modular._power_values(label, tau, p)
+        jv, f1, f2, f3 = modular._power_values(label, form, p)
         if abs(jv) < 1e-5 or abs(jv - 1728) < 1e-5:
             continue
         yield abs(f2 - 46656 * f1**2 / (jv - 1728))
@@ -89,16 +104,16 @@ def _law_matrix(rng):
 def _law_residuals(p, rng, samples: int):
     """f(g(tau); row) against f(tau; row*g), each evaluated where it is: the
     reduced `fricke` would carry both sides to one point of the fundamental
-    domain and compare a value with itself."""
-    hp = modular._ctx(p)
+    domain and compare a value with itself.  tau is the root of a random
+    form and g(tau) the root of act(form, g^-1), so both sides are exact
+    inputs, each value rounded once, and a residual is often exactly 0."""
     for _ in range(samples):
-        tau = hp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.4))
+        form = _random_form(rng)
         r, s, level = _random_row(rng)
         g = _law_matrix(rng)
         label = modular.FrickeLabel(1, r, s, level)
         moved = modular.FrickeLabel(1, r * g.p + s * g.r, r * g.q + s * g.s, level)
-        num = (g.p * tau + g.q) / (g.r * tau + g.s)
-        yield abs(modular._fricke_at(label, num, p) - modular._fricke_at(moved, tau, p))
+        yield abs(modular._fricke_at(label, act(form, g.inv()), p) - modular._fricke_at(moved, form, p))
 
 
 def _route_residuals(descs, p):
@@ -108,7 +123,7 @@ def _route_residuals(descs, p):
 
 def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
     """The seven checks of `rayform verify`, in order.  The power relations
-    and the transformation law each draw `samples` >= 1 random points; the
+    and the transformation law each draw `samples` >= 1 random forms; the
     class checks cover every class.  Invariance is decided exactly, with no
     series: each translate of the route check must reach its
     representative's `modular._value_key`, the reduced point and cell its

@@ -40,11 +40,12 @@ These four numbers are computed along two independent routes:
 
 Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
-coordinates x = k/n and y = m/n (`_exact_cell`).  The theta route reduces
-exactly, by `forms.reduce` on an integral form, in `_reduced_values` for
-`eval_descriptor` (its point of K), `fricke` and `_power_values` (the form
-`_point_form` makes of a numeric tau); `eisenstein_j` reduces that form for
-its fixed cell (0, 1, 2), and the law check's `_fricke_at` runs unreduced.
+coordinates x = k/n and y = m/n (`_exact_cell`).  Every theta entry
+takes a point as the positive definite integral form whose root it is, and
+no numeric tau.  The theta route reduces exactly, by `forms.reduce`, in
+`_reduced_values` for `eval_descriptor` (its point of K), `fricke` and
+`_power_values`; `eisenstein_j` reduces its form for its fixed cell
+(0, 1, 2), and the law check's `_fricke_at` runs unreduced.
 `verify`'s invariance check compares the exact input itself (`_value_key`).
 The q-series route reduces a complex tau numerically (`_reduce_tau`), so
 the descriptor routes differ in the reduction, the row and the series.
@@ -53,11 +54,11 @@ Every series is truncated at an explicit tail threshold.
 Every theta core gets q = e^(i pi tau0), w = e^(2 pi i z), 1/w and q/w
 from one builder, `_exact_nome`, at the root of the form (a, b, c) and
 the cell: one real exponential R = e^(-pi Im tau0/n), with |q| = R^n,
-|w| = R^(2k), |1/w| = 1/R^(2k) and |q/w| = R^(n - 2k) by binary
-powering, and the phases pi (-b)/(2a) and pi (2ma - kb)/(an), each an
-integer pair through one `mpf_cos_sin_pi` after an exact integer fold
-into [0, 1/4] (`_cos_sin_pi`); 1/w and q/w take their phases from those
-two by a conjugate and a product.  All four are exact values
+|w| = R^(2k) and |1/w| = 1/R^(2k) by binary powering, and the phases
+pi (-b)/(2a) and pi (2ma - kb)/(an), each an integer pair through one
+`mpf_cos_sin_pi` after an exact integer fold into [0, 1/4]
+(`_cos_sin_pi`); 1/w takes the conjugate of w's phase, and q/w is the
+product of q and 1/w.  All four are exact values
 (re, im, e) = (re + i im) 2^e, never rounded to the context's precision.
 Only the q-series route calls a complex exponential.
 
@@ -66,7 +67,7 @@ One read-only mpmath context per digit count, cached for the process by
 values; they are exchangeable across contexts.
 
 Normalization is pinned at import by two self-checks, j(i) = 1728 and
-j(rho) = 0.
+j(rho) = 0, at the roots of (1, 0, 1) and (1, 1, 1).
 """
 
 from __future__ import annotations
@@ -534,19 +535,6 @@ def _cos_sin_pi(num: int, den: int, prec: int):
     return (cm if cs == neg else -cm) << ce - e, (sm if ss == flip else -sm) << se - e, e
 
 
-def _point_form(t) -> QuadForm:
-    """The integral form (n^2, -2xn, x^2 + y^2) whose upper half plane root
-    is the mpc t = (x + iy)/n exactly: each finite part is an mpf, a dyadic
-    rational, and n is their common power-of-two denominator.  conj t has
-    the same form, so t off the upper half plane, or not finite, stops here."""
-    if not (t.imag > 0 and mpmath.isfinite(t)):
-        raise QFieldError("tau is not a finite point of the upper half plane")
-    (x, d), (y, e) = (libmp.to_rational(part._mpf_) for part in (t.real, t.imag))
-    n = max(d, e)
-    x, y = x * (n // d), y * (n // e)
-    return QuadForm(n * n, -2 * x * n, x * x + y * y)
-
-
 def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     """(q, w, 1/w, q/w, lq, lw) for `_theta_core` at the root tau0 of the
     form (a, b, c) and the cell (k, m, n) of `_exact_cell`, negated when
@@ -554,17 +542,16 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     and |w|, from ints alone: no complex exponential, no complex division
     and no Fraction.
 
-    With L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n, |w| = R^(2k),
-    |1/w| = 1/R^(2k) and |q/w| = R^(n - 2k) (0 <= 2k <= n), each power by
-    binary powering, and the phases go to `_cos_sin_pi` as integer pairs:
+    With L = pi Im tau0 = -log|q| and R = e^(-L/n), |q| = R^n, |w| = R^(2k)
+    and |1/w| = 1/R^(2k) (0 <= 2k <= n), each power by binary powering,
+    and the phases go to `_cos_sin_pi` as integer pairs:
     q / |q| = e^(i pi (-b)/(2a)) and w / |w| = e^(i pi (2ma - kb)/(an)),
-    as 2(k Re tau0 + m)/n.  Each value is its radius times its phase by
-    `_mul`; 1/w takes the conjugate of w's phase, and q/w is R^(n - 2k)
-    times q's phase, times that conjugate, so at the j cell (0, 1, 2), where
-    w's phase is -1, q/w = -q exactly.  One gcd puts
-    (Im tau0)^2 = |d|/(4a^2) in lowest terms u/v, and v Im tau0 = sqrt(uv)
-    is `math.isqrt` of uv at wp fraction bits, exact when Im tau0 is
-    rational, as at a numeric point's form.
+    as 2(k Re tau0 + m)/n.  Each of q and w is its radius times its phase
+    by `_mul`; 1/w takes the conjugate of w's phase, and q/w is q times
+    1/w, so at the j cell (0, 1, 2), where 1/w = -1 exactly, q/w = -q
+    exactly.  One gcd puts (Im tau0)^2 = |d|/(4a^2) in lowest terms u/v,
+    and v Im tau0 = sqrt(uv) is `math.isqrt` of uv at wp fraction bits,
+    exact when Im tau0 is rational.
     Error bound: at wp = prec + g bits every mpf operation rounds within a
     relative e = 2^(1 - wp), and the isqrt floor is within e/2, as
     uv >= 1.  L/n = pi sqrt(uv)/(vn) takes four roundings, so R is within
@@ -572,10 +559,10 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     (4L + n + 2) e; `_div`'s reciprocal adds e/2.  Each phase part is
     within 2e, so each phase within 2 sqrt(2) e < 3e, and each cut by
     `_norm` moves a product by under a relative 2^(3/2 - wp) < e.  So, to
-    first order, q and w are within (4L + n + 6) e of their modulus, 1/w
-    within (4L + n + 7) e and q/w, with two phases and two cuts, within
-    (4L + n + 10) e.  With A = isqrt(u // v) + 1 > Im tau0,
-    4L + n + 10 < 13A + n + 10 < 16A (n + 5) < 2^(g - 4) for the guard
+    first order, q and w are within (4L + n + 6) e of their modulus and
+    1/w within (4L + n + 7) e; q/w, their product and one cut, within
+    (8L + 2n + 14) e.  With A = isqrt(u // v) + 1 > Im tau0, so 4L < 13A,
+    that is below 26A + 2n + 14 < 16A (n + 5) < 2^(g - 4) for the guard
     g = bitlen(A) + bitlen(n + 5) + 8, so each of the four, never rounded
     to prec, is within 2^(-3 - prec) of its modulus.
     The float log lq = -L, infinite from Im tau0 near 5.7e307 on, is floored
@@ -597,18 +584,12 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
         _, man, exp, _ = libmp.mpf_pow_int(root, j, wp)
         return man, 0, exp
 
-    pq = _cos_sin_pi(-b, 2 * a, wp)
+    q = _mul(radius(n), _cos_sin_pi(-b, 2 * a, wp), wp)
     cw, sw, ew = _cos_sin_pi(2 * m * a - k * b, a * n, wp)
-    rw, conj = radius(2 * k), (cw, -sw, ew)
+    rw = radius(2 * k)
+    winv = _mul(_div((1, 0, 0), rw, wp), (cw, -sw, ew), wp)
     lq = max(-math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n")), -1e300)
-    return (
-        _mul(radius(n), pq, wp),
-        _mul(rw, (cw, sw, ew), wp),
-        _mul(_div((1, 0, 0), rw, wp), conj, wp),
-        _mul(_mul(radius(n - 2 * k), pq, wp), conj, wp),
-        lq,
-        2 * (k / n) * lq,
-    )
+    return q, _mul(rw, (cw, sw, ew), wp), winv, _mul(q, winv, wp), lq, 2 * (k / n) * lq
 
 
 def _reduce_tau(ctx, t, steps: int):
@@ -657,21 +638,23 @@ def _exact_cell(r: int, s: int, level: int, g: UnimodMatrix) -> tuple[int, int, 
     (k, m, n): x = k/n and y = m/n over their least common denominator,
     each taken mod 2 and less its nearest integer, a half rounded to even
     as by `round`: +1/2 over an even floor, -1/2 over an odd one, which
-    decides the sign `_exact_nome`'s negation gives y."""
+    decides the sign `_exact_nome`'s negation gives y.  Every row comes
+    from a `FrickeLabel` or a descriptor, never integral, and a unimodular
+    push keeps it so: an integral row is a fault."""
     r1, r2 = r * g.p + s * g.r, r * g.q + s * g.s
     d = math.gcd(r1, r2, level)
     n = level // d
     if n == 1:
-        raise QFieldError("row is integral: the point sits on the lattice")
+        raise InternalCheckError("row is integral: the point sits on the lattice")
     k, m = (t // d % (2 * n) for t in (r1, r2))
     return k - n * ((2 * k > n) + (2 * k >= 3 * n)), m - n * ((2 * m > n) + (2 * m >= 3 * n)), n
 
 
-def eisenstein_j(tau, p: Precision = Precision()):
-    """The j-invariant of [tau, 1]: the theta core at z = 1/2 and tau's reduced form."""
-    ctx = _ctx(p)
-    form, _ = reduce(_point_form(ctx.mpc(tau)))
-    return _theta_core(ctx, form, (0, 1, 2), (0,))[0]
+def eisenstein_j(form: QuadForm, p: Precision = Precision()):
+    """The j-invariant of [tau, 1] at the root tau of a positive definite
+    form: the theta core at z = 1/2 and the form reduced."""
+    red, _ = reduce(form)
+    return _theta_core(_ctx(p), red, (0, 1, 2), (0,))[0]
 
 
 def _reduced_values(ctx, form: QuadForm, label: FrickeLabel, indices):
@@ -704,30 +687,29 @@ def _value_key(desc: GaloisDescriptor):
     return red, min((k % n, m % n, n) for k, m, n in cells)
 
 
-def _power_values(label: FrickeLabel, tau, p: Precision):
-    """(j, f1, f2, f3) at tau from one reduction and one theta core, equal
-    to `eisenstein_j(tau, p)` and `fricke` at indices 1, 2, 3 with label's row."""
-    ctx = _ctx(p)
-    return _reduced_values(ctx, _point_form(ctx.mpc(tau)), label, (0, 1, 2, 3))
+def _power_values(label: FrickeLabel, form: QuadForm, p: Precision):
+    """(j, f1, f2, f3) at the root of the form from one reduction and one
+    theta core, equal to `eisenstein_j(form, p)` and `fricke` at indices
+    1, 2, 3 with label's row."""
+    return _reduced_values(_ctx(p), form, label, (0, 1, 2, 3))
 
 
-def _fricke_at(label: FrickeLabel, tau, p: Precision):
-    """The indexed torsion-value function at tau itself, with no domain
-    reduction.  The theta series reach any point of the upper half plane,
-    with more terms as Im tau falls.  Two such values at g(tau) and tau
-    never share an input, so comparing them tests the transformation law
-    that `fricke`'s reduction relies on."""
-    ctx = _ctx(p)
-    form = _point_form(ctx.mpc(tau))
+def _fricke_at(label: FrickeLabel, form: QuadForm, p: Precision):
+    """The indexed torsion-value function at the root tau of the form
+    itself, with no domain reduction.  The theta series reach any point of
+    the upper half plane, with more terms as Im tau falls.  Two such
+    values, at g(tau), the root of act(form, g^-1), with a row and at tau
+    with row*g, never share an input, so comparing them tests the
+    transformation law that `fricke`'s reduction relies on."""
     cell = _exact_cell(label.r, label.s, label.level, IDENT)
-    return _theta_core(ctx, form, cell, (label.i,))[0]
+    return _theta_core(_ctx(p), form, cell, (label.i,))[0]
 
 
-def fricke(label: FrickeLabel, tau, p: Precision = Precision()):
-    """The indexed torsion-value function at tau on the theta route, at
-    tau's form (`_point_form`) reduced and its row pushed as in `eval_descriptor`."""
-    ctx = _ctx(p)
-    return _reduced_values(ctx, _point_form(ctx.mpc(tau)), label, (label.i,))[0]
+def fricke(label: FrickeLabel, form: QuadForm, p: Precision = Precision()):
+    """The indexed torsion-value function on the theta route at the root of
+    a positive definite form, the form reduced and its row pushed as in
+    `eval_descriptor`."""
+    return _reduced_values(_ctx(p), form, label, (label.i,))[0]
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -808,10 +790,10 @@ def complex_to_json(value, p: Precision = Precision()) -> dict:
 def _startup_check():
     p = Precision(30)
     ctx = _ctx(p)
-    square = eisenstein_j(ctx.mpc(0, 1), p)
+    square = eisenstein_j(QuadForm(1, 0, 1), p)
     if abs(square - 1728) > ctx.mpf(10) ** -25:
         raise InternalCheckError(f"normalization self-test failed: j(i) = {square}")
-    hexagonal = eisenstein_j(ctx.mpc(-1, ctx.sqrt(3)) / 2, p)
+    hexagonal = eisenstein_j(QuadForm(1, 1, 1), p)
     if abs(hexagonal) > ctx.mpf(10) ** -25:
         raise InternalCheckError(f"normalization self-test failed: j(rho) = {hexagonal}")
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import libmp
 
 from rayform.forms import QuadForm
 from rayform.qfield import QFieldError, make_discriminant, make_ideal_triple, reduced_basis
@@ -104,6 +105,26 @@ def fraction_point_form(disc, u, v):
     trace, norm = 2 * v - disc.b0 * u, disc.norm(u, v)
     k = math.lcm(trace.denominator, norm.denominator)
     return QuadForm(k, int(-k * trace), int(k * norm))
+
+
+def root_form(re, im):
+    """The primitive integral form whose upper half plane root is re + i*im,
+    re and im > 0 rationals taken exactly: ints, Fractions, decimal strings,
+    floats or mpf values.  It is k*(X^2 - 2*re*X + re^2 + im^2), k the least
+    common denominator of its lower coefficients."""
+    re, im = (Fraction(*libmp.to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x) for x in (re, im))
+    assert im > 0
+    trace, norm = 2 * re, re * re + im * im
+    k = math.lcm(trace.denominator, norm.denominator)
+    return QuadForm(k, int(-k * trace), int(k * norm))
+
+
+def form_near(a, re, im):
+    """A form (a, b, c) whose root lies within about 1/a of re + i*im, for
+    floats re and im > 0 and a large against 1/im^2: b = round(-2*a*re) and
+    c = round(b^2/(4a) + a*im^2), its discriminant about -4 a^2 im^2."""
+    b = round(-2 * a * re)
+    return QuadForm(a, b, round(b * b / (4 * a) + a * im * im))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from rayform.forms import QuadForm, S_FLIP, UnimodMatrix, act, reduced_forms, t_power
+from rayform import modular
 from rayform.modular import (
     FrickeLabel,
     Precision,
@@ -31,7 +32,7 @@ from rayform.rayclass import (
     make_modulus,
 )
 
-from conftest import same_ideal_label, valid_triples
+from conftest import form_near, fraction_point_form, same_ideal_label, valid_triples
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -248,33 +249,33 @@ def test_criterion_7():
     ctx = hp_ctx()
     tol40 = ctx.mpf(10) ** -40
 
-    assert abs(eisenstein_j(ctx.mpc(0, 1), P80) - 1728) < ctx.mpf(10) ** -70
-    rho = ctx.mpc(-1, ctx.sqrt(3)) / 2
-    assert abs(eisenstein_j(rho, P80)) < ctx.mpf(10) ** -70
+    assert abs(eisenstein_j(QuadForm(1, 0, 1), P80) - 1728) < ctx.mpf(10) ** -70
+    assert abs(eisenstein_j(QuadForm(1, 1, 1), P80)) < ctx.mpf(10) ** -70
 
     rng = random.Random(77)
     worst_power = ctx.mpf(0)
     done = 0
     while done < 20:
-        tau = ctx.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.85, 1.7))
+        form = form_near(rng.randrange(1 << 15, 1 << 16), rng.uniform(-0.5, 0.5), rng.uniform(0.85, 1.7))
         level = rng.randrange(3, 9)
         r, s = rng.randrange(level), rng.randrange(level)
         if r == 0 and s == 0:
             continue
-        jv = eisenstein_j(tau, P80)
+        jv = eisenstein_j(form, P80)
         if abs(jv) < ctx.mpf("1e-5") or abs(jv - 1728) < ctx.mpf("1e-5"):
             continue
-        f1 = fricke(FrickeLabel(1, r, s, level), tau, P80)
-        f2 = fricke(FrickeLabel(2, r, s, level), tau, P80)
-        f3 = fricke(FrickeLabel(3, r, s, level), tau, P80)
+        f1 = fricke(FrickeLabel(1, r, s, level), form, P80)
+        f2 = fricke(FrickeLabel(2, r, s, level), form, P80)
+        f3 = fricke(FrickeLabel(3, r, s, level), form, P80)
         worst_power = max(worst_power, abs(f2 - 46656 * f1**2 / (jv - 1728)))
         worst_power = max(worst_power, abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728))))
         done += 1
     assert worst_power < tol40
 
+    # the root of act(form, g^-1) is g(tau), evaluated there unreduced
     worst_law = ctx.mpf(0)
     for _ in range(50):
-        tau = ctx.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.85, 1.7))
+        form = form_near(rng.randrange(1 << 15, 1 << 16), rng.uniform(-0.5, 0.5), rng.uniform(0.85, 1.7))
         g = t_power(rng.randrange(-3, 4))
         for _ in range(rng.randrange(1, 3)):
             g = g @ S_FLIP @ t_power(rng.randrange(-3, 4))
@@ -283,16 +284,15 @@ def test_criterion_7():
         if r == 0 and s == 0:
             s = 1
         i = rng.choice((1, 2, 3))
-        moved = (g.p * tau + g.q) / (g.r * tau + g.s)
-        lhs = fricke(FrickeLabel(i, r, s, level), moved, P80)
-        rhs = fricke(FrickeLabel(i, r * g.p + s * g.r, r * g.q + s * g.s, level), tau, P80)
+        lhs = modular._fricke_at(FrickeLabel(i, r, s, level), act(form, g.inv()), P80)
+        rhs = fricke(FrickeLabel(i, r * g.p + s * g.r, r * g.q + s * g.s, level), form, P80)
         worst_law = max(worst_law, abs(lhs - rhs))
     assert worst_law < tol40
 
     # the unit-normalized value of the lattice [2 tau + 4, 6] at z = 1: the
     # row (0, 1/6) on [xi, 1], xi = (2 tau + 4)/6 with tau = sqrt(-5)
-    xi = (2 * ctx.mpc(0, ctx.sqrt(5)) + 4) / 6
-    unit_value = fricke(FrickeLabel(1, 0, 1, 6), xi, P80)
+    xi = fraction_point_form(D20, Fraction(2, 6), Fraction(4, 6))
+    unit_value = modular._fricke_at(FrickeLabel(1, 0, 1, 6), xi, P80)
     identity_value = eval_descriptor(descriptor(QuadForm(1, 0, 5), MOD20), None, P80)
     drift = abs(unit_value - identity_value)
     assert drift < tol40

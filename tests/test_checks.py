@@ -8,7 +8,7 @@ import pytest
 
 from rayform import checks, modular, qfield, rayclass
 from rayform.checks import run_checks, sci
-from rayform.forms import IDENT, reduce
+from rayform.forms import IDENT, UnimodMatrix, automorphs, reduce
 from rayform.modular import Precision, eval_descriptor
 from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import (
@@ -252,19 +252,27 @@ def test_run_checks_rejects_fewer_than_one_sample(samples):
 
 
 def test_law_draws_are_no_translations_and_no_self_comparisons(monkeypatch):
-    drawn = []
+    """In every law draw the two sides enter the theta core with different
+    exact inputs, (form, cell) at g(tau) with the row and at tau with
+    row*g, so no residual compares a value with itself."""
+    drawn, inputs = [], []
 
     def recording(rng):
         g = law_matrix(rng)
         drawn.append(g)
         return g
 
-    law_matrix = checks._law_matrix
+    def fricke_at(label, form, p):
+        inputs.append((form, modular._exact_cell(label.r, label.s, label.level, IDENT)))
+        return unrecorded(label, form, p)
+
+    law_matrix, unrecorded = checks._law_matrix, modular._fricke_at
     monkeypatch.setattr(checks, "_law_matrix", recording)
+    monkeypatch.setattr(modular, "_fricke_at", fricke_at)
     residuals = list(checks._law_residuals(Precision(30), random.Random(911), 40))
-    assert len(drawn) == len(residuals) == 40
+    assert len(drawn) == len(residuals) == 40 and len(inputs) == 80
     assert all(g.r != 0 for g in drawn)
-    assert all(r != 0 for r in residuals)
+    assert all(left != right for left, right in zip(inputs[::2], inputs[1::2]))
     assert max(residuals) < mpmath.mpf(10) ** -30
 
 
@@ -278,6 +286,46 @@ def test_law_matrices_are_small_and_drawn_from_the_integers():
     assert max(max(abs(g.p), abs(g.q)) for g in drawn) <= 3
     rows = {(r, s) for r in (-2, -1, 1, 2) for s in range(-2, 3) if math.gcd(r, s) == 1}
     assert {(g.r, g.s) for g in drawn} == rows
+
+
+def test_power_and_law_forms_are_primitive_and_in_the_strip():
+    """2,000 draws are primitive positive definite forms with 16-bit a,
+    whose roots lie in the strip |Re tau| <= 1/2, 0.4 <= Im tau <= 1.4,
+    with only the automorphs +-1, over many discriminants, most of them
+    not of the form -4 k^2 (the points of Q(i))."""
+    rng = random.Random(5)
+    drawn = [checks._random_form(rng) for _ in range(2000)]
+    for form in drawn:
+        a, b, _ = form
+        assert form.content() == 1 and 1 << 15 <= a < 1 << 16 and form.disc() < 0, form
+        assert abs(b) <= a and Fraction(16, 100) <= Fraction(-form.disc(), 4 * a * a) <= Fraction(196, 100), form
+        assert automorphs(form) == (IDENT, UnimodMatrix(-1, 0, 0, -1)), form
+    discs = {form.disc() for form in drawn}
+    gaussian = {d for d in discs if d % 4 == 0 and math.isqrt(-d // 4) ** 2 == -d // 4}
+    assert len(discs) > 1990 and len(gaussian) < 20
+
+
+def test_law_check_fails_on_a_point_placement_fault(monkeypatch):
+    """`_exact_cell` placing z at (k, -m, n) moves each value away from its
+    point; every other input stays exact.  The law check as `verify` runs
+    it (80 digits, tolerance 10^-40, seed 911) passes as shipped and fails
+    under the fault, its two sides no longer related by the law."""
+    name = "row transformation law"
+
+    def law_check():
+        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert law_check().passed
+    exact_cell = modular._exact_cell
+
+    def misplaced(*args):
+        k, m, n = exact_cell(*args)
+        return k, -m, n
+
+    monkeypatch.setattr(modular, "_exact_cell", misplaced)
+    check = law_check()
+    assert not check.passed, check.detail
 
 
 def scaled_by(value, num, den):

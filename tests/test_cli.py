@@ -7,7 +7,7 @@ import sys
 import mpmath
 import pytest
 
-from rayform import cli, modular
+from rayform import checks, cli, modular
 from rayform.forms import QuadForm
 from rayform.qfield import make_discriminant
 from rayform.rayclass import class_group_to_json, descriptor, group_table, make_modulus
@@ -362,6 +362,25 @@ def test_verify_reports_a_reduce_fault(monkeypatch, capsys):
     assert "internal check failed" not in err
 
 
+def test_verify_exits_3_on_a_descriptor_that_puts_its_point_on_the_lattice(monkeypatch, capsys):
+    # a_inv moved to a_inv + 1 mod N on the forms with 3 | b and a > 1 makes
+    # a_inv = 0 mod N somewhere: the row [0, a_inv/N] is integral, which
+    # only a fault can hand `_exact_cell`, so verify exits 3, not 2
+    build = checks.descriptor
+
+    def shifted(form, mod):
+        d = build(form, mod)
+        if form.b % 3 == 0 and form.a > 1:
+            return d._replace(a_inv=(d.a_inv + 1) % d.eval_matrix[1][1])
+        return d
+
+    monkeypatch.setattr(checks, "descriptor", shifted)
+    assert cli.main(["verify", "--dk", "-20", "--ideal", "2,4,6", "--digits", "30"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal check failed: row is integral: the point sits on the lattice\n"
+
+
 def test_equiv_on_a_form_far_from_reduced(capsys):
     # `reduce` needs 10202 steps on this valid form; both routes agree
     args = ["equiv", "--dk", "-20", "--ideal", "2,4,6", "--form", str(far_form()), "--form", "1,0,5"]
@@ -408,19 +427,21 @@ def test_verify_second_field():
 # S from theta2(pi z)/theta1(pi z), and each theta-route value formed on
 # ints from the nome to the value and rounded once, the nome handed to the
 # kernel as exact ints, unrounded, and class invariance decided on each
-# translate's exact reduced point and cell, with no series; any change to a
-# sample, value or detail string shows here
+# translate's exact reduced point and cell, with no series, and the power
+# and law samples drawn as random integral forms, the law's moved point the
+# exact form of g(tau); any change to a sample, value or detail string
+# shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "98427370e9723d14d9abd26e470be86c860dd8ab3b3b2f7f8778433fbce307d0",
-    ("-20", "2,4,6", "40", "json"): "5b6a8d9f47b2a0eca61b8672bae10b5ac2c6f34a138a31c1dd02c06648f0309c",
-    ("-20", "2,4,6", "40", "text"): "37a3f85b578f6fa0e8df074ef13f28c7693da00faf693c8d0e1e0e529edbeaa0",
-    ("-23", "1,8,31", "40", "json"): "7216efbd6b37b0584ff80a8db043d236b07dce199534dfa72a1c368c2ab29d30",
-    ("-23", "3,9,12", "80", "json"): "3a6ee94bd5b3259e95babfbf30b80461e6476ab47ab07320493d71c718b101f2",
-    ("-23", "3,9,12", "80", "text"): "cf45490b353d5d34bede45a2e2da482b8b67cd168d4209ab1823a4743fb7bdd6",
-    ("-3", "6,0,6", "80", "json"): "3aa1f0c5d8f505afa4e4c9271fba4d9702475adb734543f3452cc4feaa3cda8e",
-    ("-3", "6,0,6", "80", "text"): "e3a018ebc7e0d718e72e3e91e915daf67e534b188fc21f88efc0cbacffd55c57",
-    ("-4", "6,0,6", "80", "json"): "fa24fc0785ca84657daf7585e0bd0c9d4ad57e3c2243405a49cc5c7ff658da80",
-    ("-4", "6,0,6", "80", "text"): "05f294de6e413303eee15de81e8a91beb16a3e7b21c722af9a70978f9666158c",
+    ("-111", "9,0,9", "40", "json"): "7ba728c710129fa306eca652fbd90b95b15c46e158d37913ae312be908e762fb",
+    ("-20", "2,4,6", "40", "json"): "4fdef1c2b550cca6b428f769f249982c7a52104d3ca74179328b975cace97676",
+    ("-20", "2,4,6", "40", "text"): "74e5be46dacce5f22d5432c388519f8ce6cccba2fe4d7fd8b557324099fe0437",
+    ("-23", "1,8,31", "40", "json"): "749e5a38e0b982ac1551744266e19b874b7464b7b85536d89eec15c19f7d2d32",
+    ("-23", "3,9,12", "80", "json"): "e94cf4d06e8269e61195da36dfc4efa84fc8f4315c6b485f01555b569a9d7793",
+    ("-23", "3,9,12", "80", "text"): "8d22b7c6c5c5a73d976a5107075315ef54d3030225f9b549dd530973e9c467d2",
+    ("-3", "6,0,6", "80", "json"): "6071f01d7ab39c5b9f03f91b2369412a43218ba6e7d74c1eed68d9573ad94ac6",
+    ("-3", "6,0,6", "80", "text"): "19ba60f867d1cb963d65f558ba9812d10c5e11432b2d6c62ea74817b325fb7c2",
+    ("-4", "6,0,6", "80", "json"): "ac6566a464d7d3c2c3c45ec81417d2180822e6322cb0ae89fc8c424c3d923cd9",
+    ("-4", "6,0,6", "80", "text"): "8699599cf8ad130bad504976ed622bb2cfdfb15e60eef8b447493457b7d12285",
 }
 
 

@@ -12,7 +12,7 @@ from mpmath.libmp import libelefun
 
 from rayform import modular
 from rayform.checks import run_checks
-from rayform.forms import IDENT, QuadForm, S_FLIP, UnimodMatrix, reduce, reduced_forms, t_power
+from rayform.forms import IDENT, QuadForm, S_FLIP, UnimodMatrix, act, reduce, reduced_forms, t_power
 from rayform.modular import (
     FrickeLabel,
     Precision,
@@ -27,7 +27,7 @@ from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus, point_coords
 from rayform.rayclass import class_translate
 
-from conftest import fraction_point_form
+from conftest import form_near, fraction_point_form, root_form
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -101,7 +101,7 @@ def test_exact_cell_matches_the_fraction_rule():
     seeded SL2(Z) matrices: k/n and m/n equal the reference cell and n is
     its least common denominator.  Exact halves occur over both an even
     and an odd floor, where half to even picks +1/2 and -1/2.  An integral
-    row refuses."""
+    row, which no label or descriptor hands over, is an internal fault."""
     rng = random.Random(33)
     mats = [IDENT, S_FLIP, t_power(1)] + small_matrices(rng, 12)
     mats += [UnimodMatrix(3, 2, 1, 1), UnimodMatrix(5, 7, 2, 3)]
@@ -127,7 +127,7 @@ def test_exact_cell_matches_the_fraction_rule():
     assert floors == {0, 1}
     for g in mats:
         for r, s in ((0, 6), (6, 0), (12, -18), (6 * 10**20, 6)):
-            with pytest.raises(QFieldError, match="integral"):
+            with pytest.raises(InternalCheckError, match="integral"):
                 modular._exact_cell(r, s, 6, g)
 
 
@@ -144,7 +144,7 @@ def test_reduce_tau():
     assert abs(t0 - ctx.mpc(0, 1)) < ctx.mpf(10) ** -25
 
     tau = ctx.mpc("0.3", "0.007")
-    t0, g = modular._reduce_tau(ctx, tau, tau_cap(modular._point_form(tau)))
+    t0, g = modular._reduce_tau(ctx, tau, tau_cap(root_form(tau.real, tau.imag)))
     assert t0.imag > ctx.sqrt(3) / 2 - ctx.mpf(10) ** -20
     assert abs(t0.real) <= ctx.mpf("0.5") + ctx.mpf(10) ** -20
     back = (g.p * t0 + g.q) / (g.r * t0 + g.s)
@@ -164,7 +164,7 @@ def test_reduce_tau_stops_at_its_cap():
     and a cap one short of the rounds a point needs raises: the embedded
     descriptor points of dK=-23 `1,8,31` and `1,176,211` and of dK=-3
     `6,0,6` (up to 7 rounds), and the numeric point 0.3 + 0.007i (4
-    rounds), entering as its form (`_point_form`)."""
+    rounds), with its form's cap."""
     ctx = modular._ctx(P30)
     points = []
     for dk, ideal in ((-23, (1, 8, 31)), (-23, (1, 176, 211)), (-3, (6, 0, 6))):
@@ -173,7 +173,7 @@ def test_reduce_tau_stops_at_its_cap():
             form = descriptor(fc.rep, mod).eval_point()
             points.append((form, modular._embed(ctx, form, mod.disc)))
     tau = ctx.mpc("0.3", "0.007")
-    points.append((modular._point_form(tau), tau))
+    points.append((root_form(tau.real, tau.imag), tau))
     most = 0
     for form, tau in points:
         need = next(n for n in range(1, tau_cap(form) + 1) if rounds_suffice(ctx, tau, n))
@@ -185,135 +185,126 @@ def test_reduce_tau_stops_at_its_cap():
 
 
 def test_j_special_values():
+    """j at i, rho, 2i and i sqrt 2, the roots of (1,0,1), (1,1,1), (1,0,4)
+    and (1,0,2)."""
     ctx = ctx_for(80)
     tol = ctx.mpf(10) ** -70
-    assert abs(eisenstein_j(ctx.mpc(0, 1), P80) - 1728) < tol
-    rho = ctx.mpc(-1, ctx.sqrt(3)) / 2
-    assert abs(eisenstein_j(rho, P80)) < tol
-    assert abs(eisenstein_j(ctx.mpc(0, 2), P80) - 287496) < ctx.mpf(10) ** -60
-    assert abs(eisenstein_j(ctx.mpc(0, ctx.sqrt(2)), P80) - 8000) < ctx.mpf(10) ** -60
+    assert abs(eisenstein_j(QuadForm(1, 0, 1), P80) - 1728) < tol
+    assert abs(eisenstein_j(QuadForm(1, 1, 1), P80)) < tol
+    assert abs(eisenstein_j(QuadForm(1, 0, 4), P80) - 287496) < ctx.mpf(10) ** -60
+    assert abs(eisenstein_j(QuadForm(1, 0, 2), P80) - 8000) < ctx.mpf(10) ** -60
 
 
 def test_j_is_invariant():
+    """j at g(tau), the root of act(form, g^-1), for small g: the exact
+    reduction gives the value at tau bit for bit, and the theta core run
+    at g(tau) itself, unreduced, agrees within 10^-35."""
     ctx = ctx_for(40)
     rng = random.Random(2)
     p = Precision(40)
-    tau = ctx.mpc("0.317", "1.09")
-    base = eisenstein_j(tau, p)
+    form = root_form("0.317", "1.09")
+    base = eisenstein_j(form, p)
     for g in small_matrices(rng, 5):
-        moved = (g.p * tau + g.q) / (g.r * tau + g.s)
-        assert abs(eisenstein_j(moved, p) - base) < ctx.mpf(10) ** -35
+        moved = act(form, g.inv())
+        assert eisenstein_j(moved, p) == base
+        unreduced = modular._theta_core(modular._ctx(p), moved, (0, 1, 2), (0,))[0]
+        assert abs(unreduced - base) < ctx.mpf(10) ** -35
 
 
-def pinned_taus():
-    """(digits, tau): 40 seeded tau per digit count (30, 80, 1000), Re tau
-    in [-2, 2] and Im tau from 0.05 to 20 before reduction."""
+def pinned_forms():
+    """(digits, form): 40 seeded forms per digit count (30, 80, 1000), with
+    a of 24 bits and the root near Re tau in [-2, 2] and Im tau from 0.05
+    to 20 before reduction, of many discriminants."""
     rng = random.Random(24)
     for digits in (30, 80, 1000):
         for _ in range(40):
-            re = rng.uniform(-2, 2)
-            yield digits, mpmath.mpc(re, math.exp(rng.uniform(math.log(0.05), math.log(20))))
+            re, im = rng.uniform(-2, 2), math.exp(rng.uniform(math.log(0.05), math.log(20)))
+            yield digits, form_near(rng.randrange(1 << 23, 1 << 24), re, im)
 
 
 def test_j_pinned_to_the_bit():
-    """The mpf tuples of j at the pinned tau, hashed: a change to the theta
-    core or the reduction that moves j by one bit fails here."""
+    """The mpf tuples of j at the pinned forms' roots, hashed: a change to
+    the theta core or the reduction that moves j by one bit fails here."""
     digest = hashlib.sha256()
-    for digits, tau in pinned_taus():
-        j = eisenstein_j(tau, Precision(digits))
+    for digits, form in pinned_forms():
+        j = eisenstein_j(form, Precision(digits))
         digest.update(repr([tuple(map(int, part._mpf_)) for part in (j.real, j.imag)]).encode())
-    assert digest.hexdigest() == "b0428d4dcb6c0334eb968d2189c282ac42e0e5f3dcaec044acf5f8cce2210c2c"
+    assert digest.hexdigest() == "5b30fd80fba02ce7be367b6f12d01c9fbd614b2a3e7231ce2e9208154faa5f6d"
 
 
 def test_j_matches_kleinj():
-    """j at the pinned tau against 1728 kleinj(tau) at 60 more digits:
-    within 2 2^-prec max(|j|, 1728).  With tau reduced exactly as the root
-    of its form, the nome handed to the kernel unrounded and j formed on
-    ints and rounded once, the worst is about 0.86 (median 0.32); rounding
-    the nome to prec left up to 2.2, and a numeric reduction of tau,
-    rounding at every step, up to 77."""
-    for digits, tau in pinned_taus():
+    """j at the pinned forms' roots against 1728 kleinj(tau) at 60 more
+    digits: within 2 2^-prec max(|j|, 1728).  With tau reduced exactly as
+    the root of its form, the nome handed to the kernel unrounded and j
+    formed on ints and rounded once, the worst is about 0.86 (median
+    0.32); at floating points, rounding the nome to prec left up to 2.2,
+    and a numeric reduction of tau, rounding at every step, up to 77."""
+    for digits, form in pinned_forms():
         p = Precision(digits)
         prec = modular._ctx(p).prec
         ref = mpmath.ctx_mp.MPContext()
         ref.dps = digits + 60
-        j, want = ref.mpc(eisenstein_j(tau, p)), 1728 * ref.kleinj(ref.mpc(tau))
-        assert abs(j - want) <= 2 * ref.ldexp(max(abs(j), 1728), -prec), (digits, tau)
+        tau = ref.mpc(-form.b, ref.sqrt(-form.disc())) / (2 * form.a)
+        j, want = ref.mpc(eisenstein_j(form, p)), 1728 * ref.kleinj(tau)
+        assert abs(j - want) <= 2 * ref.ldexp(max(abs(j), 1728), -prec), (digits, form)
 
 
 @pytest.mark.parametrize("digits", [30, 80])
 def test_j_far_up_the_half_plane(digits):
-    """At Im tau = 1e16 to 1e1000, j = 1/q + 744 + O(q) with
-    q = e^(2 pi i tau) within 10^-digits.  There t2 lies about
+    """At tau = 10^e i and 3/10 + 10^e i, e from 16 to 1000, the roots of
+    (1, 0, 10^2e) and (100, -60, 9 + 10^(2e + 2)): j = 1/q + 744 + O(q)
+    with q = e^(2 pi i tau) within 10^-digits.  There t2 lies about
     2 pi Im tau/ln 2 bits below t3 and t4, and E4's sum once aligned them
     by that whole gap: MemoryError at 1e16, OverflowError from 1e23 on.
     From 1e154 on the square b^2 in `_theta_terms`' float root overflowed
     too, until the root went through hypot; from about 1e305 on the
     product lq lcut under its square root overflowed (OverflowError), and
     from about 5.7e307 on `_exact_nome`'s float log lq was -inf, NaN at
-    k = 0 (ValueError), until lq was floored.  Im tau is 10^e rounded to
-    53 bits, and the reference reads tau's exact mpf parts."""
+    k = 0 (ValueError), until lq was floored."""
     p = Precision(digits)
     for e in (16, 23, 100, 154, 160, 200, 300, 305, 306, 307, 308, 309, 400, 1000):
-        for re in (0, 0.3):
-            tau = mpmath.mpc(re, mpmath.mpf(10) ** e)
+        for re in ("0", "0.3"):
+            form = root_form(re, 10**e)
             ref = mpmath.ctx_mp.MPContext()
             ref.dps = digits + 30 + e
-            q = ref.exp(-2 * ref.pi * ref.mpf(tau.imag)) * ref.expjpi(2 * ref.mpf(tau.real))
+            x = Fraction(re)
+            q = ref.exp(-2 * ref.pi * ref.mpf(10) ** e) * ref.expjpi(ref.mpf(2 * x.numerator) / x.denominator)
             want = 1 / q + 744
-            got = ref.mpc(eisenstein_j(tau, p))
+            got = ref.mpc(eisenstein_j(form, p))
             assert abs(got - want) < ref.mpf(10) ** -digits * abs(want), (e, re)
 
 
 def test_j_and_fricke_near_a_cusp():
-    """At tau = 0.3 + 10^-1000 i (0.3 a double) the reduced point lies
-    about 10^967 up the half plane, where `_exact_nome`'s float log lq was
-    -inf before it was floored: `eisenstein_j` and `fricke` raised
-    ValueError.  j matches 1/q + 744 at the reduced form's root, and
-    `fricke` equals `_power_values`' f1."""
+    """At tau = 3/10 + 10^-1000 i, the root of (10^2000, -6 10^1999,
+    9 10^1998 + 1), the reduced point lies 10^998 up the half plane,
+    where `_exact_nome`'s float log lq was -inf before it was floored:
+    `eisenstein_j` and `fricke` raised ValueError.  j matches 1/q + 744 at
+    the reduced form's root, and `fricke` equals `_power_values`' f1."""
     p, label = P30, FrickeLabel(1, 1, 2, 6)
-    tau = mpmath.mpc(0.3, mpmath.mpf(10) ** -1000)
-    form, _ = reduce(modular._point_form(modular._ctx(p).mpc(tau)))
+    point = root_form("0.3", Fraction(1, 10**1000))
+    assert point == QuadForm(10**2000, -6 * 10**1999, 9 * 10**1998 + 1)
+    form, _ = reduce(point)
     ref = mpmath.ctx_mp.MPContext()
     ref.dps = 60 + len(str(form.c))
     root = (-form.b + 1j * ref.sqrt(-form.disc())) / (2 * form.a)
     assert root.imag > ref.mpf(10) ** 900
     want = 1 / ref.expjpi(2 * root) + 744
-    got = ref.mpc(eisenstein_j(tau, p))
+    got = ref.mpc(eisenstein_j(point, p))
     assert abs(got - want) < ref.mpf(10) ** -30 * abs(want)
-    f1 = fricke(label, tau, p)
-    assert ref.isfinite(f1) and f1 == modular._power_values(label, tau, p)[1]
+    f1 = fricke(label, point, p)
+    assert ref.isfinite(f1) and f1 == modular._power_values(label, point, p)[1]
 
 
-def test_point_form_has_the_point_as_its_root():
-    """`_point_form` of an mpc t is an integral form whose root is t
-    exactly: -b/(2a) = Re t and |d|/(4a^2) = (Im t)^2 as Fractions, at the
-    points of `KERNEL_TAUS`, seeded doubles and points with prec-bit parts.
-    Every theta entry refuses Im tau = 0 and Im tau < 0, where conj tau
-    would give the same form, and a part that is infinite or nan, which
-    has no dyadic value."""
-    ctx = modular._ctx(P80)
-    rng = random.Random(32)
-    points = [ctx.mpc(re, im) for re, im in KERNEL_TAUS]
-    points += [ctx.mpc(rng.uniform(-3, 3), rng.uniform(1e-3, 50)) for _ in range(50)]
-    for _ in range(50):
-        re, im = rng.getrandbits(ctx.prec) - 2 ** (ctx.prec - 1), rng.getrandbits(ctx.prec) + 1
-        points.append(ctx.mpc(ctx.ldexp(re, rng.randrange(-ctx.prec - 8, 8 - ctx.prec)),
-                              ctx.ldexp(im, rng.randrange(-ctx.prec - 8, 8 - ctx.prec))))
-    for t in points:
-        form = modular._point_form(t)
-        re, im = (Fraction(*libmp.to_rational(part._mpf_)) for part in (t.real, t.imag))
-        root = Fraction(-form.b, 2 * form.a), Fraction(-form.disc(), 4 * form.a**2)
-        assert root == (re, im * im), t
-    label = FrickeLabel(1, 1, 0, 6)
-    inf, nan = mpmath.inf, mpmath.nan
-    for parts in ((0.3, 0), (0.3, -0.8), (inf, 1), (0.2, inf), (nan, 1), (0.1, nan)):
-        tau = mpmath.mpc(*parts)
-        for call in (fricke, modular._power_values, modular._fricke_at):
-            with pytest.raises(QFieldError, match="upper half plane"):
-                call(label, tau, P80)
-        with pytest.raises(QFieldError, match="upper half plane"):
-            eisenstein_j(tau, P80)
+def test_theta_entries_reject_a_form_that_is_not_positive_definite():
+    """An indefinite, degenerate or negative definite form has no root in
+    the upper half plane: `fricke`, `_power_values` and `eisenstein_j`
+    refuse it where they reduce it."""
+    for form in [QuadForm(1, 0, -1), QuadForm(1, 2, 1), QuadForm(-1, 0, -1), QuadForm(0, 1, 1), QuadForm(-2, 1, -3)]:
+        for call in (fricke, modular._power_values):
+            with pytest.raises(QFieldError, match="indefinite or negative"):
+                call(FrickeLabel(1, 1, 0, 6), form, P80)
+        with pytest.raises(QFieldError, match="indefinite or negative"):
+            eisenstein_j(form, P80)
 
 
 def int_cell(x, y):
@@ -352,11 +343,11 @@ def exact_parts(x):
 
 def theta_at(ctx, tau, x, y):
     """(S, E4, E6, Delta) of the theta kernel, each rounded to an mpc once,
-    at a numeric tau, entering as its form (`_point_form`), whose root is
+    at a numeric tau, entering as its form (`root_form`), whose root is
     tau exactly, and at the exact cell (x, y), each a Fraction or a
     decimal string."""
-    form = modular._point_form(ctx.mpc(tau))
-    *_, values = kernel_values(ctx, form, int_cell(x, y))
+    tau = ctx.mpc(tau)
+    *_, values = kernel_values(ctx, root_form(tau.real, tau.imag), int_cell(x, y))
     return tuple(from_exact(ctx, v) for v in values)
 
 
@@ -394,37 +385,36 @@ def test_theta_s_matches_direct_lattice_sum():
         assert abs(_theta_pe(ctx, tau, x, y) - direct) < ctx.mpf("1e-2")
 
 
-def power_samples(ctx):
-    return [
-        (ctx.mpc("0.31", "1.11"), FrickeLabel(1, 1, 0, 6)),
-        (ctx.mpc("-0.22", "0.93"), FrickeLabel(1, 2, 5, 6)),
-        (ctx.mpc("0.05", "1.62"), FrickeLabel(1, 0, 1, 4)),
-        (ctx.mpc("0.41", "0.87"), FrickeLabel(1, 3, 1, 5)),
-    ]
+POWER_SAMPLES = [
+    (root_form("0.31", "1.11"), FrickeLabel(1, 1, 0, 6)),
+    (root_form("-0.22", "0.93"), FrickeLabel(1, 2, 5, 6)),
+    (root_form("0.05", "1.62"), FrickeLabel(1, 0, 1, 4)),
+    (root_form("0.41", "0.87"), FrickeLabel(1, 3, 1, 5)),
+]
 
 
 def test_power_relations():
     ctx = ctx_for(80)
     tol = ctx.mpf(10) ** -70
-    for tau, lab in power_samples(ctx):
-        jv = eisenstein_j(tau, P80)
+    for form, lab in POWER_SAMPLES:
+        jv = eisenstein_j(form, P80)
         if abs(jv) < ctx.mpf("1e-5") or abs(jv - 1728) < ctx.mpf("1e-5"):
             continue
-        f1 = fricke(lab, tau, P80)
-        f2 = fricke(FrickeLabel(2, lab.r, lab.s, lab.level), tau, P80)
-        f3 = fricke(FrickeLabel(3, lab.r, lab.s, lab.level), tau, P80)
+        f1 = fricke(lab, form, P80)
+        f2 = fricke(FrickeLabel(2, lab.r, lab.s, lab.level), form, P80)
+        f3 = fricke(FrickeLabel(3, lab.r, lab.s, lab.level), form, P80)
         assert abs(f2 - 46656 * f1**2 / (jv - 1728)) < tol
         assert abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728))) < tol
 
 
 def test_power_values_equal_the_public_calls():
     """The power check's one reduction and one theta core give exactly the
-    values of eisenstein_j and the three fricke calls at the same tau and row."""
-    for tau, lab in power_samples(ctx_for(80)):
-        jv, *values = modular._power_values(lab, tau, P80)
-        assert jv == eisenstein_j(tau, P80)
+    values of eisenstein_j and the three fricke calls at the same form and row."""
+    for form, lab in POWER_SAMPLES:
+        jv, *values = modular._power_values(lab, form, P80)
+        assert jv == eisenstein_j(form, P80)
         assert values == [
-            fricke(FrickeLabel(i, lab.r, lab.s, lab.level), tau, P80) for i in (1, 2, 3)
+            fricke(FrickeLabel(i, lab.r, lab.s, lab.level), form, P80) for i in (1, 2, 3)
         ]
 
 
@@ -444,26 +434,30 @@ def test_torsion_value_rejects_a_non_finite_value():
 def test_row_negation_symmetry():
     ctx = ctx_for(40)
     p = Precision(40)
-    tau = ctx.mpc("0.13", "1.21")
+    form = root_form("0.13", "1.21")
     for i in (1, 2, 3):
-        a = fricke(FrickeLabel(i, 1, 4, 6), tau, p)
-        b = fricke(FrickeLabel(i, -1, -4, 6), tau, p)
+        a = fricke(FrickeLabel(i, 1, 4, 6), form, p)
+        b = fricke(FrickeLabel(i, -1, -4, 6), form, p)
         assert abs(a - b) < ctx.mpf(10) ** -35
 
 
 def test_transformation_law():
-    # row index pushes through the matrix while the point moves by it
+    # row index pushes through the matrix while the point moves by it: the
+    # root of act(form, g^-1) is g(tau); `fricke` reduces both sides to one
+    # exact input, and `_fricke_at` evaluates at g(tau) itself
     ctx = ctx_for(80)
     rng = random.Random(9)
     tol = ctx.mpf(10) ** -70
-    tau = ctx.mpc("0.29", "1.07")
+    form = root_form("0.29", "1.07")
     for g in small_matrices(rng, 6):
         for lab in (FrickeLabel(1, 1, 0, 6), FrickeLabel(2, 2, 3, 6), FrickeLabel(3, 0, 1, 4)):
-            moved = (g.p * tau + g.q) / (g.r * tau + g.s)
+            moved = act(form, g.inv())
             pushed = FrickeLabel(
                 lab.i, lab.r * g.p + lab.s * g.r, lab.r * g.q + lab.s * g.s, lab.level
             )
-            assert abs(fricke(lab, moved, P80) - fricke(pushed, tau, P80)) < tol
+            want = fricke(pushed, form, P80)
+            assert abs(fricke(lab, moved, P80) - want) < tol
+            assert abs(modular._fricke_at(lab, moved, P80) - want) < tol
 
 
 def test_weber_index_values():
@@ -522,8 +516,7 @@ def test_identity_class_is_unit_normalized_lattice_value():
     d = descriptor(QuadForm(1, 0, 5), MOD20)
     zu, zv = point_coords(d.eval_point(), D20)
     assert (d.a_inv, zu, (zv - Fraction(4, 6)).denominator) == (1, Fraction(2, 6), 1)
-    tau = modular._embed(modular._ctx(P80), QuadForm(1, 0, 5), D20)
-    xi = (2 * tau + 4) / 6
+    xi = fraction_point_form(D20, Fraction(2, 6), Fraction(4, 6))
     via_lattice = fricke(FrickeLabel(1, 0, 1, 6), xi, P80)
     assert abs(eval_descriptor(d, None, P80) - via_lattice) < ctx.mpf(10) ** -70
 
@@ -546,9 +539,9 @@ def test_descriptor_routes_reject_bad_index(route, index):
 
 def test_stability_under_digit_doubling():
     ctx = ctx_for(160)
-    tau = ctx.mpc("0.37", "0.91")
-    lo = eisenstein_j(tau, P80)
-    hi = eisenstein_j(tau, Precision(160))
+    form = root_form("0.37", "0.91")
+    lo = eisenstein_j(form, P80)
+    hi = eisenstein_j(form, Precision(160))
     assert abs(lo - hi) < ctx.mpf(10) ** -75
 
     d = descriptor(QuadForm(7, -6, 2), MOD20)
@@ -845,7 +838,7 @@ def theta_inputs(ctx, tau, cell):
     tau and the cell entered as `theta_at` enters them: `_exact_nome`
     negates a cell with x < 0, S being even, so a is w, of modulus at
     most 1, and b = q/w."""
-    q, w, _, b, lq, lw = modular._exact_nome(ctx.prec, modular._point_form(tau), int_cell(*cell))
+    q, w, _, b, lq, lw = modular._exact_nome(ctx.prec, root_form(tau.real, tau.imag), int_cell(*cell))
     return q, lq, w, b, lw
 
 
@@ -904,7 +897,8 @@ def test_j_cell_w_sums_equal_the_theta_constants(digits):
     ctx = modular._ctx(p)
     lcut = theta_lcut(ctx)
     for re, im in KERNEL_TAUS:
-        form = modular._point_form(ctx.mpc(re, im))
+        tau = ctx.mpc(re, im)
+        form = root_form(tau.real, tau.imag)
         q, a, a_inv, b, lq, la = modular._exact_nome(ctx.prec, form, int_cell("0", "0.5"))
         assert exact_parts(a) == exact_parts(a_inv) == (-1, 0), (re, im)
         assert exact_parts(b) == tuple(-t for t in exact_parts(q)), (re, im)
@@ -989,11 +983,8 @@ def test_theta_values_within_their_error_bound(digits):
     rounded once."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    points = [
-        (modular._point_form(ctx.mpc(*tau)), int_cell(*cell))
-        for tau in KERNEL_TAUS
-        for cell in KERNEL_CELLS
-    ]
+    taus = [ctx.mpc(*tau) for tau in KERNEL_TAUS]
+    points = [(root_form(tau.real, tau.imag), int_cell(*cell)) for tau in taus for cell in KERNEL_CELLS]
     for form, cell in points + list(vanishing_cells()):
         wp, sums, q, winv, got = kernel_values(ctx, form, cell)
         core = modular._theta_core(ctx, form, cell, range(4))
@@ -1077,7 +1068,7 @@ NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5
 def test_exact_nome_within_its_error_bound(digits):
     """q, w, 1/w and b = q/w from `_exact_nome` at the cells above and at
     the roots of two kinds of form: every reduced form of five
-    discriminants, and the forms (`_point_form`) of the numeric points of
+    discriminants, and the forms (`root_form`) of the numeric points of
     `KERNEL_TAUS` (Im tau 0.05 to 20) and of a law-check image
     tau/(2 tau + 1) at tau = 1/2 + 0.4i (Im 0.086); against mpmath's
     expjpi at twice the precision, and its quotients: each within
@@ -1094,7 +1085,7 @@ def test_exact_nome_within_its_error_bound(digits):
             points.append((tau0, form))
     law = ctx.mpc("0.5", "0.4")
     for tau in [ctx.mpc(re, im) for re, im in KERNEL_TAUS] + [law / (2 * law + 1)]:
-        points.append((ref.mpc(tau), modular._point_form(tau)))
+        points.append((ref.mpc(tau), root_form(tau.real, tau.imag)))
     assert points[-1][0].imag < 0.1
     for tau0, form in points:
         q_ref = ref.expjpi(tau0)
@@ -1208,20 +1199,17 @@ def test_point_forms_match_fraction_route(dk, ideal):
     "dk, ideal", [(-20, (2, 4, 6)), (-23, (3, 9, 12)), (-3, (6, 0, 6)), (-4, (6, 0, 6))]
 )
 def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
-    """The exact route against `fricke` at the embedded point, rounded to
-    an mpc before its form is reduced, on every class, relative to the
-    value: the numeric side is off by 2.4e-85 at |value| = 608 for
-    (179, -131, 24) of dK=-23, lost in the embedding.  Each modulus has a
-    class whose reduced point form sits on the boundary of the fundamental
-    domain, where the two reductions may pick different edges."""
+    """The exact route against `_fricke_at` at the evaluation point itself,
+    unreduced, on every class, relative to the value: the same value from
+    the reduced point with the pushed row, and from the point where it
+    lies with the descriptor's row.  Each modulus has a class whose reduced
+    point form sits on the boundary of the fundamental domain."""
     p = Precision(80)
-    ctx = modular._ctx(p)
     mod = make_modulus(make_discriminant(dk), *ideal)
     edges = 0
     for fc in enumerate_classes(mod).classes:
         d = descriptor(fc.rep, mod)
-        point = modular._embed(ctx, d.eval_point(), mod.disc)
-        want = fricke(modular.descriptor_label(d), point, p)
+        want = modular._fricke_at(modular.descriptor_label(d), d.eval_point(), p)
         assert abs(eval_descriptor(d, None, p) - want) < mpmath.mpf(10) ** -85 * abs(want), fc.rep
         r, _ = reduce(d.eval_point())
         edges += r.b == r.a or r.a == r.c
@@ -1236,13 +1224,12 @@ def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
     `eval_descriptor_unreduced`, which takes them from exp, fails."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
     label = modular.descriptor_label(descs[0])
-    point = modular._embed(modular._ctx(P80), descs[0].eval_point(), MOD23.disc)
-    tau = mpmath.mpc("0.31", "0.45")
+    point, form = descs[0].eval_point(), root_form("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
         lambda: fricke(label, point, P80),
         lambda: modular._power_values(label, point, P80),
-        lambda: modular._fricke_at(label, tau, P80),
-        lambda: eisenstein_j(tau, P80),
+        lambda: modular._fricke_at(label, form, P80),
+        lambda: eisenstein_j(form, P80),
     ]
     before = [call() for call in calls]
 
@@ -1293,13 +1280,12 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     `eval_descriptor_unreduced`, which owns `_reduce_tau`, fails."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
     label = modular.descriptor_label(descs[0])
-    point = modular._embed(modular._ctx(P80), descs[0].eval_point(), MOD23.disc)
-    tau = mpmath.mpc("0.31", "0.45")
+    point, form = descs[0].eval_point(), root_form("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
         lambda: fricke(label, point, P80),
-        lambda: modular._power_values(label, tau, P80),
+        lambda: modular._power_values(label, form, P80),
         lambda: eisenstein_j(point, P80),
-        lambda: modular._fricke_at(label, tau, P80),
+        lambda: modular._fricke_at(label, form, P80),
     ]
     before = [call() for call in calls]
 
@@ -1316,11 +1302,11 @@ def test_theta_route_builds_no_fraction(monkeypatch):
     """The exact inputs stay ints from the row to the nome: with
     `Fraction.__new__` refusing, `eval_descriptor` and
     `eval_descriptor_unreduced` on every class of dK=-23 `3,9,12`, and
-    `fricke`, `_power_values`, `_fricke_at` and `eisenstein_j` at a numeric
-    tau, return the values of their unpatched calls."""
+    `fricke`, `_power_values`, `_fricke_at` and `eisenstein_j` at a form,
+    return the values of their unpatched calls."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
     label = FrickeLabel(1, 2, 5, 6)
-    tau = mpmath.mpc("0.31", "0.45")
+    tau = root_form("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs]
     calls += [lambda d=d: eval_descriptor_unreduced(d, P80) for d in descs]
     calls += [
@@ -1345,11 +1331,11 @@ def test_theta_core_leaves_the_ints_only_for_its_values():
     no mpmath context: during one core call the context builds exactly one
     mpc per requested index, the one rounding of each value, and calls
     neither `to_fixed` nor `mag`.  At the j cell, at cells with x > 0 and
-    x < 0 at a numeric point's form, and at the two vanishing CM values;
+    x < 0 at a point's form, and at the two vanishing CM values;
     each call runs on a fresh context whose mpc class counts every value
     it builds, and returns the values of the cached context's core."""
     slot = mpmath.ctx_mp_python._mpc.__dict__["_mpc_"]
-    form = modular._point_form(modular._ctx(P80).mpc("0.31", "0.45"))
+    form = root_form("0.31", "0.45")
     cases = [(form, (0, 1, 2), (0,)), (form, (2, 1, 5), range(4)), (form, (-1, 2, 5), (2,))]
     cases += [(form, cell, (1, 2, 3)) for form, cell in vanishing_cells()]
 
