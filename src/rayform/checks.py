@@ -84,7 +84,7 @@ def _power_residuals(p, rng, samples: int):
     for _ in range(samples):
         form = _random_form(rng)
         label = modular.FrickeLabel(1, *_random_row(rng))
-        jv, f1, f2, f3 = modular._power_values(label, form, p)
+        jv, f1, f2, f3 = modular._reduced_values(p, form, label, range(4))
         if abs(jv) < 1e-5 or abs(jv - 1728) < 1e-5:
             continue
         yield abs(f2 - 46656 * f1**2 / (jv - 1728))

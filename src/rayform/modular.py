@@ -31,7 +31,8 @@ These four numbers are computed along two independent routes:
   its docstring names, and each is rounded to an mpmath value once.
 * the q-series route (`_qseries_core`): the pe q-series in e^(2 pi i tau)
   with E4 and E6 as Lambert series in the same loop, over shared powers
-  of q and one stopping rule, and the discriminant as E4^3 - E6^2.
+  of q and one stopping rule, and the discriminant as Jacobi's product
+  1728 q prod (1 - q^n)^24 in the same loop, with no cancellation.
   `eval_descriptor_unreduced` uses it, so the check comparing it with
   `eval_descriptor` compares two independent series.  It stays on mpmath
   floats through `_torsion_value`'s products and quotient, sharing no
@@ -42,10 +43,12 @@ Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
 coordinates x = k/n and y = m/n (`_exact_cell`).  Every theta entry
 takes a point as the positive definite integral form whose root it is, and
-no numeric tau.  The theta route reduces exactly, by `forms.reduce`, in
-`_reduced_values` for `eval_descriptor` (its point of K), `fricke` and
-`_power_values`; `eisenstein_j` reduces its form for its fixed cell
-(0, 1, 2), and the law check's `_fricke_at` runs unreduced.
+no numeric tau; `_theta_core` refuses any other form.  The theta route
+reduces exactly, by `forms.reduce`, in its one reduced entry
+`_reduced_values`: `fricke` is its value at one index, `eval_descriptor`
+is `fricke` at its point of K, and `verify`'s power check reads j and the
+three indexed values from one call.  `eisenstein_j` reduces its form for
+its fixed cell (0, 1, 2), and the law check's `_fricke_at` runs unreduced.
 `verify`'s invariance check compares the exact input itself (`_value_key`).
 The q-series route reduces a complex tau numerically (`_reduce_tau`), so
 the descriptor routes differ in the reduction, the row and the series.
@@ -168,10 +171,13 @@ class FrickeLabel(_LabelFields):
 
 def _qseries_core(ctx, tau0, cutoff, x, y):
     """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y, x, y in [-1/2, 1/2],
-    from q-series in q = e^(2 pi i tau0), with Delta = E4^3 - E6^2.
+    from q-series in q = e^(2 pi i tau0), with Delta = 1728 q P^24 by
+    Jacobi's product P = prod (1 - q^n), which is E4^3 - E6^2 with no
+    cancellation (Apostol, Modular Functions and Dirichlet Series, ch. 3).
 
-    One loop over the shared q^n, t = 1/(1 - q^n) and u = q^n t sums the
-    Lambert series E4 = 1 + 240 sum n^3 u and E6 = 1 - 504 sum n^5 u beside
+    One loop over the shared q^n, P's factor 1 - q^n, t = 1/(1 - q^n) and
+    u = q^n t sums the Lambert series E4 = 1 + 240 sum n^3 u and
+    E6 = 1 - 504 sum n^5 u beside
     S = 1/12 + w/(1 - w)^2 + sum (a/(1 - a)^2 + b/(1 - b)^2 - 2 u t), with
     w = e^(2 pi i z), a = q^n w, b = q^n/w and pe(z; [tau0, 1]) = -4 pi^2 S.
     It stops at the first n with B = 504 n^6 |q|^n below the cutoff.
@@ -180,27 +186,34 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
     (k = 3, 5) is sum_(m > n) c_m q^m with 0 <= c_m <= sigma_k(m) <= m^(k+1),
     under n^(k+1) |q|^n sum_(j >= 1) (1 + j)^6 200^-j < 0.34 n^(k+1) |q|^n;
     |a|, |b| <= |q|^(m - 1/2) in term m, as |w| lies between |q|^(1/2) and
-    |q|^(-1/2), so S's tail is below |q|^n.  Each mpc operation rounds
-    within a relative e = 2^(1 - prec), so q and w enter within
-    (1 + 4 pi |tau0|) e and (5 + 26 |z|) e, and q^n gains q's error plus e
-    per power.  Over terms falling as |q|^n, E4 and E6 are within
-    B/2 + (4n + 96) e of their series and S within B/2 +
+    |q|^(-1/2), so S's tail is below |q|^n; P's omitted factors
+    prod_(m > n) (1 - q^m) lie within 1.01 sum_(m > n) |q|^m < |q|^n/190
+    of 1, so Delta's relative tail is below 24 times that, |q|^n/7 < B/2.
+    Each mpc operation rounds within a relative e = 2^(1 - prec), so q and
+    w enter within (1 + 4 pi |tau0|) e and (5 + 26 |z|) e, and q^n gains
+    q's error plus e per power.  Over terms falling as |q|^n, E4 and E6 are
+    within B/2 + (4n + 96) e of their series and S within B/2 +
     (4n + 96) e (1 + |w|/|1 - w|^2) + (5 + 26 |z|) e |w| |1 + w|/|1 - w|^3,
-    the last term w's rounding through w/(1 - w)^2.
-
-    The reference route: Delta loses about log10(1/|q|) digits to
-    cancellation, which the theta route does not.
+    the last term w's rounding through w/(1 - w)^2.  The factor 1 - q^m is
+    within e + 1.01 m (2 + 4 pi |tau0|) |q|^m e relative, and
+    (2 + 4 pi |tau0|) |q| < 1/15 in the domain, so the q^m terms sum to
+    under e/10 and P, n factors and n - 1 products, is within 2n e.  P^24
+    (`mpc_pow_int`: exact on ints and rounded once, or exp(24 log P) with
+    10 guard bits) is within 48n e + 2e, and Delta, two more products,
+    within B/2 + (48n + 4 pi |tau0| + 5) e relative to |Delta|.
     """
     q = ctx.exp(2j * ctx.pi * tau0)
     w = ctx.exp(2j * ctx.pi * (x * tau0 + y))
     winv = 1 / w
     s_val = ctx.mpf(1) / 12 + w / (1 - w) ** 2
     l4 = l6 = ctx.mpc(0)
-    qn = ctx.mpc(1)
+    qn = prod = ctx.mpc(1)
     aq, aqn = abs(q), ctx.mpf(1)
     for n in range(1, _MAX_TERMS):
         qn *= q
-        t = 1 / (1 - qn)
+        factor = 1 - qn
+        prod *= factor
+        t = 1 / factor
         u = qn * t
         a, b = qn * w, qn * winv
         s_val += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * u * t
@@ -210,7 +223,7 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
         aqn *= aq
         if 504 * n**6 * aqn < cutoff:
             e4, e6 = 1 + 240 * l4, 1 - 504 * l6
-            return s_val, e4, e6, e4**3 - e6**2
+            return s_val, e4, e6, 1728 * q * prod**24
     raise InternalCheckError("q-series did not reach the tail cutoff")
 
 
@@ -467,6 +480,8 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
     and z = x*tau0 + y, cell (k, m, n) = (xn, yn, n), from Jacobi theta
     series in the nome q = e^(i pi tau0), with w = e^(2 pi i z), 1/w and
     b = q/w, exact values from `_exact_nome`, with the float logs of q and w.
+    A form with a <= 0 or d >= 0 has no such root and raises `QFieldError`,
+    as in `forms.reduce`: the one gate of every theta entry.
 
     With p = sum q^(n(n+1)) (so theta2 = 2 q^(1/4) p), theta3, theta4 and
     t_k = theta_k^4: E4 = (t2^2 + t3^2 + t4^2)/2,
@@ -491,6 +506,8 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
     from those, and each value is rounded to an mpc once, the one use of
     the context besides prec and the cutoff's log.
     """
+    if form.a <= 0 or form.disc() >= 0:
+        raise QFieldError(f"cannot evaluate at indefinite or negative form {form}")
     prec, rnd = ctx._prec_rounding
     q, w, winv, b, lq, lw = _exact_nome(prec, form, cell)
     lcut = -(10 ** (ctx.dps + 10)).bit_length() * math.log(2)
@@ -653,15 +670,16 @@ def _exact_cell(r: int, s: int, level: int, g: UnimodMatrix) -> tuple[int, int, 
 def eisenstein_j(form: QuadForm, p: Precision = Precision()):
     """The j-invariant of [tau, 1] at the root tau of a positive definite
     form: the theta core at z = 1/2 and the form reduced."""
-    red, _ = reduce(form)
-    return _theta_core(_ctx(p), red, (0, 1, 2), (0,))[0]
+    return _theta_core(_ctx(p), reduce(form)[0], (0, 1, 2), (0,))[0]
 
 
-def _reduced_values(ctx, form: QuadForm, label: FrickeLabel, indices):
-    """The theta core's values at indices, at the reduced form red, with
-    form == act(red, g) by `forms.reduce`, and the label's row pushed through g^-1."""
-    form, g = reduce(form)
-    return _theta_core(ctx, form, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
+def _reduced_values(p: Precision, form: QuadForm, label: FrickeLabel, indices):
+    """The theta core's values at indices (0 standing for j) with label's
+    row, at the reduced form red, with form == act(red, g) by
+    `forms.reduce`, and the row pushed through g^-1: the theta route's one
+    reduced entry, read by `fricke` and by `verify`'s power check."""
+    red, g = reduce(form)
+    return _theta_core(_ctx(p), red, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
 
 
 def _value_key(desc: GaloisDescriptor):
@@ -687,29 +705,23 @@ def _value_key(desc: GaloisDescriptor):
     return red, min((k % n, m % n, n) for k, m, n in cells)
 
 
-def _power_values(label: FrickeLabel, form: QuadForm, p: Precision):
-    """(j, f1, f2, f3) at the root of the form from one reduction and one
-    theta core, equal to `eisenstein_j(form, p)` and `fricke` at indices
-    1, 2, 3 with label's row."""
-    return _reduced_values(_ctx(p), form, label, (0, 1, 2, 3))
-
-
 def _fricke_at(label: FrickeLabel, form: QuadForm, p: Precision):
     """The indexed torsion-value function at the root tau of the form
     itself, with no domain reduction.  The theta series reach any point of
-    the upper half plane, with more terms as Im tau falls.  Two such
-    values, at g(tau), the root of act(form, g^-1), with a row and at tau
-    with row*g, never share an input, so comparing them tests the
-    transformation law that `fricke`'s reduction relies on."""
+    the upper half plane, with more terms as Im tau falls; `_theta_core`
+    refuses a form that is not positive definite.  Two such values, at
+    g(tau), the root of act(form, g^-1), with a row and at tau with row*g,
+    never share an input, so comparing them tests the transformation law
+    that `fricke`'s reduction relies on."""
     cell = _exact_cell(label.r, label.s, label.level, IDENT)
     return _theta_core(_ctx(p), form, cell, (label.i,))[0]
 
 
 def fricke(label: FrickeLabel, form: QuadForm, p: Precision = Precision()):
     """The indexed torsion-value function on the theta route at the root of
-    a positive definite form, the form reduced and its row pushed as in
-    `eval_descriptor`."""
-    return _reduced_values(_ctx(p), form, label, (label.i,))[0]
+    a positive definite form, the form reduced and its row pushed by
+    `_reduced_values`."""
+    return _reduced_values(p, form, label, (label.i,))[0]
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -727,17 +739,13 @@ def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
 def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
     """Numeric value attached to a descriptor: `fricke` with twisted row
     [0, a_inv/N] at the matrix image z = `eval_point()` of the base point,
-    with z reduced exactly in K.
-
-    z is the upper-half-plane root of the primitive integral form
-    `eval_point()`, reduced with the row by `_reduced_values` as in `fricke`.
+    the upper-half-plane root of that primitive integral form, so z is
+    reduced exactly in K.
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
     """
-    ctx = _ctx(p)
-    label = descriptor_label(desc, i)
-    return _reduced_values(ctx, desc.eval_point(), label, (label.i,))[0]
+    return fricke(descriptor_label(desc, i), desc.eval_point(), p)
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):
@@ -748,6 +756,11 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()
     start from one point of K; their independence lies in the reduction,
     the row and the series.  Agreement with eval_descriptor is a checkable
     identity, not a private shortcut; keep the two code paths separate.
+
+    The numerator is taken mod 2N: `_exact_cell` reads the pushed row
+    (0, s) g = (s g.r, s g.s) only through d = gcd(s, N) and the two
+    entries over d mod 2N/d, and s + 2Nt has the same d and moves each
+    entry over d by a multiple of 2N/d.
     """
     ctx = _ctx(p)
     label = descriptor_label(desc)
@@ -755,7 +768,7 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()
     form = desc.eval_point()
     steps = 2 * (form.a.bit_length() + math.isqrt(-form.disc())) + 4
     t0, g = _reduce_tau(ctx, _embed(ctx, form, desc.disc), steps)
-    k, m, n = _exact_cell(0, desc.point.a ** (phi - 1), label.level, g)
+    k, m, n = _exact_cell(0, pow(desc.point.a, phi - 1, 2 * label.level), label.level, g)
     x, y = ctx.mpf(k) / n, ctx.mpf(m) / n
     return _torsion_value(ctx, label.i, _qseries_core(ctx, t0, _cutoff(ctx), x, y))
 

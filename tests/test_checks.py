@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -218,15 +219,31 @@ def test_invariance_check_fails_on_a_descriptor_fault(monkeypatch, ideal, reache
         assert [c.name for c in after.values() if not c.passed] == [INVARIANCE]
 
 
-def test_verify_never_calls_fricke(monkeypatch):
-    """Every check of `run_checks` passes with `fricke` raising: the
-    invariance check compares exact inputs, not values at rounded points."""
+def test_verify_calls_fricke_only_through_eval_descriptor(monkeypatch):
+    """Every check of `run_checks` passes with `fricke` raising outside
+    `eval_descriptor`, whose body it is, and it runs once per class, in the
+    route check: the invariance check compares exact inputs, not values at
+    rounded points."""
+    fricke, eval_descriptor = modular.fricke, modular.eval_descriptor
+    inside, calls = [], []
 
-    def refused(*args):
-        raise AssertionError("fricke called")
+    def guarded(*args):
+        if not inside:
+            raise AssertionError("fricke called outside eval_descriptor")
+        calls.append(args)
+        return fricke(*args)
 
-    monkeypatch.setattr(modular, "fricke", refused)
+    def evaluated(*args):
+        inside.append(True)
+        try:
+            return eval_descriptor(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(modular, "fricke", guarded)
+    monkeypatch.setattr(modular, "eval_descriptor", evaluated)
     assert all(c.passed for c in run_checks(MOD20, Precision(80), 40, random.Random(911)))
+    assert len(calls) == len(group_table(MOD20).classes)
 
 
 @pytest.mark.parametrize("dk,ideal", [(-23, (1, 8, 31)), (-111, (9, 0, 9))])
@@ -379,6 +396,60 @@ def test_route_check_fails_on_a_wrong_qseries_value(monkeypatch, slot):
     monkeypatch.setattr(modular, "_qseries_core", wrong_value)
     check = route_check()
     assert not check.passed, check.detail
+
+
+def test_route_check_fails_on_a_jacobi_product_fault(monkeypatch):
+    """The q-series route's Delta as 1728 q P^23 in place of 1728 q P^24
+    moves every unreduced value, so the route check must fail at 10^-40:
+    Jacobi's product is the reference route's one discriminant."""
+    name = "descriptor route vs unreduced route"
+
+    def route_check():
+        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert route_check().passed
+    qseries_core = modular._qseries_core
+
+    def one_factor_short(ctx, tau0, cutoff, x, y):
+        s_val, e4, e6, delta = qseries_core(ctx, tau0, cutoff, x, y)
+        q = ctx.exp(2j * ctx.pi * tau0)
+        prod, qn = ctx.mpc(1), q
+        while abs(qn) >= cutoff:
+            prod *= 1 - qn
+            qn *= q
+        return s_val, e4, e6, delta / prod
+
+    monkeypatch.setattr(modular, "_qseries_core", one_factor_short)
+    check = route_check()
+    assert not check.passed, check.detail
+
+
+def _least_modulus(disc):
+    """The proper modulus (1, a2, c) of least c >= 3, then least a2."""
+    for c in itertools.count(3):
+        for a2 in range(c):
+            if disc.norm(1, a2) % c == 0:
+                return make_modulus(disc, 1, a2, c)
+
+
+def test_verify_passes_on_a_seeded_sweep_of_fundamental_discriminants():
+    """`verify`'s checks at 80 digits and tolerance 10^-40 on ten
+    fundamental dK drawn from [-1000, -120] (seed 46), each with its least
+    proper modulus (1, a2, c), c >= 3.  With the discriminant as
+    E4^3 - E6^2, seven of the ten failed the route check (-863, -923, -616,
+    -740, -943, -947, -879; worst 6.9e-15 at -947 `1,0,3`); with Jacobi's
+    product the worst route residual is 7.1e-52, at -943 `1,0,4`."""
+    pool = []
+    for d in range(-1000, -119):
+        try:
+            pool.append(make_discriminant(d))
+        except QFieldError:
+            pass
+    for disc in random.Random(46).sample(pool, 10):
+        mod = _least_modulus(disc)
+        report = run_checks(mod, Precision(80), 40, random.Random(911))
+        assert all(c.passed for c in report), (disc.d, mod, [str(c) for c in report])
 
 
 def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):

@@ -415,6 +415,19 @@ def test_verify_second_field():
     assert data["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "dk,ideal,digits", [("-479", "1,0,3", "80"), ("-1003", "1,2,11", "80"), ("-311", "1,0,3", "40")]
+)
+def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
+    """With the discriminant as E4^3 - E6^2 the q-series route lost about
+    1.36 sqrt|dK|/a digits to cancellation, and these moduli exited 3 on
+    correct values (route residuals 7.4e-40, 4.9e-13 and 4.6e-11 against
+    10^-(digits/2)); Jacobi's product loses none."""
+    code, out, err = run("verify", "--dk", dk, "--ideal", ideal, "--digits", digits)
+    assert code == 0, out + err
+    assert all(check["passed"] for check in json.loads(out)["checks"])
+
+
 # sha256 of `verify` stdout, recorded with the one-pass theta kernel and its
 # post-processing on ints, the exact identity-class check, descriptor points
 # reduced exactly in K, the route check on ideal-key partitions (labelled by
@@ -429,19 +442,19 @@ def test_verify_second_field():
 # kernel as exact ints, unrounded, and class invariance decided on each
 # translate's exact reduced point and cell, with no series, and the power
 # and law samples drawn as random integral forms, the law's moved point the
-# exact form of g(tau); any change to a sample, value or detail string
-# shows here
+# exact form of g(tau), and the q-series route's discriminant as Jacobi's
+# product; any change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "7ba728c710129fa306eca652fbd90b95b15c46e158d37913ae312be908e762fb",
-    ("-20", "2,4,6", "40", "json"): "4fdef1c2b550cca6b428f769f249982c7a52104d3ca74179328b975cace97676",
-    ("-20", "2,4,6", "40", "text"): "74e5be46dacce5f22d5432c388519f8ce6cccba2fe4d7fd8b557324099fe0437",
-    ("-23", "1,8,31", "40", "json"): "749e5a38e0b982ac1551744266e19b874b7464b7b85536d89eec15c19f7d2d32",
-    ("-23", "3,9,12", "80", "json"): "e94cf4d06e8269e61195da36dfc4efa84fc8f4315c6b485f01555b569a9d7793",
-    ("-23", "3,9,12", "80", "text"): "8d22b7c6c5c5a73d976a5107075315ef54d3030225f9b549dd530973e9c467d2",
-    ("-3", "6,0,6", "80", "json"): "6071f01d7ab39c5b9f03f91b2369412a43218ba6e7d74c1eed68d9573ad94ac6",
-    ("-3", "6,0,6", "80", "text"): "19ba60f867d1cb963d65f558ba9812d10c5e11432b2d6c62ea74817b325fb7c2",
-    ("-4", "6,0,6", "80", "json"): "ac6566a464d7d3c2c3c45ec81417d2180822e6322cb0ae89fc8c424c3d923cd9",
-    ("-4", "6,0,6", "80", "text"): "8699599cf8ad130bad504976ed622bb2cfdfb15e60eef8b447493457b7d12285",
+    ("-111", "9,0,9", "40", "json"): "33695f0bd90462a26dd35a353decca7c8d2415d7efc4145cb33271c1e74184bf",
+    ("-20", "2,4,6", "40", "json"): "c411fb39642d94f55cac9c8dd672d9cc38543e49d9af83aebcbc48ab6ec696ab",
+    ("-20", "2,4,6", "40", "text"): "1ceec9aef56345c0c1cae49249ca7075289d0736c4423fdbf50981534681eddc",
+    ("-23", "1,8,31", "40", "json"): "0e59e1da95ed48098ed90ce12f991a0ed94c0949cd7eab5d96564aa6efb73647",
+    ("-23", "3,9,12", "80", "json"): "4aa9f654b15116c10d2a9aef815d1cf1605afaf7b3a75aaa92dee47de85cbea5",
+    ("-23", "3,9,12", "80", "text"): "5aafa4b51049f2563c95d053851a67e64cef940856d6278c2ec7f228e828cac4",
+    ("-3", "6,0,6", "80", "json"): "03279a683e3e6f2ec0ad7c1b2a3028feb9a3102789bf897cb6c2fe022c1a4b88",
+    ("-3", "6,0,6", "80", "text"): "31a7a12682800bdd4fcc6e2d06af2b97fb596afaab95d4abab517965e490890b",
+    ("-4", "6,0,6", "80", "json"): "0a80b4acec393678317a09d48c46efc1b86c708b7eb4626f1b604743158e3202",
+    ("-4", "6,0,6", "80", "text"): "6c4df55f853925dba4e2a5b527041add501ea24991d4954e867fba9125c09f02",
 }
 
 

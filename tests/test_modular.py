@@ -99,9 +99,11 @@ def test_exact_cell_matches_the_fraction_rule():
     every row of levels 2 to 12, as reduced labels and as raw numerators of
     the size a^(phi(N) - 1) that `eval_descriptor_unreduced` pushes, through
     seeded SL2(Z) matrices: k/n and m/n equal the reference cell and n is
-    its least common denominator.  Exact halves occur over both an even
-    and an odd floor, where half to even picks +1/2 and -1/2.  An integral
-    row, which no label or descriptor hands over, is an internal fault."""
+    its least common denominator, and the row taken mod 2N gives the same
+    cell, as `eval_descriptor_unreduced` hands its numerator over.  Exact
+    halves occur over both an even and an odd floor, where half to even
+    picks +1/2 and -1/2.  An integral row, which no label or descriptor
+    hands over, is an internal fault."""
     rng = random.Random(33)
     mats = [IDENT, S_FLIP, t_power(1)] + small_matrices(rng, 12)
     mats += [UnimodMatrix(3, 2, 1, 1), UnimodMatrix(5, 7, 2, 3)]
@@ -120,6 +122,8 @@ def test_exact_cell_matches_the_fraction_rule():
                         want = fraction_cell(*row, level, g)
                         assert (Fraction(k, n), Fraction(m, n)) == want, (row, level, g)
                         assert n == math.lcm(*(c.denominator for c in want)), (row, level, g)
+                        short = (x % (2 * level) for x in row)
+                        assert modular._exact_cell(*short, level, g) == (k, m, n), (row, level, g)
                         v1, v2 = Fraction(row[0], level), Fraction(row[1], level)
                         for part in (v1 * g.p + v2 * g.r, v1 * g.q + v2 * g.s):
                             if part.denominator == 2:
@@ -279,7 +283,7 @@ def test_j_and_fricke_near_a_cusp():
     9 10^1998 + 1), the reduced point lies 10^998 up the half plane,
     where `_exact_nome`'s float log lq was -inf before it was floored:
     `eisenstein_j` and `fricke` raised ValueError.  j matches 1/q + 744 at
-    the reduced form's root, and `fricke` equals `_power_values`' f1."""
+    the reduced form's root, and `fricke` equals the power check's f1."""
     p, label = P30, FrickeLabel(1, 1, 2, 6)
     point = root_form("0.3", Fraction(1, 10**1000))
     assert point == QuadForm(10**2000, -6 * 10**1999, 9 * 10**1998 + 1)
@@ -292,19 +296,26 @@ def test_j_and_fricke_near_a_cusp():
     got = ref.mpc(eisenstein_j(point, p))
     assert abs(got - want) < ref.mpf(10) ** -30 * abs(want)
     f1 = fricke(label, point, p)
-    assert ref.isfinite(f1) and f1 == modular._power_values(label, point, p)[1]
+    assert ref.isfinite(f1) and f1 == modular._reduced_values(p, point, label, range(4))[1]
 
 
 def test_theta_entries_reject_a_form_that_is_not_positive_definite():
     """An indefinite, degenerate or negative definite form has no root in
-    the upper half plane: `fricke`, `_power_values` and `eisenstein_j`
-    refuse it where they reduce it."""
+    the upper half plane: `fricke`, the power check's `_reduced_values`
+    and `eisenstein_j` refuse it where they reduce it, and `_fricke_at`
+    and `_theta_core` itself, which reduce nothing, at the core's gate."""
+    label = FrickeLabel(1, 1, 0, 6)
     for form in [QuadForm(1, 0, -1), QuadForm(1, 2, 1), QuadForm(-1, 0, -1), QuadForm(0, 1, 1), QuadForm(-2, 1, -3)]:
-        for call in (fricke, modular._power_values):
+        calls = [
+            lambda: fricke(label, form, P80),
+            lambda: modular._reduced_values(P80, form, label, range(4)),
+            lambda: eisenstein_j(form, P80),
+            lambda: modular._fricke_at(label, form, P30),
+            lambda: modular._theta_core(modular._ctx(P30), form, (1, 0, 6), (0, 1)),
+        ]
+        for call in calls:
             with pytest.raises(QFieldError, match="indefinite or negative"):
-                call(FrickeLabel(1, 1, 0, 6), form, P80)
-        with pytest.raises(QFieldError, match="indefinite or negative"):
-            eisenstein_j(form, P80)
+                call()
 
 
 def int_cell(x, y):
@@ -411,7 +422,7 @@ def test_power_values_equal_the_public_calls():
     """The power check's one reduction and one theta core give exactly the
     values of eisenstein_j and the three fricke calls at the same form and row."""
     for form, lab in POWER_SAMPLES:
-        jv, *values = modular._power_values(lab, form, P80)
+        jv, *values = modular._reduced_values(P80, form, lab, range(4))
         assert jv == eisenstein_j(form, P80)
         assert values == [
             fricke(FrickeLabel(i, lab.r, lab.s, lab.level), form, P80) for i in (1, 2, 3)
@@ -1219,7 +1230,7 @@ def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
 def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
     """Every theta route entry builds q and w from one real exponential:
     with mpmath's complex exponentials refusing in every context made after
-    the patch, `eval_descriptor`, `fricke`, `_power_values`, `_fricke_at`
+    the patch, `eval_descriptor`, `fricke`, `_reduced_values`, `_fricke_at`
     and `eisenstein_j` return unchanged values, while the q-series route,
     `eval_descriptor_unreduced`, which takes them from exp, fails."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
@@ -1227,7 +1238,7 @@ def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
     point, form = descs[0].eval_point(), root_form("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
         lambda: fricke(label, point, P80),
-        lambda: modular._power_values(label, point, P80),
+        lambda: modular._reduced_values(P80, point, label, range(4)),
         lambda: modular._fricke_at(label, form, P80),
         lambda: eisenstein_j(form, P80),
     ]
@@ -1274,7 +1285,7 @@ def test_theta_phases_enter_cos_sin_pi_folded(monkeypatch):
 
 def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     """No theta route entry reduces numerically: with `_reduce_tau`
-    refusing, `eval_descriptor`, `fricke`, `_power_values`, `eisenstein_j`
+    refusing, `eval_descriptor`, `fricke`, `_reduced_values`, `eisenstein_j`
     and `_fricke_at` return unchanged values, each reducing by
     `forms.reduce` or not at all, while the q-series route,
     `eval_descriptor_unreduced`, which owns `_reduce_tau`, fails."""
@@ -1283,7 +1294,7 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     point, form = descs[0].eval_point(), root_form("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
         lambda: fricke(label, point, P80),
-        lambda: modular._power_values(label, form, P80),
+        lambda: modular._reduced_values(P80, form, label, range(4)),
         lambda: eisenstein_j(point, P80),
         lambda: modular._fricke_at(label, form, P80),
     ]
@@ -1302,7 +1313,7 @@ def test_theta_route_builds_no_fraction(monkeypatch):
     """The exact inputs stay ints from the row to the nome: with
     `Fraction.__new__` refusing, `eval_descriptor` and
     `eval_descriptor_unreduced` on every class of dK=-23 `3,9,12`, and
-    `fricke`, `_power_values`, `_fricke_at` and `eisenstein_j` at a form,
+    `fricke`, `_reduced_values`, `_fricke_at` and `eisenstein_j` at a form,
     return the values of their unpatched calls."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
     label = FrickeLabel(1, 2, 5, 6)
@@ -1311,7 +1322,7 @@ def test_theta_route_builds_no_fraction(monkeypatch):
     calls += [lambda d=d: eval_descriptor_unreduced(d, P80) for d in descs]
     calls += [
         lambda: fricke(label, tau, P80),
-        lambda: modular._power_values(label, tau, P80),
+        lambda: modular._reduced_values(P80, tau, label, range(4)),
         lambda: modular._fricke_at(label, tau, P80),
         lambda: eisenstein_j(tau, P80),
     ]
