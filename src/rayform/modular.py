@@ -34,10 +34,12 @@ These four numbers are computed along two independent routes:
   of q and one stopping rule, and the discriminant as Jacobi's product
   1728 q prod (1 - q^n)^24 in the same loop, with no cancellation.
   `eval_descriptor_unreduced` uses it, so the check comparing it with
-  `eval_descriptor` compares two independent series.  It stays on mpmath
-  floats through `_torsion_value`'s products and quotient, sharing no
-  arithmetic with the fixed-point sums or `_torsion_exact`, to catch
-  their slips.
+  `eval_descriptor` compares two independent series.  Its loop runs on
+  ints at one fixed scale, by its own product and quotient
+  (`_qseries_mul`, `_qseries_div`), between an entry and an exit on mpmath
+  floats; `_torsion_value` combines its four values on mpmath floats.  It
+  shares no arithmetic with the theta route's fixed-point sums, values or
+  `_torsion_exact`, to catch their slips.
 
 Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
@@ -169,6 +171,37 @@ class FrickeLabel(_LabelFields):
         return f"{self.i}:{self.r},{self.s},{self.level}"
 
 
+def _qseries_mul(x, y, wp: int):
+    """The q-series route's product of two fixed-point pairs (re, im) at
+    scale 2^wp: three int products (Gauss's form), each part floored."""
+    (xr, xi), (yr, yi) = x, y
+    k = yr * (xr + xi)
+    return (k - xi * (yr + yi)) >> wp, (k + xr * (yi - yr)) >> wp
+
+
+def _qseries_div(x, y, wp: int):
+    """The q-series route's quotient x/y of two fixed-point pairs at scale
+    2^wp, each part floored."""
+    (xr, xi), (yr, yi) = x, y
+    den = yr * yr + yi * yi
+    return ((xr * yr + xi * yi) << wp) // den, ((xi * yr - xr * yi) << wp) // den
+
+
+def _qseries_terms(ctx, aq, im_tau: float, cutoff) -> int:
+    """The first n >= 1 with B = 504 n^6 |q|^n below the cutoff, for
+    aq = |q| = e^(-2 pi Im tau0) < 1/200, by the exact test on mpf values.
+    B falls with n, by the factor (1 + 1/n)^6 |q| <= 64/200, and every n
+    below the float logs' (log 504 - log cutoff)/(2 pi Im tau0), less one
+    for their rounding, fails, so the search steps up from there."""
+    lcut = ctx.mag(cutoff) * math.log(2)
+    n = max(1, math.ceil((math.log(504) - lcut) / (2 * math.pi * im_tau)) - 1)
+    while not 504 * n**6 * aq**n < cutoff:
+        n += 1
+        if n >= _MAX_TERMS:
+            raise InternalCheckError("q-series did not reach the tail cutoff")
+    return n
+
+
 def _qseries_core(ctx, tau0, cutoff, x, y):
     """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y, x, y in [-1/2, 1/2],
     from q-series in q = e^(2 pi i tau0), with Delta = 1728 q P^24 by
@@ -179,52 +212,97 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
     u = q^n t sums the Lambert series E4 = 1 + 240 sum n^3 u and
     E6 = 1 - 504 sum n^5 u beside
     S = 1/12 + w/(1 - w)^2 + sum (a/(1 - a)^2 + b/(1 - b)^2 - 2 u t), with
-    w = e^(2 pi i z), a = q^n w, b = q^n/w and pe(z; [tau0, 1]) = -4 pi^2 S.
-    It stops at the first n with B = 504 n^6 |q|^n below the cutoff.
-    `_reduce_tau` hands over |Re tau0| <= 1/2 and |tau0| >= 1 up to rounding,
-    so |q| < 1/200 and each tail is below B/2: the tail of sum n^k u
-    (k = 3, 5) is sum_(m > n) c_m q^m with 0 <= c_m <= sigma_k(m) <= m^(k+1),
-    under n^(k+1) |q|^n sum_(j >= 1) (1 + j)^6 200^-j < 0.34 n^(k+1) |q|^n;
+    w = e^(2 pi i z), a = q^(n-1) a1, b = q^(n-1) b1 for a1 = q w,
+    b1 = q/w, and pe(z; [tau0, 1]) = -4 pi^2 S.
+    It runs n = 1 to N, the first n with B = 504 n^6 |q|^n below the
+    cutoff (`_qseries_terms`).  `_reduce_tau` hands over |Re tau0| <= 1/2
+    and |tau0| >= 1 up to rounding, so |q| < 1/200 and each tail is below
+    B/2: the tail of sum n^k u (k = 3, 5) is sum_(m > N) c_m q^m with
+    0 <= c_m <= sigma_k(m) <= m^(k+1), under
+    N^(k+1) |q|^N sum_(j >= 1) (1 + j)^6 200^-j < 0.34 N^(k+1) |q|^N;
     |a|, |b| <= |q|^(m - 1/2) in term m, as |w| lies between |q|^(1/2) and
-    |q|^(-1/2), so S's tail is below |q|^n; P's omitted factors
-    prod_(m > n) (1 - q^m) lie within 1.01 sum_(m > n) |q|^m < |q|^n/190
-    of 1, so Delta's relative tail is below 24 times that, |q|^n/7 < B/2.
-    Each mpc operation rounds within a relative e = 2^(1 - prec), so q and
-    w enter within (1 + 4 pi |tau0|) e and (5 + 26 |z|) e, and q^n gains
-    q's error plus e per power.  Over terms falling as |q|^n, E4 and E6 are
-    within B/2 + (4n + 96) e of their series and S within B/2 +
-    (4n + 96) e (1 + |w|/|1 - w|^2) + (5 + 26 |z|) e |w| |1 + w|/|1 - w|^3,
-    the last term w's rounding through w/(1 - w)^2.  The factor 1 - q^m is
-    within e + 1.01 m (2 + 4 pi |tau0|) |q|^m e relative, and
-    (2 + 4 pi |tau0|) |q| < 1/15 in the domain, so the q^m terms sum to
-    under e/10 and P, n factors and n - 1 products, is within 2n e.  P^24
-    (`mpc_pow_int`: exact on ints and rounded once, or exp(24 log P) with
-    10 guard bits) is within 48n e + 2e, and Delta, two more products,
-    within B/2 + (48n + 4 pi |tau0| + 5) e relative to |Delta|.
+    |q|^(-1/2), so S's tail is below |q|^N; P's omitted factors
+    prod_(m > N) (1 - q^m) lie within 1.01 sum_(m > N) |q|^m < |q|^N/190
+    of 1, so Delta's relative tail is below 24 times that, |q|^N/7 < B/2.
+
+    Only the entry and the exit are mpc.  q, w, a1 and b1 come from the
+    context's exp, product and quotient, each within a relative
+    e = 2^(1 - prec) per operation: q within eq = (1 + 4 pi |tau0|) e, w
+    within ew = (5 + 26 |z|) e, a1 and b1 within eq + ew + e.  Each is
+    floored once to a pair of ints at scale 2^wp, wp = prec + g with
+    g = 6 bitlen(N + 1) + 8, and the loop runs on those ints alone, by
+    `_qseries_mul` and `_qseries_div`, each exact on ints and then floored,
+    within f = 2^(1/2 - wp) of its result on its stored operands.  b1 is
+    taken from the mpc quotient, not as q times a floored 1/w: |1/w| is up
+    to |q|^(-1/2), and that product would lose pi Im tau0/ln 2 bits.
+    Every factor in the loop has modulus at most 1, so to first order
+    q^n, a and b are within 1.1 f, 1 - q^n's reciprocal t within 2.1 f,
+    u within 2.1 f, 2 u t within 6.1 f, each a/(1 - a)^2 within 2.6 f
+    (|a| <= |q|^(1/2) < 0.071), so each term of S within 12 f, and P
+    within 2.1 N f.  The head w/(1 - w)^2 is within
+    (1 + (1 + |w|)(h + h^2)^2) f for h = 1/|1 - w|, and 1/12 within f.
+    The exit rounds S, E4 and E6 to prec bits, within e/2 of each modulus,
+    and forms Delta as the mpc product of q with 1728 P^24, taken on the
+    ints by four squarings and one product (within 24 times P's relative
+    error plus 23 f/0.88 relative) and rounded once.
+    The entry errors move each term r/(1 - r)^2 = sum k^2 r^k of S by at
+    most 1.34 |r| times its relative error, n eq + ew + e for r = a, b and
+    n eq for r = q^n, under 1.6 |q|^(1/2) (eq + ew + e) in all, as
+    |a| + |b| <= |q|^(n - 1/2) + |q|^(n + 1/2); they move E4 by
+    240 sum n^4 |q|^n eq/(1 - |q|^n)^2 < 263 |q| eq, E6 by 682 |q| eq and
+    P by 1.02 |q| eq relative.  So
+      S is within B/2 + ew |w| |1 + w|/|1 - w|^3 + 1.6 |q|^(1/2) (eq + ew + e)
+        + e |S|/2 + (12 N + 2 + (1 + |w|)(h + h^2)^2) f,
+      E4 within B/2 + 263 |q| eq + e |E4|/2 + 122 N^2 (N + 1)^2 f,
+      E6 within B/2 + 682 |q| eq + e |E6|/2 + 171 (N + 1)^6 f,
+      Delta within (B/2 + (1 + 25 |q|) eq + 3e/2 + (51 N + 26) f) |Delta|,
+    and the guard g puts each f term of E4 and E6 below 2^-prec.
     """
     q = ctx.exp(2j * ctx.pi * tau0)
     w = ctx.exp(2j * ctx.pi * (x * tau0 + y))
-    winv = 1 / w
-    s_val = ctx.mpf(1) / 12 + w / (1 - w) ** 2
-    l4 = l6 = ctx.mpc(0)
-    qn = prod = ctx.mpc(1)
-    aq, aqn = abs(q), ctx.mpf(1)
-    for n in range(1, _MAX_TERMS):
-        qn *= q
-        factor = 1 - qn
-        prod *= factor
-        t = 1 / factor
-        u = qn * t
-        a, b = qn * w, qn * winv
-        s_val += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * u * t
-        n3u = n**3 * u
-        l4 += n3u
-        l6 += n * n * n3u
-        aqn *= aq
-        if 504 * n**6 * aqn < cutoff:
-            e4, e6 = 1 + 240 * l4, 1 - 504 * l6
-            return s_val, e4, e6, 1728 * q * prod**24
-    raise InternalCheckError("q-series did not reach the tail cutoff")
+    terms = _qseries_terms(ctx, abs(q), float(tau0.imag), cutoff)
+    prec, rnd = ctx._prec_rounding
+    wp = prec + 6 * (terms + 1).bit_length() + 8
+    one = 1 << wp
+    mul, div = _qseries_mul, _qseries_div
+
+    def fixed(v):
+        re, im = v._mpc_
+        return libmp.to_fixed(re, wp), libmp.to_fixed(im, wp)
+
+    def rounded(re, im):
+        parts = (libmp.from_man_exp(v, -wp, prec, rnd) for v in (re, im))
+        return ctx.make_mpc(tuple(parts))
+
+    qq, w, a, b = (fixed(v) for v in (q, w, q * w, q / w))
+    cw = one - w[0], -w[1]
+    head = div(w, mul(cw, cw, wp), wp)
+    s_re, s_im = one // 12 + head[0], head[1]
+    l4r = l4i = l6r = l6i = 0
+    qn, prod = qq, (one, 0)
+    for n in range(1, terms + 1):
+        if n > 1:
+            qn, a, b = mul(qn, qq, wp), mul(a, qq, wp), mul(b, qq, wp)
+        factor = one - qn[0], -qn[1]
+        prod = mul(prod, factor, wp)
+        t = div((one, 0), factor, wp)
+        ur, ui = u = mul(qn, t, wp)
+        ut = mul(u, t, wp)
+        ca, cb = (one - a[0], -a[1]), (one - b[0], -b[1])
+        fa, fb = div(a, mul(ca, ca, wp), wp), div(b, mul(cb, cb, wp), wp)
+        s_re += fa[0] + fb[0] - 2 * ut[0]
+        s_im += fa[1] + fb[1] - 2 * ut[1]
+        n3 = n * n * n
+        l4r, l4i = l4r + n3 * ur, l4i + n3 * ui
+        n5 = n3 * n * n
+        l6r, l6i = l6r + n5 * ur, l6i + n5 * ui
+    p2 = mul(prod, prod, wp)
+    p4 = mul(p2, p2, wp)
+    p8 = mul(p4, p4, wp)
+    p24 = mul(mul(p8, p8, wp), p8, wp)
+    e4 = rounded(one + 240 * l4r, 240 * l4i)
+    e6 = rounded(one - 504 * l6r, -504 * l6i)
+    return rounded(s_re, s_im), e4, e6, q * rounded(1728 * p24[0], 1728 * p24[1])
 
 
 def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
@@ -754,8 +832,11 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()
     numerically, and the q-series.  The product-ideal matrix is the
     evaluation matrix scaled by a, the same Moebius map, so both routes
     start from one point of K; their independence lies in the reduction,
-    the row and the series.  Agreement with eval_descriptor is a checkable
-    identity, not a private shortcut; keep the two code paths separate.
+    the row and the series.  The series sums on the q-series route's own
+    ints and `_torsion_value` combines its four values on mpc floats, so
+    no operation is shared with the theta route.  Agreement with
+    eval_descriptor is a checkable identity, not a private shortcut; keep
+    the two code paths separate.
 
     The numerator is taken mod 2N: `_exact_cell` reads the pushed row
     (0, s) g = (s g.r, s g.s) only through d = gcd(s, N) and the two

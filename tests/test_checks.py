@@ -425,6 +425,36 @@ def test_route_check_fails_on_a_jacobi_product_fault(monkeypatch):
     assert not check.passed, check.detail
 
 
+@pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-4, 6, 0, 6)])
+def test_route_check_fails_on_a_qseries_product_fault(monkeypatch, ideal):
+    """A sign slip in the cross term of the q-series route's own complex
+    product (Gauss's form) fails `verify`'s route check at 80 digits
+    (tolerance 10^-40, seed 911) and leaves every theta-route value as it
+    was: the q-series loop multiplies with its own helper, which the theta
+    route never calls.  At dK=-4 every point reduces to tau = i, where q
+    is real, yet a and b are not."""
+    name = "descriptor route vs unreduced route"
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+    descs = [descriptor(fc.rep, mod) for fc in enumerate_classes(mod).classes]
+
+    def route_check():
+        found = run_checks(mod, Precision(80), 40, random.Random(911))
+        return next(c for c in found if c.name == name)
+
+    assert route_check().passed
+    theta = [eval_descriptor(d, None, Precision(80)) for d in descs]
+
+    def slipped(x, y, wp):
+        (xr, xi), (yr, yi) = x, y
+        k = yr * (xr + xi)
+        return (k - xi * (yr + yi)) >> wp, (k - xr * (yi - yr)) >> wp
+
+    monkeypatch.setattr(modular, "_qseries_mul", slipped)
+    check = route_check()
+    assert not check.passed, check.detail
+    assert [eval_descriptor(d, None, Precision(80)) for d in descs] == theta
+
+
 def _least_modulus(disc):
     """The proper modulus (1, a2, c) of least c >= 3, then least a2."""
     for c in itertools.count(3):

@@ -443,18 +443,19 @@ def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
 # translate's exact reduced point and cell, with no series, and the power
 # and law samples drawn as random integral forms, the law's moved point the
 # exact form of g(tau), and the q-series route's discriminant as Jacobi's
-# product; any change to a sample, value or detail string shows here
+# product, its loop on fixed-point ints; any change to a sample, value or
+# detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "33695f0bd90462a26dd35a353decca7c8d2415d7efc4145cb33271c1e74184bf",
-    ("-20", "2,4,6", "40", "json"): "c411fb39642d94f55cac9c8dd672d9cc38543e49d9af83aebcbc48ab6ec696ab",
-    ("-20", "2,4,6", "40", "text"): "1ceec9aef56345c0c1cae49249ca7075289d0736c4423fdbf50981534681eddc",
+    ("-111", "9,0,9", "40", "json"): "1f7284612be9a410ef08c8307d3e8df6d93b7f1965c897bfb5fbf348705b539b",
+    ("-20", "2,4,6", "40", "json"): "de794ad02ad1c1384dbc9d97fe2e541a0dede903e024e33d4ca824e642ad9fef",
+    ("-20", "2,4,6", "40", "text"): "72f7c45ea0ef7f0e1ccb1bd1f412c68932e4f6594a6945296a4a11736ab2a8ab",
     ("-23", "1,8,31", "40", "json"): "0e59e1da95ed48098ed90ce12f991a0ed94c0949cd7eab5d96564aa6efb73647",
-    ("-23", "3,9,12", "80", "json"): "4aa9f654b15116c10d2a9aef815d1cf1605afaf7b3a75aaa92dee47de85cbea5",
-    ("-23", "3,9,12", "80", "text"): "5aafa4b51049f2563c95d053851a67e64cef940856d6278c2ec7f228e828cac4",
-    ("-3", "6,0,6", "80", "json"): "03279a683e3e6f2ec0ad7c1b2a3028feb9a3102789bf897cb6c2fe022c1a4b88",
-    ("-3", "6,0,6", "80", "text"): "31a7a12682800bdd4fcc6e2d06af2b97fb596afaab95d4abab517965e490890b",
-    ("-4", "6,0,6", "80", "json"): "0a80b4acec393678317a09d48c46efc1b86c708b7eb4626f1b604743158e3202",
-    ("-4", "6,0,6", "80", "text"): "6c4df55f853925dba4e2a5b527041add501ea24991d4954e867fba9125c09f02",
+    ("-23", "3,9,12", "80", "json"): "08c1d5bbb03fae4daf88b4f315862ce63c00981cf48ed885b826161b3e71e75d",
+    ("-23", "3,9,12", "80", "text"): "353b8725e4fc83806a3a7e2516e45a41407232d9fc0a9888d195183d3dab9635",
+    ("-3", "6,0,6", "80", "json"): "685195f7b3b176dc182c8f07ae48427f7cb207075f7d9057c163bded4ae60f7c",
+    ("-3", "6,0,6", "80", "text"): "41d16fb16a7c6ac09cfa2f14465cd529d46ac145a1d2c1759951056b9f7fea3f",
+    ("-4", "6,0,6", "80", "json"): "bd25aa5b0d26c1cf721ef0c193327b86172e31f912654ef6cf15a6af61586c16",
+    ("-4", "6,0,6", "80", "text"): "28c27d55e24652e4c36d1d261d275e13ed2c13be024fe5b8ea620ab5292209ec",
 }
 
 

@@ -743,34 +743,66 @@ def test_lambert_eisenstein_matches_divisor_sums(digits):
             assert abs(got - want) < tol * scale, (k, weight)
 
 
-def qseries_bounds(c, tau0, cutoff, z, w):
-    """The bounds of `_qseries_core`'s docstring on its (S, E4, E6) in the
-    context c: the tail B/2 at the n where it stops, found by the same
-    products, plus the rounding."""
+def qseries_terms(c, tau0, cutoff):
+    """(N, |q|, |q|^N) for `_qseries_core`'s stopping rule in the context
+    c, the first n with 504 n^6 |q|^n below the cutoff, found term by term."""
     aq, aqn = abs(c.exp(2j * c.pi * tau0)), c.mpf(1)
     for n in range(1, modular._MAX_TERMS):
         aqn *= aq
         if 504 * n**6 * aqn < cutoff:
-            break
+            return n, aq, aqn
+    raise AssertionError("no tail below the cutoff")
+
+
+def qseries_bounds(c, tau0, cutoff, z, w, values):
+    """The bounds of `_qseries_core`'s docstring on the (S, E4, E6, Delta)
+    it returned in the context c, each absolute: the tail B/2 at the N
+    where it stops, the entry errors of q and w, the exit rounding and the
+    fixed-point terms in f = 2^(1/2 - wp)."""
+    n, aq, aqn = qseries_terms(c, tau0, cutoff)
+    half_b = 252 * n**6 * aqn
+    e = mpmath.ldexp(1, 1 - c.prec)
+    f = mpmath.ldexp(mpmath.sqrt(2), -c.prec - 6 * (n + 1).bit_length() - 8)
+    eq, ew = (1 + 4 * c.pi * abs(tau0)) * e, (5 + 26 * abs(z)) * e
+    h = 1 / abs(1 - w)
+    s_val, e4, e6, delta = (abs(v) for v in values)
+    head = (12 * n + 2 + (1 + abs(w)) * (h + h * h) ** 2) * f
+    return (
+        half_b + ew * abs(w) * abs(1 + w) * h**3 + 1.6 * c.sqrt(aq) * (eq + ew + e) + e * s_val / 2
+        + head,
+        half_b + 263 * aq * eq + e * e4 / 2 + 122 * n**2 * (n + 1) ** 2 * f,
+        half_b + 682 * aq * eq + e * e6 / 2 + 171 * (n + 1) ** 6 * f,
+        (half_b + (1 + 25 * aq) * eq + 3 * e / 2 + (51 * n + 26) * f) * delta,
+    )
+
+
+def mpc_loop_bounds(c, tau0, cutoff, z, w, values):
+    """The bounds that `_qseries_core` stated when its loop ran on mpc
+    values, every operation rounded to the context: the floor that its
+    fixed-point bounds must not exceed."""
+    n, _, aqn = qseries_terms(c, tau0, cutoff)
     half_b = 252 * n**6 * aqn
     e = mpmath.ldexp(1, 1 - c.prec)
     loop = (4 * n + 96) * e
     head = (5 + 26 * abs(z)) * e * abs(w) * abs(1 + w) / abs(1 - w) ** 3
-    return half_b + loop * (1 + abs(w) / abs(1 - w) ** 2) + head, half_b + loop, half_b + loop
+    delta = (half_b + (48 * n + 4 * c.pi * abs(tau0) + 5) * e) * abs(values[3])
+    return half_b + loop * (1 + abs(w) / abs(1 - w) ** 2) + head, half_b + loop, half_b + loop, delta
 
 
 @pytest.mark.parametrize("digits", [80, 300])
 def test_qseries_within_its_error_bound(digits):
-    """S, E4 and E6 from `_qseries_core` at its cutoff, at working precision
-    and at twice that, against the same call at the squared cutoff with
-    twice the precision: within the sum of both calls' bounds from its
-    docstring.  At twice the precision the rounding is far below the
-    cutoff, so that call tests the tail bound B/2 alone."""
+    """S, E4, E6 and Delta from `_qseries_core` at its cutoff, at working
+    precision and at twice that, against the same call at the squared
+    cutoff with twice the precision: within the sum of both calls' bounds
+    from its docstring.  At twice the precision the rounding is far below
+    the cutoff, so that call tests the tail bound B/2 alone.  Each bound is
+    at most the one the route stated when its loop ran on mpc values."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     cutoff = modular._cutoff(ctx)
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
+    names = ("S", "E4", "E6", "Delta")
     for k, point in enumerate(ROUTE_TAUS):
         tau0, ref_tau0 = point(ctx), ref.mpc(point(ctx))
         for x, y in ROUTE_CELLS:
@@ -778,12 +810,41 @@ def test_qseries_within_its_error_bound(digits):
             z = x * ref_tau0 + y
             w = ref.exp(2j * ref.pi * z)
             want = modular._qseries_core(ref, ref_tau0, ref.mpf(cutoff) ** 2, x, y)
-            slack = qseries_bounds(ref, ref_tau0, ref.mpf(cutoff) ** 2, z, w)
+            slack = qseries_bounds(ref, ref_tau0, ref.mpf(cutoff) ** 2, z, w, want)
             for c, tau in ((ctx, tau0), (ref, ref_tau0)):
                 got = modular._qseries_core(c, tau, cutoff, x, y)
-                bounds = qseries_bounds(c, tau, cutoff, z, w)
-                for name, a, b, bound, s in zip(("S", "E4", "E6"), got, want, bounds, slack):
+                bounds = qseries_bounds(c, tau, cutoff, z, w, got)
+                for name, a, b, bound, s in zip(names, got, want, bounds, slack):
                     assert abs(a - b) <= bound + s, (name, k, x, y, c.prec)
+                before = mpc_loop_bounds(c, tau, cutoff, z, w, got)
+                for name, bound, old in zip(names, bounds, before):
+                    assert bound <= old, (name, k, x, y, c.prec)
+
+
+def test_qseries_within_its_error_bound_far_up_the_half_plane(monkeypatch):
+    """At dK=-3299 `1,1,3`, 80 digits, the unreduced route's inputs reach
+    Im tau0 = 28.7 with x = 1/3, where |1/w| = |q|^(-1/3) is about 2^87:
+    q times a floored 1/w would lose that many bits of b = q/w.  On every
+    class, S, E4, E6 and Delta are within the docstring's bound of the
+    same call at 200 more bits (plus that call's own bound)."""
+    mod = make_modulus(make_discriminant(-3299), 1, 1, 3)
+    calls, core = [], modular._qseries_core
+    monkeypatch.setattr(modular, "_qseries_core", lambda *a: calls.append(a) or core(*a))
+    for fc in enumerate_classes(mod).classes:
+        eval_descriptor_unreduced(descriptor(fc.rep, mod), P80)
+    monkeypatch.undo()
+    assert max(t.imag for _, t, _, _, _ in calls) > 28
+    ref = mpmath.ctx_mp.MPContext()
+    for ctx, tau0, cutoff, x, y in calls:
+        ref.prec = ctx.prec + 200
+        z = x * ref.mpc(tau0) + y
+        w = ref.exp(2j * ref.pi * z)
+        got = modular._qseries_core(ctx, tau0, cutoff, x, y)
+        want = modular._qseries_core(ref, ref.mpc(tau0), cutoff, x, y)
+        bounds = qseries_bounds(ctx, tau0, cutoff, z, w, got)
+        slack = qseries_bounds(ref, ref.mpc(tau0), cutoff, z, w, want)
+        for name, a, b, bound, s in zip(("S", "E4", "E6", "Delta"), got, want, bounds, slack):
+            assert abs(a - b) <= bound + s, (name, tau0, x, y)
 
 
 # Im tau from the unreduced law-check range up to 20, each with cells on
@@ -1307,6 +1368,64 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     assert [call() for call in calls] == before
     with pytest.raises(AssertionError, match="numeric reduction"):
         eval_descriptor_unreduced(descs[0], P80)
+
+
+# the helpers each route computes with and the other must never call
+THETA_ARITHMETIC = ("_mul", "_div", "_norm", "_shift", "_scaled", "_theta_sums", "_theta_values",
+                    "_torsion_exact")
+QSERIES_ARITHMETIC = ("_qseries_core", "_qseries_terms", "_qseries_mul", "_qseries_div",
+                      "_torsion_value", "_reduce_tau")
+
+
+@pytest.mark.parametrize("mod", [MOD20, make_modulus(D4, 6, 0, 6)], ids=["-20", "-4"])
+def test_descriptor_routes_share_no_arithmetic(monkeypatch, mod):
+    """The two descriptor routes share no arithmetic, so a slip in one
+    moves only its own values and `verify`'s route check sees it: with the
+    theta route's fixed-point helpers refusing, `eval_descriptor_unreduced`
+    returns its unpatched values on every class of dK=-20 `2,4,6` and
+    dK=-4 `6,0,6`, and with the q-series route's refusing,
+    `eval_descriptor` returns its own; each route fails on its own set."""
+    descs = [descriptor(fc.rep, mod) for fc in enumerate_classes(mod).classes]
+    routes = [
+        (THETA_ARITHMETIC, lambda d: eval_descriptor_unreduced(d, P80), eval_descriptor),
+        (QSERIES_ARITHMETIC, lambda d: eval_descriptor(d, None, P80), eval_descriptor_unreduced),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("one route ran the other's arithmetic")
+
+    for names, route, other in routes:
+        before = [route(d) for d in descs]
+        with monkeypatch.context() as patched:
+            for name in names:
+                patched.setattr(modular, name, refuse)
+            assert [route(d) for d in descs] == before
+            with pytest.raises(AssertionError, match="other's arithmetic"):
+                other(descs[0], p=P80)
+
+
+def test_qseries_loop_builds_no_mpmath_value_per_term():
+    """`_qseries_core` sums on ints: the mpf and mpc values its context
+    builds in one call, at the entry, in the stopping rule and at the exit,
+    stay under 40 as its term count grows from 27 at 40 digits to 381 at
+    1000 digits (tau0 = i); the rule's exact tests, three values each, grow
+    only with the log of the count.  Each call runs on a fresh context
+    whose number classes count every value they build."""
+    built, terms = {}, {}
+    for digits in (40, 1000):
+        ctx = ctx_for(digits)
+        tau0, x, y, cutoff = ctx.mpc(0, 1), ctx.mpf("0.2"), ctx.mpf("-0.37"), modular._cutoff(ctx)
+        terms[digits], _, _ = qseries_terms(ctx, tau0, cutoff)
+        count = []
+        for kind in ("mpc", "mpf"):
+            slot = getattr(mpmath.ctx_mp_python, "_" + kind).__dict__[f"_{kind}_"]
+            counted = property(slot.__get__, lambda z, v, slot=slot: (count.append(v), slot.__set__(z, v)))
+            setattr(getattr(ctx, kind), f"_{kind}_", counted)
+        got = modular._qseries_core(ctx, tau0, cutoff, x, y)
+        built[digits] = len(count)
+        assert got == modular._qseries_core(modular._ctx(Precision(digits)), tau0, cutoff, x, y)
+    assert terms == {40: 27, 1000: 381}
+    assert max(built.values()) < 40, built
 
 
 def test_theta_route_builds_no_fraction(monkeypatch):
