@@ -78,13 +78,17 @@ def _random_form(rng) -> QuadForm:
             return form
 
 
-def _power_residuals(p, rng, samples: int):
+def _power_samples(p, rng, samples: int):
+    """(form, row, (j, f1, f2, f3)) at `samples` random forms and rows, the
+    values from the theta route's one reduced entry."""
+    drawn = [(_random_form(rng), _random_row(rng)) for _ in range(samples)]
+    return [(f, row, modular._reduced_values(p, f, modular.FrickeLabel(1, *row), range(4))) for f, row in drawn]
+
+
+def _power_residuals(drawn):
     """Both reduce to Delta = E4^3 - E6^2, where S is only a scale factor:
     they test Jacobi's identity among the theta constants, not S."""
-    for _ in range(samples):
-        form = _random_form(rng)
-        label = modular.FrickeLabel(1, *_random_row(rng))
-        jv, f1, f2, f3 = modular._reduced_values(p, form, label, range(4))
+    for _, _, (jv, f1, f2, f3) in drawn:
         if abs(jv) < 1e-5 or abs(jv - 1728) < 1e-5:
             continue
         yield abs(f2 - 46656 * f1**2 / (jv - 1728))
@@ -116,9 +120,15 @@ def _law_residuals(p, rng, samples: int):
         yield abs(modular._fricke_at(label, act(form, g.inv()), p) - modular._fricke_at(moved, form, p))
 
 
-def _route_residuals(descs, p):
+def _route_residuals(descs, drawn, p):
+    """Each descriptor's value on both routes, then each power sample's f1
+    against the q-series route's at its form and row: the samples' random
+    points test the routes away from the one tau to which every descriptor
+    point of dK = -3 or -4 reduces."""
     for d in descs:
         yield abs(modular.eval_descriptor(d, None, p) - modular.eval_descriptor_unreduced(d, p))
+    for form, row, values in drawn:
+        yield abs(values[1] - modular._qseries_values(p, form, row, (1,))[0])
 
 
 def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
@@ -128,8 +138,9 @@ def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list
     series: each translate of the route check must reach its
     representative's `modular._value_key`, the reduced point and cell its
     value is computed from.  Of the numeric checks only the route check
-    reads the q-series, so it alone sees a fault in S on the theta route:
-    the law compares the theta route with itself."""
+    reads the q-series, at every class and at the power samples, so it
+    alone sees a fault in S on the theta route: the law compares the theta
+    route with itself."""
     if not 1 <= tol_exp <= modular.MAX_DIGITS:
         raise QFieldError(f"tolerance exponent must be from 1 to {modular.MAX_DIGITS}, got {tol_exp}")
     if samples < 1:
@@ -176,7 +187,8 @@ def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list
     detail = f"{stable}/10 translate trials match the table"
     record("composition is class-level well-defined", stable == 10, detail)
 
-    numeric("power relations between the three indexed values", _power_residuals(p, rng, samples))
+    drawn = _power_samples(p, rng, samples)
+    numeric("power relations between the three indexed values", _power_residuals(drawn))
     numeric("row transformation law", _law_residuals(p, rng, samples))
 
     # the unit-normalized value of the modulus lattice is the value at
@@ -198,5 +210,5 @@ def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list
     same = sum(modular._value_key(descriptor(m, mod)) == rep_keys[i] for i, m in moved)
     detail = f"{same}/{len(moved)} translates reach the representative's reduced point and cell"
     record("descriptor value constant on classes", same == len(moved), detail)
-    numeric("descriptor route vs unreduced route", _route_residuals(descs, p))
+    numeric("descriptor route vs unreduced route", _route_residuals(descs, drawn, p))
     return checks

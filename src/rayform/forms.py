@@ -121,6 +121,12 @@ def act(form: QuadForm, g: UnimodMatrix) -> QuadForm:
     )
 
 
+def _reduce_cap(form: QuadForm) -> int:
+    """`reduce`'s step cap 2*(bitlen(a) + isqrt|d|) + 4, which `modular`'s
+    numeric reduction of the form's root also keeps."""
+    return 2 * (form.a.bit_length() + math.isqrt(-form.disc())) + 4
+
+
 def reduce(form: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
     """Gauss reduction with witness: returns (R, g) with form == act(R, g).
 
@@ -137,7 +143,7 @@ def reduce(form: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
     if a <= 0 or form.disc() >= 0:
         raise QFieldError(f"cannot reduce indefinite or negative form {form}")
     p, q, r, s = 1, 0, 0, 1
-    for _ in range(2 * (a.bit_length() + math.isqrt(-form.disc())) + 4):
+    for _ in range(_reduce_cap(form)):
         if b <= -a or b > a:
             k = (a - b) // (2 * a)
             b, c = b + 2 * a * k, (a * k + b) * k + c

@@ -43,18 +43,21 @@ These four numbers are computed along two independent routes:
 
 Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
-coordinates x = k/n and y = m/n (`_exact_cell`).  Every theta entry
-takes a point as the positive definite integral form whose root it is, and
-no numeric tau; `_theta_core` refuses any other form.  The theta route
+coordinates x = k/n and y = m/n (`_exact_cell`).  Every entry of either
+route takes a point as the positive definite integral form whose root it
+is; `_theta_core` refuses any other form.  The theta route
 reduces exactly, by `forms.reduce`, in its one reduced entry
 `_reduced_values`: `fricke` is its value at one index, `eval_descriptor`
 is `fricke` at its point of K, and `verify`'s power check reads j and the
 three indexed values from one call.  `eisenstein_j` reduces its form for
 its fixed cell (0, 1, 2), and the law check's `_fricke_at` runs unreduced.
 `verify`'s invariance check compares the exact input itself (`_value_key`).
-The q-series route reduces a complex tau numerically (`_reduce_tau`), so
-the descriptor routes differ in the reduction, the row and the series.
-Every series is truncated at an explicit tail threshold.
+The q-series route's one entry, `_qseries_values`, computes the form's
+root and reduces it numerically (`_reduce_tau`, under `forms.reduce`'s
+step cap), so the descriptor routes differ in the reduction, the row and
+the series; `verify`'s route check reads it at every descriptor and at
+the power samples' forms.  Every series stops at one tail threshold, the
+float log that `_cutoff` returns.
 
 Every theta core gets q = e^(i pi tau0), w = e^(2 pi i z), 1/w and q/w
 from one builder, `_exact_nome`, at the root of the form (a, b, c) and
@@ -83,7 +86,7 @@ from typing import NamedTuple
 import mpmath
 from mpmath import libmp
 
-from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, automorphs, reduce, t_power
+from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, _reduce_cap, automorphs, reduce, t_power
 from .qfield import Discriminant, InternalCheckError, QFieldError
 from .rayclass import GaloisDescriptor
 
@@ -127,17 +130,11 @@ def _ctx(p: Precision) -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def _cutoff(ctx):
-    """The series tail threshold 10^-(digits + 20) of `_ctx(Precision(digits))`."""
-    return ctx.mpf(10) ** -(ctx.dps + 10)
-
-
-def _embed(ctx, form: QuadForm, disc: Discriminant):
-    """Numeric root u*tau + v of the form (A, B, C) of discriminant k^2 d,
-    `point_coords`' u = k/A and v = (k*b0 - B)/(2A) as mpf quotients of ints."""
-    k = math.isqrt(form.disc() // disc.d)
-    tau = (ctx.mpc(-disc.b0, ctx.sqrt(-disc.d))) / 2
-    return tau * (ctx.mpf(k) / form.a) + ctx.mpf(k * disc.b0 - form.b) / (2 * form.a)
+def _cutoff(ctx) -> float:
+    """The log of the series tail threshold 2^-bitlen(10^(dps + 10)), a
+    float: below 10^-(digits + 20) for `_ctx(Precision(digits))`.  Both
+    cores stop their series at it."""
+    return -(10 ** (ctx.dps + 10)).bit_length() * math.log(2)
 
 
 class _LabelFields(NamedTuple):
@@ -187,24 +184,30 @@ def _qseries_div(x, y, wp: int):
     return ((xr * yr + xi * yi) << wp) // den, ((xi * yr - xr * yi) << wp) // den
 
 
-def _qseries_terms(ctx, aq, im_tau: float, cutoff) -> int:
-    """The first n >= 1 with B = 504 n^6 |q|^n below the cutoff, for
-    aq = |q| = e^(-2 pi Im tau0) < 1/200, by the exact test on mpf values.
+def _qseries_terms(lq: float, lcut: float) -> int:
+    """The first n >= 1 with B = 504 n^6 |q|^n below the cutoff e^lcut, from
+    the float logs lq = log|q| = -2 pi Im tau0 < -log 200 and lcut, by the
+    test log 504 + 6 log n + n lq < lcut, as `_theta_terms` tests its tails.
     B falls with n, by the factor (1 + 1/n)^6 |q| <= 64/200, and every n
-    below the float logs' (log 504 - log cutoff)/(2 pi Im tau0), less one
-    for their rounding, fails, so the search steps up from there."""
-    lcut = ctx.mag(cutoff) * math.log(2)
-    n = max(1, math.ceil((math.log(504) - lcut) / (2 * math.pi * im_tau)) - 1)
-    while not 504 * n**6 * aq**n < cutoff:
-        n += 1
-        if n >= _MAX_TERMS:
-            raise InternalCheckError("q-series did not reach the tail cutoff")
-    return n
+    below (log 504 - lcut)/(-lq), less one for its rounding, fails, so the
+    search steps up from there.
+    lq is within a relative 3 * 2^-53 of -2 pi Im tau0, and the test's left
+    side within 8 * 2^-53 (|n lq| + 7 + 6 log n) of its exact value; where
+    the decision turns, |n lq| is about |lcut|, at most 2.4e5 at
+    `MAX_DIGITS`, so the float test errs only where B lies within a
+    relative 10^-9 of the cutoff, and then stops with B below 1.000000001
+    times it.  The cutoff lies 10 digits below the context's working
+    precision, so that excess is lost in the slack."""
+    for n in range(max(1, math.ceil((math.log(504) - lcut) / -lq) - 1), _MAX_TERMS):
+        if math.log(504) + 6 * math.log(n) + n * lq < lcut:
+            return n
+    raise InternalCheckError("q-series did not reach the tail cutoff")
 
 
-def _qseries_core(ctx, tau0, cutoff, x, y):
-    """(S, E4, E6, Delta) at tau0 and z = x*tau0 + y, x, y in [-1/2, 1/2],
-    from q-series in q = e^(2 pi i tau0), with Delta = 1728 q P^24 by
+def _qseries_core(ctx, tau0, cell: tuple[int, int, int]):
+    """(S, E4, E6, Delta) at tau0 and z = (k tau0 + m)/n for the cell
+    (k, m, n) of `_exact_cell`, x = k/n and y = m/n in [-1/2, 1/2], from
+    q-series in q = e^(2 pi i tau0), with Delta = 1728 q P^24 by
     Jacobi's product P = prod (1 - q^n), which is E4^3 - E6^2 with no
     cancellation (Apostol, Modular Functions and Dirichlet Series, ch. 3).
 
@@ -215,7 +218,8 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
     w = e^(2 pi i z), a = q^(n-1) a1, b = q^(n-1) b1 for a1 = q w,
     b1 = q/w, and pe(z; [tau0, 1]) = -4 pi^2 S.
     It runs n = 1 to N, the first n with B = 504 n^6 |q|^n below the
-    cutoff (`_qseries_terms`).  `_reduce_tau` hands over |Re tau0| <= 1/2
+    context's `_cutoff`, the theta route's threshold too, counted in float
+    logs by `_qseries_terms`.  `_reduce_tau` hands over |Re tau0| <= 1/2
     and |tau0| >= 1 up to rounding, so |q| < 1/200 and each tail is below
     B/2: the tail of sum n^k u (k = 3, 5) is sum_(m > N) c_m q^m with
     0 <= c_m <= sigma_k(m) <= m^(k+1), under
@@ -227,8 +231,9 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
 
     Only the entry and the exit are mpc.  q, w, a1 and b1 come from the
     context's exp, product and quotient, each within a relative
-    e = 2^(1 - prec) per operation: q within eq = (1 + 4 pi |tau0|) e, w
-    within ew = (5 + 26 |z|) e, a1 and b1 within eq + ew + e.  Each is
+    e = 2^(1 - prec) per operation, z from the int cell by one product, one
+    sum and one quotient: q within eq = (1 + 4 pi |tau0|) e, w within
+    ew = (5 + 26 |z|) e, a1 and b1 within eq + ew + e.  Each is
     floored once to a pair of ints at scale 2^wp, wp = prec + g with
     g = 6 bitlen(N + 1) + 8, and the loop runs on those ints alone, by
     `_qseries_mul` and `_qseries_div`, each exact on ints and then floored,
@@ -258,9 +263,10 @@ def _qseries_core(ctx, tau0, cutoff, x, y):
       Delta within (B/2 + (1 + 25 |q|) eq + 3e/2 + (51 N + 26) f) |Delta|,
     and the guard g puts each f term of E4 and E6 below 2^-prec.
     """
+    k, m, den = cell
     q = ctx.exp(2j * ctx.pi * tau0)
-    w = ctx.exp(2j * ctx.pi * (x * tau0 + y))
-    terms = _qseries_terms(ctx, abs(q), float(tau0.imag), cutoff)
+    w = ctx.exp(2j * ctx.pi * ((k * tau0 + m) / den))
+    terms = _qseries_terms(-2 * math.pi * float(tau0.imag), _cutoff(ctx))
     prec, rnd = ctx._prec_rounding
     wp = prec + 6 * (terms + 1).bit_length() + 8
     one = 1 << wp
@@ -578,18 +584,17 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
     `_theta_sums` takes w as its a, and b, and returns from one pass the
     three theta-constant sums and the even and odd halves of G~ at w and
     at 1/w (G is the same halves with the odd one negated), each cut where
-    `_theta_terms` bounds its tail below 2^-bitlen(10^(dps + 10)), which
-    is below the context's `_cutoff`.  `_theta_values` forms S, E4, E6
-    and Delta from the sums on ints, `_torsion_exact` each requested value
-    from those, and each value is rounded to an mpc once, the one use of
-    the context besides prec and the cutoff's log.
+    `_theta_terms` bounds its tail below the context's `_cutoff`,
+    2^-bitlen(10^(dps + 10)), the q-series route's own.  `_theta_values`
+    forms S, E4, E6 and Delta from the sums on ints, `_torsion_exact` each
+    requested value from those, and each value is rounded to an mpc once,
+    the one use of the context besides prec and `_cutoff`.
     """
     if form.a <= 0 or form.disc() >= 0:
         raise QFieldError(f"cannot evaluate at indefinite or negative form {form}")
     prec, rnd = ctx._prec_rounding
     q, w, winv, b, lq, lw = _exact_nome(prec, form, cell)
-    lcut = -(10 ** (ctx.dps + 10)).bit_length() * math.log(2)
-    wp, sums = _theta_sums(prec, q, lq, lcut, w, b, lw)
+    wp, sums = _theta_sums(prec, q, lq, _cutoff(ctx), w, b, lw)
     values = _theta_values(wp, sums, q, winv)
     return tuple(
         ctx.make_mpc((libmp.from_man_exp(re, e, prec, rnd), libmp.from_man_exp(im, e, prec, rnd)))
@@ -687,15 +692,17 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     return q, _mul(rw, (cw, sw, ew), wp), winv, _mul(q, winv, wp), lq, 2 * (k / n) * lq
 
 
-def _reduce_tau(ctx, t, steps: int):
-    """(t0, g) with t = g(t0) and t0 in the fundamental domain up to
-    rounding, in at most `steps` rounds, each a translation by the nearest
-    integer and at most one flip.  The rounds follow `forms.reduce` on the
-    form whose root t is, a flip only below |t| = 1, so the caller passes
-    that form's cap 2*(bitlen(a) + isqrt|d|) + 4; needing more is a bug."""
+def _reduce_tau(ctx, form: QuadForm):
+    """(t0, g) with t = g(t0) for the root t = (-b + i sqrt|d|)/(2a) of the
+    positive definite form (a, b, c), t0 in the fundamental domain up to
+    rounding, in rounds of a translation by the nearest integer and at most
+    one flip.  The rounds follow `forms.reduce` on the form, a flip only
+    below |t| = 1, so they keep its cap, taken from the form's own
+    coefficients (`_reduce_cap`); needing more is a bug."""
+    t = ctx.mpc(-form.b, ctx.sqrt(-form.disc())) / (2 * form.a)
     edge = 1 - ctx.mpf(10) ** -(ctx.dps - 5)
     g = IDENT
-    for _ in range(steps):
+    for _ in range(_reduce_cap(form)):
         shift = int(ctx.nint(t.real))
         if shift:
             t = t - shift
@@ -722,7 +729,6 @@ def _torsion_value(ctx, i: int, values):
         value = 12 * e4**2 * s_val**2 / dd
     else:
         value = -8 * e6 * s_val * s_val * s_val / dd
-    value = ctx.mpc(value)
     if not ctx.isfinite(value):
         raise InternalCheckError("non-finite value escaped a series evaluation")
     return value
@@ -758,6 +764,19 @@ def _reduced_values(p: Precision, form: QuadForm, label: FrickeLabel, indices):
     reduced entry, read by `fricke` and by `verify`'s power check."""
     red, g = reduce(form)
     return _theta_core(_ctx(p), red, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
+
+
+def _qseries_values(p: Precision, form: QuadForm, row: tuple[int, int, int], indices):
+    """The q-series route's values at indices (0 standing for j) with the
+    row (r, s, level) at the root of the form, reduced numerically by
+    `_reduce_tau` to (t0, g) and the row pushed through g: the route's one
+    entry, as `_reduced_values` is the theta route's, read by
+    `eval_descriptor_unreduced` and by `verify`'s route check at the power
+    samples."""
+    ctx = _ctx(p)
+    t0, g = _reduce_tau(ctx, form)
+    values = _qseries_core(ctx, t0, _exact_cell(*row, g))
+    return tuple(_torsion_value(ctx, i, values) for i in indices)
 
 
 def _value_key(desc: GaloisDescriptor):
@@ -827,8 +846,9 @@ def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):
-    """Same value along the unreduced route: row numerator a^(phi(N)-1),
-    as the product-ideal basis hands it over, the embedded point reduced
+    """Same value along the unreduced route, `_qseries_values` at the
+    descriptor's point with the row (0, a^(phi(N)-1), N), its numerator as
+    the product-ideal basis hands it over: the point's root reduced
     numerically, and the q-series.  The product-ideal matrix is the
     evaluation matrix scaled by a, the same Moebius map, so both routes
     start from one point of K; their independence lies in the reduction,
@@ -843,15 +863,10 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()
     entries over d mod 2N/d, and s + 2Nt has the same d and moves each
     entry over d by a multiple of 2N/d.
     """
-    ctx = _ctx(p)
     label = descriptor_label(desc)
     phi = sum(math.gcd(x, label.level) == 1 for x in range(label.level))
-    form = desc.eval_point()
-    steps = 2 * (form.a.bit_length() + math.isqrt(-form.disc())) + 4
-    t0, g = _reduce_tau(ctx, _embed(ctx, form, desc.disc), steps)
-    k, m, n = _exact_cell(0, pow(desc.point.a, phi - 1, 2 * label.level), label.level, g)
-    x, y = ctx.mpf(k) / n, ctx.mpf(m) / n
-    return _torsion_value(ctx, label.i, _qseries_core(ctx, t0, _cutoff(ctx), x, y))
+    row = (0, pow(desc.point.a, phi - 1, 2 * label.level), label.level)
+    return _qseries_values(p, desc.eval_point(), row, (label.i,))[0]
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:

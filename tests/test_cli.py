@@ -443,19 +443,21 @@ def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
 # translate's exact reduced point and cell, with no series, and the power
 # and law samples drawn as random integral forms, the law's moved point the
 # exact form of g(tau), and the q-series route's discriminant as Jacobi's
-# product, its loop on fixed-point ints; any change to a sample, value or
-# detail string shows here
+# product, its loop on fixed-point ints, reading an integral form, an int
+# cell and the theta route's tail cutoff, and the route check also run at
+# the power samples; any change to a sample, value or detail string shows
+# here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "1f7284612be9a410ef08c8307d3e8df6d93b7f1965c897bfb5fbf348705b539b",
+    ("-111", "9,0,9", "40", "json"): "9b56e1b671ab8f067dab3fdcf37a186d5e69a759100912cd594742d7133e0a90",
     ("-20", "2,4,6", "40", "json"): "de794ad02ad1c1384dbc9d97fe2e541a0dede903e024e33d4ca824e642ad9fef",
     ("-20", "2,4,6", "40", "text"): "72f7c45ea0ef7f0e1ccb1bd1f412c68932e4f6594a6945296a4a11736ab2a8ab",
-    ("-23", "1,8,31", "40", "json"): "0e59e1da95ed48098ed90ce12f991a0ed94c0949cd7eab5d96564aa6efb73647",
-    ("-23", "3,9,12", "80", "json"): "08c1d5bbb03fae4daf88b4f315862ce63c00981cf48ed885b826161b3e71e75d",
-    ("-23", "3,9,12", "80", "text"): "353b8725e4fc83806a3a7e2516e45a41407232d9fc0a9888d195183d3dab9635",
-    ("-3", "6,0,6", "80", "json"): "685195f7b3b176dc182c8f07ae48427f7cb207075f7d9057c163bded4ae60f7c",
-    ("-3", "6,0,6", "80", "text"): "41d16fb16a7c6ac09cfa2f14465cd529d46ac145a1d2c1759951056b9f7fea3f",
-    ("-4", "6,0,6", "80", "json"): "bd25aa5b0d26c1cf721ef0c193327b86172e31f912654ef6cf15a6af61586c16",
-    ("-4", "6,0,6", "80", "text"): "28c27d55e24652e4c36d1d261d275e13ed2c13be024fe5b8ea620ab5292209ec",
+    ("-23", "1,8,31", "40", "json"): "86511f6bfa886dc06ad8d4c2c990de7dabcffef8766a4a5eaaeb1cc1610b86f9",
+    ("-23", "3,9,12", "80", "json"): "161fa3694821611d5f9a83f72f033c40699e4719b0f3c83ec3386a21c18dfe6f",
+    ("-23", "3,9,12", "80", "text"): "3725007968b90a0061bf934382ae598e31f3b1552567b3aba1c76485a045e5ef",
+    ("-3", "6,0,6", "80", "json"): "2b946bd2a45c6c5a59246b44cc66f6f52faed30aaff78cc76b8494aa20138db3",
+    ("-3", "6,0,6", "80", "text"): "3c748aada21a90aa676123f5a03769dfa27df0e2dec7df0fe159283654d6967d",
+    ("-4", "6,0,6", "80", "json"): "72a61b8b10449662be8c45d2c12d799b994b1f68777d18dd681c70df6a48e298",
+    ("-4", "6,0,6", "80", "text"): "9428130c9f28b34a490341ddb5c07bcb145d698cb29cdc34d5835421d1df44b9",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from mpmath import libmp
 from mpmath.libmp import libelefun
 
-from rayform import modular
+from rayform import forms, modular
 from rayform.checks import run_checks
 from rayform.forms import IDENT, QuadForm, S_FLIP, UnimodMatrix, act, reduce, reduced_forms, t_power
 from rayform.modular import (
@@ -135,56 +135,54 @@ def test_exact_cell_matches_the_fraction_rule():
                 modular._exact_cell(r, s, 6, g)
 
 
-def tau_cap(form):
-    """The step cap `eval_descriptor_unreduced` gives `_reduce_tau` at the
-    root of the form: `forms.reduce`'s, 2*(bitlen(a) + isqrt|d|) + 4."""
-    return 2 * (form.a.bit_length() + math.isqrt(-form.disc())) + 4
-
-
 def test_reduce_tau():
+    """`_reduce_tau` at the root of (1, 0, 1), i, takes no step; at the root
+    of the form of 0.3 + 0.007i it lands in the fundamental domain, and its
+    matrix takes the landing point back to the root."""
     ctx = modular._ctx(P30)
-    t0, g = modular._reduce_tau(ctx, ctx.mpc(0, 1), 1)
+    t0, g = modular._reduce_tau(ctx, QuadForm(1, 0, 1))
     assert g == IDENT
     assert abs(t0 - ctx.mpc(0, 1)) < ctx.mpf(10) ** -25
 
-    tau = ctx.mpc("0.3", "0.007")
-    t0, g = modular._reduce_tau(ctx, tau, tau_cap(root_form(tau.real, tau.imag)))
+    form = root_form("0.3", "0.007")
+    t0, g = modular._reduce_tau(ctx, form)
     assert t0.imag > ctx.sqrt(3) / 2 - ctx.mpf(10) ** -20
     assert abs(t0.real) <= ctx.mpf("0.5") + ctx.mpf(10) ** -20
     back = (g.p * t0 + g.q) / (g.r * t0 + g.s)
-    assert abs(back - tau) < ctx.mpf(10) ** -25
+    assert abs(back - ctx.mpc("0.3", "0.007")) < ctx.mpf(10) ** -25
 
 
-def rounds_suffice(ctx, tau, steps):
-    try:
-        modular._reduce_tau(ctx, tau, steps)
-    except InternalCheckError:
-        return False
+def rounds_suffice(monkeypatch, ctx, form, steps):
+    """Whether `_reduce_tau` reduces the form's root with its cap set to steps."""
+    with monkeypatch.context() as capped:
+        capped.setattr(modular, "_reduce_cap", lambda f: steps)
+        try:
+            modular._reduce_tau(ctx, form)
+        except InternalCheckError as exc:
+            assert "did not terminate" in str(exc)
+            return False
     return True
 
 
-def test_reduce_tau_stops_at_its_cap():
+def test_reduce_tau_stops_at_its_cap(monkeypatch):
     """`_reduce_tau` at the root of a form takes at most that form's cap,
-    and a cap one short of the rounds a point needs raises: the embedded
-    descriptor points of dK=-23 `1,8,31` and `1,176,211` and of dK=-3
-    `6,0,6` (up to 7 rounds), and the numeric point 0.3 + 0.007i (4
-    rounds), with its form's cap."""
+    `forms.reduce`'s, and a cap one short of the rounds a root needs
+    raises: the descriptor points of dK=-23 `1,8,31` and `1,176,211` and of
+    dK=-3 `6,0,6` (up to 7 rounds), and the form of 0.3 + 0.007i (4
+    rounds)."""
     ctx = modular._ctx(P30)
     points = []
     for dk, ideal in ((-23, (1, 8, 31)), (-23, (1, 176, 211)), (-3, (6, 0, 6))):
         mod = make_modulus(make_discriminant(dk), *ideal)
-        for fc in enumerate_classes(mod).classes[:40]:
-            form = descriptor(fc.rep, mod).eval_point()
-            points.append((form, modular._embed(ctx, form, mod.disc)))
-    tau = ctx.mpc("0.3", "0.007")
-    points.append((root_form(tau.real, tau.imag), tau))
+        points += [descriptor(fc.rep, mod).eval_point() for fc in enumerate_classes(mod).classes[:40]]
+    points.append(root_form("0.3", "0.007"))
     most = 0
-    for form, tau in points:
-        need = next(n for n in range(1, tau_cap(form) + 1) if rounds_suffice(ctx, tau, n))
+    for form in points:
+        cap = forms._reduce_cap(form)
+        need = next(n for n in range(1, cap + 1) if rounds_suffice(monkeypatch, ctx, form, n))
         most = max(most, need)
         if need > 1:
-            with pytest.raises(InternalCheckError, match="did not terminate"):
-                modular._reduce_tau(ctx, tau, need - 1)
+            assert not rounds_suffice(monkeypatch, ctx, form, need - 1)
     assert most >= 4
 
 
@@ -326,16 +324,11 @@ def int_cell(x, y):
     return int(x * n), int(y * n), n
 
 
-def theta_lcut(ctx):
-    """The log of a number no larger than the context's tail cutoff."""
-    return (ctx.mag(modular._cutoff(ctx)) - 1) * math.log(2)
-
-
 def kernel_values(ctx, form, cell):
     """(wp, sums, q, 1/w, values): `_theta_core`'s steps at the root of form
     and the cell up to `_theta_values`' exact (S, E4, E6, Delta)."""
     q, w, winv, b, lq, lw = modular._exact_nome(ctx.prec, form, cell)
-    wp, sums = modular._theta_sums(ctx.prec, q, lq, theta_lcut(ctx), w, b, lw)
+    wp, sums = modular._theta_sums(ctx.prec, q, lq, modular._cutoff(ctx), w, b, lw)
     return wp, sums, q, winv, modular._theta_values(wp, sums, q, winv)
 
 
@@ -681,7 +674,9 @@ ROUTE_TAUS = [
     lambda c: c.mpc("0.5", "20"),
     lambda c: c.mpc("-0.23", "20"),
 ]
-ROUTE_CELLS = [("0.5", "0.25"), ("-0.5", "0"), ("0.2", "-0.37"), ("0.0625", "0.4")]
+# the cells (k, m, n) of (x, y) = (1/2, 1/4), (-1/2, 0), (0.2, -0.37) and
+# (1/16, 2/5), as `_exact_cell` hands them over
+ROUTE_CELLS = [(2, 1, 4), (-1, 0, 2), (20, -37, 100), (5, 32, 80)]
 
 
 @pytest.mark.parametrize("digits", [30, 80, 300])
@@ -695,17 +690,19 @@ def test_theta_route_matches_qseries_route(digits):
     for k, point in enumerate(ROUTE_TAUS):
         tau0 = point(ctx)
         cancel = math.ceil(2 * math.pi * float(tau0.imag) / math.log(10))
-        ref_p = Precision(2 * digits + cancel)
-        ref_ctx = modular._ctx(ref_p)
-        ref_cutoff = modular._cutoff(ref_ctx)
-        for x, y in ROUTE_CELLS:
-            theta = theta_at(ctx, tau0, x, y)
-            ref = modular._qseries_core(
-                ref_ctx, point(ref_ctx), ref_cutoff, ref_ctx.mpf(x), ref_ctx.mpf(y)
-            )
+        ref_ctx = modular._ctx(Precision(2 * digits + cancel))
+        for cell in ROUTE_CELLS:
+            theta = theta_at(ctx, tau0, Fraction(cell[0], cell[2]), Fraction(cell[1], cell[2]))
+            ref = modular._qseries_core(ref_ctx, point(ref_ctx), cell)
             for name, a, b in zip(("S", "E4", "E6", "Delta"), theta, ref):
                 scale = abs(b) if abs(b) > near_zero else 1
-                assert abs(a - b) < tol * scale, (name, k, x, y)
+                assert abs(a - b) < tol * scale, (name, k, cell)
+
+
+def cutoff_mpf(c):
+    """The tail threshold 2^-bitlen(10^(dps + 10)) of the context c, exact,
+    whose log `_cutoff` returns."""
+    return c.ldexp(1, -(10 ** (c.dps + 10)).bit_length())
 
 
 def eisenstein_alone(ctx, q, weight, cutoff):
@@ -730,13 +727,13 @@ def test_lambert_eisenstein_matches_divisor_sums(digits):
     value is not near 0 (E6 vanishes at i, E4 at rho)."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    cutoff = modular._cutoff(ctx)
+    cutoff = cutoff_mpf(ctx)
     near_zero = mpmath.mpf(10) ** -(digits // 2)
     tol = mpmath.mpf(10) ** -digits
     for k, point in enumerate(ROUTE_TAUS):
         tau0 = point(ctx)
         q = ctx.exp(2j * ctx.pi * tau0)
-        _, e4, e6, _ = modular._qseries_core(ctx, tau0, cutoff, ctx.mpf("0.2"), ctx.mpf("-0.37"))
+        _, e4, e6, _ = modular._qseries_core(ctx, tau0, (20, -37, 100))
         for weight, got in ((4, e4), (6, e6)):
             want = eisenstein_alone(ctx, q, weight, cutoff)
             scale = abs(want) if abs(want) > near_zero else 1
@@ -745,13 +742,32 @@ def test_lambert_eisenstein_matches_divisor_sums(digits):
 
 def qseries_terms(c, tau0, cutoff):
     """(N, |q|, |q|^N) for `_qseries_core`'s stopping rule in the context
-    c, the first n with 504 n^6 |q|^n below the cutoff, found term by term."""
+    c, the first n with 504 n^6 |q|^n below the cutoff, found term by term
+    on mpf values."""
     aq, aqn = abs(c.exp(2j * c.pi * tau0)), c.mpf(1)
     for n in range(1, modular._MAX_TERMS):
         aqn *= aq
         if 504 * n**6 * aqn < cutoff:
             return n, aq, aqn
     raise AssertionError("no tail below the cutoff")
+
+
+@pytest.mark.parametrize("digits", [40, 80, 300])
+def test_qseries_terms_match_the_exact_count(digits):
+    """`_qseries_terms`' count from float logs is exactly the first n with
+    504 n^6 |q|^n below 2^-bitlen(10^(dps + 10)), found term by term on
+    mpf values, at the points of `ROUTE_TAUS` and at the reduced points of
+    the 27 classes of dK=-3299 `1,1,3`, Im tau0 up to 28.7.  The theta
+    terms stop at the same threshold, `_cutoff`."""
+    ctx = modular._ctx(Precision(digits))
+    mod = make_modulus(make_discriminant(-3299), 1, 1, 3)
+    points = [descriptor(fc.rep, mod).eval_point() for fc in enumerate_classes(mod).classes]
+    taus = [point(ctx) for point in ROUTE_TAUS]
+    taus += [modular._reduce_tau(ctx, form)[0] for form in points]
+    assert len(taus) == len(ROUTE_TAUS) + 27
+    for tau0 in taus:
+        got = modular._qseries_terms(-2 * math.pi * float(tau0.imag), modular._cutoff(ctx))
+        assert got == qseries_terms(ctx, tau0, cutoff_mpf(ctx))[0], tau0
 
 
 def qseries_bounds(c, tau0, cutoff, z, w, values):
@@ -789,36 +805,51 @@ def mpc_loop_bounds(c, tau0, cutoff, z, w, values):
     return half_b + loop * (1 + abs(w) / abs(1 - w) ** 2) + head, half_b + loop, half_b + loop, delta
 
 
+def qseries_at(monkeypatch, c, tau0, cell, lcut):
+    """`_qseries_core` in the context c with its tail cutoff's log set to
+    lcut, whatever c's precision."""
+    with monkeypatch.context() as cut:
+        cut.setattr(modular, "_cutoff", lambda ctx: lcut)
+        return modular._qseries_core(c, tau0, cell)
+
+
+def cell_point(c, tau0, cell):
+    """(z, w) = ((k tau0 + m)/n, e^(2 pi i z)) in the context c."""
+    k, m, n = cell
+    z = (k * tau0 + m) / n
+    return z, c.exp(2j * c.pi * z)
+
+
 @pytest.mark.parametrize("digits", [80, 300])
-def test_qseries_within_its_error_bound(digits):
+def test_qseries_within_its_error_bound(monkeypatch, digits):
     """S, E4, E6 and Delta from `_qseries_core` at its cutoff, at working
     precision and at twice that, against the same call at the squared
     cutoff with twice the precision: within the sum of both calls' bounds
     from its docstring.  At twice the precision the rounding is far below
-    the cutoff, so that call tests the tail bound B/2 alone.  Each bound is
+    the cutoff, so that call tests the tail bound B/2 alone; the cutoff is
+    set through `_cutoff`, which ties it to the precision.  Each bound is
     at most the one the route stated when its loop ran on mpc values."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    cutoff = modular._cutoff(ctx)
+    lcut, cutoff = modular._cutoff(ctx), cutoff_mpf(ctx)
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
     names = ("S", "E4", "E6", "Delta")
     for k, point in enumerate(ROUTE_TAUS):
         tau0, ref_tau0 = point(ctx), ref.mpc(point(ctx))
-        for x, y in ROUTE_CELLS:
-            x, y = ctx.mpf(x), ctx.mpf(y)
-            z = x * ref_tau0 + y
-            w = ref.exp(2j * ref.pi * z)
-            want = modular._qseries_core(ref, ref_tau0, ref.mpf(cutoff) ** 2, x, y)
-            slack = qseries_bounds(ref, ref_tau0, ref.mpf(cutoff) ** 2, z, w, want)
+        for cell in ROUTE_CELLS:
+            z, w = cell_point(ref, ref_tau0, cell)
+            want = qseries_at(monkeypatch, ref, ref_tau0, cell, 2 * lcut)
+            slack = qseries_bounds(ref, ref_tau0, cutoff**2, z, w, want)
             for c, tau in ((ctx, tau0), (ref, ref_tau0)):
-                got = modular._qseries_core(c, tau, cutoff, x, y)
+                got = qseries_at(monkeypatch, c, tau, cell, lcut)
                 bounds = qseries_bounds(c, tau, cutoff, z, w, got)
                 for name, a, b, bound, s in zip(names, got, want, bounds, slack):
-                    assert abs(a - b) <= bound + s, (name, k, x, y, c.prec)
+                    assert abs(a - b) <= bound + s, (name, k, cell, c.prec)
                 before = mpc_loop_bounds(c, tau, cutoff, z, w, got)
                 for name, bound, old in zip(names, bounds, before):
-                    assert bound <= old, (name, k, x, y, c.prec)
+                    assert bound <= old, (name, k, cell, c.prec)
+    assert modular._qseries_core(ctx, tau0, cell) == qseries_at(monkeypatch, ctx, tau0, cell, lcut)
 
 
 def test_qseries_within_its_error_bound_far_up_the_half_plane(monkeypatch):
@@ -826,25 +857,26 @@ def test_qseries_within_its_error_bound_far_up_the_half_plane(monkeypatch):
     Im tau0 = 28.7 with x = 1/3, where |1/w| = |q|^(-1/3) is about 2^87:
     q times a floored 1/w would lose that many bits of b = q/w.  On every
     class, S, E4, E6 and Delta are within the docstring's bound of the
-    same call at 200 more bits (plus that call's own bound)."""
+    same call at 200 more bits and the same cutoff (plus that call's own
+    bound)."""
     mod = make_modulus(make_discriminant(-3299), 1, 1, 3)
     calls, core = [], modular._qseries_core
     monkeypatch.setattr(modular, "_qseries_core", lambda *a: calls.append(a) or core(*a))
     for fc in enumerate_classes(mod).classes:
         eval_descriptor_unreduced(descriptor(fc.rep, mod), P80)
     monkeypatch.undo()
-    assert max(t.imag for _, t, _, _, _ in calls) > 28
+    assert max(t.imag for _, t, _ in calls) > 28
     ref = mpmath.ctx_mp.MPContext()
-    for ctx, tau0, cutoff, x, y in calls:
+    for ctx, tau0, cell in calls:
         ref.prec = ctx.prec + 200
-        z = x * ref.mpc(tau0) + y
-        w = ref.exp(2j * ref.pi * z)
-        got = modular._qseries_core(ctx, tau0, cutoff, x, y)
-        want = modular._qseries_core(ref, ref.mpc(tau0), cutoff, x, y)
+        z, w = cell_point(ref, ref.mpc(tau0), cell)
+        cutoff = cutoff_mpf(ctx)
+        got = modular._qseries_core(ctx, tau0, cell)
+        want = qseries_at(monkeypatch, ref, ref.mpc(tau0), cell, modular._cutoff(ctx))
         bounds = qseries_bounds(ctx, tau0, cutoff, z, w, got)
         slack = qseries_bounds(ref, ref.mpc(tau0), cutoff, z, w, want)
         for name, a, b, bound, s in zip(("S", "E4", "E6", "Delta"), got, want, bounds, slack):
-            assert abs(a - b) <= bound + s, (name, tau0, x, y)
+            assert abs(a - b) <= bound + s, (name, tau0, cell)
 
 
 # Im tau from the unreduced law-check range up to 20, each with cells on
@@ -933,7 +965,7 @@ def test_theta_sum_within_its_error_bound(digits):
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
-    lcut = theta_lcut(ctx)
+    lcut = modular._cutoff(ctx)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         for cell in KERNEL_CELLS:
@@ -967,7 +999,7 @@ def test_j_cell_w_sums_equal_the_theta_constants(digits):
     reads only s3, s4 and p, whose loop the w-sums leave alone."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    lcut = theta_lcut(ctx)
+    lcut = modular._cutoff(ctx)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         form = root_form(tau.real, tau.imag)
@@ -1115,21 +1147,6 @@ def test_j_cell_counts_only_theta_terms():
             assert rest == [p, p], (im, digits)
 
 
-def test_theta_cutoff_log_is_the_cutoffs_exponent():
-    """`_theta_core` takes the log of its tail cutoff as
-    -bitlen(10^(dps + 10)) ln 2, from an int: that exponent equals
-    mag(`_cutoff`) - 1 at every digit count from 30 to 2000 and at
-    `MAX_DIGITS`, so the theta terms stop where they stopped when the log
-    came from the mpf cutoff.  Each count takes a fresh context, so the
-    `_ctx` cache does not grow."""
-    cached = len(modular._CONTEXTS)
-    for digits in [*range(30, 2001), modular.MAX_DIGITS]:
-        ctx = mpmath.ctx_mp.MPContext()
-        ctx.dps = digits + 10
-        assert -(10 ** (ctx.dps + 10)).bit_length() == ctx.mag(modular._cutoff(ctx)) - 1, digits
-    assert len(modular._CONTEXTS) == cached
-
-
 # the cells of `_exact_nome`'s test: x = 0, x = 1/2 on both edges, x < 0 and
 # denominators up to 40, each in [-1/2, 1/2]^2 as `_exact_cell` leaves it
 NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5),
@@ -1235,17 +1252,12 @@ def test_six_digit_translates_hold_their_digits(digits, form):
 )
 def test_point_forms_match_fraction_route(dk, ideal):
     """Every class's base and evaluation point forms against the forms that
-    trace and norm give their Fraction coordinates, and `_embed` of the
-    evaluation point's form equal, not close, to tau*u + v at 40, 80 and
-    1000 digits.  Every evaluation point here has a form of discriminant
-    dK, so `_embed` also runs on the points 2u*tau + v, mostly of
+    trace and norm give their Fraction coordinates.  Every evaluation point
+    here has a form of discriminant dK; the points 2u*tau + v mostly have
     discriminant k^2 dK with k > 1."""
     disc = make_discriminant(dk)
     mod = make_modulus(disc, *ideal)
-    taus, scaled = [], 0
-    for digits in (40, 80, 1000):
-        ctx = modular._ctx(Precision(digits))
-        taus.append((ctx, ctx.mpc(-disc.b0, ctx.sqrt(-disc.d)) / 2))
+    scaled = 0
     for fc in enumerate_classes(mod).classes:
         d = descriptor(fc.rep, mod)
         a, b = fc.rep.a, fc.rep.b
@@ -1259,11 +1271,6 @@ def test_point_forms_match_fraction_route(dk, ideal):
         assert point_coords(z, disc) == (u, v)
         doubled = fraction_point_form(disc, 2 * u, v)
         scaled += doubled.disc() != dk
-        for ctx, tau in taus:
-            for form, (x, y) in ((z, (u, v)), (doubled, (2 * u, v))):
-                x, y = (ctx.mpf(c.numerator) / c.denominator for c in (x, y))
-                want = tau * x + y
-                assert modular._embed(ctx, form, disc) == want, (fc.rep, form, ctx.dps)
     assert scaled > 0
 
 
@@ -1361,7 +1368,7 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     ]
     before = [call() for call in calls]
 
-    def refuse(ctx, t, steps):
+    def refuse(ctx, form):
         raise AssertionError("numeric reduction on the exact route")
 
     monkeypatch.setattr(modular, "_reduce_tau", refuse)
@@ -1373,8 +1380,8 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
 # the helpers each route computes with and the other must never call
 THETA_ARITHMETIC = ("_mul", "_div", "_norm", "_shift", "_scaled", "_theta_sums", "_theta_values",
                     "_torsion_exact")
-QSERIES_ARITHMETIC = ("_qseries_core", "_qseries_terms", "_qseries_mul", "_qseries_div",
-                      "_torsion_value", "_reduce_tau")
+QSERIES_ARITHMETIC = ("_qseries_values", "_qseries_core", "_qseries_terms", "_qseries_mul",
+                      "_qseries_div", "_torsion_value", "_reduce_tau")
 
 
 @pytest.mark.parametrize("mod", [MOD20, make_modulus(D4, 6, 0, 6)], ids=["-20", "-4"])
@@ -1406,24 +1413,24 @@ def test_descriptor_routes_share_no_arithmetic(monkeypatch, mod):
 
 def test_qseries_loop_builds_no_mpmath_value_per_term():
     """`_qseries_core` sums on ints: the mpf and mpc values its context
-    builds in one call, at the entry, in the stopping rule and at the exit,
-    stay under 40 as its term count grows from 27 at 40 digits to 381 at
-    1000 digits (tau0 = i); the rule's exact tests, three values each, grow
-    only with the log of the count.  Each call runs on a fresh context
-    whose number classes count every value they build."""
+    builds in one call, at the entry and at the exit, stay under 40 as its
+    term count grows from 27 at 40 digits to 381 at 1000 digits
+    (tau0 = i); the stopping rule tests float logs and builds none.  Each
+    call runs on a fresh context whose number classes count every value
+    they build."""
     built, terms = {}, {}
     for digits in (40, 1000):
         ctx = ctx_for(digits)
-        tau0, x, y, cutoff = ctx.mpc(0, 1), ctx.mpf("0.2"), ctx.mpf("-0.37"), modular._cutoff(ctx)
-        terms[digits], _, _ = qseries_terms(ctx, tau0, cutoff)
+        tau0, cell = ctx.mpc(0, 1), (20, -37, 100)
+        terms[digits], _, _ = qseries_terms(ctx, tau0, cutoff_mpf(ctx))
         count = []
         for kind in ("mpc", "mpf"):
             slot = getattr(mpmath.ctx_mp_python, "_" + kind).__dict__[f"_{kind}_"]
             counted = property(slot.__get__, lambda z, v, slot=slot: (count.append(v), slot.__set__(z, v)))
             setattr(getattr(ctx, kind), f"_{kind}_", counted)
-        got = modular._qseries_core(ctx, tau0, cutoff, x, y)
+        got = modular._qseries_core(ctx, tau0, cell)
         built[digits] = len(count)
-        assert got == modular._qseries_core(modular._ctx(Precision(digits)), tau0, cutoff, x, y)
+        assert got == modular._qseries_core(modular._ctx(Precision(digits)), tau0, cell)
     assert terms == {40: 27, 1000: 381}
     assert max(built.values()) < 40, built
 
