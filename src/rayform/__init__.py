@@ -8,8 +8,8 @@ composition and group structure.  A point of the field is the root of a
 primitive integral form; Fractions appear only when its coordinates are
 printed.  The numeric side (modular) evaluates the modular functions at
 whatever precision is asked for, from Jacobi theta series with the
-classical q-series as an independent reference, and never touches global
-state.  The checks module runs the
+classical q-series as an independent reference, on ints; mpmath serves
+only the values it hands out.  The checks module runs the
 property suite of one modulus, and the cli module exposes everything as
 subcommands.
 

@@ -3,10 +3,15 @@ the class group, numeric checks of the modular identities, the exact
 identity-class and invariance checks of the descriptors, and the numeric
 route check.  All random samples come from the caller's generator in a
 fixed order, so a seeded generator makes the report reproducible byte for
-byte."""
+byte.  The numeric checks read the routes' exact values (re, im, e) =
+(re + i im) 2^e, the theta route's each rounded once where its core formed
+it and the q-series route's unrounded, and decide on ints: each residual
+is kept as its exact square, a pair of ints, and only the worst is
+printed, through one Fraction."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -78,21 +83,55 @@ def _random_form(rng) -> QuadForm:
             return form
 
 
+def _diff(x, y):
+    """x - y for exact values (re, im, e), exactly, on the lower exponent."""
+    (xr, xi, xe), (yr, yi, ye) = x, y
+    e = min(xe, ye)
+    return (xr << xe - e) - (yr << ye - e), (xi << xe - e) - (yi << ye - e), e
+
+
+def _prod(x, y, c: int = 1):
+    """c x y for exact values x and y and an int c, exactly."""
+    (xr, xi, xe), (yr, yi, ye) = x, y
+    return c * (xr * yr - xi * yi), c * (xr * yi + xi * yr), xe + ye
+
+
+def _square(num, den=(1, 0, 0)):
+    """The residual |num|/|den| of two exact values, squared, as a pair of
+    ints (n, d) with n/d = |num|^2/|den|^2, exactly."""
+    (nr, ni, ne), (dr, di, de) = num, den
+    n, d, s = nr * nr + ni * ni, dr * dr + di * di, 2 * (ne - de)
+    return (n << s, d) if s >= 0 else (n, d << -s)
+
+
+def _root(square) -> Fraction:
+    """The residual whose square is the pair (n, d), as a Fraction within a
+    relative 2^-78 of sqrt(n/d), far below the 4 digits `sci` prints."""
+    n, d = square
+    k = max(0, (d.bit_length() - n.bit_length()) // 2) + 80
+    return Fraction(math.isqrt((n << 2 * k) // d), 1 << k)
+
+
 def _power_samples(p, rng, samples: int):
     """(form, row, (j, f1, f2, f3)) at `samples` random forms and rows, the
-    values from the theta route's one reduced entry."""
+    exact values from the theta route's one reduced entry."""
     drawn = [(_random_form(rng), _random_row(rng)) for _ in range(samples)]
     return [(f, row, modular._reduced_values(p, f, modular.FrickeLabel(1, *row), range(4))) for f, row in drawn]
 
 
 def _power_residuals(drawn):
     """Both reduce to Delta = E4^3 - E6^2, where S is only a scale factor:
-    they test Jacobi's identity among the theta constants, not S."""
+    they test Jacobi's identity among the theta constants, not S.  Each is
+    cross-multiplied, |f2 (j - 1728) - 46656 f1^2|/|j - 1728| and
+    |f3 j (j - 1728) - 80621568 f1^3|/|j (j - 1728)|, with no quotient
+    taken; samples with |j| or |j - 1728| below 10^-5 are skipped."""
     for _, _, (jv, f1, f2, f3) in drawn:
-        if abs(jv) < 1e-5 or abs(jv - 1728) < 1e-5:
+        shifted = _diff(jv, (1728, 0, 0))
+        if any(n * 10**10 < d for n, d in (_square(jv), _square(shifted))):
             continue
-        yield abs(f2 - 46656 * f1**2 / (jv - 1728))
-        yield abs(f3 - 80621568 * f1**3 / (jv * (jv - 1728)))
+        yield _square(_diff(_prod(f2, shifted), _prod(f1, f1, 46656)), shifted)
+        both = _prod(jv, shifted)
+        yield _square(_diff(_prod(f3, both), _prod(_prod(f1, f1), f1, 80621568)), both)
 
 
 def _law_matrix(rng):
@@ -117,7 +156,7 @@ def _law_residuals(p, rng, samples: int):
         g = _law_matrix(rng)
         label = modular.FrickeLabel(1, r, s, level)
         moved = modular.FrickeLabel(1, r * g.p + s * g.r, r * g.q + s * g.s, level)
-        yield abs(modular._fricke_at(label, act(form, g.inv()), p) - modular._fricke_at(moved, form, p))
+        yield _square(_diff(modular._fricke_at(label, act(form, g.inv()), p), modular._fricke_at(moved, form, p)))
 
 
 def _route_residuals(descs, drawn, p):
@@ -126,9 +165,9 @@ def _route_residuals(descs, drawn, p):
     points test the routes away from the one tau to which every descriptor
     point of dK = -3 or -4 reduces."""
     for d in descs:
-        yield abs(modular.eval_descriptor(d, None, p) - modular.eval_descriptor_unreduced(d, p))
+        yield _square(_diff(modular._eval_descriptor(d, None, p), modular._eval_descriptor_unreduced(d, p)))
     for form, row, values in drawn:
-        yield abs(values[1] - modular._qseries_values(p, form, row, (1,))[0])
+        yield _square(_diff(values[1], modular._qseries_values(p, form, row, (1,))[0]))
 
 
 def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list[Check]:
@@ -145,7 +184,6 @@ def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list
         raise QFieldError(f"tolerance exponent must be from 1 to {modular.MAX_DIGITS}, got {tol_exp}")
     if samples < 1:
         raise QFieldError(f"sample count must be at least 1, got {samples}")
-    tol = Fraction(10) ** -tol_exp
     disc, group = mod.disc, group_table(mod)
     reps = [fc.rep for fc in group.classes]
     h, checks = len(reps), []
@@ -154,8 +192,12 @@ def run_checks(mod: IdealTriple, p, tol_exp: int, rng, samples: int = 5) -> list
         checks.append(Check(name, passed, detail))
 
     def numeric(name: str, residuals):
-        worst = max((Fraction(str(r)) for r in residuals), default=Fraction(0))
-        record(name, worst <= tol, f"worst residual {sci(worst)}")
+        worst = 0, 1
+        for n, d in residuals:
+            if n * worst[1] > worst[0] * d:
+                worst = n, d
+        passed = worst[0] * 10 ** (2 * tol_exp) <= worst[1]
+        record(name, passed, f"worst residual {sci(_root(worst))}")
 
     # the representatives and two translates each fall into h blocks under
     # the class key, under the ideal key and under both, and the witness

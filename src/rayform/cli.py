@@ -3,10 +3,11 @@
 Subcommands map one-to-one onto engine operations; all output goes to
 stdout as JSON by default or as aligned text with --format text.  Exit
 status: 0 success, 2 invalid input, 3 internal consistency failure.
-Only `eval` and `verify` import the numeric layer (modular and checks, and
-with them mpmath), inside their handlers: the other subcommands never load
-it, and a failed normalization self-test exits 3 like any other
-`InternalCheckError`.
+Only `eval` and `verify` import the numeric layer (modular and checks),
+inside their handlers: the other subcommands never load it, and a failed
+normalization self-test exits 3 like any other `InternalCheckError`.
+`verify` decides every check on ints and never loads mpmath; `eval` loads
+it to hand its value out and print it.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ These four numbers are computed along two independent routes:
   magnitude its docstring names.  `_torsion_exact` forms each requested
   value, j or an indexed function, from those four with the same
   operations, within 2^-prec of its formula relative to the magnitude
-  its docstring names, and each is rounded to an mpmath value once.
+  its docstring names, and each is rounded to prec bits once.
 * the q-series route (`_qseries_core`): the pe q-series in e^(2 pi i tau)
   with E4 and E6 as Lambert series in the same loop, over shared powers
   of q and one stopping rule, and the discriminant as Jacobi's product
@@ -36,10 +36,13 @@ These four numbers are computed along two independent routes:
   `eval_descriptor_unreduced` uses it, so the check comparing it with
   `eval_descriptor` compares two independent series.  Its loop runs on
   ints at one fixed scale, by its own product and quotient
-  (`_qseries_mul`, `_qseries_div`), between an entry and an exit on mpmath
-  floats; `_torsion_value` combines its four values on mpmath floats.  It
-  shares no arithmetic with the theta route's fixed-point sums, values or
-  `_torsion_exact`, to catch their slips.
+  (`_qseries_mul`, `_qseries_div`).  Its numeric reduction
+  (`_reduce_tau`), its entry (q, w, q w and q/w from its own complex
+  exponential `_qseries_exp`), its exit and `_torsion_value`, which
+  combines its four values, run on its own ints too, a binary exponent
+  carrying the scale of q and the discriminant.  It shares no arithmetic
+  with the theta route's fixed-point sums, values or `_torsion_exact`, to
+  catch their slips.
 
 Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
@@ -63,16 +66,30 @@ Every theta core gets q = e^(i pi tau0), w = e^(2 pi i z), 1/w and q/w
 from one builder, `_exact_nome`, at the root of the form (a, b, c) and
 the cell: one real exponential R = e^(-pi Im tau0/n), with |q| = R^n,
 |w| = R^(2k) and |1/w| = 1/R^(2k) by binary powering, and the phases
-pi (-b)/(2a) and pi (2ma - kb)/(an), each an integer pair through one
-`mpf_cos_sin_pi` after an exact integer fold into [0, 1/4]
-(`_cos_sin_pi`); 1/w takes the conjugate of w's phase, and q/w is the
-product of q and 1/w.  All four are exact values
-(re, im, e) = (re + i im) 2^e, never rounded to the context's precision.
-Only the q-series route calls a complex exponential.
+pi (-b)/(2a) and pi (2ma - kb)/(an), each an integer pair through
+`_cos_sin_pi`, which folds it exactly into [0, 1/4] before its series;
+1/w takes the conjugate of w's phase, and q/w is the product of q and
+1/w.  All four are exact values (re, im, e) = (re + i im) 2^e, never
+rounded to the working precision.  Only the q-series route takes a
+complex exponential (`_qseries_exp`).
 
-One read-only mpmath context per digit count, cached for the process by
-`_ctx`; no caller may set its dps or prec.  Complex results are mpmath mpc
-values; they are exchangeable across contexts.
+The numeric layer runs on ints from the form to the value.  The
+elementary functions are int helpers that both routes call, a shared
+library below their own arithmetic: pi and ln 2 (`_constant`, memoized
+with headroom, the module's only state besides `_ctx`'s contexts), the
+real exponential (`_exp`) and the Taylor series of cosh and cos behind
+it and `_cos_sin_pi` (`_exp_series`), and the rounding `_rounded`, the
+nearest-even rule of libmp's from_man_exp.  A theta-route value leaves
+its core as an exact value rounded once to prec = `_prec(p)` bits; a
+q-series value stays unrounded until `eval_descriptor_unreduced` hands
+it out, so `verify`'s checks, which compare exact values on ints, read
+the theta route's rounding against it.  mpmath is imported only where a
+value leaves the library as an mpmath number: the mpc that
+`eval_descriptor`, `fricke`, `eisenstein_j` and
+`eval_descriptor_unreduced` return (`_mpc`), and `complex_to_json`.
+`_ctx` keeps one read-only mpmath context per digit count for them; no
+caller may set its dps or prec.  Complex results are mpmath mpc values;
+they are exchangeable across contexts.
 
 Normalization is pinned at import by two self-checks, j(i) = 1728 and
 j(rho) = 0, at the roots of (1, 0, 1) and (1, 1, 1).
@@ -82,9 +99,6 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import mpmath
-from mpmath import libmp
 
 from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, _reduce_cap, automorphs, reduce, t_power
 from .qfield import Discriminant, InternalCheckError, QFieldError
@@ -117,24 +131,182 @@ class Precision(_Digits):
         return tuple.__new__(cls, (digits,))
 
 
-_CONTEXTS: dict[Precision, mpmath.ctx_mp.MPContext] = {}
+def _prec(p: Precision) -> int:
+    """The working precision in bits, libmp's dps_to_prec(p.digits + 10)."""
+    return max(1, int(round((p.digits + 11) * 3.3219280948873626)))
 
 
-def _ctx(p: Precision) -> mpmath.ctx_mp.MPContext:
-    """The one context per digit count, cached for the process, working at
-    p.digits + 10 digits.  It is read-only: no caller may set its dps or prec."""
+def _cutoff(p: Precision) -> float:
+    """The log of the series tail threshold 2^-bitlen(10^(digits + 20)), a
+    float: below 10^-(digits + 20).  Both cores stop their series at it."""
+    return -(10 ** (p.digits + 20)).bit_length() * math.log(2)
+
+
+# pi and ln 2 at the most bits asked for so far, (bits, value): the
+# module's only state besides `_ctx`'s contexts, two constants
+_CONSTANTS = {"pi": (0, 0), "ln2": (0, 0)}
+
+
+def _arccot(m: int, wp: int, hyperbolic: bool) -> int:
+    """arccot m, or arccoth m when hyperbolic, for an int m >= 2, at scale
+    2^wp: sum_k (+-1)^k m^-(2k+1)/(2k+1), the sign (-1)^k unless
+    hyperbolic.  The power is floored once per step, and floors of floors
+    of positive quotients compose, so it is floor(2^wp/m^(2k+1)) and each
+    term floor(2^wp/((2k+1) m^(2k+1))), within a unit; the series stops at
+    the first power below a unit, so for K terms the sum is within K + 1
+    units of arccot m 2^wp."""
+    power = (1 << wp) // m
+    total, k, square = power, 1, m * m
+    while power:
+        power //= square
+        term = power // (2 * k + 1)
+        total += term if hyperbolic or k % 2 == 0 else -term
+        k += 1
+    return total
+
+
+def _constant(name: str, wp: int) -> int:
+    """pi or ln 2 by name at scale 2^wp, within 3 units (3 2^-wp), memoized
+    with headroom as libmp's constant_memo memoizes: asked for more bits
+    than the memo holds, it computes bits = 1.05 wp + 10, and a smaller
+    request is the memo shifted down.  pi = 16 arccot 5 - 4 arccot 239
+    (Machin) and ln 2 = 18 arccoth 26 - 2 arccoth 4801 + 8 arccoth 8749, as
+    libmp forms it, each at g = bitlen(bits) + 6 guard bits: the weighted
+    `_arccot` errors, under (3.7 bits + 48) units, are below a tenth of
+    2^g, so the memo is within 1.1 units of its constant and a shift down
+    within 2.1."""
+    bits, value = _CONSTANTS[name]
+    if wp > bits:
+        bits = int(1.05 * wp) + 10
+        g = bits.bit_length() + 6
+        terms = ((16, 5), (-4, 239)) if name == "pi" else ((18, 26), (-2, 4801), (8, 8749))
+        value = sum(c * _arccot(m, bits + g, name == "ln2") for c, m in terms) >> g
+        _CONSTANTS[name] = bits, value
+    return value >> bits - wp
+
+
+def _series_terms(x: int, w: int) -> int:
+    """The term count n of `_exp_series` at y = x 2^-w in (0, 1/32): the
+    least n whose first omitted term of cosh y, y^(2n + 2)/(2n + 2)!, lies
+    below 2^-w, counted in float logs, as `_theta_terms` counts its tails.
+    The terms fall by a factor (2k + 1)(2k + 2)/y^2 > 12000 from one to
+    the next, so the omitted tail is below 1.0001 units; the logs are good
+    to a relative 10^-12, so a term the count drops lies below 1.000001
+    units."""
+    step, cut = 2 * (math.log(x) - w * math.log(2)), -w * math.log(2)
+    log_term, n = 0.0, 0
+    while True:
+        n += 1
+        log_term += step - math.log((2 * n - 1) * 2 * n)
+        if log_term < cut:
+            return n - 1
+
+
+def _exp_series(x: int, wp: int, alt: bool = False):
+    """e^y, or the pair (cos y, sin y) when alt, at scale 2^wp for
+    y = x 2^-wp in [0, 1) and wp >= 100: a port of libmp's
+    exponential_series (Brent and Zimmermann, Modern Computer Arithmetic,
+    4.3-4.4).  With 2^(m - 1) <= y < 2^m, y is halved r = max(0, m +
+    isqrt(wp)//2) times to y' < 2^-5, and the series of cosh y' (cos y')
+    summed at w = wp + g bits, g = 2r - m + bitlen(wp) + 8, to
+    `_series_terms`' n terms, u of them per product by y'^(2u) (u = 2, or
+    0.3 wp^0.35 from 1500 bits on, as libmp splits).  e^y is then
+    c + isqrt(c^2 - 1) squared r times, and cos y comes from r
+    double-angle steps c -> 2c^2 - 1, sin y as isqrt(1 - c^2).
+    Error bound: each term is within 1.5 units of 2^-w and the tail under
+    1.0001, so c is within d = 2n + u + 3 units of cosh y' (cos y').  To
+    first order c's error moves the exponent (the angle) by d/sinh y'
+    (d/sin y') units, each of the r squarings (double-angle steps) doubles
+    that and adds under a unit of its own, and the isqrt adds under a
+    unit: a relative (angle) error under 4^r (d + 1/3) pi/(2y) + 2^(r + 1)
+    units of 2^-w.  With y >= 2^(m - 1) and d <= wp (n <= wp/10 + 4 at
+    y' < 2^-5), that is under 0.03 units of 2^-wp, and the final floor
+    adds one: e^y is within a relative 1.1 2^-wp, and cos y and sin y are
+    each within 1.1 2^-wp.  y = 0 returns the exact value."""
+    if not x:
+        return (1 << wp, 0) if alt else 1 << wp
+    mag = x.bit_length() - wp
+    r = max(0, mag + math.isqrt(wp) // 2)
+    extra = 2 * r - mag + wp.bit_length() + 8
+    w = wp + extra
+    x <<= extra - r
+    one = 1 << w
+    u = 2 if wp < 1500 else int(0.3 * wp**0.35)
+    powers = [one, (x * x) >> w]
+    for _ in range(u - 1):
+        powers.append((powers[-1] * powers[1]) >> w)
+    sums, a = [0] * u, powers[1]
+    for k in range(1, _series_terms(x, w) + 1):
+        i = (k - 1) % u
+        if k > 1 and not i:
+            a = (a * powers[u]) >> w
+        a //= (2 * k - 1) * 2 * k
+        sums[i] += -a if alt and k & 1 else a
+    c = one + sums[0] + sum((s * power) >> w for s, power in zip(sums[1:], powers[1:]))
+    if not alt:
+        v = c + math.isqrt(c * c - (one << w))
+        for _ in range(r):
+            v = (v * v) >> w
+        return v >> extra
+    for _ in range(r):
+        c = ((c * c) >> w - 1) - one
+    return c >> extra, math.isqrt(abs((one << w) - c * c)) >> extra
+
+
+def _exp(x: int, wp: int):
+    """e^(x 2^-wp) for any int x as (man, e), man 2^e within a relative
+    2^-wp.  With b = bitlen(|x| >> wp) and w = wp + b + 4, x = n ln 2 + t
+    by one floor division by ln 2 at scale 2^w (`_constant`), t in
+    [0, ln 2), and e^x = 2^n e^t, e^t from `_exp_series` at w bits.  ln 2's
+    3 units times |n| <= 2.45 2^b move t by under 0.5 units of 2^-wp, and
+    the series adds 1.1 units of 2^-w."""
+    b = (abs(x) >> wp).bit_length()
+    w = wp + b + 4
+    n, t = divmod(x << w - wp, _constant("ln2", w))
+    return _exp_series(t, w), n - w
+
+
+def _rounded(value, prec: int):
+    """The exact value (re, im, e) with each part rounded to prec bits to
+    nearest, ties to even, as libmp's from_man_exp(man, e, prec, "n")
+    rounds a part, on the lower of the two parts' exponents."""
+    re, im, e = value
+    parts = []
+    for man in (re, im):
+        n = max(0, abs(man).bit_length() - prec)
+        if n:
+            t = abs(man) >> n - 1
+            t = (t >> 1) + bool(t & 1 and (t & 2 or abs(man) & (1 << n - 1) - 1))
+            man = t if man > 0 else -t
+        parts.append((man, n))
+    low = min((n for man, n in parts if man), default=0)
+    return (*(man << n - low if man else 0 for man, n in parts), e + low)
+
+
+_CONTEXTS: dict = {}
+
+
+def _ctx(p: Precision):
+    """The one mpmath context per digit count, cached for the process,
+    working at p.digits + 10 digits, built (and mpmath imported) only when
+    a value leaves the library as an mpmath number.  It is read-only: no
+    caller may set its dps or prec."""
     ctx = _CONTEXTS.get(p)
     if ctx is None:
-        ctx = _CONTEXTS[p] = mpmath.ctx_mp.MPContext()
+        from mpmath.ctx_mp import MPContext
+
+        ctx = _CONTEXTS[p] = MPContext()
         ctx.dps = p.digits + 10
     return ctx
 
 
-def _cutoff(ctx) -> float:
-    """The log of the series tail threshold 2^-bitlen(10^(dps + 10)), a
-    float: below 10^-(digits + 20) for `_ctx(Precision(digits))`.  Both
-    cores stop their series at it."""
-    return -(10 ** (ctx.dps + 10)).bit_length() * math.log(2)
+def _mpc(p: Precision, value):
+    """A rounded exact value (re, im, e) as the mpc of p's context, exactly:
+    where a value leaves the library."""
+    from mpmath.libmp import from_man_exp
+
+    re, im, e = value
+    return _ctx(p).make_mpc((from_man_exp(re, e), from_man_exp(im, e)))
 
 
 class _LabelFields(NamedTuple):
@@ -196,15 +368,30 @@ def _qseries_terms(lq: float, lcut: float) -> int:
     the decision turns, |n lq| is about |lcut|, at most 2.4e5 at
     `MAX_DIGITS`, so the float test errs only where B lies within a
     relative 10^-9 of the cutoff, and then stops with B below 1.000000001
-    times it.  The cutoff lies 10 digits below the context's working
-    precision, so that excess is lost in the slack."""
+    times it.  The cutoff lies 10 digits below the working precision, so
+    that excess is lost in the slack."""
     for n in range(max(1, math.ceil((math.log(504) - lcut) / -lq) - 1), _MAX_TERMS):
         if math.log(504) + 6 * math.log(n) + n * lq < lcut:
             return n
     raise InternalCheckError("q-series did not reach the tail cutoff")
 
 
-def _qseries_core(ctx, tau0, cell: tuple[int, int, int]):
+def _qseries_exp(re: int, im: int, den: int, wp: int):
+    """The q-series route's complex exponential e^(2 pi i (re + i im)/den)
+    for ints re, im and den > 0, as an exact value: its radius
+    e^(-2 pi im/den) from `_exp` times its phase from `_cos_sin_pi`, at wp
+    bits, multiplied exactly.  The exponent 2 pi im/den is floored at
+    scale 2^wp from pi at wp + b + 2 bits, b = bitlen(|im| // den), within
+    2.5 units of 2^-wp, so the radius is within a relative 3.5 2^-wp; each
+    phase part is within 2^(2 - wp), so the value is within a relative
+    10 2^-wp."""
+    b = (abs(im) // den).bit_length()
+    man, e = _exp(-(2 * _constant("pi", wp + b + 2) * im // (den << b + 2)), wp)
+    c, s, ce = _cos_sin_pi(2 * re, den, wp)
+    return man * c, man * s, e + ce
+
+
+def _qseries_core(p: Precision, tau0, cell: tuple[int, int, int]):
     """(S, E4, E6, Delta) at tau0 and z = (k tau0 + m)/n for the cell
     (k, m, n) of `_exact_cell`, x = k/n and y = m/n in [-1/2, 1/2], from
     q-series in q = e^(2 pi i tau0), with Delta = 1728 q P^24 by
@@ -217,8 +404,8 @@ def _qseries_core(ctx, tau0, cell: tuple[int, int, int]):
     S = 1/12 + w/(1 - w)^2 + sum (a/(1 - a)^2 + b/(1 - b)^2 - 2 u t), with
     w = e^(2 pi i z), a = q^(n-1) a1, b = q^(n-1) b1 for a1 = q w,
     b1 = q/w, and pe(z; [tau0, 1]) = -4 pi^2 S.
-    It runs n = 1 to N, the first n with B = 504 n^6 |q|^n below the
-    context's `_cutoff`, the theta route's threshold too, counted in float
+    It runs n = 1 to N, the first n with B = 504 n^6 |q|^n below
+    `_cutoff`, the theta route's threshold too, counted in float
     logs by `_qseries_terms`.  `_reduce_tau` hands over |Re tau0| <= 1/2
     and |tau0| >= 1 up to rounding, so |q| < 1/200 and each tail is below
     B/2: the tail of sum n^k u (k = 3, 5) is sum_(m > N) c_m q^m with
@@ -229,58 +416,59 @@ def _qseries_core(ctx, tau0, cell: tuple[int, int, int]):
     prod_(m > N) (1 - q^m) lie within 1.01 sum_(m > N) |q|^m < |q|^N/190
     of 1, so Delta's relative tail is below 24 times that, |q|^N/7 < B/2.
 
-    Only the entry and the exit are mpc.  q, w, a1 and b1 come from the
-    context's exp, product and quotient, each within a relative
-    e = 2^(1 - prec) per operation, z from the int cell by one product, one
-    sum and one quotient: q within eq = (1 + 4 pi |tau0|) e, w within
-    ew = (5 + 26 |z|) e, a1 and b1 within eq + ew + e.  Each is
-    floored once to a pair of ints at scale 2^wp, wp = prec + g with
+    tau0 is an exact value (x, y, -W), as `_reduce_tau` returns it, and z's
+    parts are exact fractions of ints.  q and w come from the route's own
+    complex exponential `_qseries_exp` at tau0 and at z, each within
+    eq = ew = 10 2^-wp relative, a1 = q w is their exact product and
+    b1 = q/w their exact quotient, both within eq + ew.  Each is floored
+    once to a pair of ints at scale 2^wp, wp = prec + g with
     g = 6 bitlen(N + 1) + 8, and the loop runs on those ints alone, by
     `_qseries_mul` and `_qseries_div`, each exact on ints and then floored,
     within f = 2^(1/2 - wp) of its result on its stored operands.  b1 is
-    taken from the mpc quotient, not as q times a floored 1/w: |1/w| is up
-    to |q|^(-1/2), and that product would lose pi Im tau0/ln 2 bits.
+    taken from the exact quotient, not as q times a floored 1/w: |1/w| is
+    up to |q|^(-1/2), and that product would lose pi Im tau0/ln 2 bits.
     Every factor in the loop has modulus at most 1, so to first order
     q^n, a and b are within 1.1 f, 1 - q^n's reciprocal t within 2.1 f,
     u within 2.1 f, 2 u t within 6.1 f, each a/(1 - a)^2 within 2.6 f
     (|a| <= |q|^(1/2) < 0.071), so each term of S within 12 f, and P
     within 2.1 N f.  The head w/(1 - w)^2 is within
     (1 + (1 + |w|)(h + h^2)^2) f for h = 1/|1 - w|, and 1/12 within f.
-    The exit rounds S, E4 and E6 to prec bits, within e/2 of each modulus,
-    and forms Delta as the mpc product of q with 1728 P^24, taken on the
-    ints by four squarings and one product (within 24 times P's relative
-    error plus 23 f/0.88 relative) and rounded once.
+    The exit returns S, E4 and E6 as exact values at scale 2^wp, unrounded,
+    and Delta as the exact product of q, with its binary exponent, and
+    1728 P^24, taken on the ints by four squarings and one product (within
+    24 times P's relative error plus 23 f/0.88 relative);
+    `_torsion_value` rounds each value it forms from them once.
     The entry errors move each term r/(1 - r)^2 = sum k^2 r^k of S by at
-    most 1.34 |r| times its relative error, n eq + ew + e for r = a, b and
-    n eq for r = q^n, under 1.6 |q|^(1/2) (eq + ew + e) in all, as
+    most 1.34 |r| times its relative error, n eq + ew for r = a, b and
+    n eq for r = q^n, under 1.6 |q|^(1/2) (eq + ew) in all, as
     |a| + |b| <= |q|^(n - 1/2) + |q|^(n + 1/2); they move E4 by
     240 sum n^4 |q|^n eq/(1 - |q|^n)^2 < 263 |q| eq, E6 by 682 |q| eq and
     P by 1.02 |q| eq relative.  So
-      S is within B/2 + ew |w| |1 + w|/|1 - w|^3 + 1.6 |q|^(1/2) (eq + ew + e)
-        + e |S|/2 + (12 N + 2 + (1 + |w|)(h + h^2)^2) f,
-      E4 within B/2 + 263 |q| eq + e |E4|/2 + 122 N^2 (N + 1)^2 f,
-      E6 within B/2 + 682 |q| eq + e |E6|/2 + 171 (N + 1)^6 f,
-      Delta within (B/2 + (1 + 25 |q|) eq + 3e/2 + (51 N + 26) f) |Delta|,
+      S is within B/2 + ew |w| |1 + w|/|1 - w|^3 + 1.6 |q|^(1/2) (eq + ew)
+        + (12 N + 2 + (1 + |w|)(h + h^2)^2) f,
+      E4 within B/2 + 263 |q| eq + 122 N^2 (N + 1)^2 f,
+      E6 within B/2 + 682 |q| eq + 171 (N + 1)^6 f,
+      Delta within (B/2 + (1 + 25 |q|) eq + (51 N + 26) f) |Delta|,
     and the guard g puts each f term of E4 and E6 below 2^-prec.
     """
+    x, y, e = tau0
     k, m, den = cell
-    q = ctx.exp(2j * ctx.pi * tau0)
-    w = ctx.exp(2j * ctx.pi * ((k * tau0 + m) / den))
-    terms = _qseries_terms(-2 * math.pi * float(tau0.imag), _cutoff(ctx))
-    prec, rnd = ctx._prec_rounding
-    wp = prec + 6 * (terms + 1).bit_length() + 8
+    scale = 1 << -e
+    terms = _qseries_terms(-2 * math.pi * (y / scale), _cutoff(p))
+    wp = _prec(p) + 6 * (terms + 1).bit_length() + 8
     one = 1 << wp
     mul, div = _qseries_mul, _qseries_div
 
-    def fixed(v):
-        re, im = v._mpc_
-        return libmp.to_fixed(re, wp), libmp.to_fixed(im, wp)
+    def fixed(re, im, e, den=1):
+        """(re + i im) 2^e/den floored at scale 2^wp."""
+        s = e + wp
+        return ((re << s) // den, (im << s) // den) if s >= 0 else (re // (den << -s), im // (den << -s))
 
-    def rounded(re, im):
-        parts = (libmp.from_man_exp(v, -wp, prec, rnd) for v in (re, im))
-        return ctx.make_mpc(tuple(parts))
-
-    qq, w, a, b = (fixed(v) for v in (q, w, q * w, q / w))
+    qr, qi, qe = _qseries_exp(x, y, scale, wp)
+    wr, wi, we = _qseries_exp(k * x + m * scale, k * y, den * scale, wp)
+    qq, w = fixed(qr, qi, qe), fixed(wr, wi, we)
+    a = fixed(qr * wr - qi * wi, qr * wi + qi * wr, qe + we)
+    b = fixed(qr * wr + qi * wi, qi * wr - qr * wi, qe - we, wr * wr + wi * wi)
     cw = one - w[0], -w[1]
     head = div(w, mul(cw, cw, wp), wp)
     s_re, s_im = one // 12 + head[0], head[1]
@@ -306,9 +494,10 @@ def _qseries_core(ctx, tau0, cell: tuple[int, int, int]):
     p4 = mul(p2, p2, wp)
     p8 = mul(p4, p4, wp)
     p24 = mul(mul(p8, p8, wp), p8, wp)
-    e4 = rounded(one + 240 * l4r, 240 * l4i)
-    e6 = rounded(one - 504 * l6r, -504 * l6i)
-    return rounded(s_re, s_im), e4, e6, q * rounded(1728 * p24[0], 1728 * p24[1])
+    e4 = one + 240 * l4r, 240 * l4i, -wp
+    e6 = one - 504 * l6r, -504 * l6i, -wp
+    pr, pi = 1728 * p24[0], 1728 * p24[1]
+    return (s_re, s_im, -wp), e4, e6, (pr * qr - pi * qi, pr * qi + pi * qr, qe - wp)
 
 
 def _theta_terms(lq: float, lv: float, shift: int, lcut: float) -> int:
@@ -558,7 +747,7 @@ def _torsion_exact(wp: int, i: int, values):
     return _div(num, den, wp)
 
 
-def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
+def _theta_core(p: Precision, form: QuadForm, cell: tuple[int, int, int], indices):
     """The torsion-value functions numbered in indices (0 standing for j)
     at the upper half plane root tau0 of a positive definite integral form
     and z = x*tau0 + y, cell (k, m, n) = (xn, yn, n), from Jacobi theta
@@ -584,41 +773,33 @@ def _theta_core(ctx, form: QuadForm, cell: tuple[int, int, int], indices):
     `_theta_sums` takes w as its a, and b, and returns from one pass the
     three theta-constant sums and the even and odd halves of G~ at w and
     at 1/w (G is the same halves with the odd one negated), each cut where
-    `_theta_terms` bounds its tail below the context's `_cutoff`,
-    2^-bitlen(10^(dps + 10)), the q-series route's own.  `_theta_values`
+    `_theta_terms` bounds its tail below `_cutoff`,
+    2^-bitlen(10^(digits + 20)), the q-series route's own.  `_theta_values`
     forms S, E4, E6 and Delta from the sums on ints, `_torsion_exact` each
-    requested value from those, and each value is rounded to an mpc once,
-    the one use of the context besides prec and `_cutoff`.
+    requested value from those, and each value is rounded to prec =
+    `_prec(p)` bits once (`_rounded`) and returned as an exact value.
     """
     if form.a <= 0 or form.disc() >= 0:
         raise QFieldError(f"cannot evaluate at indefinite or negative form {form}")
-    prec, rnd = ctx._prec_rounding
+    prec = _prec(p)
     q, w, winv, b, lq, lw = _exact_nome(prec, form, cell)
-    wp, sums = _theta_sums(prec, q, lq, _cutoff(ctx), w, b, lw)
+    wp, sums = _theta_sums(prec, q, lq, _cutoff(p), w, b, lw)
     values = _theta_values(wp, sums, q, winv)
-    return tuple(
-        ctx.make_mpc((libmp.from_man_exp(re, e, prec, rnd), libmp.from_man_exp(im, e, prec, rnd)))
-        for re, im, e in (_torsion_exact(wp, i, values) for i in indices)
-    )
+    return tuple(_rounded(_torsion_exact(wp, i, values), prec) for i in indices)
 
 
 def _cos_sin_pi(num: int, den: int, prec: int):
-    """e^(i pi num/den) for den > 0 as an exact value (re, im, e), each part
-    within 2^(2 - prec), from one `mpf_cos_sin_pi` at an argument in [0, 1/4].
+    """e^(i pi num/den) for den > 0 as an exact value (re, im, -prec), each
+    part within 2^(2 - prec), from one `_exp_series` at an angle in
+    [0, pi/4].
 
     The fold is exact on ints: num/den is taken mod 2, then
     t -> 2 - t (sin changes sign) brings it into [0, 1], t -> 1 - t (cos
     changes sign) into [0, 1/2] and t -> 1/2 - t (cos and sin trade places)
-    into [0, 1/4].  The fold is for speed: with pi=True, mpmath 1.3.0's
-    `mpf_cos_sin` subtracts the nearest half-integer from an argument
-    beyond 1/4, which leaves a negative mantissa when the argument lies
-    below it; the pure-Python bitcount gives 0 for that, and the working
-    precision becomes about twice prec (at 1000 digits on a 2-core Xeon,
-    cos_sin_pi(8/31) took 1.33 ms, cos_sin_pi(20/31) 0.34 ms and 8/31
-    folded to 15/62 0.34 ms).  In [0, 1/4) nothing is subtracted.  The
-    folded argument is rounded to prec bits, which moves pi t by under
-    2^(-prec) pi/2, and each part is rounded once more and taken exactly.
-    """
+    into [0, 1/4], where the series' sine, a square root, is nonnegative.
+    The angle pi t is floored at scale 2^prec from pi at prec + 2 bits,
+    within 1.25 units of 2^-prec, and the series adds 1.1 units to each
+    part."""
     num %= 2 * den
     flip = num > den
     if flip:
@@ -629,10 +810,10 @@ def _cos_sin_pi(num: int, den: int, prec: int):
     swap = 4 * num > den
     if swap:
         num, den = den - 2 * num, 2 * den
-    c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(num, den, prec), prec)
-    (cs, cm, ce, _), (ss, sm, se, _) = (s, c) if swap else (c, s)
-    e = min(ce, se)
-    return (cm if cs == neg else -cm) << ce - e, (sm if ss == flip else -sm) << se - e, e
+    c, s = _exp_series(_constant("pi", prec + 2) * num // (den << 2), prec, True)
+    if swap:
+        c, s = s, c
+    return -c if neg else c, -s if flip else s, -prec
 
 
 def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
@@ -652,17 +833,19 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     exactly.  One gcd puts (Im tau0)^2 = |d|/(4a^2) in lowest terms u/v,
     and v Im tau0 = sqrt(uv) is `math.isqrt` of uv at wp fraction bits,
     exact when Im tau0 is rational.
-    Error bound: at wp = prec + g bits every mpf operation rounds within a
-    relative e = 2^(1 - wp), and the isqrt floor is within e/2, as
-    uv >= 1.  L/n = pi sqrt(uv)/(vn) takes four roundings, so R is within
-    (4L/n + 1) e, and its j-th power for j <= n (`mpf_pow_int`) within
-    (4L + n + 2) e; `_div`'s reciprocal adds e/2.  Each phase part is
-    within 2e, so each phase within 2 sqrt(2) e < 3e, and each cut by
-    `_norm` moves a product by under a relative 2^(3/2 - wp) < e.  So, to
-    first order, q and w are within (4L + n + 6) e of their modulus and
-    1/w within (4L + n + 7) e; q/w, their product and one cut, within
-    (8L + 2n + 14) e.  With A = isqrt(u // v) + 1 > Im tau0, so 4L < 13A,
-    that is below 26A + 2n + 14 < 16A (n + 5) < 2^(g - 4) for the guard
+    Error bound: with e = 2^(1 - wp) at wp = prec + g bits, the isqrt floor
+    is within a relative e/2 of v Im tau0, as uv >= 1, and pi (`_constant`)
+    within 3 units, a relative e/2; L/n = pi sqrt(uv)/(vn), floored at scale
+    2^wp, is within (L/n) e + e/2, and `_exp` adds a relative e/2, so R is
+    within (L/n + 1) e.  Its j-th power for j <= n takes at most
+    2 bitlen(j) products, each cut by `_norm` by under a relative
+    2^(3/2 - wp) < e, so it is within (L + 3n) e; `_div`'s reciprocal adds
+    e/2.  Each phase part is within 2e, so each phase within
+    2 sqrt(2) e < 3e, and each product's cut adds under e.  So, to first
+    order, q and w are within (L + 3n + 4) e of their modulus and 1/w
+    within (L + 3n + 5) e; q/w, their product and one cut, within
+    (2L + 6n + 10) e.  With A = isqrt(u // v) + 1 > Im tau0, so L < 3.25A,
+    that is below 6.5A + 6n + 10 < 16A (n + 5) < 2^(g - 4) for the guard
     g = bitlen(A) + bitlen(n + 5) + 8, so each of the four, never rounded
     to prec, is within 2^(-3 - prec) of its modulus.
     The float log lq = -L, infinite from Im tau0 near 5.7e307 on, is floored
@@ -676,62 +859,103 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     g = math.gcd(form.disc(), 4 * a * a)
     u, v = -form.disc() // g, 4 * a * a // g
     wp = prec + (math.isqrt(u // v) + 1).bit_length() + (n + 5).bit_length() + 8
-    scaled = libmp.from_man_exp(math.isqrt(u * v << 2 * wp), -wp)  # v Im tau0
-    ell = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(wp), scaled, wp), libmp.from_int(v * n), wp)
-    root = libmp.mpf_exp(libmp.mpf_neg(ell), wp)
+    scaled = math.isqrt(u * v << 2 * wp)  # v Im tau0 at scale 2^wp
+    root = _exp(-(_constant("pi", wp) * scaled // (v * n << wp)), wp)
 
     def radius(j):
-        _, man, exp, _ = libmp.mpf_pow_int(root, j, wp)
-        return man, 0, exp
+        power, out = (root[0], 0, root[1]), (1, 0, 0)
+        while j:
+            if j & 1:
+                out = _mul(out, power, wp)
+            j >>= 1
+            if j:
+                power = _mul(power, power, wp)
+        return out
 
     q = _mul(radius(n), _cos_sin_pi(-b, 2 * a, wp), wp)
     cw, sw, ew = _cos_sin_pi(2 * m * a - k * b, a * n, wp)
     rw = radius(2 * k)
     winv = _mul(_div((1, 0, 0), rw, wp), (cw, -sw, ew), wp)
-    lq = max(-math.pi * libmp.to_float(libmp.mpf_div(scaled, libmp.from_int(v), 53, "n")), -1e300)
+    # a float Im tau0 overflows from about 1.8e308 on
+    big = scaled.bit_length() - (v << wp).bit_length() > 1000
+    lq = -1e300 if big else max(-math.pi * (scaled / (v << wp)), -1e300)
     return q, _mul(rw, (cw, sw, ew), wp), winv, _mul(q, winv, wp), lq, 2 * (k / n) * lq
 
 
-def _reduce_tau(ctx, form: QuadForm):
+def _reduce_tau(p: Precision, form: QuadForm):
     """(t0, g) with t = g(t0) for the root t = (-b + i sqrt|d|)/(2a) of the
-    positive definite form (a, b, c), t0 in the fundamental domain up to
-    rounding, in rounds of a translation by the nearest integer and at most
-    one flip.  The rounds follow `forms.reduce` on the form, a flip only
-    below |t| = 1, so they keep its cap, taken from the form's own
-    coefficients (`_reduce_cap`); needing more is a bug."""
-    t = ctx.mpc(-form.b, ctx.sqrt(-form.disc())) / (2 * form.a)
-    edge = 1 - ctx.mpf(10) ** -(ctx.dps - 5)
+    positive definite form (a, b, c), t0 = (x, y, -W) an exact value whose
+    parts are the route's fixed-point ints at scale 2^W, in the
+    fundamental domain up to rounding, in rounds of a translation by the
+    nearest integer (ties to even) and at most one flip.  The rounds follow
+    `forms.reduce` on the form, a flip only below |t| = 1, so they keep its
+    cap, taken from the form's own coefficients (`_reduce_cap`); needing
+    more is a bug.
+    Error bound: translations are exact; t enters within sqrt(2) units of
+    2^-W, and a flip -1/t, floored, scales the error by 1/|t|^2 and adds
+    under sqrt(2) units.  The flips' factors multiply to
+    Im t0/Im t = a/a0 <= a, a0 the leading coefficient of the form whose
+    root t0 is, so with W = prec + bitlen(a) + bitlen(cap + 1) + 4, t0 is
+    within sqrt(2) (cap + 1) a 2^-W < 2^-(prec + 3) of the exact image of t
+    under the same moves.  A flip is taken below |t|^2 = 1 - 2^(20 - prec),
+    about 1 - 10^-(digits + 5), far above that error, so a point on the
+    unit circle is never flipped back and forth."""
+    prec, cap = _prec(p), _reduce_cap(form)
+    scale = prec + form.a.bit_length() + (cap + 1).bit_length() + 4
+    one = 1 << scale
+    x = (-form.b << scale) // (2 * form.a)
+    y = math.isqrt(-form.disc() << 2 * scale) // (2 * form.a)
+    edge = (1 << 2 * scale) - (1 << 2 * scale + 20 - prec)
     g = IDENT
-    for _ in range(_reduce_cap(form)):
-        shift = int(ctx.nint(t.real))
+    for _ in range(cap):
+        shift, rest = divmod(x + (one >> 1), one)
+        if shift & 1 and not rest:
+            shift -= 1
         if shift:
-            t = t - shift
+            x -= shift << scale
             g = g @ t_power(shift)
-        if abs(t) < edge:
-            t = -1 / t
+        norm = x * x + y * y
+        if norm < edge:
+            x, y = (-x << 2 * scale) // norm, (y << 2 * scale) // norm
             g = g @ S_FLIP
         else:
-            return t, g
+            return (x, y, -scale), g
     raise InternalCheckError("fundamental domain reduction did not terminate")
 
 
-def _torsion_value(ctx, i: int, values):
+def _torsion_value(i: int, values):
     """Torsion-value function number i from the q-series route's
-    (S, E4, E6, Delta) on mpc floats, i = 0 standing for j; the pi powers
-    cancel by construction.  The theta route forms its values on ints
-    (`_torsion_exact`), so the route check compares this step too."""
-    s_val, e4, e6, dd = values
+    (S, E4, E6, Delta), i = 0 standing for j, as an exact value on the
+    route's own ints: S, E4 and E6 are pairs at one scale 2^wp, multiplied
+    by `_qseries_mul`, and the quotient by c Delta, an exact value times a
+    constant, is floored on ints to at least wp bits, never rounded to the
+    working precision: the route check reads the theta route's rounding
+    against it, so the two routes' values never agree to the bit by both
+    rounding alike.  The pi powers cancel by construction.  The theta route
+    forms its values with its own helpers (`_torsion_exact`), so the route
+    check compares this step too.  A zero Delta, the one value with no
+    finite quotient, raises."""
+    (sr, si, e), (e4r, e4i, _), (e6r, e6i, _), (dr, di, de) = values
+    wp, s_val, e4, e6 = -e, (sr, si), (e4r, e4i), (e6r, e6i)
+
+    def mul(x, y):
+        return _qseries_mul(x, y, wp)
+
     if i == 0:
-        value = 1728 * e4 * e4 * e4 / dd
+        c, num, d = 1728, mul(mul(e4, e4), e4), 1
     elif i == 1:
-        value = -2 * e4 * e6 * s_val / (3 * dd)
+        c, num, d = -2, mul(mul(e4, e6), s_val), 3
     elif i == 2:
-        value = 12 * e4**2 * s_val**2 / dd
+        e4s = mul(e4, s_val)
+        c, num, d = 12, mul(e4s, e4s), 1
     else:
-        value = -8 * e6 * s_val * s_val * s_val / dd
-    if not ctx.isfinite(value):
+        c, num, d = -8, mul(mul(mul(s_val, s_val), s_val), e6), 1
+    norm = d * (dr * dr + di * di)
+    if not norm:
         raise InternalCheckError("non-finite value escaped a series evaluation")
-    return value
+    xr, xi = c * (num[0] * dr + num[1] * di), c * (num[1] * dr - num[0] * di)
+    k = max(0, wp + norm.bit_length() - max(abs(xr), abs(xi)).bit_length())
+    return (xr << k) // norm, (xi << k) // norm, -wp - de - k
 
 
 def _exact_cell(r: int, s: int, level: int, g: UnimodMatrix) -> tuple[int, int, int]:
@@ -753,30 +977,29 @@ def _exact_cell(r: int, s: int, level: int, g: UnimodMatrix) -> tuple[int, int, 
 
 def eisenstein_j(form: QuadForm, p: Precision = Precision()):
     """The j-invariant of [tau, 1] at the root tau of a positive definite
-    form: the theta core at z = 1/2 and the form reduced."""
-    return _theta_core(_ctx(p), reduce(form)[0], (0, 1, 2), (0,))[0]
+    form: the theta core at z = 1/2 and the form reduced, as an mpc."""
+    return _mpc(p, _theta_core(p, reduce(form)[0], (0, 1, 2), (0,))[0])
 
 
 def _reduced_values(p: Precision, form: QuadForm, label: FrickeLabel, indices):
-    """The theta core's values at indices (0 standing for j) with label's
-    row, at the reduced form red, with form == act(red, g) by
+    """The theta core's exact values at indices (0 standing for j) with
+    label's row, at the reduced form red, with form == act(red, g) by
     `forms.reduce`, and the row pushed through g^-1: the theta route's one
     reduced entry, read by `fricke` and by `verify`'s power check."""
     red, g = reduce(form)
-    return _theta_core(_ctx(p), red, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
+    return _theta_core(p, red, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
 
 
 def _qseries_values(p: Precision, form: QuadForm, row: tuple[int, int, int], indices):
-    """The q-series route's values at indices (0 standing for j) with the
-    row (r, s, level) at the root of the form, reduced numerically by
+    """The q-series route's exact values, unrounded, at indices (0 standing
+    for j) with the row (r, s, level) at the root of the form, reduced numerically by
     `_reduce_tau` to (t0, g) and the row pushed through g: the route's one
     entry, as `_reduced_values` is the theta route's, read by
     `eval_descriptor_unreduced` and by `verify`'s route check at the power
     samples."""
-    ctx = _ctx(p)
-    t0, g = _reduce_tau(ctx, form)
-    values = _qseries_core(ctx, t0, _exact_cell(*row, g))
-    return tuple(_torsion_value(ctx, i, values) for i in indices)
+    t0, g = _reduce_tau(p, form)
+    values = _qseries_core(p, t0, _exact_cell(*row, g))
+    return tuple(_torsion_value(i, values) for i in indices)
 
 
 def _value_key(desc: GaloisDescriptor):
@@ -803,22 +1026,27 @@ def _value_key(desc: GaloisDescriptor):
 
 
 def _fricke_at(label: FrickeLabel, form: QuadForm, p: Precision):
-    """The indexed torsion-value function at the root tau of the form
-    itself, with no domain reduction.  The theta series reach any point of
-    the upper half plane, with more terms as Im tau falls; `_theta_core`
-    refuses a form that is not positive definite.  Two such values, at
-    g(tau), the root of act(form, g^-1), with a row and at tau with row*g,
-    never share an input, so comparing them tests the transformation law
-    that `fricke`'s reduction relies on."""
+    """The indexed torsion-value function's exact value at the root tau of
+    the form itself, with no domain reduction.  The theta series reach any
+    point of the upper half plane, with more terms as Im tau falls;
+    `_theta_core` refuses a form that is not positive definite.  Two such
+    values, at g(tau), the root of act(form, g^-1), with a row and at tau
+    with row*g, never share an input, so comparing them tests the
+    transformation law that `fricke`'s reduction relies on."""
     cell = _exact_cell(label.r, label.s, label.level, IDENT)
-    return _theta_core(_ctx(p), form, cell, (label.i,))[0]
+    return _theta_core(p, form, cell, (label.i,))[0]
+
+
+def _fricke(label: FrickeLabel, form: QuadForm, p: Precision):
+    """`fricke`'s exact value, from `_reduced_values`."""
+    return _reduced_values(p, form, label, (label.i,))[0]
 
 
 def fricke(label: FrickeLabel, form: QuadForm, p: Precision = Precision()):
     """The indexed torsion-value function on the theta route at the root of
     a positive definite form, the form reduced and its row pushed by
-    `_reduced_values`."""
-    return _reduced_values(p, form, label, (label.i,))[0]
+    `_reduced_values`, as an mpc."""
+    return _mpc(p, _fricke(label, form, p))
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -833,30 +1061,46 @@ def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
     return FrickeLabel(i, 0, desc.a_inv, desc.eval_matrix[1][1])
 
 
+def _eval_descriptor(desc: GaloisDescriptor, i, p: Precision):
+    """`eval_descriptor`'s exact value: `_fricke` at the descriptor's point."""
+    return _fricke(descriptor_label(desc, i), desc.eval_point(), p)
+
+
 def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
-    """Numeric value attached to a descriptor: `fricke` with twisted row
-    [0, a_inv/N] at the matrix image z = `eval_point()` of the base point,
-    the upper-half-plane root of that primitive integral form, so z is
-    reduced exactly in K.
+    """Numeric value attached to a descriptor, as an mpc: `fricke` with
+    twisted row [0, a_inv/N] at the matrix image z = `eval_point()` of the
+    base point, the upper-half-plane root of that primitive integral form,
+    so z is reduced exactly in K.
 
     i is an index 1, 2 or 3, or None for half the unit group order, the
     index for which this value is a class invariant.
     """
-    return fricke(descriptor_label(desc, i), desc.eval_point(), p)
+    return _mpc(p, _eval_descriptor(desc, i, p))
 
 
-def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):
-    """Same value along the unreduced route, `_qseries_values` at the
+def _totient(n: int) -> int:
+    """Euler's phi(n) for n >= 1, from n's factorization by trial division."""
+    phi, d = n, 2
+    while d * d <= n:
+        if n % d == 0:
+            phi -= phi // d
+            while n % d == 0:
+                n //= d
+        d += 1
+    return phi - phi // n if n > 1 else phi
+
+
+def _eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision):
+    """`eval_descriptor_unreduced`'s exact value, `_qseries_values` at the
     descriptor's point with the row (0, a^(phi(N)-1), N), its numerator as
     the product-ideal basis hands it over: the point's root reduced
     numerically, and the q-series.  The product-ideal matrix is the
     evaluation matrix scaled by a, the same Moebius map, so both routes
     start from one point of K; their independence lies in the reduction,
-    the row and the series.  The series sums on the q-series route's own
-    ints and `_torsion_value` combines its four values on mpc floats, so
-    no operation is shared with the theta route.  Agreement with
-    eval_descriptor is a checkable identity, not a private shortcut; keep
-    the two code paths separate.
+    the row and the series.  The route sums, reduces and combines its four
+    values on its own ints (`_torsion_value`), so no arithmetic is shared
+    with the theta route.  Agreement with `_eval_descriptor` is a checkable
+    identity, not a private shortcut; keep the two code paths separate.
 
     The numerator is taken mod 2N: `_exact_cell` reads the pushed row
     (0, s) g = (s g.r, s g.s) only through d = gcd(s, N) and the two
@@ -864,9 +1108,15 @@ def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()
     entry over d by a multiple of 2N/d.
     """
     label = descriptor_label(desc)
-    phi = sum(math.gcd(x, label.level) == 1 for x in range(label.level))
-    row = (0, pow(desc.point.a, phi - 1, 2 * label.level), label.level)
+    row = (0, pow(desc.point.a, _totient(label.level) - 1, 2 * label.level), label.level)
     return _qseries_values(p, desc.eval_point(), row, (label.i,))[0]
+
+
+def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):
+    """Same value along the unreduced route, rounded once to the working
+    precision (`_rounded`) and handed out as an mpc: see
+    `_eval_descriptor_unreduced`."""
+    return _mpc(p, _rounded(_eval_descriptor_unreduced(desc, p), _prec(p)))
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:
@@ -897,14 +1147,16 @@ def complex_to_json(value, p: Precision = Precision()) -> dict:
 
 
 def _startup_check():
+    """j(i) = 1728 and j(rho) = 0 within 10^-25 at 30 digits, at the roots
+    of the reduced forms (1, 0, 1) and (1, 1, 1), compared exactly on ints."""
     p = Precision(30)
-    ctx = _ctx(p)
-    square = eisenstein_j(QuadForm(1, 0, 1), p)
-    if abs(square - 1728) > ctx.mpf(10) ** -25:
-        raise InternalCheckError(f"normalization self-test failed: j(i) = {square}")
-    hexagonal = eisenstein_j(QuadForm(1, 1, 1), p)
-    if abs(hexagonal) > ctx.mpf(10) ** -25:
-        raise InternalCheckError(f"normalization self-test failed: j(rho) = {hexagonal}")
+    for form, point, want in ((QuadForm(1, 0, 1), "i", 1728), (QuadForm(1, 1, 1), "rho", 0)):
+        re, im, e = _theta_core(p, form, (0, 1, 2), (0,))[0]
+        s = max(0, -e)
+        dr, di = (re << e + s) - (want << s), im << e + s
+        if (dr * dr + di * di) * 10**50 > 1 << 2 * s:
+            value = f"{math.ldexp(re, e)} + {math.ldexp(im, e)}i"
+            raise InternalCheckError(f"normalization self-test failed: j({point}) = {value}")
 
 
 _startup_check()

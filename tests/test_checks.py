@@ -54,8 +54,24 @@ def too_tight():
         "descriptor route vs unreduced route",
     ],
 )
-def test_numeric_checks_can_fail(too_tight, name):
-    assert not too_tight[name].passed, too_tight[name].detail
+def test_numeric_checks_can_fail(monkeypatch, too_tight, name):
+    """Each numeric check fails at 10^-60 on 40 digits.  Both sides of a
+    law sample are theta-route values, each rounded once, so a law
+    residual is exactly 0 whenever the two round to the same bits (at 40
+    digits 4 of 200 draws are not), and one seed's five samples may all be
+    0: the law case draws its samples one at a time from a seeded
+    generator until a residual is not 0 (the 51st from seed 911), and the
+    check must fail on those samples."""
+    if name != "row transformation law":
+        assert not too_tight[name].passed, too_tight[name].detail
+        return
+    rng, drawn = random.Random(911), []
+    while len(drawn) < 1000 and not any(n for n, _ in drawn):
+        drawn += checks._law_residuals(Precision(40), rng, 1)
+    assert any(n for n, _ in drawn), "1000 law samples, every residual exactly 0"
+    monkeypatch.setattr(checks, "_law_residuals", lambda p, rng, samples: iter(drawn))
+    check = next(c for c in run_checks(MOD20, Precision(40), 60, random.Random(911)) if c.name == name)
+    assert not check.passed, check.detail
 
 
 @pytest.mark.parametrize(
@@ -220,11 +236,14 @@ def test_invariance_check_fails_on_a_descriptor_fault(monkeypatch, ideal, reache
 
 
 def test_verify_calls_fricke_only_through_eval_descriptor(monkeypatch):
-    """Every check of `run_checks` passes with `fricke` raising outside
-    `eval_descriptor`, whose body it is, and it runs once per class, in the
-    route check: the invariance check compares exact inputs, not values at
+    """Every check of `run_checks` passes with `fricke`'s exact value
+    (`modular._fricke`) raising outside `eval_descriptor`'s
+    (`modular._eval_descriptor`), whose body it is, and with the public
+    `fricke` and `eval_descriptor`, which hand out mpc values, raising
+    everywhere: it runs once per class, in the route check, on exact
+    values; the invariance check compares exact inputs, not values at
     rounded points."""
-    fricke, eval_descriptor = modular.fricke, modular.eval_descriptor
+    fricke, eval_descriptor = modular._fricke, modular._eval_descriptor
     inside, calls = [], []
 
     def guarded(*args):
@@ -240,8 +259,13 @@ def test_verify_calls_fricke_only_through_eval_descriptor(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(modular, "fricke", guarded)
-    monkeypatch.setattr(modular, "eval_descriptor", evaluated)
+    def refuse(*args):
+        raise AssertionError("verify handed a value out as an mpc")
+
+    monkeypatch.setattr(modular, "_fricke", guarded)
+    monkeypatch.setattr(modular, "_eval_descriptor", evaluated)
+    for name in ("fricke", "eval_descriptor", "eval_descriptor_unreduced", "eisenstein_j"):
+        monkeypatch.setattr(modular, name, refuse)
     assert all(c.passed for c in run_checks(MOD20, Precision(80), 40, random.Random(911)))
     assert len(calls) == len(group_table(MOD20).classes)
 
@@ -290,7 +314,8 @@ def test_law_draws_are_no_translations_and_no_self_comparisons(monkeypatch):
     assert len(drawn) == len(residuals) == 40 and len(inputs) == 80
     assert all(g.r != 0 for g in drawn)
     assert all(left != right for left, right in zip(inputs[::2], inputs[1::2]))
-    assert max(residuals) < mpmath.mpf(10) ** -30
+    # each residual is the exact pair (n, d) with n/d its square
+    assert all(n * 10**60 < d for n, d in residuals)
 
 
 def test_law_matrices_are_small_and_drawn_from_the_integers():
@@ -388,9 +413,9 @@ def test_route_check_fails_on_a_wrong_qseries_value(monkeypatch, slot):
     assert route_check().passed
     qseries_core = modular._qseries_core
 
-    def wrong_value(ctx, *args):
-        values = list(qseries_core(ctx, *args))
-        values[slot] *= 1 + ctx.mpf(10) ** -40
+    def wrong_value(*args):
+        values = list(qseries_core(*args))
+        values[slot] = scaled_by(values[slot], 10**40 + 1, 10**40)
         return tuple(values)
 
     monkeypatch.setattr(modular, "_qseries_core", wrong_value)
@@ -411,14 +436,19 @@ def test_route_check_fails_on_a_jacobi_product_fault(monkeypatch):
     assert route_check().passed
     qseries_core = modular._qseries_core
 
-    def one_factor_short(ctx, tau0, cell):
-        s_val, e4, e6, delta = qseries_core(ctx, tau0, cell)
-        q = ctx.exp(2j * ctx.pi * tau0)
-        prod, qn, cutoff = ctx.mpc(1), q, ctx.exp(modular._cutoff(ctx))
+    def one_factor_short(p, tau0, cell):
+        s_val, e4, e6, delta = qseries_core(p, tau0, cell)
+        ctx = mpmath.ctx_mp.MPContext()
+        ctx.prec = 2 * modular._prec(p)
+        x, y, e = tau0
+        q = ctx.exp(2j * ctx.pi * ctx.mpc(ctx.ldexp(x, e), ctx.ldexp(y, e)))
+        prod, qn, cutoff = ctx.mpc(1), q, ctx.exp(modular._cutoff(p))
         while abs(qn) >= cutoff:
             prod *= 1 - qn
             qn *= q
-        return s_val, e4, e6, delta / prod
+        short = ctx.mpc(ctx.ldexp(delta[0], delta[2]), ctx.ldexp(delta[1], delta[2])) / prod
+        k = ctx.prec - ctx.mag(short)
+        return s_val, e4, e6, (int(ctx.floor(ctx.ldexp(short.real, k))), int(ctx.floor(ctx.ldexp(short.imag, k))), -k)
 
     monkeypatch.setattr(modular, "_qseries_core", one_factor_short)
     check = route_check()

@@ -445,19 +445,21 @@ def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
 # exact form of g(tau), and the q-series route's discriminant as Jacobi's
 # product, its loop on fixed-point ints, reading an integral form, an int
 # cell and the theta route's tail cutoff, and the route check also run at
-# the power samples; any change to a sample, value or detail string shows
-# here
+# the power samples, and every check deciding on the routes' exact values
+# on ints, the q-series route's values unrounded, with its own numeric
+# reduction, entry and exit on ints and no mpmath; any change to a sample,
+# value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "9b56e1b671ab8f067dab3fdcf37a186d5e69a759100912cd594742d7133e0a90",
-    ("-20", "2,4,6", "40", "json"): "de794ad02ad1c1384dbc9d97fe2e541a0dede903e024e33d4ca824e642ad9fef",
-    ("-20", "2,4,6", "40", "text"): "72f7c45ea0ef7f0e1ccb1bd1f412c68932e4f6594a6945296a4a11736ab2a8ab",
-    ("-23", "1,8,31", "40", "json"): "86511f6bfa886dc06ad8d4c2c990de7dabcffef8766a4a5eaaeb1cc1610b86f9",
-    ("-23", "3,9,12", "80", "json"): "161fa3694821611d5f9a83f72f033c40699e4719b0f3c83ec3386a21c18dfe6f",
-    ("-23", "3,9,12", "80", "text"): "3725007968b90a0061bf934382ae598e31f3b1552567b3aba1c76485a045e5ef",
-    ("-3", "6,0,6", "80", "json"): "2b946bd2a45c6c5a59246b44cc66f6f52faed30aaff78cc76b8494aa20138db3",
-    ("-3", "6,0,6", "80", "text"): "3c748aada21a90aa676123f5a03769dfa27df0e2dec7df0fe159283654d6967d",
-    ("-4", "6,0,6", "80", "json"): "72a61b8b10449662be8c45d2c12d799b994b1f68777d18dd681c70df6a48e298",
-    ("-4", "6,0,6", "80", "text"): "9428130c9f28b34a490341ddb5c07bcb145d698cb29cdc34d5835421d1df44b9",
+    ("-111", "9,0,9", "40", "json"): "2c00e9ca5822ca7b0dfbb2d01bdedf1158593459c2099c1e6e7b41961d9f9d46",
+    ("-20", "2,4,6", "40", "json"): "8495a8890fd0a128b710edc4647c34619c7a029e64dc1e356ab57addf3cb0653",
+    ("-20", "2,4,6", "40", "text"): "1d52f6dea80c677ba4dfb9552b5df2ffbb1ab664c4a8fde89c06eba977f80a17",
+    ("-23", "1,8,31", "40", "json"): "11aa4f3a94a7dc419a6a8f7141d33cdd052c1228455f335f5e1a77affb570e92",
+    ("-23", "3,9,12", "80", "json"): "0ab489f51dc48d151795c2b7553b2e6accdfb4bcd1520b446c3778045945a288",
+    ("-23", "3,9,12", "80", "text"): "603582164ae03793a3992f50c4818c8b6d5bff70ae57396e99e98fc1e773a8bb",
+    ("-3", "6,0,6", "80", "json"): "8c361a71fe710bff9814a6d5c49aa7686e02e017df346ec6279878fab3a5162d",
+    ("-3", "6,0,6", "80", "text"): "5a4743294b59467dd45330442fff910038e0793732b8a6a7aa42f6475c18f661",
+    ("-4", "6,0,6", "80", "json"): "cc7fc3608d7d05f8d418b0f62903c450ef01af1c2fa28ff9e5b80beb592c3f85",
+    ("-4", "6,0,6", "80", "text"): "462326b8f861f8899e239e46692922b2b00d637078b7b0b601cc08e02e4e8e02",
 }
 
 

@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: the package root and the exact layer
 never import the numeric layer (mpmath, modular, checks) or dataclasses,
-and only the subcommands that evaluate pay for them."""
+only the subcommands that evaluate pay for modular and checks, and only
+`eval`, which hands a value out as an mpmath number, loads mpmath."""
 
 import json
 import subprocess
@@ -35,17 +36,50 @@ def test_exact_layer_loads_no_numeric_code():
     assert "mpmath" not in after_table and "dataclasses" not in after_table
 
 
-# mpmath's real exponential scaled by 1 + 1e-6, as `modular` reads it from
-# libmp when the theta route builds its nome: modular's import-time j(i)
-# and j(rho) self-test must fail, and fail only the subcommands that load
-# modular
+NUMERIC = """
+import json, sys
+from rayform import cli
+code = cli.main({argv!r})
+print(json.dumps([code, "mpmath" in sys.modules, "rayform.modular" in sys.modules]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_mpmath",
+    [
+        (["verify", "--dk", "-20", "--ideal", "2,4,6", "--digits", "40"], False),
+        (["eval", "--dk", "-20", "--ideal", "2,4,6", "--form", "7,-6,2"], True),
+    ],
+    ids=["verify", "eval"],
+)
+def test_only_eval_loads_mpmath(argv, loads_mpmath):
+    """`verify` runs the numeric layer on ints from the form to the
+    residuals: a fresh interpreter running it never imports mpmath, while
+    `eval`, which hands its value out as an mpc and prints it, does."""
+    proc = fresh(NUMERIC.format(argv=argv))
+    assert proc.returncode == 0, proc.stderr
+    code, mpmath_loaded, modular_loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert code == 0 and modular_loaded
+    assert mpmath_loaded is loads_mpmath
+
+
+# modular's own real exponential scaled by 1 + 1e-6 from the moment its
+# import-time j(i) and j(rho) self-test starts (a profile hook swaps
+# `_exp` in the module's namespace when `_startup_check` is called): the
+# self-test must fail, and fail only the subcommands that load modular
 SKEWED = """
 import sys
-from mpmath import libmp
-exact = libmp.mpf_exp
-def skewed(x, prec, rnd="d"):
-    return libmp.mpf_mul(exact(x, prec, rnd), libmp.from_float(1 + 1e-6), prec, rnd)
-libmp.mpf_exp = skewed
+
+def skew(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "_startup_check":
+        exact = frame.f_globals["_exp"]
+        def skewed(x, wp):
+            man, e = exact(x, wp)
+            return man * 1000001 // 1000000, e
+        frame.f_globals["_exp"] = skewed
+        sys.setprofile(None)
+
+sys.setprofile(skew)
 from rayform import cli
 sys.exit(cli.main({argv!r}))
 """

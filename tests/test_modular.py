@@ -49,6 +49,18 @@ def ctx_for(digits):
     return ctx
 
 
+def p_of(ctx):
+    """The Precision whose context works at ctx's digits."""
+    return Precision(ctx.dps - 10)
+
+
+def exact_tau(tau, bits):
+    """An mpc tau as an exact value (x, y, -bits), its parts floored at
+    scale 2^bits: the shape in which `_reduce_tau` hands tau0 to
+    `_qseries_core`."""
+    return libmp.to_fixed(tau.real._mpf_, bits), libmp.to_fixed(tau.imag._mpf_, bits), -bits
+
+
 def small_matrices(rng, count):
     out = []
     while len(out) < count:
@@ -140,24 +152,25 @@ def test_reduce_tau():
     of the form of 0.3 + 0.007i it lands in the fundamental domain, and its
     matrix takes the landing point back to the root."""
     ctx = modular._ctx(P30)
-    t0, g = modular._reduce_tau(ctx, QuadForm(1, 0, 1))
+    t0, g = modular._reduce_tau(P30, QuadForm(1, 0, 1))
     assert g == IDENT
-    assert abs(t0 - ctx.mpc(0, 1)) < ctx.mpf(10) ** -25
+    assert abs(from_exact(ctx, t0) - ctx.mpc(0, 1)) < ctx.mpf(10) ** -25
 
     form = root_form("0.3", "0.007")
-    t0, g = modular._reduce_tau(ctx, form)
+    t0, g = modular._reduce_tau(P30, form)
+    t0 = from_exact(ctx, t0)
     assert t0.imag > ctx.sqrt(3) / 2 - ctx.mpf(10) ** -20
     assert abs(t0.real) <= ctx.mpf("0.5") + ctx.mpf(10) ** -20
     back = (g.p * t0 + g.q) / (g.r * t0 + g.s)
     assert abs(back - ctx.mpc("0.3", "0.007")) < ctx.mpf(10) ** -25
 
 
-def rounds_suffice(monkeypatch, ctx, form, steps):
+def rounds_suffice(monkeypatch, p, form, steps):
     """Whether `_reduce_tau` reduces the form's root with its cap set to steps."""
     with monkeypatch.context() as capped:
         capped.setattr(modular, "_reduce_cap", lambda f: steps)
         try:
-            modular._reduce_tau(ctx, form)
+            modular._reduce_tau(p, form)
         except InternalCheckError as exc:
             assert "did not terminate" in str(exc)
             return False
@@ -170,7 +183,6 @@ def test_reduce_tau_stops_at_its_cap(monkeypatch):
     raises: the descriptor points of dK=-23 `1,8,31` and `1,176,211` and of
     dK=-3 `6,0,6` (up to 7 rounds), and the form of 0.3 + 0.007i (4
     rounds)."""
-    ctx = modular._ctx(P30)
     points = []
     for dk, ideal in ((-23, (1, 8, 31)), (-23, (1, 176, 211)), (-3, (6, 0, 6))):
         mod = make_modulus(make_discriminant(dk), *ideal)
@@ -179,10 +191,10 @@ def test_reduce_tau_stops_at_its_cap(monkeypatch):
     most = 0
     for form in points:
         cap = forms._reduce_cap(form)
-        need = next(n for n in range(1, cap + 1) if rounds_suffice(monkeypatch, ctx, form, n))
+        need = next(n for n in range(1, cap + 1) if rounds_suffice(monkeypatch, P30, form, n))
         most = max(most, need)
         if need > 1:
-            assert not rounds_suffice(monkeypatch, ctx, form, need - 1)
+            assert not rounds_suffice(monkeypatch, P30, form, need - 1)
     assert most >= 4
 
 
@@ -209,7 +221,7 @@ def test_j_is_invariant():
     for g in small_matrices(rng, 5):
         moved = act(form, g.inv())
         assert eisenstein_j(moved, p) == base
-        unreduced = modular._theta_core(modular._ctx(p), moved, (0, 1, 2), (0,))[0]
+        unreduced = modular._mpc(p, modular._theta_core(p, moved, (0, 1, 2), (0,))[0])
         assert abs(unreduced - base) < ctx.mpf(10) ** -35
 
 
@@ -226,12 +238,15 @@ def pinned_forms():
 
 def test_j_pinned_to_the_bit():
     """The mpf tuples of j at the pinned forms' roots, hashed: a change to
-    the theta core or the reduction that moves j by one bit fails here."""
+    the theta core or the reduction that moves j by one bit fails here.
+    Re-pinned when pi, the exponential and the phases' series moved onto
+    modular's own ints: one of the 120 values, at 1000 digits, moved by a
+    unit in its last place, within `test_j_matches_kleinj`'s bound."""
     digest = hashlib.sha256()
     for digits, form in pinned_forms():
         j = eisenstein_j(form, Precision(digits))
         digest.update(repr([tuple(map(int, part._mpf_)) for part in (j.real, j.imag)]).encode())
-    assert digest.hexdigest() == "5b30fd80fba02ce7be367b6f12d01c9fbd614b2a3e7231ce2e9208154faa5f6d"
+    assert digest.hexdigest() == "937ea6a02f41632e6d7fd8b16e141f0a92221cda543caf4292900d09a213e02d"
 
 
 def test_j_matches_kleinj():
@@ -294,7 +309,7 @@ def test_j_and_fricke_near_a_cusp():
     got = ref.mpc(eisenstein_j(point, p))
     assert abs(got - want) < ref.mpf(10) ** -30 * abs(want)
     f1 = fricke(label, point, p)
-    assert ref.isfinite(f1) and f1 == modular._reduced_values(p, point, label, range(4))[1]
+    assert ref.isfinite(f1) and f1 == modular._mpc(p, modular._reduced_values(p, point, label, range(4))[1])
 
 
 def test_theta_entries_reject_a_form_that_is_not_positive_definite():
@@ -309,7 +324,7 @@ def test_theta_entries_reject_a_form_that_is_not_positive_definite():
             lambda: modular._reduced_values(P80, form, label, range(4)),
             lambda: eisenstein_j(form, P80),
             lambda: modular._fricke_at(label, form, P30),
-            lambda: modular._theta_core(modular._ctx(P30), form, (1, 0, 6), (0, 1)),
+            lambda: modular._theta_core(P30, form, (1, 0, 6), (0, 1)),
         ]
         for call in calls:
             with pytest.raises(QFieldError, match="indefinite or negative"):
@@ -328,7 +343,7 @@ def kernel_values(ctx, form, cell):
     """(wp, sums, q, 1/w, values): `_theta_core`'s steps at the root of form
     and the cell up to `_theta_values`' exact (S, E4, E6, Delta)."""
     q, w, winv, b, lq, lw = modular._exact_nome(ctx.prec, form, cell)
-    wp, sums = modular._theta_sums(ctx.prec, q, lq, modular._cutoff(ctx), w, b, lw)
+    wp, sums = modular._theta_sums(ctx.prec, q, lq, modular._cutoff(p_of(ctx)), w, b, lw)
     return wp, sums, q, winv, modular._theta_values(wp, sums, q, winv)
 
 
@@ -415,7 +430,7 @@ def test_power_values_equal_the_public_calls():
     """The power check's one reduction and one theta core give exactly the
     values of eisenstein_j and the three fricke calls at the same form and row."""
     for form, lab in POWER_SAMPLES:
-        jv, *values = modular._reduced_values(P80, form, lab, range(4))
+        jv, *values = (modular._mpc(P80, v) for v in modular._reduced_values(P80, form, lab, range(4)))
         assert jv == eisenstein_j(form, P80)
         assert values == [
             fricke(FrickeLabel(i, lab.r, lab.s, lab.level), form, P80) for i in (1, 2, 3)
@@ -423,16 +438,18 @@ def test_power_values_equal_the_public_calls():
 
 
 def test_torsion_value_rejects_a_non_finite_value():
-    """`_torsion_value`'s one finiteness test stops j (i = 0) at an infinite
-    E4 and each indexed function at a NaN S, and passes finite values."""
-    ctx = ctx_for(80)
-    one = ctx.mpc(1)
-    assert modular._torsion_value(ctx, 0, (one, one, one, one)) == 1728
-    with pytest.raises(InternalCheckError, match="non-finite value escaped"):
-        modular._torsion_value(ctx, 0, (one, ctx.mpc(ctx.inf), one, one))
-    for i in (1, 2, 3):
+    """`_torsion_value`'s one finiteness test stops j (i = 0) and each
+    indexed function at a zero Delta, the one input on ints with no finite
+    quotient, and passes finite values: at S = E4 = E6 = Delta = 1, j is
+    1728 exactly and f1, f2 and f3 are -2/3, 12 and -8."""
+    one = (1 << 200, 0, -200)
+    got = [modular._torsion_value(i, (one, one, one, (1, 0, 0))) for i in range(4)]
+    j, f1, f2, f3 = (Fraction(re) * Fraction(2) ** e for re, _, e in got)
+    assert (j, f2, f3) == (1728, 12, -8) and all(im == 0 for _, im, _ in got)
+    assert abs(f1 + Fraction(2, 3)) < Fraction(1, 2**190)
+    for i in range(4):
         with pytest.raises(InternalCheckError, match="non-finite value escaped"):
-            modular._torsion_value(ctx, i, (ctx.mpc(ctx.nan), one, one, one))
+            modular._torsion_value(i, (one, one, one, (0, 0, 5)))
 
 
 def test_row_negation_symmetry():
@@ -461,7 +478,7 @@ def test_transformation_law():
             )
             want = fricke(pushed, form, P80)
             assert abs(fricke(lab, moved, P80) - want) < tol
-            assert abs(modular._fricke_at(lab, moved, P80) - want) < tol
+            assert abs(modular._mpc(P80, modular._fricke_at(lab, moved, P80)) - want) < tol
 
 
 def test_weber_index_values():
@@ -693,7 +710,8 @@ def test_theta_route_matches_qseries_route(digits):
         ref_ctx = modular._ctx(Precision(2 * digits + cancel))
         for cell in ROUTE_CELLS:
             theta = theta_at(ctx, tau0, Fraction(cell[0], cell[2]), Fraction(cell[1], cell[2]))
-            ref = modular._qseries_core(ref_ctx, point(ref_ctx), cell)
+            tau = exact_tau(point(ref_ctx), ref_ctx.prec + 20)
+            ref = [from_exact(ref_ctx, v) for v in modular._qseries_core(p_of(ref_ctx), tau, cell)]
             for name, a, b in zip(("S", "E4", "E6", "Delta"), theta, ref):
                 scale = abs(b) if abs(b) > near_zero else 1
                 assert abs(a - b) < tol * scale, (name, k, cell)
@@ -733,8 +751,8 @@ def test_lambert_eisenstein_matches_divisor_sums(digits):
     for k, point in enumerate(ROUTE_TAUS):
         tau0 = point(ctx)
         q = ctx.exp(2j * ctx.pi * tau0)
-        _, e4, e6, _ = modular._qseries_core(ctx, tau0, (20, -37, 100))
-        for weight, got in ((4, e4), (6, e6)):
+        _, e4, e6, _ = modular._qseries_core(p, exact_tau(tau0, ctx.prec + 20), (20, -37, 100))
+        for weight, got in ((4, from_exact(ctx, e4)), (6, from_exact(ctx, e6))):
             want = eisenstein_alone(ctx, q, weight, cutoff)
             scale = abs(want) if abs(want) > near_zero else 1
             assert abs(got - want) < tol * scale, (k, weight)
@@ -759,58 +777,59 @@ def test_qseries_terms_match_the_exact_count(digits):
     mpf values, at the points of `ROUTE_TAUS` and at the reduced points of
     the 27 classes of dK=-3299 `1,1,3`, Im tau0 up to 28.7.  The theta
     terms stop at the same threshold, `_cutoff`."""
-    ctx = modular._ctx(Precision(digits))
+    p = Precision(digits)
+    ctx = modular._ctx(p)
     mod = make_modulus(make_discriminant(-3299), 1, 1, 3)
     points = [descriptor(fc.rep, mod).eval_point() for fc in enumerate_classes(mod).classes]
     taus = [point(ctx) for point in ROUTE_TAUS]
-    taus += [modular._reduce_tau(ctx, form)[0] for form in points]
+    taus += [from_exact(ctx, modular._reduce_tau(p, form)[0]) for form in points]
     assert len(taus) == len(ROUTE_TAUS) + 27
     for tau0 in taus:
-        got = modular._qseries_terms(-2 * math.pi * float(tau0.imag), modular._cutoff(ctx))
+        got = modular._qseries_terms(-2 * math.pi * float(tau0.imag), modular._cutoff(p))
         assert got == qseries_terms(ctx, tau0, cutoff_mpf(ctx))[0], tau0
 
 
-def qseries_bounds(c, tau0, cutoff, z, w, values):
+def qseries_bounds(c, p, tau0, cutoff, z, w, values):
     """The bounds of `_qseries_core`'s docstring on the (S, E4, E6, Delta)
-    it returned in the context c, each absolute: the tail B/2 at the N
-    where it stops, the entry errors of q and w, the exit rounding and the
-    fixed-point terms in f = 2^(1/2 - wp)."""
+    it returned at the precision p, each absolute, evaluated in the
+    context c at the mpc tau0: the tail B/2 at the N where it stops, the
+    entry errors eq = ew = 10 2^-wp of q and w and the fixed-point terms
+    in f = 2^(1/2 - wp)."""
     n, aq, aqn = qseries_terms(c, tau0, cutoff)
     half_b = 252 * n**6 * aqn
-    e = mpmath.ldexp(1, 1 - c.prec)
-    f = mpmath.ldexp(mpmath.sqrt(2), -c.prec - 6 * (n + 1).bit_length() - 8)
-    eq, ew = (1 + 4 * c.pi * abs(tau0)) * e, (5 + 26 * abs(z)) * e
+    wp = modular._prec(p) + 6 * (n + 1).bit_length() + 8
+    f = c.ldexp(c.sqrt(2), -wp)
+    eq = ew = 10 * c.ldexp(1, -wp)
     h = 1 / abs(1 - w)
     s_val, e4, e6, delta = (abs(v) for v in values)
     head = (12 * n + 2 + (1 + abs(w)) * (h + h * h) ** 2) * f
     return (
-        half_b + ew * abs(w) * abs(1 + w) * h**3 + 1.6 * c.sqrt(aq) * (eq + ew + e) + e * s_val / 2
-        + head,
-        half_b + 263 * aq * eq + e * e4 / 2 + 122 * n**2 * (n + 1) ** 2 * f,
-        half_b + 682 * aq * eq + e * e6 / 2 + 171 * (n + 1) ** 6 * f,
-        (half_b + (1 + 25 * aq) * eq + 3 * e / 2 + (51 * n + 26) * f) * delta,
+        half_b + ew * abs(w) * abs(1 + w) * h**3 + 1.6 * c.sqrt(aq) * (eq + ew) + head,
+        half_b + 263 * aq * eq + 122 * n**2 * (n + 1) ** 2 * f,
+        half_b + 682 * aq * eq + 171 * (n + 1) ** 6 * f,
+        (half_b + (1 + 25 * aq) * eq + (51 * n + 26) * f) * delta,
     )
 
 
-def mpc_loop_bounds(c, tau0, cutoff, z, w, values):
+def mpc_loop_bounds(c, p, tau0, cutoff, z, w, values):
     """The bounds that `_qseries_core` stated when its loop ran on mpc
-    values, every operation rounded to the context: the floor that its
-    fixed-point bounds must not exceed."""
+    values, every operation rounded to the working precision: the floor
+    that its fixed-point bounds must not exceed."""
     n, _, aqn = qseries_terms(c, tau0, cutoff)
     half_b = 252 * n**6 * aqn
-    e = mpmath.ldexp(1, 1 - c.prec)
+    e = c.ldexp(1, 1 - modular._prec(p))
     loop = (4 * n + 96) * e
     head = (5 + 26 * abs(z)) * e * abs(w) * abs(1 + w) / abs(1 - w) ** 3
     delta = (half_b + (48 * n + 4 * c.pi * abs(tau0) + 5) * e) * abs(values[3])
     return half_b + loop * (1 + abs(w) / abs(1 - w) ** 2) + head, half_b + loop, half_b + loop, delta
 
 
-def qseries_at(monkeypatch, c, tau0, cell, lcut):
-    """`_qseries_core` in the context c with its tail cutoff's log set to
-    lcut, whatever c's precision."""
+def qseries_at(monkeypatch, c, p, tau0, cell, lcut):
+    """`_qseries_core` at the precision p with its tail cutoff's log set to
+    lcut, whatever p's, its values as mpc values of the context c."""
     with monkeypatch.context() as cut:
-        cut.setattr(modular, "_cutoff", lambda ctx: lcut)
-        return modular._qseries_core(c, tau0, cell)
+        cut.setattr(modular, "_cutoff", lambda p: lcut)
+        return [from_exact(c, v) for v in modular._qseries_core(p, tau0, cell)]
 
 
 def cell_point(c, tau0, cell):
@@ -827,29 +846,31 @@ def test_qseries_within_its_error_bound(monkeypatch, digits):
     cutoff with twice the precision: within the sum of both calls' bounds
     from its docstring.  At twice the precision the rounding is far below
     the cutoff, so that call tests the tail bound B/2 alone; the cutoff is
-    set through `_cutoff`, which ties it to the precision.  Each bound is
-    at most the one the route stated when its loop ran on mpc values."""
-    p = Precision(digits)
-    ctx = modular._ctx(p)
-    lcut, cutoff = modular._cutoff(ctx), cutoff_mpf(ctx)
+    set through `_cutoff`, which ties it to the precision.  Every call
+    reads one exact tau0.  Each bound is at most the one the route stated
+    when its loop ran on mpc values."""
+    p, twice = Precision(digits), Precision(2 * digits + 11)
+    lcut, cutoff = modular._cutoff(p), cutoff_mpf(modular._ctx(p))
     ref = mpmath.ctx_mp.MPContext()
-    ref.prec = 2 * ctx.prec
+    ref.prec = 3 * modular._prec(twice)
     names = ("S", "E4", "E6", "Delta")
     for k, point in enumerate(ROUTE_TAUS):
-        tau0, ref_tau0 = point(ctx), ref.mpc(point(ctx))
+        tau0 = exact_tau(point(ref), modular._prec(twice) + 20)
+        ref_tau0 = from_exact(ref, tau0)
         for cell in ROUTE_CELLS:
             z, w = cell_point(ref, ref_tau0, cell)
-            want = qseries_at(monkeypatch, ref, ref_tau0, cell, 2 * lcut)
-            slack = qseries_bounds(ref, ref_tau0, cutoff**2, z, w, want)
-            for c, tau in ((ctx, tau0), (ref, ref_tau0)):
-                got = qseries_at(monkeypatch, c, tau, cell, lcut)
-                bounds = qseries_bounds(c, tau, cutoff, z, w, got)
+            want = qseries_at(monkeypatch, ref, twice, tau0, cell, 2 * lcut)
+            slack = qseries_bounds(ref, twice, ref_tau0, cutoff**2, z, w, want)
+            for q in (p, twice):
+                got = qseries_at(monkeypatch, ref, q, tau0, cell, lcut)
+                bounds = qseries_bounds(ref, q, ref_tau0, cutoff, z, w, got)
                 for name, a, b, bound, s in zip(names, got, want, bounds, slack):
-                    assert abs(a - b) <= bound + s, (name, k, cell, c.prec)
-                before = mpc_loop_bounds(c, tau, cutoff, z, w, got)
+                    assert abs(a - b) <= bound + s, (name, k, cell, q)
+                before = mpc_loop_bounds(ref, q, ref_tau0, cutoff, z, w, got)
                 for name, bound, old in zip(names, bounds, before):
-                    assert bound <= old, (name, k, cell, c.prec)
-    assert modular._qseries_core(ctx, tau0, cell) == qseries_at(monkeypatch, ctx, tau0, cell, lcut)
+                    assert bound <= old, (name, k, cell, q)
+    got = modular._qseries_core(p, tau0, cell)
+    assert [from_exact(ref, v) for v in got] == qseries_at(monkeypatch, ref, p, tau0, cell, lcut)
 
 
 def test_qseries_within_its_error_bound_far_up_the_half_plane(monkeypatch):
@@ -857,24 +878,26 @@ def test_qseries_within_its_error_bound_far_up_the_half_plane(monkeypatch):
     Im tau0 = 28.7 with x = 1/3, where |1/w| = |q|^(-1/3) is about 2^87:
     q times a floored 1/w would lose that many bits of b = q/w.  On every
     class, S, E4, E6 and Delta are within the docstring's bound of the
-    same call at 200 more bits and the same cutoff (plus that call's own
-    bound)."""
+    same call at about 200 more bits and the same cutoff (plus that call's
+    own bound)."""
     mod = make_modulus(make_discriminant(-3299), 1, 1, 3)
     calls, core = [], modular._qseries_core
     monkeypatch.setattr(modular, "_qseries_core", lambda *a: calls.append(a) or core(*a))
     for fc in enumerate_classes(mod).classes:
         eval_descriptor_unreduced(descriptor(fc.rep, mod), P80)
     monkeypatch.undo()
-    assert max(t.imag for _, t, _ in calls) > 28
+    assert max(y / 2**-e for _, (x, y, e), _ in calls) > 28
     ref = mpmath.ctx_mp.MPContext()
-    for ctx, tau0, cell in calls:
-        ref.prec = ctx.prec + 200
-        z, w = cell_point(ref, ref.mpc(tau0), cell)
-        cutoff = cutoff_mpf(ctx)
-        got = modular._qseries_core(ctx, tau0, cell)
-        want = qseries_at(monkeypatch, ref, ref.mpc(tau0), cell, modular._cutoff(ctx))
-        bounds = qseries_bounds(ctx, tau0, cutoff, z, w, got)
-        slack = qseries_bounds(ref, ref.mpc(tau0), cutoff, z, w, want)
+    for p, tau0, cell in calls:
+        more = Precision(p.digits + 61)
+        ref.prec = 2 * modular._prec(more)
+        ref_tau0 = from_exact(ref, tau0)
+        z, w = cell_point(ref, ref_tau0, cell)
+        cutoff = cutoff_mpf(modular._ctx(p))
+        got = [from_exact(ref, v) for v in modular._qseries_core(p, tau0, cell)]
+        want = qseries_at(monkeypatch, ref, more, tau0, cell, modular._cutoff(p))
+        bounds = qseries_bounds(ref, p, ref_tau0, cutoff, z, w, got)
+        slack = qseries_bounds(ref, more, ref_tau0, cutoff, z, w, want)
         for name, a, b, bound, s in zip(("S", "E4", "E6", "Delta"), got, want, bounds, slack):
             assert abs(a - b) <= bound + s, (name, tau0, cell)
 
@@ -965,7 +988,7 @@ def test_theta_sum_within_its_error_bound(digits):
     ctx = modular._ctx(p)
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
-    lcut = modular._cutoff(ctx)
+    lcut = modular._cutoff(p)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         for cell in KERNEL_CELLS:
@@ -999,7 +1022,7 @@ def test_j_cell_w_sums_equal_the_theta_constants(digits):
     reads only s3, s4 and p, whose loop the w-sums leave alone."""
     p = Precision(digits)
     ctx = modular._ctx(p)
-    lcut = modular._cutoff(ctx)
+    lcut = modular._cutoff(p)
     for re, im in KERNEL_TAUS:
         tau = ctx.mpc(re, im)
         form = root_form(tau.real, tau.imag)
@@ -1091,7 +1114,7 @@ def test_theta_values_within_their_error_bound(digits):
     points = [(root_form(tau.real, tau.imag), int_cell(*cell)) for tau in taus for cell in KERNEL_CELLS]
     for form, cell in points + list(vanishing_cells()):
         wp, sums, q, winv, got = kernel_values(ctx, form, cell)
-        core = modular._theta_core(ctx, form, cell, range(4))
+        core = modular._theta_core(p, form, cell, range(4))
         ref = mpmath.ctx_mp.MPContext()
         ref.prec = 2 * wp
         want, mags = mpc_theta_values(ref, wp, sums, q, winv)
@@ -1100,7 +1123,7 @@ def test_theta_values_within_their_error_bound(digits):
             assert abs(from_exact(ref, g) - w) <= 32 * u * m, (name, form, cell)
         for i, (w, m, units) in enumerate(mpc_torsion_values(want, mags)):
             f = from_exact(ref, modular._torsion_exact(wp, i, got))
-            assert core[i] == ctx.mpc(f), (i, form, cell)
+            assert modular._mpc(p, core[i]) == ctx.mpc(f), (i, form, cell)
             assert abs(f - w) <= units * u * m, (i, form, cell)
 
 
@@ -1209,6 +1232,119 @@ def test_cos_sin_pi_fold_matches_mpmath():
             assert abs(phase.imag - ref.sinpi(t)) <= bound, (num, den)
 
 
+def elementary_excess(digits):
+    """Each elementary helper's worst error at `digits` over the bound its
+    docstring states, against mpmath at more than twice the bits: a value
+    above 1 is a broken bound.  wp is a nome's working precision, prec + 20.
+    pi and ln 2 within 3 units; `_exp_series` at seeded y in (0, 1): e^y
+    within a relative 1.1 units, and cos y and sin y at y in (0, pi/4],
+    down to 2^-(wp/2), each within 1.1 units; `_exp` at seeded x of either
+    sign up to 2^12 and at the nome arguments -pi Im tau0 of Im tau0 =
+    10^154 and 10^305, within a relative unit; `_cos_sin_pi` at seeded
+    num/den, each part within 4 units of 2^-prec."""
+    wp = modular._prec(Precision(digits)) + 20
+    ref = mpmath.ctx_mp.MPContext()
+    ref.prec = 2 * wp + 1200
+    rng = random.Random(digits)
+    unit = ref.ldexp(1, -wp)
+    worst = {}
+
+    def note(name, error, bound):
+        worst[name] = max(worst.get(name, 0), error / bound)
+
+    for name, want in (("pi", ref.pi), ("ln2", ref.ln2)):
+        note(name, abs(ref.ldexp(modular._constant(name, wp), -wp) - want), 3 * unit)
+    for x in [rng.randrange(1, 1 << wp) for _ in range(12)] + [1 << wp - 40, 5]:
+        want = ref.exp(ref.ldexp(x, -wp))
+        note("exp_series", abs(ref.ldexp(modular._exp_series(x, wp), -wp) / want - 1), 1.1 * unit)
+    quarter = int(ref.floor(ref.ldexp(ref.pi / 4, wp)))
+    for x in [rng.randrange(1, quarter) for _ in range(12)] + [quarter, 1 << wp // 2, 3 << wp - 60]:
+        c, s = modular._exp_series(x, wp, True)
+        y = ref.ldexp(x, -wp)
+        note("cos_sin", max(abs(ref.ldexp(c, -wp) - ref.cos(y)), abs(ref.ldexp(s, -wp) - ref.sin(y))), 1.1 * unit)
+    nomes = [int(ref.floor(-ref.pi * ref.ldexp(10**e, wp))) for e in (154, 305)]
+    for x in [rng.randrange(-(1 << wp + 12), 1 << wp + 12) for _ in range(12)] + nomes:
+        man, e = modular._exp(x, wp)
+        note("exp", abs(ref.ldexp(man, e) / ref.exp(ref.ldexp(x, -wp)) - 1), unit)
+    prec = wp - 20
+    for _ in range(12):
+        den = rng.randrange(1, 10**6)
+        num = rng.randrange(-3 * den, 3 * den)
+        c, s, e = modular._cos_sin_pi(num, den, prec)
+        t = ref.mpf(num) / den
+        error = max(abs(ref.ldexp(c, e) - ref.cospi(t)), abs(ref.ldexp(s, e) - ref.sinpi(t)))
+        note("cos_sin_pi", error, ref.ldexp(4, -prec))
+    return worst
+
+
+@pytest.mark.parametrize("digits", [30, 80, 300, 1000])
+def test_elementary_helpers_within_their_bounds(monkeypatch, digits):
+    """pi, ln 2, the exponential and the cosine and sine series, each
+    within its docstring's bound at 30 to 1000 digits (`elementary_excess`),
+    and the bounds are tight enough to see a series stopped one term early:
+    with `_series_terms` one short, some helper breaks its bound."""
+    worst = elementary_excess(digits)
+    assert max(worst.values()) <= 1, worst
+    series_terms = modular._series_terms
+    monkeypatch.setattr(modular, "_series_terms", lambda x, w: max(0, series_terms(x, w) - 1))
+    short = elementary_excess(digits)
+    assert max(short.values()) > 1, short
+
+
+def test_series_terms_match_the_plain_search():
+    """`_series_terms` against the least n whose term y^(2n + 2)/(2n + 2)!
+    lies below 2^-w, found on exact Fractions, at seeded y below 1/32 and
+    w from 100 to 4000 bits."""
+    rng = random.Random(31)
+    for _ in range(60):
+        w = rng.randrange(100, 4000)
+        x = rng.randrange(1, 1 << w - 5) >> rng.randrange(0, w // 2)
+        y, n = Fraction(x, 1 << w), 0
+        term = y * y / 2
+        while term >= Fraction(1, 1 << w):
+            n += 1
+            term *= y * y / ((2 * n + 1) * (2 * n + 2))
+        assert modular._series_terms(x, w) == n, (x, w)
+
+
+def test_rounding_matches_libmp_nearest():
+    """`_rounded` rounds each part as libmp's from_man_exp(man, e, prec,
+    "n") does, ties to even, on seeded mantissas of either sign from 1 to
+    3000 bits, exact ties included, and a zero part stays 0."""
+    rng = random.Random(41)
+    for _ in range(3000):
+        prec = rng.randrange(2, 400)
+        bits = rng.randrange(1, 3000)
+        parts = []
+        for _ in range(2):
+            man = rng.getrandbits(bits) | 1 << bits - 1
+            if rng.random() < 0.3 and bits > prec + 1:
+                n = bits - prec
+                man = (man >> n << n) | 1 << n - 1  # exactly halfway
+            parts.append(man * rng.choice((-1, 1)) if rng.random() < 0.95 else 0)
+        e = rng.randrange(-5000, 5000)
+        re, im, got_e = modular._rounded((parts[0], parts[1], e), prec)
+        for man, got in zip(parts, (re, im)):
+            assert libmp.from_man_exp(got, got_e) == libmp.from_man_exp(man, e, prec, "n"), (man, e, prec)
+            odd = abs(got) >> (abs(got) & -abs(got)).bit_length() - 1 if got else 0
+            assert odd.bit_length() <= prec, (man, e, prec)
+
+
+def test_prec_matches_dps_to_prec():
+    """The working bits of every allowed digit count are libmp's
+    dps_to_prec(digits + 10), the precision of the mpmath contexts the
+    values leave through."""
+    for digits in range(30, modular.MAX_DIGITS + 1):
+        assert modular._prec(Precision(digits)) == libmp.dps_to_prec(digits + 10), digits
+
+
+def test_totient_matches_the_gcd_count():
+    """`_totient` from trial division against the count of units mod N, for
+    every N up to 2000."""
+    for n in range(1, 2001):
+        assert modular._totient(n) == sum(math.gcd(x, n) == 1 for x in range(n)), n
+
+
 def test_far_cell_holds_its_digits():
     """dK=-23 mod 3,9,12, class (1223,-1097,246): tau0 = 1/2 + 2.398i and
     x = y = 5/12, so 1/w has modulus |q|^(-5/6).  A kernel multiplying by
@@ -1288,7 +1424,7 @@ def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
     edges = 0
     for fc in enumerate_classes(mod).classes:
         d = descriptor(fc.rep, mod)
-        want = modular._fricke_at(modular.descriptor_label(d), d.eval_point(), p)
+        want = modular._mpc(p, modular._fricke_at(modular.descriptor_label(d), d.eval_point(), p))
         assert abs(eval_descriptor(d, None, p) - want) < mpmath.mpf(10) ** -85 * abs(want), fc.rep
         r, _ = reduce(d.eval_point())
         edges += r.b == r.a or r.a == r.c
@@ -1297,10 +1433,10 @@ def test_exact_reduction_matches_fricke_at_the_embedded_point(dk, ideal):
 
 def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
     """Every theta route entry builds q and w from one real exponential:
-    with mpmath's complex exponentials refusing in every context made after
-    the patch, `eval_descriptor`, `fricke`, `_reduced_values`, `_fricke_at`
+    with the q-series route's complex exponential (`_qseries_exp`)
+    refusing, `eval_descriptor`, `fricke`, `_reduced_values`, `_fricke_at`
     and `eisenstein_j` return unchanged values, while the q-series route,
-    `eval_descriptor_unreduced`, which takes them from exp, fails."""
+    `eval_descriptor_unreduced`, which takes q and w from it, fails."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
     label = modular.descriptor_label(descs[0])
     point, form = descs[0].eval_point(), root_form("0.31", "0.45")
@@ -1315,40 +1451,30 @@ def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
     def refuse(*args):
         raise AssertionError("complex exponential on the theta route")
 
-    for name in ("mpc_expjpi", "mpc_exp"):
-        monkeypatch.setattr(mpmath.libmp, name, refuse)
-    monkeypatch.setattr(modular, "_CONTEXTS", {})
+    monkeypatch.setattr(modular, "_qseries_exp", refuse)
     assert [call() for call in calls] == before
     with pytest.raises(AssertionError, match="complex exponential"):
         eval_descriptor_unreduced(descs[0], P80)
 
 
 def test_theta_phases_enter_cos_sin_pi_folded(monkeypatch):
-    """Every `mpf_cos_sin_pi` argument of a `verify` pass outside
-    `_qseries_core` (dK=-20 `2,4,6`, 40 digits) lies in [0, 1/4]: each phase
-    is folded exactly first (`_cos_sin_pi`).  On mpmath 1.3.0's pure-Python
-    backend an unfolded argument just below a half-integer runs at about
-    twice the precision, about 4 times slower."""
-    cos_sin, qseries = libelefun.mpf_cos_sin, modular._qseries_core
-    args, inside = [], []
+    """Every angle that `_exp_series` takes as a cosine and sine in a
+    `verify` pass (dK=-20 `2,4,6`, 40 digits), the theta route's phases and
+    the q-series route's, lies in [0, pi/4]: each phase is folded exactly
+    into [0, 1/4] first (`_cos_sin_pi`), so the series' sine, a square
+    root, carries its sign from the fold, and its argument halvings stay
+    few."""
+    series, angles = modular._exp_series, []
 
-    def recorded(x, prec, rnd=libelefun.round_fast, which=0, pi=False):
-        if pi and not inside:
-            args.append(Fraction(*libmp.to_rational(x)))
-        return cos_sin(x, prec, rnd, which, pi)
+    def recorded(x, wp, alt=False):
+        if alt:
+            angles.append(Fraction(x, 1 << wp))
+        return series(x, wp, alt)
 
-    def qseries_core(*a):
-        inside.append(True)
-        try:
-            return qseries(*a)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(libelefun, "mpf_cos_sin", recorded)
-    monkeypatch.setattr(modular, "_qseries_core", qseries_core)
+    monkeypatch.setattr(modular, "_exp_series", recorded)
     assert all(c.passed for c in run_checks(MOD20, Precision(40), 20, random.Random(911)))
-    assert args
-    assert all(0 <= t <= Fraction(1, 4) for t in args), max(args)
+    assert angles
+    assert all(0 <= t <= Fraction(785399, 10**6) for t in angles), max(angles)
 
 
 def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
@@ -1377,11 +1503,13 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
         eval_descriptor_unreduced(descs[0], P80)
 
 
-# the helpers each route computes with and the other must never call
+# the helpers each route computes with and the other must never call; both
+# call the shared elementary helpers (`_constant`, `_exp`, `_exp_series`,
+# `_cos_sin_pi`) and `_rounded`, as both once called mpmath's
 THETA_ARITHMETIC = ("_mul", "_div", "_norm", "_shift", "_scaled", "_theta_sums", "_theta_values",
-                    "_torsion_exact")
+                    "_torsion_exact", "_theta_terms", "_exact_nome", "_theta_core")
 QSERIES_ARITHMETIC = ("_qseries_values", "_qseries_core", "_qseries_terms", "_qseries_mul",
-                      "_qseries_div", "_torsion_value", "_reduce_tau")
+                      "_qseries_div", "_torsion_value", "_reduce_tau", "_qseries_exp")
 
 
 @pytest.mark.parametrize("mod", [MOD20, make_modulus(D4, 6, 0, 6)], ids=["-20", "-4"])
@@ -1411,28 +1539,30 @@ def test_descriptor_routes_share_no_arithmetic(monkeypatch, mod):
                 other(descs[0], p=P80)
 
 
-def test_qseries_loop_builds_no_mpmath_value_per_term():
-    """`_qseries_core` sums on ints: the mpf and mpc values its context
-    builds in one call, at the entry and at the exit, stay under 40 as its
-    term count grows from 27 at 40 digits to 381 at 1000 digits
-    (tau0 = i); the stopping rule tests float logs and builds none.  Each
-    call runs on a fresh context whose number classes count every value
-    they build."""
+def test_qseries_loop_builds_no_mpmath_value_per_term(monkeypatch):
+    """`_qseries_core` sums on ints: the elementary helpers it calls in one
+    call, at the entry (pi, ln 2, the exponentials and the phases' series),
+    are the same few as its term count grows from 27 at 40 digits to 381 at
+    1000 digits (tau0 = i); the stopping rule tests float logs and builds
+    none, and every value it returns is an exact value on ints."""
     built, terms = {}, {}
     for digits in (40, 1000):
-        ctx = ctx_for(digits)
-        tau0, cell = ctx.mpc(0, 1), (20, -37, 100)
-        terms[digits], _, _ = qseries_terms(ctx, tau0, cutoff_mpf(ctx))
+        p = Precision(digits)
+        ctx = modular._ctx(p)
+        tau0, cell = exact_tau(ctx.mpc(0, 1), modular._prec(p) + 20), (20, -37, 100)
+        terms[digits], _, _ = qseries_terms(ctx, ctx.mpc(0, 1), cutoff_mpf(ctx))
         count = []
-        for kind in ("mpc", "mpf"):
-            slot = getattr(mpmath.ctx_mp_python, "_" + kind).__dict__[f"_{kind}_"]
-            counted = property(slot.__get__, lambda z, v, slot=slot: (count.append(v), slot.__set__(z, v)))
-            setattr(getattr(ctx, kind), f"_{kind}_", counted)
-        got = modular._qseries_core(ctx, tau0, cell)
-        built[digits] = len(count)
-        assert got == modular._qseries_core(modular._ctx(Precision(digits)), tau0, cell)
+        with monkeypatch.context() as counted:
+            for name in ("_constant", "_exp", "_exp_series", "_cos_sin_pi"):
+                helper = getattr(modular, name)
+                counted.setattr(modular, name, lambda *a, helper=helper, name=name: count.append(name) or helper(*a))
+            got = modular._qseries_core(p, tau0, cell)
+        built[digits] = sorted(count)
+        assert all(type(part) is int for value in got for part in value)
+        assert got == modular._qseries_core(p, tau0, cell)
     assert terms == {40: 27, 1000: 381}
-    assert max(built.values()) < 40, built
+    # two complex exponentials, each pi twice, ln 2, one exponential and one phase
+    assert built[40] == built[1000] and len(built[40]) == 14, built
 
 
 def test_theta_route_builds_no_fraction(monkeypatch):
@@ -1463,27 +1593,31 @@ def test_theta_route_builds_no_fraction(monkeypatch):
     assert [call() for call in calls] == before
 
 
-def test_theta_core_leaves_the_ints_only_for_its_values():
+def test_theta_core_leaves_the_ints_only_for_its_values(monkeypatch):
     """Below `_theta_core` the theta route runs on exact values alone, with
-    no mpmath context: during one core call the context builds exactly one
-    mpc per requested index, the one rounding of each value, and calls
-    neither `to_fixed` nor `mag`.  At the j cell, at cells with x > 0 and
-    x < 0 at a point's form, and at the two vanishing CM values;
-    each call runs on a fresh context whose mpc class counts every value
-    it builds, and returns the values of the cached context's core."""
-    slot = mpmath.ctx_mp_python._mpc.__dict__["_mpc_"]
+    no mpmath: during one core call `_rounded` runs exactly once per
+    requested index, on the value `_torsion_exact` formed, and no mpmath
+    context or mpc is built (`_ctx` and `_mpc` refuse).  At the j cell, at
+    cells with x > 0 and x < 0 at a point's form, and at the two vanishing
+    CM values; each call returns int triples, the values of the unpatched
+    core."""
     form = root_form("0.31", "0.45")
     cases = [(form, (0, 1, 2), (0,)), (form, (2, 1, 5), range(4)), (form, (-1, 2, 5), (2,))]
     cases += [(form, cell, (1, 2, 3)) for form, cell in vanishing_cells()]
+    rounded, torsion_exact = modular._rounded, modular._torsion_exact
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the context converted a value below the core")
+        raise AssertionError("the core built an mpmath value")
 
     for form, cell, indices in cases:
-        built = []
-        ctx = ctx_for(80)
-        ctx.mpc._mpc_ = property(slot.__get__, lambda z, v: (built.append(v), slot.__set__(z, v)))
-        ctx.to_fixed = ctx.mag = refuse
-        got = modular._theta_core(ctx, form, cell, indices)
-        assert len(built) == len(indices), (cell, len(built))
-        assert got == modular._theta_core(modular._ctx(P80), form, cell, indices), cell
+        want = modular._theta_core(P80, form, cell, indices)
+        formed, seen = [], []
+        with monkeypatch.context() as patched:
+            patched.setattr(modular, "_ctx", refuse)
+            patched.setattr(modular, "_mpc", refuse)
+            patched.setattr(modular, "_torsion_exact", lambda *a: formed.append(torsion_exact(*a)) or formed[-1])
+            patched.setattr(modular, "_rounded", lambda v, prec: seen.append(v) or rounded(v, prec))
+            got = modular._theta_core(P80, form, cell, indices)
+        assert seen == formed and len(seen) == len(indices), cell
+        assert all(type(part) is int for value in got for part in value)
+        assert got == want, cell
