@@ -4,10 +4,10 @@ identity-class and invariance checks of the descriptors, and the numeric
 route check.  All random samples come from the caller's generator in a
 fixed order, so a seeded generator makes the report reproducible byte for
 byte.  The numeric checks read the routes' exact values (re, im, e) =
-(re + i im) 2^e, the theta route's each rounded once where its core formed
-it and the q-series route's unrounded, and decide on ints: each residual
-is kept as its exact square, a pair of ints, and only the worst is
-printed, through one Fraction."""
+(re + i im) 2^e, unrounded as each core formed them (a value is rounded
+once, in `modular._mpc`, where it leaves the library, and no check reads
+one), and decide on ints: each residual is kept as its exact square, a
+pair of ints, and only the worst is printed, through one Fraction."""
 
 from __future__ import annotations
 
@@ -116,7 +116,7 @@ def _power_samples(p, rng, samples: int):
     """(form, row, (j, f1, f2, f3)) at `samples` random forms and rows, the
     exact values from the theta route's one reduced entry."""
     drawn = [(_random_form(rng), _random_row(rng)) for _ in range(samples)]
-    return [(f, row, modular._reduced_values(p, f, modular.FrickeLabel(1, *row), range(4))) for f, row in drawn]
+    return [(f, row, modular._reduced_values(p, f, row, range(4))) for f, row in drawn]
 
 
 def _power_residuals(drawn):
@@ -149,7 +149,8 @@ def _law_residuals(p, rng, samples: int):
     reduced `fricke` would carry both sides to one point of the fundamental
     domain and compare a value with itself.  tau is the root of a random
     form and g(tau) the root of act(form, g^-1), so both sides are exact
-    inputs, each value rounded once, and a residual is often exactly 0."""
+    inputs, and their exact values, unrounded, differ by the two theta
+    sums' errors: a residual is not 0 unless the two agree to every bit."""
     for _ in range(samples):
         form = _random_form(rng)
         r, s, level = _random_row(rng)

@@ -28,7 +28,7 @@ These four numbers are computed along two independent routes:
   magnitude its docstring names.  `_torsion_exact` forms each requested
   value, j or an indexed function, from those four with the same
   operations, within 2^-prec of its formula relative to the magnitude
-  its docstring names, and each is rounded to prec bits once.
+  its docstring names, and returns it unrounded.
 * the q-series route (`_qseries_core`): the pe q-series in e^(2 pi i tau)
   with E4 and E6 as Lambert series in the same loop, over shared powers
   of q and one stopping rule, and the discriminant as Jacobi's product
@@ -78,15 +78,15 @@ elementary functions are int helpers that both routes call, a shared
 library below their own arithmetic: pi and ln 2 (`_constant`, memoized
 with headroom, the module's only state besides `_ctx`'s contexts), the
 real exponential (`_exp`) and the Taylor series of cosh and cos behind
-it and `_cos_sin_pi` (`_exp_series`), and the rounding `_rounded`, the
-nearest-even rule of libmp's from_man_exp.  A theta-route value leaves
-its core as an exact value rounded once to prec = `_prec(p)` bits; a
-q-series value stays unrounded until `eval_descriptor_unreduced` hands
-it out, so `verify`'s checks, which compare exact values on ints, read
-the theta route's rounding against it.  mpmath is imported only where a
-value leaves the library as an mpmath number: the mpc that
-`eval_descriptor`, `fricke`, `eisenstein_j` and
-`eval_descriptor_unreduced` return (`_mpc`), and `complex_to_json`.
+it and `_cos_sin_pi` (`_exp_series`).  Values are exact inside, rounded
+once in `_mpc`: each route's core returns its values as exact values,
+unrounded, so `verify`'s checks, which compare exact values on ints,
+never see two values agree to the bit by both rounding alike.  mpmath is
+imported only where a value leaves the library as an mpmath number: the
+mpc that `eval_descriptor`, `fricke`, `eisenstein_j` and
+`eval_descriptor_unreduced` return (`_mpc`, which rounds each part to
+prec = `_prec(p)` bits, to nearest with ties to even), and
+`complex_to_json`.
 `_ctx` keeps one read-only mpmath context per digit count for them; no
 caller may set its dps or prec.  Complex results are mpmath mpc values;
 they are exchangeable across contexts.
@@ -266,23 +266,6 @@ def _exp(x: int, wp: int):
     return _exp_series(t, w), n - w
 
 
-def _rounded(value, prec: int):
-    """The exact value (re, im, e) with each part rounded to prec bits to
-    nearest, ties to even, as libmp's from_man_exp(man, e, prec, "n")
-    rounds a part, on the lower of the two parts' exponents."""
-    re, im, e = value
-    parts = []
-    for man in (re, im):
-        n = max(0, abs(man).bit_length() - prec)
-        if n:
-            t = abs(man) >> n - 1
-            t = (t >> 1) + bool(t & 1 and (t & 2 or abs(man) & (1 << n - 1) - 1))
-            man = t if man > 0 else -t
-        parts.append((man, n))
-    low = min((n for man, n in parts if man), default=0)
-    return (*(man << n - low if man else 0 for man, n in parts), e + low)
-
-
 _CONTEXTS: dict = {}
 
 
@@ -301,12 +284,15 @@ def _ctx(p: Precision):
 
 
 def _mpc(p: Precision, value):
-    """A rounded exact value (re, im, e) as the mpc of p's context, exactly:
-    where a value leaves the library."""
+    """An exact value (re, im, e) as the mpc of p's context, each part
+    rounded to prec = `_prec(p)` bits, to nearest with ties to even, by
+    libmp's from_man_exp: where a value leaves the library, and the one
+    place where a value is rounded."""
     from mpmath.libmp import from_man_exp
 
     re, im, e = value
-    return _ctx(p).make_mpc((from_man_exp(re, e), from_man_exp(im, e)))
+    prec = _prec(p)
+    return _ctx(p).make_mpc((from_man_exp(re, e, prec, "n"), from_man_exp(im, e, prec, "n")))
 
 
 class _LabelFields(NamedTuple):
@@ -437,7 +423,7 @@ def _qseries_core(p: Precision, tau0, cell: tuple[int, int, int]):
     and Delta as the exact product of q, with its binary exponent, and
     1728 P^24, taken on the ints by four squarings and one product (within
     24 times P's relative error plus 23 f/0.88 relative);
-    `_torsion_value` rounds each value it forms from them once.
+    `_torsion_value` forms each requested value from them, unrounded.
     The entry errors move each term r/(1 - r)^2 = sum k^2 r^k of S by at
     most 1.34 |r| times its relative error, n eq + ew for r = a, b and
     n eq for r = q^n, under 1.6 |q|^(1/2) (eq + ew) in all, as
@@ -732,7 +718,8 @@ def _torsion_exact(wp: int, i: int, values):
       f2 within 75u, M = 12 (M4 M_S)^2/|Delta|,
       f3 within 76u, M = 8 M6 M_S^3/|Delta|.
     Under wp >= prec + 8 each is below 2^(13/2) u = 2^(8 - wp) <= 2^-prec
-    times M, before the one rounding to prec in `_theta_core`.
+    times M, unrounded: `_mpc` rounds a value to prec once, where it leaves
+    the library.
     """
     s_val, e4, e6, delta = values
     if i == 0:
@@ -776,8 +763,8 @@ def _theta_core(p: Precision, form: QuadForm, cell: tuple[int, int, int], indice
     `_theta_terms` bounds its tail below `_cutoff`,
     2^-bitlen(10^(digits + 20)), the q-series route's own.  `_theta_values`
     forms S, E4, E6 and Delta from the sums on ints, `_torsion_exact` each
-    requested value from those, and each value is rounded to prec =
-    `_prec(p)` bits once (`_rounded`) and returned as an exact value.
+    requested value from those, and each is returned as it is formed, an
+    exact value at wp bits, unrounded.
     """
     if form.a <= 0 or form.disc() >= 0:
         raise QFieldError(f"cannot evaluate at indefinite or negative form {form}")
@@ -785,7 +772,7 @@ def _theta_core(p: Precision, form: QuadForm, cell: tuple[int, int, int], indice
     q, w, winv, b, lq, lw = _exact_nome(prec, form, cell)
     wp, sums = _theta_sums(prec, q, lq, _cutoff(p), w, b, lw)
     values = _theta_values(wp, sums, q, winv)
-    return tuple(_rounded(_torsion_exact(wp, i, values), prec) for i in indices)
+    return tuple(_torsion_exact(wp, i, values) for i in indices)
 
 
 def _cos_sin_pi(num: int, den: int, prec: int):
@@ -928,10 +915,10 @@ def _torsion_value(i: int, values):
     (S, E4, E6, Delta), i = 0 standing for j, as an exact value on the
     route's own ints: S, E4 and E6 are pairs at one scale 2^wp, multiplied
     by `_qseries_mul`, and the quotient by c Delta, an exact value times a
-    constant, is floored on ints to at least wp bits, never rounded to the
-    working precision: the route check reads the theta route's rounding
-    against it, so the two routes' values never agree to the bit by both
-    rounding alike.  The pi powers cancel by construction.  The theta route
+    constant, is floored on ints to at least wp bits, unrounded, as the
+    theta route's values are: the route check compares the two routes'
+    exact values, and `_mpc` rounds once, where a value leaves the library.
+    The pi powers cancel by construction.  The theta route
     forms its values with its own helpers (`_torsion_exact`), so the route
     check compares this step too.  A zero Delta, the one value with no
     finite quotient, raises."""
@@ -981,13 +968,14 @@ def eisenstein_j(form: QuadForm, p: Precision = Precision()):
     return _mpc(p, _theta_core(p, reduce(form)[0], (0, 1, 2), (0,))[0])
 
 
-def _reduced_values(p: Precision, form: QuadForm, label: FrickeLabel, indices):
-    """The theta core's exact values at indices (0 standing for j) with
-    label's row, at the reduced form red, with form == act(red, g) by
+def _reduced_values(p: Precision, form: QuadForm, row: tuple[int, int, int], indices):
+    """The theta core's exact values at indices (0 standing for j) with the
+    row (r, s, level), at the reduced form red, with form == act(red, g) by
     `forms.reduce`, and the row pushed through g^-1: the theta route's one
-    reduced entry, read by `fricke` and by `verify`'s power check."""
+    reduced entry, read by `fricke`, `_eval_descriptor` and `verify`'s
+    power check."""
     red, g = reduce(form)
-    return _theta_core(p, red, _exact_cell(label.r, label.s, label.level, g.inv()), indices)
+    return _theta_core(p, red, _exact_cell(*row, g.inv()), indices)
 
 
 def _qseries_values(p: Precision, form: QuadForm, row: tuple[int, int, int], indices):
@@ -1037,16 +1025,11 @@ def _fricke_at(label: FrickeLabel, form: QuadForm, p: Precision):
     return _theta_core(p, form, cell, (label.i,))[0]
 
 
-def _fricke(label: FrickeLabel, form: QuadForm, p: Precision):
-    """`fricke`'s exact value, from `_reduced_values`."""
-    return _reduced_values(p, form, label, (label.i,))[0]
-
-
 def fricke(label: FrickeLabel, form: QuadForm, p: Precision = Precision()):
     """The indexed torsion-value function on the theta route at the root of
     a positive definite form, the form reduced and its row pushed by
     `_reduced_values`, as an mpc."""
-    return _mpc(p, _fricke(label, form, p))
+    return _mpc(p, _reduced_values(p, form, label[1:], (label.i,))[0])
 
 
 def weber_index(disc: Discriminant) -> int:
@@ -1062,8 +1045,10 @@ def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
 
 
 def _eval_descriptor(desc: GaloisDescriptor, i, p: Precision):
-    """`eval_descriptor`'s exact value: `_fricke` at the descriptor's point."""
-    return _fricke(descriptor_label(desc, i), desc.eval_point(), p)
+    """`eval_descriptor`'s exact value: `_reduced_values` at the
+    descriptor's point and label."""
+    label = descriptor_label(desc, i)
+    return _reduced_values(p, desc.eval_point(), label[1:], (label.i,))[0]
 
 
 def eval_descriptor(desc: GaloisDescriptor, i=None, p: Precision = Precision()):
@@ -1113,10 +1098,9 @@ def _eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision):
 
 
 def eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision = Precision()):
-    """Same value along the unreduced route, rounded once to the working
-    precision (`_rounded`) and handed out as an mpc: see
+    """Same value along the unreduced route, as an mpc: see
     `_eval_descriptor_unreduced`."""
-    return _mpc(p, _rounded(_eval_descriptor_unreduced(desc, p), _prec(p)))
+    return _mpc(p, _eval_descriptor_unreduced(desc, p))
 
 
 def complex_to_json(value, p: Precision = Precision()) -> dict:
@@ -1126,8 +1110,8 @@ def complex_to_json(value, p: Precision = Precision()) -> dict:
     A theta-route value is a constant times a product of powers of S, E4,
     E6 and 1/Delta, formed on ints by `_torsion_exact` within one written
     bound, 2^-prec of its magnitude M (the constant times its factors'
-    magnitudes over |Delta|), and rounded to prec once, prec being
-    digits + 10 digits.  So a value is within about
+    magnitudes over |Delta|), exact inside the library and rounded to prec
+    once, in `_mpc`, prec being digits + 10 digits.  So a value is within about
     10^-(digits + 9) |value| unless a factor is small against its
     magnitude, which happens where it vanishes: S, whose magnitude
     (k + k~) |A| + (|t3| + |t4|)/12 counts both of its terms, where A and

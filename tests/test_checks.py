@@ -54,24 +54,22 @@ def too_tight():
         "descriptor route vs unreduced route",
     ],
 )
-def test_numeric_checks_can_fail(monkeypatch, too_tight, name):
-    """Each numeric check fails at 10^-60 on 40 digits.  Both sides of a
-    law sample are theta-route values, each rounded once, so a law
-    residual is exactly 0 whenever the two round to the same bits (at 40
-    digits 4 of 200 draws are not), and one seed's five samples may all be
-    0: the law case draws its samples one at a time from a seeded
-    generator until a residual is not 0 (the 51st from seed 911), and the
-    check must fail on those samples."""
-    if name != "row transformation law":
-        assert not too_tight[name].passed, too_tight[name].detail
-        return
-    rng, drawn = random.Random(911), []
-    while len(drawn) < 1000 and not any(n for n, _ in drawn):
-        drawn += checks._law_residuals(Precision(40), rng, 1)
-    assert any(n for n, _ in drawn), "1000 law samples, every residual exactly 0"
-    monkeypatch.setattr(checks, "_law_residuals", lambda p, rng, samples: iter(drawn))
-    check = next(c for c in run_checks(MOD20, Precision(40), 60, random.Random(911)) if c.name == name)
-    assert not check.passed, check.detail
+def test_numeric_checks_can_fail(too_tight, name):
+    """Each numeric check fails at 10^-60 on 40 digits."""
+    assert not too_tight[name].passed, too_tight[name].detail
+
+
+@pytest.mark.parametrize("digits", [40, 80])
+def test_law_residuals_are_never_exactly_zero(digits):
+    """Both sides of a law sample are exact values, unrounded, at two
+    different exact inputs, so no residual is exactly 0: not one of 200
+    samples drawn one at a time from Random(911).  Rounded to the working
+    precision, the two sides agreed to the bit on 196 of them at 40 digits
+    and on 198 at 80."""
+    rng = random.Random(911)
+    for k in range(200):
+        ((n, _),) = checks._law_residuals(Precision(digits), rng, 1)
+        assert n, k
 
 
 @pytest.mark.parametrize(
@@ -236,38 +234,27 @@ def test_invariance_check_fails_on_a_descriptor_fault(monkeypatch, ideal, reache
 
 
 def test_verify_calls_fricke_only_through_eval_descriptor(monkeypatch):
-    """Every check of `run_checks` passes with `fricke`'s exact value
-    (`modular._fricke`) raising outside `eval_descriptor`'s
-    (`modular._eval_descriptor`), whose body it is, and with the public
-    `fricke` and `eval_descriptor`, which hand out mpc values, raising
-    everywhere: it runs once per class, in the route check, on exact
-    values; the invariance check compares exact inputs, not values at
+    """Every check of `run_checks` passes with `modular._mpc`, the one place
+    where a value is rounded, and the public entries that hand out its mpc
+    values refusing, so no check reads a rounded value; `eval_descriptor`'s
+    exact value (`modular._eval_descriptor`) runs once per class, in the
+    route check; the invariance check compares exact inputs, not values at
     rounded points."""
-    fricke, eval_descriptor = modular._fricke, modular._eval_descriptor
-    inside, calls = [], []
+    eval_descriptor, calls = modular._eval_descriptor, []
 
-    def guarded(*args):
-        if not inside:
-            raise AssertionError("fricke called outside eval_descriptor")
-        calls.append(args)
-        return fricke(*args)
-
-    def evaluated(*args):
-        inside.append(True)
-        try:
-            return eval_descriptor(*args)
-        finally:
-            inside.pop()
+    def counted(desc, i, p):
+        calls.append(desc)
+        return eval_descriptor(desc, i, p)
 
     def refuse(*args):
         raise AssertionError("verify handed a value out as an mpc")
 
-    monkeypatch.setattr(modular, "_fricke", guarded)
-    monkeypatch.setattr(modular, "_eval_descriptor", evaluated)
-    for name in ("fricke", "eval_descriptor", "eval_descriptor_unreduced", "eisenstein_j"):
+    monkeypatch.setattr(modular, "_eval_descriptor", counted)
+    for name in ("_mpc", "fricke", "eval_descriptor", "eval_descriptor_unreduced", "eisenstein_j"):
         monkeypatch.setattr(modular, name, refuse)
     assert all(c.passed for c in run_checks(MOD20, Precision(80), 40, random.Random(911)))
-    assert len(calls) == len(group_table(MOD20).classes)
+    classes = group_table(MOD20).classes
+    assert sorted(calls) == sorted(descriptor(fc.rep, MOD20) for fc in classes)
 
 
 @pytest.mark.parametrize("dk,ideal", [(-23, (1, 8, 31)), (-111, (9, 0, 9))])

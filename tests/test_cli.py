@@ -446,20 +446,21 @@ def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
 # product, its loop on fixed-point ints, reading an integral form, an int
 # cell and the theta route's tail cutoff, and the route check also run at
 # the power samples, and every check deciding on the routes' exact values
-# on ints, the q-series route's values unrounded, with its own numeric
-# reduction, entry and exit on ints and no mpmath; any change to a sample,
-# value or detail string shows here
+# on ints, with its own numeric reduction, entry and exit on ints and no
+# mpmath, and both routes' values unrounded, a value rounded only where it
+# leaves the library; any change to a sample, value or detail string shows
+# here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "2c00e9ca5822ca7b0dfbb2d01bdedf1158593459c2099c1e6e7b41961d9f9d46",
-    ("-20", "2,4,6", "40", "json"): "8495a8890fd0a128b710edc4647c34619c7a029e64dc1e356ab57addf3cb0653",
-    ("-20", "2,4,6", "40", "text"): "1d52f6dea80c677ba4dfb9552b5df2ffbb1ab664c4a8fde89c06eba977f80a17",
-    ("-23", "1,8,31", "40", "json"): "11aa4f3a94a7dc419a6a8f7141d33cdd052c1228455f335f5e1a77affb570e92",
-    ("-23", "3,9,12", "80", "json"): "0ab489f51dc48d151795c2b7553b2e6accdfb4bcd1520b446c3778045945a288",
-    ("-23", "3,9,12", "80", "text"): "603582164ae03793a3992f50c4818c8b6d5bff70ae57396e99e98fc1e773a8bb",
-    ("-3", "6,0,6", "80", "json"): "8c361a71fe710bff9814a6d5c49aa7686e02e017df346ec6279878fab3a5162d",
-    ("-3", "6,0,6", "80", "text"): "5a4743294b59467dd45330442fff910038e0793732b8a6a7aa42f6475c18f661",
-    ("-4", "6,0,6", "80", "json"): "cc7fc3608d7d05f8d418b0f62903c450ef01af1c2fa28ff9e5b80beb592c3f85",
-    ("-4", "6,0,6", "80", "text"): "462326b8f861f8899e239e46692922b2b00d637078b7b0b601cc08e02e4e8e02",
+    ("-111", "9,0,9", "40", "json"): "b9b7614693deeee18c263a0b918230124c4edd319a0a98763cd8ed59e0b422f4",
+    ("-20", "2,4,6", "40", "json"): "ed3716418505d4f83514c29df1f44538843cc5fa3cce263963753f5492e2a22c",
+    ("-20", "2,4,6", "40", "text"): "d0c324f527dbb0c546f6acad2dce3404a1d5c6f1faeefb4000896c6c3865e690",
+    ("-23", "1,8,31", "40", "json"): "63885b77333b1d34f0cfff6262301fedfb10fa9ba5196b96175390d7137ed415",
+    ("-23", "3,9,12", "80", "json"): "cccfbc1ada01c3423e60b0e9dc68ed73680dcf3a37edbb2af157f2a94c6194ff",
+    ("-23", "3,9,12", "80", "text"): "c8a01e689e06ba7e306eb974fa4f882487c010bbf22352229e6e49b98bc104be",
+    ("-3", "6,0,6", "80", "json"): "6498a3e4499c7ce35e88155bc36d6c628c9a2f4a0c0198a129a84820d87a1013",
+    ("-3", "6,0,6", "80", "text"): "4287902f0100dc71ecf84ad41b8653f8792b308d5a6000349cf16d411621d95b",
+    ("-4", "6,0,6", "80", "json"): "b4799e2ccc55c173a2eed5e3efa2ad1d15fdf4ff73e6f16258be0e988c7d2762",
+    ("-4", "6,0,6", "80", "text"): "01b3cdbf8369eb1d0a8c6f386fbfadee3e93551b573468e4ac1460d26e3468fb",
 }
 
 

@@ -309,7 +309,7 @@ def test_j_and_fricke_near_a_cusp():
     got = ref.mpc(eisenstein_j(point, p))
     assert abs(got - want) < ref.mpf(10) ** -30 * abs(want)
     f1 = fricke(label, point, p)
-    assert ref.isfinite(f1) and f1 == modular._mpc(p, modular._reduced_values(p, point, label, range(4))[1])
+    assert ref.isfinite(f1) and f1 == modular._mpc(p, modular._reduced_values(p, point, label[1:], range(4))[1])
 
 
 def test_theta_entries_reject_a_form_that_is_not_positive_definite():
@@ -321,7 +321,7 @@ def test_theta_entries_reject_a_form_that_is_not_positive_definite():
     for form in [QuadForm(1, 0, -1), QuadForm(1, 2, 1), QuadForm(-1, 0, -1), QuadForm(0, 1, 1), QuadForm(-2, 1, -3)]:
         calls = [
             lambda: fricke(label, form, P80),
-            lambda: modular._reduced_values(P80, form, label, range(4)),
+            lambda: modular._reduced_values(P80, form, label[1:], range(4)),
             lambda: eisenstein_j(form, P80),
             lambda: modular._fricke_at(label, form, P30),
             lambda: modular._theta_core(P30, form, (1, 0, 6), (0, 1)),
@@ -430,7 +430,7 @@ def test_power_values_equal_the_public_calls():
     """The power check's one reduction and one theta core give exactly the
     values of eisenstein_j and the three fricke calls at the same form and row."""
     for form, lab in POWER_SAMPLES:
-        jv, *values = (modular._mpc(P80, v) for v in modular._reduced_values(P80, form, lab, range(4)))
+        jv, *values = (modular._mpc(P80, v) for v in modular._reduced_values(P80, form, lab[1:], range(4)))
         assert jv == eisenstein_j(form, P80)
         assert values == [
             fricke(FrickeLabel(i, lab.r, lab.s, lab.level), form, P80) for i in (1, 2, 3)
@@ -1101,13 +1101,13 @@ def vanishing_cells():
 @pytest.mark.parametrize("digits", [80, 300, 1000])
 def test_theta_values_within_their_error_bound(digits):
     """S, E4, E6 and Delta as `_theta_values` forms them on ints, and j, f1,
-    f2 and f3 as `_torsion_exact` forms them from those, before the one
-    rounding, against the mpc formulas at twice the working precision on
-    the same integer sums, q and 1/w: within the docstrings' 32u (69u to
-    76u for the f_i) times each value's magnitude, u = 2^(3/2 - wp), at
-    every point and cell above, the cusp included, and at the two
-    vanishing CM values, where S cancels.  `_theta_core` returns each f_i
-    rounded once."""
+    f2 and f3 as `_torsion_exact` forms them from those, unrounded, against
+    the mpc formulas at twice the working precision on the same integer
+    sums, q and 1/w: within the docstrings' 32u (69u to 76u for the f_i)
+    times each value's magnitude, u = 2^(3/2 - wp), at every point and cell
+    above, the cusp included, and at the two vanishing CM values, where S
+    cancels.  `_theta_core`'s f_i, rounded once by `_mpc`, is that value
+    rounded to the working precision."""
     p = Precision(digits)
     ctx = modular._ctx(p)
     taus = [ctx.mpc(*tau) for tau in KERNEL_TAUS]
@@ -1307,29 +1307,6 @@ def test_series_terms_match_the_plain_search():
         assert modular._series_terms(x, w) == n, (x, w)
 
 
-def test_rounding_matches_libmp_nearest():
-    """`_rounded` rounds each part as libmp's from_man_exp(man, e, prec,
-    "n") does, ties to even, on seeded mantissas of either sign from 1 to
-    3000 bits, exact ties included, and a zero part stays 0."""
-    rng = random.Random(41)
-    for _ in range(3000):
-        prec = rng.randrange(2, 400)
-        bits = rng.randrange(1, 3000)
-        parts = []
-        for _ in range(2):
-            man = rng.getrandbits(bits) | 1 << bits - 1
-            if rng.random() < 0.3 and bits > prec + 1:
-                n = bits - prec
-                man = (man >> n << n) | 1 << n - 1  # exactly halfway
-            parts.append(man * rng.choice((-1, 1)) if rng.random() < 0.95 else 0)
-        e = rng.randrange(-5000, 5000)
-        re, im, got_e = modular._rounded((parts[0], parts[1], e), prec)
-        for man, got in zip(parts, (re, im)):
-            assert libmp.from_man_exp(got, got_e) == libmp.from_man_exp(man, e, prec, "n"), (man, e, prec)
-            odd = abs(got) >> (abs(got) & -abs(got)).bit_length() - 1 if got else 0
-            assert odd.bit_length() <= prec, (man, e, prec)
-
-
 def test_prec_matches_dps_to_prec():
     """The working bits of every allowed digit count are libmp's
     dps_to_prec(digits + 10), the precision of the mpmath contexts the
@@ -1442,7 +1419,7 @@ def test_eval_descriptor_makes_no_complex_exponential(monkeypatch):
     point, form = descs[0].eval_point(), root_form("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
         lambda: fricke(label, point, P80),
-        lambda: modular._reduced_values(P80, point, label, range(4)),
+        lambda: modular._reduced_values(P80, point, label[1:], range(4)),
         lambda: modular._fricke_at(label, form, P80),
         lambda: eisenstein_j(form, P80),
     ]
@@ -1488,7 +1465,7 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     point, form = descs[0].eval_point(), root_form("0.31", "0.45")
     calls = [lambda d=d: eval_descriptor(d, None, P80) for d in descs] + [
         lambda: fricke(label, point, P80),
-        lambda: modular._reduced_values(P80, form, label, range(4)),
+        lambda: modular._reduced_values(P80, form, label[1:], range(4)),
         lambda: eisenstein_j(point, P80),
         lambda: modular._fricke_at(label, form, P80),
     ]
@@ -1505,7 +1482,7 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
 
 # the helpers each route computes with and the other must never call; both
 # call the shared elementary helpers (`_constant`, `_exp`, `_exp_series`,
-# `_cos_sin_pi`) and `_rounded`, as both once called mpmath's
+# `_cos_sin_pi`), as both once called mpmath's
 THETA_ARITHMETIC = ("_mul", "_div", "_norm", "_shift", "_scaled", "_theta_sums", "_theta_values",
                     "_torsion_exact", "_theta_terms", "_exact_nome", "_theta_core")
 QSERIES_ARITHMETIC = ("_qseries_values", "_qseries_core", "_qseries_terms", "_qseries_mul",
@@ -1578,7 +1555,7 @@ def test_theta_route_builds_no_fraction(monkeypatch):
     calls += [lambda d=d: eval_descriptor_unreduced(d, P80) for d in descs]
     calls += [
         lambda: fricke(label, tau, P80),
-        lambda: modular._reduced_values(P80, tau, label, range(4)),
+        lambda: modular._reduced_values(P80, tau, label[1:], range(4)),
         lambda: modular._fricke_at(label, tau, P80),
         lambda: eisenstein_j(tau, P80),
     ]
@@ -1595,29 +1572,28 @@ def test_theta_route_builds_no_fraction(monkeypatch):
 
 def test_theta_core_leaves_the_ints_only_for_its_values(monkeypatch):
     """Below `_theta_core` the theta route runs on exact values alone, with
-    no mpmath: during one core call `_rounded` runs exactly once per
-    requested index, on the value `_torsion_exact` formed, and no mpmath
-    context or mpc is built (`_ctx` and `_mpc` refuse).  At the j cell, at
+    no mpmath and no rounding: one core call returns, for each requested
+    index, the very value `_torsion_exact` formed, unchanged, and builds no
+    mpmath context or mpc (`_ctx` and `_mpc` refuse).  At the j cell, at
     cells with x > 0 and x < 0 at a point's form, and at the two vanishing
     CM values; each call returns int triples, the values of the unpatched
     core."""
     form = root_form("0.31", "0.45")
     cases = [(form, (0, 1, 2), (0,)), (form, (2, 1, 5), range(4)), (form, (-1, 2, 5), (2,))]
     cases += [(form, cell, (1, 2, 3)) for form, cell in vanishing_cells()]
-    rounded, torsion_exact = modular._rounded, modular._torsion_exact
+    torsion_exact = modular._torsion_exact
 
     def refuse(*args, **kwargs):
         raise AssertionError("the core built an mpmath value")
 
     for form, cell, indices in cases:
         want = modular._theta_core(P80, form, cell, indices)
-        formed, seen = [], []
+        formed = []
         with monkeypatch.context() as patched:
             patched.setattr(modular, "_ctx", refuse)
             patched.setattr(modular, "_mpc", refuse)
             patched.setattr(modular, "_torsion_exact", lambda *a: formed.append(torsion_exact(*a)) or formed[-1])
-            patched.setattr(modular, "_rounded", lambda v, prec: seen.append(v) or rounded(v, prec))
             got = modular._theta_core(P80, form, cell, indices)
-        assert seen == formed and len(seen) == len(indices), cell
+        assert list(got) == formed and len(formed) == len(indices), cell
         assert all(type(part) is int for value in got for part in value)
         assert got == want, cell
