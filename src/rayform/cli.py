@@ -16,7 +16,6 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 
 from .forms import QuadForm, parse_form, reduced_forms
@@ -40,8 +39,6 @@ from .rayclass import (
     make_modulus,
     point_coords,
 )
-
-_VERIFY_SEED = 911
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,7 +262,7 @@ def _cmd_verify(args) -> int:
     mod = _modulus(args)
     digits = _digits(args)
     tol_exp = digits // 2 if args.tolerance_exponent is None else args.tolerance_exponent
-    checks = run_checks(mod, modular.Precision(digits), tol_exp, random.Random(_VERIFY_SEED))
+    checks = run_checks(mod, modular.Precision(digits), tol_exp)
     passed = all(c.passed for c in checks)
     results = [c._asdict() for c in checks]
     payload = {"dK": mod.disc.d, "ideal": str(mod), "passed": passed, "checks": results}

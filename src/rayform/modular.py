@@ -101,7 +101,7 @@ import math
 from typing import NamedTuple
 
 from .forms import IDENT, S_FLIP, QuadForm, UnimodMatrix, _reduce_cap, automorphs, reduce, t_power
-from .qfield import Discriminant, InternalCheckError, QFieldError
+from .qfield import InternalCheckError, QFieldError
 from .rayclass import GaloisDescriptor
 
 _MAX_TERMS = 200000
@@ -1032,15 +1032,16 @@ def fricke(label: FrickeLabel, form: QuadForm, p: Precision = Precision()):
     return _mpc(p, _reduced_values(p, form, label[1:], (label.i,))[0])
 
 
-def weber_index(disc: Discriminant) -> int:
-    """Exponent attached to the unit group: half its order."""
-    return len(disc.unit_coords()) // 2
+def weber_index(d: int) -> int:
+    """Exponent attached to the unit group of the fundamental discriminant
+    d: half its order, 6 units at d = -3, 4 at -4 and 2 (+-1) elsewhere."""
+    return {-3: 3, -4: 2}.get(d, 1)
 
 
 def descriptor_label(desc: GaloisDescriptor, i=None) -> FrickeLabel:
     """The label (i, [0, a_inv/N]) of a descriptor's value, i None standing
-    for `weber_index`."""
-    i = weber_index(desc.disc) if i is None else i
+    for `weber_index` of the base point's discriminant, dK."""
+    i = weber_index(desc.point.disc()) if i is None else i
     return FrickeLabel(i, 0, desc.a_inv, desc.eval_matrix[1][1])
 
 

@@ -50,7 +50,6 @@ from .qfield import (
     InternalCheckError,
     QFieldError,
     _egcd,
-    make_discriminant,
     make_ideal_triple,
     ray_class_number_oracle,
     reduced_basis,
@@ -106,11 +105,6 @@ class GaloisDescriptor(NamedTuple):
     eval_matrix: tuple[tuple[int, int], tuple[int, int]]
     point: QuadForm
     twist = "S"
-
-    @property
-    def disc(self) -> Discriminant:
-        """The field, read off the base point's form, of discriminant dK."""
-        return make_discriminant(self.point.disc())
 
     def eval_point(self) -> QuadForm:
         """The primitive form of z = (a1*p + m)/N, the image of the base

@@ -42,7 +42,7 @@ def test_sci_below_double_range():
 def too_tight():
     """The suite at 40 digits against a tolerance of 10^-60, which no
     honest numeric comparison at that precision can meet."""
-    checks = run_checks(MOD20, Precision(40), 60, random.Random(911))
+    checks = run_checks(MOD20, Precision(40), 60)
     return {c.name: c for c in checks}
 
 
@@ -100,7 +100,7 @@ def test_identity_check_fails_when_mutated(monkeypatch, dk, mutation):
     name = "identity-class descriptor sends the point to xi mod Z"
 
     def identity_check():
-        found = run_checks(mod, Precision(30), 15, random.Random(911))
+        found = run_checks(mod, Precision(30), 15)
         return next(c for c in found if c.name == name)
 
     assert identity_check().passed
@@ -132,14 +132,14 @@ def test_modulus_is_the_canonical_triple(dk, ideal):
     with pytest.raises(QFieldError):
         make_modulus(disc, 1, 0, 1)
     table = group_table(mod)
-    report = run_checks(mod, Precision(30), 15, random.Random(911), 1)
+    report = run_checks(mod, Precision(30), 15)
     assert all(check.passed for check in report)
     parsed = qfield.parse_ideal_triple(disc, f"{a1},{a2},{c}")
     spanned = qfield.canonicalize_ideal(disc, [(a1, a2 + c), (2 * a1, 2 * a2 + c)])
     for triple in (parsed, spanned):
         assert triple == mod
         assert group_table(triple) == table
-        assert run_checks(triple, Precision(30), 15, random.Random(911), 1) == report
+        assert run_checks(triple, Precision(30), 15) == report
 
 
 INVARIANCE = "descriptor value constant on classes"
@@ -218,7 +218,7 @@ def test_invariance_check_fails_on_a_descriptor_fault(monkeypatch, ideal, reache
     translates = 2 * len(group_table(mod).classes)
 
     def report():
-        return {c.name: c for c in run_checks(mod, Precision(30), 15, random.Random(911))}
+        return {c.name: c for c in run_checks(mod, Precision(30), 15)}
 
     before = report()[INVARIANCE]
     assert before.passed
@@ -252,7 +252,7 @@ def test_verify_calls_fricke_only_through_eval_descriptor(monkeypatch):
     monkeypatch.setattr(modular, "_eval_descriptor", counted)
     for name in ("_mpc", "fricke", "eval_descriptor", "eval_descriptor_unreduced", "eisenstein_j"):
         monkeypatch.setattr(modular, name, refuse)
-    assert all(c.passed for c in run_checks(MOD20, Precision(80), 40, random.Random(911)))
+    assert all(c.passed for c in run_checks(MOD20, Precision(80), 40))
     classes = group_table(MOD20).classes
     assert sorted(calls) == sorted(descriptor(fc.rep, MOD20) for fc in classes)
 
@@ -269,14 +269,6 @@ def test_translates_never_return_the_representative(dk, ideal):
     assert len(moved) == 2 * len(reps)
     assert all(m != rep for rep, m in moved)
     assert all(class_translate(rep, mod, 0, 0) is None for rep in reps)
-
-
-@pytest.mark.parametrize("samples", [0, -2])
-def test_run_checks_rejects_fewer_than_one_sample(samples):
-    """With no sample drawn the power and law checks would report a worst
-    residual of 0 and pass without having compared anything."""
-    with pytest.raises(QFieldError, match="sample count"):
-        run_checks(MOD20, Precision(30), 15, random.Random(911), samples)
 
 
 def test_law_draws_are_no_translations_and_no_self_comparisons(monkeypatch):
@@ -342,7 +334,7 @@ def test_law_check_fails_on_a_point_placement_fault(monkeypatch):
     name = "row transformation law"
 
     def law_check():
-        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        found = run_checks(MOD20, Precision(80), 40)
         return next(c for c in found if c.name == name)
 
     assert law_check().passed
@@ -371,7 +363,7 @@ def test_power_check_fails_on_a_wrong_e6(monkeypatch):
     name = "power relations between the three indexed values"
 
     def power_check():
-        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        found = run_checks(MOD20, Precision(80), 40)
         return next(c for c in found if c.name == name)
 
     assert power_check().passed
@@ -394,7 +386,7 @@ def test_route_check_fails_on_a_wrong_qseries_value(monkeypatch, slot):
     name = "descriptor route vs unreduced route"
 
     def route_check():
-        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        found = run_checks(MOD20, Precision(80), 40)
         return next(c for c in found if c.name == name)
 
     assert route_check().passed
@@ -417,7 +409,7 @@ def test_route_check_fails_on_a_jacobi_product_fault(monkeypatch):
     name = "descriptor route vs unreduced route"
 
     def route_check():
-        found = run_checks(MOD20, Precision(80), 40, random.Random(911))
+        found = run_checks(MOD20, Precision(80), 40)
         return next(c for c in found if c.name == name)
 
     assert route_check().passed
@@ -455,7 +447,7 @@ def test_route_check_fails_on_a_qseries_product_fault(monkeypatch, ideal):
     descs = [descriptor(fc.rep, mod) for fc in enumerate_classes(mod).classes]
 
     def route_check():
-        found = run_checks(mod, Precision(80), 40, random.Random(911))
+        found = run_checks(mod, Precision(80), 40)
         return next(c for c in found if c.name == name)
 
     assert route_check().passed
@@ -472,6 +464,42 @@ def test_route_check_fails_on_a_qseries_product_fault(monkeypatch, ideal):
     assert [eval_descriptor(d, None, Precision(80)) for d in descs] == theta
 
 
+@pytest.mark.parametrize(
+    "ideal, digits, exp, under_absolute",
+    [((-111, 9, 0, 9), 40, 35, True), ((-3299, 1, 1, 3), 80, 78, False)],
+    ids=["-111", "-3299"],
+)
+def test_route_check_fails_on_a_relative_fault(monkeypatch, ideal, digits, exp, under_absolute):
+    """The q-series value of the class with the largest |value| scaled by
+    1 + 10^-exp fails the route check, whose gate is a relative
+    10^-digits.  At dK=-111 `9,0,9` that value is about 10^11.3, so the
+    fault moves it by about 10^-23.7: under the absolute 10^-20 that the
+    check read before, which missed it.  At dK=-3299 `1,1,3` the values
+    reach 10^73.9, where an absolute gate fails correct values."""
+    name = "descriptor route vs unreduced route"
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+    p = Precision(digits)
+
+    def route_check():
+        return next(c for c in run_checks(mod, p, digits // 2) if c.name == name)
+
+    assert route_check().passed
+    descs = [descriptor(fc.rep, mod) for fc in group_table(mod).classes]
+    values = {d: modular._eval_descriptor(d, None, p) for d in descs}
+    big = max(descs, key=lambda d: Fraction(*checks._square(values[d])))
+    unreduced = modular._eval_descriptor_unreduced
+
+    def faulted(desc, p):
+        value = unreduced(desc, p)
+        return scaled_by(value, 10**exp + 1, 10**exp) if desc == big else value
+
+    moved = checks._square(checks._diff(values[big], scaled_by(values[big], 10**exp + 1, 10**exp)))
+    assert (moved[0] * 10**digits < moved[1]) == under_absolute
+    monkeypatch.setattr(modular, "_eval_descriptor_unreduced", faulted)
+    check = route_check()
+    assert not check.passed, check.detail
+
+
 def _least_modulus(disc):
     """The proper modulus (1, a2, c) of least c >= 3, then least a2."""
     for c in itertools.count(3):
@@ -480,23 +508,43 @@ def _least_modulus(disc):
                 return make_modulus(disc, 1, a2, c)
 
 
+def _sweep(lo, hi, seed, count, digits):
+    """`verify`'s checks at `digits` digits and the default tolerance on
+    `count` fundamental dK drawn from [lo, hi] with `seed`, each with its
+    least proper modulus; the worst route residual and where it was."""
+    pool = []
+    for d in range(lo, hi + 1):
+        try:
+            pool.append(make_discriminant(d))
+        except QFieldError:
+            pass
+    worst = []
+    for disc in random.Random(seed).sample(pool, count):
+        mod = _least_modulus(disc)
+        report = run_checks(mod, Precision(digits), digits // 2)
+        assert all(c.passed for c in report), (disc.d, mod, [str(c) for c in report])
+        worst.append((float(report[-1].detail.split()[-1]), disc.d))
+    return max(worst)
+
+
 def test_verify_passes_on_a_seeded_sweep_of_fundamental_discriminants():
     """`verify`'s checks at 80 digits and tolerance 10^-40 on ten
     fundamental dK drawn from [-1000, -120] (seed 46), each with its least
     proper modulus (1, a2, c), c >= 3.  With the discriminant as
     E4^3 - E6^2, seven of the ten failed the route check (-863, -923, -616,
     -740, -943, -947, -879; worst 6.9e-15 at -947 `1,0,3`); with Jacobi's
-    product the worst route residual is 7.1e-52, at -943 `1,0,4`."""
-    pool = []
-    for d in range(-1000, -119):
-        try:
-            pool.append(make_discriminant(d))
-        except QFieldError:
-            pass
-    for disc in random.Random(46).sample(pool, 10):
-        mod = _least_modulus(disc)
-        report = run_checks(mod, Precision(80), 40, random.Random(911))
-        assert all(c.passed for c in report), (disc.d, mod, [str(c) for c in report])
+    product the worst route residual, relative to the value, is 4.1e-92."""
+    assert _sweep(-1000, -120, 46, 10, 80)[0] < 1e-88
+
+
+def test_verify_passes_on_a_seeded_sweep_past_a_thousand():
+    """`verify`'s checks at 40 digits on six fundamental dK drawn from
+    [-10^4, -1000] (seed 51): -6735, -3239, -2567, -7832, -6695 and -6904,
+    h from 32 to 92.  The values reach 10^63 there, and read against an
+    absolute 10^-20 every route check failed on correct values (worst
+    residual 1.4e+63 at -7832); relative to the value the worst is 3.6e-52,
+    at -3239, against the gate 10^-40."""
+    assert _sweep(-10**4, -1000, 51, 6, 40)[0] < 1e-48
 
 
 def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
@@ -507,8 +555,9 @@ def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
     factor, so they test Jacobi's identity among the theta constants; the
     law compares the theta route with itself, and invariance compares
     exact inputs, no values.  This pins that blind spot, as the table
-    census pins the table's."""
-    before = run_checks(MOD20, Precision(80), 40, random.Random(911))
+    census pins the table's.  The route residual, relative to the value,
+    reads the fault's own size, 2^-100 = 7.889e-31 (3.395e-29 absolute)."""
+    before = run_checks(MOD20, Precision(80), 40)
     theta_values = modular._theta_values
 
     def scaled_s(*args):
@@ -516,11 +565,11 @@ def test_only_the_route_check_sees_a_fault_in_s(monkeypatch):
         return ((re * (2**100 + 1), im * (2**100 + 1), e - 100), *rest)
 
     monkeypatch.setattr(modular, "_theta_values", scaled_s)
-    after = run_checks(MOD20, Precision(80), 40, random.Random(911))
+    after = run_checks(MOD20, Precision(80), 40)
     assert all(c.passed for c in before)
     assert [c.name for c in after if not c.passed] == ["descriptor route vs unreduced route"]
     assert after[5] == before[5]  # invariance: exact, no value read
-    assert after[6].detail == "worst residual 3.395e-29"
+    assert after[6].detail == "worst residual 7.889e-31"
 
 
 def _theta_fault(monkeypatch, fault):
@@ -574,7 +623,7 @@ def test_route_check_fails_on_a_theta_fault(monkeypatch, fault, ideal, digits):
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
 
     def route_check():
-        found = run_checks(mod, Precision(digits), digits // 2, random.Random(911))
+        found = run_checks(mod, Precision(digits), digits // 2)
         return next(c for c in found if c.name == name)
 
     assert route_check().passed
@@ -595,7 +644,7 @@ def test_route_check_fails_on_a_fault_in_one_theta_value(monkeypatch, i, ideal):
     mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
 
     def route_check():
-        found = run_checks(mod, Precision(80), 40, random.Random(911))
+        found = run_checks(mod, Precision(80), 40)
         return next(c for c in found if c.name == name)
 
     assert route_check().passed
@@ -615,7 +664,7 @@ def test_contexts_are_shared_and_keep_their_precision():
     assert modular._ctx(Precision(80)) is modular._ctx(Precision(80))
     desc = descriptor(enumerate_classes(MOD20).classes[1].rep, MOD20)
     before = eval_descriptor(desc, None, p80)
-    run_checks(MOD20, p80, 40, random.Random(911))
+    run_checks(MOD20, p80, 40)
     eval_descriptor(desc, None, Precision(1000))
     assert modular._ctx(p80).dps == 90
     assert eval_descriptor(desc, None, p80) == before
@@ -625,7 +674,7 @@ ROUTE_CHECK = "witness equivalence vs ideal route"
 
 
 def _route_check(mod):
-    found = run_checks(mod, Precision(30), 15, random.Random(911))
+    found = run_checks(mod, Precision(30), 15)
     return next(c for c in found if c.name == ROUTE_CHECK)
 
 
@@ -680,7 +729,7 @@ def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal)
     assert rayclass.class_key(target, mod) != rayclass.class_key(rep, mod)
     assert rayclass.equivalent(rep, target, mod) is None
     assert same_ideal_label(rep, target, mod)
-    found = run_checks(mod, Precision(30), 15, random.Random(911))
+    found = run_checks(mod, Precision(30), 15)
     assert [c.name for c in found if not c.passed] == [ROUTE_CHECK]
     h = len(enumerate_classes(mod).classes)
     assert f"in {h + 1} classes by class key, {h} by ideal key," in found[0].detail
@@ -718,6 +767,6 @@ def test_run_checks_labels_once_and_searches_once_per_translate_pair(monkeypatch
         counted = lambda *args, name=name, inner=inner: calls.update([name]) or inner(*args)
         for module in (rayclass, checks):
             monkeypatch.setattr(module, name, counted)
-    found = run_checks(MOD20, Precision(30), 15, random.Random(911))
+    found = run_checks(MOD20, Precision(30), 15)
     assert all(c.passed for c in found)
     assert calls == {"ideal_keys": 2, "equivalent": 2 * h}

@@ -416,16 +416,21 @@ def test_verify_second_field():
 
 
 @pytest.mark.parametrize(
-    "dk,ideal,digits", [("-479", "1,0,3", "80"), ("-1003", "1,2,11", "80"), ("-311", "1,0,3", "40")]
+    "dk,ideal,digits",
+    [("-479", "1,0,3", "80"), ("-1003", "1,2,11", "80"), ("-311", "1,0,3", "40"), ("-1000003", "1,2,13", "80")],
 )
 def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
     """With the discriminant as E4^3 - E6^2 the q-series route lost about
-    1.36 sqrt|dK|/a digits to cancellation, and these moduli exited 3 on
-    correct values (route residuals 7.4e-40, 4.9e-13 and 4.6e-11 against
-    10^-(digits/2)); Jacobi's product loses none."""
+    1.36 sqrt|dK|/a digits to cancellation, and the first three moduli
+    exited 3 on correct values (route residuals 7.4e-40, 4.9e-13 and
+    4.6e-11 against 10^-(digits/2)); Jacobi's product loses none.  At
+    dK=-1000003 (h=630) the values reach 10^1360, and the route check read
+    against an absolute 10^-40 failed on correct values (worst residual
+    2.2e+1267); relative to the value the worst is 3.2e-92."""
     code, out, err = run("verify", "--dk", dk, "--ideal", ideal, "--digits", digits)
     assert code == 0, out + err
     assert all(check["passed"] for check in json.loads(out)["checks"])
+
 
 
 # sha256 of `verify` stdout, recorded with the one-pass theta kernel and its
@@ -448,19 +453,22 @@ def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
 # the power samples, and every check deciding on the routes' exact values
 # on ints, with its own numeric reduction, entry and exit on ints and no
 # mpmath, and both routes' values unrounded, a value rounded only where it
-# leaves the library; any change to a sample, value or detail string shows
-# here
+# leaves the library, and the route check's residual read relative to the
+# theta value, which pins two moduli that an absolute residual failed; any
+# change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-111", "9,0,9", "40", "json"): "b9b7614693deeee18c263a0b918230124c4edd319a0a98763cd8ed59e0b422f4",
-    ("-20", "2,4,6", "40", "json"): "ed3716418505d4f83514c29df1f44538843cc5fa3cce263963753f5492e2a22c",
-    ("-20", "2,4,6", "40", "text"): "d0c324f527dbb0c546f6acad2dce3404a1d5c6f1faeefb4000896c6c3865e690",
-    ("-23", "1,8,31", "40", "json"): "63885b77333b1d34f0cfff6262301fedfb10fa9ba5196b96175390d7137ed415",
-    ("-23", "3,9,12", "80", "json"): "cccfbc1ada01c3423e60b0e9dc68ed73680dcf3a37edbb2af157f2a94c6194ff",
-    ("-23", "3,9,12", "80", "text"): "c8a01e689e06ba7e306eb974fa4f882487c010bbf22352229e6e49b98bc104be",
-    ("-3", "6,0,6", "80", "json"): "6498a3e4499c7ce35e88155bc36d6c628c9a2f4a0c0198a129a84820d87a1013",
-    ("-3", "6,0,6", "80", "text"): "4287902f0100dc71ecf84ad41b8653f8792b308d5a6000349cf16d411621d95b",
-    ("-4", "6,0,6", "80", "json"): "b4799e2ccc55c173a2eed5e3efa2ad1d15fdf4ff73e6f16258be0e988c7d2762",
-    ("-4", "6,0,6", "80", "text"): "01b3cdbf8369eb1d0a8c6f386fbfadee3e93551b573468e4ac1460d26e3468fb",
+    ("-1003", "1,2,11", "40", "json"): "4d3376f9c89fcbe772c6d6f39f65842a250f9fce73989028c810f7398ea09497",
+    ("-111", "9,0,9", "40", "json"): "c3418ad1595db8e7200de0c1aeb88a179b9de1dc0f968475d7996194795133db",
+    ("-20", "2,4,6", "40", "json"): "8b735dbb38856696eaccebd7a157e886a8c1f756779fb24e254b8fc257824aec",
+    ("-20", "2,4,6", "40", "text"): "c622535dffd7a844d7f0f3a784bf16a374fb6dad1765380e7d97a07d6cff2158",
+    ("-23", "1,8,31", "40", "json"): "03ba3e24eb3fe4119768013836c107626786c3d3b07c66fe2ce6a4bc84cc74dc",
+    ("-23", "3,9,12", "80", "json"): "5d0f2461b3df655f91f40208673ed37735619a28b1c6ab4aa4581d9e4ff6645e",
+    ("-23", "3,9,12", "80", "text"): "7738d440531a5263df8c4087310ae593bc3daecf92923ff6645691f364de5b72",
+    ("-3", "6,0,6", "80", "json"): "befd16a4d7d4aa6dcaf9fd7a86fd2e72f37aa892513c7d4c1aba91e3a0fa9951",
+    ("-3", "6,0,6", "80", "text"): "208694ee46e64ee4644f00308ad7c042f5bcadaf825acc3fbfd02a2bcdd7fb0c",
+    ("-3299", "1,1,3", "80", "json"): "4ecd1cdc03d48b88224c622de9c08c98b51c62004253ca50e692d61437574ccd",
+    ("-4", "6,0,6", "80", "json"): "c9eddc04839fc46d64c6c1cfb6f3db4e51acf503b400f832f2c6a8ec73fde855",
+    ("-4", "6,0,6", "80", "text"): "ca6e8f00203d336cfd4ee8b917dbfb37b7c144e169e6f142c956445f59860f0a",
 }
 
 

@@ -21,31 +21,6 @@ def run_script(name, *args):
     return proc.stdout.splitlines()
 
 
-def test_residual_report_prints_all_seven_checks():
-    lines = run_script("residual_report.py", "--digits", "30", "--samples", "2")
-    assert lines[0] == "digits=30 samples=2 seed=20260822"
-    assert len(lines) == 8
-    assert all(line.startswith("PASS  ") for line in lines[1:])
-    assert lines[3].startswith(
-        "PASS  power relations between the three indexed values: worst residual "
-    )
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (("--digits", "10"), "error: need at least 30 digits, got 10"),
-        (("--digits", "30", "--samples", "0"), "error: sample count must be at least 1, got 0"),
-    ],
-)
-def test_residual_report_rejects_invalid_input(args, message):
-    # invalid input exits 2 as `rayform` does; a failed check exits 3
-    proc = start_script("residual_report.py", *args)
-    assert proc.returncode == 2
-    assert proc.stderr.strip() == message
-    assert proc.stdout == ""
-
-
 def test_reproduce_tables_order_4():
     lines = run_script("reproduce_tables.py", "--case", "order-4 group")
     assert lines[0] == "== order-4 group: dK = -20, modulus 2,4,6 =="
@@ -77,7 +52,7 @@ def start_with_fault(name, fault, *args):
     # fault injected before the script imports it
     code = (
         f"import sys; sys.path.insert(0, 'scripts'); sys.argv[1:] = {list(args)!r}; "
-        f"from rayform import checks, rayclass; {fault}; "
+        f"from rayform import rayclass; {fault}; "
         f"import {name} as script; sys.exit(script.main())"
     )
     return subprocess.run(
@@ -85,10 +60,10 @@ def start_with_fault(name, fault, *args):
     )
 
 
-@pytest.mark.parametrize("name", ["residual_report", "reproduce_tables"])
+@pytest.mark.parametrize("name", ["reproduce_tables"])
 def test_scripts_exit_3_on_an_internal_check(name):
-    # exit 2 means invalid input (and, for reproduce_tables, 1 an uncovered
-    # class); an InternalCheckError is a bug and exits 3 as `rayform` does.
+    # exit 1 means an uncovered class; an InternalCheckError is a bug and
+    # exits 3 as `rayform` does.
     # An oracle count one too high trips enumeration's own count check.
     proc = start_with_fault(name, "rayclass.ray_class_number_oracle = lambda disc, t: 5")
     assert proc.returncode == 3
@@ -97,12 +72,3 @@ def test_scripts_exit_3_on_an_internal_check(name):
     )
     assert proc.stdout == ""
 
-
-def test_residual_report_exits_3_on_a_failed_check():
-    # wrong coordinates for every point fail the identity-class check alone;
-    # a failed check exits 3, as `rayform verify` does
-    fault = "checks.point_coords = lambda form, disc: (0, 0)"
-    proc = start_with_fault("residual_report", fault, "--digits", "30", "--samples", "1")
-    assert proc.returncode == 3, proc.stderr
-    verdicts = [line[:4] for line in proc.stdout.splitlines()[1:]]
-    assert verdicts == ["PASS"] * 4 + ["FAIL"] + ["PASS"] * 2
