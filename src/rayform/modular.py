@@ -67,7 +67,9 @@ from one builder, `_exact_nome`, at the root of the form (a, b, c) and
 the cell: one real exponential R = e^(-pi Im tau0/n), with |q| = R^n,
 |w| = R^(2k) and |1/w| = 1/R^(2k) by binary powering, and the phases
 pi (-b)/(2a) and pi (2ma - kb)/(an), each an integer pair through
-`_cos_sin_pi`, which folds it exactly into [0, 1/4] before its series;
+`_cos_sin_pi`, which folds it exactly into [0, 1/4], takes a closed form
+of square roots at a multiple of pi/12 (on the worked moduli most phases
+are 24th roots of unity) and runs its series only for other angles;
 1/w takes the conjugate of w's phase, and q/w is the product of q and
 1/w.  All four are exact values (re, im, e) = (re + i im) 2^e, never
 rounded to the working precision.  Only the q-series route takes a
@@ -78,10 +80,11 @@ elementary functions are int helpers that both routes call, a shared
 library below their own arithmetic: pi and ln 2 (`_constant`, memoized
 with headroom, the module's only state besides `_ctx`'s contexts), the
 real exponential (`_exp`) and the Taylor series of cosh and cos behind
-it and `_cos_sin_pi` (`_exp_series`).  Values are exact inside, rounded
-once in `_mpc`: each route's core returns its values as exact values,
-unrounded, so `verify`'s checks, which compare exact values on ints,
-never see two values agree to the bit by both rounding alike.  mpmath is
+it and behind `_cos_sin_pi` at angles off the multiples of pi/12
+(`_exp_series`).  Values are exact inside, rounded once in `_mpc`: each
+route's core returns its values as exact values, unrounded, so
+`verify`'s checks, which compare exact values on ints, never see two
+values agree to the bit by both rounding alike.  mpmath is
 imported only where a value leaves the library as an mpmath number: the
 mpc that `eval_descriptor`, `fricke`, `eisenstein_j` and
 `eval_descriptor_unreduced` return (`_mpc`, which rounds each part to
@@ -777,16 +780,23 @@ def _theta_core(p: Precision, form: QuadForm, cell: tuple[int, int, int], indice
 
 def _cos_sin_pi(num: int, den: int, prec: int):
     """e^(i pi num/den) for den > 0 as an exact value (re, im, -prec), each
-    part within 2^(2 - prec), from one `_exp_series` at an angle in
-    [0, pi/4].
+    part within 2^(2 - prec): a closed form where the folded angle is a
+    multiple of pi/12, else one `_exp_series` at an angle in [0, pi/4].
 
     The fold is exact on ints: num/den is taken mod 2, then
     t -> 2 - t (sin changes sign) brings it into [0, 1], t -> 1 - t (cos
     changes sign) into [0, 1/2] and t -> 1/2 - t (cos and sin trade places)
     into [0, 1/4], where the series' sine, a square root, is nonnegative.
-    The angle pi t is floored at scale 2^prec from pi at prec + 2 bits,
-    within 1.25 units of 2^-prec, and the series adds 1.1 units to each
-    part."""
+    Where 12t is an integer the parts lie in Q(zeta_24) = Q(i, sqrt 2,
+    sqrt 3), and no pi is taken and no series runs: (1, 0) at t = 0,
+    (sqrt 3/2, 1/2) at 1/6 and (sqrt 2/2, sqrt 2/2) at 1/4, each part the
+    isqrt of 4 cos^2 (4 sin^2) times 2^(2 prec - 2), floored, within a
+    unit of 2^-prec (exact for 1 and 1/2); at 1/12,
+    ((sqrt 6 + sqrt 2)/4, (sqrt 6 - sqrt 2)/4) from the isqrts of 6 and 2
+    times 2^(2 prec), each within a unit, quartered and floored, within
+    1.5 units.  At any other angle pi t is floored at scale 2^prec from pi
+    at prec + 2 bits, within 1.25 units of 2^-prec, and the series adds
+    1.1 units to each part."""
     num %= 2 * den
     flip = num > den
     if flip:
@@ -797,7 +807,16 @@ def _cos_sin_pi(num: int, den: int, prec: int):
     swap = 4 * num > den
     if swap:
         num, den = den - 2 * num, 2 * den
-    c, s = _exp_series(_constant("pi", prec + 2) * num // (den << 2), prec, True)
+    j, rest = divmod(12 * num, den)
+    if rest:
+        c, s = _exp_series(_constant("pi", prec + 2) * num // (den << 2), prec, True)
+    elif j == 1:
+        r6, r2 = math.isqrt(6 << 2 * prec), math.isqrt(2 << 2 * prec)
+        c, s = (r6 + r2) >> 2, (r6 - r2) >> 2
+    else:
+        # 4 cos^2 at t = 0, 1/6, 1/4, and 4 sin^2 is the rest of 4
+        c2 = {0: 4, 2: 3, 3: 2}[j]
+        c, s = math.isqrt(c2 << 2 * prec - 2), math.isqrt((4 - c2) << 2 * prec - 2)
     if swap:
         c, s = s, c
     return -c if neg else c, -s if flip else s, -prec
@@ -814,10 +833,12 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     and |1/w| = 1/R^(2k) (0 <= 2k <= n), each power by binary powering,
     and the phases go to `_cos_sin_pi` as integer pairs:
     q / |q| = e^(i pi (-b)/(2a)) and w / |w| = e^(i pi (2ma - kb)/(an)),
-    as 2(k Re tau0 + m)/n.  Each of q and w is its radius times its phase
-    by `_mul`; 1/w takes the conjugate of w's phase, and q/w is q times
-    1/w, so at the j cell (0, 1, 2), where 1/w = -1 exactly, q/w = -q
-    exactly.  One gcd puts (Im tau0)^2 = |d|/(4a^2) in lowest terms u/v,
+    as 2(k Re tau0 + m)/n.  A phase at a multiple of pi/12 takes its closed
+    form of square roots and any other its series; both are within the
+    same 2^(2 - wp) per part, so the bound below holds for either.  Each
+    of q and w is its radius times its phase by `_mul`; 1/w takes the
+    conjugate of w's phase, and q/w is q times 1/w, so at the j cell
+    (0, 1, 2), where 1/w = -1 exactly, q/w = -q exactly.  One gcd puts (Im tau0)^2 = |d|/(4a^2) in lowest terms u/v,
     and v Im tau0 = sqrt(uv) is `math.isqrt` of uv at wp fraction bits,
     exact when Im tau0 is rational.
     Error bound: with e = 2^(1 - wp) at wp = prec + g bits, the isqrt floor

@@ -1,6 +1,8 @@
+import inspect
 import math
 import os
 import random
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +97,29 @@ def split_a_translate(monkeypatch, mod):
     for module in (forms, rayclass, modular):
         monkeypatch.setattr(module, "reduce", split)
     return reps[1], target
+
+
+# one-line mutants of `_cos_sin_pi`'s closed form at pi/12, each a
+# (line, mutant) pair: a check that reads a phase of pi/12 must fail on both
+CLOSED_FORM_FAULTS = {
+    "pi/12 cosine and sine swapped": ("c, s = (r6 + r2) >> 2", "s, c = (r6 + r2) >> 2"),
+    "sign flipped in sqrt 6 + sqrt 2": ("c, s = (r6 + r2) >> 2", "c, s = (r6 - r2) >> 2"),
+    "sign flipped in sqrt 6 - sqrt 2": ("(r6 - r2) >> 2", "(r6 + r2) >> 2"),
+}
+
+
+def closed_form_fault(monkeypatch, fault):
+    """Replace `modular._cos_sin_pi` by its own source with one line of
+    `CLOSED_FORM_FAULTS` mutated, compiled in a copy of the module's
+    namespace: the cosine and sine at pi/12 swapped, or one of them taking
+    the other's value, the sign in sqrt 6 +- sqrt 2 flipped.  Every caller
+    in `modular` sees the mutant until the monkeypatch is undone."""
+    line, mutant = CLOSED_FORM_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(modular._cos_sin_pi))
+    assert source.count(line) == 1, fault
+    namespace = dict(vars(modular))
+    exec(compile(source.replace(line, mutant), modular.__file__, "exec"), namespace)
+    monkeypatch.setattr(modular, "_cos_sin_pi", namespace["_cos_sin_pi"])
 
 
 def fraction_point_form(disc, u, v):

@@ -9,7 +9,7 @@ import pytest
 
 from rayform import checks, modular, qfield, rayclass
 from rayform.checks import run_checks, sci
-from rayform.forms import IDENT, UnimodMatrix, automorphs, reduce
+from rayform.forms import IDENT, QuadForm, UnimodMatrix, act, automorphs, reduce
 from rayform.modular import Precision, eval_descriptor
 from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import (
@@ -20,7 +20,7 @@ from rayform.rayclass import (
     make_modulus,
 )
 
-from conftest import same_ideal_label, split_a_translate
+from conftest import CLOSED_FORM_FAULTS, closed_form_fault, same_ideal_label, split_a_translate
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
 
@@ -347,6 +347,39 @@ def test_law_check_fails_on_a_point_placement_fault(monkeypatch):
     monkeypatch.setattr(modular, "_exact_cell", misplaced)
     check = law_check()
     assert not check.passed, check.detail
+
+
+def worst_law_residual(p, forms, rows, matrices):
+    """The worst law residual of `_law_residuals`, |f(g(tau); row) -
+    f(tau; row*g)| with g(tau) the root of act(form, g^-1), over the given
+    forms, rows (r, s, level) and matrices, as an exact Fraction squared."""
+    worst = Fraction(0)
+    for form, (r, s, level), g in itertools.product(forms, rows, matrices):
+        label = modular.FrickeLabel(1, r, s, level)
+        moved = modular.FrickeLabel(1, r * g.p + s * g.r, r * g.q + s * g.s, level)
+        left, right = modular._fricke_at(label, act(form, g.inv()), p), modular._fricke_at(moved, form, p)
+        worst = max(worst, Fraction(*checks._square(checks._diff(left, right))))
+    return worst
+
+
+@pytest.mark.parametrize("digits", [40, 80])
+def test_law_check_sees_a_closed_form_fault(monkeypatch, digits):
+    """Both descriptor routes take their phases from `_cos_sin_pi`, so the
+    route check cannot see a wrong closed form, but the law can: it
+    compares values at two different points.  At the roots of (2, 1, 3),
+    (3, 1, 3) and (6, 1, 6), whose q phases fold to pi/4, pi/6 and pi/12,
+    with rows of level 12 and matrices with g.r != 0, the law holds within
+    10^-digits at 40 and 80 digits, and each fault of `CLOSED_FORM_FAULTS`
+    breaks it."""
+    p = Precision(digits)
+    forms = [QuadForm(2, 1, 3), QuadForm(3, 1, 3), QuadForm(6, 1, 6)]
+    rows = [(1, 5, 12), (0, 7, 12), (6, 1, 12)]
+    matrices = [UnimodMatrix(0, -1, 1, 0), UnimodMatrix(1, 0, 1, 1), UnimodMatrix(2, 1, 1, 1)]
+    assert worst_law_residual(p, forms, rows, matrices) * 10 ** (2 * digits) <= 1
+    for fault in CLOSED_FORM_FAULTS:
+        with monkeypatch.context() as patched:
+            closed_form_fault(patched, fault)
+            assert worst_law_residual(p, forms, rows, matrices) * 10 ** (2 * digits) > 1, fault
 
 
 def scaled_by(value, num, den):

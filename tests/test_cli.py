@@ -454,19 +454,20 @@ def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
 # on ints, with its own numeric reduction, entry and exit on ints and no
 # mpmath, and both routes' values unrounded, a value rounded only where it
 # leaves the library, and the route check's residual read relative to the
-# theta value, which pins two moduli that an absolute residual failed; any
-# change to a sample, value or detail string shows here
+# theta value, which pins two moduli that an absolute residual failed, and
+# the phases at multiples of pi/12 taken as square roots, with no series;
+# any change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
-    ("-1003", "1,2,11", "40", "json"): "4d3376f9c89fcbe772c6d6f39f65842a250f9fce73989028c810f7398ea09497",
+    ("-1003", "1,2,11", "40", "json"): "449864aa44f6c7aee5d35cecdb7df51ca0fdc1058a093dc7662ae0ee5002e992",
     ("-111", "9,0,9", "40", "json"): "c3418ad1595db8e7200de0c1aeb88a179b9de1dc0f968475d7996194795133db",
     ("-20", "2,4,6", "40", "json"): "8b735dbb38856696eaccebd7a157e886a8c1f756779fb24e254b8fc257824aec",
     ("-20", "2,4,6", "40", "text"): "c622535dffd7a844d7f0f3a784bf16a374fb6dad1765380e7d97a07d6cff2158",
     ("-23", "1,8,31", "40", "json"): "03ba3e24eb3fe4119768013836c107626786c3d3b07c66fe2ce6a4bc84cc74dc",
     ("-23", "3,9,12", "80", "json"): "5d0f2461b3df655f91f40208673ed37735619a28b1c6ab4aa4581d9e4ff6645e",
     ("-23", "3,9,12", "80", "text"): "7738d440531a5263df8c4087310ae593bc3daecf92923ff6645691f364de5b72",
-    ("-3", "6,0,6", "80", "json"): "befd16a4d7d4aa6dcaf9fd7a86fd2e72f37aa892513c7d4c1aba91e3a0fa9951",
-    ("-3", "6,0,6", "80", "text"): "208694ee46e64ee4644f00308ad7c042f5bcadaf825acc3fbfd02a2bcdd7fb0c",
-    ("-3299", "1,1,3", "80", "json"): "4ecd1cdc03d48b88224c622de9c08c98b51c62004253ca50e692d61437574ccd",
+    ("-3", "6,0,6", "80", "json"): "79d4a7a43baf744818922bfca7398c9d18101fa313b043038c838dad02262c84",
+    ("-3", "6,0,6", "80", "text"): "e02e07e08392c69f249ee2a6e1c6d4efd6f77ca997f567d17d6af3dd5fc6e2f7",
+    ("-3299", "1,1,3", "80", "json"): "2cbb0015df418d614cff434830d32a02d5324e639e545ab96062eb59f15d050f",
     ("-4", "6,0,6", "80", "json"): "c9eddc04839fc46d64c6c1cfb6f3db4e51acf503b400f832f2c6a8ec73fde855",
     ("-4", "6,0,6", "80", "text"): "ca6e8f00203d336cfd4ee8b917dbfb37b7c144e169e6f142c956445f59860f0a",
 }

@@ -27,7 +27,7 @@ from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus, point_coords
 from rayform.rayclass import class_translate
 
-from conftest import form_near, fraction_point_form, root_form
+from conftest import CLOSED_FORM_FAULTS, closed_form_fault, form_near, fraction_point_form, root_form
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -1171,21 +1171,34 @@ def test_j_cell_counts_only_theta_terms():
 
 
 # the cells of `_exact_nome`'s test: x = 0, x = 1/2 on both edges, x < 0 and
-# denominators up to 40, each in [-1/2, 1/2]^2 as `_exact_cell` leaves it
+# denominators up to 40, each in [-1/2, 1/2]^2 as `_exact_cell` leaves it;
+# the last three put w's phase 2y at pi/12, -pi/6 and pi/4 at every form,
+# and (6, 1, 12) at pi/12 at the form (6, 1, 6)
 NOME_CELLS = [(0, 1, 2), (0, -3, 7), (1, 0, 2), (1, 1, 2), (-1, 1, 2), (-1, 2, 5),
-              (7, -13, 40), (-19, 1, 40), (20, 20, 40), (3, 14, 31), (-11, 5, 24)]
+              (7, -13, 40), (-19, 1, 40), (20, 20, 40), (3, 14, 31), (-11, 5, 24),
+              (6, 1, 12), (0, 1, 24), (0, -1, 12), (0, 1, 8)]
+# forms whose q phase -pi b/(2a) is -pi/4, -pi/6 and -pi/12: closed forms
+CLOSED_FORM_FORMS = [QuadForm(2, 1, 3), QuadForm(3, 1, 3), QuadForm(6, 1, 6)]
 
 
 @pytest.mark.parametrize("digits", [80, 300, 1000])
-def test_exact_nome_within_its_error_bound(digits):
+def test_exact_nome_within_its_error_bound(monkeypatch, digits):
     """q, w, 1/w and b = q/w from `_exact_nome` at the cells above and at
-    the roots of two kinds of form: every reduced form of five
-    discriminants, and the forms (`root_form`) of the numeric points of
+    the roots of three kinds of form: every reduced form of five
+    discriminants, the forms (`root_form`) of the numeric points of
     `KERNEL_TAUS` (Im tau 0.05 to 20) and of a law-check image
-    tau/(2 tau + 1) at tau = 1/2 + 0.4i (Im 0.086); against mpmath's
+    tau/(2 tau + 1) at tau = 1/2 + 0.4i (Im 0.086), and the forms whose q
+    phase takes a closed form, at pi/4, pi/6 and pi/12; against mpmath's
     expjpi at twice the precision, and its quotients: each within
     2^(-3 - prec) of its modulus, the bound of its docstring, with log|q|
     and log|w| good to float rounding."""
+    cos_sin_pi, phases = modular._cos_sin_pi, set()
+
+    def recorded(num, den, prec):
+        phases.add(Fraction(num, den))
+        return cos_sin_pi(num, den, prec)
+
+    monkeypatch.setattr(modular, "_cos_sin_pi", recorded)
     ctx = modular._ctx(Precision(digits))
     ref = mpmath.ctx_mp.MPContext()
     ref.prec = 2 * ctx.prec
@@ -1199,6 +1212,8 @@ def test_exact_nome_within_its_error_bound(digits):
     for tau in [ctx.mpc(re, im) for re, im in KERNEL_TAUS] + [law / (2 * law + 1)]:
         points.append((ref.mpc(tau), root_form(tau.real, tau.imag)))
     assert points[-1][0].imag < 0.1
+    for form in CLOSED_FORM_FORMS:
+        points.append((ref.mpc(-form.b, ref.sqrt(-form.disc())) / (2 * form.a), form))
     for tau0, form in points:
         q_ref = ref.expjpi(tau0)
         for k, m, n in NOME_CELLS:
@@ -1213,6 +1228,8 @@ def test_exact_nome_within_its_error_bound(digits):
                 assert abs(from_exact(ref, got) - want) <= bound * abs(want), where
             for log, want in ((lq, q_ref), (lw, w_ref)):
                 assert abs(log - float(ref.log(abs(want)))) <= 1e-12 * (1 + abs(log)), where
+    # the q phases of `CLOSED_FORM_FORMS` and the w phases of the last cells
+    assert {Fraction(t, 12) for t in (-3, -2, -1, 1, 3)} <= phases
 
 
 def test_cos_sin_pi_fold_matches_mpmath():
@@ -1230,6 +1247,60 @@ def test_cos_sin_pi_fold_matches_mpmath():
             t = ref.mpf(num) / den
             assert abs(phase.real - ref.cospi(t)) <= bound, (num, den)
             assert abs(phase.imag - ref.sinpi(t)) <= bound, (num, den)
+
+
+def closed_form_angles():
+    """(num, den) for `_cos_sin_pi`: t = j/24 for j in -48..48 in lowest
+    terms and unreduced as 2j/48, and t = i/8 for i in -16..16 over 2^63,
+    a power of two as `_qseries_exp` passes 2 Re tau0 over its scale.  The
+    multiples of 1/12 among them take closed forms, the rest the series."""
+    angles = [(t.numerator, t.denominator) for t in (Fraction(j, 24) for j in range(-48, 49))]
+    return angles + [(2 * j, 48) for j in range(-48, 49)] + [(i << 60, 1 << 63) for i in range(-16, 17)]
+
+
+def closed_form_misses(prec):
+    """The angles of `closed_form_angles` at which a part of `_cos_sin_pi`
+    at prec bits lies more than 2^(2 - prec), its docstring's bound, from
+    mpmath's cospi or sinpi at prec + 40 bits."""
+    ref = mpmath.ctx_mp.MPContext()
+    ref.prec = prec + 40
+    bound = ref.ldexp(1, 2 - prec)
+    misses = []
+    for num, den in closed_form_angles():
+        phase, t = from_exact(ref, modular._cos_sin_pi(num, den, prec)), ref.mpf(num) / den
+        if abs(phase.real - ref.cospi(t)) > bound or abs(phase.imag - ref.sinpi(t)) > bound:
+            misses.append((num, den))
+    return misses
+
+
+@pytest.mark.parametrize("digits", [40, 300, 1000])
+def test_cos_sin_pi_closed_forms_match_mpmath(monkeypatch, digits):
+    """`_cos_sin_pi` at every multiple of pi/24 from -2 pi to 2 pi, in
+    lowest and unreduced terms and over a power of two, is within its bound
+    of mpmath at 40, 300 and 1000 digits.  An angle at a multiple of pi/12
+    asks neither `_constant` for pi nor `_exp_series` for a series, and
+    every other angle asks both.  Each closed-form fault of
+    `CLOSED_FORM_FAULTS` breaks the bound at some angle."""
+    prec = modular._prec(Precision(digits))
+    assert closed_form_misses(prec) == []
+    for fault in CLOSED_FORM_FAULTS:
+        with monkeypatch.context() as patched:
+            closed_form_fault(patched, fault)
+            assert closed_form_misses(prec), fault
+    called = set()
+    for name in ("_constant", "_exp_series"):
+        helper = getattr(modular, name)
+        monkeypatch.setattr(modular, name, lambda *a, helper=helper, name=name: called.add(name) or helper(*a))
+    closed = 0
+    for num, den in closed_form_angles():
+        called.clear()
+        modular._cos_sin_pi(num, den, prec)
+        if (12 * Fraction(num, den)).denominator == 1:
+            closed += 1
+            assert not called, (num, den)
+        else:
+            assert called == {"_constant", "_exp_series"}, (num, den)
+    assert closed == 49 + 49 + 17
 
 
 def elementary_excess(digits):
@@ -1538,8 +1609,10 @@ def test_qseries_loop_builds_no_mpmath_value_per_term(monkeypatch):
         assert all(type(part) is int for value in got for part in value)
         assert got == modular._qseries_core(p, tau0, cell)
     assert terms == {40: 27, 1000: 381}
-    # two complex exponentials, each pi twice, ln 2, one exponential and one phase
-    assert built[40] == built[1000] and len(built[40]) == 14, built
+    # two complex exponentials, each pi, ln 2, one exponential and one phase,
+    # and w's phase pi and one series: q's phase at tau0 = i is 1, a closed
+    # form that takes neither
+    assert built[40] == built[1000] and len(built[40]) == 12, built
 
 
 def test_theta_route_builds_no_fraction(monkeypatch):
