@@ -41,9 +41,8 @@ class Check(NamedTuple):
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-def sci(x) -> str:
+def sci(x: Fraction) -> str:
     """x >= 0 as f"{x:.3e}" prints it, but exact: no float range to underflow."""
-    x = Fraction(str(x))
     if x == 0:
         return "0.000e+00"
     e = len(str(x.numerator)) - len(str(x.denominator))
@@ -248,9 +247,11 @@ def run_checks(mod: IdealTriple, p, tol_exp: int) -> list[Check]:
     # the unit-normalized value of the modulus lattice is the value at
     # xi = (a1/N)*tau + a2/N with row (0, 1/N), so the identity class carries
     # it exactly when its descriptor has a_inv = 1 and sends the point to xi
-    # mod Z: the same tau coordinate, and constant terms an integer apart
+    # mod Z: the same tau coordinate, and constant terms an integer apart;
+    # enumeration builds the principal form (1, b0, c0) first
     xu, xv = Fraction(mod.a1, mod.c), Fraction(mod.a2, mod.c)
-    unit = descriptor(QuadForm(1, disc.b0, disc.c0), mod)
+    descs = [descriptor(rep, mod) for rep in reps]
+    unit = descs[0]
     zu, zv = point_coords(unit.eval_point(), disc)
     at_xi = unit.a_inv == 1 and zu == xu and (zv - xv).denominator == 1
     detail = f"a_inv {unit.a_inv}, point - xi = ({zu - xu})*tau + ({zv - xv})"
@@ -259,7 +260,6 @@ def run_checks(mod: IdealTriple, p, tol_exp: int) -> list[Check]:
 
     # the route check's translates against their representatives on the
     # exact input of the value: the reduced point and the normalized cell
-    descs = [descriptor(rep, mod) for rep in reps]
     rep_keys = [modular._value_key(d) for d in descs]
     same = sum(modular._value_key(descriptor(m, mod)) == rep_keys[i] for i, m in moved)
     detail = f"{same}/{len(moved)} translates reach the representative's reduced point and cell"

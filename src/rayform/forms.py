@@ -123,7 +123,7 @@ def act(form: QuadForm, g: UnimodMatrix) -> QuadForm:
 
 def _reduce_cap(form: QuadForm) -> int:
     """`reduce`'s step cap 2*(bitlen(a) + isqrt|d|) + 4, which `modular`'s
-    numeric reduction of the form's root also keeps."""
+    own reduction of the form's coefficients also keeps."""
     return 2 * (form.a.bit_length() + math.isqrt(-form.disc())) + 4
 
 

@@ -36,13 +36,13 @@ These four numbers are computed along two independent routes:
   `eval_descriptor_unreduced` uses it, so the check comparing it with
   `eval_descriptor` compares two independent series.  Its loop runs on
   ints at one fixed scale, by its own product and quotient
-  (`_qseries_mul`, `_qseries_div`).  Its numeric reduction
-  (`_reduce_tau`), its entry (q, w, q w and q/w from its own complex
-  exponential `_qseries_exp`), its exit and `_torsion_value`, which
-  combines its four values, run on its own ints too, a binary exponent
-  carrying the scale of q and the discriminant.  It shares no arithmetic
-  with the theta route's fixed-point sums, values or `_torsion_exact`, to
-  catch their slips.
+  (`_qseries_mul`, `_qseries_div`).  Its reduction of the form's
+  coefficients (`_reduce_tau`), its entry (tau0 from the reduced form, q,
+  w, q w and q/w from its own complex exponential `_qseries_exp`), its
+  exit and `_torsion_value`, which combines its four values, run on its
+  own ints too, a binary exponent carrying the scale of q and the
+  discriminant.  It shares no arithmetic with the theta route's
+  fixed-point sums, values or `_torsion_exact`, to catch their slips.
 
 Every core takes a torsion point and runs in the fundamental domain, the
 row pushed through the reducing matrix to a cell (k, m, n) of ints, z's
@@ -55,12 +55,12 @@ is `fricke` at its point of K, and `verify`'s power check reads j and the
 three indexed values from one call.  `eisenstein_j` reduces its form for
 its fixed cell (0, 1, 2), and the law check's `_fricke_at` runs unreduced.
 `verify`'s invariance check compares the exact input itself (`_value_key`).
-The q-series route's one entry, `_qseries_values`, computes the form's
-root and reduces it numerically (`_reduce_tau`, under `forms.reduce`'s
-step cap), so the descriptor routes differ in the reduction, the row and
-the series; `verify`'s route check reads it at every descriptor and at
-the power samples' forms.  Every series stops at one tail threshold, the
-float log that `_cutoff` returns.
+The q-series route's one entry, `_qseries_values`, reduces the form on
+its coefficients by its own rounds (`_reduce_tau`, under `forms.reduce`'s
+step cap) and takes the reduced form's root, so the descriptor routes
+differ in the reduction, the row and the series; `verify`'s route check
+reads it at every descriptor and at the power samples' forms.  Every
+series stops at one tail threshold, the float log that `_cutoff` returns.
 
 Every theta core gets q = e^(i pi tau0), w = e^(2 pi i z), 1/w and q/w
 from one builder, `_exact_nome`, at the root of the form (a, b, c) and
@@ -395,8 +395,9 @@ def _qseries_core(p: Precision, tau0, cell: tuple[int, int, int]):
     b1 = q/w, and pe(z; [tau0, 1]) = -4 pi^2 S.
     It runs n = 1 to N, the first n with B = 504 n^6 |q|^n below
     `_cutoff`, the theta route's threshold too, counted in float
-    logs by `_qseries_terms`.  `_reduce_tau` hands over |Re tau0| <= 1/2
-    and |tau0| >= 1 up to rounding, so |q| < 1/200 and each tail is below
+    logs by `_qseries_terms`.  `_qseries_values` hands over the root of a
+    form with |b| <= a <= c, |Re tau0| <= 1/2 and Im tau0 >= sqrt(3)/2 less
+    1.5 units of its scale, so |q| < 1/200 and each tail is below
     B/2: the tail of sum n^k u (k = 3, 5) is sum_(m > N) c_m q^m with
     0 <= c_m <= sigma_k(m) <= m^(k+1), under
     N^(k+1) |q|^N sum_(j >= 1) (1 + j)^6 200^-j < 0.34 N^(k+1) |q|^N;
@@ -405,7 +406,7 @@ def _qseries_core(p: Precision, tau0, cell: tuple[int, int, int]):
     prod_(m > N) (1 - q^m) lie within 1.01 sum_(m > N) |q|^m < |q|^N/190
     of 1, so Delta's relative tail is below 24 times that, |q|^N/7 < B/2.
 
-    tau0 is an exact value (x, y, -W), as `_reduce_tau` returns it, and z's
+    tau0 is an exact value (x, y, -W), as `_qseries_values` forms it, and z's
     parts are exact fractions of ints.  q and w come from the route's own
     complex exponential `_qseries_exp` at tau0 and at z, each within
     eq = ew = 10 2^-wp relative, a1 = q w is their exact product and
@@ -890,44 +891,30 @@ def _exact_nome(prec: int, form: QuadForm, cell: tuple[int, int, int]):
     return q, _mul(rw, (cw, sw, ew), wp), winv, _mul(q, winv, wp), lq, 2 * (k / n) * lq
 
 
-def _reduce_tau(p: Precision, form: QuadForm):
-    """(t0, g) with t = g(t0) for the root t = (-b + i sqrt|d|)/(2a) of the
-    positive definite form (a, b, c), t0 = (x, y, -W) an exact value whose
-    parts are the route's fixed-point ints at scale 2^W, in the
-    fundamental domain up to rounding, in rounds of a translation by the
-    nearest integer (ties to even) and at most one flip.  The rounds follow
-    `forms.reduce` on the form, a flip only below |t| = 1, so they keep its
-    cap, taken from the form's own coefficients (`_reduce_cap`); needing
-    more is a bug.
-    Error bound: translations are exact; t enters within sqrt(2) units of
-    2^-W, and a flip -1/t, floored, scales the error by 1/|t|^2 and adds
-    under sqrt(2) units.  The flips' factors multiply to
-    Im t0/Im t = a/a0 <= a, a0 the leading coefficient of the form whose
-    root t0 is, so with W = prec + bitlen(a) + bitlen(cap + 1) + 4, t0 is
-    within sqrt(2) (cap + 1) a 2^-W < 2^-(prec + 3) of the exact image of t
-    under the same moves.  A flip is taken below |t|^2 = 1 - 2^(20 - prec),
-    about 1 - 10^-(digits + 5), far above that error, so a point on the
-    unit circle is never flipped back and forth."""
-    prec, cap = _prec(p), _reduce_cap(form)
-    scale = prec + form.a.bit_length() + (cap + 1).bit_length() + 4
-    one = 1 << scale
-    x = (-form.b << scale) // (2 * form.a)
-    y = math.isqrt(-form.disc() << 2 * scale) // (2 * form.a)
-    edge = (1 << 2 * scale) - (1 << 2 * scale + 20 - prec)
+def _reduce_tau(form: QuadForm):
+    """(red, g) with red == act(form, g), so t = g(t0) for the roots t of
+    the positive definite form and t0 of red, and red = (a, b, c) in the
+    closed fundamental domain |b| <= a <= c, in rounds of a translation by
+    k, the nearest integer to -b/(2a) (ties to even), and a flip to
+    (c, -b, a) while a > c.  Every round but the last flips, with |b| <= a
+    as in `forms.reduce`, so the rounds keep its cap (`_reduce_cap`);
+    needing more is a bug.  It stays apart from `forms.reduce`, the theta
+    route's reduction: a wrong witness there moves only the theta route's
+    values, which the route check alone compares with this route's."""
+    a, b, c = form
     g = IDENT
-    for _ in range(cap):
-        shift, rest = divmod(x + (one >> 1), one)
-        if shift & 1 and not rest:
-            shift -= 1
-        if shift:
-            x -= shift << scale
-            g = g @ t_power(shift)
-        norm = x * x + y * y
-        if norm < edge:
-            x, y = (-x << 2 * scale) // norm, (y << 2 * scale) // norm
+    for _ in range(_reduce_cap(form)):
+        k, rest = divmod(a - b, 2 * a)
+        if k & 1 and not rest:
+            k -= 1
+        if k:
+            b, c = b + 2 * a * k, (a * k + b) * k + c
+            g = g @ t_power(k)
+        if a > c:
+            a, b, c = c, -b, a
             g = g @ S_FLIP
         else:
-            return (x, y, -scale), g
+            return QuadForm(a, b, c), g
     raise InternalCheckError("fundamental domain reduction did not terminate")
 
 
@@ -1001,13 +988,20 @@ def _reduced_values(p: Precision, form: QuadForm, row: tuple[int, int, int], ind
 
 def _qseries_values(p: Precision, form: QuadForm, row: tuple[int, int, int], indices):
     """The q-series route's exact values, unrounded, at indices (0 standing
-    for j) with the row (r, s, level) at the root of the form, reduced numerically by
-    `_reduce_tau` to (t0, g) and the row pushed through g: the route's one
-    entry, as `_reduced_values` is the theta route's, read by
+    for j) with the row (r, s, level) at the root of the form: the form
+    reduced by `_reduce_tau` to (red, g), the row pushed through g, and
+    tau0 = (x, y, -W) the root of red = (a, b, c), -b/(2a) and sqrt|d|/(2a)
+    floored at scale 2^W, within 1 and 1.5 units of 2^-W, 1.81 in all: the
+    route's one entry, as `_reduced_values` is the theta route's, read by
     `eval_descriptor_unreduced` and by `verify`'s route check at the power
-    samples."""
-    t0, g = _reduce_tau(p, form)
-    values = _qseries_core(p, t0, _exact_cell(*row, g))
+    samples.  So q and w take a further relative error below
+    2 pi 1.81 2^-W < 2^-(prec + 8) at W = prec + 12, under the route
+    residuals of the pinned `verify` runs, 2^-(prec + 3) to 2^-(prec + 6):
+    at W = prec + 4 they grew up to 17 times."""
+    red, g = _reduce_tau(form)
+    w = _prec(p) + 12
+    tau0 = (-red.b << w) // (2 * red.a), math.isqrt(-red.disc() << 2 * w) // (2 * red.a), -w
+    values = _qseries_core(p, tau0, _exact_cell(*row, g))
     return tuple(_torsion_value(i, values) for i in indices)
 
 
@@ -1100,8 +1094,8 @@ def _totient(n: int) -> int:
 def _eval_descriptor_unreduced(desc: GaloisDescriptor, p: Precision):
     """`eval_descriptor_unreduced`'s exact value, `_qseries_values` at the
     descriptor's point with the row (0, a^(phi(N)-1), N), its numerator as
-    the product-ideal basis hands it over: the point's root reduced
-    numerically, and the q-series.  The product-ideal matrix is the
+    the product-ideal basis hands it over: the point's form reduced by the
+    route's own rounds, and the q-series.  The product-ideal matrix is the
     evaluation matrix scaled by a, the same Moebius map, so both routes
     start from one point of K; their independence lies in the reduction,
     the row and the series.  The route sums, reduces and combines its four

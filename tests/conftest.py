@@ -108,18 +108,31 @@ CLOSED_FORM_FAULTS = {
 }
 
 
-def closed_form_fault(monkeypatch, fault):
-    """Replace `modular._cos_sin_pi` by its own source with one line of
-    `CLOSED_FORM_FAULTS` mutated, compiled in a copy of the module's
-    namespace: the cosine and sine at pi/12 swapped, or one of them taking
-    the other's value, the sign in sqrt 6 +- sqrt 2 flipped.  Every caller
-    in `modular` sees the mutant until the monkeypatch is undone."""
-    line, mutant = CLOSED_FORM_FAULTS[fault]
-    source = textwrap.dedent(inspect.getsource(modular._cos_sin_pi))
-    assert source.count(line) == 1, fault
+# one-line mutants of `_reduce_tau`'s rounds, each a (line, mutant) pair:
+# each breaks red == act(form, g), which the route check must see
+REDUCE_TAU_FAULTS = {
+    "a flip left out of g": ("g = g @ S_FLIP", "g = g"),
+    "a translation left out of g": ("g = g @ t_power(k)", "g = g"),
+    "c translated with b's sign flipped": ("(a * k + b) * k + c", "(a * k - b) * k + c"),
+}
+
+
+def source_fault(monkeypatch, name, line, mutant):
+    """Replace the function `modular.<name>` by its own source with one
+    line mutated, compiled in a copy of the module's namespace.  Every
+    caller in `modular` sees the mutant until the monkeypatch is undone."""
+    source = textwrap.dedent(inspect.getsource(getattr(modular, name)))
+    assert source.count(line) == 1, (name, line)
     namespace = dict(vars(modular))
     exec(compile(source.replace(line, mutant), modular.__file__, "exec"), namespace)
-    monkeypatch.setattr(modular, "_cos_sin_pi", namespace["_cos_sin_pi"])
+    monkeypatch.setattr(modular, name, namespace[name])
+
+
+def closed_form_fault(monkeypatch, fault):
+    """`modular._cos_sin_pi` with one line of `CLOSED_FORM_FAULTS` mutated:
+    the cosine and sine at pi/12 swapped, or one of them taking the other's
+    value, the sign in sqrt 6 +- sqrt 2 flipped."""
+    source_fault(monkeypatch, "_cos_sin_pi", *CLOSED_FORM_FAULTS[fault])
 
 
 def fraction_point_form(disc, u, v):

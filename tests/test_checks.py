@@ -9,7 +9,7 @@ import pytest
 
 from rayform import checks, modular, qfield, rayclass
 from rayform.checks import run_checks, sci
-from rayform.forms import IDENT, QuadForm, UnimodMatrix, act, automorphs, reduce
+from rayform.forms import IDENT, QuadForm, UnimodMatrix, act, automorphs, reduce, t_power
 from rayform.modular import Precision, eval_descriptor
 from rayform.qfield import QFieldError, make_discriminant
 from rayform.rayclass import (
@@ -20,22 +20,29 @@ from rayform.rayclass import (
     make_modulus,
 )
 
-from conftest import CLOSED_FORM_FAULTS, closed_form_fault, same_ideal_label, split_a_translate
+from conftest import (
+    CLOSED_FORM_FAULTS,
+    REDUCE_TAU_FAULTS,
+    closed_form_fault,
+    same_ideal_label,
+    source_fault,
+    split_a_translate,
+)
 
 MOD20 = make_modulus(make_discriminant(-20), 2, 4, 6)
 
 
 def test_sci_matches_float_format_in_double_range():
     for x in ("9.8176e-86", "1.058e-86", "9.99951e-5", "2.5e-7", "123.456"):
-        assert sci(mpmath.mpf(x)) == f"{float(x):.3e}"
-    assert sci(mpmath.mpf(0)) == "0.000e+00"
+        assert sci(Fraction(x)) == f"{float(x):.3e}"
+    assert sci(Fraction(0)) == "0.000e+00"
     assert sci(Fraction(1, 3)) == "3.333e-01"
 
 
 def test_sci_below_double_range():
-    assert sci(mpmath.mpf("1e-400")) == "1.000e-400"
-    assert sci(mpmath.mpf("2.0475e-410")) == "2.048e-410"
-    assert f"{float(mpmath.mpf('1e-400')):.3e}" == "0.000e+00"
+    assert sci(Fraction("1e-400")) == "1.000e-400"
+    assert sci(Fraction("2.0475e-410")) == "2.048e-410"
+    assert f"{float(Fraction('1e-400')):.3e}" == "0.000e+00"
 
 
 @pytest.fixture(scope="module")
@@ -767,6 +774,39 @@ def test_route_check_sees_a_reduce_fault_that_splits_a_class(monkeypatch, ideal)
     h = len(enumerate_classes(mod).classes)
     assert f"in {h + 1} classes by class key, {h} by ideal key," in found[0].detail
     assert f"{2 * h - 1}/{2 * h} translate pairs agree" in found[0].detail
+
+
+@pytest.mark.parametrize("ideal", [(-20, 2, 4, 6), (-23, 3, 9, 12), (-3, 6, 0, 6)])
+def test_only_the_route_check_sees_a_wrong_reduction_witness(monkeypatch, ideal):
+    """Why the q-series route keeps a reduction of its own: with the theta
+    route's `reduce` returning the right reduced form but the witness g T,
+    T = t_power(1), wherever b > 0, so that the form is not act(red, g T),
+    `verify` at 40 digits (tolerance 10^-20, seed 911) fails only
+    "descriptor route vs unreduced route".  The power relations and
+    invariance read the theta route alone, its wrong cell and all, and the
+    law reduces nothing.  Each fault of `REDUCE_TAU_FAULTS` in the q-series
+    route's own rounds fails that same check alone.  Ties taken up or down
+    instead of to even are no fault: they give another correct reduction,
+    whose values agree, and `test_reduce_tau` pins the ties instead."""
+    mod = make_modulus(make_discriminant(ideal[0]), *ideal[1:])
+
+    def failing():
+        return [c.name for c in run_checks(mod, Precision(40), 20) if not c.passed]
+
+    assert failing() == []
+    reduce_ = modular.reduce
+
+    def wrong_witness(form):
+        red, g = reduce_(form)
+        return (red, g @ t_power(1)) if red.b > 0 else (red, g)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(modular, "reduce", wrong_witness)
+        assert failing() == ["descriptor route vs unreduced route"]
+    for line, mutant in REDUCE_TAU_FAULTS.values():
+        with monkeypatch.context() as patched:
+            source_fault(patched, "_reduce_tau", line, mutant)
+            assert failing() == ["descriptor route vs unreduced route"], mutant
 
 
 @pytest.mark.parametrize(

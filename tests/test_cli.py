@@ -455,21 +455,23 @@ def test_verify_passes_past_a_few_hundred(dk, ideal, digits):
 # mpmath, and both routes' values unrounded, a value rounded only where it
 # leaves the library, and the route check's residual read relative to the
 # theta value, which pins two moduli that an absolute residual failed, and
-# the phases at multiples of pi/12 taken as square roots, with no series;
+# the phases at multiples of pi/12 taken as square roots, with no series,
+# and the q-series route's form reduced on its coefficients, its tau0 taken
+# once from the reduced form at 12 guard bits;
 # any change to a sample, value or detail string shows here
 VERIFY_DIGESTS = {
     ("-1003", "1,2,11", "40", "json"): "449864aa44f6c7aee5d35cecdb7df51ca0fdc1058a093dc7662ae0ee5002e992",
-    ("-111", "9,0,9", "40", "json"): "c3418ad1595db8e7200de0c1aeb88a179b9de1dc0f968475d7996194795133db",
-    ("-20", "2,4,6", "40", "json"): "8b735dbb38856696eaccebd7a157e886a8c1f756779fb24e254b8fc257824aec",
-    ("-20", "2,4,6", "40", "text"): "c622535dffd7a844d7f0f3a784bf16a374fb6dad1765380e7d97a07d6cff2158",
-    ("-23", "1,8,31", "40", "json"): "03ba3e24eb3fe4119768013836c107626786c3d3b07c66fe2ce6a4bc84cc74dc",
-    ("-23", "3,9,12", "80", "json"): "5d0f2461b3df655f91f40208673ed37735619a28b1c6ab4aa4581d9e4ff6645e",
-    ("-23", "3,9,12", "80", "text"): "7738d440531a5263df8c4087310ae593bc3daecf92923ff6645691f364de5b72",
-    ("-3", "6,0,6", "80", "json"): "79d4a7a43baf744818922bfca7398c9d18101fa313b043038c838dad02262c84",
-    ("-3", "6,0,6", "80", "text"): "e02e07e08392c69f249ee2a6e1c6d4efd6f77ca997f567d17d6af3dd5fc6e2f7",
-    ("-3299", "1,1,3", "80", "json"): "2cbb0015df418d614cff434830d32a02d5324e639e545ab96062eb59f15d050f",
-    ("-4", "6,0,6", "80", "json"): "c9eddc04839fc46d64c6c1cfb6f3db4e51acf503b400f832f2c6a8ec73fde855",
-    ("-4", "6,0,6", "80", "text"): "ca6e8f00203d336cfd4ee8b917dbfb37b7c144e169e6f142c956445f59860f0a",
+    ("-111", "9,0,9", "40", "json"): "b453170d930140d5cc9decf55a2125d35976da531eb691ac21199ace745cd1e6",
+    ("-20", "2,4,6", "40", "json"): "14e41f79c71ceb924ec8dd7e539750fcc8598669b5b3e8a854b1841c41eaee5c",
+    ("-20", "2,4,6", "40", "text"): "7b08497747f46fbd68338bab5956c9943a9825098447fa5db2bfc472d00dc3f6",
+    ("-23", "1,8,31", "40", "json"): "302c7376dcc23b3b53f77677abf874922a6ab5f85b8bc3a08b876a5621d387e5",
+    ("-23", "3,9,12", "80", "json"): "9b04c18a8f2061dcfe9bbf20f04042fed53c593a1ca36ebb62671ba3fa0a50c7",
+    ("-23", "3,9,12", "80", "text"): "2a0c4897ab0c82c870a50cc32341062cc05b117f64a146748e97cd8e7bb33f68",
+    ("-3", "6,0,6", "80", "json"): "bd7052652e9a4b791f0926376a4ba4873feeefba1aede99cbde0452c6e75ce6d",
+    ("-3", "6,0,6", "80", "text"): "8f09e77fb8919ce326f70b26cf941e6a6e0833901d7d06717190ef826389cbd2",
+    ("-3299", "1,1,3", "80", "json"): "1983679fcdea3c2d7f6da72d24f2b9b531aa00f3db594753133e9afe19c81526",
+    ("-4", "6,0,6", "80", "json"): "3fc3532baf4220dfff64f47b437c7570f2b0824a43096f96f25677b9e9276155",
+    ("-4", "6,0,6", "80", "text"): "e8b7390ab8deb8d112c6a73545dbd2e34a61605e77013af31eadbc0cd3d8882e",
 }
 
 

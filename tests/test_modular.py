@@ -56,7 +56,7 @@ def p_of(ctx):
 
 def exact_tau(tau, bits):
     """An mpc tau as an exact value (x, y, -bits), its parts floored at
-    scale 2^bits: the shape in which `_reduce_tau` hands tau0 to
+    scale 2^bits: the shape in which `_qseries_values` hands tau0 to
     `_qseries_core`."""
     return libmp.to_fixed(tau.real._mpf_, bits), libmp.to_fixed(tau.imag._mpf_, bits), -bits
 
@@ -147,30 +147,53 @@ def test_exact_cell_matches_the_fraction_rule():
                 modular._exact_cell(r, s, 6, g)
 
 
+def reduce_tau_forms():
+    """Forms for `_reduce_tau`: the descriptor points of dK=-23 `1,8,31`
+    and dK=-3 `6,0,6`, the form of 0.3 + 0.007i, and images of i and rho
+    (dK=-4 and -3), of the ties (2, +-2, 3) and (2, -6, 5), at
+    -b/(2a) = 3/2, and of the forms (2, +-1, 2) with a = c under seeded
+    SL2(Z) matrices."""
+    out = [root_form("0.3", "0.007")]
+    for dk, ideal in ((-23, (1, 8, 31)), (-3, (6, 0, 6))):
+        mod = make_modulus(make_discriminant(dk), *ideal)
+        out += [descriptor(fc.rep, mod).eval_point() for fc in enumerate_classes(mod).classes[:40]]
+    mats = [IDENT, S_FLIP, t_power(1), t_power(-1)] + small_matrices(random.Random(54), 12)
+    for form in (QuadForm(1, 0, 1), QuadForm(1, 1, 1), QuadForm(2, 2, 3), QuadForm(2, -2, 3),
+                 QuadForm(2, -6, 5), QuadForm(2, 1, 2), QuadForm(2, -1, 2)):
+        out += [act(form, g) for g in mats]
+    return out
+
+
 def test_reduce_tau():
-    """`_reduce_tau` at the root of (1, 0, 1), i, takes no step; at the root
-    of the form of 0.3 + 0.007i it lands in the fundamental domain, and its
-    matrix takes the landing point back to the root."""
-    ctx = modular._ctx(P30)
-    t0, g = modular._reduce_tau(P30, QuadForm(1, 0, 1))
-    assert g == IDENT
-    assert abs(from_exact(ctx, t0) - ctx.mpc(0, 1)) < ctx.mpf(10) ** -25
+    """`_reduce_tau` on the coefficients alone: red lies in the closed
+    fundamental domain |b| <= a <= c, is properly equivalent to
+    `forms.reduce`'s form, and gives the form back exactly,
+    act(red, g^-1) == form, at every form of `reduce_tau_forms`.  A form in
+    the closed domain takes no step, so a tie b = +-a keeps its sign (the
+    nearest integer to +-1/2 is 0, ties to even) and a = c takes no flip;
+    the tie -b/(2a) = 3/2 moves by 2, to even.  Both reductions of a tie
+    land in the domain, so `forms.reduce` and `_reduce_tau` may differ
+    there, by b's sign."""
+    differ = set()
+    for form in reduce_tau_forms():
+        red, g = modular._reduce_tau(form)
+        assert abs(red.b) <= red.a <= red.c, form
+        assert reduce(red)[0] == reduce(form)[0], form
+        assert act(red, g.inv()) == form and act(form, g) == red, form
+        differ.add(red != reduce(form)[0])
+    assert differ == {True, False}
+    for form in (QuadForm(1, 0, 1), QuadForm(1, 1, 1), QuadForm(1, -1, 1), QuadForm(2, 2, 3),
+                 QuadForm(2, -2, 3), QuadForm(2, 1, 2), QuadForm(2, -1, 2)):
+        assert modular._reduce_tau(form) == (form, IDENT)
+    assert modular._reduce_tau(QuadForm(2, -6, 5)) == (QuadForm(1, 0, 1), t_power(2) @ S_FLIP @ t_power(1))
 
-    form = root_form("0.3", "0.007")
-    t0, g = modular._reduce_tau(P30, form)
-    t0 = from_exact(ctx, t0)
-    assert t0.imag > ctx.sqrt(3) / 2 - ctx.mpf(10) ** -20
-    assert abs(t0.real) <= ctx.mpf("0.5") + ctx.mpf(10) ** -20
-    back = (g.p * t0 + g.q) / (g.r * t0 + g.s)
-    assert abs(back - ctx.mpc("0.3", "0.007")) < ctx.mpf(10) ** -25
 
-
-def rounds_suffice(monkeypatch, p, form, steps):
-    """Whether `_reduce_tau` reduces the form's root with its cap set to steps."""
+def rounds_suffice(monkeypatch, form, steps):
+    """Whether `_reduce_tau` reduces the form with its cap set to steps."""
     with monkeypatch.context() as capped:
         capped.setattr(modular, "_reduce_cap", lambda f: steps)
         try:
-            modular._reduce_tau(p, form)
+            modular._reduce_tau(form)
         except InternalCheckError as exc:
             assert "did not terminate" in str(exc)
             return False
@@ -178,8 +201,8 @@ def rounds_suffice(monkeypatch, p, form, steps):
 
 
 def test_reduce_tau_stops_at_its_cap(monkeypatch):
-    """`_reduce_tau` at the root of a form takes at most that form's cap,
-    `forms.reduce`'s, and a cap one short of the rounds a root needs
+    """`_reduce_tau` on a form takes at most that form's cap,
+    `forms.reduce`'s, and a cap one short of the rounds a form needs
     raises: the descriptor points of dK=-23 `1,8,31` and `1,176,211` and of
     dK=-3 `6,0,6` (up to 7 rounds), and the form of 0.3 + 0.007i (4
     rounds)."""
@@ -191,10 +214,10 @@ def test_reduce_tau_stops_at_its_cap(monkeypatch):
     most = 0
     for form in points:
         cap = forms._reduce_cap(form)
-        need = next(n for n in range(1, cap + 1) if rounds_suffice(monkeypatch, P30, form, n))
+        need = next(n for n in range(1, cap + 1) if rounds_suffice(monkeypatch, form, n))
         most = max(most, need)
         if need > 1:
-            assert not rounds_suffice(monkeypatch, P30, form, need - 1)
+            assert not rounds_suffice(monkeypatch, form, need - 1)
     assert most >= 4
 
 
@@ -782,7 +805,8 @@ def test_qseries_terms_match_the_exact_count(digits):
     mod = make_modulus(make_discriminant(-3299), 1, 1, 3)
     points = [descriptor(fc.rep, mod).eval_point() for fc in enumerate_classes(mod).classes]
     taus = [point(ctx) for point in ROUTE_TAUS]
-    taus += [from_exact(ctx, modular._reduce_tau(p, form)[0]) for form in points]
+    reds = [modular._reduce_tau(form)[0] for form in points]
+    taus += [ctx.mpc(-red.b, ctx.sqrt(-red.disc())) / (2 * red.a) for red in reds]
     assert len(taus) == len(ROUTE_TAUS) + 27
     for tau0 in taus:
         got = modular._qseries_terms(-2 * math.pi * float(tau0.imag), modular._cutoff(p))
@@ -1525,10 +1549,10 @@ def test_theta_phases_enter_cos_sin_pi_folded(monkeypatch):
     assert all(0 <= t <= Fraction(785399, 10**6) for t in angles), max(angles)
 
 
-def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
-    """No theta route entry reduces numerically: with `_reduce_tau`
-    refusing, `eval_descriptor`, `fricke`, `_reduced_values`, `eisenstein_j`
-    and `_fricke_at` return unchanged values, each reducing by
+def test_eval_descriptor_never_calls_reduce_tau(monkeypatch):
+    """No theta route entry takes the q-series route's reduction: with
+    `_reduce_tau` refusing, `eval_descriptor`, `fricke`, `_reduced_values`,
+    `eisenstein_j` and `_fricke_at` return unchanged values, each reducing by
     `forms.reduce` or not at all, while the q-series route,
     `eval_descriptor_unreduced`, which owns `_reduce_tau`, fails."""
     descs = [descriptor(fc.rep, MOD23) for fc in enumerate_classes(MOD23).classes]
@@ -1542,13 +1566,30 @@ def test_eval_descriptor_does_not_reduce_numerically(monkeypatch):
     ]
     before = [call() for call in calls]
 
-    def refuse(ctx, form):
-        raise AssertionError("numeric reduction on the exact route")
+    def refuse(form):
+        raise AssertionError("q-series reduction on the theta route")
 
     monkeypatch.setattr(modular, "_reduce_tau", refuse)
     assert [call() for call in calls] == before
-    with pytest.raises(AssertionError, match="numeric reduction"):
+    with pytest.raises(AssertionError, match="q-series reduction"):
         eval_descriptor_unreduced(descs[0], P80)
+
+
+@pytest.mark.parametrize("mod", [MOD20, make_modulus(D4, 6, 0, 6)], ids=["-20", "-4"])
+def test_eval_descriptor_unreduced_never_calls_forms_reduce(monkeypatch, mod):
+    """The q-series route reduces by its own rounds: with `modular.reduce`
+    refusing, `eval_descriptor_unreduced` returns its values on every class
+    of dK=-20 `2,4,6` and dK=-4 `6,0,6`, while `eval_descriptor` fails."""
+    descs = [descriptor(fc.rep, mod) for fc in enumerate_classes(mod).classes]
+    before = [eval_descriptor_unreduced(d, P80) for d in descs]
+
+    def refuse(form):
+        raise AssertionError("theta reduction on the q-series route")
+
+    monkeypatch.setattr(modular, "reduce", refuse)
+    assert [eval_descriptor_unreduced(d, P80) for d in descs] == before
+    with pytest.raises(AssertionError, match="theta reduction"):
+        eval_descriptor(descs[0], None, P80)
 
 
 # the helpers each route computes with and the other must never call; both

@@ -5,8 +5,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # the tracked size of src/ plus scripts/: a change that grows either number
 # raises its ceiling here, in its own diff, and says why in CHANGES.md
-MAX_LINES = 3074
-MAX_CODE_LINES = 1578
+MAX_LINES = 3068
+MAX_CODE_LINES = 1573
 
 
 def tracked_size():
