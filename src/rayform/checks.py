@@ -42,12 +42,18 @@ class Check(NamedTuple):
 
 
 def sci(x: Fraction) -> str:
-    """x >= 0 as f"{x:.3e}" prints it, but exact: no float range to underflow."""
+    """x >= 0 as f"{x:.3e}" prints it, but exact: no float range to
+    underflow and no decimal string of x's terms, which Python refuses past
+    4300 digits.  The exponent e = floor(log10 x) starts from the terms' bit
+    lengths, within about one of it, and is corrected by exact comparisons
+    with 10^e."""
     if x == 0:
         return "0.000e+00"
-    e = len(str(x.numerator)) - len(str(x.denominator))
-    if x < Fraction(10) ** e:
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while x < Fraction(10) ** e:
         e -= 1
+    while x >= Fraction(10) ** (e + 1):
+        e += 1
     m = round(x / Fraction(10) ** e * 1000)
     if m == 10000:
         m, e = 1000, e + 1

@@ -81,7 +81,8 @@ library below their own arithmetic: pi and ln 2 (`_constant`, memoized
 with headroom, the module's only state besides `_ctx`'s contexts), the
 real exponential (`_exp`) and the Taylor series of cosh and cos behind
 it and behind `_cos_sin_pi` at angles off the multiples of pi/12
-(`_exp_series`).  Values are exact inside, rounded once in `_mpc`: each
+(`_exp_series`), which, like `_arccot`'s series, stops at its first term
+that floors to zero.  Values are exact inside, rounded once in `_mpc`: each
 route's core returns its values as exact values, unrounded, so
 `verify`'s checks, which compare exact values on ints, never see two
 values agree to the bit by both rounding alike.  mpmath is
@@ -188,46 +189,35 @@ def _constant(name: str, wp: int) -> int:
     return value >> bits - wp
 
 
-def _series_terms(x: int, w: int) -> int:
-    """The term count n of `_exp_series` at y = x 2^-w in (0, 1/32): the
-    least n whose first omitted term of cosh y, y^(2n + 2)/(2n + 2)!, lies
-    below 2^-w, counted in float logs, as `_theta_terms` counts its tails.
-    The terms fall by a factor (2k + 1)(2k + 2)/y^2 > 12000 from one to
-    the next, so the omitted tail is below 1.0001 units; the logs are good
-    to a relative 10^-12, so a term the count drops lies below 1.000001
-    units."""
-    step, cut = 2 * (math.log(x) - w * math.log(2)), -w * math.log(2)
-    log_term, n = 0.0, 0
-    while True:
-        n += 1
-        log_term += step - math.log((2 * n - 1) * 2 * n)
-        if log_term < cut:
-            return n - 1
-
-
 def _exp_series(x: int, wp: int, alt: bool = False):
     """e^y, or the pair (cos y, sin y) when alt, at scale 2^wp for
     y = x 2^-wp in [0, 1) and wp >= 100: a port of libmp's
     exponential_series (Brent and Zimmermann, Modern Computer Arithmetic,
     4.3-4.4).  With 2^(m - 1) <= y < 2^m, y is halved r = max(0, m +
     isqrt(wp)//2) times to y' < 2^-5, and the series of cosh y' (cos y')
-    summed at w = wp + g bits, g = 2r - m + bitlen(wp) + 8, to
-    `_series_terms`' n terms, u of them per product by y'^(2u) (u = 2, or
-    0.3 wp^0.35 from 1500 bits on, as libmp splits).  e^y is then
+    summed at w = wp + g bits, g = 2r - m + bitlen(wp) + 8, u terms per
+    product by y'^(2u) (u = 2, or 0.3 wp^0.35 from 1500 bits on, as libmp
+    splits), until a term floors to 0.  The running int a of the k-th term
+    y'^(2k)/(2k)! omits its slot's power y'^(2i) <= 1, i = (k - 1) mod u,
+    which multiplies the slot's sum once at the end, and floors only lower
+    it, so in slot 0 a is at most the term: with n the least count whose
+    first omitted term lies below a unit of 2^-w, the loop stops after
+    K <= n + u terms, the last of them floored to 0.  e^y is then
     c + isqrt(c^2 - 1) squared r times, and cos y comes from r
     double-angle steps c -> 2c^2 - 1, sin y as isqrt(1 - c^2).
-    Error bound: each term is within 1.5 units of 2^-w and the tail under
-    1.0001, so c is within d = 2n + u + 3 units of cosh y' (cos y').  To
-    first order c's error moves the exponent (the angle) by d/sinh y'
-    (d/sin y') units, each of the r squarings (double-angle steps) doubles
-    that and adds under a unit of its own, and the isqrt adds under a
-    unit: a relative (angle) error under 4^r (d + 1/3) pi/(2y) + 2^(r + 1)
-    units of 2^-w.  With y >= 2^(m - 1) and d <= wp (n <= wp/10 + 4 at
+    Error bound: each of the K terms, the last too, is within 1.5 units of
+    2^-w, and the terms fall by a factor (2k + 1)(2k + 2)/y'^2 > 12000 from
+    one to the next, so the tail past the K-th is under 0.001 units and c
+    is within d = 2K + u + 3 units of cosh y' (cos y').  To first order
+    c's error moves the exponent (the angle) by d/sinh y' (d/sin y') units,
+    each of the r squarings (double-angle steps) doubles that and adds
+    under a unit of its own, and the isqrt adds under a unit: a relative
+    (angle) error under 4^r (d + 1/3) pi/(2y) + 2^(r + 1) units of 2^-w.
+    With y >= 2^(m - 1) and d <= 2n + 3u + 3 <= wp (n <= wp/10 + 4 at
     y' < 2^-5), that is under 0.03 units of 2^-wp, and the final floor
     adds one: e^y is within a relative 1.1 2^-wp, and cos y and sin y are
-    each within 1.1 2^-wp.  y = 0 returns the exact value."""
-    if not x:
-        return (1 << wp, 0) if alt else 1 << wp
+    each within 1.1 2^-wp.  At y = 0 the first a is 0, no term is summed
+    and the value is exact."""
     mag = x.bit_length() - wp
     r = max(0, mag + math.isqrt(wp) // 2)
     extra = 2 * r - mag + wp.bit_length() + 8
@@ -238,8 +228,9 @@ def _exp_series(x: int, wp: int, alt: bool = False):
     powers = [one, (x * x) >> w]
     for _ in range(u - 1):
         powers.append((powers[-1] * powers[1]) >> w)
-    sums, a = [0] * u, powers[1]
-    for k in range(1, _series_terms(x, w) + 1):
+    sums, a, k = [0] * u, powers[1], 0
+    while a:
+        k += 1
         i = (k - 1) % u
         if k > 1 and not i:
             a = (a * powers[u]) >> w

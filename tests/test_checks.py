@@ -45,6 +45,47 @@ def test_sci_below_double_range():
     assert f"{float(Fraction('1e-400')):.3e}" == "0.000e+00"
 
 
+def old_sci(x):
+    """`sci` as it took its exponent from the terms' decimal lengths, which
+    Python's int-to-str limit cuts off at 4300 digits."""
+    if x == 0:
+        return "0.000e+00"
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    if x < Fraction(10) ** e:
+        e -= 1
+    m = round(x / Fraction(10) ** e * 1000)
+    if m == 10000:
+        m, e = 1000, e + 1
+    return f"{m // 1000}.{m % 1000:03d}e{e:+03d}"
+
+
+def test_sci_past_the_int_to_str_limit():
+    """A residual of a `verify` at 5000 digits prints: its exponent comes
+    from bit lengths and exact comparisons, not from a decimal string."""
+    assert sci(Fraction(1, 10**5010)) == "1.000e-5010"
+    assert sci(Fraction(99995, 10**5015)) == "1.000e-5010"
+    assert sci(Fraction(10**5010 - 1)) == "1.000e+5010"
+    assert sci(Fraction(31416, 10**6004)) == "3.142e-6000"
+
+
+def test_sci_matches_the_decimal_length_rule():
+    """On seeded values inside the old rule's range, a power of ten, its
+    neighbours and values rounding up to the next decade among them, `sci`
+    prints the same bytes as the rule that took its exponent from the
+    terms' decimal lengths."""
+    rng = random.Random(55)
+    values = []
+    for _ in range(3000):
+        num = rng.randrange(1, 10 ** rng.randrange(1, 1200))
+        den = rng.randrange(1, 10 ** rng.randrange(1, 1200))
+        values.append(Fraction(num, den))
+    for e in range(-300, 300, 7):
+        ten = Fraction(10) ** e
+        values += [ten, ten * Fraction(99995, 100000), ten * Fraction(99994, 100000), ten - Fraction(1, 10**400)]
+    for x in values:
+        assert sci(x) == old_sci(x), x
+
+
 @pytest.fixture(scope="module")
 def too_tight():
     """The suite at 40 digits against a tolerance of 10^-60, which no
@@ -394,6 +435,21 @@ def scaled_by(value, num, den):
     200 bits below its own last bit."""
     re, im, e = value
     return (re * num << 200) // den, (im * num << 200) // den, e - 200
+
+
+def test_power_residuals_skip_the_points_of_j_0_and_1728():
+    """At the roots of (1, 0, 1) (j = 1728) and (1, 1, 1) (j = 0) the
+    power relations divide by a vanishing j - 1728 or j, so those samples
+    are skipped; a generic form beside them yields its two residuals, the
+    same as on its own."""
+    p = Precision(40)
+    row = (1, 2, 5)
+    forms = [QuadForm(1, 0, 1), QuadForm(1, 1, 1), QuadForm(2, 1, 3)]
+    drawn = [(f, row, modular._reduced_values(p, f, row, range(4))) for f in forms]
+    residuals = list(checks._power_residuals(drawn))
+    assert len(residuals) == 2
+    assert residuals == list(checks._power_residuals(drawn[2:]))
+    assert list(checks._power_residuals(drawn[:2])) == []
 
 
 def test_power_check_fails_on_a_wrong_e6(monkeypatch):

@@ -246,6 +246,17 @@ def test_ideal_gens_matches_triple():
     assert "not both" in err
 
 
+def test_ideal_gens_with_a_negative_generator():
+    """A generator list that starts with '-' is passed in the '=' form, and
+    canonicalizes to the same modulus: the same bytes as `--ideal 2,4,6`.
+    Without the '=' argparse reads it as an option and exits 2."""
+    want = run("enumerate", "--dk", "-20", "--ideal", "2,4,6")
+    assert want[0] == 0
+    assert run("enumerate", "--dk", "-20", "--ideal-gens=-2,-4;0,6") == want
+    code, out, _ = run("enumerate", "--dk", "-20", "--ideal-gens", "-2,-4;0,6")
+    assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize("gens", ["2,4;1,2", "0,6;0,3", "0,0;0,0", "2,0;0,3"])
 def test_ideal_gens_rejects_non_ideals(gens):
     # three rank deficient generator pairs, and a lattice that is not an ideal

@@ -27,7 +27,7 @@ from rayform.qfield import InternalCheckError, QFieldError, make_discriminant
 from rayform.rayclass import descriptor, enumerate_classes, make_modulus, point_coords
 from rayform.rayclass import class_translate
 
-from conftest import CLOSED_FORM_FAULTS, closed_form_fault, form_near, fraction_point_form, root_form
+from conftest import CLOSED_FORM_FAULTS, closed_form_fault, form_near, fraction_point_form, root_form, source_fault
 
 D20 = make_discriminant(-20)
 D23 = make_discriminant(-23)
@@ -1376,30 +1376,16 @@ def elementary_excess(digits):
 def test_elementary_helpers_within_their_bounds(monkeypatch, digits):
     """pi, ln 2, the exponential and the cosine and sine series, each
     within its docstring's bound at 30 to 1000 digits (`elementary_excess`),
-    and the bounds are tight enough to see a series stopped one term early:
-    with `_series_terms` one short, some helper breaks its bound."""
+    the series exact at y = 0, and the bounds are tight enough to see a
+    series stopped early: with `_exp_series`' loop stopping once its running
+    term is below 2^24 units, not at 0, some helper breaks its bound."""
     worst = elementary_excess(digits)
     assert max(worst.values()) <= 1, worst
-    series_terms = modular._series_terms
-    monkeypatch.setattr(modular, "_series_terms", lambda x, w: max(0, series_terms(x, w) - 1))
+    wp = modular._prec(Precision(digits)) + 20
+    assert modular._exp_series(0, wp) == 1 << wp and modular._exp_series(0, wp, True) == (1 << wp, 0)
+    source_fault(monkeypatch, "_exp_series", "while a:", "while a >> 24:")
     short = elementary_excess(digits)
     assert max(short.values()) > 1, short
-
-
-def test_series_terms_match_the_plain_search():
-    """`_series_terms` against the least n whose term y^(2n + 2)/(2n + 2)!
-    lies below 2^-w, found on exact Fractions, at seeded y below 1/32 and
-    w from 100 to 4000 bits."""
-    rng = random.Random(31)
-    for _ in range(60):
-        w = rng.randrange(100, 4000)
-        x = rng.randrange(1, 1 << w - 5) >> rng.randrange(0, w // 2)
-        y, n = Fraction(x, 1 << w), 0
-        term = y * y / 2
-        while term >= Fraction(1, 1 << w):
-            n += 1
-            term *= y * y / ((2 * n + 1) * (2 * n + 2))
-        assert modular._series_terms(x, w) == n, (x, w)
 
 
 def test_prec_matches_dps_to_prec():

@@ -158,6 +158,9 @@ def test_canonicalize_example_ideal():
     assert (n.a1, n.a2, n.c) == (2, 4, 6)
     swapped = canonicalize_ideal(D20, [(0, 6), (2, 4)])
     assert (swapped.a1, swapped.a2, swapped.c) == (2, 4, 6)
+    # a negative leading generator is flipped to a1 > 0
+    negated = canonicalize_ideal(D20, [(-2, -4), (0, 6)])
+    assert (negated.a1, negated.a2, negated.c) == (2, 4, 6)
     unit = canonicalize_ideal(D20, [(1, 0), (0, 1)])
     assert (unit.a1, unit.a2, unit.c) == (1, 0, 1)
 
